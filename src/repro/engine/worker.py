@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.spec import Cell
 from repro.engine.summary import RunSummary, summarize_run
@@ -38,15 +38,26 @@ class CellOutcome:
         return self.error is None
 
 
-def run_cell(
-    cell: Cell,
+def run_point(
+    factory: str,
+    kwargs: Dict[str, Any],
+    algorithm: str,
+    seed: int,
+    *,
     window: float = 100.0,
     fast: bool = True,
     memory: Optional[str] = None,
     consistency: Optional[str] = None,
     membership: Optional[str] = None,
 ) -> RunSummary:
-    """Execute one cell in-process and return its summary (raises on error).
+    """Build, run and summarize one ``(factory, kwargs, algorithm, seed)``
+    point -- the shape every pinned repro payload carries.
+
+    This is the one build -> run -> summarize block behind engine cells
+    (:func:`run_cell`), chaos-plan replays and fuzz replays, so the
+    shrinkers' oracles and ``--replay`` see byte-identical summaries to
+    the batched forward path.  ``fast`` (the default) is the
+    low-overhead mode: no read log, no event trace.
 
     ``memory`` is the spec-level backend override: ``None`` (the
     default) leaves the scenario's own backend choice in force, a
@@ -62,24 +73,45 @@ def run_cell(
     """
     from repro.workloads.registry import build_scenario, resolve_algorithm
 
-    started = time.perf_counter()
-    algorithm_cls = resolve_algorithm(cell.algorithm.target)
-    scenario = build_scenario(cell.scenario.factory, cell.scenario.kwargs_dict())
-    overrides: dict = {"log_reads": False, "trace_events": False} if fast else {}
+    scenario = build_scenario(factory, kwargs)
+    overrides: Dict[str, Any] = {"log_reads": False, "trace_events": False} if fast else {}
     if memory is not None:
         overrides["memory"] = memory
     if consistency is not None and (memory or scenario.memory) == "emulated":
         overrides["consistency"] = consistency
     if membership is not None and (memory or scenario.memory) == "emulated":
         overrides["membership"] = membership
-    result = scenario.run(algorithm_cls, seed=cell.seed, **overrides)
-    summary = summarize_run(
+    result = scenario.run(resolve_algorithm(algorithm), seed=seed, **overrides)
+    return summarize_run(
         result,
         scenario_name=scenario.name,
         margin=scenario.margin,
         window=window,
-        wall_time_s=0.0,
         assumption=scenario.assumption,
+    )
+
+
+def run_cell(
+    cell: Cell,
+    window: float = 100.0,
+    fast: bool = True,
+    memory: Optional[str] = None,
+    consistency: Optional[str] = None,
+    membership: Optional[str] = None,
+) -> RunSummary:
+    """Execute one cell in-process and return its summary (raises on
+    error); the overrides are :func:`run_point`'s."""
+    started = time.perf_counter()
+    summary = run_point(
+        cell.scenario.factory,
+        cell.scenario.kwargs_dict(),
+        cell.algorithm.target,
+        cell.seed,
+        window=window,
+        fast=fast,
+        memory=memory,
+        consistency=consistency,
+        membership=membership,
     )
     summary.algorithm = cell.algorithm.label  # prefer the caller's label
     summary.wall_time_s = time.perf_counter() - started
@@ -111,4 +143,4 @@ def execute_cell(
         return CellOutcome(key=cell.key, error=traceback.format_exc())
 
 
-__all__ = ["CellOutcome", "execute_cell", "run_cell"]
+__all__ = ["CellOutcome", "execute_cell", "run_cell", "run_point"]

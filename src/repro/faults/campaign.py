@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.engine.summary import RunSummary, summarize_run
+# ``summarize_run`` is unused here, but the repo benchmark's span
+# recorder (bench/spans.py) rebinds it on this module by name.
+from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
+from repro.engine.worker import run_point
 from repro.faults.generator import FaultScheduleGenerator
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import shrink_plan
-from repro.workloads.registry import resolve_algorithm
-from repro.workloads.scenarios import chaos
 
 
 @dataclass(frozen=True)
@@ -142,29 +143,11 @@ def replay_plan(plan: FaultPlan, config: CampaignConfig, seed: int) -> RunSummar
     """Run one fault plan through the chaos scenario and summarize it.
 
     Deterministic in ``(plan, config, seed)``: this is both the
-    campaign's forward path and the delta debugger's oracle, so a
-    shrunk plan is guaranteed to reproduce under exactly these knobs.
+    campaign's forward path and the delta debugger's oracle, and it
+    runs exactly the point :func:`pinned_repro` pins, so a shrunk plan
+    is guaranteed to reproduce under exactly these knobs.
     """
-    scenario = chaos(
-        n=config.n,
-        horizon=config.horizon,
-        replicas=config.replicas,
-        plan=plan.to_jsonable(),
-        resync=config.resync,
-        retry_policy=config.retry_policy,
-    )
-    result = scenario.run(
-        resolve_algorithm(config.algorithm),
-        seed=seed,
-        log_reads=False,
-        trace_events=False,
-    )
-    return summarize_run(
-        result,
-        scenario_name=scenario.name,
-        margin=scenario.margin,
-        assumption=scenario.assumption,
-    )
+    return run_point(**pinned_repro(plan, config, seed))
 
 
 def pinned_repro(plan: FaultPlan, config: CampaignConfig, seed: int) -> Dict[str, Any]:

@@ -37,7 +37,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.driver import run_experiment
 from repro.engine.spec import AlgorithmRef, ExperimentSpec, ScenarioRef
-from repro.engine.summary import RunSummary, summarize_run
+# ``summarize_run`` is unused here, but the repo benchmark's span
+# recorder (bench/spans.py) rebinds it on this module by name.
+from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
+from repro.engine.worker import run_point
 from repro.faults.campaign import violation_count
 from repro.faults.plan import FaultEvent
 from repro.memory.membership import MembershipEvent
@@ -46,7 +49,6 @@ from repro.fuzz.coverage import signature
 from repro.fuzz.genome import DEFAULT_BASE_HORIZON, ScenarioGenome
 from repro.fuzz.mutate import mutate, random_genome
 from repro.fuzz.shrink import GenomeShrinkResult, shrink_genome
-from repro.workloads.registry import build_scenario, resolve_algorithm
 
 #: Probability of mutating a corpus parent (vs drawing a random genome)
 #: once the corpus is non-empty.
@@ -236,23 +238,12 @@ def _cell_kwargs(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
 def replay_genome(genome: ScenarioGenome, config: FuzzConfig) -> RunSummary:
     """Run one genome in-process with the exact worker semantics.
 
-    Mirrors :func:`repro.engine.worker.run_cell` fast mode (no read
-    log, no event trace, default census window), so the shrinker's
-    oracle sees byte-identical summaries to the batched forward path.
+    :func:`repro.engine.worker.run_point` is what engine cells run too
+    (fast mode: no read log, no event trace, default census window), so
+    the shrinker's oracle sees byte-identical summaries to the batched
+    forward path.
     """
-    scenario = build_scenario("fuzz-cell", _cell_kwargs(genome, config))
-    result = scenario.run(
-        resolve_algorithm(genome.algorithm),
-        seed=config.seed,
-        log_reads=False,
-        trace_events=False,
-    )
-    return summarize_run(
-        result,
-        scenario_name=scenario.name,
-        margin=scenario.margin,
-        assumption=scenario.assumption,
-    )
+    return run_point("fuzz-cell", _cell_kwargs(genome, config), genome.algorithm, config.seed)
 
 
 def pinned_repro(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
@@ -420,18 +411,8 @@ def replay_regressions(
     out: List[Tuple[str, Dict[str, Any], int]] = []
     corpus = Corpus.load(corpus_dir)
     for key, payload in corpus.regression_items():
-        scenario = build_scenario(payload["factory"], payload["kwargs"])
-        run = scenario.run(
-            resolve_algorithm(payload["algorithm"]),
-            seed=int(payload["seed"]),
-            log_reads=False,
-            trace_events=False,
-        )
-        summary = summarize_run(
-            run,
-            scenario_name=scenario.name,
-            margin=scenario.margin,
-            assumption=scenario.assumption,
+        summary = run_point(
+            payload["factory"], payload["kwargs"], payload["algorithm"], int(payload["seed"])
         )
         out.append((key, payload, violation_count(summary)))
     return out

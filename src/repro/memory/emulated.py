@@ -40,36 +40,54 @@ the two levels genuinely diverge.
 The emulation tolerates crashes of **up to a minority** of replicas and
 message loss (pending phases retransmit to unacked replicas every
 ``retry_interval``; the opt-in ``backoff`` retry policy swaps the
-constant timer for jittered exponential backoff).  **Fault injection**
-(``EmulationConfig.fault_plan``, a :mod:`repro.faults` timeline) adds
-*transient* crashes: a recovering replica rejoins with amnesia and runs
-a quorum **state-resync** -- merging ``(timestamp, value)`` snapshots
-from a majority of the other replicas -- before serving reads again,
-while partition/heal windows and message storms from the same plan
-compile into a link-level overlay.  Link timing/loss is pluggable
-through the :data:`LINK_MODELS` registry over the
+constant timer for jittered exponential backoff).  Link timing/loss is
+pluggable through the :data:`LINK_MODELS` registry over the
 :mod:`repro.netsim.network` behaviours -- including the PR 2
 adversaries (GST ramps, fair loss).
 
-**Dynamic membership** (``EmulationConfig.membership_plan``, a
-:mod:`repro.memory.membership` timeline) removes the last frozen axis:
-the replica set itself.  Each ``join``/``leave`` event opens a
-RAMBO-style *two-config transition window*: the emulation holds both
-the old :class:`~repro.memory.membership.ReplicaConfig` and the
-proposed one, broadcasts every phase to the union of their members,
-and requires every read/write quorum (including ABD write-backs and
-amnesia resyncs) to intersect a **majority of both configs** -- reads
-therefore take the max timestamp across both member sets.  After
-``transfer_delay`` a **state-transfer round** collects snapshots from
-a majority of the old config, pushes the merged state to the new
-members, and -- once a majority of the new config acks -- *installs*
-the new config and garbage-collects the old.  A joiner starts as an
-amnesiac (it applies and acks writes but refuses reads) until the
-transfer lands.  Overlapping events queue and transition one at a
-time, so back-to-back reconfigurations are safe.  The
-``"single-config"`` transition mode is the deliberately broken
-negative control (old quorums only, no state transfer) that the
-history audits must catch.
+**One quorum rule.**  Every quorum decision in this module is the same
+predicate, :func:`repro.memory.membership.quorum_met`: *the reply set
+holds a majority of every config currently in force*.  ``_rule`` is
+that list of configs -- one normally, two inside a membership
+transition window -- and ``_serving`` the union of their members,
+which is who every phase broadcasts to.  Read and write phases, ABD
+write-backs, amnesia resyncs and both halves of a state transfer all
+consult it; nothing else in the package compares replies to a majority.
+
+**One state-sync round.**  Bringing a replica up to date is always the
+same retransmitted round (:class:`_SyncRound`): *collect* ``abd.sync``
+snapshots from a quorum, *merge* them max-timestamp per register,
+*deliver* the result.  Its two users differ only in the collect target
+set and the delivery step:
+
+* **Amnesia resync** -- fault injection (``EmulationConfig.fault_plan``,
+  a :mod:`repro.faults` timeline) adds *transient* crashes.  A
+  recovering replica rejoins with an empty store, applies and acks
+  writes (timestamps make that safe) but refuses reads until its round
+  has collected from a quorum of the *other* serving replicas (the rule
+  in force minus itself) and delivered into its own store.  Partition
+  /heal windows and message storms from the same plan compile into a
+  link-level overlay.
+* **Config transfer** -- dynamic membership
+  (``EmulationConfig.membership_plan``, a
+  :mod:`repro.memory.membership` timeline) changes the replica set
+  itself.  Each ``join``/``leave`` opens a RAMBO-style *two-config
+  transition window*: the proposed
+  :class:`~repro.memory.membership.ReplicaConfig` joins the rule, so
+  every quorum intersects a **majority of both configs** and reads take
+  the max timestamp across both member sets.  After ``transfer_delay``
+  a round collects from a majority of the old config and delivers by
+  pushing ``abd.transfer`` to the new members; once a majority of the
+  new config acks, the new config is *installed* and the old one
+  garbage-collected.  A joiner starts as an amnesiac until the push
+  lands.  Overlapping events queue and transition one at a time, so
+  back-to-back reconfigurations are safe.
+
+Two **deliberately broken modes** stay selectable as negative controls
+the history audits must catch, each at its minimum footprint:
+``resync=False`` skips the resync round (a recovered replica serves
+straight out of amnesia), and ``transition="single-config"`` never puts
+the proposed config in force and installs it without a transfer.
 
 :class:`EmulatedMemory` subclasses
 :class:`~repro.memory.memory.SharedMemory`: the namespace, the access
@@ -85,15 +103,18 @@ the SAN disk model, but realized by an actual replicated protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.memory.membership import (
     TRANSITION_MODES,
     MembershipEvent,
     MembershipPlan,
+    QuorumRule,
     ReplicaConfig,
+    quorum_met,
+    quorum_rule,
 )
 from repro.memory.memory import SharedMemory
 from repro.memory.mwmr import MultiWriterRegister
@@ -398,73 +419,60 @@ class EmulationConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """The plain-dict form (scenario kwargs, JSON payloads)."""
-        return {
-            "replicas": self.replicas,
-            "links": self.links,
-            "link_params": dict(self.link_params),
-            "retry_interval": self.retry_interval,
-            "retry_policy": self.retry_policy,
-            "retry_cap": self.retry_cap,
-            "retry_jitter": self.retry_jitter,
-            "replica_crash_times": {str(i): t for i, t in self.replica_crash_times},
-            "fault_plan": [ev.to_jsonable() for ev in self.fault_plan],
-            "resync": self.resync,
-            "membership_plan": [ev.to_jsonable() for ev in self.membership_plan],
-            "transfer_delay": self.transfer_delay,
-            "transition": self.transition,
-            "consistency": self.consistency,
-            "record_history": self.record_history,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, (encode, _) in _FIELD_CODECS.items():
+            out[name] = encode(out[name])
+        return out
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EmulationConfig":
         """Build a config from the plain-dict form (inverse of
         :meth:`to_dict`; JSON string keys are re-intified)."""
-        data = dict(payload)
-        unknown = set(data) - {
-            "replicas",
-            "links",
-            "link_params",
-            "retry_interval",
-            "retry_policy",
-            "retry_cap",
-            "retry_jitter",
-            "replica_crash_times",
-            "fault_plan",
-            "resync",
-            "membership_plan",
-            "transfer_delay",
-            "transition",
-            "consistency",
-            "record_history",
-        }
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(payload) - set(defaults)
         if unknown:
             raise ValueError(f"unknown emulation option(s): {sorted(unknown)}")
-        crashes = data.get("replica_crash_times") or {}
-        return cls(
-            replicas=int(data.get("replicas", 3)),
-            links=str(data.get("links", "sync")),
-            link_params=tuple(sorted((data.get("link_params") or {}).items())),
-            retry_interval=float(data.get("retry_interval", 20.0)),
-            retry_policy=str(data.get("retry_policy", "fixed")),
-            retry_cap=float(data.get("retry_cap", 160.0)),
-            retry_jitter=float(data.get("retry_jitter", 0.25)),
-            replica_crash_times=tuple(
-                sorted((int(i), float(t)) for i, t in dict(crashes).items())
-            ),
-            fault_plan=tuple(
-                FaultEvent.from_jsonable(ev) for ev in data.get("fault_plan") or ()
-            ),
-            resync=bool(data.get("resync", True)),
-            membership_plan=tuple(
-                MembershipEvent.from_jsonable(ev)
-                for ev in data.get("membership_plan") or ()
-            ),
-            transfer_delay=float(data.get("transfer_delay", 150.0)),
-            transition=str(data.get("transition", "dual-quorum")),
-            consistency=str(data.get("consistency", "regular")),
-            record_history=bool(data.get("record_history", False)),
-        )
+        kwargs: Dict[str, Any] = {}
+        for name, value in payload.items():
+            if name in _FIELD_CODECS:
+                kwargs[name] = _FIELD_CODECS[name][1](value)
+            else:  # a scalar: coerce to its default's type (JSON 5 -> 5.0)
+                kwargs[name] = type(defaults[name])(value)
+        return cls(**kwargs)
+
+
+#: ``field -> (encode, decode)`` for the :class:`EmulationConfig` fields
+#: whose JSON shape differs from their frozen in-memory shape; every
+#: other field is a scalar that serialises as itself.
+_FIELD_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "link_params": (dict, lambda v: tuple(sorted((v or {}).items()))),
+    "replica_crash_times": (
+        lambda v: {str(i): t for i, t in v},
+        lambda v: tuple(sorted((int(i), float(t)) for i, t in dict(v or {}).items())),
+    ),
+    "fault_plan": (
+        lambda v: [ev.to_jsonable() for ev in v],
+        lambda v: tuple(FaultEvent.from_jsonable(ev) for ev in v or ()),
+    ),
+    "membership_plan": (
+        lambda v: [ev.to_jsonable() for ev in v],
+        lambda v: tuple(MembershipEvent.from_jsonable(ev) for ev in v or ()),
+    ),
+}
+
+
+_Stamped = Tuple[Tuple[int, int], Any]
+
+
+def _merge_newer(store: Dict[str, _Stamped], entries: Iterable[Tuple[str, _Stamped]]) -> None:
+    """Apply ``(name, (timestamp, value))`` entries monotonically: an
+    entry lands only where ``store`` holds nothing newer, so merging
+    snapshots in any order keeps the max-timestamp value per register
+    and never regresses a write the store already applied."""
+    for name, (ts, value) in entries:
+        current = store.get(name)
+        if current is None or ts > current[0]:
+            store[name] = (ts, value)
 
 
 class ReplicaNode:
@@ -525,10 +533,7 @@ class ReplicaNode:
             # state -- the same guarantee a resync provides -- so an
             # amnesiac joiner may start serving reads after applying it.
             transfer_id, entries = message.payload
-            for name, (ts, value) in entries:
-                current = self.store.get(name)
-                if current is None or ts > current[0]:
-                    self.store[name] = (ts, value)
+            _merge_newer(self.store, entries)
             self.recovering = False
             network.send(self.node_id, message.sender, "abd.transfer-ack", (transfer_id,))
         elif message.kind == "abd.write":
@@ -568,6 +573,8 @@ class _PendingOp:
         "attempts",
         "started_at",
     )
+    #: Event kind of the retransmission timer of every client phase.
+    retry_kind = "abd-retry"
 
     def __init__(
         self,
@@ -596,61 +603,50 @@ class _PendingOp:
         self.started_at = started_at
 
 
-class _ResyncState:
-    """One in-flight recovery state-resync of one replica.
+class _SyncRound:
+    """One in-flight retransmitted max-timestamp state-sync round.
 
-    The recovering replica broadcasts ``abd.sync`` and merges the
-    ``(timestamp, value)`` snapshots it gets back; it rejoins read
-    service once a majority of the *other* replicas replied.  Counting
-    the recovering node itself toward its own quorum would be unsound
-    (its state is amnesia), and a majority drawn from the others is
-    what guarantees intersection with every completed write's quorum in
-    at least one non-amnesiac replica.
-    """
+    The same three steps serve both users: **collect** ``abd.sync``
+    snapshots from a quorum, **merge** them max-timestamp per register,
+    **deliver** the merged state.  What differs is only where the
+    round collects and how it delivers:
 
-    __slots__ = ("sync_id", "node", "replies", "merged", "retry_handle", "done")
-
-    def __init__(self, sync_id: int, node: ReplicaNode) -> None:
-        self.sync_id = sync_id
-        self.node = node
-        self.replies: Set[int] = set()
-        self.merged: Dict[str, Tuple[Tuple[int, int], Any]] = {}
-        self.retry_handle = None
-        self.done = False
-
-
-class _TransferState:
-    """One in-flight membership state-transfer round.
-
-    Two phases: ``collect`` gathers ``(timestamp, value)`` snapshots
-    (``abd.sync`` rounds, like a resync) from a majority of the **old**
-    config -- which intersects every completed write's quorum, both the
-    pre-window writes and the dual-quorum window writes -- then
-    ``install`` pushes the merged state (``abd.transfer``) to every
-    member of the **new** config and installs it once a majority of the
-    new config acks.  Both phases retransmit to the targets yet to
-    reply.
+    * an amnesia *resync* (``node`` is the recovering replica) collects
+      from the serving set minus the node itself and delivers straight
+      into the node's own store;
+    * a membership *state transfer* (``node`` is ``None``) collects
+      from the old config and delivers by pushing ``abd.transfer`` to
+      the new config's members (``pushing``), completing -- and
+      installing the new config -- on a majority of their acks.
     """
 
     __slots__ = (
-        "transfer_id",
-        "coordinator",
-        "phase",
+        "round_id",
+        "pid",
+        "retry_kind",
+        "node",
+        "exclude",
+        "pushing",
         "replies",
-        "acks",
         "merged",
         "retry_handle",
+        "attempts",
         "done",
     )
 
-    def __init__(self, transfer_id: int) -> None:
-        self.transfer_id = transfer_id
-        self.coordinator = 0  # wire address the round's replies route to
-        self.phase = "collect"  # "collect" | "install"
-        self.replies: Set[int] = set()
-        self.acks: Set[int] = set()
-        self.merged: Dict[str, Tuple[Tuple[int, int], Any]] = {}
+    def __init__(
+        self, round_id: int, pid: int, node: Optional[ReplicaNode], retry_kind: str
+    ) -> None:
+        self.round_id = round_id
+        self.pid = pid  # wire address the round's messages come from
+        self.retry_kind = retry_kind  # event kind of its retransmission timer
+        self.node = node
+        self.exclude = -1 if node is None else node.index  # never its own quorum
+        self.pushing = False
+        self.replies: Set[int] = set()  # snapshots in; acks once pushing
+        self.merged: Dict[str, _Stamped] = {}
         self.retry_handle = None
+        self.attempts = 0
         self.done = False
 
 
@@ -708,25 +704,18 @@ class EmulatedMemory(SharedMemory):
         self._ops: Dict[int, _PendingOp] = {}
         self._op_counter = 0
         self._sync_counter = 0
-        self._resyncs: Dict[int, _ResyncState] = {}
+        self._rounds: Dict[int, _SyncRound] = {}
         self._started = False
         # Membership state: the installed config, the proposed config of
-        # an open transition window (None outside windows), the queue of
-        # events waiting for the current transition to install, and the
-        # in-flight state-transfer round.  ``_static_membership`` keeps
-        # the quorum predicate on the two-int fast path for plans-free
-        # runs (the overwhelmingly common case, and the byte-identity
-        # contract with pre-membership releases).
+        # an open transition window (None outside windows) and the queue
+        # of events waiting for the current transition to install.
+        # ``_rule`` / ``_serving`` are what every quorum phase consults:
+        # the quorum rule in force and the replica indices phases
+        # broadcast to (see _refresh_quorum_state).
         self.current_config = ReplicaConfig(0, tuple(range(self.config.replicas)))
         self.next_config: Optional[ReplicaConfig] = None
-        self._static_membership = not self.config.membership_plan
-        self._cur_members = self.current_config.member_set
-        self._cur_majority = self.current_config.majority
-        self._new_members = frozenset()
-        self._new_majority = 0
         self._pending_membership: List[MembershipEvent] = []
-        self._transfers: Dict[int, _TransferState] = {}
-        self._serving: List[ReplicaNode] = []
+        self._refresh_quorum_state()
         # Protocol statistics (per-run observability; see RunSummary).
         self.reads_completed = 0
         self.writes_completed = 0
@@ -779,7 +768,6 @@ class EmulatedMemory(SharedMemory):
         self.replicas = [
             ReplicaNode(i, self._initial) for i in range(self.config.replicas)
         ]
-        self._serving = list(self.replicas)
         for idx, t in self.config.replica_crash_times:
             if t <= horizon:
                 if idx < len(self.replicas):
@@ -845,18 +833,15 @@ class EmulatedMemory(SharedMemory):
         return self._initial.get(name, (_INITIAL_TS, 0))
 
     # ------------------------------------------------------------------
-    # Crash, recovery and state-resync
+    # Crash, recovery and the state-sync round
     # ------------------------------------------------------------------
     def _crash_replica(self, node: ReplicaNode) -> None:
         """Crash ``node`` now, abandoning any resync it was running."""
         node.crashed = True
         node.recovering = False
-        for sync_id, state in list(self._resyncs.items()):
-            if state.node is node:
-                state.done = True
-                if state.retry_handle is not None:
-                    state.retry_handle.cancel()
-                del self._resyncs[sync_id]
+        for rnd in list(self._rounds.values()):
+            if rnd.node is node:
+                self._close_round(rnd)
 
     def _begin_recovery(self, node: ReplicaNode) -> None:
         """Recover ``node`` with amnesia; resync before serving reads.
@@ -865,9 +850,9 @@ class EmulatedMemory(SharedMemory):
         from *nothing* (not even the seeded initial values -- stale
         initial state is exactly the bug the resync exists to prevent).
         Under ``config.resync`` it applies and acks writes but refuses
-        reads until :meth:`_on_sync_reply` merges a majority of the
-        other replicas' snapshots; with ``resync=False`` (the broken
-        mode for negative tests) it serves immediately out of amnesia.
+        reads until its state-sync round delivers a quorum's merged
+        snapshots; with ``resync=False`` (the broken mode for negative
+        tests) it serves immediately out of amnesia.
         """
         if not node.crashed:
             return  # recover of a live replica is a no-op
@@ -876,110 +861,90 @@ class EmulatedMemory(SharedMemory):
         self.recoveries += 1
         if self.config.resync:
             node.recovering = True
-            self._start_resync(node)
+            self._open_round(node, node.node_id, "abd-resync-retry")
 
-    def _start_resync(self, node: ReplicaNode) -> None:
-        """Open a sync round for ``node`` (with retransmission)."""
+    def _open_round(self, node: Optional[ReplicaNode], pid: int, retry_kind: str) -> None:
+        """Open a state-sync round (with retransmission): the resync of
+        a recovering ``node``, or -- ``node`` is ``None`` -- the state
+        transfer that closes the open transition window."""
         self._sync_counter += 1
-        state = _ResyncState(self._sync_counter, node)
-        self._resyncs[state.sync_id] = state
+        rnd = _SyncRound(self._sync_counter, pid, node, retry_kind)
+        self._rounds[rnd.round_id] = rnd
+        self._broadcast_round(rnd)
+        self._arm_retry(rnd)
 
-        def retry() -> None:
-            if state.done:
-                return
-            self.retransmissions += 1
-            self._broadcast_sync(state)
-            state.retry_handle = self._sim.schedule_after_cancellable(
-                self.config.retry_interval, retry, kind="abd-resync-retry", pid=node.node_id
-            )
+    def _close_round(self, rnd: _SyncRound) -> None:
+        """Retire a completed or abandoned round: no timer, no table entry."""
+        rnd.done = True
+        if rnd.retry_handle is not None:
+            rnd.retry_handle.cancel()
+        del self._rounds[rnd.round_id]
 
-        self._broadcast_sync(state)
-        state.retry_handle = self._sim.schedule_after_cancellable(
-            self.config.retry_interval, retry, kind="abd-resync-retry", pid=node.node_id
-        )
+    def _broadcast_round(self, rnd: _SyncRound) -> None:
+        """(Re-)send the round's current step to the targets yet to answer.
 
-    def _broadcast_sync(self, state: _ResyncState) -> None:
-        """(Re-)request snapshots from the replicas yet to reply.
-
-        Targets are the *serving* set -- the installed config, or the
-        union of both configs during a transition window -- so a resync
-        racing a reconfiguration certifies against the same replicas
-        quorum operations run against.
+        A resync collects from the *serving* set -- the installed
+        config, or the union of both configs during a transition window
+        -- minus the recovering node, so a resync racing a
+        reconfiguration certifies against the same replicas quorum
+        operations run against.  A transfer collects from the old
+        config, then pushes the merged state to the new one.
         """
-        for replica in self._serving:
-            if replica.index == state.node.index or replica.index in state.replies:
-                continue
-            self.network.send(
-                state.node.node_id, replica.node_id, "abd.sync", (state.sync_id,)
-            )
+        if rnd.pushing:
+            targets = self.next_config.members if self.next_config is not None else ()
+            kind, payload = "abd.transfer", (rnd.round_id, tuple(sorted(rnd.merged.items())))
+        else:
+            targets = self.current_config.members if rnd.node is None else self._serving
+            kind, payload = "abd.sync", (rnd.round_id,)
+        for idx in targets:
+            if idx != rnd.exclude and idx not in rnd.replies:
+                self.network.send(rnd.pid, -(idx + 1), kind, payload)
 
     def _on_sync_reply(self, message: Message) -> None:
-        """Merge one snapshot; rejoin service on a majority of others.
-
-        ``abd.sync`` rounds are shared with the membership state
-        transfer (same snapshot request, same reply kind), so replies
-        that belong to a transfer round route there by id.
-        """
-        sync_id, entries = message.payload
-        state = self._resyncs.get(sync_id)
-        if state is None:
-            transfer = self._transfers.get(sync_id)
-            if transfer is not None:
-                self._on_transfer_snapshot(transfer, message)
-            return  # else: late reply of an abandoned or completed round
-        if state.done:
-            return
+        """Merge one snapshot; deliver once the round's quorum replied."""
+        round_id, entries = message.payload
+        rnd = self._rounds.get(round_id)
         replica_index = -message.sender - 1
-        if replica_index in state.replies:
-            return
-        state.replies.add(replica_index)
-        for name, (ts, value) in entries:
-            current = state.merged.get(name)
-            if current is None or ts > current[0]:
-                state.merged[name] = (ts, value)
-        # A majority drawn from the OTHER replicas (the recovering
-        # node's own state is amnesia, so counting itself would be
-        # unsound): |replies| + |any completed write's quorum| exceeds
-        # the replica count, so the merge sees every completed write
-        # through at least one non-amnesiac holder.  Capped at the
-        # other-replica count so the two-replica emulation (where the
-        # single other replica holds every completed write) can finish.
-        if not self._resync_quorum_met(state):
-            return
-        state.done = True
-        if state.retry_handle is not None:
-            state.retry_handle.cancel()
-        del self._resyncs[sync_id]
-        node = state.node
-        # Merge without regressing writes the node already applied
-        # while recovering (the timestamps arbitrate, as everywhere).
-        for name, (ts, value) in state.merged.items():
-            current = node.store.get(name)
-            if current is None or ts > current[0]:
-                node.store[name] = (ts, value)
-        node.recovering = False
-        self.resyncs += 1
+        if rnd is None or rnd.pushing or replica_index in rnd.replies:
+            return  # late, duplicate, or of an abandoned/completed round
+        rnd.replies.add(replica_index)
+        _merge_newer(rnd.merged, entries)
+        node = rnd.node
+        if node is None:
+            # A majority of the OLD config intersects every completed
+            # write's quorum (pre-window writes by old-majority quorums,
+            # window writes because dual quorums contain an old
+            # majority), so the merge holds the freshest completed
+            # state: push it to the new config.
+            if quorum_met(quorum_rule(self.current_config), rnd.replies):
+                rnd.pushing = True
+                rnd.replies = set()
+                self._broadcast_round(rnd)
+        elif quorum_met(self._rule, rnd.replies, rnd.exclude):
+            # A majority drawn from the OTHER replicas (the recovering
+            # node's own state is amnesia, so counting itself would be
+            # unsound): |replies| + |any completed write's quorum|
+            # exceeds the member count, so the merge sees every
+            # completed write through at least one non-amnesiac holder
+            # -- in the current config and, mid-transition, in the new
+            # one too, whichever its future readers may quorum with.
+            self._close_round(rnd)
+            # Deliver without regressing writes the node already applied
+            # while recovering (the timestamps arbitrate, as everywhere).
+            _merge_newer(node.store, rnd.merged.items())
+            node.recovering = False
+            self.resyncs += 1
 
-    def _resync_quorum_met(self, state: _ResyncState) -> bool:
-        """Completion predicate of a recovery resync.
-
-        Static membership keeps the original count; under membership
-        the certifying majority is drawn from the *current* config's
-        other members -- and from the new config's too during a
-        dual-quorum window, so a resync completing mid-transition is
-        certified against both member sets its future readers may
-        quorum with.
-        """
-        if self._static_membership:
-            return len(state.replies) >= min(self.config.majority, len(self.replicas) - 1)
-        node_index = state.node.index
-        others = self._cur_members - {node_index}
-        if len(state.replies & others) < min(self._cur_majority, len(others)):
-            return False
-        if self.next_config is None or self.config.transition == "single-config":
-            return True
-        new_others = self._new_members - {node_index}
-        return len(state.replies & new_others) >= min(self._new_majority, len(new_others))
+    def _on_transfer_ack(self, message: Message) -> None:
+        """Count one push ack; install on a majority of the new config."""
+        rnd = self._rounds.get(message.payload[0])
+        if rnd is None or not rnd.pushing or self.next_config is None:
+            return
+        rnd.replies.add(-message.sender - 1)
+        if quorum_met(quorum_rule(self.next_config), rnd.replies):
+            self._close_round(rnd)
+            self.transfer_rounds += 1
+            self._install_config()
 
     @property
     def live_replicas(self) -> int:
@@ -987,7 +952,7 @@ class EmulatedMemory(SharedMemory):
         return sum(1 for r in self.replicas if not r.crashed)
 
     # ------------------------------------------------------------------
-    # Dynamic membership: transitions, dual quorums, state transfer
+    # Dynamic membership: transitions, the rule in force, installs
     # ------------------------------------------------------------------
     def _on_membership_event(self, event: MembershipEvent) -> None:
         """Queue one operator join/leave; transitions run one at a time."""
@@ -1021,59 +986,33 @@ class EmulatedMemory(SharedMemory):
             self.current_config.config_id + 1, tuple(sorted(members))
         )
         self._refresh_quorum_state()
-        expected = self.next_config.config_id
-
-        def begin(config_id: int = expected) -> None:
-            if self.next_config is not None and self.next_config.config_id == config_id:
-                self._begin_transfer()
-
+        # Only this timer closes the window, so the config it finds
+        # proposed when it fires is the one proposed here.
         self._sim.schedule_after(
-            self.config.transfer_delay, begin, kind="membership-transfer"
+            self.config.transfer_delay, self._begin_transfer, kind="membership-transfer"
         )
 
     def _refresh_quorum_state(self) -> None:
-        """Recompute the cached member sets and the broadcast targets.
+        """Recompute the quorum rule in force and the broadcast targets.
 
-        Outside a window the serving set is the installed config; during
-        a dual-quorum window it is the **union** of both configs (reads
-        take the max timestamp across both, writes ack in both).  The
-        broken ``single-config`` mode keeps broadcasting to the old
-        config only -- the writer pretends the new config does not exist
-        yet, which is exactly the bug the negative control pins.
+        The rule is *a majority of every config in force*: the
+        installed config alone, or -- inside a transition window -- the
+        old **and** the proposed config, so any quorum drawn from
+        either adjacent config intersects a window quorum (reads see
+        every completed write, writes survive the install).  Phases
+        broadcast to the union of the rule's member sets: reads take
+        the max timestamp across both configs, writes ack in both.  The
+        broken ``single-config`` mode never puts the proposed config in
+        force -- the writer pretends the new config does not exist yet,
+        which is exactly the bug the negative control pins.
         """
-        self._cur_members = self.current_config.member_set
-        self._cur_majority = self.current_config.majority
-        nxt = self.next_config
-        if nxt is None:
-            self._new_members = frozenset()
-            self._new_majority = 0
-            serving: Tuple[int, ...] = self.current_config.members
-        else:
-            self._new_members = nxt.member_set
-            self._new_majority = nxt.majority
-            if self.config.transition == "single-config":
-                serving = self.current_config.members
-            else:
-                serving = tuple(sorted(self._cur_members | self._new_members))
-        self._serving = [self.replicas[i] for i in serving]
-
-    def _quorum_met(self, replies: Set[int]) -> bool:
-        """The completion predicate of every quorum phase.
-
-        Static membership keeps the original two-int comparison (the
-        hot path, and the byte-identity contract).  During a dual-quorum
-        transition window a phase completes only when its replies
-        contain a majority of **both** the old and the new config --
-        any quorum drawn from either adjacent config intersects it, so
-        reads see every completed write and writes survive the install.
-        """
-        if self._static_membership:
-            return len(replies) >= self.config.majority
-        if len(replies & self._cur_members) < self._cur_majority:
-            return False
-        if self.next_config is None or self.config.transition == "single-config":
-            return True
-        return len(replies & self._new_members) >= self._new_majority
+        configs = [self.current_config]
+        if self.next_config is not None and self.config.transition != "single-config":
+            configs.append(self.next_config)
+        self._rule: QuorumRule = quorum_rule(*configs)
+        self._serving: Tuple[int, ...] = tuple(
+            sorted(frozenset().union(*(members for members, _ in self._rule)))
+        )
 
     def _begin_transfer(self) -> None:
         """Close the window: state-transfer round, then install."""
@@ -1087,99 +1026,13 @@ class EmulatedMemory(SharedMemory):
             # join that is the seeded initial value, which the history
             # audit must flag the moment a quorum is all-joiners.
             for idx in nxt.members:
-                node = self.replicas[idx]
-                if node.recovering:
-                    node.recovering = False
+                self.replicas[idx].recovering = False
             self._install_config()
             return
-        self._sync_counter += 1
-        state = _TransferState(self._sync_counter)
-        state.coordinator = -(min(nxt.members) + 1)
-        self._transfers[state.transfer_id] = state
-
-        def retry() -> None:
-            if state.done:
-                return
-            self.retransmissions += 1
-            self._broadcast_transfer(state)
-            state.retry_handle = self._sim.schedule_after_cancellable(
-                self.config.retry_interval,
-                retry,
-                kind="abd-transfer-retry",
-                pid=state.coordinator,
-            )
-
-        self._broadcast_transfer(state)
-        state.retry_handle = self._sim.schedule_after_cancellable(
-            self.config.retry_interval,
-            retry,
-            kind="abd-transfer-retry",
-            pid=state.coordinator,
-        )
-
-    def _broadcast_transfer(self, state: _TransferState) -> None:
-        """(Re-)send the transfer's current phase to unreplied targets."""
-        if state.phase == "collect":
-            for idx in self.current_config.members:
-                if idx in state.replies:
-                    continue
-                self.network.send(
-                    state.coordinator, -(idx + 1), "abd.sync", (state.transfer_id,)
-                )
-        else:
-            entries = tuple(sorted(state.merged.items()))
-            nxt = self.next_config
-            for idx in nxt.members if nxt is not None else ():
-                if idx in state.acks:
-                    continue
-                self.network.send(
-                    state.coordinator,
-                    -(idx + 1),
-                    "abd.transfer",
-                    (state.transfer_id, entries),
-                )
-
-    def _on_transfer_snapshot(self, state: _TransferState, message: Message) -> None:
-        """Merge one old-config snapshot; push once a majority replied."""
-        if state.done or state.phase != "collect":
-            return
-        _, entries = message.payload
-        replica_index = -message.sender - 1
-        if replica_index in state.replies:
-            return
-        state.replies.add(replica_index)
-        for name, (ts, value) in entries:
-            current = state.merged.get(name)
-            if current is None or ts > current[0]:
-                state.merged[name] = (ts, value)
-        # A majority of the OLD config intersects every completed
-        # write's quorum (pre-window writes by old-majority quorums,
-        # window writes because dual quorums contain an old majority),
-        # so the merge holds the freshest completed state.
-        if len(state.replies & self._cur_members) < self._cur_majority:
-            return
-        state.phase = "install"
-        self._broadcast_transfer(state)
-
-    def _on_transfer_ack(self, message: Message) -> None:
-        """Count one install ack; install on a majority of the new config."""
-        transfer_id = message.payload[0]
-        state = self._transfers.get(transfer_id)
-        if state is None or state.done or state.phase != "install":
-            return
-        replica_index = -message.sender - 1
-        if replica_index in state.acks:
-            return
-        state.acks.add(replica_index)
-        nxt = self.next_config
-        if nxt is None or len(state.acks & nxt.member_set) < nxt.majority:
-            return
-        state.done = True
-        if state.retry_handle is not None:
-            state.retry_handle.cancel()
-        del self._transfers[transfer_id]
-        self.transfer_rounds += 1
-        self._install_config()
+        # The round's state machine lives in this object; the new
+        # config's lowest member is merely the wire address its replies
+        # route to.
+        self._open_round(None, -(min(nxt.members) + 1), "abd-transfer-retry")
 
     def _install_config(self) -> None:
         """Install the proposed config and garbage-collect the old one.
@@ -1336,47 +1189,66 @@ class EmulatedMemory(SharedMemory):
         follows the config change.
         """
         name = op.register.name
-        for replica in self._serving:
-            if replica.index in op.replies:
+        for idx in self._serving:
+            if idx in op.replies:
                 continue
             if op.phase == "query":
-                self.network.send(op.pid, replica.node_id, "abd.read", (op.op_id, name))
+                self.network.send(op.pid, -(idx + 1), "abd.read", (op.op_id, name))
             else:
                 self.network.send(
-                    op.pid, replica.node_id, "abd.write", (op.op_id, name, op.ts, op.value)
+                    op.pid, -(idx + 1), "abd.write", (op.op_id, name, op.ts, op.value)
                 )
 
-    def _retry_delay(self, op: _PendingOp) -> float:
-        """Delay before ``op``'s next retransmission round.
+    def _retry_delay(self, item: Any) -> float:
+        """Delay before ``item``'s next retransmission round.
 
         ``fixed`` returns the constant interval and draws **no**
         randomness, so default-config runs stay byte-identical to
         pre-backoff releases; ``backoff`` doubles per round up to
-        ``retry_cap`` and scales by seeded per-client jitter.
+        ``retry_cap`` and scales by seeded per-client jitter.  Backoff
+        is a *client* congestion knob: state-sync rounds pace at the
+        constant interval under either policy.
         """
-        if self.config.retry_policy == "fixed":
-            return self.config.retry_interval
-        delay = min(
-            self.config.retry_interval * (2.0 ** op.attempts), self.config.retry_cap
-        )
-        if self.config.retry_jitter:
-            stream = self._rng.stream(f"abd-retry:{op.pid}")
-            delay *= 1.0 + self.config.retry_jitter * stream.random()
+        config = self.config
+        if config.retry_policy == "fixed" or isinstance(item, _SyncRound):
+            return config.retry_interval
+        # interval * 2**k is exact, so from k = the binary exponent of
+        # cap/interval on the product is >= cap and min() returns the
+        # cap for good: clamping k there changes no delay, and keeps
+        # 2.0 ** k finite for an op stalled past its 1023rd round.
+        doublings = min(item.attempts, math.frexp(config.retry_cap / config.retry_interval)[1])
+        delay = min(config.retry_interval * (2.0 ** doublings), config.retry_cap)
+        if config.retry_jitter:
+            stream = self._rng.stream(f"abd-retry:{item.pid}")
+            delay *= 1.0 + config.retry_jitter * stream.random()
         return delay
 
-    def _arm_retry(self, op: _PendingOp) -> None:
+    def _arm_retry(self, item: Any) -> None:
+        """Arm ``item``'s retransmission timer -- the only place one is
+        scheduled, for client phases (``abd-retry``) and state-sync
+        rounds (``abd-resync-retry`` / ``abd-transfer-retry``) alike.
+
+        Until ``item.done``, every :meth:`_retry_delay` the timer counts
+        a retransmission, re-broadcasts the item's current step -- which
+        re-evaluates its target set, so whatever is in flight across an
+        install follows the config change -- and re-arms itself.
+        """
+
         def retry() -> None:
-            if op.done:
+            if item.done:
                 return
             self.retransmissions += 1
-            op.attempts += 1
-            self._broadcast_phase(op)
-            op.retry_handle = self._sim.schedule_after_cancellable(
-                self._retry_delay(op), retry, kind="abd-retry", pid=op.pid
+            item.attempts += 1
+            if isinstance(item, _SyncRound):
+                self._broadcast_round(item)
+            else:
+                self._broadcast_phase(item)
+            item.retry_handle = self._sim.schedule_after_cancellable(
+                self._retry_delay(item), retry, kind=item.retry_kind, pid=item.pid
             )
 
-        op.retry_handle = self._sim.schedule_after_cancellable(
-            self._retry_delay(op), retry, kind="abd-retry", pid=op.pid
+        item.retry_handle = self._sim.schedule_after_cancellable(
+            self._retry_delay(item), retry, kind=item.retry_kind, pid=item.pid
         )
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
@@ -1384,7 +1256,7 @@ class EmulatedMemory(SharedMemory):
         if op.retry_handle is not None:
             op.retry_handle.cancel()
         del self._ops[op.op_id]
-        if self.next_config is not None and self.config.transition == "dual-quorum":
+        if len(self._rule) > 1:  # completed inside a dual-quorum window
             self.dual_quorum_ops += 1
         self.total_op_latency += self._clock() - op.started_at
         op.callback(result)
@@ -1394,17 +1266,13 @@ class EmulatedMemory(SharedMemory):
     # ------------------------------------------------------------------
     def _on_delivery(self, message: Message) -> None:
         if message.kind == "abd.sync-reply":
-            # Resync replies address the recovering *replica* (negative
-            # receiver), but the round's state machine lives here -- so
-            # route by kind before the replica dispatch.  Membership
-            # state-transfer collections share the reply kind and route
-            # by round id inside the handler.
+            # Snapshots address the round's wire origin -- a *replica*
+            # (negative receiver) -- but the round's state machine lives
+            # here, so route by kind before the replica dispatch.
             self._on_sync_reply(message)
             return
         if message.kind == "abd.transfer-ack":
-            # Install acks address the transfer coordinator (negative
-            # receiver); the round's state machine also lives here.
-            self._on_transfer_ack(message)
+            self._on_transfer_ack(message)  # same: addressed to the origin
             return
         if message.receiver < 0:
             self.replicas[-message.receiver - 1].handle(
@@ -1429,7 +1297,7 @@ class EmulatedMemory(SharedMemory):
         op.replies.add(replica_index)
         if ts > op.best_ts:
             op.best_ts, op.best_value = ts, value
-        if not self._quorum_met(op.replies):
+        if not quorum_met(self._rule, op.replies):
             return
         if op.kind == "read":
             if self.config.consistency == "atomic":
@@ -1461,7 +1329,7 @@ class EmulatedMemory(SharedMemory):
             # history audit make the corruption visible.
             self.integrity_violations += 1
         op.replies.add(replica_index)
-        if not self._quorum_met(op.replies):
+        if not quorum_met(self._rule, op.replies):
             return
         if op.kind == "read":  # an atomic read's write-back completed
             self._complete_read(op)

@@ -26,7 +26,18 @@ back-to-back, one transition at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 #: The membership kinds a plan may schedule, in timeline tie-break
 #: order (a join sorts before a leave at equal times so a
@@ -81,9 +92,44 @@ class ReplicaConfig:
         """The members as a frozenset (quorum-intersection checks)."""
         return frozenset(self.members)
 
-    def quorum_met(self, replies: Set[int]) -> bool:
-        """True when ``replies`` contains a majority of this config."""
-        return len(replies & self.member_set) >= self.majority
+
+#: A quorum rule: the ``(member set, majority)`` pair of every config
+#: currently in force -- one pair normally, two (old then new) inside a
+#: dual-quorum transition window.
+QuorumRule = Tuple[Tuple[FrozenSet[int], int], ...]
+
+
+def quorum_rule(*configs: ReplicaConfig) -> QuorumRule:
+    """The :data:`QuorumRule` requiring a majority of each of ``configs``."""
+    return tuple((config.member_set, config.majority) for config in configs)
+
+
+def quorum_met(rule: QuorumRule, replies: AbstractSet[int], exclude: int = -1) -> bool:
+    """THE quorum predicate: ``replies`` holds a majority of *every*
+    config in ``rule`` (strangers never count).
+
+    Every quorum decision of the emulation -- read and write phases,
+    ABD write-backs, amnesia resyncs, both halves of a state transfer
+    -- is this one test.  Any two reply sets that pass it for the same
+    config intersect in a member of that config, which is the whole
+    safety argument: a read quorum meets every completed write's
+    quorum, and inside a transition window (two pairs) it meets the
+    quorums of both adjacent configs.
+
+    ``exclude`` is the resync variant: a recovering replica may not
+    certify its own amnesia, so it is struck from every member set and
+    each majority is capped at the members that remain.  The uncapped
+    majority still intersects every completed write's quorum in a
+    non-amnesiac holder; the cap only matters for a two-member config,
+    where the single other member holds every completed write.
+    """
+    for members, majority in rule:
+        if exclude in members:
+            members = members - {exclude}
+            majority = min(majority, len(members))
+        if len(replies & members) < majority:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -244,7 +290,10 @@ __all__ = [
     "MEMBERSHIP_MODES",
     "MembershipEvent",
     "MembershipPlan",
+    "QuorumRule",
     "ReplicaConfig",
     "TRANSITION_MODES",
     "churn_plan",
+    "quorum_met",
+    "quorum_rule",
 ]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.memory.emulated import EmulatedMemory, EmulationConfig, LINK_MODELS
@@ -30,6 +33,75 @@ def make_memory(seed: int = 7, **knobs):
 def test_config_defaults_round_trip():
     config = EmulationConfig()
     assert EmulationConfig.from_dict(config.to_dict()) == config
+
+
+#: ``to_dict`` output of the default config and of one exercising every
+#: field (ints where floats are expected, unsorted keys), captured at
+#: the commit before the serialisation was derived from
+#: ``dataclasses.fields``: shapes, key order and defaults are frozen.
+_DEFAULT_JSON = (
+    '{"replicas": 3, "links": "sync", "link_params": {}, "retry_interval": 20.0, '
+    '"retry_policy": "fixed", "retry_cap": 160.0, "retry_jitter": 0.25, '
+    '"replica_crash_times": {}, "fault_plan": [], "resync": true, '
+    '"membership_plan": [], "transfer_delay": 150.0, "transition": "dual-quorum", '
+    '"consistency": "regular", "record_history": false}'
+)
+_FULL_PAYLOAD = {
+    "replicas": 4, "links": "lossy", "link_params": {"loss": 0.1, "delay_hi": 2.0},
+    "retry_interval": 5, "retry_policy": "backoff", "retry_cap": 40, "retry_jitter": 0.1,
+    "replica_crash_times": {"4": 900, "1": 300.5},
+    "fault_plan": [
+        {"kind": "replica-crash", "at": 100.0, "replica": 0},
+        {"kind": "replica-recover", "at": 200.0, "replica": 0},
+    ],
+    "resync": 0, "membership_plan": [{"kind": "join", "at": 50, "replica": 4}],
+    "transfer_delay": 30, "transition": "single-config", "consistency": "atomic",
+    "record_history": 1,
+}
+_FULL_JSON = (
+    '{"replicas": 4, "links": "lossy", "link_params": {"delay_hi": 2.0, "loss": 0.1}, '
+    '"retry_interval": 5.0, "retry_policy": "backoff", "retry_cap": 40.0, '
+    '"retry_jitter": 0.1, "replica_crash_times": {"1": 300.5, "4": 900.0}, '
+    '"fault_plan": [{"kind": "replica-crash", "at": 100.0, "replica": 0}, '
+    '{"kind": "replica-recover", "at": 200.0, "replica": 0}], "resync": false, '
+    '"membership_plan": [{"kind": "join", "at": 50.0, "replica": 4}], '
+    '"transfer_delay": 30.0, "transition": "single-config", "consistency": "atomic", '
+    '"record_history": true}'
+)
+
+
+def test_config_json_shapes_are_frozen():
+    assert json.dumps(EmulationConfig().to_dict()) == _DEFAULT_JSON
+    assert EmulationConfig.from_dict({}) == EmulationConfig()
+    full = EmulationConfig.from_dict(_FULL_PAYLOAD)
+    assert json.dumps(full.to_dict()) == _FULL_JSON
+    assert EmulationConfig.from_dict(full.to_dict()) == full
+    assert len(dataclasses.fields(EmulationConfig)) == 15
+    # Empty / null non-scalars fall back to their defaults.
+    assert EmulationConfig.from_dict(
+        {"link_params": None, "replica_crash_times": None, "fault_plan": None,
+         "membership_plan": None}
+    ) == EmulationConfig()
+
+
+def test_spec_content_hash_is_unmoved():
+    # Content hashes key the on-disk result cache; a serialisation
+    # refactor must not orphan it.  Value captured at the same commit.
+    from repro.engine.spec import AlgorithmRef, ExperimentSpec, ScenarioRef
+
+    spec = ExperimentSpec(
+        name="pin",
+        algorithms=(AlgorithmRef("alg1", "alg1"),),
+        scenarios=(
+            ScenarioRef.make(
+                "chaos",
+                {"n": 3, "horizon": 3000.0, "resync": False, "retry_policy": "backoff"},
+            ),
+        ),
+        seeds=(0, 1),
+        membership="churn",
+    )
+    assert spec.content_hash() == "2e3023d21a4ea879"
 
 
 def test_config_rejects_unknown_options():

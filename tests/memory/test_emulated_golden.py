@@ -1,0 +1,175 @@
+"""Cross-commit golden digests of the ABD emulation.
+
+The same-commit equivalence tests (plain vs no-op plan, kernel variant
+vs kernel variant) cannot see a refactor that changes behaviour
+*consistently*.  This file pins sha256 digests of
+``RunSummary.canonical_json`` for a grid that walks every protocol path
+of :mod:`repro.memory.emulated` -- static majorities, atomic
+write-backs, loss and ramp retransmission floods, amnesia resync,
+dual-quorum windows with state transfer, both deliberately broken modes
+and the backoff retry policy -- so a rewrite of the protocol core must
+reproduce the exact message and timer order of the commit that
+generated ``golden_emulated_digests.json``.
+
+Regenerate (only for an *intended* behaviour change)::
+
+    PYTHONPATH=src python tests/memory/test_emulated_golden.py \
+        > tests/memory/golden_emulated_digests.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any, Dict, Iterator, Tuple
+
+from repro.engine.summary import summarize_run
+from repro.workloads.registry import build_scenario, resolve_algorithm
+
+REPO = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).with_name("golden_emulated_digests.json")
+
+#: ``(factory, kwargs)`` run for both algorithms at seeds 0 and 1.
+#: Horizons are trimmed so the three passes (in-process + two kernel
+#: subprocesses) stay a small share of tier-1; every plan in the grid
+#: still completes with time to settle.
+GRID: Tuple[Tuple[str, Dict[str, Any]], ...] = (
+    ("chaos", {"horizon": 6000.0}),
+    ("membership-churn", {"horizon": 4000.0}),
+    ("membership-churn-atomic", {"horizon": 4000.0}),
+    ("membership-canary", {"transition": "single-config"}),
+    ("membership-canary", {"transition": "dual-quorum"}),
+    ("replica-crash-atomic", {"horizon": 3000.0}),
+    ("emulated-lossy-audit", {"horizon": 6000.0}),
+    ("emulated-gst-ramp-audit", {"horizon": 4000.0}),
+    ("nominal-emulated", {"horizon": 2000.0}),
+)
+
+#: Two crash/recover pairs on distinct replicas: the shape that makes
+#: recover-without-resync observable (cf. ``fuzz.loop.amnesia_probe``).
+_AMNESIA_PLAN = [
+    {"kind": "replica-crash", "at": 270.0, "replica": 1},
+    {"kind": "replica-recover", "at": 630.0, "replica": 1},
+    {"kind": "replica-crash", "at": 1125.0, "replica": 0},
+    {"kind": "replica-recover", "at": 1440.0, "replica": 0},
+]
+
+#: Replica 1 recovers while replica 2 is severed, so its resync round
+#: has to retransmit until the partition heals.
+_RESYNC_UNDER_PARTITION_PLAN = [
+    {"kind": "replica-crash", "at": 500.0, "replica": 1},
+    {"kind": "partition", "at": 900.0, "replicas": [2]},
+    {"kind": "replica-recover", "at": 1000.0, "replica": 1},
+    {"kind": "heal", "at": 1500.0, "replicas": [2]},
+]
+
+#: One-off cells: ``(label, factory, kwargs, emulation overrides)``,
+#: each run for alg1 at seed 0.
+EXTRAS: Tuple[Tuple[str, str, Dict[str, Any], Dict[str, Any]], ...] = (
+    ("backoff", "emulated-lossy-audit", {"horizon": 6000.0}, {"retry_policy": "backoff"}),
+    ("no-resync", "chaos", {"horizon": 4500.0, "plan": _AMNESIA_PLAN, "resync": False}, {}),
+    (
+        "resync-under-partition",
+        "chaos",
+        {"horizon": 3000.0, "plan": _RESYNC_UNDER_PARTITION_PLAN},
+        {},
+    ),
+    (
+        "churn-over-lossy-links",
+        "membership-churn",
+        {"horizon": 4000.0},
+        {"links": "lossy", "link_params": {"loss": 0.2}, "retry_interval": 10.0},
+    ),
+)
+
+
+def _cells() -> Iterator[Tuple[str, str, Dict[str, Any], Dict[str, Any], str, int]]:
+    for factory, kwargs in GRID:
+        tag = kwargs.get("transition", "")
+        for algorithm in ("alg1", "alg2"):
+            for seed in (0, 1):
+                label = "/".join(filter(None, (factory, tag, algorithm, str(seed))))
+                yield label, factory, kwargs, {}, algorithm, seed
+    for label, factory, kwargs, emulation in EXTRAS:
+        yield label, factory, kwargs, emulation, "alg1", 0
+
+
+def compute_digests() -> Dict[str, str]:
+    """Run the whole grid; ``{cell label: sha256(canonical_json)}``."""
+    digests: Dict[str, str] = {}
+    for label, factory, kwargs, emulation, algorithm, seed in _cells():
+        scenario = build_scenario(factory, kwargs)
+        overrides: Dict[str, Any] = {"log_reads": False, "trace_events": False}
+        if emulation:
+            overrides["emulation"] = {**scenario.emulation, **emulation}
+        result = scenario.run(resolve_algorithm(algorithm), seed=seed, **overrides)
+        summary = summarize_run(
+            result,
+            scenario_name=scenario.name,
+            margin=scenario.margin,
+            assumption=scenario.assumption,
+        )
+        digests[label] = hashlib.sha256(summary.canonical_json().encode()).hexdigest()
+    return digests
+
+
+def _golden() -> Dict[str, str]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _mismatches(digests: Dict[str, str]) -> Dict[str, Tuple[Any, Any]]:
+    golden = _golden()
+    return {
+        label: (golden.get(label), digests.get(label))
+        for label in sorted(set(golden) | set(digests))
+        if golden.get(label) != digests.get(label)
+    }
+
+
+def test_grid_covers_the_slow_paths():
+    # The digests only pin what the cells exercise; make sure the grid
+    # is not accidentally a fast-path-only grid.
+    scenario = build_scenario("chaos", {"horizon": 3000.0, "plan": _RESYNC_UNDER_PARTITION_PLAN})
+    memory = scenario.run(resolve_algorithm("alg1"), seed=0, log_reads=False).memory
+    assert memory.resyncs == 1 and memory.retransmissions > 0
+    scenario = build_scenario("membership-churn", {"horizon": 4000.0})
+    memory = scenario.run(
+        resolve_algorithm("alg1"),
+        seed=0,
+        log_reads=False,
+        emulation={**scenario.emulation, "links": "lossy", "link_params": {"loss": 0.2},
+                   "retry_interval": 10.0},
+    ).memory
+    assert memory.transfer_rounds == 2 and memory.dual_quorum_ops > 0
+
+
+def test_golden_digests_in_process():
+    assert _mismatches(compute_digests()) == {}
+
+
+def test_golden_digests_under_both_kernel_variants():
+    procs = {}
+    for variant in ("python", "compiled"):
+        env = {**os.environ, "REPRO_KERNEL": variant, "PYTHONPATH": str(REPO / "src")}
+        procs[variant] = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve())],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
+        )
+    try:
+        for variant, proc in procs.items():
+            out, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            assert _mismatches(json.loads(out)) == {}, f"REPRO_KERNEL={variant}"
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+if __name__ == "__main__":
+    print(json.dumps(compute_digests(), indent=1, sort_keys=True))

@@ -75,7 +75,7 @@ def test_inflight_write_completes_across_crash_and_recovery():
     assert mem.retransmissions > 0  # the op survived on retransmission
     assert mem.recoveries == 1 and mem.resyncs == 1
     assert mem.replicas[1].store["PROG"][1] == 7
-    assert not mem._ops and not mem._resyncs  # nothing left in flight
+    assert not mem._ops and not mem._rounds  # nothing left in flight
 
 
 def test_resync_completes_against_the_single_other_replica():
@@ -169,7 +169,7 @@ def test_crash_during_resync_abandons_the_round():
     sim.run(until=10_000.0)
     assert mem.recoveries == 2
     assert mem.resyncs == 1  # only the second round completed
-    assert not mem._resyncs  # the abandoned round left no state behind
+    assert not mem._rounds  # the abandoned round left no state behind
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +205,46 @@ def test_backoff_jitter_stays_in_band():
         assert base <= delay <= base * 1.25
 
 
+def test_backoff_exponent_stops_growing_at_the_cap():
+    # 2.0 ** attempts used to be evaluated before the min(): a phase
+    # stalled into its 1024th round died with OverflowError.
+    sim, mem, reg = make_memory(retry_policy="backoff", retry_jitter=0.0)
+    cap = mem.config.retry_cap
+    for attempts in (3, 4, 1023, 1024, 10**6):
+        assert mem._retry_delay(_pending_op(mem, reg, attempts=attempts)) == cap
+    # A cap that is not a power-of-two multiple of the interval is still
+    # reached exactly, at the first doubling past it.
+    sim, mem, reg = make_memory(
+        retry_policy="backoff", retry_jitter=0.0, retry_interval=3.0, retry_cap=100.0
+    )
+    delays = [mem._retry_delay(_pending_op(mem, reg, attempts=k)) for k in range(8)]
+    assert delays == [3.0, 6.0, 12.0, 24.0, 48.0, 96.0, 100.0, 100.0]
+
+
+def test_stalled_backoff_write_survives_a_thousand_rounds():
+    # Replicas 0 and 1 are down from t=1 to t=50; a write issued at t=2
+    # retransmits every 0.01 (cap == interval) and must still be alive
+    # to complete when they come back, ~4800 rounds later.
+    sim, mem, reg = make_memory(
+        replicas=3,
+        retry_policy="backoff",
+        retry_interval=0.01,
+        retry_cap=0.01,
+        fault_plan=[
+            {"kind": "replica-crash", "at": 1.0, "replica": 0},
+            {"kind": "replica-crash", "at": 1.0, "replica": 1},
+            {"kind": "replica-recover", "at": 50.0, "replica": 0},
+            {"kind": "replica-recover", "at": 50.0, "replica": 1},
+        ],
+    )
+    done = []
+    sim.schedule_at(2.0, lambda: mem.emu_write(0, reg, 7, done.append))
+    sim.run(until=60.0)
+    assert done == [None]
+    assert mem.retransmissions > 1024
+    assert not mem._ops
+
+
 def test_unknown_retry_policy_is_rejected():
     with pytest.raises(ValueError, match="retry policy"):
         EmulationConfig(retry_policy="telepathy")
@@ -233,7 +273,7 @@ def test_completed_resync_leaks_no_retry_timers():
     )
     sim.run(until=10_000.0)
     assert mem.resyncs == 1
-    assert not mem._resyncs
+    assert not mem._rounds
     assert sim.fired_by_kind.get("abd-resync-retry", 0) == 0
 
 

@@ -24,6 +24,8 @@ from repro.memory.membership import (
     MembershipPlan,
     ReplicaConfig,
     churn_plan,
+    quorum_met,
+    quorum_rule,
 )
 
 
@@ -41,11 +43,11 @@ class TestReplicaConfig:
         assert ReplicaConfig(0, tuple(range(size))).majority == majority
 
     def test_quorum_met_requires_members_not_strangers(self):
-        cfg = ReplicaConfig(1, (0, 1, 2))
-        assert cfg.quorum_met({0, 1})
-        assert cfg.quorum_met({0, 1, 2, 99})
-        assert not cfg.quorum_met({0})
-        assert not cfg.quorum_met({0, 98, 99})  # strangers don't count
+        rule = quorum_rule(ReplicaConfig(1, (0, 1, 2)))
+        assert quorum_met(rule, {0, 1})
+        assert quorum_met(rule, {0, 1, 2, 99})
+        assert not quorum_met(rule, {0})
+        assert not quorum_met(rule, {0, 98, 99})  # strangers don't count
 
     def test_rejects_negative_config_id(self):
         with pytest.raises(ValueError, match="negative config id"):
@@ -273,7 +275,7 @@ def dual_quorum_replies(draw):
         # Top up until the dual-quorum predicate holds; deterministic
         # fill order keeps the strategy shrinkable.
         for i in universe:
-            if old.quorum_met(set(picked)) and new.quorum_met(set(picked)):
+            if quorum_met(quorum_rule(old, new), picked):
                 break
             picked |= {i}
         return picked
@@ -289,8 +291,8 @@ class TestTransitionWindowQuorums:
         the same transition window always share a replica, so a write's
         timestamp is visible to every subsequent read."""
         old, new, a, b = case
-        assert old.quorum_met(set(a)) and new.quorum_met(set(a))
-        assert old.quorum_met(set(b)) and new.quorum_met(set(b))
+        assert quorum_met(quorum_rule(old, new), a)
+        assert quorum_met(quorum_rule(old, new), b)
         assert a & b, (old.members, new.members, sorted(a), sorted(b))
 
     @settings(max_examples=200, deadline=None)
@@ -304,10 +306,10 @@ class TestTransitionWindowQuorums:
         # The smallest dual quorum one can build greedily.
         dual: set = set()
         for i in sorted(old.member_set | new.member_set):
-            if old.quorum_met(dual) and new.quorum_met(dual):
+            if quorum_met(quorum_rule(old, new), dual):
                 break
             dual.add(i)
-        assert old.quorum_met(dual) and new.quorum_met(dual)
+        assert quorum_met(quorum_rule(old, new), dual)
         # Exhaustive over all majorities of each config (configs are
         # small by construction, so this is cheap).
         from itertools import combinations
@@ -329,12 +331,104 @@ class TestTransitionWindowQuorums:
         from itertools import combinations
 
         old_majorities = [set(c) for c in combinations(old.members, old.majority)]
-        # Every dual quorum satisfies new.quorum_met; the broken mode
+        # Every dual quorum holds a new-config majority; the broken mode
         # accepts any old majority, so soundness requires ALL old
         # majorities to be new majorities too -- which fails whenever a
         # member left (its majority-mates may be gone) or the join grew
         # the quorum size.
-        all_covered = all(new.quorum_met(m) for m in old_majorities)
+        new_rule = quorum_rule(new)
+        all_covered = all(quorum_met(new_rule, m) for m in old_majorities)
         if old.members != new.members and not all_covered:
-            witness = next(m for m in old_majorities if not new.quorum_met(m))
-            assert not new.quorum_met(witness)
+            witness = next(m for m in old_majorities if not quorum_met(new_rule, m))
+            assert not quorum_met(new_rule, witness)
+
+
+# ----------------------------------------------------------------------
+# The same predicate on a static config, and its wiring into production
+# ----------------------------------------------------------------------
+@st.composite
+def static_replies(draw):
+    """A static config, a member node and a reply set drawn from the
+    members -- static runs broadcast to members only, so replies never
+    contain strangers."""
+    size = draw(st.integers(min_value=2, max_value=9))
+    node = draw(st.integers(min_value=0, max_value=size - 1))
+    replies = frozenset(i for i in range(size) if draw(st.booleans()))
+    return ReplicaConfig(0, tuple(range(size))), node, replies
+
+
+class TestStaticConfigIsThePlainMajorityCount:
+    @settings(max_examples=300, deadline=None)
+    @given(static_replies())
+    def test_equals_the_two_int_rule(self, case):
+        """The deleted static fast path was ``len(replies) >= majority``."""
+        cfg, _, replies = case
+        assert quorum_met(quorum_rule(cfg), replies) == (len(replies) >= cfg.majority)
+
+    @settings(max_examples=300, deadline=None)
+    @given(static_replies())
+    def test_resync_variant_equals_the_capped_count(self, case):
+        """The deleted static resync rule was ``len(replies) >=
+        min(majority, replicas - 1)`` over replies from the *other*
+        replicas; the cap is what lets a 2-replica emulation resync."""
+        cfg, node, replies = case
+        others = replies - {node}
+        expected = len(others) >= min(cfg.majority, len(cfg.members) - 1)
+        assert quorum_met(quorum_rule(cfg), others, exclude=node) == expected
+
+    def test_two_replica_resync_completes_on_the_single_other(self):
+        rule = quorum_rule(ReplicaConfig(0, (0, 1)))
+        assert not quorum_met(rule, {0})  # a client phase needs both
+        assert quorum_met(rule, {0}, exclude=1)
+        assert not quorum_met(rule, set(), exclude=1)
+
+    def test_excluded_node_never_counts_toward_its_own_quorum(self):
+        rule = quorum_rule(ReplicaConfig(0, (0, 1, 2)))
+        assert not quorum_met(rule, {0, 1}, exclude=1)
+        assert quorum_met(rule, {0, 2}, exclude=1)
+
+
+class TestProductionRunsTheProvedRule:
+    """``EmulatedMemory`` holds no quorum logic of its own: what it
+    evaluates is ``quorum_met`` over the rule checked here."""
+
+    def _memory(self, transition: str):
+        from repro.memory.emulated import EmulatedMemory
+        from repro.sim.kernel import Simulator
+        from repro.sim.rng import RngRegistry
+
+        sim = Simulator()
+        mem = EmulatedMemory(
+            clock=lambda: sim.now,
+            sim=sim,
+            rng=RngRegistry(3),
+            config=EmulationConfig(
+                replicas=3,
+                membership_plan=(MembershipEvent("join", 10.0, 3),),
+                transfer_delay=50.0,
+                transition=transition,
+            ),
+        )
+        mem.create_register("R", owner=0, initial=0)
+        mem.start(horizon=1000.0)
+        return sim, mem
+
+    def test_rule_in_force_across_a_dual_quorum_window(self):
+        sim, mem = self._memory("dual-quorum")
+        assert mem._rule == quorum_rule(mem.current_config)
+        assert mem._serving == (0, 1, 2)
+        sim.run(until=20.0)  # window open
+        assert mem.next_config is not None
+        assert mem._rule == quorum_rule(mem.current_config, mem.next_config)
+        assert mem._serving == (0, 1, 2, 3)
+        sim.run(until=200.0)  # transfer landed, config installed
+        assert mem.next_config is None and mem.configs_installed == 1
+        assert mem._rule == quorum_rule(ReplicaConfig(1, (0, 1, 2, 3)))
+        assert not mem._rounds
+
+    def test_single_config_never_puts_the_proposed_config_in_force(self):
+        sim, mem = self._memory("single-config")
+        sim.run(until=20.0)
+        assert mem.next_config is not None
+        assert mem._rule == quorum_rule(mem.current_config)
+        assert mem._serving == (0, 1, 2)
