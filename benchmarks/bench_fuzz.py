@@ -30,7 +30,7 @@ def test_fuzz_coverage_sweep(benchmark):
     config = FuzzConfig(seed=0, budget=24, batch=12, horizon=BASE_HORIZON)
 
     result = benchmark.pedantic(lambda: run_fuzz(config), rounds=1, iterations=1)
-    assert result.ok, [v.genome.to_jsonable() for v in result.violations]
+    assert result.ok, [v.subject.to_jsonable() for v in result.violations]
     assert result.genomes_run == 24
     assert result.total_signatures >= 10
 

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.analysis.report import format_property_table, format_table
 from repro.analysis.timeline import build_timeline, render_timeline
@@ -155,13 +155,13 @@ CHECK_EXEMPT_SCENARIOS = [
 ]
 
 
-def _print_results_dir(report: "Any") -> None:
+def _print_results_dir(report: Any) -> None:
     """Engine-backed commands report the resolved cache location."""
     if report.store_path is not None:
         print(f"results dir: {report.store_path.parent.resolve()}")
 
 
-def _print_failures(report: "Any") -> None:
+def _print_failures(report: Any) -> None:
     for failure in report.failures:
         print(f"\nFAILED {failure.key}:\n{failure.error}", file=sys.stderr)
 
@@ -396,6 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """Audit Theorems 1-4 (plus consistency audits) over the suite."""
     from repro.engine.driver import run_experiment
+    from repro.engine.search import violation_count
     from repro.engine.spec import ExperimentSpec
 
     algorithms = {name: ALGORITHMS[name] for name in args.algorithms}
@@ -415,13 +416,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"{len(scenarios)} adversarial scenario(s) x {len(args.seeds)} seed(s)"
     )
     print(format_property_table(report.rows))
-    # Consistency-audit failures count alongside the theorem ones: an
-    # atomic-level cell whose history is not linearizable is as broken
-    # a claim as a violated theorem.
-    violations = sum(
-        getattr(row, "property_violations", 0) + getattr(row, "audit_violations", 0)
-        for row in report.rows
-    )
+    # Consistency-audit and write-ack integrity failures count alongside
+    # the theorem ones: an atomic-level cell whose history is not
+    # linearizable is as broken a claim as a violated theorem.
+    violations = sum(violation_count(row) for row in report.rows)
     audited = sum(1 for row in report.rows if getattr(row, "audit_ok", None) is not None)
     print(
         f"\n{spec.size()} cell(s): {report.executed} executed on {report.jobs} job(s), "
@@ -444,8 +442,30 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"on {row.scenario} seed {row.seed}",
                 file=sys.stderr,
             )
+        if row.integrity_violations:
+            print(
+                f"WRITE-ACK INTEGRITY FAILED ({row.integrity_violations} "
+                f"violation(s)) for {row.algorithm} on {row.scenario} seed {row.seed}",
+                file=sys.stderr,
+            )
     _print_failures(report)
     return 1 if (violations or report.failures) else 0
+
+
+def _print_violations(violations: Sequence[Any], describe: Callable[[Any], str]) -> None:
+    """Report search violations (``repro chaos`` / ``repro fuzz``) on
+    stderr; ``describe`` words who violated and how far it shrank."""
+    import json
+
+    for violation in violations:
+        print(
+            f"\nVIOLATING {describe(violation)} in {violation.oracle_runs} oracle run(s)",
+            file=sys.stderr,
+        )
+        print(
+            "pinned repro: " + json.dumps(violation.repro, sort_keys=True),
+            file=sys.stderr,
+        )
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -475,7 +495,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"{config.retry_policy} retries)"
         )
 
-    def progress(index: int, summary: "Any", count: int) -> None:
+    def progress(index: int, summary: Any, count: int) -> None:
         verdict = "ok" if count == 0 else f"{count} VIOLATION(S)"
         print(
             f"  plan {index:3d}: {verdict}; recoveries={summary.recoveries} "
@@ -493,19 +513,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"resyncs={result.resyncs}, retransmissions={result.retransmissions}, "
         f"integrity_violations={result.integrity_violations}"
     )
-    for violation in result.violations:
-        shrunk = violation.shrunk or violation.plan
-        print(
-            f"\nVIOLATING PLAN {violation.index} (seed {violation.seed}, "
-            f"{violation.violations} violation(s)): shrunk "
-            f"{len(violation.plan)} -> {len(shrunk)} event(s) in "
-            f"{violation.oracle_runs} oracle run(s)",
-            file=sys.stderr,
-        )
-        print(
-            "pinned repro: " + json.dumps(violation.repro, sort_keys=True),
-            file=sys.stderr,
-        )
+    _print_violations(
+        result.violations,
+        lambda v: (
+            f"PLAN {v.where['index']} (seed {v.where['seed']}, {v.violations} "
+            f"violation(s)): shrunk {len(v.subject)} -> {len(v.minimal)} event(s)"
+        ),
+    )
     return 1 if result.violations else 0
 
 
@@ -514,6 +528,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.fuzz.corpus import Corpus
     from repro.fuzz.loop import (
         FuzzConfig,
         amnesia_probe,
@@ -523,10 +538,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
 
     corpus_dir = Path(args.corpus) if args.corpus else None
+    try:
+        if args.replay and corpus_dir is None:
+            raise ValueError("--replay needs --corpus")
+        if args.replay and not corpus_dir.is_dir():
+            raise ValueError(f"--replay: no corpus directory at {corpus_dir}")
+        Corpus.load(corpus_dir)  # an unreadable corpus file fails here, not mid-run
+    except ValueError as exc:
+        print(f"repro fuzz: error: {exc}", file=sys.stderr)
+        return 2
     if args.replay:
-        if corpus_dir is None:
-            print("repro fuzz: error: --replay needs --corpus", file=sys.stderr)
-            return 2
         rows = replay_regressions(corpus_dir)
         red = 0
         for key, _payload, count in rows:
@@ -554,7 +575,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             + ("" if config.transition == "dual-quorum" else ", BROKEN TRANSITIONS")
         )
 
-    def progress(genome: "Any", summary: "Any", novel: bool, count: int) -> None:
+    def progress(genome: Any, summary: Any, novel: bool, count: int) -> None:
         verdict = "ok" if count == 0 else f"{count} VIOLATION(S)"
         marker = "NEW" if novel else "   "
         print(f"  {genome.key()} {marker} {verdict}; {summary.scenario}")
@@ -584,18 +605,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     for failure in result.failures:
         print(f"FAILED {failure}", file=sys.stderr)
-    for violation in result.violations:
-        shrunk = violation.shrunk or violation.genome
-        print(
-            f"\nVIOLATING GENOME {violation.genome.key()} "
-            f"({violation.violations} violation(s)): shrunk to complexity "
-            f"{shrunk.complexity()} in {violation.oracle_runs} oracle run(s)",
-            file=sys.stderr,
-        )
-        print(
-            "pinned repro: " + json.dumps(violation.repro, sort_keys=True),
-            file=sys.stderr,
-        )
+    _print_violations(
+        result.violations,
+        lambda v: (
+            f"GENOME {v.subject.key()} ({v.violations} violation(s)): "
+            f"shrunk to complexity {v.minimal.complexity()}"
+        ),
+    )
     return 0 if result.ok else 1
 
 

@@ -17,7 +17,10 @@ Layers: :mod:`~repro.engine.spec` (content-hashed grid descriptions),
 :mod:`~repro.engine.summary` (compact picklable row per run),
 :mod:`~repro.engine.worker` (one-cell entry point for pool processes),
 :mod:`~repro.engine.store` (JSONL cache under ``results/engine/``),
-:mod:`~repro.engine.driver` (the pool driver and report).
+:mod:`~repro.engine.driver` (the pool driver and report),
+:mod:`~repro.engine.search` (oracle, violation record, replay and the
+judge -> shrink -> pin step shared by ``repro chaos`` and ``repro fuzz``;
+imported explicitly, like the searches themselves).
 """
 
 from repro.engine.driver import EngineError, EngineReport, default_jobs, run_experiment

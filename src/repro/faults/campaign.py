@@ -6,11 +6,15 @@ through the ``chaos`` scenario (ABD emulation with the history recorder
 armed), and judge every run with the oracles the repo already trusts --
 the Theorem 1-4 property monitors and the consistency history audit
 (plus the write-ack value-integrity cross-check).  A correct emulation
-must survive every generated plan with **zero** violations; when a run
-violates, the campaign delta-debugs the plan down to a 1-minimal pinned
-repro (:func:`repro.faults.shrink.shrink_plan` re-running the same
-seeded scenario as the oracle) so the bug arrives as a scenario you can
-paste into ``repro run``.
+must survive every generated plan with **zero** violations.
+
+This module owns what is particular to campaigns -- generating the
+plans, the ``chaos`` cell a plan pins (:func:`pinned_repro`) and the
+aggregate resilience counters.  Judging a run, delta-debugging a
+violating plan (:func:`repro.faults.shrink.shrink_plan`) down to a
+1-minimal pinned repro you can paste into ``repro run``, and the
+violation record itself are the search pipeline's
+(:mod:`repro.engine.search`), shared with :mod:`repro.fuzz.loop`.
 
 This module imports the workloads/engine stack, so it is deliberately
 **not** re-exported from :mod:`repro.faults` (which
@@ -23,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.engine.search import Violation, replay, settle, violation_count
 # ``summarize_run`` is unused here, but the repo benchmark's span
 # recorder (bench/spans.py) rebinds it on this module by name.
 from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
-from repro.engine.worker import run_point
 from repro.faults.generator import FaultScheduleGenerator
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import shrink_plan
@@ -59,27 +63,6 @@ class CampaignConfig:
 
 
 @dataclass
-class CampaignViolation:
-    """One violating plan, with its shrunk pinned repro."""
-
-    #: Which generated plan violated (``generate(index)``).
-    index: int
-    #: Run seed of the violating (and every shrink-oracle) run.
-    seed: int
-    #: The full generated plan that violated.
-    plan: FaultPlan
-    #: Oracle count of the violating run (property + audit + integrity).
-    violations: int
-    #: The 1-minimal violating plan (``None`` when shrinking was off).
-    shrunk: Optional[FaultPlan] = None
-    #: Scenario re-runs the delta debugger spent.
-    oracle_runs: int = 0
-    #: The pinned repro: ``chaos`` scenario kwargs + algorithm + seed,
-    #: ready for ``repro run`` / ``ScenarioRef.make``.
-    repro: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class CampaignResult:
     """What a campaign produced: run counts, aggregates, violations."""
 
@@ -90,7 +73,7 @@ class CampaignResult:
     recoveries: int = 0
     resyncs: int = 0
     integrity_violations: int = 0
-    violations: List[CampaignViolation] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -109,34 +92,8 @@ class CampaignResult:
             "recoveries": self.recoveries,
             "resyncs": self.resyncs,
             "integrity_violations": self.integrity_violations,
-            "violations": [
-                {
-                    "index": v.index,
-                    "seed": v.seed,
-                    "violations": v.violations,
-                    "plan": v.plan.to_jsonable(),
-                    "shrunk": None if v.shrunk is None else v.shrunk.to_jsonable(),
-                    "oracle_runs": v.oracle_runs,
-                    "repro": v.repro,
-                }
-                for v in self.violations
-            ],
+            "violations": [v.to_jsonable() for v in self.violations],
         }
-
-
-def violation_count(summary: RunSummary) -> int:
-    """The campaign oracle: every violation class the run can surface.
-
-    Theorem 1-4 monitor violations, consistency history-audit
-    violations (the recorder is always armed in chaos cells) and
-    write-ack value-integrity violations all count -- a chaos run is
-    clean only when *all* of them are zero.
-    """
-    return (
-        summary.property_violations
-        + summary.audit_violations
-        + summary.integrity_violations
-    )
 
 
 def replay_plan(plan: FaultPlan, config: CampaignConfig, seed: int) -> RunSummary:
@@ -147,7 +104,7 @@ def replay_plan(plan: FaultPlan, config: CampaignConfig, seed: int) -> RunSummar
     runs exactly the point :func:`pinned_repro` pins, so a shrunk plan
     is guaranteed to reproduce under exactly these knobs.
     """
-    return run_point(**pinned_repro(plan, config, seed))
+    return replay(pinned_repro(plan, config, seed))
 
 
 def pinned_repro(plan: FaultPlan, config: CampaignConfig, seed: int) -> Dict[str, Any]:
@@ -201,34 +158,25 @@ def run_campaign(
         result.integrity_violations += summary.integrity_violations
         if progress is not None:
             progress(index, summary, count)
-        if count == 0:
-            continue
-        violation = CampaignViolation(
-            index=index, seed=seed, plan=plan, violations=count
-        )
-        if config.shrink:
-            shrunk = shrink_plan(
-                plan,
-                lambda candidate: violation_count(
-                    replay_plan(candidate, config, seed)
+        if count:
+            result.violations.append(
+                settle(
+                    "plan",
+                    plan,
+                    count,
+                    pin=lambda candidate: pinned_repro(candidate, config, seed),
+                    shrink=shrink_plan if config.shrink else None,
+                    index=index,
+                    seed=seed,
                 )
-                > 0,
             )
-            violation.shrunk = shrunk.plan
-            violation.oracle_runs = shrunk.oracle_runs
-            violation.repro = pinned_repro(shrunk.plan, config, seed)
-        else:
-            violation.repro = pinned_repro(plan, config, seed)
-        result.violations.append(violation)
     return result
 
 
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
-    "CampaignViolation",
     "pinned_repro",
     "replay_plan",
     "run_campaign",
-    "violation_count",
 ]

@@ -9,8 +9,9 @@ the result it converges to is 1-minimal at the group level (removing
 any single remaining fault group makes the violation disappear).
 
 The oracle is an arbitrary ``is_violating(plan) -> bool`` callable;
-:mod:`repro.faults.campaign` supplies one that re-runs the scenario and
-counts theorem-monitor plus history-audit violations.
+:func:`repro.engine.search.settle` supplies one that replays the
+candidate's pinned repro and applies the search oracle (theorem
+monitors + history audit + write-ack integrity).
 """
 
 from __future__ import annotations

@@ -9,21 +9,26 @@ Directory layout (all files plain sorted-key JSON)::
 
 A :class:`Corpus` without a root directory is purely in-memory (the
 test and smoke mode); with one, every addition is written through
-immediately, so a killed nightly run keeps everything it found.  File
-names are genome content digests (:meth:`ScenarioGenome.key`), which
-makes persistence idempotent -- re-adding a genome rewrites the same
-bytes -- and keeps directory listings deterministic.
+immediately and atomically (temp file + ``os.replace``), so a killed
+nightly run keeps everything it found and never leaves a torn file.
+Should a file be unreadable anyway, :meth:`Corpus.load` raises a
+``ValueError`` naming it.  File names are genome content digests
+(:meth:`ScenarioGenome.key`), which makes persistence idempotent --
+re-adding a genome rewrites the same bytes -- and keeps directory
+listings deterministic.
 
-Regression payloads are engine-ready pinned repros, exactly the
-``repro chaos`` shape: ``{"factory": "fuzz-cell", "kwargs": ...,
-"algorithm": ..., "seed": ..., "genome": ...}`` -- replayable through
-:func:`repro.workloads.registry.build_scenario` (and ``repro fuzz
---replay``) long after the genome code has moved on.
+Regression payloads are the pinned repros of the search pipeline
+(:attr:`repro.engine.search.Violation.repro`), exactly the ``repro
+chaos`` shape: ``{"factory": "fuzz-cell", "kwargs": ..., "algorithm":
+..., "seed": ..., "genome": ...}`` -- replayable through
+:func:`repro.engine.search.replay` (``repro fuzz --replay``) long
+after the genome code has moved on.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,7 +41,16 @@ COVERAGE_FORMAT = 1
 
 def _dump(path: Path, payload: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(path.name + ".tmp")  # not a ``*.json``: load skips it
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
+def _load(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"corrupt corpus file {path}: {error}") from error
 
 
 class Corpus:
@@ -58,13 +72,13 @@ class Corpus:
             return corpus
         coverage_path = root / "coverage.json"
         if coverage_path.is_file():
-            payload = json.loads(coverage_path.read_text())
+            payload = _load(coverage_path)
             corpus.coverage = TraceFeatureMap.from_jsonable(payload.get("signatures"))
         for path in sorted((root / "genomes").glob("*.json")):
-            genome = ScenarioGenome.from_jsonable(json.loads(path.read_text()))
+            genome = ScenarioGenome.from_jsonable(_load(path))
             corpus.genomes[genome.key()] = genome
         for path in sorted((root / "regressions").glob("*.json")):
-            corpus.regressions[path.stem] = json.loads(path.read_text())
+            corpus.regressions[path.stem] = _load(path)
         return corpus
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.memory.membership import TRANSITION_MODES, MembershipEvent, MembershipPlan
@@ -70,6 +70,48 @@ GENOME_REPLICAS: Tuple[int, ...] = (3, 5)
 DEFAULT_BASE_HORIZON = 3000.0
 
 
+class GenomeAxis(NamedTuple):
+    """One row of :data:`GENOME_AXES`."""
+
+    #: The legal values; empty for an open axis (the ``resync`` flag
+    #: and the two timelines, which validate through their plan class).
+    vocabulary: Tuple[Any, ...] = ()
+    #: True when the axis only exists on the emulated backend: a
+    #: shared-backend genome must keep it at its baseline value.
+    emulated_only: bool = False
+    #: Timeline axes: the plan class (:class:`FaultPlan` /
+    #: :class:`MembershipPlan`) their event tuple validates and
+    #: serializes through.
+    plan: Optional[Any] = None
+
+
+#: Every :class:`ScenarioGenome` axis, in field order.  Validation, the
+#: shared-backend canonical form, the JSON round trip and the
+#: pick-another-value mutations (:mod:`repro.fuzz.mutate`) all derive
+#: from this table, so an axis is declared here and as a dataclass
+#: field (name, type, baseline value) -- nowhere else.
+GENOME_AXES: Dict[str, GenomeAxis] = {
+    "algorithm": GenomeAxis(GENOME_ALGORITHMS),
+    "backend": GenomeAxis(GENOME_BACKENDS),
+    "n": GenomeAxis(GENOME_NS),
+    "delay": GenomeAxis(GENOME_DELAYS),
+    "crash": GenomeAxis(GENOME_CRASHES),
+    "replicas": GenomeAxis(GENOME_REPLICAS, emulated_only=True),
+    "links": GenomeAxis(GENOME_LINKS, emulated_only=True),
+    "consistency": GenomeAxis(GENOME_CONSISTENCY, emulated_only=True),
+    "fault_plan": GenomeAxis(emulated_only=True, plan=FaultPlan),
+    "resync": GenomeAxis(emulated_only=True),
+    "membership_plan": GenomeAxis(emulated_only=True, plan=MembershipPlan),
+    "transition": GenomeAxis(TRANSITION_MODES, emulated_only=True),
+}
+
+#: The table's three readings, precomputed (a genome is validated on
+#: every construction, i.e. on every mutation step).
+_VOCABULARIES = tuple((n, a.vocabulary) for n, a in GENOME_AXES.items() if a.vocabulary)
+_EMULATED_ONLY = tuple(n for n, a in GENOME_AXES.items() if a.emulated_only)
+_TIMELINES = tuple((n, a.plan) for n, a in GENOME_AXES.items() if a.plan is not None)
+
+
 @dataclass(frozen=True)
 class ScenarioGenome:
     """One scenario-space point, as plain frozen data.
@@ -106,75 +148,48 @@ class ScenarioGenome:
     transition: str = "dual-quorum"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in GENOME_ALGORITHMS:
+        for name, vocabulary in _VOCABULARIES:
+            value = getattr(self, name)
+            if value in vocabulary:
+                continue
+            if isinstance(vocabulary[0], int):
+                raise ValueError(
+                    f"genome {name} must be one of {list(vocabulary)}, got {value}"
+                )
             raise ValueError(
-                f"unknown genome algorithm {self.algorithm!r}; "
-                f"choose from {list(GENOME_ALGORITHMS)}"
-            )
-        if self.backend not in GENOME_BACKENDS:
-            raise ValueError(
-                f"unknown genome backend {self.backend!r}; "
-                f"choose from {list(GENOME_BACKENDS)}"
-            )
-        if self.n not in GENOME_NS:
-            raise ValueError(f"genome n must be one of {list(GENOME_NS)}, got {self.n}")
-        if self.delay not in GENOME_DELAYS:
-            raise ValueError(
-                f"unknown genome delay {self.delay!r}; choose from {list(GENOME_DELAYS)}"
-            )
-        if self.crash not in GENOME_CRASHES:
-            raise ValueError(
-                f"unknown genome crash {self.crash!r}; choose from {list(GENOME_CRASHES)}"
-            )
-        if self.replicas not in GENOME_REPLICAS:
-            raise ValueError(
-                f"genome replicas must be one of {list(GENOME_REPLICAS)}, "
-                f"got {self.replicas}"
-            )
-        if self.links not in GENOME_LINKS:
-            raise ValueError(
-                f"unknown genome links {self.links!r}; choose from {list(GENOME_LINKS)}"
-            )
-        if self.consistency not in GENOME_CONSISTENCY:
-            raise ValueError(
-                f"unknown genome consistency {self.consistency!r}; "
-                f"choose from {list(GENOME_CONSISTENCY)}"
-            )
-        if self.transition not in TRANSITION_MODES:
-            raise ValueError(
-                f"unknown genome transition {self.transition!r}; "
-                f"choose from {list(TRANSITION_MODES)}"
+                f"unknown genome {name} {value!r}; choose from {list(vocabulary)}"
             )
         if self.backend == "shared":
-            off_axis = {
-                "replicas": (self.replicas, 3),
-                "links": (self.links, "sync"),
-                "consistency": (self.consistency, "regular"),
-                "fault_plan": (self.fault_plan, ()),
-                "resync": (self.resync, True),
-                "membership_plan": (self.membership_plan, ()),
-                "transition": (self.transition, "dual-quorum"),
-            }
-            dirty = [k for k, (got, want) in off_axis.items() if got != want]
+            dirty = self.off_baseline_emulated_axes()
             if dirty:
                 raise ValueError(
                     f"shared-backend genome must keep emulated axes at baseline; "
                     f"off-baseline: {dirty}"
                 )
-        if self.fault_plan:
+        for name, plan in _TIMELINES:
+            events = getattr(self, name)
+            if not events:
+                continue
             if self.links != "sync":
                 raise ValueError(
-                    "fault plans are defined over the deterministic sync fabric; "
-                    f"got links={self.links!r}"
+                    f"{name.replace('_plan', ' plans')} are defined over the "
+                    f"deterministic sync fabric; got links={self.links!r}"
                 )
-            FaultPlan(self.fault_plan).validate(self.replicas)
-        if self.membership_plan:
-            if self.links != "sync":
-                raise ValueError(
-                    "membership plans are defined over the deterministic sync "
-                    f"fabric; got links={self.links!r}"
-                )
-            MembershipPlan(self.membership_plan).validate(self.replicas)
+            plan(events).validate(self.replicas)
+
+    def off_baseline_emulated_axes(self) -> List[str]:
+        """The emulated-only axes away from their baseline value (none:
+        the genome differs from a shared-memory one by ``backend`` alone)."""
+        return [
+            name for name in _EMULATED_ONLY if getattr(self, name) != _BASELINE_VALUES[name]
+        ]
+
+    def on_shared_memory(self) -> "ScenarioGenome":
+        """This genome dropped back to the shared backend, which resets
+        every emulated-only axis (validation requires them at baseline
+        there)."""
+        reset = {name: _BASELINE_VALUES[name] for name in _EMULATED_ONLY}
+        return replace(self, backend="shared", **reset)
 
     # ------------------------------------------------------------------
     def horizon(self, base: float = DEFAULT_BASE_HORIZON) -> float:
@@ -243,34 +258,20 @@ class ScenarioGenome:
     # ------------------------------------------------------------------
     def to_jsonable(self) -> Dict[str, Any]:
         """The plain-JSON form (the corpus file payload)."""
-        return {
-            "algorithm": self.algorithm,
-            "backend": self.backend,
-            "n": self.n,
-            "delay": self.delay,
-            "crash": self.crash,
-            "replicas": self.replicas,
-            "links": self.links,
-            "consistency": self.consistency,
-            "fault_plan": FaultPlan(self.fault_plan).to_jsonable(),
-            "resync": self.resync,
-            "membership_plan": MembershipPlan(self.membership_plan).to_jsonable(),
-            "transition": self.transition,
-        }
+        out = {name: getattr(self, name) for name in GENOME_AXES}
+        for name, plan in _TIMELINES:
+            out[name] = plan(out[name]).to_jsonable()
+        return out
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, Any]) -> "ScenarioGenome":
         """Rebuild a genome from :meth:`to_jsonable` output."""
-        data = dict(payload)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        init = dict(payload)
+        unknown = set(init) - set(GENOME_AXES)
         if unknown:
             raise ValueError(f"unknown genome key(s): {sorted(unknown)}")
-        plan = FaultPlan.from_jsonable(data.pop("fault_plan", None))
-        membership = MembershipPlan.from_jsonable(data.pop("membership_plan", None))
-        init: Dict[str, Any] = {k: v for k, v in data.items() if k in known}
-        init["fault_plan"] = plan.events
-        init["membership_plan"] = membership.events
+        for name, plan in _TIMELINES:
+            init[name] = plan.from_jsonable(init.get(name)).events
         return cls(**init)
 
     def key(self) -> str:
@@ -283,6 +284,9 @@ class ScenarioGenome:
         return replace(self, fault_plan=plan.events)
 
 
+#: Baseline value of every axis: the dataclass defaults.
+_BASELINE_VALUES: Dict[str, Any] = {f.name: f.default for f in fields(ScenarioGenome)}
+
 #: The origin of the mutation space: Algorithm 1, shared memory, three
 #: processes, uniform delays, fault-free.
 BASELINE_GENOME = ScenarioGenome()
@@ -292,6 +296,7 @@ __all__ = [
     "BASELINE_GENOME",
     "DEFAULT_BASE_HORIZON",
     "GENOME_ALGORITHMS",
+    "GENOME_AXES",
     "GENOME_BACKENDS",
     "GENOME_CONSISTENCY",
     "GENOME_CRASHES",
@@ -299,5 +304,6 @@ __all__ = [
     "GENOME_LINKS",
     "GENOME_NS",
     "GENOME_REPLICAS",
+    "GenomeAxis",
     "ScenarioGenome",
 ]

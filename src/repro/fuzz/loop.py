@@ -10,12 +10,18 @@ judged twice:
 * **novelty** -- its :func:`~repro.fuzz.coverage.signature` is offered
   to the corpus's :class:`~repro.fuzz.coverage.TraceFeatureMap`; novel
   genomes join the corpus and become mutation parents;
-* **violation** -- the chaos oracle
-  (:func:`repro.faults.campaign.violation_count`: theorem monitors +
-  history audit + write-ack integrity) must be zero.  Violating genomes
-  are shrunk (:func:`repro.fuzz.shrink.shrink_genome`, replaying
-  in-process with the exact worker semantics) and pinned as regression
-  payloads that replay through the scenario registry.
+* **violation** -- the search oracle
+  (:func:`repro.engine.search.violation_count`: theorem monitors +
+  history audit + write-ack integrity) must be zero.  A violating
+  genome goes through the shared :func:`repro.engine.search.settle`
+  step (shrunk by :func:`repro.fuzz.shrink.shrink_genome`, replaying
+  in-process with the exact worker semantics) and its pinned repro
+  joins the corpus as a regression payload.
+
+What is the fuzzer's own is therefore candidate generation, batching,
+coverage and the corpus; the oracle, the violation record, the replay
+and the judge -> shrink -> pin step are :mod:`repro.engine.search`'s,
+shared with :mod:`repro.faults.campaign`.
 
 Determinism: every random draw comes from one ``Random`` stream seeded
 by the config, every run uses the config seed, and batches are
@@ -35,20 +41,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.driver import run_experiment
+from repro.engine.driver import _error_head, run_experiment
+from repro.engine.search import Violation, replay, settle, violation_count
 from repro.engine.spec import AlgorithmRef, ExperimentSpec, ScenarioRef
 # ``summarize_run`` is unused here, but the repo benchmark's span
 # recorder (bench/spans.py) rebinds it on this module by name.
 from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
-from repro.engine.worker import run_point
-from repro.faults.campaign import violation_count
 from repro.faults.plan import FaultEvent
 from repro.memory.membership import MembershipEvent
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.coverage import signature
 from repro.fuzz.genome import DEFAULT_BASE_HORIZON, ScenarioGenome
 from repro.fuzz.mutate import mutate, random_genome
-from repro.fuzz.shrink import GenomeShrinkResult, shrink_genome
+from repro.fuzz.shrink import shrink_genome
 
 #: Probability of mutating a corpus parent (vs drawing a random genome)
 #: once the corpus is non-empty.
@@ -161,22 +166,6 @@ class FuzzConfig:
 
 
 @dataclass
-class FuzzViolation:
-    """One violating genome, with its shrunk pinned repro."""
-
-    #: The genome as the fuzzer first found it.
-    genome: ScenarioGenome
-    #: Oracle count of the violating run.
-    violations: int
-    #: The mutation-minimal violating genome (None when shrinking off).
-    shrunk: Optional[ScenarioGenome] = None
-    #: In-process replays the shrinker spent.
-    oracle_runs: int = 0
-    #: Engine-ready pinned repro payload (``fuzz-cell`` kwargs).
-    repro: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class FuzzResult:
     """What one fuzz run produced."""
 
@@ -188,7 +177,7 @@ class FuzzResult:
     total_signatures: int = 0
     #: Corpus size after the run.
     corpus_size: int = 0
-    violations: List[FuzzViolation] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
     #: Engine cell failures (infrastructure errors, not oracle verdicts).
     failures: List[str] = field(default_factory=list)
 
@@ -211,14 +200,7 @@ class FuzzResult:
             "corpus_size": self.corpus_size,
             "failures": list(self.failures),
             "violations": [
-                {
-                    "genome": v.genome.to_jsonable(),
-                    "violations": v.violations,
-                    "shrunk": None if v.shrunk is None else v.shrunk.to_jsonable(),
-                    "complexity": (v.shrunk or v.genome).complexity(),
-                    "oracle_runs": v.oracle_runs,
-                    "repro": v.repro,
-                }
+                dict(v.to_jsonable(), complexity=v.minimal.complexity())
                 for v in self.violations
             ],
         }
@@ -235,23 +217,15 @@ def _cell_kwargs(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
     return kwargs
 
 
-def replay_genome(genome: ScenarioGenome, config: FuzzConfig) -> RunSummary:
-    """Run one genome in-process with the exact worker semantics.
-
-    :func:`repro.engine.worker.run_point` is what engine cells run too
-    (fast mode: no read log, no event trace, default census window), so
-    the shrinker's oracle sees byte-identical summaries to the batched
-    forward path.
-    """
-    return run_point("fuzz-cell", _cell_kwargs(genome, config), genome.algorithm, config.seed)
-
-
 def pinned_repro(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
     """The engine-ready pinned repro payload for ``genome``.
 
     Same shape as the chaos campaigns': factory + kwargs + algorithm +
     seed (``repro run``-able via the registry), plus the genome itself
-    so the corpus stays mutation-aware.
+    so the corpus stays mutation-aware.  :func:`repro.engine.search.replay`
+    of it is :func:`~repro.engine.worker.run_point` on the same cell the
+    batched forward path ran (fast mode: no read log, no event trace),
+    so the shrinker's oracle sees byte-identical summaries.
     """
     return {
         "factory": "fuzz-cell",
@@ -296,7 +270,7 @@ def _run_batch(
                 continue
             summaries[slot] = next(rows)
         for outcome in report.failures:
-            failures.append(f"{outcome.key}: {outcome.error.strip().splitlines()[-1]}")
+            failures.append(f"{outcome.key}: {_error_head(outcome.error)}")
     return summaries, failures
 
 
@@ -369,25 +343,16 @@ def run_fuzz(
             count = violation_count(summary)
             if progress is not None:
                 progress(genome, summary, novel, count)
-            if count == 0:
-                continue
-            violation = FuzzViolation(genome=genome, violations=count)
-            if config.shrink:
-                shrunk: GenomeShrinkResult = shrink_genome(
+            if count:
+                violation = settle(
+                    "genome",
                     genome,
-                    lambda candidate: violation_count(
-                        replay_genome(candidate, config)
-                    )
-                    > 0,
+                    count,
+                    pin=lambda candidate: pinned_repro(candidate, config),
+                    shrink=shrink_genome if config.shrink else None,
                 )
-                violation.shrunk = shrunk.genome
-                violation.oracle_runs = shrunk.oracle_runs
-                violation.repro = pinned_repro(shrunk.genome, config)
-                corpus.add_regression(shrunk.genome, violation.repro)
-            else:
-                violation.repro = pinned_repro(genome, config)
-                corpus.add_regression(genome, violation.repro)
-            result.violations.append(violation)
+                corpus.add_regression(violation.minimal, violation.repro)
+                result.violations.append(violation)
 
     corpus.save_coverage(config.horizon)
     result.total_signatures = len(corpus.coverage)
@@ -396,26 +361,18 @@ def run_fuzz(
 
 
 # ----------------------------------------------------------------------
-def replay_regressions(
-    corpus_dir: Path, *, jobs: Optional[int] = None
-) -> List[Tuple[str, Dict[str, Any], int]]:
+def replay_regressions(corpus_dir: Path) -> List[Tuple[str, Dict[str, Any], int]]:
     """Re-run every pinned regression in ``corpus_dir``.
 
     Returns ``(key, payload, violation_count)`` per regression, in
     deterministic key order.  A fixed regression replays with zero
     violations; an unfixed one stays red -- ``repro fuzz --replay``
-    exits non-zero on any red entry.  ``jobs`` is accepted for CLI
-    symmetry; replays are in-process (each payload pins one cell).
+    exits non-zero on any red entry.
     """
-    del jobs  # one cell per payload; the engine would add no parallelism
-    out: List[Tuple[str, Dict[str, Any], int]] = []
-    corpus = Corpus.load(corpus_dir)
-    for key, payload in corpus.regression_items():
-        summary = run_point(
-            payload["factory"], payload["kwargs"], payload["algorithm"], int(payload["seed"])
-        )
-        out.append((key, payload, violation_count(summary)))
-    return out
+    return [
+        (key, payload, violation_count(replay(payload)))
+        for key, payload in Corpus.load(corpus_dir).regression_items()
+    ]
 
 
 __all__ = [
@@ -423,14 +380,12 @@ __all__ = [
     "DEDUP_ATTEMPTS",
     "FuzzConfig",
     "FuzzResult",
-    "FuzzViolation",
     "MEMBERSHIP_PROBE_CRASH",
     "MEMBERSHIP_PROBE_SHAPE",
     "PARENT_BIAS",
     "amnesia_probe",
     "membership_probe",
     "pinned_repro",
-    "replay_genome",
     "replay_regressions",
     "run_fuzz",
 ]

@@ -27,20 +27,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from repro.faults.generator import FaultScheduleGenerator
 from repro.memory.membership import churn_plan
 from repro.fuzz.genome import (
     BASELINE_GENOME,
     DEFAULT_BASE_HORIZON,
-    GENOME_ALGORITHMS,
-    GENOME_CONSISTENCY,
-    GENOME_CRASHES,
-    GENOME_DELAYS,
-    GENOME_LINKS,
-    GENOME_NS,
-    GENOME_REPLICAS,
+    GENOME_AXES,
     ScenarioGenome,
 )
 
@@ -54,12 +48,8 @@ def _plan_horizon(base: float) -> float:
     return base * 1.5
 
 
-def _pick_other(rng: random.Random, pool: Tuple[str, ...], current: str) -> str:
+def _pick_other(rng: random.Random, pool: Tuple[Any, ...], current: Any) -> Any:
     """A uniformly drawn pool member different from ``current``."""
-    return rng.choice([value for value in pool if value != current])
-
-
-def _pick_other_int(rng: random.Random, pool: Tuple[int, ...], current: int) -> int:
     return rng.choice([value for value in pool if value != current])
 
 
@@ -106,34 +96,10 @@ def mutate(
 ) -> ScenarioGenome:
     """One uniformly drawn single-axis mutation of ``genome``."""
     axis = rng.choice(_mutable_axes(genome))
-    if axis == "algorithm":
-        return replace(genome, algorithm=_pick_other(rng, GENOME_ALGORITHMS, genome.algorithm))
-    if axis == "n":
-        return replace(genome, n=_pick_other_int(rng, GENOME_NS, genome.n))
-    if axis == "delay":
-        return replace(genome, delay=_pick_other(rng, GENOME_DELAYS, genome.delay))
-    if axis == "crash":
-        return replace(genome, crash=_pick_other(rng, GENOME_CRASHES, genome.crash))
     if axis == "backend":
         if genome.backend == "shared":
             return replace(genome, backend="emulated")
-        # Dropping back to shared memory resets every emulated-only axis
-        # (validation requires them at baseline there).
-        return ScenarioGenome(
-            algorithm=genome.algorithm,
-            backend="shared",
-            n=genome.n,
-            delay=genome.delay,
-            crash=genome.crash,
-        )
-    if axis == "consistency":
-        return replace(
-            genome, consistency=_pick_other(rng, GENOME_CONSISTENCY, genome.consistency)
-        )
-    if axis == "links":
-        return replace(genome, links=_pick_other(rng, GENOME_LINKS, genome.links))
-    if axis == "replicas":
-        return replace(genome, replicas=_pick_other_int(rng, GENOME_REPLICAS, genome.replicas))
+        return genome.on_shared_memory()
     if axis == "membership":
         # Clear a non-empty plan half the time, else install the
         # canonical replace-one-replica churn.  Sized for the smallest
@@ -144,11 +110,15 @@ def mutate(
             return replace(genome, membership_plan=())
         plan = churn_plan(genome.replicas, _plan_horizon(base_horizon))
         return replace(genome, membership_plan=plan.events)
-    # axis == "faults": clear a non-empty plan half the time, else draw
-    # a fresh timeline (also the only way *onto* the axis).
-    if genome.fault_plan and rng.random() < 0.5:
-        return replace(genome, fault_plan=())
-    return _fresh_plan(genome, rng, base_horizon)
+    if axis == "faults":
+        # Clear a non-empty plan half the time, else draw a fresh
+        # timeline (also the only way *onto* the axis).
+        if genome.fault_plan and rng.random() < 0.5:
+            return replace(genome, fault_plan=())
+        return _fresh_plan(genome, rng, base_horizon)
+    # Every other axis moves to another member of its vocabulary.
+    pool = GENOME_AXES[axis].vocabulary
+    return replace(genome, **{axis: _pick_other(rng, pool, getattr(genome, axis))})
 
 
 def random_genome(

@@ -67,27 +67,11 @@ def _reduced(genome: ScenarioGenome, axis: str) -> Optional[ScenarioGenome]:
     axis is already there or the reduction is not a legal genome."""
     baseline = BASELINE_GENOME
     if axis == "backend":
-        if genome.backend == "shared":
-            return None
         # Only collapse once every emulated-only axis is baseline, so
         # the collapse is a true single step.
-        if (
-            genome.fault_plan != ()
-            or genome.membership_plan != ()
-            or genome.transition != "dual-quorum"
-            or genome.links != "sync"
-            or genome.consistency != "regular"
-            or genome.replicas != 3
-            or not genome.resync
-        ):
+        if genome.backend == "shared" or genome.off_baseline_emulated_axes():
             return None
-        return ScenarioGenome(
-            algorithm=genome.algorithm,
-            backend="shared",
-            n=genome.n,
-            delay=genome.delay,
-            crash=genome.crash,
-        )
+        return genome.on_shared_memory()
     current = getattr(genome, axis)
     target = getattr(baseline, axis)
     if current == target:

@@ -15,7 +15,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.interfaces import OmegaAlgorithm
 from repro.core.runner import Run, RunResult

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from repro.engine.search import violation_count
 from repro.engine.spec import ExperimentSpec
 from repro.engine.worker import run_cell
 from repro.faults.campaign import (
@@ -18,7 +19,6 @@ from repro.faults.campaign import (
     pinned_repro,
     replay_plan,
     run_campaign,
-    violation_count,
 )
 from repro.workloads.registry import ALGORITHMS, build_scenario
 from repro.workloads.scenarios import DEFAULT_CHAOS_PLAN, chaos
@@ -32,7 +32,7 @@ def test_acceptance_200_plan_campaign_is_clean():
     config = CampaignConfig(plans=200, seed=7, horizon=2000.0)
     result = run_campaign(config)
     assert result.plans_run == 200
-    assert result.ok, [v.plan.to_jsonable() for v in result.violations]
+    assert result.ok, [v.subject.to_jsonable() for v in result.violations]
     assert result.recoveries > 0, "campaign never exercised recovery"
     assert result.resyncs == result.recoveries  # every recovery resynced
     assert result.integrity_violations == 0
@@ -51,7 +51,7 @@ def test_acceptance_broken_resync_is_caught_and_shrunk():
     assert len(violation.shrunk) <= 5
     assert violation.oracle_runs > 0
     # The shrunk plan still violates under the exact pinned knobs.
-    summary = replay_plan(violation.shrunk, config, violation.seed)
+    summary = replay_plan(violation.shrunk, config, violation.where["seed"])
     assert violation_count(summary) > 0
     # ... and the identical campaign with resync ON is clean.
     fixed = run_campaign(CampaignConfig(plans=4, seed=0, horizon=2000.0))

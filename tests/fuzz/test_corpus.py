@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.faults.plan import FaultEvent
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.coverage import TraceFeatureMap
@@ -79,3 +81,44 @@ class TestPersistence:
         payload = json.loads((root / "coverage.json").read_text())
         assert payload["base_horizon"] == 1200.0
         assert payload["format"] == 1
+
+
+class TestTornFiles:
+    """A killed run must not be able to poison the next one silently."""
+
+    def _corpus(self, root):
+        corpus = Corpus(root)
+        corpus.add_genome(FAULTED)
+        corpus.add_regression(FAULTED, {"factory": "fuzz-cell", "kwargs": {}})
+        corpus.save_coverage(3000.0)
+
+    @pytest.mark.parametrize(
+        "relative",
+        ["coverage.json", f"genomes/{FAULTED.key()}.json", f"regressions/{FAULTED.key()}.json"],
+    )
+    def test_a_truncated_file_is_named_in_the_error(self, tmp_path, relative):
+        root = tmp_path / "corpus"
+        self._corpus(root)
+        torn = root / relative
+        torn.write_text(torn.read_text()[:17])
+        with pytest.raises(ValueError, match="corrupt corpus file") as caught:
+            Corpus.load(root)
+        assert str(torn) in str(caught.value)
+
+    def test_a_write_killed_midway_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        self._corpus(root)
+        from pathlib import Path
+
+        real_write = Path.write_text
+
+        def killed_write(path, text, *args, **kwargs):
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", killed_write)
+        with pytest.raises(KeyboardInterrupt):
+            Corpus.load(root).add_genome(FAULTED)
+        monkeypatch.undo()
+        # The torn bytes went to a temp file that load never reads.
+        assert Corpus.load(root).members() == [FAULTED]

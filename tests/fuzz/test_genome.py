@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from repro.memory.membership import MembershipEvent
 from repro.fuzz.genome import (
     BASELINE_GENOME,
     GENOME_ALGORITHMS,
+    GENOME_AXES,
     GENOME_BACKENDS,
     GENOME_CONSISTENCY,
     GENOME_CRASHES,
@@ -100,6 +102,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScenarioGenome(backend="emulated", replicas=3, fault_plan=storm)
         ScenarioGenome(backend="emulated", replicas=5, fault_plan=storm)
+
+
+class TestAxisTable:
+    def test_the_table_declares_exactly_the_dataclass_fields_in_order(self):
+        assert list(GENOME_AXES) == [f.name for f in dataclasses.fields(ScenarioGenome)]
+
+    def test_baseline_values_are_in_vocabulary(self):
+        for name, axis in GENOME_AXES.items():
+            if axis.vocabulary:
+                assert getattr(BASELINE_GENOME, name) in axis.vocabulary
+
+    def test_off_baseline_emulated_axes_lists_them_in_field_order(self):
+        g = ScenarioGenome(
+            backend="emulated", consistency="atomic", replicas=5, resync=False, n=5
+        )
+        assert g.off_baseline_emulated_axes() == ["replicas", "consistency", "resync"]
+        assert ScenarioGenome(backend="emulated", n=5).off_baseline_emulated_axes() == []
+
+    def test_on_shared_memory_keeps_only_the_backend_neutral_axes(self):
+        g = ScenarioGenome(
+            algorithm="alg1-nwnr", backend="emulated", n=4, delay="bursts", crash="leader",
+            replicas=5, consistency="atomic", fault_plan=PAIR, resync=False,
+            transition="single-config",
+        )
+        assert g.on_shared_memory() == ScenarioGenome(
+            algorithm="alg1-nwnr", n=4, delay="bursts", crash="leader"
+        )
 
 
 class TestDerivedHorizon:

@@ -17,13 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.faults.campaign import violation_count
+from repro.engine.search import replay, violation_count
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.loop import (
     FuzzConfig,
     amnesia_probe,
     membership_probe,
-    replay_genome,
+    pinned_repro,
     replay_regressions,
     run_fuzz,
 )
@@ -162,7 +162,7 @@ class TestNegativeControl:
         # The canary genome itself carries no violation -- only the
         # broken resync mode does (so fuzz runs on a clean tree can
         # mutate onto fault plans without tripping the oracle).
-        summary = replay_genome(amnesia_probe(QUICK["horizon"]), quick_config())
+        summary = replay(pinned_repro(amnesia_probe(QUICK["horizon"]), quick_config()))
         assert violation_count(summary) == 0
 
 
@@ -247,7 +247,7 @@ class TestMembershipNegativeControl:
         # The probe genome carries no violation of its own -- only the
         # broken transition mode does (so clean-tree fuzz runs can
         # mutate onto membership plans without tripping the oracle).
-        summary = replay_genome(membership_probe(QUICK["horizon"]), quick_config())
+        summary = replay(pinned_repro(membership_probe(QUICK["horizon"]), quick_config()))
         assert violation_count(summary) == 0
         assert summary.configs_installed > 0
         assert summary.transfer_rounds > 0
@@ -257,10 +257,10 @@ class TestMembershipNegativeControl:
         # a static run land in different signatures.
         from repro.fuzz.coverage import signature
 
-        churned = dict(signature(replay_genome(membership_probe(QUICK["horizon"]),
-                                               quick_config())))
-        static = dict(signature(replay_genome(
-            amnesia_probe(QUICK["horizon"]), quick_config())))
+        churned = dict(signature(replay(pinned_repro(
+            membership_probe(QUICK["horizon"]), quick_config()))))
+        static = dict(signature(replay(pinned_repro(
+            amnesia_probe(QUICK["horizon"]), quick_config()))))
         assert churned["configs_installed"] > 0
         assert static["configs_installed"] == 0
         assert churned["transfer_rounds"] > 0

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import typing
+
 import pytest
 
+from repro import cli
 from repro.cli import ALGORITHMS, CHECK_SCENARIOS, SCENARIOS, build_parser, main
+from repro.workloads.registry import SCENARIO_FACTORIES
 
 
 class TestParser:
@@ -362,6 +366,28 @@ class TestCommands:
         assert "0 violation(s)" in out
         assert "1 consistency-audited cell(s)" in out
 
+    def test_check_counts_write_ack_integrity_violations(self, capsys, tmp_path, monkeypatch):
+        # `repro check` judges rows with the search oracle: a row whose
+        # only fault is a write-ack integrity violation fails the audit.
+        from repro.engine import driver
+
+        real = driver.run_experiment
+
+        def tampered(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.rows[0].integrity_violations = 2
+            return report
+
+        monkeypatch.setattr(driver, "run_experiment", tampered)
+        code = main(
+            ["check", "--algorithms", "alg1", "--scenarios", "leader-crash",
+             "--seeds", "0", "--jobs", "1", "--results-dir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "2 violation(s)" in captured.out
+        assert "WRITE-ACK INTEGRITY FAILED (2 violation(s))" in captured.err
+
     def test_sweep_reports_cell_failures(self, capsys, tmp_path):
         code = main(
             ["sweep", "--algorithms", "alg1", "--scenarios", "nominal",
@@ -559,6 +585,30 @@ class TestCommands:
         assert main(["fuzz", "--replay"]) == 2
         assert "--corpus" in capsys.readouterr().err
 
+    def test_fuzz_replay_rejects_a_missing_corpus_directory(self, capsys, tmp_path):
+        # A typo'd path must not turn the regression gate green.
+        assert main(["fuzz", "--replay", "--corpus", str(tmp_path / "typo")]) == 2
+        captured = capsys.readouterr()
+        assert "repro fuzz: error:" in captured.err and "typo" in captured.err
+        assert "still red" not in captured.out
+
+    @pytest.mark.parametrize("mode", [["--replay"], ["--budget", "1"]])
+    def test_fuzz_reports_a_torn_corpus_file(self, capsys, tmp_path, mode):
+        torn = tmp_path / "regressions" / "abc.json"
+        torn.parent.mkdir()
+        torn.write_text('{"factory": "fuzz-c')
+        assert main(["fuzz", *mode, "--corpus", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro fuzz: error: corrupt corpus file" in err and str(torn) in err
+
+    def test_chaos_no_resync_reports_the_shrunk_plan(self, capsys):
+        code = main(["chaos", "--plans", "4", "--seed", "0", "--horizon", "2000", "--no-resync"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "4 plan(s) run: 1 violating plan(s)" in captured.out
+        assert "VIOLATING PLAN" in captured.err and "event(s) in" in captured.err
+        assert "pinned repro" in captured.err and '"factory": "chaos"' in captured.err
+
     def test_fuzz_smoke_run_reports_signatures(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         code = main(
@@ -586,8 +636,22 @@ class TestCommands:
         assert code == 1
         assert "BROKEN TRANSITIONS" in captured.out
         assert "1 violating genome(s)" in captured.out
+        assert "VIOLATING GENOME" in captured.err
         assert "pinned repro" in captured.err
         assert '"transition": "single-config"' in captured.err
         # The pinned repro stays red on replay until the mode is fixed.
         assert main(["fuzz", "--replay", "--corpus", str(corpus)]) == 1
         assert "1 still red" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "function",
+    [*SCENARIO_FACTORIES.values()]
+    + [getattr(cli, name) for name in dir(cli) if name.startswith(("cmd_", "_print_"))],
+    ids=lambda function: getattr(function, "__name__", repr(function)),
+)
+def test_annotations_resolve(function):
+    # Every name an annotation uses must be imported where it is used:
+    # `typing.get_type_hints` is what doc tools and type-driven
+    # dispatchers call, and it raises NameError otherwise.
+    typing.get_type_hints(function)
