@@ -190,44 +190,32 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one (algorithm, scenario, seed) run and print the report."""
+    from repro.engine.spec import OVERRIDE_AXES
+
     scen = _build_scenario(args.scenario, args.n, args.horizon)
     algorithm = ALGORITHMS[args.algorithm]
-    overrides = {} if args.memory is None else {"memory": args.memory}
     backend = args.memory or scen.memory
-    if args.consistency is not None:
-        if backend != "emulated":
+    for flag, role in (
+        ("consistency", "is an emulated-backend axis"),
+        ("membership", "is an emulated-backend axis"),
+        ("links", "selects the emulated backend's link model"),
+    ):
+        if getattr(args, flag) is not None and backend != "emulated":
             print(
-                "repro run: error: --consistency is an emulated-backend axis; "
+                f"repro run: error: --{flag} {role}; "
                 "pass --memory emulated or pick an emulated scenario",
                 file=sys.stderr,
             )
             return 2
-        overrides["consistency"] = args.consistency
-    if args.membership is not None:
-        if backend != "emulated":
-            print(
-                "repro run: error: --membership is an emulated-backend axis; "
-                "pass --memory emulated or pick an emulated scenario",
-                file=sys.stderr,
-            )
-            return 2
-        overrides["membership"] = args.membership
+    overrides: Dict[str, Any] = {
+        axis: getattr(args, axis) for axis in OVERRIDE_AXES if getattr(args, axis) is not None
+    }
     if args.links is not None:
-        if backend != "emulated":
-            print(
-                "repro run: error: --links selects the emulated backend's "
-                "link model; pass --memory emulated or pick an emulated "
-                "scenario",
-                file=sys.stderr,
-            )
-            return 2
-        emulation = dict(scen.emulation)
-        emulation["links"] = args.links
         # Link parameters are model-specific (delta/loss/ramp knobs) and
         # do not transfer across models; the override falls back to the
         # target model's defaults.
-        emulation.pop("link_params", None)
-        overrides["emulation"] = emulation
+        emulation = {k: v for k, v in scen.emulation.items() if k != "link_params"}
+        overrides["emulation"] = {**emulation, "links": args.links}
     if backend == "emulated":
         effective = (
             args.consistency
@@ -275,7 +263,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.timeline:
         print("\nleadership timeline:")
         print(render_timeline(build_timeline(result.trace, result.crash_plan)))
-    ok = report.stabilized or scen.name.startswith("capped")
+    ok = report.stabilized or scen.assumption == "none"
     if audit is not None and not audit.ok:
         ok = False
     return 0 if ok else 1
@@ -283,15 +271,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run several algorithms on one scenario and print the table."""
-    scen = _build_scenario(args.scenario, args.n, args.horizon)
-    names = args.algorithms or list(ALGORITHMS)
+    if not args.seeds:
+        print("repro compare: error: --seeds needs at least one seed", file=sys.stderr)
+        return 2
+    try:
+        scen = _build_scenario(args.scenario, args.n, args.horizon)
+        results = {
+            name: [
+                summarize_result(scen.run(ALGORITHMS[name], seed=seed), scen)
+                for seed in args.seeds
+            ]
+            for name in args.algorithms or list(ALGORITHMS)
+        }
+    except ValueError as exc:
+        # e.g. --n 1: a factory or Run rejected the configuration.
+        print(f"repro compare: error: {exc}", file=sys.stderr)
+        return 2
     rows = []
-    for name in names:
-        algorithm = ALGORITHMS[name]
-        per_seed = []
-        for seed in args.seeds:
-            result = scen.run(algorithm, seed=seed)
-            per_seed.append(summarize_result(result, scen))
+    for name, per_seed in results.items():
         stab = [r for r in per_seed if r.stabilized]
         times = [r.stabilization_time for r in stab]
         rows.append(
@@ -317,7 +314,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an (algorithm x scenario x seed) grid through the engine."""
     from repro.engine.driver import parse_shard, run_experiment, shard_bounds
-    from repro.engine.spec import ExperimentSpec
+    from repro.engine.spec import OVERRIDE_AXES, ExperimentSpec
 
     algorithms = {name: ALGORITHMS[name] for name in (args.algorithms or list(ALGORITHMS))}
     scenarios = [_build_scenario(name, args.n, args.horizon) for name in args.scenarios]
@@ -343,9 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.seeds,
             window=args.window,
             fast=not args.traced,
-            memory=args.memory,
-            consistency=args.consistency,
-            membership=args.membership,
+            **{axis: getattr(args, axis) for axis in OVERRIDE_AXES},
         )
     except ValueError as exc:
         print(f"repro sweep: error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.spec import Cell, ExperimentSpec
 from repro.engine.store import ResultStore
@@ -151,17 +151,12 @@ def shard_bounds(total: int, index: int, count: int) -> Tuple[int, int]:
     return start, start + base + (1 if index <= extra else 0)
 
 
-def _execute_serial(cells: List[Cell], spec: ExperimentSpec, flush: Flush = None) -> List[CellOutcome]:
+def _execute_serial(
+    cells: List[Cell], options: Dict[str, Any], flush: Flush = None
+) -> List[CellOutcome]:
     outcomes: List[CellOutcome] = []
     for cell in cells:
-        outcome = execute_cell(
-            cell,
-            window=spec.window,
-            fast=spec.fast,
-            memory=spec.memory,
-            consistency=spec.consistency,
-            membership=spec.membership,
-        )
+        outcome = execute_cell(cell, **options)
         outcomes.append(outcome)
         if flush is not None:
             flush([outcome])
@@ -169,21 +164,13 @@ def _execute_serial(cells: List[Cell], spec: ExperimentSpec, flush: Flush = None
 
 
 def _execute_parallel(
-    cells: List[Cell], spec: ExperimentSpec, jobs: int, flush: Flush = None
+    cells: List[Cell], options: Dict[str, Any], jobs: int, flush: Flush = None
 ) -> List[CellOutcome]:
     outcomes: Dict[int, CellOutcome] = {}
     orphaned: List[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending = {
-            pool.submit(
-                execute_cell,
-                cell,
-                spec.window,
-                spec.fast,
-                spec.memory,
-                spec.consistency,
-                spec.membership,
-            ): idx
+            pool.submit(execute_cell, cell, **options): idx
             for idx, cell in enumerate(cells)
         }
         while pending:
@@ -210,15 +197,7 @@ def _execute_parallel(
     for idx in orphaned:
         try:
             with ProcessPoolExecutor(max_workers=1) as solo:
-                outcomes[idx] = solo.submit(
-                    execute_cell,
-                    cells[idx],
-                    spec.window,
-                    spec.fast,
-                    spec.memory,
-                    spec.consistency,
-                    spec.membership,
-                ).result()
+                outcomes[idx] = solo.submit(execute_cell, cells[idx], **options).result()
         except Exception as exc:  # noqa: BLE001 - crashed again: record it
             outcomes[idx] = CellOutcome(
                 key=cells[idx].key, error=f"worker failure: {exc!r}"
@@ -290,6 +269,8 @@ def run_experiment(
     pending = [cell for cell in cells if cell.key not in cached]
 
     flush: Flush = (lambda batch: store.append(spec, batch)) if cache else None
+    # Every cell runs with the same worker keywords: built once here.
+    options: Dict[str, Any] = {"window": spec.window, "fast": spec.fast, **spec.overrides()}
     fresh: List[CellOutcome] = []
     if pending:
         if shards > 1:
@@ -304,13 +285,13 @@ def run_experiment(
                 if not part:
                     continue
                 if jobs <= 1 or len(part) == 1:
-                    fresh.extend(_execute_serial(part, spec, flush))
+                    fresh.extend(_execute_serial(part, options, flush))
                 else:
-                    fresh.extend(_execute_parallel(part, spec, min(jobs, len(part)), flush))
+                    fresh.extend(_execute_parallel(part, options, min(jobs, len(part)), flush))
         elif jobs <= 1 or len(pending) == 1:
-            fresh = _execute_serial(pending, spec, flush)
+            fresh = _execute_serial(pending, options, flush)
         else:
-            fresh = _execute_parallel(pending, spec, min(jobs, len(pending)), flush)
+            fresh = _execute_parallel(pending, options, min(jobs, len(pending)), flush)
 
     by_key: Dict[Tuple[str, str, int], RunSummary] = dict(cached)
     failures: List[CellOutcome] = []

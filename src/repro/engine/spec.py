@@ -26,6 +26,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.memory.backend import BACKENDS
+from repro.memory.emulated import CONSISTENCY_LEVELS
+from repro.memory.membership import MEMBERSHIP_MODES
+
 #: Bumped whenever the payload layout or the RunSummary fields change in
 #: a way that invalidates previously cached results.
 #: 2: RunSummary embeds the Theorem 1-4 PropertyReport.
@@ -42,6 +46,21 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 #:    repro.memory.membership); RunSummary records the reconfiguration
 #:    counters (configs_installed, dual_quorum_ops, transfer_rounds).
 SPEC_FORMAT = 7
+
+#: The spec-level override axes, declared once: field name -> (noun for
+#: error messages, legal values).  Each is an :class:`ExperimentSpec`
+#: field defaulting to ``None`` ("leave every scenario's own choice in
+#: force"); validation, the tail of the payload and the per-cell worker
+#: options derive from this table, and a set value reaches
+#: :class:`~repro.core.runner.Run` as the keyword of the same name.
+#: Every axis but ``memory`` configures the emulation, so
+#: :meth:`repro.workloads.scenarios.Scenario.build` drops it on cells
+#: that end up on the shared backend.
+OVERRIDE_AXES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "memory": ("memory backend", tuple(sorted(BACKENDS))),
+    "consistency": ("consistency level", CONSISTENCY_LEVELS),
+    "membership": ("membership mode", MEMBERSHIP_MODES),
+}
 
 
 def _canonical(payload: Any) -> str:
@@ -180,26 +199,14 @@ class ExperimentSpec:
     membership: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.memory.backend import BACKENDS
-        from repro.memory.emulated import CONSISTENCY_LEVELS
-        from repro.memory.membership import MEMBERSHIP_MODES
-
         if not self.algorithms or not self.scenarios or not self.seeds:
             raise ValueError("spec needs at least one algorithm, scenario and seed")
-        if self.memory is not None and self.memory not in BACKENDS:
-            raise ValueError(
-                f"unknown memory backend {self.memory!r}; choose from {sorted(BACKENDS)}"
-            )
-        if self.consistency is not None and self.consistency not in CONSISTENCY_LEVELS:
-            raise ValueError(
-                f"unknown consistency level {self.consistency!r}; "
-                f"choose from {list(CONSISTENCY_LEVELS)}"
-            )
-        if self.membership is not None and self.membership not in MEMBERSHIP_MODES:
-            raise ValueError(
-                f"unknown membership mode {self.membership!r}; "
-                f"choose from {list(MEMBERSHIP_MODES)}"
-            )
+        for axis, (noun, vocabulary) in OVERRIDE_AXES.items():
+            value = getattr(self, axis)
+            if value is not None and value not in vocabulary:
+                raise ValueError(
+                    f"unknown {noun} {value!r}; choose from {list(vocabulary)}"
+                )
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate algorithm labels in spec: {labels}")
@@ -233,10 +240,14 @@ class ExperimentSpec:
             "seeds": list(self.seeds),
             "window": self.window,
             "fast": self.fast,
-            "memory": self.memory,
-            "consistency": self.consistency,
-            "membership": self.membership,
+            **self.overrides(),
         }
+
+    def overrides(self) -> Dict[str, Optional[str]]:
+        """Every :data:`OVERRIDE_AXES` value of this spec, by axis name
+        (``None`` = not overridden): the tail of the payload and the
+        keywords the driver hands each cell's worker."""
+        return {axis: getattr(self, axis) for axis in OVERRIDE_AXES}
 
     def content_hash(self) -> str:
         """Stable 16-hex-digit digest of the grid content.
@@ -256,14 +267,11 @@ class ExperimentSpec:
         algorithms: Mapping[str, type],
         scenarios: Sequence[Any],
         seeds: Iterable[int],
-        *,
-        window: float = 100.0,
-        fast: bool = True,
-        memory: Optional[str] = None,
-        consistency: Optional[str] = None,
-        membership: Optional[str] = None,
+        **options: Any,
     ) -> "ExperimentSpec":
-        """Build a spec from live objects (the ``run_matrix`` arguments).
+        """Build a spec from live objects (the ``run_matrix`` arguments);
+        ``options`` are the remaining fields (``window``, ``fast`` and
+        the override axes), by name.
 
         Every scenario must carry a ``ref`` attribute -- a
         ``(factory_name, kwargs)`` tuple attached by the factory
@@ -293,12 +301,15 @@ class ExperimentSpec:
             algorithms=algo_refs,
             scenarios=tuple(scen_refs),
             seeds=tuple(int(s) for s in seeds),
-            window=window,
-            fast=fast,
-            memory=memory,
-            consistency=consistency,
-            membership=membership,
+            **options,
         )
 
 
-__all__ = ["AlgorithmRef", "Cell", "ExperimentSpec", "SPEC_FORMAT", "ScenarioRef"]
+__all__ = [
+    "AlgorithmRef",
+    "Cell",
+    "ExperimentSpec",
+    "OVERRIDE_AXES",
+    "SPEC_FORMAT",
+    "ScenarioRef",
+]

@@ -20,7 +20,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.spec import Cell
+from repro.engine.spec import OVERRIDE_AXES, Cell
 from repro.engine.summary import RunSummary, summarize_run
 
 
@@ -46,9 +46,7 @@ def run_point(
     *,
     window: float = 100.0,
     fast: bool = True,
-    memory: Optional[str] = None,
-    consistency: Optional[str] = None,
-    membership: Optional[str] = None,
+    **overrides: Optional[str],
 ) -> RunSummary:
     """Build, run and summarize one ``(factory, kwargs, algorithm, seed)``
     point -- the shape every pinned repro payload carries.
@@ -59,29 +57,29 @@ def run_point(
     the batched forward path.  ``fast`` (the default) is the
     low-overhead mode: no read log, no event trace.
 
-    ``memory`` is the spec-level backend override: ``None`` (the
-    default) leaves the scenario's own backend choice in force, a
-    backend name forces that backend onto the cell (the
-    ``repro sweep --memory emulated`` path -- and ``"shared"`` forces
-    the shared backend even onto emulated-native scenarios).
-    ``consistency`` is the spec-level consistency-level override for
-    emulated cells (``repro sweep --consistency``); cells that end up
-    on the shared backend drop it (their registers are atomic by
-    construction).  ``membership`` is the spec-level dynamic-membership
-    override for emulated cells (``repro sweep --membership``), dropped
-    the same way on shared-backend cells.
+    ``overrides`` are the spec-level override axes
+    (:data:`repro.engine.spec.OVERRIDE_AXES`), by name; ``None`` -- the
+    default of each -- leaves the scenario's own choice in force.
+    ``memory`` forces a backend onto the cell (the ``repro sweep
+    --memory emulated`` path -- and ``"shared"`` forces the shared
+    backend even onto emulated-native scenarios).  Every other axis
+    (``consistency``, ``membership``: ``repro sweep --consistency`` /
+    ``--membership``) configures the emulation, so
+    :meth:`~repro.workloads.scenarios.Scenario.build` drops it on a
+    cell that ends up on the shared backend (its registers are atomic
+    by construction and it has no replica set to reconfigure).
     """
     from repro.workloads.registry import build_scenario, resolve_algorithm
 
+    unknown = set(overrides) - set(OVERRIDE_AXES)
+    if unknown:
+        raise TypeError(
+            f"unknown override axis {sorted(unknown)}; choose from {list(OVERRIDE_AXES)}"
+        )
     scenario = build_scenario(factory, kwargs)
-    overrides: Dict[str, Any] = {"log_reads": False, "trace_events": False} if fast else {}
-    if memory is not None:
-        overrides["memory"] = memory
-    if consistency is not None and (memory or scenario.memory) == "emulated":
-        overrides["consistency"] = consistency
-    if membership is not None and (memory or scenario.memory) == "emulated":
-        overrides["membership"] = membership
-    result = scenario.run(resolve_algorithm(algorithm), seed=seed, **overrides)
+    run_kwargs: Dict[str, Any] = {"log_reads": False, "trace_events": False} if fast else {}
+    run_kwargs.update((axis, value) for axis, value in overrides.items() if value is not None)
+    result = scenario.run(resolve_algorithm(algorithm), seed=seed, **run_kwargs)
     return summarize_run(
         result,
         scenario_name=scenario.name,
@@ -91,54 +89,27 @@ def run_point(
     )
 
 
-def run_cell(
-    cell: Cell,
-    window: float = 100.0,
-    fast: bool = True,
-    memory: Optional[str] = None,
-    consistency: Optional[str] = None,
-    membership: Optional[str] = None,
-) -> RunSummary:
+def run_cell(cell: Cell, **options: Any) -> RunSummary:
     """Execute one cell in-process and return its summary (raises on
-    error); the overrides are :func:`run_point`'s."""
+    error); ``options`` are :func:`run_point`'s keywords (``window``,
+    ``fast`` and the override axes)."""
     started = time.perf_counter()
     summary = run_point(
         cell.scenario.factory,
         cell.scenario.kwargs_dict(),
         cell.algorithm.target,
         cell.seed,
-        window=window,
-        fast=fast,
-        memory=memory,
-        consistency=consistency,
-        membership=membership,
+        **options,
     )
     summary.algorithm = cell.algorithm.label  # prefer the caller's label
     summary.wall_time_s = time.perf_counter() - started
     return summary
 
 
-def execute_cell(
-    cell: Cell,
-    window: float = 100.0,
-    fast: bool = True,
-    memory: Optional[str] = None,
-    consistency: Optional[str] = None,
-    membership: Optional[str] = None,
-) -> CellOutcome:
+def execute_cell(cell: Cell, **options: Any) -> CellOutcome:
     """Pool-safe wrapper around :func:`run_cell`: captures errors."""
     try:
-        return CellOutcome(
-            key=cell.key,
-            summary=run_cell(
-                cell,
-                window=window,
-                fast=fast,
-                memory=memory,
-                consistency=consistency,
-                membership=membership,
-            ),
-        )
+        return CellOutcome(key=cell.key, summary=run_cell(cell, **options))
     except Exception:  # noqa: BLE001 - the driver re-raises in strict mode
         return CellOutcome(key=cell.key, error=traceback.format_exc())
 

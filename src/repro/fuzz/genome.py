@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.memory.membership import TRANSITION_MODES, MembershipEvent, MembershipPlan
+from repro.workloads.scenarios import FUZZ_CRASHES, FUZZ_DELAYS
 
 #: Algorithms the fuzzer composes.  Algorithm 2's hand-shake needs
 #: roughly 10x the horizon of the Algorithm 1 family under identical
@@ -45,11 +46,11 @@ GENOME_ALGORITHMS: Tuple[str, ...] = ("alg1", "alg1-nwnr", "alg1-no-timer")
 #: Memory backends (mirrors :data:`repro.memory.backend.BACKENDS`).
 GENOME_BACKENDS: Tuple[str, ...] = ("shared", "emulated")
 
-#: Delay-model families (subset of the scenario factories' adversaries).
-GENOME_DELAYS: Tuple[str, ...] = ("uniform", "gst-ramp", "bursts")
-
-#: Process-crash plans; ``minority-cascade`` keeps a majority alive.
-GENOME_CRASHES: Tuple[str, ...] = ("none", "leader", "minority-cascade")
+#: Delay-model families and process-crash plans: exactly the parts the
+#: ``fuzz-cell`` factory can compose, in the tables' declaration order
+#: (``mutate``'s RNG draws index these tuples).
+GENOME_DELAYS: Tuple[str, ...] = tuple(FUZZ_DELAYS)
+GENOME_CRASHES: Tuple[str, ...] = tuple(FUZZ_CRASHES)
 
 #: Replica-fabric link models (emulated backend only).  ``corruption``
 #: is excluded: it is the known-negative adversary the Theorem 1 audit

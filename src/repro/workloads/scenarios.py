@@ -7,19 +7,49 @@ seed.  Horizons are chosen generously above the stabilization knobs so
 "did not stabilize by the horizon" is meaningful evidence, not noise
 (Algorithm 2's hand-shake needs roughly 10x Algorithm 1's horizon under
 identical timers; see EXPERIMENTS.md).
+
+**Composition.**  The paper's environment has three ingredients --
+process speeds (AWB1), timers (AWB2), a crash pattern -- plus, for the
+ABD substrate, a replica fabric.  Each is declared once, as a *part*:
+
+* delay families: uniform (the composer's default),
+  :func:`_one_timely_delay` (heavy tails around the timely set;
+  :func:`_slow_leader_delay` is its large-beta preset),
+  :func:`_gst_ramp_delay`, :func:`_burst_delay`;
+* timer families: :func:`_timers` gives every process one instance of
+  a behaviour, :func:`_awb_timers` is the AWB(f, chaos, jitter) family;
+* crash families: the :class:`~repro.sim.crash.CrashPlan` constructors,
+  with :func:`_leader_crash` / :func:`_cascade_crash` for the two the
+  fuzzer shares;
+* link profiles: :func:`_sync_links` (any deterministic-``delta``
+  model), :func:`_lossy_links`, :func:`_ramp_links`.
+
+:func:`_compose` is the one base scenario -- uniform delays, AWB
+``f = 2x`` timers, no crashes, a 5 % margin, ``memory`` following
+``emulation`` -- and every named factory is a *preset* over it: it
+names only the parts and numbers that differ.  :func:`_twin` derives
+the ``-atomic`` / ``-audit`` cells from their base factory.
+:func:`fuzz_cell` composes from the same parts through the
+:data:`FUZZ_DELAYS` / :data:`FUZZ_CRASHES` tables, whose keys *are* the
+genome's delay and crash vocabularies (:mod:`repro.fuzz.genome`).
+Factory names, signatures, defaults and docstrings are a stable
+surface: ``Scenario.ref``, the engine's content hashes and every pinned
+repro key on them (``tests/workloads/test_scenarios_golden.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.interfaces import OmegaAlgorithm
 from repro.core.runner import Run, RunResult
+from repro.memory.backend import BACKENDS
 from repro.memory.disk import Disk, LatencyModel
+from repro.memory.emulated import CONSISTENCY_LEVELS, LINK_MODELS
+from repro.memory.membership import churn_plan
 from repro.memory.memory import SharedMemory
 from repro.sim.crash import CrashPlan
 from repro.sim.rng import RngRegistry
@@ -167,30 +197,175 @@ class Scenario:
         return self.build(algorithm_cls, seed, **overrides).execute()
 
 
+DelayMaker = Callable[[RngRegistry], StepDelayModel]
+TimerMaker = Callable[[RngRegistry, int], Dict[int, TimerBehavior]]
+CrashMaker = Callable[[RngRegistry], CrashPlan]
+
+
 # ----------------------------------------------------------------------
-# Timer factory helpers
+# Parts: each delay / timer / crash family and link profile, once
 # ----------------------------------------------------------------------
+def _one_timely_delay(
+    timely_pids: Iterable[int],
+    gst: float,
+    cap: float,
+    lo: float = 0.5,
+    hi: float = 1.0,
+    scale: float = 0.6,
+    shape: float = 1.4,
+) -> DelayMaker:
+    """AWB1 spelled out: ``timely_pids`` step within ``[lo, hi]`` from
+    ``gst`` on, everyone else stays heavy-tailed (capped at ``cap``)."""
+    return lambda rng: PartiallySynchronousDelay(
+        base=HeavyTailDelay(rng, scale=scale, shape=shape, cap=cap),
+        timely_pids=set(timely_pids),
+        gst=gst,
+        rng=rng,
+        timely_lo=lo,
+        timely_hi=hi,
+    )
+
+
+def _slow_leader_delay(timely_pid: int) -> DelayMaker:
+    """AWB1 with a *large* beta: the timely process is slow but bounded
+    (per-step delay in [4.5, 5.0] from the start), everyone else is fast
+    on average with heavy-tailed spikes.  Under this profile a follower's
+    monitoring cadence is much faster than the timely process's write
+    cadence, so only timeouts that grow without bound (AWB2) can learn
+    to wait it out -- the exact role condition (f2) plays in Lemma 2."""
+    return _one_timely_delay(
+        {timely_pid}, gst=0.0, cap=60.0, lo=4.5, hi=5.0, scale=0.5, shape=1.3
+    )
+
+
+def _gst_ramp_delay(gst: float, start_scale: float) -> DelayMaker:
+    """Delays shrink linearly from ``start_scale``x until ``gst``."""
+    return lambda rng: GstRampDelay(rng, gst=gst, start_scale=start_scale, lo=0.5, hi=1.5)
+
+
+def _burst_delay(
+    period: float, burst_fraction: float, timely_pid: int, gst: float
+) -> DelayMaker:
+    """Calm/slow cycles forever; ``timely_pid`` stays calm after ``gst``."""
+    return lambda rng: AlternatingBurstDelay(
+        rng, period=period, burst_fraction=burst_fraction, timely_pids={timely_pid}, gst=gst
+    )
+
+
+def _timers(one: Callable[[RngRegistry], TimerBehavior]) -> TimerMaker:
+    """Every process gets its own instance of one timer behaviour."""
+    return lambda rng, n: {pid: one(rng) for pid in range(n)}
+
+
 def _awb_timers(
-    alpha: float = 2.0,
-    chaos_until: float = 0.0,
-    jitter: float = 0.25,
-) -> Callable[[RngRegistry, int], Dict[int, TimerBehavior]]:
-    def make(rng: RngRegistry, n: int) -> Dict[int, TimerBehavior]:
-        return {
-            pid: AsymptoticallyWellBehavedTimer(
-                LinearF(alpha), rng, chaos_until=chaos_until, jitter=jitter
-            )
-            for pid in range(n)
-        }
-
-    return make
+    f: Any = LinearF(2.0), chaos_until: float = 0.0, jitter: float = 0.25
+) -> TimerMaker:
+    """AWB2 timers: durations dominate ``f`` once ``chaos_until`` passes."""
+    return _timers(
+        lambda rng: AsymptoticallyWellBehavedTimer(
+            f, rng, chaos_until=chaos_until, jitter=jitter
+        )
+    )
 
 
-def _accurate_timers() -> Callable[[RngRegistry, int], Dict[int, TimerBehavior]]:
-    def make(rng: RngRegistry, n: int) -> Dict[int, TimerBehavior]:
-        return {pid: AccurateTimer() for pid in range(n)}
+def _leader_crash(n: int, at: float) -> CrashMaker:
+    """The lexmin favourite (pid 0) crashes at ``at``."""
+    return lambda rng: CrashPlan.single(n, 0, at)
 
-    return make
+
+def _cascade_crash(n: int, count: int, start: float, spacing: float) -> CrashMaker:
+    """Pids ``0..count-1`` crash one by one (none when ``count`` is 0)."""
+    return lambda rng: CrashPlan.cascade(n, range(count), start=start, spacing=spacing)
+
+
+def _fabric(
+    replicas: int, links: str, link_params: Optional[Dict[str, Any]], **knobs: Any
+) -> Dict[str, Any]:
+    """The plain-dict :class:`~repro.memory.emulated.EmulationConfig`
+    knobs of one replica fabric; ``knobs`` are further config fields."""
+    fabric: Dict[str, Any] = {"replicas": replicas, "links": links}
+    if link_params:
+        fabric["link_params"] = link_params
+    return {**fabric, **knobs}
+
+
+def _sync_links(replicas: int, links: str, delta: float, **knobs: Any) -> Dict[str, Any]:
+    """A deterministic-timing fabric; ``delta`` parameterizes the
+    ``sync`` model only (the others keep their model defaults)."""
+    return _fabric(replicas, links, {"delta": delta} if links == "sync" else None, **knobs)
+
+
+def _lossy_links(replicas: int, loss: float, retry_interval: float) -> Dict[str, Any]:
+    """Fair-lossy links, retransmitting every ``retry_interval``."""
+    return _fabric(
+        replicas,
+        "lossy",
+        {"loss": loss, "lo": 0.5, "hi": 4.0, "cap": 8.0},
+        retry_interval=retry_interval,
+    )
+
+
+def _ramp_links(replicas: int, gst: float, start_scale: float, **knobs: Any) -> Dict[str, Any]:
+    """Links whose delays shrink from ``start_scale``x until ``gst``."""
+    return _fabric(
+        replicas,
+        "gst-ramp",
+        {"gst": gst, "start_scale": start_scale, "lo": 0.25, "hi": 1.0},
+        **knobs,
+    )
+
+
+# ----------------------------------------------------------------------
+# The composer and the twin helper
+# ----------------------------------------------------------------------
+def _compose(
+    name: str,
+    n: int,
+    horizon: float,
+    description: str,
+    *,
+    delay: Optional[DelayMaker] = None,
+    timers: Optional[TimerMaker] = None,
+    crash: Optional[CrashMaker] = None,
+    margin: float = 0.05,
+    emulation: Optional[Dict[str, Any]] = None,
+    **fields: Any,
+) -> Scenario:
+    """The base scenario every factory is a preset over.
+
+    Defaults: uniform delays, AWB ``f = 2x`` timers, no crashes, a
+    stability margin of 5 % of the horizon (``margin`` is that
+    fraction), and the emulated backend exactly when ``emulation`` knobs
+    are given.  ``fields`` are further :class:`Scenario` fields.
+    """
+    return Scenario(
+        name=name,
+        n=n,
+        horizon=horizon,
+        description=description,
+        make_delay=delay or (lambda rng: UniformDelay(rng, 0.5, 1.5)),
+        make_timers=timers or _awb_timers(),
+        make_crash_plan=crash,
+        margin=horizon * margin,
+        memory="emulated" if emulation else "shared",
+        emulation=emulation or {},
+        **fields,
+    )
+
+
+def _twin(
+    base: Scenario, name: str, note: str, consistency: Optional[str] = None, **knobs: Any
+) -> Scenario:
+    """``base`` renamed, with ``note`` appended to its description,
+    ``knobs`` merged into its emulation config and (optionally) its
+    consistency level set: the ``-atomic`` / ``-audit`` cells."""
+    return replace(
+        base,
+        name=name,
+        description=base.description + note,
+        emulation={**base.emulation, **knobs},
+        consistency=consistency or base.consistency,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +378,10 @@ def nominal(n: int = 4, horizon: float = 4000.0) -> Scenario:
     The baseline sanity workload: every algorithm must elect the
     lexmin-favoured process and stay stable.
     """
-    return Scenario(
-        name=f"nominal-n{n}",
-        n=n,
-        horizon=horizon,
-        description="uniform delays, AWB timers without chaos, fault-free",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.1,
+    return _compose(
+        f"nominal-n{n}", n, horizon,
+        "uniform delays, AWB timers without chaos, fault-free",
+        margin=0.1,
     )
 
 
@@ -223,14 +394,10 @@ def chaotic_timers(n: int = 4, horizon: float = 6000.0, chaos_fraction: float = 
     leader's write period and the election stabilizes.
     """
     chaos_until = horizon * chaos_fraction
-    return Scenario(
-        name=f"chaotic-timers-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"AWB timers misbehave until t={chaos_until:.0f}",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0, chaos_until=chaos_until, jitter=0.5),
-        margin=horizon * 0.05,
+    return _compose(
+        f"chaotic-timers-n{n}", n, horizon,
+        f"AWB timers misbehave until t={chaos_until:.0f}",
+        timers=_awb_timers(chaos_until=chaos_until, jitter=0.5),
     )
 
 
@@ -242,15 +409,10 @@ def leader_crash(n: int = 4, horizon: float = 6000.0, crash_at_fraction: float =
     process -- the core liveness scenario.
     """
     crash_at = horizon * crash_at_fraction
-    return Scenario(
-        name=f"leader-crash-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"pid 0 crashes at t={crash_at:.0f}",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.single(n, 0, crash_at),
-        margin=horizon * 0.05,
+    return _compose(
+        f"leader-crash-n{n}", n, horizon,
+        f"pid 0 crashes at t={crash_at:.0f}",
+        crash=_leader_crash(n, crash_at),
     )
 
 
@@ -269,22 +431,15 @@ def cascade(
     explicit timings.
     """
     victims = list(range(n // 2 if crashes is None else crashes))
-    start_t = horizon * 0.2 if start is None else start
-    spacing_t = horizon * 0.08 if spacing is None else spacing
-    name = f"cascade-n{n}" if crashes is None else f"cascade-n{n}-t{len(victims)}"
-    return Scenario(
-        name=name,
-        n=n,
-        horizon=horizon,
-        description=f"pids {victims} crash in sequence",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=(
-            (lambda rng: CrashPlan.cascade(n, victims, start=start_t, spacing=spacing_t))
-            if victims
-            else (lambda rng: CrashPlan.none(n))
+    return _compose(
+        f"cascade-n{n}" if crashes is None else f"cascade-n{n}-t{len(victims)}", n, horizon,
+        f"pids {victims} crash in sequence",
+        crash=_cascade_crash(
+            n,
+            len(victims),
+            horizon * 0.2 if start is None else start,
+            horizon * 0.08 if spacing is None else spacing,
         ),
-        margin=horizon * 0.05,
     )
 
 
@@ -295,17 +450,12 @@ def all_but_one(n: int = 5, horizon: float = 6000.0, survivor: int = 2) -> Scena
     Both algorithms are independent of ``t``; the survivor must elect
     itself.
     """
-    return Scenario(
-        name=f"all-but-one-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"all crash except pid {survivor}",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.all_but(
+    return _compose(
+        f"all-but-one-n{n}", n, horizon,
+        f"all crash except pid {survivor}",
+        crash=lambda rng: CrashPlan.all_but(
             n, survivor, at=horizon * 0.2, spacing=horizon * 0.05
         ),
-        margin=horizon * 0.05,
     )
 
 
@@ -319,21 +469,12 @@ def awb_only(n: int = 4, horizon: float = 8000.0, timely_pid: int = 0) -> Scenar
     eventually-synchronous baseline has no such guarantee here.
     """
     gst = horizon * 0.15
-    return Scenario(
-        name=f"awb-only-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"only pid {timely_pid} timely after t={gst:.0f}; others heavy-tailed",
-        make_delay=lambda rng: PartiallySynchronousDelay(
-            base=HeavyTailDelay(rng, scale=0.6, shape=1.4, cap=60.0),
-            timely_pids={timely_pid},
-            gst=gst,
-            rng=rng,
-            timely_lo=0.5,
-            timely_hi=1.0,
-        ),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.02,
+    return _compose(
+        f"awb-only-n{n}", n, horizon,
+        f"only pid {timely_pid} timely after t={gst:.0f}; others heavy-tailed",
+        delay=_one_timely_delay({timely_pid}, gst, cap=60.0),
+        timers=_awb_timers(jitter=0.5),
+        margin=0.02,
     )
 
 
@@ -345,21 +486,12 @@ def ev_sync(n: int = 4, horizon: float = 4000.0) -> Scenario:
     stronger than AWB.
     """
     gst = horizon * 0.15
-    return Scenario(
-        name=f"ev-sync-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"all processes timely after t={gst:.0f}",
-        make_delay=lambda rng: PartiallySynchronousDelay(
-            base=HeavyTailDelay(rng, scale=0.6, shape=1.4, cap=30.0),
-            timely_pids=set(range(n)),
-            gst=gst,
-            rng=rng,
-            timely_lo=0.5,
-            timely_hi=1.0,
-        ),
-        make_timers=_accurate_timers(),
-        margin=horizon * 0.02,
+    return _compose(
+        f"ev-sync-n{n}", n, horizon,
+        f"all processes timely after t={gst:.0f}",
+        delay=_one_timely_delay(range(n), gst, cap=30.0),
+        timers=_timers(lambda rng: AccurateTimer()),
+        margin=0.02,
         assumption="ev-sync",
     )
 
@@ -367,11 +499,12 @@ def ev_sync(n: int = 4, horizon: float = 4000.0) -> Scenario:
 @scenario_factory
 def scrambled(n: int = 4, horizon: float = 6000.0) -> Scenario:
     """Arbitrary initial register values (footnote 7 self-stabilization)."""
-    base = nominal(n, horizon)
-    base.name = f"scrambled-n{n}"
-    base.description = "registers start with arbitrary values"
-    base.scramble = scramble_registers
-    return base
+    return _compose(
+        f"scrambled-n{n}", n, horizon,
+        "registers start with arbitrary values",
+        margin=0.1,
+        scramble=scramble_registers,
+    )
 
 
 @scenario_factory
@@ -382,17 +515,12 @@ def random_faults(n: int = 5, horizon: float = 8000.0, max_failures: int | None 
     crashes at random times in the first half of the run) -- the sweep
     over seeds samples the fault space instead of hand-picking it.
     """
-    return Scenario(
-        name=f"random-faults-n{n}",
-        n=n,
-        horizon=horizon,
-        description="seed-derived random crash pattern (up to n-1 crashes)",
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.random(
+    return _compose(
+        f"random-faults-n{n}", n, horizon,
+        "seed-derived random crash pattern (up to n-1 crashes)",
+        crash=lambda rng: CrashPlan.random(
             n, rng, max_failures=max_failures, horizon=horizon * 0.5, probability=0.5
         ),
-        margin=horizon * 0.05,
     )
 
 
@@ -405,33 +533,14 @@ def san(n: int = 3, horizon: float = 20000.0) -> Scenario:
     the SAN tests.  Horizon scales with latency (each algorithm step
     now costs several time units).
     """
-    return Scenario(
-        name=f"san-n{n}",
-        n=n,
-        horizon=horizon,
-        description="registers behind a disk with latency 1..4",
+    return _compose(
+        f"san-n{n}", n, horizon,
+        "registers behind a disk with latency 1..4",
+        delay=lambda rng: UniformDelay(rng, 0.3, 0.8),
+        timers=_awb_timers(LinearF(10.0)),
+        margin=0.02,
         sample_interval=20.0,
-        make_delay=lambda rng: UniformDelay(rng, 0.3, 0.8),
-        make_timers=_awb_timers(alpha=10.0),
         make_disk=lambda rng: Disk(LatencyModel(rng, lo=1.0, hi=4.0)),
-        margin=horizon * 0.02,
-    )
-
-
-def _slow_leader_delay(n: int, timely_pid: int, rng: RngRegistry) -> StepDelayModel:
-    """AWB1 with a *large* beta: the timely process is slow but bounded
-    (per-step delay in [4.5, 5.0] from the start), everyone else is fast
-    on average with heavy-tailed spikes.  Under this profile a follower's
-    monitoring cadence is much faster than the timely process's write
-    cadence, so only timeouts that grow without bound (AWB2) can learn
-    to wait it out -- the exact role condition (f2) plays in Lemma 2."""
-    return PartiallySynchronousDelay(
-        base=HeavyTailDelay(rng, scale=0.5, shape=1.3, cap=60.0),
-        timely_pids={timely_pid},
-        gst=0.0,
-        rng=rng,
-        timely_lo=4.5,
-        timely_hi=5.0,
     )
 
 
@@ -446,18 +555,12 @@ def capped_timers(n: int = 4, horizon: float = 4000.0, cap: float = 3.0, timely_
     positive twin :func:`slow_leader_awb` differs *only* in the timer
     behaviour and stabilizes, demonstrating that AWB2 is load-bearing.
     """
-
-    def make(rng: RngRegistry, count: int) -> Dict[int, TimerBehavior]:
-        return {pid: CappedTimer(rng, cap=cap) for pid in range(count)}
-
-    return Scenario(
-        name=f"capped-timers-n{n}",
-        n=n,
-        horizon=horizon,
-        description=f"AWB2 violated: timer durations capped at {cap}, slow timely leader",
-        make_delay=lambda rng: _slow_leader_delay(n, timely_pid, rng),
-        make_timers=make,
-        margin=horizon * 0.3,
+    return _compose(
+        f"capped-timers-n{n}", n, horizon,
+        f"AWB2 violated: timer durations capped at {cap}, slow timely leader",
+        delay=_slow_leader_delay(timely_pid),
+        timers=_timers(lambda rng: CappedTimer(rng, cap=cap)),
+        margin=0.3,
         assumption="none",
     )
 
@@ -469,14 +572,12 @@ def slow_leader_awb(n: int = 4, horizon: float = 12000.0, timely_pid: int = 0) -
     the accumulated suspicions until they dominate the slow leader's
     write period, after which the election stabilizes (Lemma 2's
     mechanism, observable in the trace)."""
-    return Scenario(
-        name=f"slow-leader-awb-n{n}",
-        n=n,
-        horizon=horizon,
-        description="slow timely leader, AWB timers (positive twin of capped-timers)",
-        make_delay=lambda rng: _slow_leader_delay(n, timely_pid, rng),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.02,
+    return _compose(
+        f"slow-leader-awb-n{n}", n, horizon,
+        "slow timely leader, AWB timers (positive twin of capped-timers)",
+        delay=_slow_leader_delay(timely_pid),
+        timers=_awb_timers(jitter=0.5),
+        margin=0.02,
     )
 
 
@@ -505,20 +606,13 @@ def leader_storm(
     """
     start = horizon * start_fraction
     gap = horizon * gap_fraction
-    return Scenario(
-        name=f"leader-storm-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{crashes} crashes in bursts of {burst} target the next lexmin "
-            f"favourite, storms {gap:.0f} apart"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.leader_storms(
+    return _compose(
+        f"leader-storm-n{n}", n, horizon,
+        f"{crashes} crashes in bursts of {burst} target the next lexmin "
+        f"favourite, storms {gap:.0f} apart",
+        crash=lambda rng: CrashPlan.leader_storms(
             n, crashes, start=start, gap=gap, burst=burst, spacing=2.0
         ),
-        margin=horizon * 0.05,
     )
 
 
@@ -536,19 +630,12 @@ def gst_ramp(
     election must still settle.
     """
     gst = horizon * gst_fraction
-    return Scenario(
-        name=f"gst-ramp-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"per-step delays shrink linearly from {start_scale:g}x until "
-            f"t={gst:.0f}, timely after"
-        ),
-        make_delay=lambda rng: GstRampDelay(
-            rng, gst=gst, start_scale=start_scale, lo=0.5, hi=1.5
-        ),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.05,
+    return _compose(
+        f"gst-ramp-n{n}", n, horizon,
+        f"per-step delays shrink linearly from {start_scale:g}x until "
+        f"t={gst:.0f}, timely after",
+        delay=_gst_ramp_delay(gst, start_scale),
+        timers=_awb_timers(jitter=0.5),
     )
 
 
@@ -569,23 +656,13 @@ def async_bursts(
     settle and timeouts chase a permanently oscillating environment.
     """
     gst = horizon * gst_fraction
-    return Scenario(
-        name=f"async-bursts-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"calm/burst cycle of period {period:g}; only pid {timely_pid} "
-            f"calm after t={gst:.0f}"
-        ),
-        make_delay=lambda rng: AlternatingBurstDelay(
-            rng,
-            period=period,
-            burst_fraction=burst_fraction,
-            timely_pids={timely_pid},
-            gst=gst,
-        ),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.02,
+    return _compose(
+        f"async-bursts-n{n}", n, horizon,
+        f"calm/burst cycle of period {period:g}; only pid {timely_pid} "
+        f"calm after t={gst:.0f}",
+        delay=_burst_delay(period, burst_fraction, timely_pid, gst),
+        timers=_awb_timers(jitter=0.5),
+        margin=0.02,
     )
 
 
@@ -607,20 +684,11 @@ def near_all_cascade(
         raise ValueError(f"need 1 <= survivors < n, got {survivors}")
     victims = list(range(n - survivors))
     start = horizon * start_fraction
-    return Scenario(
-        name=f"near-all-cascade-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"pids {victims} crash {spacing:g} apart from t={start:.0f}; "
-            f"{survivors} survivor(s)"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.cascade(
-            n, victims, start=start, spacing=spacing
-        ),
-        margin=horizon * 0.05,
+    return _compose(
+        f"near-all-cascade-n{n}", n, horizon,
+        f"pids {victims} crash {spacing:g} apart from t={start:.0f}; "
+        f"{survivors} survivor(s)",
+        crash=_cascade_crash(n, len(victims), start, spacing),
     )
 
 
@@ -642,15 +710,11 @@ def timely_churn(
     """
     settle = horizon * settle_fraction
     epoch = horizon * epoch_fraction
-    return Scenario(
-        name=f"timely-churn-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"timely pid rotates every {epoch:.0f} until t={settle:.0f}, "
-            f"then pid {final_pid} forever; others heavy-tailed"
-        ),
-        make_delay=lambda rng: ChurningTimelyDelay(
+    return _compose(
+        f"timely-churn-n{n}", n, horizon,
+        f"timely pid rotates every {epoch:.0f} until t={settle:.0f}, "
+        f"then pid {final_pid} forever; others heavy-tailed",
+        delay=lambda rng: ChurningTimelyDelay(
             base=HeavyTailDelay(rng, scale=0.6, shape=1.4, cap=40.0),
             candidates=list(range(n)),
             epoch=epoch,
@@ -660,8 +724,8 @@ def timely_churn(
             timely_lo=0.5,
             timely_hi=1.0,
         ),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.02,
+        timers=_awb_timers(jitter=0.5),
+        margin=0.02,
     )
 
 
@@ -672,17 +736,6 @@ def timely_churn(
 # register access now costs a quorum round trip on top of the step
 # delay; margins scale with them.
 # ----------------------------------------------------------------------
-def _emulation_knobs(
-    replicas: int, links: str, delta: float, **extra: Any
-) -> Dict[str, Any]:
-    """Assemble the plain-dict emulation config the factories share."""
-    knobs: Dict[str, Any] = {"replicas": replicas, "links": links}
-    if links == "sync":
-        knobs["link_params"] = {"delta": delta}
-    knobs.update(extra)
-    return knobs
-
-
 @scenario_factory
 def nominal_emulated(
     n: int = 4,
@@ -699,18 +752,11 @@ def nominal_emulated(
     shared-memory run of the same seed, so Algorithm 1 must elect the
     same leader.
     """
-    return Scenario(
-        name=f"nominal-emulated-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"nominal over {replicas}-replica ABD emulation, {links} links"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.1,
-        memory="emulated",
-        emulation=_emulation_knobs(replicas, links, delta),
+    return _compose(
+        f"nominal-emulated-n{n}", n, horizon,
+        f"nominal over {replicas}-replica ABD emulation, {links} links",
+        margin=0.1,
+        emulation=_sync_links(replicas, links, delta),
     )
 
 
@@ -730,20 +776,12 @@ def leader_crash_emulated(
     through quorum rounds.
     """
     crash_at = horizon * crash_at_fraction
-    return Scenario(
-        name=f"leader-crash-emulated-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"pid 0 crashes at t={crash_at:.0f}; {replicas}-replica ABD "
-            f"emulation, {links} links"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=lambda rng: CrashPlan.single(n, 0, crash_at),
-        margin=horizon * 0.05,
-        memory="emulated",
-        emulation=_emulation_knobs(replicas, links, delta),
+    return _compose(
+        f"leader-crash-emulated-n{n}", n, horizon,
+        f"pid 0 crashes at t={crash_at:.0f}; {replicas}-replica ABD "
+        f"emulation, {links} links",
+        crash=_leader_crash(n, crash_at),
+        emulation=_sync_links(replicas, links, delta),
     )
 
 
@@ -772,21 +810,11 @@ def replica_crash(
     crash_times = {
         str(i): start + i * crash_spacing for i in range(crash_replicas)
     }
-    return Scenario(
-        name=f"replica-crash-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{crash_replicas} of {replicas} ABD replicas crash from "
-            f"t={start:.0f}; all processes correct"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.05,
-        memory="emulated",
-        emulation=_emulation_knobs(
-            replicas, "sync", delta, replica_crash_times=crash_times
-        ),
+    return _compose(
+        f"replica-crash-n{n}", n, horizon,
+        f"{crash_replicas} of {replicas} ABD replicas crash from "
+        f"t={start:.0f}; all processes correct",
+        emulation=_sync_links(replicas, "sync", delta, replica_crash_times=crash_times),
     )
 
 
@@ -808,12 +836,13 @@ def nominal_emulated_atomic(
     because the write-back doubles every read's quorum cost
     (Algorithm 2's hand-shake feels it most).
     """
-    base = nominal_emulated(n, horizon, replicas, "sync", delta)
-    base.name = f"nominal-emulated-atomic-n{n}"
-    base.description += ", atomic (write-back) reads, history audited"
-    base.consistency = "atomic"
-    base.emulation = {**base.emulation, "record_history": True}
-    return base
+    return _twin(
+        nominal_emulated(n, horizon, replicas, "sync", delta),
+        f"nominal-emulated-atomic-n{n}",
+        ", atomic (write-back) reads, history audited",
+        consistency="atomic",
+        record_history=True,
+    )
 
 
 @scenario_factory
@@ -833,14 +862,15 @@ def replica_crash_atomic(
     the recorded history must *still* be linearizable -- quorum
     intersection among the survivors is exactly what ABD promises.
     """
-    base = replica_crash(
-        n, horizon, replicas, crash_replicas, crash_at_fraction, crash_spacing, delta
+    return _twin(
+        replica_crash(
+            n, horizon, replicas, crash_replicas, crash_at_fraction, crash_spacing, delta
+        ),
+        f"replica-crash-atomic-n{n}",
+        "; atomic (write-back) reads, history audited",
+        consistency="atomic",
+        record_history=True,
     )
-    base.name = f"replica-crash-atomic-n{n}"
-    base.description += "; atomic (write-back) reads, history audited"
-    base.consistency = "atomic"
-    base.emulation = {**base.emulation, "record_history": True}
-    return base
 
 
 @scenario_factory
@@ -857,24 +887,11 @@ def emulated_lossy(
     retransmission to unacked replicas; delays are arbitrary but
     finite, so AWB still holds and the election must stabilize.
     """
-    return Scenario(
-        name=f"emulated-lossy-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{replicas}-replica ABD emulation over fair-lossy links "
-            f"(loss {loss:g}, retry every {retry_interval:g})"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.05,
-        memory="emulated",
-        emulation={
-            "replicas": replicas,
-            "links": "lossy",
-            "link_params": {"loss": loss, "lo": 0.5, "hi": 4.0, "cap": 8.0},
-            "retry_interval": retry_interval,
-        },
+    return _compose(
+        f"emulated-lossy-n{n}", n, horizon,
+        f"{replicas}-replica ABD emulation over fair-lossy links "
+        f"(loss {loss:g}, retry every {retry_interval:g})",
+        emulation=_lossy_links(replicas, loss, retry_interval),
     )
 
 
@@ -893,11 +910,12 @@ def emulated_lossy_audit(
     re-ack ever manufactures a stale read -- every recorded read must
     still satisfy the regular-register condition.
     """
-    base = emulated_lossy(n, horizon, replicas, loss, retry_interval)
-    base.name = f"emulated-lossy-audit-n{n}"
-    base.description += "; operation history recorded and audited (regular)"
-    base.emulation = {**base.emulation, "record_history": True}
-    return base
+    return _twin(
+        emulated_lossy(n, horizon, replicas, loss, retry_interval),
+        f"emulated-lossy-audit-n{n}",
+        "; operation history recorded and audited (regular)",
+        record_history=True,
+    )
 
 
 @scenario_factory
@@ -916,28 +934,12 @@ def emulated_gst_ramp(
     election must settle.
     """
     gst = horizon * gst_fraction
-    return Scenario(
-        name=f"emulated-gst-ramp-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{replicas}-replica ABD emulation; link delays shrink from "
-            f"{start_scale:g}x until t={gst:.0f}"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0, jitter=0.5),
-        margin=horizon * 0.05,
-        memory="emulated",
-        emulation={
-            "replicas": replicas,
-            "links": "gst-ramp",
-            "link_params": {
-                "gst": gst,
-                "start_scale": start_scale,
-                "lo": 0.25,
-                "hi": 1.0,
-            },
-        },
+    return _compose(
+        f"emulated-gst-ramp-n{n}", n, horizon,
+        f"{replicas}-replica ABD emulation; link delays shrink from "
+        f"{start_scale:g}x until t={gst:.0f}",
+        timers=_awb_timers(jitter=0.5),
+        emulation=_ramp_links(replicas, gst, start_scale),
     )
 
 
@@ -959,17 +961,13 @@ def emulated_gst_ramp_audit(
     reply dedup never double-counts a replica into a fake quorum (every
     recorded read still satisfies the regular-register condition).
     """
-    base = emulated_gst_ramp(n, horizon, replicas, gst_fraction, start_scale)
-    base.name = f"emulated-gst-ramp-audit-n{n}"
-    base.description += (
-        f"; retry every {retry_interval:g}, history recorded and audited (regular)"
+    return _twin(
+        emulated_gst_ramp(n, horizon, replicas, gst_fraction, start_scale),
+        f"emulated-gst-ramp-audit-n{n}",
+        f"; retry every {retry_interval:g}, history recorded and audited (regular)",
+        record_history=True,
+        retry_interval=retry_interval,
     )
-    base.emulation = {
-        **base.emulation,
-        "record_history": True,
-        "retry_interval": retry_interval,
-    }
-    return base
 
 
 @scenario_factory
@@ -1000,11 +998,9 @@ def membership_churn(
     time) so negative controls can force reads onto under-synced
     joiners.
     """
-    from repro.memory.membership import churn_plan
-
     events = churn_plan(replicas, horizon).to_jsonable() if plan is None else list(plan)
     membership_plan = [dict(ev) for ev in events]
-    knobs: Dict[str, Any] = _emulation_knobs(
+    knobs = _sync_links(
         replicas,
         "sync",
         delta,
@@ -1015,19 +1011,11 @@ def membership_churn(
     )
     if crash_times:
         knobs["replica_crash_times"] = {str(k): float(v) for k, v in crash_times.items()}
-    return Scenario(
-        name=f"membership-churn-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{replicas}-replica ABD emulation reconfiguring through a "
-            f"{len(membership_plan)}-event membership plan "
-            f"({transition} windows), history audited"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.05,
-        memory="emulated",
+    return _compose(
+        f"membership-churn-n{n}", n, horizon,
+        f"{replicas}-replica ABD emulation reconfiguring through a "
+        f"{len(membership_plan)}-event membership plan "
+        f"({transition} windows), history audited",
         emulation=knobs,
     )
 
@@ -1052,13 +1040,14 @@ def membership_churn_atomic(
     horizon scales up because the write-back doubles every read's
     quorum cost.
     """
-    base = membership_churn(
-        n, horizon, replicas, delta, plan, transition, crash_times, transfer_delay
+    return _twin(
+        membership_churn(
+            n, horizon, replicas, delta, plan, transition, crash_times, transfer_delay
+        ),
+        f"membership-churn-atomic-n{n}",
+        "; atomic (write-back) reads",
+        consistency="atomic",
     )
-    base.name = f"membership-churn-atomic-n{n}"
-    base.description += "; atomic (write-back) reads"
-    base.consistency = "atomic"
-    return base
 
 
 #: The pinned membership negative-control construction (the membership
@@ -1095,20 +1084,21 @@ def membership_canary(
     control that must stay clean.  Kept as its own factory so the fuzz
     registry and CI can replay the pinned construction by name.
     """
-    base = membership_churn(
-        n,
-        horizon,
-        replicas=3,
-        plan=list(MEMBERSHIP_CANARY_PLAN),
-        transition=transition,
-        crash_times=dict(MEMBERSHIP_CANARY_CRASHES),
+    return replace(
+        membership_churn(
+            n,
+            horizon,
+            replicas=3,
+            plan=list(MEMBERSHIP_CANARY_PLAN),
+            transition=transition,
+            crash_times=dict(MEMBERSHIP_CANARY_CRASHES),
+        ),
+        name=f"membership-canary-n{n}",
+        description=(
+            "membership negative control: initial config fully replaced, last "
+            f"original replica crashes at t=2500 ({transition} windows), audited"
+        ),
     )
-    base.name = f"membership-canary-n{n}"
-    base.description = (
-        "membership negative control: initial config fully replaced, last "
-        f"original replica crashes at t=2500 ({transition} windows), audited"
-    )
-    return base
 
 
 #: The default ``chaos`` fault timeline: one disturbance of each kind,
@@ -1149,20 +1139,12 @@ def chaos(
     """
     events = DEFAULT_CHAOS_PLAN if plan is None else tuple(plan)
     fault_plan = [dict(ev) for ev in events]
-    return Scenario(
-        name=f"chaos-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{replicas}-replica ABD emulation under a {len(fault_plan)}-event "
-            f"fault plan ({'resync' if resync else 'NO resync'}, "
-            f"{retry_policy} retries), history audited"
-        ),
-        make_delay=lambda rng: UniformDelay(rng, 0.5, 1.5),
-        make_timers=_awb_timers(alpha=2.0),
-        margin=horizon * 0.05,
-        memory="emulated",
-        emulation=_emulation_knobs(
+    return _compose(
+        f"chaos-n{n}", n, horizon,
+        f"{replicas}-replica ABD emulation under a {len(fault_plan)}-event "
+        f"fault plan ({'resync' if resync else 'NO resync'}, "
+        f"{retry_policy} retries), history audited",
+        emulation=_sync_links(
             replicas,
             "sync",
             delta,
@@ -1174,13 +1156,29 @@ def chaos(
     )
 
 
-#: Delay families the fuzzer composes (names -> builders are inlined in
-#: :func:`fuzz_cell`; the genome vocabulary in :mod:`repro.fuzz.genome`
-#: mirrors these keys).
-FUZZ_DELAYS: Tuple[str, ...] = ("uniform", "gst-ramp", "bursts")
+#: Delay families the fuzzer composes: name -> ``(n, horizon)`` preset
+#: over the delay parts, every knob timing a fraction of the horizon.
+#: The keys are the genome's delay vocabulary
+#: (:data:`repro.fuzz.genome.GENOME_DELAYS`), in mutation-draw order.
+FUZZ_DELAYS: Dict[str, Callable[[int, float], Optional[DelayMaker]]] = {
+    "uniform": lambda n, horizon: None,  # the composer's default
+    "gst-ramp": lambda n, horizon: _gst_ramp_delay(horizon * 0.35, 6.0),
+    # The timely process is the HIGHEST pid: both fuzz crash plans kill
+    # low pids, and AWB must keep holding after the crashes (a dead
+    # timely process would void the assumption the theorem monitors
+    # audit under).
+    "bursts": lambda n, horizon: _burst_delay(horizon / 20.0, 0.4, n - 1, horizon * 0.2),
+}
 
-#: Crash-plan families the fuzzer composes.
-FUZZ_CRASHES: Tuple[str, ...] = ("none", "leader", "minority-cascade")
+#: Crash-plan families the fuzzer composes, likewise (the genome's
+#: crash vocabulary); ``minority-cascade`` keeps a majority alive.
+FUZZ_CRASHES: Dict[str, Callable[[int, float], Optional[CrashMaker]]] = {
+    "none": lambda n, horizon: None,
+    "leader": lambda n, horizon: _leader_crash(n, horizon * 0.35),
+    "minority-cascade": lambda n, horizon: _cascade_crash(
+        n, max(1, (n - 1) // 2), horizon * 0.2, horizon * 0.08
+    ),
+}
 
 
 @scenario_factory
@@ -1215,98 +1213,54 @@ def fuzz_cell(
     with the horizon, so the derived-horizon scaling in the genome
     keeps every cell proportionally shaped.
     """
-    if delay not in FUZZ_DELAYS:
-        raise ValueError(f"unknown fuzz delay {delay!r}; choose from {list(FUZZ_DELAYS)}")
-    if crash not in FUZZ_CRASHES:
-        raise ValueError(f"unknown fuzz crash {crash!r}; choose from {list(FUZZ_CRASHES)}")
-
-    def make_delay(rng: RngRegistry) -> StepDelayModel:
-        if delay == "gst-ramp":
-            return GstRampDelay(
-                rng, gst=horizon * 0.35, start_scale=6.0, lo=0.5, hi=1.5
-            )
-        if delay == "bursts":
-            # The timely process is the HIGHEST pid: both fuzz crash
-            # plans kill low pids, and AWB must keep holding after the
-            # crashes (a dead timely process would void the assumption
-            # the theorem monitors audit under).
-            return AlternatingBurstDelay(
-                rng,
-                period=horizon / 20.0,
-                burst_fraction=0.4,
-                timely_pids={n - 1},
-                gst=horizon * 0.2,
-            )
-        return UniformDelay(rng, 0.5, 1.5)
-
-    make_crash_plan: Optional[Callable[[RngRegistry], CrashPlan]] = None
-    if crash == "leader":
-        make_crash_plan = lambda rng: CrashPlan.single(n, 0, horizon * 0.35)  # noqa: E731
-    elif crash == "minority-cascade":
-        victims = list(range(max(1, (n - 1) // 2)))
-        make_crash_plan = lambda rng: CrashPlan.cascade(  # noqa: E731
-            n, victims, start=horizon * 0.2, spacing=horizon * 0.08
-        )
-
+    # The kwargs arrive from corpus / pinned-repro JSON: reject a bad
+    # value here, not later inside a worker.  ``links`` stays open to
+    # every link model (the genome's vocabulary is a conservative
+    # subset; ``corruption`` / ``timely`` remain reachable by hand).
+    for axis, value, choices in (
+        ("delay", delay, FUZZ_DELAYS),
+        ("crash", crash, FUZZ_CRASHES),
+        ("backend", backend, BACKENDS),
+        ("links", links, LINK_MODELS),
+        ("consistency", consistency, CONSISTENCY_LEVELS),
+    ):
+        if value not in choices:
+            raise ValueError(f"unknown fuzz {axis} {value!r}; choose from {list(choices)}")
     emulation: Dict[str, Any] = {}
-    level: Optional[str] = None
+    detail = ""
     if backend == "emulated":
         if links == "lossy":
-            emulation = {
-                "replicas": replicas,
-                "links": "lossy",
-                "link_params": {"loss": 0.1, "lo": 0.5, "hi": 4.0, "cap": 8.0},
-                "retry_interval": 10.0,
-            }
+            emulation = _lossy_links(replicas, 0.1, 10.0)
         elif links == "gst-ramp":
-            emulation = {
-                "replicas": replicas,
-                "links": "gst-ramp",
-                "link_params": {
-                    "gst": horizon * 0.3,
-                    "start_scale": 6.0,
-                    "lo": 0.25,
-                    "hi": 1.0,
-                },
-                "retry_interval": 4.0,
-            }
-        else:  # sync / duplication share the deterministic delta timing
-            emulation = _emulation_knobs(replicas, links, delta)
-        emulation["record_history"] = True
-        emulation["resync"] = resync
+            emulation = _ramp_links(replicas, horizon * 0.3, 6.0, retry_interval=4.0)
+        else:
+            emulation = _sync_links(replicas, links, delta)
+        emulation.update(record_history=True, resync=resync)
         if plan:
             emulation["fault_plan"] = [dict(ev) for ev in plan]
         if membership:
-            emulation["membership_plan"] = [dict(ev) for ev in membership]
-            emulation["transition"] = transition
-        level = consistency
-    fault_note = f", {len(plan)}-event fault plan" if plan else ""
-    churn_note = (
-        f", {len(membership)}-event membership plan"
-        + (" (single-config)" if transition != "dual-quorum" else "")
-        if membership
-        else ""
-    )
-    return Scenario(
-        name=f"fuzz-{backend}-{delay}-{crash}-n{n}",
-        n=n,
-        horizon=horizon,
-        description=(
-            f"fuzz cell: {delay} delays, crash={crash}, {backend} memory"
-            + (
-                f" ({replicas} replicas, {links} links, {consistency} reads"
-                f"{', NO resync' if not resync else ''}{fault_note}{churn_note}, audited)"
-                if backend == "emulated"
-                else ""
+            emulation.update(
+                membership_plan=[dict(ev) for ev in membership], transition=transition
             )
-        ),
-        make_delay=make_delay,
-        make_timers=_awb_timers(alpha=2.0),
-        make_crash_plan=make_crash_plan,
-        margin=horizon * 0.02,
-        memory=backend,
+        fault_note = f", {len(plan)}-event fault plan" if plan else ""
+        churn_note = (
+            f", {len(membership)}-event membership plan"
+            + (" (single-config)" if transition != "dual-quorum" else "")
+            if membership
+            else ""
+        )
+        detail = (
+            f" ({replicas} replicas, {links} links, {consistency} reads"
+            f"{', NO resync' if not resync else ''}{fault_note}{churn_note}, audited)"
+        )
+    return _compose(
+        f"fuzz-{backend}-{delay}-{crash}-n{n}", n, horizon,
+        f"fuzz cell: {delay} delays, crash={crash}, {backend} memory{detail}",
+        delay=FUZZ_DELAYS[delay](n, horizon),
+        crash=FUZZ_CRASHES[crash](n, horizon),
+        margin=0.02,
         emulation=emulation,
-        consistency=level,
+        consistency=consistency if backend == "emulated" else None,
     )
 
 
@@ -1381,22 +1335,6 @@ def ablation(
         raise ValueError(f"unknown f_kind {f_kind!r}; choose from {sorted(_F_KINDS)}")
     if profile not in ("mild", "harsh"):
         raise ValueError(f"unknown profile {profile!r}; choose 'mild' or 'harsh'")
-    f = _F_KINDS[f_kind](f_scale)
-
-    def make_timers(rng: RngRegistry, count: int) -> Dict[int, TimerBehavior]:
-        return {
-            pid: AsymptoticallyWellBehavedTimer(
-                f, rng, chaos_until=chaos_until, jitter=jitter
-            )
-            for pid in range(count)
-        }
-
-    make_delay: Callable[[RngRegistry], StepDelayModel]
-    if profile == "mild":
-        make_delay = lambda rng: UniformDelay(rng, 0.5, 1.5)  # noqa: E731
-    else:
-        make_delay = lambda rng: _slow_leader_delay(n, timely_pid, rng)  # noqa: E731
-
     algo_config: Dict[str, Any] = {}
     if timeout_policy is not None:
         algo_config["timeout_policy"] = timeout_policy
@@ -1408,19 +1346,15 @@ def ablation(
         name += f"-chaos{chaos_until:g}"
     if timeout_policy is not None:
         name += f"-{timeout_policy}"
-    return Scenario(
-        name=name,
-        n=n,
-        horizon=horizon,
-        description=(
-            f"{profile} asynchrony, f={f_kind}({f_scale:g}), "
-            f"chaos until {chaos_until:g}"
-            + (f", timeout policy {timeout_policy}" if timeout_policy else "")
-        ),
-        make_delay=make_delay,
-        make_timers=make_timers,
+    return _compose(
+        name, n, horizon,
+        f"{profile} asynchrony, f={f_kind}({f_scale:g}), "
+        f"chaos until {chaos_until:g}"
+        + (f", timeout policy {timeout_policy}" if timeout_policy else ""),
+        delay=_slow_leader_delay(timely_pid) if profile == "harsh" else None,
+        timers=_awb_timers(_F_KINDS[f_kind](f_scale), chaos_until, jitter),
+        margin=0.02,
         algo_config=algo_config,
-        margin=horizon * 0.02,
         assumption=(
             assumption
             if assumption is not None

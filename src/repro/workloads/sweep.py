@@ -16,7 +16,7 @@ produce identical :class:`~repro.engine.summary.RunSummary` rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.core.interfaces import OmegaAlgorithm
@@ -105,10 +105,10 @@ def _ref_is_faithful(scenario: Scenario) -> bool:
     A caller may mutate a factory-built scenario after construction
     (``s = nominal(); s.n = 3``); the stale ref would then rebuild the
     *pre-mutation* scenario inside engine workers.  Rebuild from the
-    ref and compare every primitive field (callables cannot be
-    compared, so only their presence is checked); on any divergence the
-    caller falls back to the in-process path, which honors the live
-    object.
+    ref and compare every :class:`Scenario` field (the ``make_*``
+    closures cannot be compared, so only their presence is checked); on
+    any divergence the caller falls back to the in-process path, which
+    honors the live object.
     """
     ref = getattr(scenario, "ref", None)
     if ref is None:
@@ -119,28 +119,16 @@ def _ref_is_faithful(scenario: Scenario) -> bool:
         rebuilt = build_scenario(ref[0], ref[1])
     except Exception:
         return False
-    primitives = (
-        "name",
-        "n",
-        "horizon",
-        "sample_interval",
-        "snapshot_interval",
-        "algo_config",
-        "log_reads",
-        "trace_events",
-        "margin",
-        "assumption",
-        "memory",
-        "emulation",
-        "consistency",
-    )
-    callables = ("make_delay", "make_timers", "make_crash_plan", "make_disk", "scramble")
-    return all(
-        getattr(rebuilt, field) == getattr(scenario, field) for field in primitives
-    ) and all(
-        (getattr(rebuilt, field) is None) == (getattr(scenario, field) is None)
-        for field in callables
-    )
+    for field in fields(Scenario):
+        if not field.compare:  # the ref itself
+            continue
+        mine, theirs = getattr(scenario, field.name), getattr(rebuilt, field.name)
+        if callable(mine) or callable(theirs):
+            if (mine is None) != (theirs is None):
+                return False
+        elif mine != theirs:
+            return False
+    return True
 
 
 def run_matrix(

@@ -102,3 +102,96 @@ class TestContentHash:
     def test_unserializable_kwargs_rejected(self):
         with pytest.raises(TypeError):
             ScenarioRef.make("nominal", {"bad": object()})
+
+
+# Literal pins generated at the commit before the override axes were
+# folded into one table: SPEC_FORMAT stays 7 and a cache written by
+# that commit must replay as 100 % hits.
+def pinned_spec(**overrides):
+    return ExperimentSpec(
+        name="pin",
+        algorithms=(AlgorithmRef("alg1", "alg1"), AlgorithmRef("two", "alg2")),
+        scenarios=(
+            ScenarioRef.make("nominal", {"n": 3, "horizon": 1500.0}),
+            ScenarioRef.make("nominal-emulated", {"n": 3, "horizon": 1500.0}),
+        ),
+        seeds=(0, 1),
+        **overrides,
+    )
+
+
+class TestOverrideAxes:
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "8461ff2335559422"),
+            ({"memory": "emulated"}, "83dc0bd17ca498ac"),
+            ({"consistency": "atomic"}, "e050691bc23e06c7"),
+            ({"membership": "churn"}, "c38c33534e11f2c5"),
+            (
+                {"memory": "emulated", "consistency": "atomic", "membership": "churn"},
+                "4977436f498bcb7a",
+            ),
+        ],
+    )
+    def test_content_hash_pinned(self, overrides, digest):
+        assert pinned_spec(**overrides).content_hash() == digest
+
+    def test_payload_pinned(self):
+        spec = pinned_spec(memory="shared", consistency="regular", membership="none")
+        payload = spec.to_payload()
+        assert payload == {
+            "format": 7,
+            "name": "pin",
+            "algorithms": [
+                {"label": "alg1", "target": "alg1"},
+                {"label": "two", "target": "alg2"},
+            ],
+            "scenarios": [
+                {"factory": "nominal", "kwargs": {"horizon": 1500.0, "n": 3}},
+                {"factory": "nominal-emulated", "kwargs": {"horizon": 1500.0, "n": 3}},
+            ],
+            "seeds": [0, 1],
+            "window": 100.0,
+            "fast": True,
+            "memory": "shared",
+            "consistency": "regular",
+            "membership": "none",
+        }
+        assert list(payload)[-3:] == ["memory", "consistency", "membership"]
+        assert pinned_spec().to_payload()["membership"] is None
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("memory", r"unknown memory backend 'bogus'; choose from \['emulated', 'shared'\]"),
+            ("consistency", r"unknown consistency level 'bogus'; choose from \['regular', 'atomic'\]"),
+            ("membership", r"unknown membership mode 'bogus'; choose from \['none', 'churn'\]"),
+        ],
+    )
+    def test_unknown_value_rejected(self, axis, message):
+        with pytest.raises(ValueError, match=message):
+            pinned_spec(**{axis: "bogus"})
+
+    def test_shared_cell_drops_the_emulated_only_axes(self):
+        from repro.engine.driver import run_experiment
+
+        def rows(**overrides):
+            spec = ExperimentSpec(
+                name="drop",
+                algorithms=(AlgorithmRef("alg1", "alg1"),),
+                scenarios=(
+                    ScenarioRef.make("nominal", {"n": 3, "horizon": 1500.0}),
+                    ScenarioRef.make("nominal-emulated", {"n": 3, "horizon": 1500.0}),
+                ),
+                seeds=(0,),
+                **overrides,
+            )
+            return run_experiment(spec, jobs=1, cache=False).rows
+
+        plain_shared, plain_emulated = rows()
+        shared, emulated = rows(consistency="atomic", membership="churn")
+        assert shared.canonical_json() == plain_shared.canonical_json()
+        assert shared.memory_backend == "shared" and shared.configs_installed == 0
+        assert emulated.consistency == "atomic" and emulated.configs_installed == 2
+        assert plain_emulated.consistency == "regular" and plain_emulated.configs_installed == 0

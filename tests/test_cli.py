@@ -526,6 +526,49 @@ class TestCommands:
         assert "alg1" in out and "alg1-no-timer" in out
         assert "forever writers" in out
 
+    def test_compare_rejects_an_empty_seed_list(self, capsys):
+        code = main(["compare", "--seeds"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repro compare: error: --seeds needs at least one seed\n"
+
+    def test_compare_reports_a_rejected_configuration(self, capsys):
+        code = main(["compare", "--algorithms", "alg1", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repro compare: error: need at least two processes\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, role",
+        [
+            ("consistency", "atomic", "is an emulated-backend axis"),
+            ("membership", "churn", "is an emulated-backend axis"),
+            ("links", "lossy", "selects the emulated backend's link model"),
+        ],
+    )
+    def test_run_emulated_axis_on_shared_error_text(self, capsys, flag, value, role):
+        assert main(["run", "--scenario", "nominal", f"--{flag}", value]) == 2
+        assert capsys.readouterr().err == (
+            f"repro run: error: --{flag} {role}; "
+            "pass --memory emulated or pick an emulated scenario\n"
+        )
+
+    def test_run_links_override_drops_the_model_specific_params(self, capsys):
+        assert main(
+            ["run", "--scenario", "nominal-emulated", "--n", "3", "--horizon", "1500",
+             "--links", "timely"]
+        ) == 0
+        # TimelyLinks would reject the sync model's ``delta``; the line
+        # is the parent commit's output for this cell.
+        assert "traffic: 92 writes / 1119 reads; 9154 events" in capsys.readouterr().out
+
+    def test_run_outside_the_assumptions_exits_green_unstabilized(self, capsys):
+        # capped-timers declares assumption "none": churning forever is
+        # the expected outcome, not a failure.
+        code = main(["run", "--scenario", "capped-timers", "--n", "3", "--horizon", "1500"])
+        assert "stabilized: False" in capsys.readouterr().out
+        assert code == 0
+
     def test_run_membership_churn_override(self, capsys):
         assert main(
             ["run", "--algorithm", "alg1", "--scenario", "nominal-emulated",

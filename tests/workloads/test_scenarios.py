@@ -186,6 +186,43 @@ class TestConsistencyFamily:
                 assert getattr(rebuilt, field) == getattr(scen, field), factory.__name__
 
 
+class TestFuzzCellValidation:
+    """Every composed axis is rejected at factory time: the kwargs come
+    from corpus / pinned-repro JSON, and a bad one must not survive
+    until a worker process builds the run."""
+
+    @pytest.mark.parametrize(
+        "axis, choices",
+        [
+            ("delay", "['uniform', 'gst-ramp', 'bursts']"),
+            ("crash", "['none', 'leader', 'minority-cascade']"),
+            ("backend", "['shared', 'emulated']"),
+            ("links", None),
+            ("consistency", "['regular', 'atomic']"),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["shared", "emulated"])
+    def test_unknown_value_rejected(self, axis, choices, backend):
+        from repro.memory.emulated import LINK_MODELS
+        from repro.workloads.scenarios import fuzz_cell
+
+        choices = choices or str(list(LINK_MODELS))
+        with pytest.raises(ValueError) as excinfo:
+            fuzz_cell(**{"backend": backend, axis: "bogus"})
+        assert str(excinfo.value) == f"unknown fuzz {axis} 'bogus'; choose from {choices}"
+
+    def test_links_stay_open_to_every_link_model(self):
+        from repro.fuzz.genome import GENOME_CRASHES, GENOME_DELAYS
+        from repro.memory.emulated import LINK_MODELS
+        from repro.workloads.scenarios import FUZZ_CRASHES, FUZZ_DELAYS, fuzz_cell
+
+        for links in LINK_MODELS:  # corruption / timely stay reachable by hand
+            assert fuzz_cell(backend="emulated", links=links).emulation["links"] == links
+        # One declaration: the genome vocabularies are the part tables' keys.
+        assert GENOME_DELAYS == tuple(FUZZ_DELAYS) == ("uniform", "gst-ramp", "bursts")
+        assert GENOME_CRASHES == tuple(FUZZ_CRASHES) == ("none", "leader", "minority-cascade")
+
+
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
         scen = nominal(n=3, horizon=1500.0)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.variants import StepCounterOmega
-from repro.workloads.scenarios import nominal
+from repro.workloads.scenarios import Scenario, nominal
 from repro.workloads.sweep import SweepRow, run_matrix, stabilization_rate, summarize_result
 
 
@@ -80,6 +82,41 @@ class TestMutatedScenario:
             results_dir=tmp_path,
         )
         assert [r.canonical_json() for r in again] == [r.canonical_json() for r in rows]
+
+
+def _mutated(field):
+    """A value that differs from what ``nominal`` puts in ``field``."""
+    value = getattr(nominal(n=3, horizon=1500.0), field.name)
+    if value is None:
+        return (lambda *args: None) if field.name.startswith(("make_", "scramble")) else 7.0
+    if callable(value):
+        return None
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return "atomic" if field.name == "consistency" else value + "-x"
+    return {**value, "x": 1}
+
+
+class TestRefIsFaithful:
+    def test_untouched_factory_scenario_is_faithful(self):
+        from repro.workloads.sweep import _ref_is_faithful
+
+        assert _ref_is_faithful(nominal(n=3, horizon=1500.0))
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in dataclasses.fields(Scenario) if f.compare],
+        ids=lambda f: f.name,
+    )
+    def test_mutating_any_field_flips_the_verdict(self, field):
+        from repro.workloads.sweep import _ref_is_faithful
+
+        scen = nominal(n=3, horizon=1500.0)
+        setattr(scen, field.name, _mutated(field))
+        assert not _ref_is_faithful(scen)
 
 
 class TestSummarizeResult:
