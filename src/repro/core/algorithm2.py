@@ -175,11 +175,8 @@ class BoundedOmega(OmegaAlgorithm):
     # ------------------------------------------------------------------
     def peek_leader(self) -> int:
         """Uncounted ``leader()`` on current register values."""
-        pairs = []
-        for k in sorted(self.candidates):
-            total = sum(self.shared.suspicions.peek(j, k) for j in range(self.n))
-            pairs.append((total, k))
-        return lexmin_pair(pairs)[1]
+        sums = self.shared.suspicions.column_sums()
+        return lexmin_pair([(sums[k], k) for k in self.candidates])[1]
 
 
 __all__ = ["Algorithm2Shared", "BoundedOmega"]

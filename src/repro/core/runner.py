@@ -22,6 +22,7 @@ point inside the interval (the SAN deployment of Section 1).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -64,14 +65,17 @@ class _TaskState:
 class ProcessRuntime:
     """Drives one process: task multiplexing, stepping, crash, timers.
 
-    The step loop is the simulation's hottest code.  Everything it
-    touches per operation is pre-bound at construction time: the step
-    callback itself (one bound method, reused by every reschedule
-    instead of a fresh closure per step), the delay model and kernel
-    entry points, and an exact-type operation dispatch table
-    (``type(op) -> handler``) that replaces the old ``isinstance``
-    ladder.  Operation classes are final frozen dataclasses
-    (:mod:`repro.core.interfaces`), so exact-type dispatch is safe.
+    The step loop is the simulation's hottest code, so :meth:`step`
+    fuses its common path: the crash check is one comparison against
+    the pid's crash time (a :class:`CrashPlan` is frozen, so the time
+    is read once here), a ``ReadReg`` on the plain shared backend and
+    a ``LocalStep`` are applied inline, and the reschedule is one
+    positional ``schedule_after`` call.  Everything else -- writes,
+    timers, fetch&add, and *every* register operation of a disk or
+    emulated run, whose operations are intervals -- goes through an
+    exact-type dispatch table (``type(op) -> handler``).  Operation
+    classes are final frozen dataclasses (:mod:`repro.core.interfaces`),
+    so exact-type tests are safe.
     """
 
     def __init__(self, run: "Run", pid: int, algorithm: OmegaAlgorithm) -> None:
@@ -84,33 +88,30 @@ class ProcessRuntime:
             self.tasks.append(_TaskState(gen, f"extra{idx}"))
         self.crashed = False
         self.blocked = False
-        self.steps_taken = 0
         self.timer_expirations = 0
         # Pre-bound hot-path collaborators.
         self._sim = run.sim
         self._step_cb = self.step
         self._delay_of = run.delay_model.delay
         self._schedule_after = run.sim.schedule_after
-        self._is_crashed_at = run.crash_plan.is_crashed
+        self._crash_at = run.crash_plan.crash_time(pid)
         # Exact-type operation dispatch.  A handler returns True when it
         # schedules the process's continuation itself (the disk and
         # emulated-memory paths, whose operations are intervals).
-        if run.disk is not None:
-            read_op, write_op = self._op_read_disk, self._op_write_disk
-            fetch_op = self._op_fetch_add
-        elif isinstance(run.memory, EmulatedMemory):
-            read_op, write_op = self._op_read_emulated, self._op_write_emulated
-            fetch_op = self._op_fetch_add_emulated
-        else:
-            read_op, write_op = self._op_read, self._op_write
-            fetch_op = self._op_fetch_add
         self._dispatch: Dict[type, Callable[[_TaskState, Any], Any]] = {
-            ReadReg: read_op,
-            WriteReg: write_op,
+            WriteReg: self._op_write,
             SetTimer: self._op_set_timer,
-            LocalStep: self._op_local,
-            FetchAdd: fetch_op,
+            FetchAdd: self._op_fetch_add,
         }
+        if run.disk is not None:
+            self._dispatch[ReadReg] = self._dispatch[WriteReg] = self._apply_via_disk
+        elif isinstance(run.memory, EmulatedMemory):
+            self._dispatch[ReadReg] = self._op_read_emulated
+            self._dispatch[WriteReg] = self._op_write_emulated
+            self._dispatch[FetchAdd] = self._op_fetch_add_emulated
+        #: The op class ``step`` applies inline: instantaneous reads of
+        #: the plain shared backend.  Interval backends dispatch instead.
+        self._inline_read = None if ReadReg in self._dispatch else ReadReg
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -150,7 +151,8 @@ class ProcessRuntime:
         """Execute one operation of the front task."""
         if self.crashed or self.blocked:
             return
-        if self._is_crashed_at(self.pid, self._sim._now):
+        sim = self._sim
+        if sim._now >= self._crash_at:
             self.crash()
             return
         tasks = self.tasks
@@ -167,45 +169,40 @@ class ProcessRuntime:
             tasks.popleft()
             self._schedule_next_step()
             return
-        task.inbox = None
-        self.steps_taken += 1
-        handler = self._dispatch.get(op.__class__)
-        if handler is None:  # pragma: no cover - defensive
-            raise TypeError(f"unknown operation {op!r}")
-        if handler(task, op):
-            return  # the disk path schedules the continuation itself
-        tasks.rotate(-1)
-        self._schedule_next_step()
+        pid = self.pid
+        kind = op.__class__
+        if kind is self._inline_read:
+            task.inbox = op.register.read(pid)
+        else:
+            task.inbox = None
+            if kind is not LocalStep:
+                handler = self._dispatch.get(kind)
+                if handler is None:  # pragma: no cover - defensive
+                    raise TypeError(f"unknown operation {op!r}")
+                if handler(task, op):
+                    return  # interval operation: its completion reschedules
+        if tasks[-1] is not task:  # a lone task needs no rotation
+            tasks.rotate(-1)
+        delay = self._delay_of(pid, sim._now)
+        if delay <= 0:
+            raise ValueError(f"step-delay model returned non-positive delay {delay}")
+        self._schedule_after(delay, self._step_cb, "step", pid)
 
     # ------------------------------------------------------------------
     # Operation handlers (exact-type dispatch targets)
     # ------------------------------------------------------------------
-    def _op_read(self, task: _TaskState, op: ReadReg) -> None:
-        task.inbox = op.register.read(self.pid)
-
     def _op_write(self, task: _TaskState, op: WriteReg) -> None:
         op.register.write(self.pid, op.value)
 
     def _op_fetch_add(self, task: _TaskState, op: FetchAdd) -> None:
         task.inbox = op.register.fetch_add(self.pid, op.amount)
 
-    def _op_local(self, task: _TaskState, op: LocalStep) -> None:
-        pass
-
     def _op_set_timer(self, task: _TaskState, op: SetTimer) -> None:
         run = self.run
         run.timer_service.set_timer(self.pid, op.timeout, self.on_timer)
         run.trace.record_timer_set(self._sim._now, self.pid, op.timeout)
 
-    def _op_read_disk(self, task: _TaskState, op: ReadReg) -> bool:
-        self._apply_via_disk(task, op)
-        return True
-
-    def _op_write_disk(self, task: _TaskState, op: WriteReg) -> bool:
-        self._apply_via_disk(task, op)
-        return True
-
-    def _apply_via_disk(self, task: _TaskState, op: Operation) -> None:
+    def _apply_via_disk(self, task: _TaskState, op: Operation) -> bool:
         """Interval semantics: block, linearize mid-interval, resume."""
         run = self.run
         disk = run.disk
@@ -238,6 +235,7 @@ class ProcessRuntime:
         self.blocked = True
         run.sim.schedule_after(sample.lin_offset, linearize, kind="disk-lin", pid=self.pid)
         run.sim.schedule_after(sample.resp_offset, resume, kind="disk-resp", pid=self.pid)
+        return True
 
     # ------------------------------------------------------------------
     # Emulated-memory handlers (ABD quorum phases; interval semantics)
@@ -482,6 +480,13 @@ class Run:
     ) -> None:
         if n < 2:
             raise ValueError("need at least two processes")
+        spans = {"horizon": horizon, "sample_interval": sample_interval}
+        if snapshot_interval is not None:
+            spans["snapshot_interval"] = snapshot_interval
+        for name, value in spans.items():
+            # A zero interval would reschedule its observer at `now` forever.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if memory == "emulated" and disk is not None:
             raise ValueError(
                 "the emulated backend and the SAN disk model both make register "
@@ -525,11 +530,16 @@ class Run:
         self.disk = disk
         self.rng = RngRegistry(seed)
 
-        self.sim = Simulator(trace_events=trace_events)
+        sim = self.sim = Simulator(trace_events=trace_events)
+
+        def clock() -> float:
+            # One call deep: every counted register access stamps the time.
+            return sim._now
+
         self.memory_backend = memory
         self.memory = create_memory(
             memory,
-            clock=lambda: self.sim.now,
+            clock=clock,
             log_reads=log_reads,
             sim=self.sim,
             rng=self.rng,
@@ -556,7 +566,7 @@ class Run:
             ctx = AlgorithmContext(
                 pid=pid,
                 n=n,
-                clock=lambda: self.sim.now,
+                clock=clock,
                 rng=self.rng.stream(f"algo:{pid}"),
                 config=config,
             )

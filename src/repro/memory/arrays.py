@@ -91,6 +91,12 @@ class RegisterMatrix:
         Maps ``(row, col)`` to the owning pid.  Defaults to row
         ownership (``SUSPICIONS``); Algorithm 2's ``LAST`` passes
         ``lambda row, col: col``.
+
+    The matrix caches its column sums (the observer's ``leader()``
+    aggregate) under one invalidation rule: every ``write`` or ``poke``
+    of a member register drops the cache, whoever issues it -- an
+    algorithm step, the emulated backend's mirror write, a scenario's
+    scramble hook.
     """
 
     def __init__(
@@ -107,6 +113,7 @@ class RegisterMatrix:
         self.name = name
         self.n = n
         owner_fn = owner_of or (lambda row, col: row)
+        self._sums: Optional[List[Any]] = None  # None: dirty, recompute on demand
         self._regs: List[List[AtomicRegister]] = []
         for i in range(n):
             row: List[AtomicRegister] = []
@@ -120,6 +127,7 @@ class RegisterMatrix:
                     reg = AtomicRegister(
                         reg_name, owner=owner_fn(i, j), initial=initial, critical=critical
                     )
+                reg._matrix = self
                 row.append(reg)
             self._regs.append(row)
 
@@ -147,9 +155,21 @@ class RegisterMatrix:
         """Observer snapshot of row ``i``."""
         return [self._regs[i][j].peek() for j in range(self.n)]
 
+    def column_sums(self) -> List[Any]:
+        """Observer sums of every column (a shared list: do not mutate).
+
+        Recomputed only after a member register changed, so sampling a
+        settled ``SUSPICIONS`` costs one call, not ``n^2`` peeks.
+        """
+        sums = self._sums
+        if sums is None:
+            rows = [[reg._value for reg in row] for row in self._regs]
+            sums = self._sums = [sum(column) for column in zip(*rows)]
+        return sums
+
     def column_sum(self, j: int) -> Any:
         """Observer sum of column ``j`` -- the paper's ``sum_j SUSPICIONS[j][k]``."""
-        return sum(self.peek_column(j))
+        return self.column_sums()[j]
 
 
 __all__ = ["RegisterArray", "RegisterMatrix"]

@@ -49,7 +49,7 @@ class AtomicRegister:
         Whether the register is subject to the AWB1 timing assumption.
     """
 
-    __slots__ = ("name", "owner", "critical", "_value", "_memory", "_writes", "_reads")
+    __slots__ = ("name", "owner", "critical", "_value", "_memory", "_writes", "_reads", "_matrix")
 
     def __init__(
         self,
@@ -66,6 +66,10 @@ class AtomicRegister:
         self._memory = memory
         self._writes = 0
         self._reads = 0
+        #: The :class:`~repro.memory.arrays.RegisterMatrix` this register
+        #: is an entry of (set by the matrix), whose cached column sums
+        #: every value change must invalidate.
+        self._matrix: Any = None
 
     # ------------------------------------------------------------------
     # Operations (linearize at the instant they are applied)
@@ -85,6 +89,8 @@ class AtomicRegister:
             )
         self._writes += 1
         self._value = value
+        if self._matrix is not None:
+            self._matrix._sums = None
         if self._memory is not None:
             self._memory._note_write(self.name, writer, value, critical=self.critical)
 
@@ -102,6 +108,8 @@ class AtomicRegister:
         (self-stabilization experiments) -- never by algorithms.
         """
         self._value = value
+        if self._matrix is not None:
+            self._matrix._sums = None
 
     @property
     def write_count(self) -> int:

@@ -43,13 +43,36 @@ class RngRegistry:
 
     def stream(self, name: str) -> random.Random:
         """Return the (memoised) stream for ``name``."""
-        if name not in self._streams:
-            self._streams[name] = random.Random(derive_seed(self.seed, name))
-        return self._streams[name]
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = random.Random(derive_seed(self.seed, name))
+        return stream
+
+    def per_pid(self, prefix: str) -> "PidStreams":
+        """The ``f"{prefix}:{pid}"`` streams, indexable by pid."""
+        return PidStreams(self, prefix)
 
     def fork(self, name: str) -> "RngRegistry":
         """Return a child registry whose streams are independent of ours."""
         return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
 
 
-__all__ = ["RngRegistry", "derive_seed"]
+class PidStreams(Dict[int, random.Random]):
+    """``streams[pid]`` is ``registry.stream(f"{prefix}:{pid}")``.
+
+    Per-step consumers (delay models, timers) index this instead of
+    formatting the stream name on every draw; a pid's stream is bound on
+    first use, so streams are created exactly when they were before.
+    """
+
+    def __init__(self, registry: RngRegistry, prefix: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._prefix = prefix
+
+    def __missing__(self, pid: int) -> random.Random:
+        stream = self[pid] = self._registry.stream(f"{self._prefix}:{pid}")
+        return stream
+
+
+__all__ = ["PidStreams", "RngRegistry", "derive_seed"]

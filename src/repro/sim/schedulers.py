@@ -63,11 +63,11 @@ class UniformDelay:
             raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
         self.lo = lo
         self.hi = hi
-        self._rng = rng
+        self._streams = rng.per_pid("delay")
 
     def delay(self, pid: int, now: float) -> float:
         """A uniform draw in ``[lo, hi]`` from the pid's stream."""
-        return self._rng.stream(f"delay:{pid}").uniform(self.lo, self.hi)
+        return self._streams[pid].uniform(self.lo, self.hi)
 
 
 class HeavyTailDelay:
@@ -92,11 +92,11 @@ class HeavyTailDelay:
         self.scale = scale
         self.shape = shape
         self.cap = cap
-        self._rng = rng
+        self._streams = rng.per_pid("delay")
 
     def delay(self, pid: int, now: float) -> float:
         """A capped Pareto draw: mostly fast, occasionally very slow."""
-        u = self._rng.stream(f"delay:{pid}").random()
+        u = self._streams[pid].random()
         # Inverse-CDF sample of a Pareto(shape) scaled by `scale`.
         raw = self.scale / max(1e-12, (1.0 - u)) ** (1.0 / self.shape)
         return min(raw, self.cap)
@@ -141,12 +141,12 @@ class PartiallySynchronousDelay:
         self.gst = gst
         self.timely_lo = timely_lo
         self.timely_hi = timely_hi
-        self._rng = rng
+        self._streams = rng.per_pid("timely")
 
     def delay(self, pid: int, now: float) -> float:
         """Timely band for designated pids after gst; ``base`` otherwise."""
         if pid in self.timely_pids and now >= self.gst:
-            return self._rng.stream(f"timely:{pid}").uniform(self.timely_lo, self.timely_hi)
+            return self._streams[pid].uniform(self.timely_lo, self.timely_hi)
         return self.base.delay(pid, now)
 
 
@@ -234,11 +234,11 @@ class GstRampDelay:
         self.start_scale = start_scale
         self.lo, self.hi = lo, hi
         self.timely_pids = None if timely_pids is None else frozenset(timely_pids)
-        self._rng = rng
+        self._streams = rng.per_pid("delay")
 
     def delay(self, pid: int, now: float) -> float:
         """A timely draw scaled by the linearly decaying ramp factor."""
-        base = self._rng.stream(f"delay:{pid}").uniform(self.lo, self.hi)
+        base = self._streams[pid].uniform(self.lo, self.hi)
         if self.timely_pids is not None and pid not in self.timely_pids:
             # Non-designated processes stay at the ramp's start forever
             # (they are never required to become timely, so they never
@@ -285,11 +285,11 @@ class AlternatingBurstDelay:
         self.burst_lo, self.burst_hi = burst_lo, burst_hi
         self.timely_pids = frozenset(timely_pids)
         self.gst = gst
-        self._rng = rng
+        self._streams = rng.per_pid("delay")
 
     def delay(self, pid: int, now: float) -> float:
         """Calm- or burst-band draw by cycle phase (timely pids exit at gst)."""
-        stream = self._rng.stream(f"delay:{pid}")
+        stream = self._streams[pid]
         if pid in self.timely_pids and now >= self.gst:
             return stream.uniform(self.calm_lo, self.calm_hi)
         phase = (now % self.period) / self.period
@@ -334,7 +334,7 @@ class ChurningTimelyDelay:
         self.settle_at = settle_at
         self.final_pid = final_pid
         self.timely_lo, self.timely_hi = timely_lo, timely_hi
-        self._rng = rng
+        self._streams = rng.per_pid("timely")
 
     def timely_at(self, now: float) -> int:
         """The identity that is timely at virtual time ``now``."""
@@ -345,7 +345,7 @@ class ChurningTimelyDelay:
     def delay(self, pid: int, now: float) -> float:
         """Timely band for the epoch's rotating witness; ``base`` otherwise."""
         if pid == self.timely_at(now):
-            return self._rng.stream(f"timely:{pid}").uniform(self.timely_lo, self.timely_hi)
+            return self._streams[pid].uniform(self.timely_lo, self.timely_hi)
         return self.base.delay(pid, now)
 
 

@@ -93,11 +93,11 @@ class AsymptoticallyWellBehavedTimer(_HistoryMixin):
         self.chaos_lo = chaos_lo
         self.chaos_hi = chaos_hi
         self.jitter = jitter
-        self._rng = rng
+        self._streams = rng.per_pid("timer")
 
     def duration(self, pid: int, tau: float, x: float) -> float:
         """Arbitrary during the chaos era; ``f(tau, x)`` plus jitter after."""
-        stream = self._rng.stream(f"timer:{pid}")
+        stream = self._streams[pid]
         if tau < self.chaos_until:
             d = stream.uniform(self.chaos_lo, self.chaos_hi)
         else:
@@ -129,11 +129,11 @@ class EventuallyMonotoneTimer(_HistoryMixin):
         self.alpha = alpha
         self.chaos_lo = chaos_lo
         self.chaos_hi = chaos_hi
-        self._rng = rng
+        self._streams = rng.per_pid("timer")
 
     def duration(self, pid: int, tau: float, x: float) -> float:
         """Arbitrary before ``accurate_after``; exactly ``alpha * x`` after."""
-        stream = self._rng.stream(f"timer:{pid}")
+        stream = self._streams[pid]
         if tau < self.accurate_after:
             d = stream.uniform(self.chaos_lo, self.chaos_hi)
         else:
@@ -157,11 +157,11 @@ class CappedTimer(_HistoryMixin):
             raise ValueError("need 0 < lo <= cap")
         self.cap = cap
         self.lo = lo
-        self._rng = rng
+        self._streams = rng.per_pid("timer")
 
     def duration(self, pid: int, tau: float, x: float) -> float:
         """Never exceeds ``cap``, whatever ``x`` asks (violates AWB2)."""
-        stream = self._rng.stream(f"timer:{pid}")
+        stream = self._streams[pid]
         d = min(max(x, self.lo), self.cap) * stream.uniform(0.5, 1.0)
         return self._remember(tau, x, max(d, self.lo))
 

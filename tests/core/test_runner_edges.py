@@ -154,3 +154,31 @@ class TestHorizonSamplingConsistency:
             pid for t, pid, _ in result.trace.leader_samples() if t == 333.0
         }
         assert at_horizon == {0, 1, 2}
+
+
+class TestIntervalValidation:
+    """A zero ``sample_interval`` / ``snapshot_interval`` used to make
+    the observer reschedule itself at ``now`` forever; non-positive and
+    non-finite spans are rejected up front, naming the argument."""
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+    def test_sample_interval_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="sample_interval"):
+            Run(WriteEfficientOmega, n=3, horizon=50.0, sample_interval=value)
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+    def test_snapshot_interval_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="snapshot_interval"):
+            Run(WriteEfficientOmega, n=3, horizon=50.0, snapshot_interval=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="horizon"):
+            Run(WriteEfficientOmega, n=3, horizon=value)
+
+    def test_no_snapshots_and_small_intervals_stay_legal(self):
+        result = Run(
+            WriteEfficientOmega, n=3, horizon=20.0, sample_interval=0.5, snapshot_interval=None
+        ).execute()
+        assert result.snapshots == []
+        assert len(result.trace.leader_samples()) == 3 * 42  # t = 0, 0.5 .. 20 plus the horizon sample

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.memory.arrays import RegisterArray, RegisterMatrix
+from repro.memory.memory import SharedMemory
 from repro.memory.register import OwnershipError
 
 
@@ -82,3 +85,50 @@ class TestRegisterMatrix:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             RegisterMatrix(None, "M", 0)
+
+
+N = 4
+_cells = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+_values = st.one_of(st.integers(-3, 50), st.booleans())
+_ops = st.one_of(
+    st.tuples(st.just("write"), _cells, _values),
+    st.tuples(st.just("poke"), _cells, _values),
+    st.tuples(st.just("column_sum"), st.integers(0, N - 1)),
+    st.tuples(st.just("peek_column"), st.integers(0, N - 1)),
+)
+
+
+class TestColumnSumCache:
+    """The cached column sums can never lie: whatever mix of counted
+    writes, uncounted pokes and observer reads happens, ``column_sum``
+    equals the sum recomputed from the registers at that instant."""
+
+    @given(with_memory=st.booleans(), initial=_values, ops=st.lists(_ops, max_size=40))
+    def test_any_interleaving_matches_the_naive_sum(self, with_memory, initial, ops):
+        memory = SharedMemory(clock=lambda: 0.0) if with_memory else None
+        mat = RegisterMatrix(memory, "S", N, initial=initial)
+        for op in ops:
+            if op[0] == "write":
+                (i, j), value = op[1], op[2]
+                mat.write(i, j, writer=i, value=value)
+            elif op[0] == "poke":
+                (i, j), value = op[1], op[2]
+                mat.register(i, j).poke(value)
+            elif op[0] == "column_sum":
+                assert mat.column_sum(op[1]) == sum(mat.peek_column(op[1]))
+            else:
+                mat.peek_column(op[1])
+            assert mat.column_sums() == [sum(mat.peek_column(j)) for j in range(N)]
+
+    def test_a_settled_matrix_is_summed_once(self):
+        mat = RegisterMatrix(None, "S", 3, initial=1)
+        first = mat.column_sums()
+        assert mat.column_sums() is first  # clean: the same vector, no re-sum
+        mat.register(2, 0).poke(5)
+        assert mat.column_sums() == [7, 3, 3]
+
+    def test_a_bare_register_has_no_matrix_to_invalidate(self):
+        arr = RegisterArray(None, "A", 2)
+        arr.write(0, writer=0, value=3)  # must not trip over the dirty mark
+        arr.register(1).poke(4)
+        assert arr.peek_all() == [3, 4]

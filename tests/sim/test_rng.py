@@ -48,3 +48,27 @@ class TestRngRegistry:
         a = RngRegistry(7).fork("c").stream("x").random()
         b = RngRegistry(7).fork("c").stream("x").random()
         assert a == b
+
+
+class TestPerPidStreams:
+    def test_indexing_is_the_named_stream(self):
+        reg = RngRegistry(7)
+        delays = reg.per_pid("delay")
+        assert delays[3] is reg.stream("delay:3")
+        assert delays[3] is delays[3]
+
+    def test_two_bindings_of_one_prefix_share_the_draw_order(self):
+        """A wrapped delay model and its base both bind ``delay``: they
+        must keep drawing from one sequence per pid, as before."""
+        reg = RngRegistry(7)
+        first, second = reg.per_pid("delay"), reg.per_pid("delay")
+        drawn = [first[0].random(), second[0].random(), first[0].random()]
+        expected = RngRegistry(7).stream("delay:0")
+        assert drawn == [expected.random() for _ in range(3)]
+
+    def test_streams_are_bound_on_first_use_only(self):
+        reg = RngRegistry(7)
+        timers = reg.per_pid("timer")
+        assert len(timers) == 0
+        timers[2].random()
+        assert sorted(timers) == [2]
