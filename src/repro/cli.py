@@ -36,11 +36,11 @@ Commands
     Run several algorithms on one scenario and print the comparison
     table (the Section 5 trade-off, on demand).
 ``perf``
-    Run the simulation-core microbenchmarks (kernel events/sec,
-    per-scenario run time, engine sweep throughput), emit the
-    stable-schema ``BENCH_perf.json`` baseline, and optionally gate
-    against a committed baseline (``--compare BASELINE.json
-    --max-regress 15%``); exits non-zero on regression.
+    Run the repo benchmark named in ``BENCHMARK.json`` (``python3
+    bench/run.py``; arguments after ``--`` go to it unchanged), save
+    the result object it prints (``--out``) and gate it against an
+    earlier one with the contract's own bounds (``--compare``); exits
+    non-zero on regression.
 ``lint``
     Run the AST-based invariant linter over the source tree
     (determinism, kernel purity, registry completeness, batch-dispatch
@@ -65,7 +65,8 @@ Examples
     python -m repro fuzz --replay --corpus results/fuzz
     python -m repro lint
     python -m repro compare --scenario nominal --seeds 0 1 2
-    python -m repro perf --quick --compare BENCH_perf.json --max-regress 25%
+    python -m repro perf --out base.json -- --profile smoke
+    python -m repro perf --compare base.json -- --profile smoke
 """
 
 from __future__ import annotations
@@ -642,117 +643,45 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Run the perf microbenchmarks; write/gate BENCH_perf.json."""
+    """Run the repo benchmark; save and/or gate the result it prints."""
+    import json
     from pathlib import Path
 
-    from repro.perf import (
-        collect_profile,
-        compare_payloads,
-        default_baseline_path,
-        load_payload,
-        make_payload,
-        merge_best,
-        parse_max_regress,
-        write_payload,
-    )
+    from repro import perf
 
-    profiles = ["full", "quick"] if args.profile == "all" else [args.profile]
+    # Load the contract and the baseline *before* measuring: a bad path
+    # must fail fast, and comparing against the --out path must see the
+    # earlier values, not this run's.
     try:
-        max_regress = parse_max_regress(args.max_regress)
-    except ValueError as exc:
+        root, contract = perf.load_contract()
+        baseline = perf.load_result(args.compare) if args.compare else None
+    except (OSError, ValueError) as exc:
         print(f"repro perf: error: {exc}", file=sys.stderr)
         return 2
 
-    # Load the comparison baseline *before* any measurement or write:
-    # a bad path must fail fast, and comparing against the default
-    # output file must see the committed values, not this run's.
-    baseline = None
-    if args.compare:
-        try:
-            baseline = load_payload(Path(args.compare))
-        except (OSError, ValueError) as exc:
-            print(f"repro perf: error: {exc}", file=sys.stderr)
-            return 2
+    code, last_line = perf.run_benchmark([*contract["command"], *args.bench_args], root)
+    if baseline is None and not args.out:
+        return code
+    try:
+        result = perf.parse_result(last_line, "the benchmark's last output line")
+    except ValueError as exc:
+        print(f"repro perf: error: {exc} (benchmark exit status {code})", file=sys.stderr)
+        return code or 2
 
-    results_by_profile = {}
-    for profile in profiles:
-        print(f"profile {profile}: running benchmarks...")
-        results_by_profile[profile] = collect_profile(profile)
-
-    failures = []
+    if args.out:
+        Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"\nwrote {Path(args.out).resolve()}")
     if baseline is not None:
-        failures = compare_payloads(
-            make_payload(results_by_profile), baseline, max_regress
-        )
-        # Short benchmarks on busy machines are noisy; a regression must
-        # reproduce to count.  Re-measure the offending profiles and keep
-        # the per-benchmark best of both passes.
-        retries = max(0, args.retries)
-        while failures and retries:
-            retries -= 1
-            for profile in sorted({f.profile for f in failures}):
-                print(f"profile {profile}: regression seen, re-measuring...")
-                results_by_profile[profile] = merge_best(
-                    results_by_profile[profile], collect_profile(profile)
-                )
-            failures = compare_payloads(
-                make_payload(results_by_profile), baseline, max_regress
-            )
-
-    # Merge with the existing output file so a partial-profile run never
-    # drops the profiles it did not execute.
-    existing = None
-    out = Path(args.out) if args.out else default_baseline_path()
-    if not args.no_write and out.is_file():
-        try:
-            existing = load_payload(out)
-        except (OSError, ValueError):
-            existing = None  # unreadable/foreign file: overwrite wholesale
-    payload = make_payload(results_by_profile, existing=existing)
-
-    rows = []
-    for profile, results in results_by_profile.items():
-        for result in results.values():
-            speedup = payload["speedup_vs_reference"].get(result.name)
-            value = (
-                f"{result.value:,.0f}" if result.value >= 1000 else f"{result.value:.4f}"
-            )
-            rows.append(
-                [
-                    profile,
-                    result.name,
-                    value,
-                    result.unit,
-                    "higher" if result.higher_is_better else "lower",
-                    f"{speedup:.2f}x" if speedup else "-",
-                ]
-            )
-    print(
-        format_table(
-            ["profile", "benchmark", "value", "unit", "better", "vs pre-overhaul"],
-            rows,
-        )
-    )
-
-    if not args.no_write:
-        write_payload(out, payload)
-        print(f"\nwrote {out.resolve()}")
-
-    if baseline is not None:
-        compared = sum(
-            len(prof.get("benchmarks", {}))
-            for name, prof in baseline.get("profiles", {}).items()
-            if name in results_by_profile
-        )
+        regressions = perf.compare_results(result, baseline, contract["end_to_end"])
         print(
-            f"\ncompared {compared} benchmark(s) against {args.compare} "
-            f"(max regression {max_regress * 100.0:.0f}%): "
-            f"{len(failures)} failure(s)"
+            f"\ncompared {len(baseline)} workload(s) against {args.compare} with the "
+            f"bounds in {perf.CONTRACT_FILENAME}: {len(regressions)} regression(s)"
         )
-        for failure in failures:
-            print(f"PERF REGRESSION {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+        for regression in regressions:
+            print(f"PERF REGRESSION {regression}", file=sys.stderr)
+        if regressions:
+            return 1
+    return code
 
 
 def _add_engine_options(parser: argparse.ArgumentParser, default_name: str) -> None:
@@ -1124,51 +1053,20 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=cmd_compare)
 
     perf_p = sub.add_parser(
-        "perf",
-        help="run the simulation-core microbenchmarks and emit BENCH_perf.json",
+        "perf", help="run the repo benchmark (bench/run.py); save or gate the result it prints"
     )
-    profile_group = perf_p.add_mutually_exclusive_group()
-    profile_group.add_argument(
-        "--profile",
-        choices=["full", "quick", "all"],
-        default="full",
-        help="benchmark workload profile (default full; 'all' runs both)",
-    )
-    profile_group.add_argument(
-        "--quick",
-        action="store_const",
-        dest="profile",
-        const="quick",
-        help="alias for --profile quick (the CI smoke workload)",
-    )
-    perf_p.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default: BENCH_perf.json at the repo root)",
-    )
-    perf_p.add_argument(
-        "--no-write", action="store_true", help="measure and print only; write no file"
-    )
+    perf_p.add_argument("--out", default=None, metavar="PATH", help="save the result object here")
     perf_p.add_argument(
         "--compare",
         default=None,
-        metavar="BASELINE.json",
-        help="gate against a baseline file; exit 1 on regression",
+        metavar="BASE.json",
+        help="gate against an earlier --out file with BENCHMARK.json's bounds; exit 1 if worse",
     )
     perf_p.add_argument(
-        "--max-regress",
-        default="15%",
-        help="allowed per-benchmark regression for --compare ('15%%' or '0.15')",
-    )
-    perf_p.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help=(
-            "re-measure profiles that appear regressed, keeping the "
-            "per-benchmark best of the passes (a regression must reproduce "
-            "to fail the gate); 0 disables"
-        ),
+        "bench_args",
+        nargs="*",
+        metavar="-- BENCH_ARG",
+        help="passed to bench/run.py unchanged, e.g. -- --profile smoke --workloads shared-fast",
     )
     perf_p.set_defaults(func=cmd_perf)
     return parser

@@ -103,7 +103,8 @@ class ResultStore:
         Lookup is by *content hash*: if the exact ``<name>-<hash>`` file
         is absent (the experiment was renamed), any ``*-<hash>.jsonl``
         file with the same grid content serves the cells, so renaming
-        never orphans a cache.  Malformed lines and format mismatches
+        never orphans a cache.  Malformed lines (torn JSON, JSON that is
+        not an object, bytes that are not UTF-8) and format mismatches
         are skipped (the affected cells simply re-run), so a truncated
         file from a killed sweep never wedges the engine.
         """
@@ -120,13 +121,12 @@ class ResultStore:
     @staticmethod
     def _load_file(path: Path) -> Dict[CellKey, RunSummary]:
         out: Dict[CellKey, RunSummary] = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for raw in path.read_bytes().splitlines():
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
+                payload = json.loads(raw.decode("utf-8"))
+            except ValueError:  # blank, torn JSON or a torn multi-byte character
+                continue
+            if not isinstance(payload, dict):
                 continue
             if "spec" in payload:
                 if payload.get("format") != SPEC_FORMAT:

@@ -1,9 +1,10 @@
 """Repo-anchored filesystem locations.
 
-Artifacts (the engine's JSONL result cache, the perf baseline) belong at
-the repository root regardless of the caller's working directory.  The
-one shared rule lives here: walk up from this file to the checkout root
-and verify it by its ``pyproject.toml``.
+The engine's JSONL result cache belongs at the repository root
+regardless of the caller's working directory, and ``repro perf`` finds
+the benchmark contract (``BENCHMARK.json``, ``bench/``) there.  The one
+shared rule lives here: walk up from this file to the checkout root and
+verify it by its ``pyproject.toml``.
 """
 
 from __future__ import annotations

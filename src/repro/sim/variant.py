@@ -15,9 +15,9 @@ classes to the compiled ones when
 * ``REPRO_KERNEL=python`` -- never load the extension (the escape hatch
   for debugging and for byte-identity A/B runs).
 
-:func:`kernel_variant` reports what actually got selected; the perf
-baseline records it in its ``meta`` block so BENCH_perf.json values are
-interpretable across machines.
+:func:`kernel_variant` reports what actually got selected.  The repo
+benchmark (``bench/``) pins ``REPRO_KERNEL=python`` for its children,
+so its numbers never depend on whether a twin happens to be built.
 """
 
 from __future__ import annotations

@@ -92,6 +92,14 @@ def test_quoted_invocation_matches_parser(doc, subcommand, flags):
     assert subcommand in subs, f"{doc} quotes unknown subcommand 'repro {subcommand}'"
     options = set(subs[subcommand]._option_string_actions)
     for flag in flags:
+        if flag == "--":
+            # What follows goes to the program behind the subcommand
+            # (repro perf -> bench/run.py), which must take a remainder.
+            assert any(
+                not action.option_strings and action.nargs == "*"
+                for action in subs[subcommand]._actions
+            ), f"{doc} quotes 'repro {subcommand} -- ...' but it passes nothing through"
+            break
         assert flag in options, (
             f"{doc} quotes 'repro {subcommand} {flag}' but the parser has no "
             f"{flag}; README/EXPERIMENTS drifted from the CLI"

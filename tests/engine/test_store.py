@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 
+import pytest
+
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.engine import ExperimentSpec, ResultStore, RunSummary, default_results_dir
 from repro.engine.worker import CellOutcome
@@ -110,6 +112,21 @@ class TestStore:
         with path.open("a") as fh:
             fh.write('{"key": ["alg1", "nominal(')  # interrupted write
         assert len(store.load(spec)) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [b"null\n", b"[1, 2, 3]\n", b'\xff\xfe{"key": \n'],
+        ids=["null-line", "array-line", "torn-multibyte-character"],
+    )
+    def test_damaged_line_skipped(self, tmp_path, damage):
+        # Valid JSON that is not an object, and bytes that are not
+        # UTF-8, used to raise out of load() and crash `repro sweep`.
+        spec, store = make_spec(), ResultStore(tmp_path)
+        path = store.append(spec, self._outcomes(spec)[:1])
+        with path.open("ab") as fh:
+            fh.write(damage)
+        store.append(spec, self._outcomes(spec)[1:])
+        assert set(store.load(spec)) == {cell.key for cell in spec.cells()}
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert ResultStore(tmp_path).load(make_spec()) == {}

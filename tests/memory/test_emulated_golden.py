@@ -21,22 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, Tuple
 
 from repro.engine.summary import summarize_run
 from repro.workloads.registry import build_scenario, resolve_algorithm
 
-REPO = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("golden_emulated_digests.json")
 
 #: ``(factory, kwargs)`` run for both algorithms at seeds 0 and 1.
-#: Horizons are trimmed so the three passes (in-process + two kernel
-#: subprocesses) stay a small share of tier-1; every plan in the grid
-#: still completes with time to settle.
+#: Horizons are trimmed so the passes (in-process + one subprocess per
+#: other kernel variant) stay a small share of tier-1; every plan in the
+#: grid still completes with time to settle.
 GRID: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("chaos", {"horizon": 6000.0}),
     ("membership-churn", {"horizon": 4000.0}),
@@ -152,23 +148,12 @@ def test_golden_digests_in_process():
 
 
 def test_golden_digests_under_both_kernel_variants():
-    procs = {}
-    for variant in ("python", "compiled"):
-        env = {**os.environ, "REPRO_KERNEL": variant, "PYTHONPATH": str(REPO / "src")}
-        procs[variant] = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve())],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
-        )
-    try:
-        for variant, proc in procs.items():
-            out, err = proc.communicate(timeout=600)
-            assert proc.returncode == 0, err
-            assert _mismatches(json.loads(out)) == {}, f"REPRO_KERNEL={variant}"
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+    # Imported here: this file is also run as a script, without tests/ on the path.
+    from tests.conftest import run_under_other_kernel_variants
+
+    records = run_under_other_kernel_variants(Path(__file__).resolve())
+    for variant, record in records.items():
+        assert _mismatches(record) == {}, f"REPRO_KERNEL={variant}"
 
 
 if __name__ == "__main__":

@@ -83,23 +83,24 @@ class TestParser:
 
     def test_perf_defaults(self):
         args = build_parser().parse_args(["perf"])
-        assert args.profile == "full"
-        assert args.compare is None
-        assert args.max_regress == "15%"
-        assert args.retries == 1
+        assert args.out is None and args.compare is None
+        assert args.bench_args == []
 
     def test_perf_options(self):
         args = build_parser().parse_args(
-            ["perf", "--quick", "--compare", "BENCH_perf.json",
-             "--max-regress", "25%", "--no-write"]
+            ["perf", "--out", "new.json", "--compare", "base.json",
+             "--", "--profile", "smoke", "--workloads", "shared-fast", "sweep-pool"]
         )
-        assert args.profile == "quick" and args.no_write
-        assert args.compare == "BENCH_perf.json"
-        assert args.max_regress == "25%"
+        assert (args.out, args.compare) == ("new.json", "base.json")
+        assert args.bench_args == [
+            "--profile", "smoke", "--workloads", "shared-fast", "sweep-pool"
+        ]
 
-    def test_perf_quick_conflicts_with_explicit_profile(self):
+    def test_perf_benchmark_flags_need_the_separator(self):
+        # A flag of bench/run.py before `--` is an error, not a silently
+        # dropped option: the front end has --out and --compare only.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--profile", "all", "--quick"])
+            build_parser().parse_args(["perf", "--profile", "smoke"])
 
     def test_check_defaults(self):
         args = build_parser().parse_args(["check"])
@@ -397,124 +398,6 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED" in captured.err
-
-    def test_perf_writes_baseline_and_gates(self, capsys, tmp_path, monkeypatch):
-        # Substitute a tiny deterministic profile so the CLI path is
-        # exercised without multi-second benchmark workloads.
-        from repro.perf.bench import bench_kernel_throughput
-
-        def tiny_quick():
-            return [bench_kernel_throughput(events=2_000, chains=2, repeats=1)]
-
-        import repro.perf.bench as bench_mod
-
-        monkeypatch.setitem(bench_mod.PROFILES, "quick", tiny_quick)
-        out_path = tmp_path / "BENCH_perf.json"
-        code = main(["perf", "--quick", "--out", str(out_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out_path.is_file()
-        assert "kernel_events_per_sec" in out
-
-        # Gating a fresh run against the file just written must pass...
-        code = main(
-            ["perf", "--quick", "--no-write", "--compare", str(out_path),
-             "--max-regress", "99%"]
-        )
-        assert code == 0
-        assert "0 failure(s)" in capsys.readouterr().out
-
-        # ... and an impossible baseline must fail the gate.
-        import json
-
-        payload = json.loads(out_path.read_text())
-        bench = payload["profiles"]["quick"]["benchmarks"]["kernel_events_per_sec"]
-        bench["value"] = bench["value"] * 1e6
-        out_path.write_text(json.dumps(payload))
-        code = main(
-            ["perf", "--quick", "--no-write", "--compare", str(out_path),
-             "--max-regress", "15%"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "PERF REGRESSION" in captured.err
-
-    def test_perf_compare_against_own_output_path_uses_pre_write_values(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """The documented `perf --compare BENCH_perf.json` invocation:
-        the baseline must be loaded before the output is written, so the
-        gate never compares a run against itself."""
-        import json
-
-        from repro.perf.bench import bench_kernel_throughput
-        import repro.perf.bench as bench_mod
-
-        def tiny_quick():
-            return [bench_kernel_throughput(events=2_000, chains=2, repeats=1)]
-
-        monkeypatch.setitem(bench_mod.PROFILES, "quick", tiny_quick)
-        out_path = tmp_path / "BENCH_perf.json"
-        assert main(["perf", "--quick", "--out", str(out_path)]) == 0
-        capsys.readouterr()
-
-        # Poison the committed baseline with an impossible value; gating
-        # against the same path we write to must still fail.
-        payload = json.loads(out_path.read_text())
-        bench = payload["profiles"]["quick"]["benchmarks"]["kernel_events_per_sec"]
-        bench["value"] *= 1e6
-        out_path.write_text(json.dumps(payload))
-        code = main(
-            ["perf", "--quick", "--out", str(out_path), "--compare", str(out_path),
-             "--max-regress", "15%", "--retries", "0"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "PERF REGRESSION" in captured.err
-
-    def test_perf_quick_write_preserves_full_profile(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.perf.bench import bench_kernel_throughput
-        import repro.perf.bench as bench_mod
-
-        def tiny_quick():
-            return [bench_kernel_throughput(events=2_000, chains=2, repeats=1)]
-
-        monkeypatch.setitem(bench_mod.PROFILES, "quick", tiny_quick)
-        out_path = tmp_path / "BENCH_perf.json"
-        existing = {
-            "format": 1,
-            "kind": "repro-perf",
-            "profiles": {
-                "full": {
-                    "benchmarks": {
-                        "kernel_events_per_sec": {
-                            "value": 123.0,
-                            "unit": "events/s",
-                            "higher_is_better": True,
-                            "meta": {},
-                        }
-                    }
-                }
-            },
-        }
-        out_path.write_text(json.dumps(existing))
-        assert main(["perf", "--quick", "--out", str(out_path)]) == 0
-        capsys.readouterr()
-        merged = json.loads(out_path.read_text())
-        assert set(merged["profiles"]) == {"full", "quick"}
-        assert (
-            merged["profiles"]["full"]["benchmarks"]["kernel_events_per_sec"]["value"]
-            == 123.0
-        )
-
-    def test_perf_rejects_bad_threshold(self, capsys):
-        code = main(["perf", "--quick", "--no-write", "--max-regress", "abc"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
 
     def test_compare_table(self, capsys):
         code = main(

@@ -130,10 +130,11 @@ class TestAdversarialSuite:
 
 
 class TestConsistencyFamily:
-    def test_recorder_off_in_the_factories_perf_profiles_consume(self):
-        """The perf profiles run `nominal-emulated`; its factory must
-        keep both the write-back phase and the history recorder off so
-        the benchmarked protocol stays the regular single-phase one."""
+    def test_recorder_off_in_the_abd_regular_factory(self):
+        """The repo benchmark's `abd-regular` cells run `nominal-emulated`;
+        its factory must keep both the write-back phase and the history
+        recorder off so the benchmarked protocol stays the regular
+        single-phase one."""
         from repro.memory.emulated import EmulationConfig
         from repro.workloads.registry import build_scenario
 

@@ -30,16 +30,12 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, Tuple
 
 from repro.engine.summary import summarize_run
 from repro.workloads.registry import SCENARIO_FACTORIES, build_scenario, resolve_algorithm
 
-REPO = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).with_name("golden_scenarios.json")
 
 STATIC_FIELDS = (
@@ -179,23 +175,12 @@ def test_golden_record_in_process():
 
 
 def test_golden_record_under_both_kernel_variants():
-    procs = {}
-    for variant in ("python", "compiled"):
-        env = {**os.environ, "REPRO_KERNEL": variant, "PYTHONPATH": str(REPO / "src")}
-        procs[variant] = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve())],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=REPO,
-        )
-    try:
-        for variant, proc in procs.items():
-            out, err = proc.communicate(timeout=600)
-            assert proc.returncode == 0, err
-            assert _mismatches(json.loads(out)) == {}, f"REPRO_KERNEL={variant}"
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+    # Imported here: this file is also run as a script, without tests/ on the path.
+    from tests.conftest import run_under_other_kernel_variants
+
+    records = run_under_other_kernel_variants(Path(__file__).resolve())
+    for variant, record in records.items():
+        assert _mismatches(record) == {}, f"REPRO_KERNEL={variant}"
 
 
 if __name__ == "__main__":
