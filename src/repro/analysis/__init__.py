@@ -1,14 +1,21 @@
-"""Measurement and verification of the paper's properties on run traces.
+"""Per-figure views and measurements on run traces.
 
-* :mod:`~repro.analysis.omega_props` -- the Omega specification
-  (Validity, Eventual Leadership, Termination) checked on observer
-  samples;
+The judgement of Theorems 1-4 lives in :mod:`repro.props` (one
+implementation of each property, folded once per run); this package
+holds its per-figure views and the measurements that are not theorems:
+
+* :mod:`~repro.analysis.omega_props` -- the Omega specification:
+  Validity and the Termination witness, plus Eventual Leadership as a
+  view of the Theorem 1 verdict;
 * :mod:`~repro.analysis.write_stats` -- forever-writer / forever-reader
-  censuses, single-writer stabilization points, and boundedness verdicts
-  (Theorems 2, 3, 6, 7 and Lemmas 5, 6);
+  censuses, single-writer points and the Figure 5 growth columns, all
+  read from the Theorem 2-4 implementations (also Theorems 6, 7 and
+  Lemmas 5, 6);
 * :mod:`~repro.analysis.lowerbound` -- the Theorem 5 ingredients:
   bounded-state recurrence detection and the writer census the theorem
   predicts;
+* :mod:`~repro.analysis.timeline` / :mod:`~repro.analysis.suspicion` --
+  leadership timelines and suspicion series;
 * :mod:`~repro.analysis.report` -- plain-text tables and series for
   benches and EXPERIMENTS.md.
 """

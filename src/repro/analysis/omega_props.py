@@ -9,19 +9,21 @@ The oracle must satisfy (paper Section 2.2):
 
 Eventual Leadership refers to a global time the processes cannot see;
 the harness *can* see it, so the property becomes a concrete statement
-about the tail of the sampled outputs.  Termination is structural in a
-simulator (no blocking primitives), so we check its witness instead:
-every correct process completed invocations, each within the a-priori
-op bound of ``n^2`` reads.
+about the tail of the sampled outputs -- Theorem 1, whose one judgement
+lives in :mod:`repro.props.checkers`; :func:`check_eventual_leadership`
+is its view for the figures and ``RunResult.stabilization()``.
+Termination is structural in a simulator (no blocking primitives), so
+we check its witness instead: every correct process completed
+invocations, each within the a-priori op bound of ``n^2`` reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.interfaces import OmegaAlgorithm
+from repro.props.checkers import leadership_verdict
 from repro.sim.crash import CrashPlan
 from repro.sim.tracing import RunTrace
 
@@ -38,8 +40,6 @@ class StabilizationReport:
     leader: Optional[int]
     #: Whether that leader is a correct process.
     leader_correct: bool
-    #: Last time each correct process's sampled output changed.
-    last_change_by_pid: Dict[int, float] = field(default_factory=dict)
     #: Final sampled output per correct process.
     final_by_pid: Dict[int, int] = field(default_factory=dict)
 
@@ -68,43 +68,18 @@ def check_eventual_leadership(
     ``margin`` demands the common output held for at least that much
     virtual time before the horizon; even with the default ``0.0`` a
     common value appearing only at the very last sample does not count.
+
+    The decision is :func:`repro.props.checkers.leadership_verdict`'s
+    (which also owns the rule for who counts as faulty); this maps it
+    onto the report the figures read.
     """
-    by_pid: Dict[int, List[tuple[float, int]]] = {}
-    for t, pid, leader in trace.leader_samples():
-        if crash_plan.is_correct(pid):
-            by_pid.setdefault(pid, []).append((t, leader))
-
-    if not by_pid or any(not samples for samples in by_pid.values()):
-        return StabilizationReport(False, None, None, False)
-
-    final_by_pid = {pid: samples[-1][1] for pid, samples in by_pid.items()}
-    last_change: Dict[int, float] = {}
-    settle_time: Dict[int, float] = {}
-    for pid, samples in by_pid.items():
-        final = final_by_pid[pid]
-        change = 0.0
-        settle = samples[0][0]
-        for idx, (t, leader) in enumerate(samples):
-            if leader != final:
-                change = t
-                settle = samples[idx + 1][0] if idx + 1 < len(samples) else math.inf
-        last_change[pid] = change
-        settle_time[pid] = settle
-
-    common = set(final_by_pid.values())
-    leader = min(common) if len(common) == 1 else None
-    leader_correct = leader is not None and crash_plan.is_correct(leader)
-    stabilized = leader is not None and leader_correct
-    time = max(settle_time.values()) if stabilized else None
-    if time is not None and (not math.isfinite(time) or time + margin >= horizon):
-        stabilized, time = False, None
+    verdict = leadership_verdict(trace, crash_plan, horizon, margin=margin)
     return StabilizationReport(
-        stabilized=stabilized,
-        time=time,
-        leader=leader if stabilized else leader,
-        leader_correct=leader_correct,
-        last_change_by_pid=last_change,
-        final_by_pid=final_by_pid,
+        stabilized=verdict.holds,
+        time=verdict.settle_time,
+        leader=verdict.leader,
+        leader_correct=verdict.leader_correct,
+        final_by_pid=verdict.final_by_pid,
     )
 
 

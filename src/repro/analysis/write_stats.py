@@ -1,4 +1,4 @@
-"""Access-pattern analysis: who writes/reads forever, what stays bounded.
+"""Access-pattern views: who writes/reads forever, what stays bounded.
 
 "Forever" on a finite trace means: *in every one of the last K windows*
 of the run.  With the horizons the benches use (many multiples of the
@@ -6,31 +6,33 @@ stabilization time), a process that is supposed to stop writing has
 stopped long before the tail windows, and a process that must write
 forever writes in every window -- so the census separates the two
 populations cleanly.
+
+The judgement itself lives in :mod:`repro.props.checkers` (the tail
+windows, the tail-writer query, the record table); these functions are
+its per-figure views, so a figure, a ``RunSummary`` census column and a
+Theorem 2-4 verdict all read one implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.memory.memory import SharedMemory
-
-
-def _tail_windows(horizon: float, window: float, count: int) -> List[Tuple[float, float]]:
-    """The last ``count`` windows of ``[0, horizon]``, oldest first."""
-    if window <= 0 or count <= 0:
-        raise ValueError("window and count must be positive")
-    start = horizon - window * count
-    if start < 0:
-        raise ValueError("horizon too short for the requested windows")
-    return [(start + i * window, start + (i + 1) * window) for i in range(count)]
+from repro.props.checkers import (
+    CENSUS_WINDOWS,
+    in_every_tail_window,
+    last_write_by_others,
+    record_table,
+    tail_writes,
+)
 
 
 def forever_writers(
     memory: SharedMemory,
     horizon: float,
     window: float = 100.0,
-    count: int = 4,
+    count: int = CENSUS_WINDOWS,
 ) -> FrozenSet[int]:
     """Pids that wrote in *every* one of the last ``count`` windows.
 
@@ -38,29 +40,19 @@ def forever_writers(
     Corollary 1 predicts it is the full correct set for any
     bounded-memory algorithm (Algorithm 2, the baseline).
     """
-    windows = _tail_windows(horizon, window, count)
-    sets = [memory.writers_in(t0, t1) for t0, t1 in windows]
-    result = sets[0]
-    for s in sets[1:]:
-        result &= s
-    return result
+    return in_every_tail_window(memory.writers_in, horizon, window, count)
 
 
 def forever_readers(
     memory: SharedMemory,
     horizon: float,
     window: float = 100.0,
-    count: int = 4,
+    count: int = CENSUS_WINDOWS,
 ) -> FrozenSet[int]:
     """Pids that read in *every* one of the last ``count`` windows
     (Lemma 6: all correct processes except possibly nobody -- even the
     leader keeps reading in both algorithms)."""
-    windows = _tail_windows(horizon, window, count)
-    sets = [memory.readers_in(t0, t1) for t0, t1 in windows]
-    result = sets[0]
-    for s in sets[1:]:
-        result &= s
-    return result
+    return in_every_tail_window(memory.readers_in, horizon, window, count)
 
 
 def tail_written_registers(
@@ -71,7 +63,7 @@ def tail_written_registers(
     """Register names still being written in the last ``tail`` time units
     (Theorem 3: one register; Theorem 7: the ``PROGRESS[ell][i]`` /
     ``LAST[ell][i]`` hand-shake pairs)."""
-    return memory.registers_written_in(horizon - tail, horizon)
+    return tail_writes(memory, horizon, tail)[1]
 
 
 @dataclass
@@ -89,14 +81,11 @@ class SingleWriterPoint:
 
 def single_writer_point(memory: SharedMemory, horizon: float, tail: float = 100.0) -> SingleWriterPoint:
     """Detect the time after which exactly one process writes."""
-    tail_writers = memory.writers_in(horizon - tail, horizon)
+    tail_writers = tail_writes(memory, horizon, tail)[0]
     if len(tail_writers) != 1:
         return SingleWriterPoint(False, None, None)
     writer = min(tail_writers)
-    others_last = [
-        t for pid, t in memory.last_write_time_by_pid.items() if pid != writer
-    ]
-    return SingleWriterPoint(True, writer, max(others_last) if others_last else 0.0)
+    return SingleWriterPoint(True, writer, last_write_by_others(memory, writer))
 
 
 @dataclass
@@ -120,61 +109,42 @@ def boundedness(
     horizon: float,
     tail_fraction: float = 0.25,
 ) -> Dict[str, BoundednessVerdict]:
-    """Per-register growth verdicts.
+    """Per-register growth verdicts (the Figure 5 columns).
 
     A register is *still growing* when a write in the final
     ``tail_fraction`` of the run strictly exceeded every value written
-    before the tail.  Theorem 2 predicts a single still-growing register
-    for Algorithm 1 (``PROGRESS[ell]``); Theorem 6 predicts none for
-    Algorithm 2.
+    before it -- at least one record in the tail of
+    :func:`repro.props.checkers.record_table`.  Theorem 2 predicts a
+    single still-growing register for Algorithm 1 (``PROGRESS[ell]``);
+    Theorem 6 predicts none for Algorithm 2.
     """
-    if not 0 < tail_fraction < 1:
-        raise ValueError("tail_fraction must be in (0, 1)")
-    tail_start = horizon * (1.0 - tail_fraction)
-    pre_max: Dict[str, float] = {}
-    tail_max: Dict[str, float] = {}
+    table = record_table(memory.write_log, horizon, tail_fraction)
+    growing = table.growing_registers(min_records=1)
     writes: Dict[str, int] = {}
     distinct: Dict[str, Set] = {}
     last_time: Dict[str, float] = {}
-    overall_max: Dict[str, Optional[float]] = {}
-
     for rec in memory.write_log:
         name = rec.register
         writes[name] = writes.get(name, 0) + 1
         distinct.setdefault(name, set()).add(rec.value)
         last_time[name] = rec.time
-        numeric = isinstance(rec.value, (int, float)) and not isinstance(rec.value, bool)
-        if numeric:
-            v = float(rec.value)
-            prev = overall_max.get(name)
-            overall_max[name] = v if prev is None or v > prev else prev
-            bucket = tail_max if rec.time >= tail_start else pre_max
-            if name not in bucket or v > bucket[name]:
-                bucket[name] = v
-        else:
-            overall_max.setdefault(name, None)
-
-    verdicts: Dict[str, BoundednessVerdict] = {}
-    for name in writes:
-        growing = name in tail_max and tail_max[name] > pre_max.get(name, float("-inf"))
-        verdicts[name] = BoundednessVerdict(
+    return {
+        name: BoundednessVerdict(
             register=name,
-            writes=writes[name],
-            max_value=overall_max.get(name),
+            writes=count,
+            max_value=table.max_by_register.get(name),
             distinct_values=len(distinct[name]),
-            still_growing=growing,
+            still_growing=name in growing,
             last_write_time=last_time[name],
         )
-    return verdicts
+        for name, count in writes.items()
+    }
 
 
 def growing_registers(memory: SharedMemory, horizon: float, tail_fraction: float = 0.25) -> FrozenSet[str]:
     """Names of registers still growing at the end of the run."""
-    return frozenset(
-        name
-        for name, verdict in boundedness(memory, horizon, tail_fraction).items()
-        if verdict.still_growing
-    )
+    table = record_table(memory.write_log, horizon, tail_fraction)
+    return frozenset(table.growing_registers(min_records=1))
 
 
 __all__ = [

@@ -44,8 +44,7 @@ Commands
 ``lint``
     Run the AST-based invariant linter over the source tree
     (determinism, kernel purity, registry completeness, batch-dispatch
-    safety, strict-typing ratchet); exits non-zero on any finding
-    outside the committed baseline.
+    safety, strict-typing ratchet); exits non-zero on any finding.
 ``list``
     Show the available algorithms and scenarios.
 
@@ -175,6 +174,38 @@ def _build_scenario(name: str, n: Optional[int], horizon: Optional[float]) -> Sc
     if horizon is not None:
         kwargs["horizon"] = horizon
     return factory(**kwargs)
+
+
+def _engine_spec(
+    command: str,
+    args: argparse.Namespace,
+    algorithms: Dict[str, type],
+    scenarios: Sequence[Scenario],
+    **options: Any,
+) -> Optional[Any]:
+    """The grid of an engine-backed command -- or ``None`` after a
+    one-line error (the caller exits 2) for a spec the engine rejects or
+    a scenario whose horizon cannot hold the census windows: both are
+    knowable before any cell is simulated."""
+    from repro.engine.spec import ExperimentSpec
+    from repro.props.checkers import tail_windows
+
+    try:
+        spec = ExperimentSpec.from_objects(
+            args.name, algorithms, scenarios, args.seeds, window=args.window, **options
+        )
+        for scen in scenarios:
+            try:
+                tail_windows(scen.horizon, args.window)  # the judge's own rule
+            except ValueError as exc:
+                raise ValueError(
+                    f"scenario {scen.name!r} (horizon {scen.horizon:g}): {exc} "
+                    f"of width {args.window:g}; lower --window or raise the horizon"
+                ) from None
+    except ValueError as exc:
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return None
+    return spec
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -315,7 +346,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an (algorithm x scenario x seed) grid through the engine."""
     from repro.engine.driver import parse_shard, run_experiment, shard_bounds
-    from repro.engine.spec import OVERRIDE_AXES, ExperimentSpec
+    from repro.engine.spec import OVERRIDE_AXES
 
     algorithms = {name: ALGORITHMS[name] for name in (args.algorithms or list(ALGORITHMS))}
     scenarios = [_build_scenario(name, args.n, args.horizon) for name in args.scenarios]
@@ -333,18 +364,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    try:
-        spec = ExperimentSpec.from_objects(
-            args.name,
-            algorithms,
-            scenarios,
-            args.seeds,
-            window=args.window,
-            fast=not args.traced,
-            **{axis: getattr(args, axis) for axis in OVERRIDE_AXES},
-        )
-    except ValueError as exc:
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
+    spec = _engine_spec(
+        "sweep",
+        args,
+        algorithms,
+        scenarios,
+        fast=not args.traced,
+        **{axis: getattr(args, axis) for axis in OVERRIDE_AXES},
+    )
+    if spec is None:
         return 2
     shard = None
     if args.shard is not None:
@@ -393,13 +421,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     """Audit Theorems 1-4 (plus consistency audits) over the suite."""
     from repro.engine.driver import run_experiment
     from repro.engine.search import violation_count
-    from repro.engine.spec import ExperimentSpec
 
     algorithms = {name: ALGORITHMS[name] for name in args.algorithms}
     scenarios = [SCENARIOS[name]() for name in args.scenarios]
-    spec = ExperimentSpec.from_objects(
-        args.name, algorithms, scenarios, args.seeds, window=args.window
-    )
+    spec = _engine_spec("check", args, algorithms, scenarios)
+    if spec is None:
+        return 2
     report = run_experiment(
         spec,
         jobs=args.jobs,
@@ -612,32 +639,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the AST invariant linter; exit non-zero on new findings."""
+    """Run the AST invariant linter; exit non-zero on any finding."""
     from pathlib import Path
 
-    from repro.lint import run_lint, write_baseline
-    from repro.lint.config import DEFAULT_BASELINE
+    from repro.lint import run_lint
 
-    baseline_path = Path(args.baseline) if args.baseline else None
     try:
         report = run_lint(
             root=Path(args.root) if args.root else None,
             tests_dir=Path(args.tests) if args.tests else None,
-            baseline_path=baseline_path,
             families=args.rules or None,
-            use_baseline=not args.no_baseline,
         )
     except ValueError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(target, report.findings)
-        print(
-            f"repro lint: baselined {len(report.findings)} finding(s) "
-            f"to {target}"
-        )
-        return 0
     print(report.render())
     return report.exit_code
 
@@ -1014,25 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "tests directory for the registry test-coverage rule "
             "(default: the sibling tests/ tree when present)"
-        ),
-    )
-    lint_p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="BASELINE.json",
-        help="baseline file (default: tools/lint_baseline.json)",
-    )
-    lint_p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: every finding is fatal (fixture/CI mode)",
-    )
-    lint_p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline to the current findings (the ratchet: "
-            "run after fixing a grandfathered finding to bank the fix)"
         ),
     )
     lint_p.add_argument(

@@ -303,27 +303,10 @@ class RunResult:
         return check_eventual_leadership(self.trace, self.crash_plan, self.horizon, margin=margin)
 
     def final_leaders(self) -> Dict[int, int]:
-        """Last sampled ``leader()`` output of each live process.
-
-        "Last" is by sample *time*.  Simulation-produced traces append
-        samples in non-decreasing time order, so a single pass taking
-        the last occurrence per pid is equivalent to the old
-        stable-sort-then-scan -- the monotonicity is verified on the fly
-        and the sort only happens in the (never simulator-produced)
-        out-of-order case.
-        """
-        samples = self.trace.leader_samples()
-        prev = float("-inf")
-        for t, _, _ in samples:
-            if t < prev:
-                samples = sorted(samples, key=lambda s: s[0])
-                break
-            prev = t
-        latest: Dict[int, int] = {}
-        for _, pid, leader in samples:
-            latest[pid] = leader
-        is_correct = self.crash_plan.is_correct
-        return {pid: leader for pid, leader in latest.items() if is_correct(pid)}
+        """Last sampled ``leader()`` output of each correct process (the
+        ``final_by_pid`` of :meth:`stabilization`, which owns the rule
+        for who counts as correct)."""
+        return self.stabilization().final_by_pid
 
     def audit_consistency(self) -> "Any":
         """Consistency audit of the recorded emulated history.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -156,7 +157,8 @@ class ExperimentSpec:
     algorithms / scenarios / seeds:
         The grid axes.
     window:
-        Tail-window width forwarded to the census summarizer.
+        Tail-window width forwarded to the census summarizer (positive
+        and finite).
     fast:
         When true (the default) workers run cells in the low-overhead
         mode (``log_reads=False``, ``trace_events=False``); summaries
@@ -201,6 +203,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.algorithms or not self.scenarios or not self.seeds:
             raise ValueError("spec needs at least one algorithm, scenario and seed")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be positive and finite, got {self.window!r}")
         for axis, (noun, vocabulary) in OVERRIDE_AXES.items():
             value = getattr(self, axis)
             if value is not None and value not in vocabulary:

@@ -24,11 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.analysis.omega_props import check_termination, check_validity
-from repro.analysis.write_stats import (
-    forever_writers,
-    growing_registers,
-    single_writer_point,
-)
 from repro.core.runner import RunResult
 from repro.props.report import PropertyReport, check_properties
 from repro.workloads.sweep import SweepRow
@@ -167,17 +162,6 @@ def _suspicion_census(result: RunResult) -> tuple[Optional[float], int, int]:
     return best, total, tail
 
 
-def _leader_churn(result: RunResult) -> int:
-    """Count leader-output changes across all pids in the sample trace."""
-    last: dict = {}
-    changes = 0
-    for _, pid, leader in result.trace.leader_samples():
-        if pid in last and last[pid] != leader:
-            changes += 1
-        last[pid] = leader
-    return changes
-
-
 def summarize_run(
     result: RunResult,
     *,
@@ -195,15 +179,17 @@ def summarize_run(
     is the scenario's declared environment class; it decides which
     theorem verdicts of the embedded :class:`PropertyReport` count as
     violations.
+
+    The run is judged once, by :func:`~repro.props.report.check_properties`;
+    the leadership, writer and growth census columns are its measured
+    records flattened, never a second derivation.
     """
-    report = result.stabilization(margin=margin)
-    writers = forever_writers(result.memory, result.horizon, window=window)
-    swp = single_writer_point(result.memory, result.horizon, tail=window)
-    term = check_termination(result.algorithms, result.crash_plan)
-    max_susp, susp_total, susp_tail = _suspicion_census(result)
     props = check_properties(
         result, assumption=assumption, margin=margin, window=window
     )
+    leadership, bounded, single, optimal = props.measured
+    term = check_termination(result.algorithms, result.crash_plan)
+    max_susp, susp_total, susp_tail = _suspicion_census(result)
     # Consistency level + history audit: the emulated backend carries
     # its configured level; shared registers are atomic by construction.
     emu_config = getattr(result.memory, "config", None)
@@ -215,25 +201,25 @@ def summarize_run(
         seed=result.seed,
         n=result.n,
         horizon=result.horizon,
-        stabilized=report.stabilized,
-        stabilization_time=report.time,
-        leader=report.leader,
+        stabilized=leadership.holds,
+        stabilization_time=leadership.settle_time,
+        leader=leadership.leader,
         valid=check_validity(result.trace, result.n),
         termination_ok=term.ok,
-        forever_writer_count=len(writers),
-        forever_writers=writers,
-        growing_register_count=len(growing_registers(result.memory, result.horizon)),
-        single_writer=swp.reached,
+        forever_writer_count=len(optimal.forever_writers),
+        forever_writers=frozenset(optimal.forever_writers),
+        growing_register_count=len(bounded.record_setters),
+        single_writer=len(single.tail_writers) == 1,
         total_writes=result.memory.total_writes,
         total_reads=result.memory.total_reads,
         wall_time_s=wall_time_s,
         events_fired=result.sim.events_fired,
-        leader_correct=report.leader_correct,
+        leader_correct=leadership.leader_correct,
         max_suspicion=max_susp,
         suspicion_writes_total=susp_total,
         suspicion_writes_tail=susp_tail,
         property_violations=len(props.violations()),
-        properties=props,
+        properties=dataclasses.replace(props, measured=None),
         memory_backend=getattr(result, "memory_backend", "shared"),
         messages_sent=getattr(getattr(result.memory, "network", None), "total_sent", 0),
         consistency=consistency,
@@ -244,7 +230,7 @@ def summarize_run(
         recoveries=getattr(result.memory, "recoveries", 0),
         resyncs=getattr(result.memory, "resyncs", 0),
         integrity_violations=getattr(result.memory, "integrity_violations", 0),
-        leader_changes=_leader_churn(result),
+        leader_changes=leadership.churn_all,
         write_backs=getattr(result.memory, "write_backs", 0),
         configs_installed=getattr(result.memory, "configs_installed", 0),
         dual_quorum_ops=getattr(result.memory, "dual_quorum_ops", 0),

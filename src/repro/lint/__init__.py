@@ -5,8 +5,7 @@ several of its subsystems rely on structural invariants nothing used to
 enforce: the compiled-kernel build only accepts a subset of Python, the
 scenario registries must stay covered by the ``repro check`` audit, and
 no handler module may reach into the event queue's internals.  This
-package checks those invariants **statically**, the way the docstring
-gate ratchets documentation:
+package checks those invariants **statically**:
 
 * :mod:`repro.lint.determinism` -- no wall-clock reads, no ambient
   entropy, no module-level ``random``, no order-dependent set iteration
@@ -25,25 +24,20 @@ gate ratchets documentation:
   fully annotated (the AST half of the ``mypy --strict`` gate that
   ``tools/typecheck.py`` runs when mypy is installed).
 
-Findings are suppressible per line (``# repro-lint: disable=<rule>``)
-and grandfathered findings live in a committed baseline whose count may
-only shrink (:mod:`repro.lint.baseline`).  The CLI surface is
+Findings are suppressible per line (``# repro-lint: disable=<rule>``);
+every finding that is not suppressed is fatal.  The CLI surface is
 ``repro lint`` (:func:`repro.cli.cmd_lint`); the programmatic entry
 point is :func:`repro.lint.runner.run_lint`.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.findings import Finding, SourceFile
 from repro.lint.runner import LintReport, run_lint
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "SourceFile",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]

@@ -20,9 +20,6 @@ from typing import Dict, FrozenSet, Tuple
 #: Default lint root: the ``repro`` package this module sits inside.
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 
-#: Default committed baseline, repo-relative (``tools/lint_baseline.json``).
-DEFAULT_BASELINE = DEFAULT_ROOT.parent.parent / "tools" / "lint_baseline.json"
-
 # ----------------------------------------------------------------------
 # Determinism rule scope
 # ----------------------------------------------------------------------
@@ -154,7 +151,6 @@ STRICT_TYPED_MODULES: Tuple[str, ...] = (
     "repro/fuzz/coverage.py",
     "repro/lint/findings.py",
     "repro/lint/config.py",
-    "repro/lint/baseline.py",
     "repro/lint/determinism.py",
     "repro/lint/purity.py",
     "repro/lint/registry_rules.py",

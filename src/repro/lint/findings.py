@@ -2,8 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location.  Rules
 never print; they return findings and the runner decides what survives
-suppression comments (``# repro-lint: disable=<rule>``) and the
-committed baseline.
+suppression comments (``# repro-lint: disable=<rule>``).
 
 Suppressions are honoured on the finding's own line or the line
 directly above it, and accept a comma-separated list of rule names,
@@ -46,15 +45,6 @@ class Finding:
     def family(self) -> str:
         """Rule family: the rule-name prefix before the first dash."""
         return self.rule.split("-", 1)[0]
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-independent identity used by the baseline ratchet.
-
-        Dropping the line number keeps baselines stable across unrelated
-        edits above a grandfathered finding.
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def render(self) -> str:
         """Format as ``path:line: [rule] message`` for terminal output."""

@@ -1,12 +1,12 @@
-"""Lint orchestration: walk the tree, run rules, apply the ratchet.
+"""Lint orchestration: walk the tree, run rules, report what survives.
 
 :func:`run_lint` is the single programmatic entry point; ``repro lint``
 (:func:`repro.cli.cmd_lint`) is a thin argparse shim over it.  The
 pipeline is: discover ``*.py`` files under the package root (skipping
 generated ``_ckernel*`` artifacts), parse each once, run every enabled
-per-file rule plus the tree-level registry rule, drop findings silenced
-by ``# repro-lint: disable=...`` comments, then partition the survivors
-against the committed baseline (:mod:`repro.lint.baseline`).
+per-file rule plus the tree-level registry rule, and drop findings
+silenced by ``# repro-lint: disable=...`` comments.  Every surviving
+finding is fatal: nothing is grandfathered.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.lint import determinism, dispatch, purity, registry_rules, typing_rules
-from repro.lint.baseline import Baseline, load_baseline
-from repro.lint.config import DEFAULT_BASELINE, DEFAULT_ROOT
+from repro.lint.config import DEFAULT_ROOT
 from repro.lint.findings import Finding, SourceFile
 
 #: The rule families ``--rules`` may select.
@@ -36,45 +35,26 @@ _FILE_RULES: Dict[str, Callable[[SourceFile], List[Finding]]] = {
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced, ratchet already applied."""
+    """Everything one lint run produced."""
 
-    #: All findings that survived suppression comments.
+    #: All findings that survived suppression comments (each is fatal).
     findings: List[Finding] = field(default_factory=list)
-    #: Findings not covered by the baseline (fatal).
-    new: List[Finding] = field(default_factory=list)
-    #: Findings absorbed by the baseline (reported, not fatal).
-    grandfathered: List[Finding] = field(default_factory=list)
-    #: Baseline keys with no matching finding (fatal: bank the fix).
-    stale_keys: List[str] = field(default_factory=list)
     #: Findings silenced by disable comments.
     suppressed: int = 0
     #: Number of source files scanned.
     files_scanned: int = 0
-    #: The baseline the ratchet ran against.
-    baseline: Baseline = field(default_factory=Baseline)
 
     @property
     def exit_code(self) -> int:
-        """0 when clean; 1 on any new finding or stale baseline entry."""
-        return 1 if self.new or self.stale_keys else 0
+        """0 when clean; 1 on any finding."""
+        return 1 if self.findings else 0
 
     def render(self) -> str:
         """Terminal-ready report text."""
-        lines: List[str] = []
-        for finding in self.new:
-            lines.append(finding.render())
-        for finding in self.grandfathered:
-            lines.append(f"{finding.render()} (baselined)")
-        for key in self.stale_keys:
-            lines.append(
-                f"stale baseline entry (already fixed -- run "
-                f"`repro lint --update-baseline` to bank it): {key}"
-            )
+        lines = [finding.render() for finding in self.findings]
         lines.append(
             f"repro lint: {self.files_scanned} file(s), "
-            f"{len(self.new)} new finding(s), "
-            f"{len(self.grandfathered)} baselined, "
-            f"{len(self.stale_keys)} stale baseline entr(ies), "
+            f"{len(self.findings)} finding(s), "
             f"{self.suppressed} suppressed"
         )
         return "\n".join(lines)
@@ -108,18 +88,14 @@ def _display_path(path: Path, root: Path) -> str:
 def run_lint(
     root: Optional[Path] = None,
     tests_dir: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
     families: Optional[Sequence[str]] = None,
-    use_baseline: bool = True,
 ) -> LintReport:
     """Lint the tree under ``root`` and return the full report.
 
     ``root`` defaults to the installed ``repro`` package;
-    ``tests_dir`` to the sibling ``tests/`` tree when one exists;
-    ``baseline_path`` to the committed ``tools/lint_baseline.json``.
+    ``tests_dir`` to the sibling ``tests/`` tree when one exists.
     ``families`` restricts the run to a subset of
-    :data:`RULE_FAMILIES`; ``use_baseline=False`` treats every finding
-    as new (the CI mode for fixture trees).
+    :data:`RULE_FAMILIES`.
     """
     root = (root or DEFAULT_ROOT).resolve()
     if tests_dir is None:
@@ -165,10 +141,4 @@ def run_lint(
             report.suppressed += 1
             continue
         report.findings.append(finding)
-
-    baseline = (
-        load_baseline(baseline_path or DEFAULT_BASELINE) if use_baseline else Baseline()
-    )
-    report.baseline = baseline
-    report.new, report.grandfathered, report.stale_keys = baseline.partition(report.findings)
     return report

@@ -14,8 +14,8 @@ and this module makes it a first-class, pluggable axis:
 
 Every backend implements the :class:`MemoryBackend` protocol --
 register-namespace construction, the read/write accounting hooks (with
-the no-log read fast path), the window queries the theorem monitors
-replay, and global-state snapshots.  Algorithms, scenario scrambling,
+the no-log read fast path), the window queries the theorem verdicts
+read, and global-state snapshots.  Algorithms, scenario scrambling,
 the analysis layer and the property checkers are all written against
 this protocol, so a backend swap multiplies every experiment in the
 repo instead of adding one.
@@ -71,8 +71,9 @@ class MemoryBackend(Protocol):
       is hook-swapped at construction time when ``log_reads`` is false
       (the PR 3 no-log fast path), so backends must route reads through
       the *instance attribute*, never the class method;
-    * **window queries and censuses** -- what the Theorem 1-4 monitors
-      and the write-statistics layer replay after a run;
+    * **window queries and censuses** -- the write index the
+      Theorem 3/4 verdicts and the write-statistics views query after
+      a run;
     * **global snapshots** -- the Theorem 5 recurring-state harness.
 
     :class:`~repro.memory.memory.SharedMemory` is the reference

@@ -1,4 +1,4 @@
-"""Trace-driven property checkers for the paper's Theorems 1-4.
+"""The judge of the paper's Theorems 1-4.
 
 The paper's claims are theorems about *behaviors*:
 
@@ -11,27 +11,31 @@ The paper's claims are theorems about *behaviors*:
 * **Theorem 4** -- write-optimality: exactly one forever-writer, the
   minimum any Omega implementation can have.
 
-This package turns each theorem into an *online monitor*
-(:mod:`repro.props.checkers`): feed it samples, writes and crashes as
-they happen (or replay a finished run's trace) and call ``finish()``
-for a measured verdict.  :func:`repro.props.report.check_properties`
-composes the four monitors into a :class:`~repro.props.report.PropertyReport`
--- claimed-vs-measured, aware of which assumption class the scenario
+:mod:`repro.props.checkers` holds the one implementation of each: two
+are folds (Theorem 1 over the leader samples, Theorem 2 over the write
+log) and two are queries over the memory's write index (Theorems 3 and
+4, over one definition of the tail windows).
+:func:`repro.props.report.check_properties` judges a finished run with
+them, once, into a :class:`~repro.props.report.PropertyReport` --
+claimed-vs-measured, aware of which assumption class the scenario
 declares (:mod:`repro.props.claims`) -- which the engine's
-:class:`~repro.engine.summary.RunSummary` embeds and caches, so every
-sweep doubles as a theorem audit.
+:class:`~repro.engine.summary.RunSummary` embeds and caches, and whose
+measured records it flattens into its census columns, so every sweep
+doubles as a theorem audit and a row cannot contradict its verdicts.
+:mod:`repro.analysis` offers per-figure views of the same judgement.
 """
 
 from repro.props.checkers import (
     BoundednessMonitor,
     BoundednessVerdict,
     LeadershipVerdict,
-    SingleWriterMonitor,
     SingleWriterVerdict,
     StabilizationMonitor,
-    WriteOptimalityMonitor,
     WriteOptimalityVerdict,
+    leadership_verdict,
     progress_register,
+    single_writer_verdict,
+    write_optimality_verdict,
 )
 from repro.props.claims import (
     ASSUMPTION_ORDER,
@@ -47,15 +51,16 @@ __all__ = [
     "BoundednessVerdict",
     "LeadershipVerdict",
     "PropertyReport",
-    "SingleWriterMonitor",
     "SingleWriterVerdict",
     "StabilizationMonitor",
     "THEOREM_NAMES",
     "TheoremVerdict",
-    "WriteOptimalityMonitor",
     "WriteOptimalityVerdict",
     "assumption_covers",
     "check_properties",
     "expected_theorems",
+    "leadership_verdict",
     "progress_register",
+    "single_writer_verdict",
+    "write_optimality_verdict",
 ]

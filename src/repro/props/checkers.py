@@ -1,23 +1,39 @@
-"""Online monitors for Theorems 1-4.
+"""The one implementation of each of Theorems 1-4.
 
-Each monitor consumes a run's events incrementally -- observer leader
-samples, shared-memory writes, crash notifications -- and produces a
-*measured* verdict at ``finish()``.  They keep O(n + registers) state,
-never the full trace, so they can run inside a live simulation as well
-as over a replayed :class:`~repro.core.runner.RunResult` (the path
-:func:`repro.props.report.check_properties` takes).
+Two theorems are *folds* over a run's event streams and two are
+*queries* over the memory's own write index:
+
+* Theorem 1 -- :class:`StabilizationMonitor`, a fold over the observer's
+  leader samples (:func:`leadership_verdict` replays a finished run
+  through it);
+* Theorem 2 -- :class:`BoundednessMonitor`, a fold over the write log
+  into a table of record-setting writes (:func:`record_table`);
+* Theorem 3 -- :func:`single_writer_verdict` over :func:`tail_writes`;
+* Theorem 4 -- :func:`write_optimality_verdict` over
+  :func:`in_every_tail_window`;
+
+both of the latter read the bisect-backed window queries of
+:class:`~repro.memory.memory.SharedMemory` through the single
+:func:`tail_windows`.  Everything else that speaks about these
+properties -- :func:`repro.props.report.check_properties`, the census
+columns of :class:`~repro.engine.summary.RunSummary`, the per-figure
+views in :mod:`repro.analysis` -- reads these, so a verdict and the
+census printed next to it cannot disagree.
 
 All verdicts are empirical: "eventually P" on a finite trace means "P
 held over the instrumented tail of the horizon".  Scenarios choose
 horizons generously above their stabilization knobs so a failed tail is
-evidence, not noise (same convention as
-:func:`repro.analysis.omega_props.check_eventual_leadership`).
+evidence, not noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+#: "Forever" on a finite trace: in every one of this many tail windows.
+CENSUS_WINDOWS = 4
 
 
 def progress_register(leader: int) -> str:
@@ -48,6 +64,10 @@ class LeadershipVerdict:
     #: Distinct leader values ever output by correct processes.
     leaders_seen: int
     detail: str = ""
+    #: Whether ``leader`` is itself a correct process.
+    leader_correct: bool = False
+    #: Final sampled output per correct process.
+    final_by_pid: Dict[int, int] = field(default_factory=dict)
 
 
 class StabilizationMonitor:
@@ -92,40 +112,59 @@ class StabilizationMonitor:
 
     def finish(self) -> LeadershipVerdict:
         """Fold the samples into the Theorem 1 verdict."""
-        correct = [pid for pid in self._last if pid not in self._crashed]
-        churn_all = sum(self._changes.values())
-        if not correct:
-            return LeadershipVerdict(
-                False, None, None, 0, churn_all, 0,
-                detail="no samples from any correct process",
-            )
-        churn = sum(self._changes[pid] for pid in correct)
-        leaders_seen = len(set().union(*(self._values_seen[pid] for pid in correct)))
-        finals = {self._last[pid] for pid in correct}
-        if len(finals) != 1:
-            return LeadershipVerdict(
-                False, None, None, churn, churn_all, leaders_seen,
-                detail=f"correct processes disagree: final outputs {sorted(finals)}",
-            )
-        leader = min(finals)
-        settle = max(self._streak_start[pid] for pid in correct)
-        if leader in self._crashed:
-            return LeadershipVerdict(
-                False, leader, None, churn, churn_all, leaders_seen,
-                detail=f"common output p{leader} is a crashed process",
-            )
-        if settle + self.margin >= self.horizon:
-            return LeadershipVerdict(
-                False, leader, None, churn, churn_all, leaders_seen,
-                detail=(
+        crashed = self._crashed
+        final_by_pid = {pid: out for pid, out in self._last.items() if pid not in crashed}
+        churn = sum(self._changes[pid] for pid in final_by_pid)
+        finals = set(final_by_pid.values())
+        leader = min(finals) if len(finals) == 1 else None
+        settle = None
+        if not final_by_pid:
+            detail = "no samples from any correct process"
+        elif leader is None:
+            detail = f"correct processes disagree: final outputs {sorted(finals)}"
+        elif leader in crashed:
+            detail = f"common output p{leader} is a crashed process"
+        else:
+            settle = max(self._streak_start[pid] for pid in final_by_pid)
+            if settle + self.margin >= self.horizon:
+                detail = (
                     f"p{leader} common only from t={settle:.0f}, inside the "
                     f"margin ({self.margin:.0f}) of the horizon"
-                ),
-            )
+                )
+                settle = None
+            else:
+                detail = f"p{leader} from t={settle:.0f} after {churn} output change(s)"
         return LeadershipVerdict(
-            True, leader, settle, churn, churn_all, leaders_seen,
-            detail=f"p{leader} from t={settle:.0f} after {churn} output change(s)",
+            holds=settle is not None,
+            leader=leader,
+            settle_time=settle,
+            churn=churn,
+            churn_all=sum(self._changes.values()),
+            leaders_seen=len(set().union(*(self._values_seen[pid] for pid in final_by_pid))),
+            detail=detail,
+            leader_correct=leader is not None and leader not in crashed,
+            final_by_pid=final_by_pid,
         )
+
+
+def leadership_verdict(
+    trace: Any, crash_plan: Any, horizon: float, margin: float = 0.0
+) -> LeadershipVerdict:
+    """Replay a finished run's crash plan and leader samples through
+    :class:`StabilizationMonitor`.
+
+    Edge rule: a process is *faulty* for this verdict iff its crash time
+    is ``<= horizon`` -- a crash planned beyond the horizon never
+    happened in the run, so that process's samples count and it may be
+    the elected leader.
+    """
+    monitor = StabilizationMonitor(horizon, margin=margin)
+    for pid, t in crash_plan.crash_times.items():
+        if t <= horizon:
+            monitor.observe_crash(t, pid)
+    for t, pid, leader in trace.leader_samples():
+        monitor.observe_sample(t, pid, leader)
+    return monitor.finish()
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +180,10 @@ class BoundednessVerdict:
     #: The subset of ``growing`` the theorem does *not* allow.
     offending: Tuple[str, ...]
     detail: str = ""
+    #: Registers with at least one record-setting write in the plain
+    #: tail (the census's looser "still growing": threshold 1, no
+    #: settle point).
+    record_setters: Tuple[str, ...] = ()
 
 
 class BoundednessMonitor:
@@ -180,7 +223,8 @@ class BoundednessMonitor:
         self.horizon = horizon
         self.tail_start = horizon * (1.0 - tail_fraction)
         self.min_records = min_records
-        self._max: Dict[str, float] = {}
+        #: Largest numeric value written so far, per register.
+        self.max_by_register: Dict[str, float] = {}
         self._tail_record_times: Dict[str, List[float]] = {}
 
     def observe_write(self, time: float, pid: int, register: str, value: object) -> None:
@@ -188,20 +232,23 @@ class BoundednessMonitor:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return
         v = float(value)
-        if register not in self._max or v > self._max[register]:
-            self._max[register] = v
+        if register not in self.max_by_register or v > self.max_by_register[register]:
+            self.max_by_register[register] = v
             if time >= self.tail_start:
                 self._tail_record_times.setdefault(register, []).append(time)
 
-    def growing_registers(self, since: Optional[float] = None) -> Tuple[str, ...]:
-        """Registers with >= ``min_records`` record-setting writes in
-        ``[max(tail_start, since), horizon]``."""
+    def growing_registers(
+        self, since: Optional[float] = None, min_records: Optional[int] = None
+    ) -> Tuple[str, ...]:
+        """Registers with >= ``min_records`` (default: the monitor's)
+        record-setting writes in ``[max(tail_start, since), horizon]``."""
         start = self.tail_start if since is None else max(self.tail_start, since)
+        threshold = self.min_records if min_records is None else min_records
         return tuple(
             sorted(
                 name
                 for name, times in self._tail_record_times.items()
-                if sum(1 for t in times if t >= start) >= self.min_records
+                if sum(1 for t in times if t >= start) >= threshold
             )
         )
 
@@ -223,7 +270,68 @@ class BoundednessMonitor:
             )
         else:
             detail = f"still growing beyond PROGRESS[ell]: {', '.join(offending)}"
-        return BoundednessVerdict(holds, growing, offending, detail)
+        return BoundednessVerdict(
+            holds, growing, offending, detail, self.growing_registers(min_records=1)
+        )
+
+
+def record_table(
+    write_log: Iterable[Any], horizon: float, tail_fraction: float = 0.25
+) -> BoundednessMonitor:
+    """One pass of a write log through a :class:`BoundednessMonitor`."""
+    monitor = BoundednessMonitor(horizon, tail_fraction)
+    for rec in write_log:
+        monitor.observe_write(rec.time, rec.pid, rec.register, rec.value)
+    return monitor
+
+
+# ----------------------------------------------------------------------
+# Tail windows over the memory's write index (Theorems 3 and 4)
+# ----------------------------------------------------------------------
+def tail_windows(
+    horizon: float, window: float, count: int = CENSUS_WINDOWS
+) -> List[Tuple[float, float]]:
+    """The last ``count`` windows of ``[0, horizon]``, oldest first, as
+    the half-open ``[t0, t1)`` pairs the memory's window queries take.
+
+    Edge rule: the newest window is *closed* at the horizon -- an event
+    at ``t == horizon`` fires and belongs to the run -- so its upper
+    edge is the next float above ``horizon``.
+    """
+    if not (window > 0 and count > 0):
+        raise ValueError("window and count must be positive")
+    start = horizon - window * count
+    if start < 0:
+        raise ValueError("horizon too short for the requested windows")
+    edges = [start + i * window for i in range(count)]
+    edges.append(math.nextafter(horizon, math.inf))
+    return list(zip(edges, edges[1:]))
+
+
+def in_every_tail_window(
+    query: Callable[[float, float], FrozenSet[int]],
+    horizon: float,
+    window: float = 100.0,
+    count: int = CENSUS_WINDOWS,
+) -> FrozenSet[int]:
+    """Pids ``query(t0, t1)`` (``memory.writers_in`` / ``readers_in``)
+    returns for *every* one of the last ``count`` windows."""
+    return frozenset.intersection(
+        *(query(t0, t1) for t0, t1 in tail_windows(horizon, window, count))
+    )
+
+
+def tail_writes(memory: Any, horizon: float, tail: float) -> Tuple[FrozenSet[int], FrozenSet[str]]:
+    """``(pids, register names)`` that wrote / were written during the
+    final ``tail`` time units, ``[horizon - tail, horizon]``."""
+    ((t0, t1),) = tail_windows(horizon, tail, 1)
+    return memory.writers_in(t0, t1), memory.registers_written_in(t0, t1)
+
+
+def last_write_by_others(memory: Any, pid: int) -> float:
+    """Latest write by any process other than ``pid`` (0.0 when nobody
+    else ever wrote): after this instant ``pid`` writes alone."""
+    return max((t for p, t in memory.last_write_time_by_pid.items() if p != pid), default=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -244,50 +352,27 @@ class SingleWriterVerdict:
     detail: str = ""
 
 
-class SingleWriterMonitor:
+def single_writer_verdict(
+    memory: Any, horizon: float, tail: float = 100.0, leader: Optional[int] = None
+) -> SingleWriterVerdict:
     """Theorem 3: eventually only the leader writes, always the same
     variable (``PROGRESS[ell]``)."""
-
-    def __init__(self, horizon: float, tail: float = 100.0) -> None:
-        if not 0 < tail <= horizon:
-            raise ValueError("need 0 < tail <= horizon")
-        self.horizon = horizon
-        self.tail_start = horizon - tail
-        self._last_by_pid: Dict[int, float] = {}
-        self._last_by_register: Dict[str, float] = {}
-
-    def observe_write(self, time: float, pid: int, register: str, value: object) -> None:
-        """Feed one write; keeps last-write times per pid and register."""
-        self._last_by_pid[pid] = max(time, self._last_by_pid.get(pid, time))
-        self._last_by_register[register] = max(
-            time, self._last_by_register.get(register, time)
+    tail_pids, tail_names = tail_writes(memory, horizon, tail)
+    writers, registers = tuple(sorted(tail_pids)), tuple(sorted(tail_names))
+    switch = None if leader is None else last_write_by_others(memory, leader)
+    holds = (
+        leader is not None
+        and writers == (leader,)
+        and registers == (progress_register(leader),)
+    )
+    if holds:
+        detail = f"only p{leader} writes {registers[0]} after t={switch:.0f}"
+    else:
+        detail = (
+            f"tail writers {list(writers)} on registers {list(registers)}"
+            + ("" if leader is not None else " (no stable leader)")
         )
-
-    def finish(self, leader: Optional[int] = None) -> SingleWriterVerdict:
-        """Fold the tail writers/registers into the Theorem 3 verdict."""
-        writers = tuple(
-            sorted(p for p, t in self._last_by_pid.items() if t >= self.tail_start)
-        )
-        registers = tuple(
-            sorted(r for r, t in self._last_by_register.items() if t >= self.tail_start)
-        )
-        switch = None
-        if leader is not None:
-            others = [t for p, t in self._last_by_pid.items() if p != leader]
-            switch = max(others) if others else 0.0
-        holds = (
-            leader is not None
-            and writers == (leader,)
-            and registers == (progress_register(leader),)
-        )
-        if holds:
-            detail = f"only p{leader} writes {registers[0]} after t={switch:.0f}"
-        else:
-            detail = (
-                f"tail writers {list(writers)} on registers {list(registers)}"
-                + ("" if leader is not None else " (no stable leader)")
-            )
-        return SingleWriterVerdict(holds, writers, registers, switch, detail)
+    return SingleWriterVerdict(holds, writers, registers, switch, detail)
 
 
 # ----------------------------------------------------------------------
@@ -302,92 +387,47 @@ class WriteOptimalityVerdict:
     forever_writers: Tuple[int, ...]
     #: The lower bound the paper proves: some process must write forever.
     optimum: int
-    #: Total writes per pid over the whole run (the counter the
-    #: write-optimality comparison tables consume).
-    writes_by_pid: Dict[int, int] = field(default_factory=dict)
     detail: str = ""
 
 
-class WriteOptimalityMonitor:
+def write_optimality_verdict(
+    memory: Any,
+    horizon: float,
+    window: float = 100.0,
+    count: int = CENSUS_WINDOWS,
+    leader: Optional[int] = None,
+) -> WriteOptimalityVerdict:
     """Theorem 4: the forever-writer count meets the proven lower bound.
 
     The paper's lower bound says *at least one* process must keep
     writing forever; Algorithm 1 achieves exactly one (the leader), so
-    the measured property is ``forever_writers == {ell}``.  "Forever"
-    on a finite trace means "in every one of the last ``count`` windows
-    of width ``window``" (same convention as
-    :func:`repro.analysis.write_stats.forever_writers`).
+    the measured property is ``forever_writers == {ell}`` (without a
+    leader: exactly one forever-writer, whoever it is).
     """
-
-    def __init__(self, horizon: float, window: float = 100.0, count: int = 4) -> None:
-        if window <= 0 or count <= 0:
-            raise ValueError("window and count must be positive")
-        start = max(0.0, horizon - window * count)
-        self._start = start
-        self._width = window
-        self._count = count
-        self._windows: List[Tuple[float, float]] = [
-            (start + i * window, start + (i + 1) * window) for i in range(count)
-        ]
-        self._writers: List[Set[int]] = [set() for _ in range(count)]
-        self._writes_by_pid: Dict[int, int] = {}
-
-    def observe_write(self, time: float, pid: int, register: str, value: object) -> None:
-        """Feed one write into its O(1)-indexed census window."""
-        writes = self._writes_by_pid
-        writes[pid] = writes.get(pid, 0) + 1
-        if time < self._start:
-            return
-        # O(1) windowing: windows are contiguous and equal-width, so the
-        # index is arithmetic -- but the boundaries computed by the old
-        # per-window scan were sums (`start + i*width`), and float
-        # division can disagree with them at the edges.  Snap to the
-        # scan's half-open [t0, t1) semantics (last window closed at the
-        # horizon) by checking the computed window's bounds.
-        idx = int((time - self._start) / self._width)
-        if idx >= self._count:
-            idx = self._count - 1
-        t0, t1 = self._windows[idx]
-        if time < t0:
-            idx -= 1
-        elif time >= t1 and idx < self._count - 1:
-            idx += 1
-        if 0 <= idx < self._count:
-            t0, t1 = self._windows[idx]
-            if t0 <= time < t1 or (idx == self._count - 1 and time == t1):
-                self._writers[idx].add(pid)
-
-    def forever_writers(self) -> Tuple[int, ...]:
-        """Pids that wrote in every census window."""
-        result = set(self._writers[0])
-        for writers in self._writers[1:]:
-            result &= writers
-        return tuple(sorted(result))
-
-    def finish(self, leader: Optional[int] = None) -> WriteOptimalityVerdict:
-        """Fold the windowed census into the Theorem 4 verdict."""
-        forever = self.forever_writers()
-        if leader is not None:
-            holds = forever == (leader,)
-        else:
-            holds = len(forever) == 1
-        if holds:
-            detail = f"exactly one forever-writer (p{forever[0]}): write-optimal"
-        else:
-            detail = f"forever-writers {list(forever)}; the optimum is 1"
-        return WriteOptimalityVerdict(
-            holds, forever, 1, dict(self._writes_by_pid), detail
-        )
+    forever = tuple(sorted(in_every_tail_window(memory.writers_in, horizon, window, count)))
+    holds = forever == (leader,) if leader is not None else len(forever) == 1
+    if holds:
+        detail = f"exactly one forever-writer (p{forever[0]}): write-optimal"
+    else:
+        detail = f"forever-writers {list(forever)}; the optimum is 1"
+    return WriteOptimalityVerdict(holds, forever, 1, detail)
 
 
 __all__ = [
     "BoundednessMonitor",
     "BoundednessVerdict",
+    "CENSUS_WINDOWS",
     "LeadershipVerdict",
-    "SingleWriterMonitor",
     "SingleWriterVerdict",
     "StabilizationMonitor",
-    "WriteOptimalityMonitor",
     "WriteOptimalityVerdict",
+    "in_every_tail_window",
+    "last_write_by_others",
+    "leadership_verdict",
     "progress_register",
+    "record_table",
+    "single_writer_verdict",
+    "tail_windows",
+    "tail_writes",
+    "write_optimality_verdict",
 ]

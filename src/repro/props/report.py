@@ -1,25 +1,32 @@
 """Composable claimed-vs-measured property reports.
 
-:func:`check_properties` replays a finished run through the four
-theorem monitors and wraps the measured verdicts with the *expectation*
-derived from the algorithm's claims and the scenario's declared
-assumption class (:mod:`repro.props.claims`).  The resulting
-:class:`PropertyReport` is a small value object -- JSON round-trippable
-and picklable -- that :class:`~repro.engine.summary.RunSummary` embeds,
-so property verdicts ride through the parallel engine and its JSONL
-cache like any other cell outcome.
+:func:`check_properties` is the one place a finished run is judged:
+it takes the four measured verdicts of :mod:`repro.props.checkers` and
+wraps them with the *expectation* derived from the algorithm's claims
+and the scenario's declared assumption class
+(:mod:`repro.props.claims`).  The resulting :class:`PropertyReport` is
+a small value object -- JSON round-trippable and picklable -- that
+:class:`~repro.engine.summary.RunSummary` embeds, so property verdicts
+ride through the parallel engine and its JSONL cache like any other
+cell outcome; the measured records themselves travel beside it
+(:attr:`PropertyReport.measured`) for the in-process readers that
+flatten them into census columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.props.checkers import (
-    BoundednessMonitor,
-    SingleWriterMonitor,
-    StabilizationMonitor,
-    WriteOptimalityMonitor,
+    BoundednessVerdict,
+    LeadershipVerdict,
+    SingleWriterVerdict,
+    WriteOptimalityVerdict,
+    leadership_verdict,
+    record_table,
+    single_writer_verdict,
+    write_optimality_verdict,
 )
 from repro.props.claims import THEOREM_NAMES, assumption_covers
 
@@ -77,6 +84,12 @@ class PropertyReport:
     claimed: Tuple[int, ...]
     #: One verdict per checked theorem, in theorem order.
     verdicts: Tuple[TheoremVerdict, ...]
+    #: The four measured records ``verdicts`` was folded from, as
+    #: :func:`check_properties` produced them.  In-process only: not
+    #: compared, not serialized, ``None`` on a report rebuilt from JSON.
+    measured: Optional[
+        Tuple[LeadershipVerdict, BoundednessVerdict, SingleWriterVerdict, WriteOptimalityVerdict]
+    ] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -128,13 +141,13 @@ def check_properties(
     window: float = 100.0,
     algorithm_cls: Optional[type] = None,
 ) -> PropertyReport:
-    """Run all four theorem monitors over a finished run.
+    """Judge a finished run against Theorems 1-4, once.
 
     Parameters
     ----------
     result:
         A :class:`~repro.core.runner.RunResult` (duck-typed: needs
-        ``horizon``, ``trace``, ``memory.write_log``, ``crash_plan``,
+        ``horizon``, ``trace``, ``memory``, ``crash_plan``,
         ``algorithms``, ``algorithm_name``).
     assumption:
         Environment class the scenario declares; decides which claimed
@@ -142,62 +155,45 @@ def check_properties(
     margin:
         Stability margin for the Theorem 1 verdict (scenario-chosen).
     window:
-        Tail-window width for the Theorem 3/4 monitors -- the same knob
-        the census summarizer uses, so verdicts and censuses agree.
+        Tail-window width for the Theorem 3/4 verdicts; the horizon
+        must hold :data:`~repro.props.checkers.CENSUS_WINDOWS` of them.
     algorithm_cls:
         Override for the claims source; defaults to the class of the
         run's algorithm instances.
 
-    Only consumes the write log, the crash plan and the leader-sample
-    trace, so it works identically in the engine's low-overhead run
-    mode.
+    One walk of the leader samples and one of the write log; only
+    consumes the write log and its index, the crash plan and the
+    leader-sample trace, so it works identically in the engine's
+    low-overhead run mode.
     """
     cls = algorithm_cls or type(result.algorithms[0])
     claimed = frozenset(getattr(cls, "claimed_theorems", frozenset()))
     requires = getattr(cls, "requires_assumption", "awb")
     covered = assumption_covers(assumption, requires)
 
-    stab = StabilizationMonitor(result.horizon, margin=margin)
-    bounded = BoundednessMonitor(result.horizon)
-    single = SingleWriterMonitor(result.horizon, tail=min(window, result.horizon))
-    optimal = WriteOptimalityMonitor(result.horizon, window=window)
-
-    for pid, t in sorted(result.crash_plan.crash_times.items()):
-        if t <= result.horizon:
-            stab.observe_crash(t, pid)
-    for t, pid, leader in result.trace.leader_samples():
-        stab.observe_sample(t, pid, leader)
-    for rec in result.memory.write_log:
-        bounded.observe_write(rec.time, rec.pid, rec.register, rec.value)
-        single.observe_write(rec.time, rec.pid, rec.register, rec.value)
-        optimal.observe_write(rec.time, rec.pid, rec.register, rec.value)
-
-    t1 = stab.finish()
+    memory, horizon = result.memory, result.horizon
+    t1 = leadership_verdict(result.trace, result.crash_plan, horizon, margin=margin)
     leader = t1.leader if t1.holds else None
-    t2 = bounded.finish(leader, settle_time=t1.settle_time)
-    t3 = single.finish(leader)
-    t4 = optimal.finish(leader)
-
-    def verdict(theorem: int, holds: bool, detail: str) -> TheoremVerdict:
-        return TheoremVerdict(
-            theorem=theorem,
-            name=THEOREM_NAMES[theorem],
-            holds=holds,
-            expected=covered and theorem in claimed,
-            detail=detail,
-        )
-
+    t2 = record_table(memory.write_log, horizon).finish(leader, settle_time=t1.settle_time)
+    t3 = single_writer_verdict(memory, horizon, tail=window, leader=leader)
+    t4 = write_optimality_verdict(memory, horizon, window=window, leader=leader)
+    measured = (t1, t2, t3, t4)
     return PropertyReport(
         algorithm=result.algorithm_name,
         assumption=assumption,
         requires=requires,
         claimed=tuple(sorted(claimed)),
-        verdicts=(
-            verdict(1, t1.holds, t1.detail),
-            verdict(2, t2.holds, t2.detail),
-            verdict(3, t3.holds, t3.detail),
-            verdict(4, t4.holds, t4.detail),
+        verdicts=tuple(
+            TheoremVerdict(
+                theorem=theorem,
+                name=THEOREM_NAMES[theorem],
+                holds=record.holds,
+                expected=covered and theorem in claimed,
+                detail=record.detail,
+            )
+            for theorem, record in enumerate(measured, start=1)
         ),
+        measured=measured,
     )
 
 

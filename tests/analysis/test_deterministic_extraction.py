@@ -51,7 +51,6 @@ class TestRewrittenExtractionSites:
         assert point.writer == report.leader
 
     def test_the_tree_has_no_determinism_findings(self):
-        """The bring-up contract: fixes, not baseline entries."""
+        """The bring-up contract: fixes, not grandfathered findings."""
         report = run_lint(families=["determinism"])
-        assert report.new == []
-        assert report.baseline.total == 0
+        assert report.findings == []

@@ -59,6 +59,11 @@ class TestGrid:
                 seeds=(),
             )
 
+    @pytest.mark.parametrize("window", [0.0, -5.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            make_spec(window=window)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ExperimentSpec(

@@ -27,11 +27,6 @@ class TestFinding:
         f = Finding(rule="determinism-wall-clock", path="a.py", line=3, message="m")
         assert f.family == "determinism"
 
-    def test_baseline_key_omits_the_line_number(self):
-        a = Finding(rule="r-x", path="p.py", line=3, message="m")
-        b = Finding(rule="r-x", path="p.py", line=99, message="m")
-        assert a.baseline_key == b.baseline_key
-
     def test_render_is_path_line_rule_message(self):
         f = Finding(rule="r-x", path="p.py", line=3, message="boom")
         assert f.render() == "p.py:3: [r-x] boom"

@@ -1,4 +1,4 @@
-"""End-to-end lint tests: runner, CLI exit codes, and the baseline ratchet.
+"""End-to-end lint tests: runner and CLI exit codes.
 
 The acceptance contract lives here: ``repro lint`` exits non-zero on a
 seeded violation of each of the four rule families (driven through the
@@ -10,16 +10,14 @@ breaks ``tools/build_kernel_ext.py --pure`` compilation.
 from __future__ import annotations
 
 import importlib.util
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lint import load_baseline, run_lint, write_baseline
+from repro.lint import run_lint
 from repro.lint.config import REBIND_MARKER
-from repro.lint.findings import Finding
 
 REPO = Path(__file__).resolve().parent.parent.parent
 BUILD_TOOL = REPO / "tools" / "build_kernel_ext.py"
@@ -56,9 +54,7 @@ def fixture_tree(tmp_path):
 def lint_cli(root: Path, *extra: str) -> int:
     """Invoke the real ``repro lint`` CLI against a fixture tree."""
     tests = root.parent / "tests"
-    return main(
-        ["lint", "--root", str(root), "--tests", str(tests), "--no-baseline", *extra]
-    )
+    return main(["lint", "--root", str(root), "--tests", str(tests), *extra])
 
 
 class TestSeededViolationsExitNonzeroPerFamily:
@@ -105,12 +101,8 @@ class TestSeededViolationsExitNonzeroPerFamily:
         assert lint_cli(fixture_tree) == 1
 
     def test_unknown_rule_family_is_a_usage_error(self, fixture_tree, capsys):
-        assert (
-            main(["lint", "--root", str(fixture_tree), "--no-baseline"]) == 0
-        )
-        code = main(
-            ["lint", "--root", str(fixture_tree), "--no-baseline", "--rules"]
-        )
+        assert main(["lint", "--root", str(fixture_tree)]) == 0
+        code = main(["lint", "--root", str(fixture_tree), "--rules"])
         assert code == 0  # empty --rules falls back to all families
         with pytest.raises(SystemExit):  # argparse rejects unknown choices
             main(["lint", "--root", str(fixture_tree), "--rules", "astrology"])
@@ -121,79 +113,6 @@ class TestCommittedTree:
 
     def test_repro_lint_exits_zero_on_the_committed_tree(self):
         assert main(["lint"]) == 0
-
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(REPO / "tools" / "lint_baseline.json")
-        assert baseline.total == 0
-
-
-class TestBaselineRatchet:
-    def seed_violation(self, root: Path) -> None:
-        write(root, "sim/clocked.py", "import time\nt0 = time.time()\n")
-
-    def test_update_baseline_then_clean_exit(self, fixture_tree, tmp_path):
-        self.seed_violation(fixture_tree)
-        baseline = tmp_path / "baseline.json"
-        tests = tmp_path / "tests"
-        assert (
-            main(
-                ["lint", "--root", str(fixture_tree), "--tests", str(tests),
-                 "--baseline", str(baseline), "--update-baseline"]
-            )
-            == 0
-        )
-        assert load_baseline(baseline).total == 1
-        # Grandfathered finding: reported but not fatal.
-        assert (
-            main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-                  "--baseline", str(baseline)])
-            == 0
-        )
-
-    def test_adding_a_violation_fails_despite_the_baseline(self, fixture_tree, tmp_path):
-        self.seed_violation(fixture_tree)
-        baseline = tmp_path / "baseline.json"
-        tests = tmp_path / "tests"
-        main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-              "--baseline", str(baseline), "--update-baseline"])
-        write(fixture_tree, "memory/entropic.py", "import os\nkey = os.urandom(8)\n")
-        assert (
-            main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-                  "--baseline", str(baseline)])
-            == 1
-        )
-
-    def test_fixing_a_violation_makes_the_stale_entry_fatal(self, fixture_tree, tmp_path, capsys):
-        self.seed_violation(fixture_tree)
-        baseline = tmp_path / "baseline.json"
-        tests = tmp_path / "tests"
-        main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-              "--baseline", str(baseline), "--update-baseline"])
-        (fixture_tree / "sim" / "clocked.py").unlink()  # the fix
-        code = main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-                     "--baseline", str(baseline)])
-        assert code == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_update_baseline_shrinks_after_a_fix(self, fixture_tree, tmp_path):
-        self.seed_violation(fixture_tree)
-        baseline = tmp_path / "baseline.json"
-        tests = tmp_path / "tests"
-        main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-              "--baseline", str(baseline), "--update-baseline"])
-        (fixture_tree / "sim" / "clocked.py").unlink()
-        main(["lint", "--root", str(fixture_tree), "--tests", str(tests),
-              "--baseline", str(baseline), "--update-baseline"])
-        assert load_baseline(baseline).total == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["findings"] == {}
-
-    def test_partition_is_a_multiset(self, tmp_path):
-        finding = Finding(rule="r-x", path="p.py", line=1, message="m")
-        twice = [finding, finding]
-        baseline = write_baseline(tmp_path / "baseline.json", twice)
-        new, grandfathered, stale = baseline.partition([finding])
-        assert not new and len(grandfathered) == 1 and len(stale) == 1
 
 
 class TestRunnerApi:
@@ -208,7 +127,7 @@ class TestRunnerApi:
 
     def test_generated_ckernel_files_are_skipped(self, fixture_tree):
         write(fixture_tree, "sim/_ckernel.py", "import time\nt0 = time.time()\n")
-        report = run_lint(root=fixture_tree, use_baseline=False)
+        report = run_lint(root=fixture_tree)
         assert report.exit_code == 0
 
 
@@ -232,8 +151,8 @@ class TestPurityRuleMatchesTheRealBuild:
         path = write(fixture_tree, "sim/events.py", markerless)
 
         # (a) the purity rule flags it...
-        report = run_lint(root=fixture_tree, use_baseline=False, families=["purity"])
-        assert any(f.rule == "purity-rebind-marker" for f in report.new)
+        report = run_lint(root=fixture_tree, families=["purity"])
+        assert any(f.rule == "purity-rebind-marker" for f in report.findings)
 
         # (b) ...and the real build tool dies on the very same source.
         build = load_build_tool()

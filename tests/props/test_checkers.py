@@ -1,4 +1,5 @@
-"""The four theorem monitors, on hand-built traces with known verdicts."""
+"""The four theorem judges, on hand-built traces and memories with
+known verdicts."""
 
 from __future__ import annotations
 
@@ -6,11 +7,12 @@ import pytest
 
 from repro.props.checkers import (
     BoundednessMonitor,
-    SingleWriterMonitor,
     StabilizationMonitor,
-    WriteOptimalityMonitor,
     progress_register,
+    single_writer_verdict,
+    write_optimality_verdict,
 )
+from tests.conftest import memory_with
 
 
 def feed_samples(mon, rows):
@@ -124,64 +126,60 @@ class TestBoundednessMonitor:
 
 
 class TestSingleWriterMonitor:
+    """``single_writer_verdict``; the cases (and their ids) date from the
+    online monitor it replaced, now fed through a hand-built memory."""
+
     def test_single_writer_single_register(self):
-        mon = SingleWriterMonitor(horizon=100.0, tail=20.0)
-        mon.observe_write(10.0, 1, "PROGRESS[1]", 1)  # early contender
-        for i in range(100):
-            mon.observe_write(float(i), 0, "PROGRESS[0]", i)
-        verdict = mon.finish(leader=0)
+        writes = [(10.0, 1, "PROGRESS[1]", 1)]  # early contender
+        writes += [(float(i), 0, "PROGRESS[0]", i) for i in range(100)]
+        verdict = single_writer_verdict(memory_with(writes), horizon=100.0, tail=20.0, leader=0)
         assert verdict.holds
         assert verdict.tail_writers == (0,)
         assert verdict.tail_registers == (progress_register(0),)
         assert verdict.switch_time == 10.0
 
     def test_second_tail_writer_fails(self):
-        mon = SingleWriterMonitor(horizon=100.0, tail=20.0)
-        for i in range(100):
-            mon.observe_write(float(i), 0, "PROGRESS[0]", i)
-        mon.observe_write(95.0, 1, "SUSPICIONS[1][0]", 7)
-        verdict = mon.finish(leader=0)
+        writes = [(float(i), 0, "PROGRESS[0]", i) for i in range(100)]
+        writes += [(95.0, 1, "SUSPICIONS[1][0]", 7)]
+        verdict = single_writer_verdict(memory_with(writes), horizon=100.0, tail=20.0, leader=0)
         assert not verdict.holds
         assert verdict.tail_writers == (0, 1)
 
     def test_second_register_fails_even_with_one_writer(self):
-        mon = SingleWriterMonitor(horizon=100.0, tail=20.0)
+        writes = []
         for i in range(100):
-            mon.observe_write(float(i), 0, "PROGRESS[0]", i)
-            mon.observe_write(float(i), 0, "STOP[0]", i)
-        assert not mon.finish(leader=0).holds
+            writes += [(float(i), 0, "PROGRESS[0]", i), (float(i), 0, "STOP[0]", i)]
+        memory = memory_with(writes)
+        assert not single_writer_verdict(memory, horizon=100.0, tail=20.0, leader=0).holds
 
     def test_no_leader_fails(self):
-        mon = SingleWriterMonitor(horizon=100.0, tail=20.0)
-        for i in range(100):
-            mon.observe_write(float(i), 0, "PROGRESS[0]", i)
-        assert not mon.finish(leader=None).holds
+        memory = memory_with([(float(i), 0, "PROGRESS[0]", i) for i in range(100)])
+        assert not single_writer_verdict(memory, horizon=100.0, tail=20.0, leader=None).holds
 
 
 class TestWriteOptimalityMonitor:
+    """``write_optimality_verdict``, same inputs and expected verdicts."""
+
     def test_exactly_one_forever_writer(self):
-        mon = WriteOptimalityMonitor(horizon=100.0, window=10.0, count=4)
-        for i in range(100):
-            mon.observe_write(float(i), 0, "PROGRESS[0]", i)
-        mon.observe_write(65.0, 1, "SUSPICIONS[1][0]", 1)  # one window only
-        verdict = mon.finish(leader=0)
+        writes = [(float(i), 0, "PROGRESS[0]", i) for i in range(100)]
+        writes += [(65.0, 1, "SUSPICIONS[1][0]", 1)]  # one window only
+        verdict = write_optimality_verdict(
+            memory_with(writes), horizon=100.0, window=10.0, count=4, leader=0
+        )
         assert verdict.holds
         assert verdict.forever_writers == (0,)
         assert verdict.optimum == 1
-        assert verdict.writes_by_pid[0] == 100
 
     def test_everyone_writing_forever_fails(self):
-        mon = WriteOptimalityMonitor(horizon=100.0, window=10.0, count=4)
-        for i in range(100):
-            for pid in (0, 1, 2):
-                mon.observe_write(float(i), pid, f"HB[{pid}]", i)
-        verdict = mon.finish(leader=0)
+        writes = [(float(i), pid, f"HB[{pid}]", i) for i in range(100) for pid in (0, 1, 2)]
+        verdict = write_optimality_verdict(
+            memory_with(writes), horizon=100.0, window=10.0, count=4, leader=0
+        )
         assert not verdict.holds
         assert verdict.forever_writers == (0, 1, 2)
 
     def test_forever_writer_must_be_the_leader(self):
-        mon = WriteOptimalityMonitor(horizon=100.0, window=10.0, count=4)
-        for i in range(100):
-            mon.observe_write(float(i), 1, "PROGRESS[1]", i)
-        assert not mon.finish(leader=0).holds
-        assert mon.finish(leader=None).holds  # count-only fallback
+        memory = memory_with([(float(i), 1, "PROGRESS[1]", i) for i in range(100)])
+        assert not write_optimality_verdict(memory, 100.0, window=10.0, count=4, leader=0).holds
+        # count-only fallback
+        assert write_optimality_verdict(memory, 100.0, window=10.0, count=4, leader=None).holds

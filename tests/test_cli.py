@@ -288,6 +288,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "mutually exclusive" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--window", "0"], "window must be positive and finite, got 0.0"),
+            (["sweep", "--window=-5"], "window must be positive and finite, got -5.0"),
+            (["check", "--window", "nan"], "window must be positive and finite, got nan"),
+            (
+                ["sweep", "--scenarios", "nominal", "--horizon", "300"],
+                "scenario 'nominal-n4' (horizon 300): horizon too short for the requested "
+                "windows of width 100",
+            ),
+            (["check", "--scenarios", "gst-ramp", "--window", "3000"], "scenario 'gst-ramp-n4'"),
+        ],
+    )
+    def test_bad_census_window_is_refused_before_anything_runs(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def never(*_args, **_kwargs):
+            raise AssertionError("a cell was simulated")
+
+        monkeypatch.setattr("repro.engine.driver.run_experiment", never)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_sweep_memory_emulated(self, capsys, tmp_path):
         assert main(
             ["sweep", "--algorithms", "alg1", "--scenarios", "nominal",
