@@ -18,7 +18,7 @@ from repro.apps.smr import ReplicatedStateMachine
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.runner import Run
-from repro.memory.linearizability import check_single_writer_history
+from repro.memory.linearizability import check_atomic_history
 from repro.sim.crash import CrashPlan
 from repro.workloads.scenarios import san
 
@@ -127,7 +127,7 @@ def test_san_deployment_linearizable(benchmark):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     report = result.stabilization(margin=scen.margin)
     assert report.stabilized and report.leader_correct
-    lin = check_single_writer_history(result.disk.history)
+    lin = check_atomic_history(result.disk.history)
     assert lin.ok, lin.summary()
     lines = [
         "SAN deployment: Algorithm 1 over network-attached-disk registers",

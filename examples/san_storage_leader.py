@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import Run, WriteEfficientOmega
 from repro.analysis.report import format_table
 from repro.memory.disk import Disk, LatencyModel
-from repro.memory.linearizability import check_single_writer_history
+from repro.memory.linearizability import check_atomic_history
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import san
 
@@ -57,7 +57,7 @@ def main() -> None:
     )
 
     # --- atomicity of the disk history -----------------------------------
-    lin = check_single_writer_history(result.disk.history)
+    lin = check_atomic_history(result.disk.history)
     print(f"\ndisk operation history: {lin.summary()}")
     ops = result.disk.history
     mean_latency = sum(op.resp - op.inv for op in ops) / len(ops)

@@ -345,7 +345,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an (algorithm x scenario x seed) grid through the engine."""
-    from repro.engine.driver import parse_shard, run_experiment, shard_bounds
+    from repro.engine.driver import check_sharding, parse_shard, run_experiment, shard_bounds
     from repro.engine.spec import OVERRIDE_AXES
 
     algorithms = {name: ALGORITHMS[name] for name in (args.algorithms or list(ALGORITHMS))}
@@ -374,15 +374,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if spec is None:
         return 2
-    shard = None
-    if args.shard is not None:
-        try:
-            shard = parse_shard(args.shard)
-            if args.shards != 1:
-                raise ValueError("--shard and --shards are mutually exclusive")
-        except ValueError as exc:
-            print(f"repro sweep: error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        shard = None if args.shard is None else parse_shard(args.shard)
+        check_sharding(shard, args.shards)
+    except ValueError as exc:
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(
         spec,
         jobs=args.jobs,  # None/0 -> one worker per CPU (driver default)
@@ -497,18 +494,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.faults.campaign import CampaignConfig, run_campaign
 
-    config = CampaignConfig(
-        algorithm=args.algorithm,
-        seed=args.seed,
-        plans=args.plans,
-        n=args.n,
-        horizon=args.horizon,
-        replicas=args.replicas,
-        max_faults=args.max_faults,
-        resync=not args.no_resync,
-        retry_policy=args.retry_policy,
-        shrink=not args.no_shrink,
-    )
+    try:
+        config = CampaignConfig(
+            algorithm=args.algorithm,
+            seed=args.seed,
+            plans=args.plans,
+            n=args.n,
+            horizon=args.horizon,
+            replicas=args.replicas,
+            max_faults=args.max_faults,
+            resync=not args.no_resync,
+            retry_policy=args.retry_policy,
+            shrink=not args.no_shrink,
+        )
+    except ValueError as exc:
+        print(f"repro chaos: error: {exc}", file=sys.stderr)
+        return 2
     if not args.json:
         print(
             f"chaos campaign: {config.plans} fault plan(s) for "
@@ -567,6 +568,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if args.replay and not corpus_dir.is_dir():
             raise ValueError(f"--replay: no corpus directory at {corpus_dir}")
         Corpus.load(corpus_dir)  # an unreadable corpus file fails here, not mid-run
+        config = FuzzConfig(
+            seed=args.seed,
+            budget=args.budget,
+            batch=args.batch,
+            jobs=args.jobs,
+            horizon=args.horizon,
+            shrink=not args.no_shrink,
+            resync=not args.no_resync,
+            transition="single-config" if args.broken_transition else "dual-quorum",
+        )
     except ValueError as exc:
         print(f"repro fuzz: error: {exc}", file=sys.stderr)
         return 2
@@ -580,16 +591,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"{len(rows)} pinned regression(s) replayed: {red} still red")
         return 1 if red else 0
 
-    config = FuzzConfig(
-        seed=args.seed,
-        budget=args.budget,
-        batch=args.batch,
-        jobs=args.jobs,
-        horizon=args.horizon,
-        shrink=not args.no_shrink,
-        resync=not args.no_resync,
-        transition="single-config" if args.broken_transition else "dual-quorum",
-    )
     if not args.json:
         print(
             f"fuzz: budget {config.budget} genome(s), seed {config.seed}, "

@@ -14,10 +14,13 @@ delay drawn from the run's step-delay model; that model is where
 asynchrony and assumption AWB1 live.  Timer expirations enqueue a fresh
 ``T3`` task.  Crashes stop a process between steps, permanently.
 
-When a :class:`~repro.memory.disk.Disk` is attached, every register
-operation becomes an interval: the process blocks for the sampled
-latency and the operation takes effect at the sampled linearization
-point inside the interval (the SAN deployment of Section 1).
+On an *interval substrate* -- an attached
+:class:`~repro.memory.disk.Disk` (the SAN deployment of Section 1) or
+the :class:`~repro.memory.emulated.EmulatedMemory` backend -- every
+register read and write becomes an interval: one blocking-operation
+path hands it to the substrate's ``emu_read`` / ``emu_write``, and the
+process stays blocked until the substrate's completion callback
+resumes it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.core.interfaces import (
     FetchAdd,
     LocalStep,
     OmegaAlgorithm,
-    Operation,
     ReadReg,
     SetTimer,
     Task,
@@ -71,11 +73,12 @@ class ProcessRuntime:
     is read once here), a ``ReadReg`` on the plain shared backend and
     a ``LocalStep`` are applied inline, and the reschedule is one
     positional ``schedule_after`` call.  Everything else -- writes,
-    timers, fetch&add, and *every* register operation of a disk or
-    emulated run, whose operations are intervals -- goes through an
-    exact-type dispatch table (``type(op) -> handler``).  Operation
-    classes are final frozen dataclasses (:mod:`repro.core.interfaces`),
-    so exact-type tests are safe.
+    timers, fetch&add, and *every* register read and write on an
+    interval substrate (one pair of handlers for the disk and the
+    emulation alike) -- goes through an exact-type dispatch table
+    (``type(op) -> handler``).  Operation classes are final frozen
+    dataclasses (:mod:`repro.core.interfaces`), so exact-type tests are
+    safe.
     """
 
     def __init__(self, run: "Run", pid: int, algorithm: OmegaAlgorithm) -> None:
@@ -95,19 +98,21 @@ class ProcessRuntime:
         self._delay_of = run.delay_model.delay
         self._schedule_after = run.sim.schedule_after
         self._crash_at = run.crash_plan.crash_time(pid)
-        # Exact-type operation dispatch.  A handler returns True when it
-        # schedules the process's continuation itself (the disk and
-        # emulated-memory paths, whose operations are intervals).
+        # Exact-type operation dispatch.  A handler returns True when the
+        # interval substrate's completion callback reschedules the
+        # process's continuation instead.
         self._dispatch: Dict[type, Callable[[_TaskState, Any], Any]] = {
             WriteReg: self._op_write,
             SetTimer: self._op_set_timer,
             FetchAdd: self._op_fetch_add,
         }
-        if run.disk is not None:
-            self._dispatch[ReadReg] = self._dispatch[WriteReg] = self._apply_via_disk
-        elif isinstance(run.memory, EmulatedMemory):
-            self._dispatch[ReadReg] = self._op_read_emulated
-            self._dispatch[WriteReg] = self._op_write_emulated
+        interval = run.disk if run.disk is not None else run.memory
+        if isinstance(interval, (Disk, EmulatedMemory)):
+            self._interval = interval
+            self._dispatch[ReadReg] = self._op_read_interval
+            self._dispatch[WriteReg] = self._op_write_interval
+        if isinstance(interval, EmulatedMemory):
+            # A quorum read-then-write; on a disk it stays instantaneous.
             self._dispatch[FetchAdd] = self._op_fetch_add_emulated
         #: The op class ``step`` applies inline: instantaneous reads of
         #: the plain shared backend.  Interval backends dispatch instead.
@@ -202,51 +207,16 @@ class ProcessRuntime:
         run.timer_service.set_timer(self.pid, op.timeout, self.on_timer)
         run.trace.record_timer_set(self._sim._now, self.pid, op.timeout)
 
-    def _apply_via_disk(self, task: _TaskState, op: Operation) -> bool:
-        """Interval semantics: block, linearize mid-interval, resume."""
-        run = self.run
-        disk = run.disk
-        assert disk is not None
-        sample = disk.sample(self.pid)
-        inv = run.sim.now
-        lin_t = inv + sample.lin_offset
-        resp_t = inv + sample.resp_offset
-        cell: Dict[str, Any] = {}
-        register = op.register
-
-        def linearize() -> None:
-            # An in-flight operation takes effect even if the invoker
-            # crashed meanwhile (it already left the process).
-            if isinstance(op, WriteReg):
-                register.write(self.pid, op.value)
-                disk.note_write(self.pid, register.name, inv, lin_t, resp_t)
-            else:
-                cell["value"] = register.read(self.pid)
-                disk.note_read(self.pid, register.name, inv, lin_t, resp_t)
-
-        def resume() -> None:
-            self.blocked = False
-            if self.crashed:
-                return
-            task.inbox = cell.get("value")
-            self.tasks.rotate(-1)
-            self._schedule_next_step()
-
-        self.blocked = True
-        run.sim.schedule_after(sample.lin_offset, linearize, kind="disk-lin", pid=self.pid)
-        run.sim.schedule_after(sample.resp_offset, resume, kind="disk-resp", pid=self.pid)
-        return True
-
     # ------------------------------------------------------------------
-    # Emulated-memory handlers (ABD quorum phases; interval semantics)
+    # Interval handlers (disk accesses and ABD quorum phases alike)
     # ------------------------------------------------------------------
-    def _emulated_resume(self, task: _TaskState) -> Callable[[Any], None]:
+    def _resume(self, task: _TaskState) -> Callable[[Any], None]:
         """Completion callback: unblock, deliver the value, reschedule.
 
-        Quorum operations outlive their invoker exactly like in-flight
-        disk operations: replica state already changed, so a write
-        completes even if the writer crashed mid-phase -- only the
-        process's continuation is suppressed.
+        An interval operation outlives its invoker: a disk access still
+        linearizes and a quorum write still completes if the process
+        crashed mid-interval -- only the process's continuation is
+        suppressed.
         """
 
         def resume(value: Any) -> None:
@@ -259,19 +229,19 @@ class ProcessRuntime:
 
         return resume
 
-    def _op_read_emulated(self, task: _TaskState, op: ReadReg) -> bool:
+    def _op_read_interval(self, task: _TaskState, op: ReadReg) -> bool:
         self.blocked = True
-        self.run.memory.emu_read(self.pid, op.register, self._emulated_resume(task))
+        self._interval.emu_read(self.pid, op.register, self._resume(task))
         return True
 
-    def _op_write_emulated(self, task: _TaskState, op: WriteReg) -> bool:
+    def _op_write_interval(self, task: _TaskState, op: WriteReg) -> bool:
         self.blocked = True
-        self.run.memory.emu_write(self.pid, op.register, op.value, self._emulated_resume(task))
+        self._interval.emu_write(self.pid, op.register, op.value, self._resume(task))
         return True
 
     def _op_fetch_add_emulated(self, task: _TaskState, op: FetchAdd) -> bool:
         self.blocked = True
-        self.run.memory.emu_fetch_add(self.pid, op.register, op.amount, self._emulated_resume(task))
+        self.run.memory.emu_fetch_add(self.pid, op.register, op.amount, self._resume(task))
         return True
 
 
@@ -395,8 +365,8 @@ class Run:
         If set, record full shared-memory snapshots at this period
         (Theorem 5 harness).
     disk:
-        Optional SAN model; when present every register access is an
-        interval operation.
+        Optional SAN model; when present every register read and write
+        is an interval operation (``Run`` attaches it to its simulator).
     scramble:
         Optional hook ``scramble(memory, rng)`` run after layout
         creation and before instances are built -- used to set arbitrary
@@ -514,6 +484,8 @@ class Run:
         self.rng = RngRegistry(seed)
 
         sim = self.sim = Simulator(trace_events=trace_events)
+        if disk is not None:
+            disk.attach(sim)
 
         def clock() -> float:
             # One call deep: every counted register access stamps the time.

@@ -208,6 +208,14 @@ def _execute_parallel(
     return [outcomes[idx] for idx in range(len(cells))]
 
 
+def check_sharding(shard: Optional[Tuple[int, int]], shards: int) -> None:
+    """Refuse a sharding request :func:`run_experiment` cannot honour."""
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if shard is not None and shards != 1:
+        raise ValueError("shard=(k, n) and shards=N are mutually exclusive; pass one, not both")
+
+
 # ----------------------------------------------------------------------
 def run_experiment(
     spec: ExperimentSpec,
@@ -251,10 +259,7 @@ def run_experiment(
         ``shard``.
     """
     started = time.perf_counter()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shard is not None and shards != 1:
-        raise ValueError("pass either shard=(k, n) or shards=N, not both")
+    check_sharding(shard, shards)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
     grid = spec.cells()
@@ -322,6 +327,7 @@ def run_experiment(
 __all__ = [
     "EngineError",
     "EngineReport",
+    "check_sharding",
     "default_jobs",
     "parse_shard",
     "run_experiment",

@@ -12,7 +12,9 @@ happens once a run comes back is the same, and lives here exactly once:
 * :class:`Violation` -- the record of one violating subject and its
   JSON form;
 * :func:`settle` -- judge -> shrink -> pin: the step that turns a
-  violating subject into a :class:`Violation`.
+  violating subject into a :class:`Violation`;
+* :func:`check_search_config` -- the one rule both search configs
+  validate their knobs by.
 
 The module knows neither plans nor genomes: a search hands
 :func:`settle` a ``pin`` function (subject -> pinned repro payload) and
@@ -21,6 +23,7 @@ its delta debugger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
@@ -40,6 +43,22 @@ def violation_count(summary: RunSummary) -> int:
         + summary.audit_violations
         + summary.integrity_violations
     )
+
+
+def check_search_config(config: Any, minimums: Mapping[str, int]) -> None:
+    """Refuse search knobs that would run nothing, or nonsense.
+
+    Each field named in ``minimums`` must reach its minimum -- a
+    pass/fail audit must not go green on an empty run -- and
+    ``config.horizon`` must be positive and finite.  Raises
+    :class:`ValueError` naming the field.
+    """
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if not 0 < config.horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {config.horizon!r}")
 
 
 def replay(payload: Mapping[str, Any]) -> RunSummary:
@@ -124,4 +143,4 @@ def settle(
     return violation
 
 
-__all__ = ["Violation", "replay", "settle", "violation_count"]
+__all__ = ["Violation", "check_search_config", "replay", "settle", "violation_count"]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.engine.search import Violation, replay, settle, violation_count
+from repro.engine.search import Violation, check_search_config, replay, settle, violation_count
 # ``summarize_run`` is unused here, but the repo benchmark's span
 # recorder (bench/spans.py) rebinds it on this module by name.
 from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
@@ -60,6 +60,9 @@ class CampaignConfig:
     retry_policy: str = "fixed"
     #: Delta-debug violating plans down to minimal pinned repros.
     shrink: bool = True
+
+    def __post_init__(self) -> None:
+        check_search_config(self, {"plans": 1, "n": 2, "replicas": 2, "max_faults": 1})
 
 
 @dataclass

@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.driver import _error_head, run_experiment
-from repro.engine.search import Violation, replay, settle, violation_count
+from repro.engine.search import Violation, check_search_config, replay, settle, violation_count
 from repro.engine.spec import AlgorithmRef, ExperimentSpec, ScenarioRef
 # ``summarize_run`` is unused here, but the repo benchmark's span
 # recorder (bench/spans.py) rebinds it on this module by name.
@@ -163,6 +163,9 @@ class FuzzConfig:
     #: old-quorums-only transition mode onto every cell (the membership
     #: negative oracle, same contract as ``resync=False``).
     transition: str = "dual-quorum"
+
+    def __post_init__(self) -> None:
+        check_search_config(self, {"budget": 1, "batch": 1})
 
 
 @dataclass

@@ -30,8 +30,11 @@ one-writer/multi-reader (1WnR) registers.  This package provides:
   RAMBO-style two-config reconfiguration;
 * :mod:`~repro.memory.disk` -- a network-attached-disk model (the SAN
   deployment the paper motivates) with non-instantaneous operations;
-* :mod:`~repro.memory.linearizability` -- a checker for single-writer
-  interval histories produced by the disk model.
+* :mod:`~repro.memory.linearizability` -- the one interval history of
+  the two interval substrates (the disk and the emulation): one
+  :class:`~repro.memory.linearizability.OpRecord` per operation, judged
+  by one regular/atomic checker.  The runner drives both substrates
+  through one blocking-operation path.
 """
 
 from repro.memory.arrays import RegisterArray, RegisterMatrix

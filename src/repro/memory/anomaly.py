@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.memory.emulated import EmuOpRecord, EmulatedMemory, EmulationConfig
+from repro.memory.emulated import EmulatedMemory, EmulationConfig
+from repro.memory.linearizability import OpRecord
 from repro.netsim.network import Message
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -88,7 +89,7 @@ class PartitionedLinks:
         return self.fast if (client, replica) in self.fast_pairs else self.slow
 
 
-def anomaly_history(consistency: str = "regular") -> List[EmuOpRecord]:
+def anomaly_history(consistency: str = "regular") -> List[OpRecord]:
     """Run the pinned schedule at ``consistency`` and return its history.
 
     The returned interval records are ready for the checkers: at

@@ -66,8 +66,8 @@ class MemoryBackend(Protocol):
     * **namespace construction** -- ``create_register`` / ``create_array``
       / ``create_matrix`` / ``create_mwmr``, called once per run by the
       algorithm's ``create_shared``;
-    * **accounting hooks** -- ``_note_read`` / ``_note_write``, invoked
-      by the register objects on every counted access.  ``_note_read``
+    * **accounting hooks** -- ``_count_read`` / ``_count_write``, invoked
+      by the register objects on every counted access.  ``_count_read``
       is hook-swapped at construction time when ``log_reads`` is false
       (the PR 3 no-log fast path), so backends must route reads through
       the *instance attribute*, never the class method;
@@ -124,11 +124,11 @@ class MemoryBackend(Protocol):
         """Every register object, name-sorted (observer/scenario use)."""
         ...
 
-    def _note_read(self, name: str, pid: int) -> None:
+    def _count_read(self, name: str, pid: int) -> None:
         """Accounting hook: one counted read of ``name`` by ``pid``."""
         ...
 
-    def _note_write(self, name: str, pid: int, value: Any, critical: bool) -> None:
+    def _count_write(self, name: str, pid: int, value: Any, critical: bool) -> None:
         """Accounting hook: one counted write of ``name`` by ``pid``."""
         ...
 

@@ -7,44 +7,28 @@ abstraction" (Section 1).  On such hardware a register operation is not
 instantaneous: it has an *invocation*, takes effect at some hidden
 *linearization point*, and later *responds*.
 
-:class:`Disk` supplies the latency behaviour and keeps the interval
-history; the runner (see :mod:`repro.core.runner`) blocks a process for
-the full latency and applies the register operation at the sampled
-linearization point.  The recorded history is validated by
-:mod:`repro.memory.linearizability`, so the SAN experiments double as a
-test that the substrate really provides atomic registers.
+:class:`Disk` is one of the two interval substrates (the ABD emulation
+is the other): it offers the same completion-callback API as
+:class:`~repro.memory.emulated.EmulatedMemory` (:meth:`Disk.emu_read`,
+:meth:`Disk.emu_write`), through which the runner (see
+:mod:`repro.core.runner`) blocks a process until the response.  Each
+access applies the register operation at a sampled linearization point
+inside its interval and records one
+:class:`~repro.memory.linearizability.OpRecord`, stamped like the
+emulation's single writer: ``(per-register counter, writer pid)``.
+:func:`~repro.memory.linearizability.check_atomic_history` judges the
+history, so the SAN experiments double as a test that the substrate
+really provides atomic registers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.memory.linearizability import INITIAL_TS, OpRecord
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-
-
-@dataclass(frozen=True, slots=True)
-class DiskOpRecord:
-    """One completed disk operation with its interval and hidden witness.
-
-    ``version`` is the write sequence number of the value involved: for
-    a write, the version it created; for a read, the version it
-    returned.  Versions exist only inside the disk model (algorithm
-    values like booleans repeat, so raw values cannot identify writes).
-    ``lin`` is the hidden linearization witness -- the checker must *not*
-    use it (it reconstructs validity from intervals alone); tests use it
-    to cross-check the checker.
-    """
-
-    op_id: int
-    kind: str  # "read" | "write"
-    pid: int
-    register: str
-    version: int
-    inv: float
-    lin: float
-    resp: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,64 +63,64 @@ class Disk:
 
     The disk does not store values itself -- registers stay in
     :class:`~repro.memory.memory.SharedMemory` so all the accounting
-    keeps working; the disk adds latency, version bookkeeping and the
-    interval history.
+    keeps working; the disk adds latency, stamps and the interval
+    history.  ``Run`` attaches it to the run's simulator.
     """
 
     def __init__(self, latency: LatencyModel, name: str = "disk0") -> None:
         self.name = name
         self.latency = latency
-        self.history: List[DiskOpRecord] = []
-        self._op_ids = itertools.count()
-        self._versions: dict[str, int] = {}
-        self._read_versions: dict[str, int] = {}
+        self.history: List[OpRecord] = []
+        self._stamps: Dict[str, Tuple[int, int]] = {}
+        self._sim: Optional[Simulator] = None
 
-    def sample(self, pid: int) -> LatencySample:
-        """Sample latency offsets for one access by ``pid``."""
-        return self.latency.sample(pid)
+    def attach(self, sim: Simulator) -> None:
+        """Schedule this disk's accesses on ``sim`` from now on."""
+        self._sim = sim
 
-    # ------------------------------------------------------------------
-    # History bookkeeping (called by the runner at linearization time)
-    # ------------------------------------------------------------------
-    def note_write(self, pid: int, register: str, inv: float, lin: float, resp: float) -> int:
-        """Record a write; returns the version it created."""
-        version = self._versions.get(register, -1) + 1
-        self._versions[register] = version
-        self._read_versions[register] = version
-        self.history.append(
-            DiskOpRecord(
-                op_id=next(self._op_ids),
-                kind="write",
-                pid=pid,
-                register=register,
-                version=version,
-                inv=inv,
-                lin=lin,
-                resp=resp,
+    def emu_read(self, pid: int, register: Any, callback: Callable[[Any], None]) -> None:
+        """Start a read; ``callback(value)`` fires at its response."""
+        self._access(pid, register, "read", None, callback)
+
+    def emu_write(
+        self, pid: int, register: Any, value: Any, callback: Callable[[Any], None]
+    ) -> None:
+        """Start a write; ``callback(None)`` fires at its response."""
+        self._access(pid, register, "write", value, callback)
+
+    def _access(
+        self, pid: int, register: Any, kind: str, value: Any, callback: Callable[[Any], None]
+    ) -> None:
+        """Sample the interval, then linearize and respond inside it.
+
+        An access takes effect at its linearization point even if the
+        invoker crashed meanwhile (it already left the process); only
+        the invoker's continuation is the callback's to suppress.
+        """
+        sim = self._sim
+        if sim is None:
+            raise RuntimeError("disk not attached to a simulator (Run does this)")
+        sample = self.latency.sample(pid)
+        inv = sim.now
+        resp = inv + sample.resp_offset
+        returned = None
+
+        def linearize() -> None:
+            nonlocal returned
+            name = register.name
+            if kind == "write":
+                register.write(pid, value)
+                ts = self._stamps[name] = (self._stamps.get(name, INITIAL_TS)[0] + 1, pid)
+                recorded = value
+            else:
+                recorded = returned = register.read(pid)
+                ts = self._stamps.get(name, INITIAL_TS)
+            self.history.append(
+                OpRecord(len(self.history), kind, pid, name, ts, recorded, inv, resp)
             )
-        )
-        return version
 
-    def note_read(self, pid: int, register: str, inv: float, lin: float, resp: float) -> int:
-        """Record a read; returns the version it observed."""
-        version = self._read_versions.get(register, -1)
-        self.history.append(
-            DiskOpRecord(
-                op_id=next(self._op_ids),
-                kind="read",
-                pid=pid,
-                register=register,
-                version=version,
-                inv=inv,
-                lin=lin,
-                resp=resp,
-            )
-        )
-        return version
-
-    def ops_for(self, register: str) -> List[DiskOpRecord]:
-        """All recorded operations on one register, in op-id order."""
-        return [rec for rec in self.history if rec.register == register]
+        sim.schedule_after(sample.lin_offset, linearize, kind="disk-lin", pid=pid)
+        sim.schedule_after(sample.resp_offset, lambda: callback(returned), kind="disk-resp", pid=pid)
 
 
-__all__ = ["Disk", "DiskOpRecord", "LatencyModel", "LatencySample"]
+__all__ = ["Disk", "LatencyModel", "LatencySample"]

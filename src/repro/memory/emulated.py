@@ -31,8 +31,10 @@ it is about to return to a majority of replicas, which closes the
 new/old-inversion window and upgrades the register to Lamport's
 *atomic* level (both for the 1WMR registers and for the
 ``(counter, pid)``-stamped multi-writer path).  With the per-operation
-history recorder on (``record_history``), the interval-order checkers
-in :mod:`repro.memory.linearizability` audit the run: atomic histories
+history recorder on (``record_history``), every completed operation
+becomes one :class:`~repro.memory.linearizability.OpRecord` -- the
+record the SAN disk keeps too -- and the one interval checker in
+:mod:`repro.memory.linearizability` audits the run: atomic histories
 must be linearizable, regular histories must satisfy regularity --
 and :mod:`repro.memory.anomaly` pins a deterministic schedule where
 the two levels genuinely diverge.
@@ -94,10 +96,11 @@ the proposed config in force and installs it without a transfer.
 logs, the window queries and the no-log read fast path are all
 inherited, so every theorem monitor, census and report in the repo
 consumes emulated runs unchanged.  What changes is the *operation
-semantics*: reads and writes become asynchronous phases, driven by the
-process runtime (:mod:`repro.core.runner`), which blocks the issuing
-process until its quorum completes -- operations are intervals, like
-the SAN disk model, but realized by an actual replicated protocol.
+semantics*: reads and writes become asynchronous phases behind the
+completion-callback API (``emu_read`` / ``emu_write``) the SAN disk
+model offers too, so the process runtime (:mod:`repro.core.runner`)
+drives both interval substrates through one blocking-operation path --
+here realized by an actual replicated protocol.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.memory.linearizability import INITIAL_TS, OpRecord
 from repro.memory.membership import (
     TRANSITION_MODES,
     MembershipEvent,
@@ -134,10 +138,6 @@ from repro.netsim.network import (
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
-#: Timestamp ordering is lexicographic on ``(counter, pid)``; the
-#: initial replica state predates every real write.
-_INITIAL_TS: Tuple[int, int] = (0, -1)
-
 #: The consistency levels the emulation can provide (Lamport's
 #: hierarchy): ``regular`` is the single-phase read the paper needs,
 #: ``atomic`` adds the ABD write-back phase to every read.
@@ -150,32 +150,6 @@ CONSISTENCY_LEVELS: Tuple[str, ...] = ("regular", "atomic")
 #: up to ``retry_cap``, with multiplicative sim-RNG jitter to break
 #: retransmission synchrony under congestion.
 RETRY_POLICIES: Tuple[str, ...] = ("fixed", "backoff")
-
-
-@dataclass(frozen=True, slots=True)
-class EmuOpRecord:
-    """One completed (or still-pending) emulated operation.
-
-    The interval shape mirrors :class:`~repro.memory.disk.DiskOpRecord`
-    -- invocation and response times plus the identity of the value
-    involved -- but the value identity is the protocol's own
-    ``(counter, pid)`` timestamp instead of a disk-side version counter
-    (timestamps also cover the multi-writer path, where per-register
-    version numbers are not unique).  ``ts`` is the timestamp the
-    operation wrote, or the one whose value a read returned;
-    :data:`_INITIAL_TS` denotes the pre-run initial value.  A write
-    still in flight when the run ends is reported with
-    ``resp = math.inf`` (invoked, never responded).
-    """
-
-    op_id: int
-    kind: str  # "read" | "write"
-    pid: int
-    register: str
-    ts: Tuple[int, int]
-    value: Any
-    inv: float
-    resp: float
 
 
 def _make_links(name: str, rng: RngRegistry, params: Mapping[str, Any]) -> ChannelBehavior:
@@ -304,8 +278,8 @@ class EmulationConfig:
         ``(timestamp, value)`` to a majority before responding.
     record_history:
         Keep the per-operation interval history
-        (:class:`EmuOpRecord`) so the run can be audited by the
-        interval-order checkers in
+        (:class:`~repro.memory.linearizability.OpRecord`) so the run
+        can be audited by the interval-order checker in
         :mod:`repro.memory.linearizability`.  Off by default: the
         recorder is observability, not protocol, and perf profiles
         must not pay for it.
@@ -590,11 +564,11 @@ class _PendingOp:
         self.register = register
         self.kind = kind  # "read" | "write" | "mwmr-write" | "fetch-add"
         self.phase = ""  # "query" | "write"
-        self.ts: Tuple[int, int] = _INITIAL_TS
+        self.ts: Tuple[int, int] = INITIAL_TS
         self.value: Any = None
         self.amount = 0
         self.replies: Set[int] = set()
-        self.best_ts: Tuple[int, int] = _INITIAL_TS
+        self.best_ts: Tuple[int, int] = INITIAL_TS
         self.best_value: Any = None
         self.callback = callback
         self.done = False
@@ -747,7 +721,7 @@ class EmulatedMemory(SharedMemory):
         self.transfer_rounds = 0
         #: Completed-operation interval records (empty unless
         #: ``config.record_history``); see :meth:`recorded_history`.
-        self.op_history: List[EmuOpRecord] = []
+        self.op_history: List[OpRecord] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -764,7 +738,7 @@ class EmulatedMemory(SharedMemory):
             raise RuntimeError("emulation already started")
         self._started = True
         for reg in self.all_registers():
-            self._initial[reg.name] = (_INITIAL_TS, reg.peek())
+            self._initial[reg.name] = (INITIAL_TS, reg.peek())
         self.replicas = [
             ReplicaNode(i, self._initial) for i in range(self.config.replicas)
         ]
@@ -830,7 +804,7 @@ class EmulatedMemory(SharedMemory):
 
     def _initial_of(self, name: str) -> Tuple[Tuple[int, int], Any]:
         """A register's seeded replica state (for post-start lookups)."""
-        return self._initial.get(name, (_INITIAL_TS, 0))
+        return self._initial.get(name, (INITIAL_TS, 0))
 
     # ------------------------------------------------------------------
     # Crash, recovery and the state-sync round
@@ -1056,7 +1030,7 @@ class EmulatedMemory(SharedMemory):
         """Append one completed-operation interval record (if recording)."""
         if self.config.record_history:
             self.op_history.append(
-                EmuOpRecord(
+                OpRecord(
                     op_id=op.op_id,
                     kind=kind,
                     pid=op.pid,
@@ -1068,7 +1042,7 @@ class EmulatedMemory(SharedMemory):
                 )
             )
 
-    def recorded_history(self) -> List[EmuOpRecord]:
+    def recorded_history(self) -> List[OpRecord]:
         """The auditable interval history of this run.
 
         Completed operations in completion order, plus every write
@@ -1084,7 +1058,7 @@ class EmulatedMemory(SharedMemory):
             for op in self._ops.values():
                 if op.kind != "read" and op.phase == "write":
                     records.append(
-                        EmuOpRecord(
+                        OpRecord(
                             op_id=op.op_id,
                             kind="write",
                             pid=op.pid,
@@ -1341,7 +1315,7 @@ class EmulatedMemory(SharedMemory):
     # ------------------------------------------------------------------
     def _complete_read(self, op: _PendingOp) -> None:
         register = op.register
-        self._note_read(register.name, op.pid)
+        self._count_read(register.name, op.pid)
         if isinstance(register, AtomicRegister):
             register._reads += 1  # keep the per-register counter exact
         self.reads_completed += 1
@@ -1355,9 +1329,9 @@ class EmulatedMemory(SharedMemory):
         if op.kind == "fetch-add":
             # One counted read + one counted write, like the shared
             # fetch&add; the local mirror takes the written value.
-            self._note_read(register.name, op.pid)
+            self._count_read(register.name, op.pid)
             register.poke(op.value)
-            self._note_write(register.name, op.pid, op.value, critical=register.critical)
+            self._count_write(register.name, op.pid, op.value, critical=register.critical)
             self._record(op, "read", op.best_ts, op.best_value)
             self._record(op, "write", op.ts, op.value)
             self._finish(op, op.value - op.amount)
@@ -1369,7 +1343,6 @@ class EmulatedMemory(SharedMemory):
 
 __all__ = [
     "CONSISTENCY_LEVELS",
-    "EmuOpRecord",
     "EmulatedMemory",
     "EmulationConfig",
     "LINK_MODELS",

@@ -1,18 +1,19 @@
-"""Consistency checking for interval register histories.
+"""Interval register histories: the one record and the one checker.
 
-Two substrates produce *interval* histories -- each operation has an
-invocation and a response, and reads report the identity of the value
-they returned:
+Two substrates turn a register access into an *interval* -- an
+invocation, a hidden linearization point, a response:
 
-* the SAN disk model (:mod:`repro.memory.disk`), whose
-  :class:`~repro.memory.disk.DiskOpRecord` identifies values by a
-  per-register write *version*;
+* the SAN disk model (:mod:`repro.memory.disk`), which linearizes every
+  access at a sampled point inside its interval;
 * the ABD register emulation (:mod:`repro.memory.emulated`), whose
-  :class:`~repro.memory.emulated.EmuOpRecord` identifies values by the
-  protocol's ``(counter, pid)`` *timestamp* (history recording must be
-  enabled via ``EmulationConfig.record_history``).
+  quorum phases complete at their linearization point (history
+  recording must be enabled via ``EmulationConfig.record_history``).
 
-For a single-writer register whose writes are issued in program order,
+Both record one :class:`OpRecord` per operation.  A value is identified
+by the ``(counter, pid)`` *stamp* its write carried -- the emulation's
+protocol timestamp, the disk's per-register write counter plus the
+writer -- and :data:`INITIAL_TS` stamps the pre-run initial value.
+
 Lamport's classical characterization says such a history is atomic iff
 three conditions hold:
 
@@ -31,20 +32,43 @@ exactly the emulation's consistency axis: regular-level runs are
 audited by :func:`check_regular_history` (conditions 1-2), atomic-level
 runs by :func:`check_atomic_history` (all three) -- and
 :mod:`repro.memory.anomaly` pins a deterministic history that passes
-the former and fails the latter.
+the former and fails the latter.  The disk linearizes inside every
+interval, so its histories are judged atomic.
 
-Everything is checked purely from the ``(inv, resp, identity)``
-triples; recorded linearization witnesses are deliberately ignored
-(tests use them to validate the checkers themselves).
+Everything is checked purely from the ``(inv, resp, ts, value)``
+fields; the hidden linearization points are never recorded.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.memory.disk import DiskOpRecord
+#: The stamp every pre-run initial value carries: ``(counter, pid)``
+#: stamps order lexicographically, so it predates every real write.
+INITIAL_TS: Tuple[int, int] = (0, -1)
+
+
+@dataclass(frozen=True, slots=True)
+class OpRecord:
+    """One completed (or still-pending) interval operation.
+
+    ``ts`` is the ``(counter, pid)`` stamp the operation wrote, or the
+    one whose value a read returned (:data:`INITIAL_TS` for the pre-run
+    initial value); ``value`` is the payload written or returned.  A
+    write still in flight when the run ends is reported with
+    ``resp = math.inf`` (invoked, never responded).
+    """
+
+    op_id: int
+    kind: str  # "read" | "write"
+    pid: int
+    register: str
+    ts: Tuple[int, int]
+    value: Any
+    inv: float
+    resp: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,137 +110,17 @@ class LinearizabilityReport:
         return "\n".join(lines)
 
 
-def check_single_writer_history(history: Sequence[DiskOpRecord]) -> LinearizabilityReport:
-    """Check an interval history of single-writer registers.
-
-    Version ``-1`` denotes the initial value (conceptually written
-    before the run started).
-    """
-    by_register: Dict[str, List[DiskOpRecord]] = {}
-    for rec in history:
-        by_register.setdefault(rec.register, []).append(rec)
-
-    report = LinearizabilityReport(ok=True)
-    for register, ops in sorted(by_register.items()):
-        report.registers_checked += 1
-        report.ops_checked += len(ops)
-        writes = sorted((o for o in ops if o.kind == "write"), key=lambda o: o.version)
-        reads = [o for o in ops if o.kind == "read"]
-        write_by_version = {w.version: w for w in writes}
-
-        # Single-writer sanity: versions are distinct, consecutive and
-        # program-ordered.  Duplicates get one clean violation each
-        # (equal-version "concurrent" writes cannot come from a single
-        # writer) instead of a cascade of version-gap noise, and the
-        # gap check then runs over the distinct versions only.
-        seen_versions: set = set()
-        for w in writes:
-            if w.version in seen_versions:
-                report.violations.append(
-                    Violation(
-                        register,
-                        "duplicate-version",
-                        f"two writes claim version {w.version} "
-                        f"(second spans [{w.inv}, {w.resp}]); a single "
-                        "writer cannot issue concurrent writes",
-                    )
-                )
-            seen_versions.add(w.version)
-        for i, version in enumerate(sorted(seen_versions)):
-            if version != i:
-                report.violations.append(
-                    Violation(
-                        register,
-                        "version-gap",
-                        f"write versions not consecutive: expected {i}, found {version}",
-                    )
-                )
-        distinct = [write_by_version[v] for v in sorted(seen_versions)]
-        for i in range(1, len(distinct)):
-            if distinct[i - 1].inv > distinct[i].inv:
-                report.violations.append(
-                    Violation(
-                        register,
-                        "program-order",
-                        f"writes {distinct[i - 1].version} and {distinct[i].version} "
-                        "out of invocation order",
-                    )
-                )
-
-        for r in reads:
-            if r.version >= 0:
-                w = write_by_version.get(r.version)
-                if w is None:
-                    report.violations.append(
-                        Violation(register, "phantom-read", f"read returned unknown version {r.version}")
-                    )
-                    continue
-                # Rule 1: no read from the future.
-                if w.inv > r.resp:
-                    report.violations.append(
-                        Violation(
-                            register,
-                            "read-from-future",
-                            f"read [{r.inv}, {r.resp}] returned version {r.version} "
-                            f"invoked at {w.inv}",
-                        )
-                    )
-            # Rule 2: no stale read.
-            nxt = write_by_version.get(r.version + 1)
-            if nxt is not None and nxt.resp < r.inv:
-                report.violations.append(
-                    Violation(
-                        register,
-                        "stale-read",
-                        f"read [{r.inv}, {r.resp}] returned version {r.version} but "
-                        f"version {r.version + 1} responded at {nxt.resp}",
-                    )
-                )
-
-        # Rule 3: no new/old inversion between non-overlapping reads.
-        reads_by_resp = sorted(reads, key=lambda o: o.resp)
-        for i, r1 in enumerate(reads_by_resp):
-            for r2 in reads_by_resp[i + 1 :]:
-                if r1.resp < r2.inv and r1.version > r2.version:
-                    report.violations.append(
-                        Violation(
-                            register,
-                            "new-old-inversion",
-                            f"read ending {r1.resp} saw version {r1.version}; later read "
-                            f"starting {r2.inv} saw older version {r2.version}",
-                        )
-                    )
-
-    report.ok = not report.violations
-    return report
-
-
-# ----------------------------------------------------------------------
-# Timestamped interval histories (the ABD emulation's recorder)
-# ----------------------------------------------------------------------
-#: The timestamp every pre-run initial value carries
-#: (= ``repro.memory.emulated._INITIAL_TS``; duplicated here to keep
-#: the checker import-free of the emulation).
-_INITIAL_TS: Tuple[int, int] = (0, -1)
-
-
 def _check_interval_history(
-    history: Sequence[Any], *, require_atomic: bool
+    history: Sequence[OpRecord], *, require_atomic: bool
 ) -> LinearizabilityReport:
     """Shared engine of the regular/atomic interval-order checks.
 
-    ``history`` is any sequence of records with ``register``, ``kind``
-    (``"read"``/``"write"``), ``ts`` (totally ordered value identity;
-    :data:`_INITIAL_TS` marks the initial value), ``value`` (the
-    payload carried under that timestamp -- reads must return their
-    named write's exact value), ``inv`` and ``resp`` fields --
-    :class:`~repro.memory.emulated.EmuOpRecord` in practice.
-    Writes pending at the end of a run carry ``resp = inf`` and can
-    never trigger the stale-read rule.  ``require_atomic`` adds the
-    new/old-inversion rule (condition 3) on top of the regularity rules
-    (conditions 1-2).
+    Reads must return their named write's exact value.  Writes pending
+    at the end of a run carry ``resp = inf`` and can never trigger the
+    stale-read rule.  ``require_atomic`` adds the new/old-inversion
+    rule (condition 3) on top of the regularity rules (conditions 1-2).
     """
-    by_register: Dict[str, List[Any]] = {}
+    by_register: Dict[str, List[OpRecord]] = {}
     for rec in history:
         by_register.setdefault(rec.register, []).append(rec)
 
@@ -230,7 +134,7 @@ def _check_interval_history(
         # Distinct timestamps: two completed writes claiming the same
         # (counter, pid) stamp would make "the value a read returned"
         # ambiguous; report it cleanly and keep the last per stamp.
-        write_by_ts: Dict[Tuple[int, int], Any] = {}
+        write_by_ts: Dict[Tuple[int, int], OpRecord] = {}
         for w in writes:
             if w.ts in write_by_ts:
                 report.violations.append(
@@ -247,8 +151,8 @@ def _check_interval_history(
         # completed_max_ts_before(t) in O(log W) per read.
         completed = sorted((w for w in writes if w.resp != float("inf")), key=lambda w: w.resp)
         resp_times: List[float] = []
-        prefix_max: List[Tuple[Tuple[int, int], Any]] = []
-        best: Tuple[Tuple[int, int], Any] = (_INITIAL_TS, None)
+        prefix_max: List[Tuple[Tuple[int, int], Optional[OpRecord]]] = []
+        best: Tuple[Tuple[int, int], Optional[OpRecord]] = (INITIAL_TS, None)
         for w in completed:
             if w.ts > best[0]:
                 best = (w.ts, w)
@@ -256,8 +160,8 @@ def _check_interval_history(
             prefix_max.append(best)
 
         for r in reads:
-            w = write_by_ts.get(r.ts)
-            if r.ts != _INITIAL_TS and w is None:
+            named = write_by_ts.get(r.ts)
+            if r.ts != INITIAL_TS and named is None:
                 report.violations.append(
                     Violation(
                         register,
@@ -271,24 +175,24 @@ def _check_interval_history(
             # Timestamps alone pass under value corruption (a mutated
             # payload travels with a valid stamp); cross-checking the
             # quorum certificate's value closes that hole.
-            if w is not None and r.value != w.value:
+            if named is not None and r.value != named.value:
                 report.violations.append(
                     Violation(
                         register,
                         "value-corruption",
                         f"read [{r.inv}, {r.resp}] returned value {r.value!r} "
                         f"for timestamp {r.ts} but its write recorded "
-                        f"{w.value!r}",
+                        f"{named.value!r}",
                     )
                 )
             # Rule 1: no read from the future.
-            if w is not None and w.inv > r.resp:
+            if named is not None and named.inv > r.resp:
                 report.violations.append(
                     Violation(
                         register,
                         "read-from-future",
                         f"read [{r.inv}, {r.resp}] returned timestamp {r.ts} "
-                        f"whose write was invoked at {w.inv}",
+                        f"whose write was invoked at {named.inv}",
                     )
                 )
             # Rule 2: no stale read -- a strictly newer write must not
@@ -296,7 +200,7 @@ def _check_interval_history(
             idx = bisect.bisect_left(resp_times, r.inv)
             if idx > 0:
                 newest_ts, newest = prefix_max[idx - 1]
-                if newest_ts > r.ts:
+                if newest is not None and newest_ts > r.ts:
                     report.violations.append(
                         Violation(
                             register,
@@ -312,7 +216,7 @@ def _check_interval_history(
         if require_atomic:
             by_inv = sorted(reads, key=lambda r: r.inv)
             by_resp = sorted(reads, key=lambda r: r.resp)
-            max_done: Tuple[Tuple[int, int], Any] = (_INITIAL_TS, None)
+            max_done: Tuple[Tuple[int, int], Optional[OpRecord]] = (INITIAL_TS, None)
             done_idx = 0
             for r in by_inv:
                 while done_idx < len(by_resp) and by_resp[done_idx].resp < r.inv:
@@ -320,8 +224,8 @@ def _check_interval_history(
                     if prev.ts > max_done[0]:
                         max_done = (prev.ts, prev)
                     done_idx += 1
-                if max_done[1] is not None and max_done[0] > r.ts:
-                    witness = max_done[1]
+                witness = max_done[1]
+                if witness is not None and max_done[0] > r.ts:
                     report.violations.append(
                         Violation(
                             register,
@@ -335,8 +239,8 @@ def _check_interval_history(
     return report
 
 
-def check_regular_history(history: Sequence[Any]) -> LinearizabilityReport:
-    """Regularity audit of a timestamped interval history.
+def check_regular_history(history: Sequence[OpRecord]) -> LinearizabilityReport:
+    """Regularity audit of an interval history.
 
     Every read must return the last completed write's value or one
     concurrent with the read (conditions 1-2 of the module docstring).
@@ -348,20 +252,21 @@ def check_regular_history(history: Sequence[Any]) -> LinearizabilityReport:
     return _check_interval_history(history, require_atomic=False)
 
 
-def check_atomic_history(history: Sequence[Any]) -> LinearizabilityReport:
-    """Atomicity (linearizability) audit of a timestamped interval history.
+def check_atomic_history(history: Sequence[OpRecord]) -> LinearizabilityReport:
+    """Atomicity (linearizability) audit of an interval history.
 
     All three conditions of the module docstring; the emulation's
     ``"atomic"`` consistency level (reads with the ABD write-back
-    phase) must produce zero violations here.
+    phase) and every SAN disk run must produce zero violations here.
     """
     return _check_interval_history(history, require_atomic=True)
 
 
 __all__ = [
+    "INITIAL_TS",
     "LinearizabilityReport",
+    "OpRecord",
     "Violation",
     "check_atomic_history",
     "check_regular_history",
-    "check_single_writer_history",
 ]

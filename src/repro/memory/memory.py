@@ -87,8 +87,8 @@ class SharedMemory:
         # Reads vastly outnumber every other access; pick the read hook
         # once instead of testing ``log_reads`` on every call.  The
         # instance attribute shadows the class methods for the registers'
-        # ``memory._note_read(...)`` calls.
-        self._note_read = self._note_read_logged if log_reads else self._note_read_fast
+        # ``memory._count_read(...)`` calls.
+        self._count_read = self._count_read_logged if log_reads else self._count_read_fast
 
     # ------------------------------------------------------------------
     # Construction of registers
@@ -158,7 +158,7 @@ class SharedMemory:
     # ------------------------------------------------------------------
     # Accounting hooks (called by registers)
     # ------------------------------------------------------------------
-    def _note_read_logged(self, name: str, pid: int) -> None:
+    def _count_read_logged(self, name: str, pid: int) -> None:
         now = self._clock()
         reads = self.reads_by_pid
         reads[pid] = reads.get(pid, 0) + 1
@@ -166,13 +166,13 @@ class SharedMemory:
         self.read_log.append(ReadRecord(now, pid, name))
         self._read_times.append(now)
 
-    def _note_read_fast(self, name: str, pid: int) -> None:
+    def _count_read_fast(self, name: str, pid: int) -> None:
         """The low-overhead mode: aggregate counters only, no log."""
         reads = self.reads_by_pid
         reads[pid] = reads.get(pid, 0) + 1
         self.last_read_time_by_pid[pid] = self._clock()
 
-    def _note_write(self, name: str, pid: int, value: Any, critical: bool) -> None:
+    def _count_write(self, name: str, pid: int, value: Any, critical: bool) -> None:
         now = self._clock()
         self.writes_by_pid[pid] = self.writes_by_pid.get(pid, 0) + 1
         self.last_write_time_by_pid[pid] = now

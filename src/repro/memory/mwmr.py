@@ -43,14 +43,14 @@ class MultiWriterRegister:
     def read(self, reader: int) -> Any:
         """Atomically read the register (counted)."""
         if self._memory is not None:
-            self._memory._note_read(self.name, reader)
+            self._memory._count_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
         """Atomically write the register (counted); any writer allowed."""
         self._value = value
         if self._memory is not None:
-            self._memory._note_write(self.name, writer, value, critical=self.critical)
+            self._memory._count_write(self.name, writer, value, critical=self.critical)
 
     def fetch_add(self, writer: int, amount: int = 1) -> int:
         """Atomic read-modify-write increment; returns the *old* value.
@@ -62,8 +62,8 @@ class MultiWriterRegister:
         old = self._value
         self._value = old + amount
         if self._memory is not None:
-            self._memory._note_read(self.name, writer)
-            self._memory._note_write(self.name, writer, self._value, critical=self.critical)
+            self._memory._count_read(self.name, writer)
+            self._memory._count_write(self.name, writer, self._value, critical=self.critical)
         return old
 
     def peek(self) -> Any:

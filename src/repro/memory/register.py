@@ -78,7 +78,7 @@ class AtomicRegister:
         """Atomically read the register (counted)."""
         self._reads += 1
         if self._memory is not None:
-            self._memory._note_read(self.name, reader)
+            self._memory._count_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
@@ -92,7 +92,7 @@ class AtomicRegister:
         if self._matrix is not None:
             self._matrix._sums = None
         if self._memory is not None:
-            self._memory._note_write(self.name, writer, value, critical=self.critical)
+            self._memory._count_write(self.name, writer, value, critical=self.critical)
 
     # ------------------------------------------------------------------
     # Observer access (not part of the modelled computation)

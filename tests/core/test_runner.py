@@ -7,7 +7,7 @@ import pytest
 from repro.core.runner import Run
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.memory.disk import Disk, LatencyModel
-from repro.memory.linearizability import check_single_writer_history
+from repro.memory.linearizability import check_atomic_history
 from repro.sim.crash import CrashPlan
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import scramble_registers
@@ -150,7 +150,7 @@ class TestDiskIntegration:
             WriteEfficientOmega, n=3, seed=21, horizon=400.0, disk=disk, sample_interval=20.0
         ).execute()
         assert len(disk.history) > 100
-        report = check_single_writer_history(disk.history)
+        report = check_atomic_history(disk.history)
         assert report.ok, report.summary()
 
     def test_disk_slows_progress(self):

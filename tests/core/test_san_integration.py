@@ -13,7 +13,7 @@ from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.runner import Run
 from repro.memory.disk import Disk, LatencyModel
-from repro.memory.linearizability import check_single_writer_history
+from repro.memory.linearizability import check_atomic_history
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import san
 
@@ -32,7 +32,7 @@ class TestAlg1OverSan:
     def test_history_linearizable(self):
         scen = san(n=3)
         result = scen.run(WriteEfficientOmega, seed=3)
-        assert check_single_writer_history(result.disk.history).ok
+        assert check_atomic_history(result.disk.history).ok
 
 
 class TestAlg2OverSan:
@@ -53,7 +53,7 @@ class TestAlg2OverSan:
         ).execute()
 
     def test_history_linearizable(self, result):
-        report = check_single_writer_history(result.disk.history)
+        report = check_atomic_history(result.disk.history)
         assert report.ok, report.summary()
 
     def test_handshake_operates_over_disk(self, result):
@@ -86,7 +86,7 @@ class TestConsensusOverSan:
         result = Run(
             ConsensusProcess, n=3, seed=45, horizon=6000.0, disk=disk, sample_interval=50.0
         ).execute()
-        assert check_single_writer_history(result.disk.history).ok
+        assert check_atomic_history(result.disk.history).ok
 
 
 class TestBlockedProcessSemantics:

@@ -10,6 +10,10 @@ fault events.
 from __future__ import annotations
 
 import json
+import math
+import re
+
+import pytest
 
 from repro.engine.search import violation_count
 from repro.engine.spec import ExperimentSpec
@@ -117,6 +121,28 @@ def test_chaos_scenario_runs_through_the_engine():
     assert summary.property_violations == 0
     assert summary.audit_violations == 0
     assert summary.integrity_violations == 0
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"plans": 0}, "plans must be >= 1, got 0"),
+        ({"n": 1}, "n must be >= 2, got 1"),
+        ({"horizon": 0.0}, "horizon must be positive and finite, got 0.0"),
+        ({"horizon": math.nan}, "horizon must be positive and finite, got nan"),
+        ({"horizon": math.inf}, "horizon must be positive and finite, got inf"),
+        ({"replicas": 1}, "replicas must be >= 2, got 1"),
+        ({"max_faults": 0}, "max_faults must be >= 1, got 0"),
+    ],
+)
+def test_config_refuses_knobs_that_run_nothing_or_nonsense(knobs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CampaignConfig(**knobs)
+
+
+def test_config_accepts_the_defaults_and_the_smallest_legal_knobs():
+    CampaignConfig()
+    CampaignConfig(plans=1, n=2, horizon=1e-3, replicas=2, max_faults=1)
 
 
 def test_default_chaos_plan_is_a_legal_timeline():

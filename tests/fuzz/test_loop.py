@@ -12,10 +12,14 @@ The satellite acceptance bars live here:
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.engine.search import replay, violation_count
 from repro.fuzz.corpus import Corpus
@@ -264,3 +268,27 @@ class TestMembershipNegativeControl:
         assert churned["configs_installed"] > 0
         assert static["configs_installed"] == 0
         assert churned["transfer_rounds"] > 0
+
+
+class TestConfigValidation:
+    """A fuzz run that would simulate nothing, or nonsense, is refused
+    at construction -- an empty pass/fail audit must not go green."""
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"budget": 0}, "budget must be >= 1, got 0"),
+            ({"budget": -3}, "budget must be >= 1, got -3"),
+            ({"batch": 0}, "batch must be >= 1, got 0"),
+            ({"horizon": 0.0}, "horizon must be positive and finite, got 0.0"),
+            ({"horizon": math.nan}, "horizon must be positive and finite, got nan"),
+            ({"horizon": -900.0}, "horizon must be positive and finite, got -900.0"),
+        ],
+    )
+    def test_refuses_knobs_that_run_nothing_or_nonsense(self, knobs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FuzzConfig(**knobs)
+
+    def test_accepts_the_defaults_and_the_smallest_legal_knobs(self):
+        FuzzConfig()
+        FuzzConfig(seed=1, budget=1, batch=1, jobs=1, horizon=1e-3)

@@ -1,10 +1,13 @@
-"""The SAN disk model: latency sampling and version bookkeeping."""
+"""The SAN disk model: latency sampling and stamp bookkeeping."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.memory.disk import Disk, LatencyModel
+from repro.memory.linearizability import INITIAL_TS
+from repro.memory.memory import SharedMemory
+from repro.sim.kernel import Simulator
 from tests.conftest import make_rng
 
 
@@ -30,36 +33,68 @@ class TestLatencyModel:
 
 
 class TestDiskHistory:
-    def _disk(self) -> Disk:
-        return Disk(LatencyModel(make_rng(2)))
+    """Each access runs to its response before the next one starts."""
 
-    def test_write_versions_increment_per_register(self):
-        disk = self._disk()
-        assert disk.note_write(0, "R", 0.0, 0.5, 1.0) == 0
-        assert disk.note_write(0, "R", 1.0, 1.5, 2.0) == 1
-        assert disk.note_write(1, "Q", 0.0, 0.5, 1.0) == 0
+    @pytest.fixture
+    def rig(self):
+        sim = Simulator()
+        memory = SharedMemory(clock=lambda: sim.now)
+        disk = Disk(LatencyModel(make_rng(2)))
+        disk.attach(sim)
+        regs = {name: memory.create_register(name, owner=0) for name in "RQ"}
+        regs["P"] = memory.create_register("P", owner=1)
+        returned = []
 
-    def test_read_returns_latest_version(self):
-        disk = self._disk()
-        disk.note_write(0, "R", 0.0, 0.5, 1.0)
-        assert disk.note_read(1, "R", 1.0, 1.2, 1.5) == 0
-        disk.note_write(0, "R", 2.0, 2.5, 3.0)
-        assert disk.note_read(1, "R", 3.0, 3.2, 3.5) == 1
+        def access(kind, pid, name, value=None):
+            if kind == "write":
+                disk.emu_write(pid, regs[name], value, returned.append)
+            else:
+                disk.emu_read(pid, regs[name], returned.append)
+            sim.run(until=sim.now + 10.0)
+            return returned[-1]
 
-    def test_read_before_any_write_sees_initial_version(self):
-        disk = self._disk()
-        assert disk.note_read(1, "R", 0.0, 0.1, 0.2) == -1
+        return disk, access
 
-    def test_ops_for_filters_register(self):
-        disk = self._disk()
-        disk.note_write(0, "R", 0.0, 0.5, 1.0)
-        disk.note_write(1, "Q", 0.0, 0.5, 1.0)
-        disk.note_read(2, "R", 1.0, 1.2, 1.5)
-        assert [op.kind for op in disk.ops_for("R")] == ["write", "read"]
+    def test_write_versions_increment_per_register(self, rig):
+        disk, access = rig
+        access("write", 0, "R", 10)
+        access("write", 0, "R", 11)
+        access("write", 0, "Q", 12)
+        access("write", 1, "P", 13)
+        assert [(op.register, op.ts, op.value) for op in disk.history] == [
+            ("R", (1, 0), 10), ("R", (2, 0), 11), ("Q", (1, 0), 12), ("P", (1, 1), 13),
+        ]
 
-    def test_op_ids_monotone(self):
-        disk = self._disk()
-        disk.note_write(0, "R", 0.0, 0.5, 1.0)
-        disk.note_read(1, "R", 1.0, 1.2, 1.5)
+    def test_read_returns_latest_version(self, rig):
+        disk, access = rig
+        access("write", 0, "R", "a")
+        assert access("read", 1, "R") == "a"
+        access("write", 0, "R", "b")
+        assert access("read", 2, "R") == "b"
+        reads = [(op.pid, op.ts, op.value) for op in disk.history if op.kind == "read"]
+        assert reads == [(1, (1, 0), "a"), (2, (2, 0), "b")]
+
+    def test_read_before_any_write_sees_initial_version(self, rig):
+        disk, access = rig
+        assert access("read", 1, "R") == 0
+        (op,) = disk.history
+        assert op.ts == INITIAL_TS == (0, -1)
+
+    def test_op_ids_monotone(self, rig):
+        disk, access = rig
+        access("write", 0, "R", 1)
+        access("read", 1, "R")
         ids = [op.op_id for op in disk.history]
         assert ids == sorted(ids)
+
+    def test_access_spans_its_sampled_interval(self, rig):
+        disk, access = rig
+        access("write", 0, "R", 1)
+        (op,) = disk.history
+        assert 1.0 <= op.resp - op.inv <= 5.0
+
+    def test_unattached_disk_refuses_accesses(self):
+        memory = SharedMemory(clock=lambda: 0.0)
+        reg = memory.create_register("R", owner=0)
+        with pytest.raises(RuntimeError, match="not attached"):
+            Disk(LatencyModel(make_rng(2))).emu_read(0, reg, lambda _: None)

@@ -13,14 +13,13 @@ every audit rule while breaking Theorem 1.  Two mechanisms close it:
 
 from __future__ import annotations
 
-from repro.memory.emulated import EmuOpRecord
-from repro.memory.linearizability import check_atomic_history, check_regular_history
+from repro.memory.linearizability import OpRecord, check_atomic_history, check_regular_history
 from repro.workloads.registry import ALGORITHMS
 from repro.workloads.scenarios import nominal_emulated
 
 
 def _rec(kind, ts, inv, resp, value, pid=0, reg="R"):
-    return EmuOpRecord(
+    return OpRecord(
         op_id=0, kind=kind, pid=pid, register=reg, ts=ts, value=value, inv=inv, resp=resp
     )
 

@@ -315,6 +315,38 @@ class TestCommands:
         assert captured.err.startswith(f"repro {argv[0]}: error: ") and message in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuzz", "--batch", "0", "--budget", "2"], "batch must be >= 1, got 0"),
+            (["fuzz", "--batch", "-1"], "batch must be >= 1, got -1"),
+            (["fuzz", "--budget", "-3"], "budget must be >= 1, got -3"),
+            (["fuzz", "--budget", "1", "--horizon", "0"], "horizon must be positive and finite"),
+            (["fuzz", "--budget", "1", "--horizon", "nan"], "horizon must be positive and finite"),
+            (["chaos", "--plans", "-2"], "plans must be >= 1, got -2"),
+            (["chaos", "--plans", "1", "--n", "1"], "n must be >= 2, got 1"),
+            (["chaos", "--plans", "1", "--horizon", "0"], "horizon must be positive and finite"),
+            (["chaos", "--plans", "1", "--horizon", "nan"], "got nan"),
+            (["chaos", "--plans", "1", "--replicas", "1"], "replicas must be >= 2, got 1"),
+            (["chaos", "--plans", "1", "--max-faults", "-1"], "max_faults must be >= 1, got -1"),
+            (["sweep", "--shards", "0"], "shards must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_search_numbers_are_refused_before_anything_runs(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def never(*_args, **_kwargs):
+            raise AssertionError("the command ran")
+
+        for target in ("repro.engine.driver.run_experiment",
+                       "repro.faults.campaign.run_campaign", "repro.fuzz.loop.run_fuzz"):
+            monkeypatch.setattr(target, never)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_sweep_memory_emulated(self, capsys, tmp_path):
         assert main(
             ["sweep", "--algorithms", "alg1", "--scenarios", "nominal",
