@@ -59,7 +59,7 @@ Examples
     python -m repro sweep --scenarios nominal --memory emulated --seeds 0 1
     python -m repro check --jobs 4
     python -m repro chaos --plans 25 --seed 7
-    python -m repro chaos --plans 10 --no-resync --retry-policy backoff
+    python -m repro chaos --plans 10 --retry-policy backoff
     python -m repro fuzz --budget 50 --seed 0 --corpus results/fuzz
     python -m repro fuzz --replay --corpus results/fuzz
     python -m repro lint
@@ -503,7 +503,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             horizon=args.horizon,
             replicas=args.replicas,
             max_faults=args.max_faults,
-            resync=not args.no_resync,
             retry_policy=args.retry_policy,
             shrink=not args.no_shrink,
         )
@@ -515,8 +514,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             f"chaos campaign: {config.plans} fault plan(s) for "
             f"{config.algorithm} (seed {config.seed}, n={config.n}, "
             f"horizon {config.horizon:g}, {config.replicas} replicas, "
-            f"{'resync' if config.resync else 'NO RESYNC'}, "
-            f"{config.retry_policy} retries)"
+            f"resync, {config.retry_policy} retries)"
         )
 
     def progress(index: int, summary: Any, count: int) -> None:
@@ -553,13 +551,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.fuzz.corpus import Corpus
-    from repro.fuzz.loop import (
-        FuzzConfig,
-        amnesia_probe,
-        membership_probe,
-        replay_regressions,
-        run_fuzz,
-    )
+    from repro.fuzz.loop import FuzzConfig, replay_regressions, run_fuzz
 
     corpus_dir = Path(args.corpus) if args.corpus else None
     try:
@@ -575,8 +567,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             horizon=args.horizon,
             shrink=not args.no_shrink,
-            resync=not args.no_resync,
-            transition="single-config" if args.broken_transition else "dual-quorum",
         )
     except ValueError as exc:
         print(f"repro fuzz: error: {exc}", file=sys.stderr)
@@ -595,8 +585,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"fuzz: budget {config.budget} genome(s), seed {config.seed}, "
             f"base horizon {config.horizon:g}, batch {config.batch}"
-            + ("" if config.resync else ", NO RESYNC")
-            + ("" if config.transition == "dual-quorum" else ", BROKEN TRANSITIONS")
         )
 
     def progress(genome: Any, summary: Any, novel: bool, count: int) -> None:
@@ -604,19 +592,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         marker = "NEW" if novel else "   "
         print(f"  {genome.key()} {marker} {verdict}; {summary.scenario}")
 
-    # The negative controls seed their populations with the canonical
-    # canaries, so each broken mode is caught deterministically instead
-    # of hoping a generated timeline hits it.
-    initial = []
-    if not config.resync:
-        initial.append(amnesia_probe(config.horizon))
-    if config.transition != "dual-quorum":
-        initial.append(membership_probe(config.horizon))
     result = run_fuzz(
-        config,
-        corpus_dir=corpus_dir,
-        initial=initial,
-        progress=progress if args.verbose else None,
+        config, corpus_dir=corpus_dir, progress=progress if args.verbose else None
     )
     if args.json:
         print(json.dumps(result.to_jsonable(), indent=2, sort_keys=True))
@@ -910,15 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retransmission policy of pending quorum phases",
     )
     chaos_p.add_argument(
-        "--no-resync",
-        action="store_true",
-        help=(
-            "DELIBERATELY BROKEN mode: recovered replicas serve straight out "
-            "of amnesia without the quorum state-resync (the negative oracle "
-            "-- the campaign is expected to catch and shrink this)"
-        ),
-    )
-    chaos_p.add_argument(
         "--no-shrink",
         action="store_true",
         help="report violating plans as-is instead of delta-debugging them",
@@ -987,25 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink",
         action="store_true",
         help="pin violating genomes as-is instead of delta-debugging them",
-    )
-    fuzz_p.add_argument(
-        "--no-resync",
-        action="store_true",
-        help=(
-            "DELIBERATELY BROKEN mode: recovered replicas serve straight out "
-            "of amnesia without the quorum state-resync (the negative oracle "
-            "-- the fuzzer is expected to catch and shrink this)"
-        ),
-    )
-    fuzz_p.add_argument(
-        "--broken-transition",
-        action="store_true",
-        help=(
-            "DELIBERATELY BROKEN mode: membership transition windows consult "
-            "old-config quorums only and installs skip the state transfer "
-            "(the membership negative oracle -- the fuzzer is expected to "
-            "catch and shrink this)"
-        ),
     )
     fuzz_p.add_argument(
         "--verbose", action="store_true", help="print a line per genome"

@@ -53,10 +53,7 @@ class CampaignConfig:
     replicas: int = 3
     #: Maximum disturbance windows per generated plan.
     max_faults: int = 3
-    #: Thread through to the emulation: the recover-with-resync protocol
-    #: (``False`` is the deliberately broken negative mode) and the
-    #: retransmission policy.
-    resync: bool = True
+    #: Retransmission policy threaded through to the emulation.
     retry_policy: str = "fixed"
     #: Delta-debug violating plans down to minimal pinned repros.
     shrink: bool = True
@@ -89,7 +86,6 @@ class CampaignResult:
             "algorithm": self.config.algorithm,
             "seed": self.config.seed,
             "plans_run": self.plans_run,
-            "resync": self.config.resync,
             "retry_policy": self.config.retry_policy,
             "retransmissions": self.retransmissions,
             "recoveries": self.recoveries,
@@ -125,7 +121,6 @@ def pinned_repro(plan: FaultPlan, config: CampaignConfig, seed: int) -> Dict[str
             "horizon": config.horizon,
             "replicas": config.replicas,
             "plan": plan.to_jsonable(),
-            "resync": config.resync,
             "retry_policy": config.retry_policy,
         },
         "algorithm": config.algorithm,

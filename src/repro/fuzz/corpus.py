@@ -11,8 +11,11 @@ A :class:`Corpus` without a root directory is purely in-memory (the
 test and smoke mode); with one, every addition is written through
 immediately and atomically (temp file + ``os.replace``), so a killed
 nightly run keeps everything it found and never leaves a torn file.
-Should a file be unreadable anyway, :meth:`Corpus.load` raises a
-``ValueError`` naming it.  File names are genome content digests
+Should a file be unreadable anyway -- torn, or not the object its slot
+needs (a valid genome, a coverage object, a pinned repro with
+``factory``, ``kwargs``, ``algorithm`` and ``seed``) --
+:meth:`Corpus.load` raises a ``ValueError`` naming it.  File names are
+genome content digests
 (:meth:`ScenarioGenome.key`), which makes persistence idempotent --
 re-adding a genome rewrites the same bytes -- and keeps directory
 listings deterministic.
@@ -30,13 +33,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fuzz.coverage import TraceFeatureMap
 from repro.fuzz.genome import ScenarioGenome
 
 #: Coverage-file schema version.
 COVERAGE_FORMAT = 1
+
+#: The keys every pinned repro carries (what ``replay`` reads).
+_REPRO_KEYS = ("factory", "kwargs", "algorithm", "seed")
 
 
 def _dump(path: Path, payload: Any) -> None:
@@ -46,11 +52,23 @@ def _dump(path: Path, payload: Any) -> None:
     os.replace(tmp, path)
 
 
-def _load(path: Path) -> Any:
+def _load(path: Path, parse: Callable[[Dict[str, Any]], Any]) -> Any:
+    """Read one corpus file into the object its slot needs; any file
+    that is not one raises ``ValueError`` naming the path."""
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as error:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        return parse(payload)
+    except (TypeError, ValueError) as error:  # JSONDecodeError is a ValueError
         raise ValueError(f"corrupt corpus file {path}: {error}") from error
+
+
+def _pinned_repro(payload: Dict[str, Any]) -> Dict[str, Any]:
+    missing = [key for key in _REPRO_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"pinned repro lacks {missing}")
+    return payload
 
 
 class Corpus:
@@ -72,13 +90,14 @@ class Corpus:
             return corpus
         coverage_path = root / "coverage.json"
         if coverage_path.is_file():
-            payload = _load(coverage_path)
-            corpus.coverage = TraceFeatureMap.from_jsonable(payload.get("signatures"))
+            corpus.coverage = _load(
+                coverage_path, lambda p: TraceFeatureMap.from_jsonable(p.get("signatures"))
+            )
         for path in sorted((root / "genomes").glob("*.json")):
-            genome = ScenarioGenome.from_jsonable(_load(path))
+            genome = _load(path, ScenarioGenome.from_jsonable)
             corpus.genomes[genome.key()] = genome
         for path in sorted((root / "regressions").glob("*.json")):
-            corpus.regressions[path.stem] = _load(path)
+            corpus.regressions[path.stem] = _load(path, _pinned_repro)
         return corpus
 
     # ------------------------------------------------------------------

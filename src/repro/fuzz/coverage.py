@@ -119,7 +119,7 @@ class TraceFeatureMap:
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, int] | None) -> "TraceFeatureMap":
         """Rebuild a map from :meth:`to_jsonable` output."""
-        return cls({str(k): int(v) for k, v in (payload or {}).items()})
+        return cls({str(k): int(v) for k, v in dict(payload or {}).items()})
 
 
 __all__ = [

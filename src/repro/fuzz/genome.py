@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.memory.membership import TRANSITION_MODES, MembershipEvent, MembershipPlan
+from repro.memory.membership import MembershipEvent, MembershipPlan
 from repro.workloads.scenarios import FUZZ_CRASHES, FUZZ_DELAYS
 
 #: Algorithms the fuzzer composes.  Algorithm 2's hand-shake needs
@@ -74,8 +74,8 @@ DEFAULT_BASE_HORIZON = 3000.0
 class GenomeAxis(NamedTuple):
     """One row of :data:`GENOME_AXES`."""
 
-    #: The legal values; empty for an open axis (the ``resync`` flag
-    #: and the two timelines, which validate through their plan class).
+    #: The legal values; empty for an open axis (the two timelines,
+    #: which validate through their plan class).
     vocabulary: Tuple[Any, ...] = ()
     #: True when the axis only exists on the emulated backend: a
     #: shared-backend genome must keep it at its baseline value.
@@ -101,9 +101,7 @@ GENOME_AXES: Dict[str, GenomeAxis] = {
     "links": GenomeAxis(GENOME_LINKS, emulated_only=True),
     "consistency": GenomeAxis(GENOME_CONSISTENCY, emulated_only=True),
     "fault_plan": GenomeAxis(emulated_only=True, plan=FaultPlan),
-    "resync": GenomeAxis(emulated_only=True),
     "membership_plan": GenomeAxis(emulated_only=True, plan=MembershipPlan),
-    "transition": GenomeAxis(TRANSITION_MODES, emulated_only=True),
 }
 
 #: The table's three readings, precomputed (a genome is validated on
@@ -111,6 +109,12 @@ GENOME_AXES: Dict[str, GenomeAxis] = {
 _VOCABULARIES = tuple((n, a.vocabulary) for n, a in GENOME_AXES.items() if a.vocabulary)
 _EMULATED_ONLY = tuple(n for n, a in GENOME_AXES.items() if a.emulated_only)
 _TIMELINES = tuple((n, a.plan) for n, a in GENOME_AXES.items() if a.plan is not None)
+
+#: Two deleted axes, at the one value every fuzzer-made genome had.  The
+#: content key still hashes them: keys order the corpus, the corpus order
+#: picks mutation parents, so keeping the keys keeps every fuzz
+#: trajectory and corpus file name as it was.
+_KEY_SALT: Dict[str, Any] = {"resync": True, "transition": "dual-quorum"}
 
 
 @dataclass(frozen=True)
@@ -134,19 +138,9 @@ class ScenarioGenome:
     links: str = "sync"
     consistency: str = "regular"
     fault_plan: Tuple[FaultEvent, ...] = ()
-    #: ``False`` switches the emulation to the deliberately broken
-    #: recover-without-resync mode.  The fuzzer never mutates this axis;
-    #: it exists so the negative-control tests can inject a genome the
-    #: oracles *must* catch.
-    resync: bool = True
     #: Dynamic-membership timeline of the emulated replica set
     #: (:mod:`repro.memory.membership`); empty = fixed membership.
     membership_plan: Tuple[MembershipEvent, ...] = ()
-    #: ``"single-config"`` switches transition windows to the
-    #: deliberately broken old-quorums-only mode.  Like ``resync`` the
-    #: fuzzer never mutates this axis; it is the membership
-    #: negative-control hook.
-    transition: str = "dual-quorum"
 
     def __post_init__(self) -> None:
         for name, vocabulary in _VOCABULARIES:
@@ -234,9 +228,7 @@ class ScenarioGenome:
             "links": self.links,
             "consistency": self.consistency,
             "plan": plan,
-            "resync": self.resync,
             "membership": membership,
-            "transition": self.transition,
         }
 
     def complexity(self) -> int:
@@ -254,7 +246,7 @@ class ScenarioGenome:
             if getattr(self, f.name) != getattr(baseline, f.name):
                 steps += 1
         steps += len(FaultPlan(self.fault_plan).groups())
-        return steps  # membership_plan/transition count via the field loop
+        return steps  # membership_plan counts via the field loop
 
     # ------------------------------------------------------------------
     def to_jsonable(self) -> Dict[str, Any]:
@@ -277,7 +269,8 @@ class ScenarioGenome:
 
     def key(self) -> str:
         """Stable content digest (corpus file names, dedup sets)."""
-        canon = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        payload = {**_KEY_SALT, **self.to_jsonable()}
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
     def with_plan(self, plan: FaultPlan) -> "ScenarioGenome":

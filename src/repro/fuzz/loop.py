@@ -27,7 +27,9 @@ Determinism: every random draw comes from one ``Random`` stream seeded
 by the config, every run uses the config seed, and batches are
 deduplicated by genome content key -- so the genome sequence, the
 coverage map and every verdict are a pure function of
-``(config, corpus)``.
+``(config, corpus)``.  With ``jobs=1`` every cell, shrink replay and
+pinned-repro replay runs in the calling process, so a test that patches
+the emulation sees the patch reach the whole search.
 
 This module imports the workloads/engine stack; like
 :mod:`repro.faults.campaign` it is deliberately not re-exported from
@@ -47,8 +49,6 @@ from repro.engine.spec import AlgorithmRef, ExperimentSpec, ScenarioRef
 # ``summarize_run`` is unused here, but the repo benchmark's span
 # recorder (bench/spans.py) rebinds it on this module by name.
 from repro.engine.summary import RunSummary, summarize_run  # noqa: F401
-from repro.faults.plan import FaultEvent
-from repro.memory.membership import MembershipEvent
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.coverage import signature
 from repro.fuzz.genome import DEFAULT_BASE_HORIZON, ScenarioGenome
@@ -61,80 +61,6 @@ PARENT_BIAS = 0.75
 
 #: Give up composing a batch after this many duplicate draws per slot.
 DEDUP_ATTEMPTS = 12
-
-#: Fault-plan shape of :func:`amnesia_probe`, as fractions of the plan
-#: horizon: two serialized crash/recover pairs on distinct replicas.
-#: One amnesiac replica alone cannot corrupt a majority quorum -- the
-#: staleness only becomes observable once the *second* crash removes a
-#: fresh replica and forces reads to count the amnesiac one.
-AMNESIA_PROBE_SHAPE = (
-    ("replica-crash", 0.06, 1),
-    ("replica-recover", 0.14, 1),
-    ("replica-crash", 0.25, 0),
-    ("replica-recover", 0.32, 0),
-)
-
-
-#: Membership timeline of :func:`membership_probe`, as fractions of the
-#: plan horizon: the entire initial config is replaced (join 3, join 4,
-#: leave 0, leave 1), then :data:`MEMBERSHIP_PROBE_CRASH` kills the last
-#: original replica so every read quorum must be served by joiners
-#: alone.  Under dual-quorum windows the state transfer has synced the
-#: joiners; under the broken ``single-config`` mode they serve whatever
-#: they overheard and the history audit goes red deterministically.
-MEMBERSHIP_PROBE_SHAPE = (
-    ("join", 0.12, 3),
-    ("join", 0.18, 4),
-    ("leave", 0.24, 0),
-    ("leave", 0.30, 1),
-)
-
-#: The replica-crash accompanying :data:`MEMBERSHIP_PROBE_SHAPE`
-#: (kind, horizon fraction, replica index).
-MEMBERSHIP_PROBE_CRASH = ("replica-crash", 0.5, 2)
-
-
-def amnesia_probe(base_horizon: float = DEFAULT_BASE_HORIZON) -> ScenarioGenome:
-    """The canonical recover-without-resync canary genome.
-
-    An emulated baseline genome carrying the two-pair crash/recover
-    timeline of :data:`AMNESIA_PROBE_SHAPE`, scaled to ``base_horizon``.
-    On a correct emulation it runs clean; under the broken
-    ``resync=False`` mode the oracles must flag it -- ``repro fuzz
-    --no-resync`` seeds its population with this probe so the negative
-    control is a deterministic canary rather than a lottery over
-    generated fault plans.
-    """
-    horizon = 1.5 * base_horizon  # the sync-links emulated horizon
-    events = tuple(
-        FaultEvent(kind=kind, at=fraction * horizon, replica=replica)
-        for kind, fraction, replica in AMNESIA_PROBE_SHAPE
-    )
-    return ScenarioGenome(backend="emulated", fault_plan=events)
-
-
-def membership_probe(base_horizon: float = DEFAULT_BASE_HORIZON) -> ScenarioGenome:
-    """The canonical broken-reconfiguration canary genome.
-
-    An emulated baseline genome carrying the full-config-turnover
-    membership timeline of :data:`MEMBERSHIP_PROBE_SHAPE` plus the
-    :data:`MEMBERSHIP_PROBE_CRASH` fault, scaled to ``base_horizon``.
-    On a correct emulation it runs clean; under the broken
-    ``transition="single-config"`` mode the history audit must flag it
-    -- ``repro fuzz --broken-transition`` seeds its population with
-    this probe so the negative control is a deterministic canary rather
-    than a lottery over generated membership plans.
-    """
-    horizon = 1.5 * base_horizon  # the sync-links emulated horizon
-    membership = tuple(
-        MembershipEvent(kind=kind, at=fraction * horizon, replica=replica)
-        for kind, fraction, replica in MEMBERSHIP_PROBE_SHAPE
-    )
-    kind, fraction, replica = MEMBERSHIP_PROBE_CRASH
-    fault = (FaultEvent(kind=kind, at=fraction * horizon, replica=replica),)
-    return ScenarioGenome(
-        backend="emulated", fault_plan=fault, membership_plan=membership
-    )
 
 
 @dataclass(frozen=True)
@@ -155,14 +81,6 @@ class FuzzConfig:
     shrink: bool = True
     #: Mutation steps per seeded random genome.
     max_mutations: int = 3
-    #: ``False`` forces the DELIBERATELY BROKEN recover-without-resync
-    #: emulation mode onto every cell (the negative oracle: the fuzzer
-    #: is expected to catch, shrink and pin it).
-    resync: bool = True
-    #: ``"single-config"`` forces the DELIBERATELY BROKEN
-    #: old-quorums-only transition mode onto every cell (the membership
-    #: negative oracle, same contract as ``resync=False``).
-    transition: str = "dual-quorum"
 
     def __post_init__(self) -> None:
         check_search_config(self, {"budget": 1, "batch": 1})
@@ -195,8 +113,6 @@ class FuzzResult:
             "seed": self.config.seed,
             "budget": self.config.budget,
             "horizon": self.config.horizon,
-            "resync": self.config.resync,
-            "transition": self.config.transition,
             "genomes_run": self.genomes_run,
             "new_signatures": self.new_signatures,
             "total_signatures": self.total_signatures,
@@ -210,16 +126,6 @@ class FuzzResult:
 
 
 # ----------------------------------------------------------------------
-def _cell_kwargs(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
-    """The ``fuzz-cell`` kwargs for ``genome`` under ``config`` (the
-    config's negative-control override folds into the resync knob)."""
-    kwargs = genome.scenario_kwargs(config.horizon)
-    kwargs["resync"] = genome.resync and config.resync
-    if config.transition != "dual-quorum":
-        kwargs["transition"] = config.transition
-    return kwargs
-
-
 def pinned_repro(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
     """The engine-ready pinned repro payload for ``genome``.
 
@@ -232,7 +138,7 @@ def pinned_repro(genome: ScenarioGenome, config: FuzzConfig) -> Dict[str, Any]:
     """
     return {
         "factory": "fuzz-cell",
-        "kwargs": _cell_kwargs(genome, config),
+        "kwargs": genome.scenario_kwargs(config.horizon),
         "algorithm": genome.algorithm,
         "seed": config.seed,
         "genome": genome.to_jsonable(),
@@ -260,7 +166,7 @@ def _run_batch(
             name="fuzz",
             algorithms=(AlgorithmRef(label=algorithm, target=algorithm),),
             scenarios=tuple(
-                ScenarioRef.make("fuzz-cell", _cell_kwargs(genomes[i], config))
+                ScenarioRef.make("fuzz-cell", genomes[i].scenario_kwargs(config.horizon))
                 for i in slots
             ),
             seeds=(config.seed,),
@@ -287,8 +193,8 @@ def run_fuzz(
 ) -> FuzzResult:
     """Run one coverage-guided fuzz session.
 
-    ``initial`` genomes are run first (the negative-control tests
-    inject hand-built genomes this way); they count against the budget.
+    ``initial`` genomes are run first (tests inject hand-built canary
+    genomes this way); they count against the budget.
     ``progress`` is an optional ``callable(genome, summary, novel,
     violations)`` hook for per-genome CLI lines.
     """
@@ -379,15 +285,10 @@ def replay_regressions(corpus_dir: Path) -> List[Tuple[str, Dict[str, Any], int]
 
 
 __all__ = [
-    "AMNESIA_PROBE_SHAPE",
     "DEDUP_ATTEMPTS",
     "FuzzConfig",
     "FuzzResult",
-    "MEMBERSHIP_PROBE_CRASH",
-    "MEMBERSHIP_PROBE_SHAPE",
     "PARENT_BIAS",
-    "amnesia_probe",
-    "membership_probe",
     "pinned_repro",
     "replay_regressions",
     "run_fuzz",

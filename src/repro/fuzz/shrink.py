@@ -32,12 +32,8 @@ from repro.faults.shrink import shrink_plan
 from repro.fuzz.genome import BASELINE_GENOME, ScenarioGenome
 
 #: Reduction order: cheap single-axis resets first, the backend
-#: collapse last.  ``resync`` and ``transition`` (the two deliberately
-#: broken emulation modes) reduce first so a genuinely broken mode is
-#: never masked by axis noise.
+#: collapse last.
 AXIS_ORDER = (
-    "resync",
-    "transition",
     "crash",
     "delay",
     "consistency",

@@ -85,11 +85,12 @@ set and the delivery step:
   lands.  Overlapping events queue and transition one at a time, so
   back-to-back reconfigurations are safe.
 
-Two **deliberately broken modes** stay selectable as negative controls
-the history audits must catch, each at its minimum footprint:
-``resync=False`` skips the resync round (a recovered replica serves
-straight out of amnesia), and ``transition="single-config"`` never puts
-the proposed config in force and installs it without a transfer.
+One **deliberately broken mode** stays selectable, at its minimum
+footprint: ``transition="single-config"`` never puts the proposed
+config in force and installs it without a transfer.  It is the
+benchmark selfcheck's known-red cell (the ``membership-canary``
+scenario).  Every other broken protocol lives on the test side, as a
+patch of this module's methods; production config names none of them.
 
 :class:`EmulatedMemory` subclasses
 :class:`~repro.memory.memory.SharedMemory`: the namespace, the access
@@ -239,14 +240,8 @@ class EmulationConfig:
         :meth:`EmulatedMemory.start`; partition and storm windows are
         compiled into a
         :class:`~repro.netsim.network.PartitionScheduleLinks` overlay
-        on the configured link model.
-    resync:
-        Whether a recovering replica runs the quorum state-resync
-        before serving reads again (the correct protocol, default).
-        ``False`` is the *deliberately broken* mode for negative tests:
-        a recovered replica serves straight out of amnesia, which the
-        history audit is expected to catch (and ``repro chaos`` to
-        shrink).
+        on the configured link model.  A recovering replica always runs
+        the quorum state-resync before serving reads again.
     membership_plan:
         A :class:`repro.memory.membership.MembershipPlan` timeline (as
         a tuple of :class:`~repro.memory.membership.MembershipEvent`):
@@ -269,7 +264,7 @@ class EmulationConfig:
         -- or ``"single-config"`` -- the *deliberately broken* negative
         control where window quorums consult the old config only and
         the install skips the state transfer, which the history audit
-        is expected to catch (and ``repro fuzz`` to shrink).
+        is expected to catch (the benchmark selfcheck's red cell).
     consistency:
         Consistency level of the emulated registers
         (:data:`CONSISTENCY_LEVELS`): ``"regular"`` -- single-phase
@@ -294,7 +289,6 @@ class EmulationConfig:
     retry_jitter: float = 0.25
     replica_crash_times: Tuple[Tuple[int, float], ...] = ()
     fault_plan: Tuple[FaultEvent, ...] = ()
-    resync: bool = True
     membership_plan: Tuple[MembershipEvent, ...] = ()
     transfer_delay: float = 150.0
     transition: str = "dual-quorum"
@@ -823,19 +817,16 @@ class EmulatedMemory(SharedMemory):
         The crash wiped the replica's volatile store, so it restarts
         from *nothing* (not even the seeded initial values -- stale
         initial state is exactly the bug the resync exists to prevent).
-        Under ``config.resync`` it applies and acks writes but refuses
-        reads until its state-sync round delivers a quorum's merged
-        snapshots; with ``resync=False`` (the broken mode for negative
-        tests) it serves immediately out of amnesia.
+        It applies and acks writes but refuses reads until its
+        state-sync round delivers a quorum's merged snapshots.
         """
         if not node.crashed:
             return  # recover of a live replica is a no-op
         node.crashed = False
         node.store.clear()
         self.recoveries += 1
-        if self.config.resync:
-            node.recovering = True
-            self._open_round(node, node.node_id, "abd-resync-retry")
+        node.recovering = True
+        self._open_round(node, node.node_id, "abd-resync-retry")
 
     def _open_round(self, node: Optional[ReplicaNode], pid: int, retry_kind: str) -> None:
         """Open a state-sync round (with retransmission): the resync of

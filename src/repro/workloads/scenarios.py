@@ -993,7 +993,7 @@ def membership_churn(
     churn run without the history audit would miss exactly the
     stale-read bugs a broken reconfiguration manufactures.
     ``transition="single-config"`` switches to the deliberately broken
-    old-quorums-only mode (the membership negative-control oracle), and
+    old-quorums-only mode (kept for :func:`membership_canary`), and
     ``crash_times`` forwards replica-crash times (stringified index ->
     time) so negative controls can force reads onto under-synced
     joiners.
@@ -1050,14 +1050,14 @@ def membership_churn_atomic(
     )
 
 
-#: The pinned membership negative-control construction (the membership
-#: analogue of the ``--no-resync`` canary): replace the entire initial
-#: config -- join 3, join 4, leave 0, leave 1 -- then crash replica 2,
-#: the last original member, so every read quorum must be served by
-#: joiners alone.  Under ``dual-quorum`` windows the state transfer has
-#: synced the joiners and the audit stays clean; under the broken
-#: ``single-config`` mode the joiners serve whatever they overheard and
-#: the history audit catches the stale reads deterministically.
+#: The pinned membership negative-control construction: replace the
+#: entire initial config -- join 3, join 4, leave 0, leave 1 -- then
+#: crash replica 2, the last original member, so every read quorum must
+#: be served by joiners alone.  Under ``dual-quorum`` windows the state
+#: transfer has synced the joiners and the audit stays clean; under the
+#: broken ``single-config`` mode the joiners serve whatever they
+#: overheard and the history audit catches the stale reads
+#: deterministically.
 MEMBERSHIP_CANARY_PLAN: Tuple[Dict[str, Any], ...] = (
     {"kind": "join", "at": 600.0, "replica": 3},
     {"kind": "join", "at": 900.0, "replica": 4},
@@ -1080,9 +1080,11 @@ def membership_canary(
 
     With ``transition="single-config"`` (the default) this is the
     deliberately broken mode the atomic/regular history audits must
-    flag red; flipping to ``"dual-quorum"`` is the matched positive
-    control that must stay clean.  Kept as its own factory so the fuzz
-    registry and CI can replay the pinned construction by name.
+    flag red -- the benchmark selfcheck's known-red cell, which is why
+    the mode survives in production config; flipping to
+    ``"dual-quorum"`` is the matched positive control that must stay
+    clean.  Kept as its own factory so the benchmark and CI can replay
+    the pinned construction by name.
     """
     return replace(
         membership_churn(
@@ -1122,7 +1124,6 @@ def chaos(
     replicas: int = 3,
     delta: float = 0.25,
     plan: Optional[List[Dict[str, Any]]] = None,
-    resync: bool = True,
     retry_policy: str = "fixed",
 ) -> Scenario:
     """Fault-injection campaign cell: a :mod:`repro.faults` timeline.
@@ -1132,24 +1133,20 @@ def chaos(
     the parallel engine can hash); ``None`` runs
     :data:`DEFAULT_CHAOS_PLAN`.  The recorder is always on -- a chaos
     run without the history audit would miss exactly the stale-read
-    bugs fault injection exists to surface.  ``resync=False`` switches
-    the emulation to the deliberately broken recover-without-resync
-    mode (the ``repro chaos`` negative oracle), and ``retry_policy``
-    exposes the backoff knob to campaigns.
+    bugs fault injection exists to surface.  Recovering replicas always
+    resync; ``retry_policy`` exposes the backoff knob to campaigns.
     """
     events = DEFAULT_CHAOS_PLAN if plan is None else tuple(plan)
     fault_plan = [dict(ev) for ev in events]
     return _compose(
         f"chaos-n{n}", n, horizon,
         f"{replicas}-replica ABD emulation under a {len(fault_plan)}-event "
-        f"fault plan ({'resync' if resync else 'NO resync'}, "
-        f"{retry_policy} retries), history audited",
+        f"fault plan (resync, {retry_policy} retries), history audited",
         emulation=_sync_links(
             replicas,
             "sync",
             delta,
             fault_plan=fault_plan,
-            resync=resync,
             retry_policy=retry_policy,
             record_history=True,
         ),
@@ -1193,9 +1190,7 @@ def fuzz_cell(
     delta: float = 0.25,
     consistency: str = "regular",
     plan: Optional[List[Dict[str, Any]]] = None,
-    resync: bool = True,
     membership: Optional[List[Dict[str, Any]]] = None,
-    transition: str = "dual-quorum",
 ) -> Scenario:
     """The scenario a :class:`~repro.fuzz.genome.ScenarioGenome` pins.
 
@@ -1206,12 +1201,9 @@ def fuzz_cell(
     :mod:`repro.memory.membership` timeline.  Emulated cells always arm
     the history recorder: a fuzz run without the consistency audit
     would be blind to exactly the stale-read bugs the fuzzer hunts.
-    ``resync=False`` is the deliberately broken recover-without-resync
-    mode and ``transition="single-config"`` the deliberately broken
-    old-quorums-only reconfiguration mode (the negative-control
-    oracles).  Knob timings (GST, crash instants, burst periods) scale
-    with the horizon, so the derived-horizon scaling in the genome
-    keeps every cell proportionally shaped.
+    Knob timings (GST, crash instants, burst periods) scale with the
+    horizon, so the derived-horizon scaling in the genome keeps every
+    cell proportionally shaped.
     """
     # The kwargs arrive from corpus / pinned-repro JSON: reject a bad
     # value here, not later inside a worker.  ``links`` stays open to
@@ -1235,23 +1227,16 @@ def fuzz_cell(
             emulation = _ramp_links(replicas, horizon * 0.3, 6.0, retry_interval=4.0)
         else:
             emulation = _sync_links(replicas, links, delta)
-        emulation.update(record_history=True, resync=resync)
+        emulation["record_history"] = True
         if plan:
             emulation["fault_plan"] = [dict(ev) for ev in plan]
         if membership:
-            emulation.update(
-                membership_plan=[dict(ev) for ev in membership], transition=transition
-            )
+            emulation["membership_plan"] = [dict(ev) for ev in membership]
         fault_note = f", {len(plan)}-event fault plan" if plan else ""
-        churn_note = (
-            f", {len(membership)}-event membership plan"
-            + (" (single-config)" if transition != "dual-quorum" else "")
-            if membership
-            else ""
-        )
+        churn_note = f", {len(membership)}-event membership plan" if membership else ""
         detail = (
             f" ({replicas} replicas, {links} links, {consistency} reads"
-            f"{', NO resync' if not resync else ''}{fault_note}{churn_note}, audited)"
+            f"{fault_note}{churn_note}, audited)"
         )
     return _compose(
         f"fuzz-{backend}-{delay}-{crash}-n{n}", n, horizon,

@@ -79,9 +79,12 @@ def run_under_other_kernel_variants(script: Path) -> Dict[str, Any]:
             f"{script.name}: no subprocess leg run -- the in-process kernel is {active!r} "
             "and there is no built repro.sim._ckernel to differ from it"
         )
+    # Run as a module from the repo root, so the script can import
+    # ``tests.*`` (the protocol mutants) like the in-process leg does.
+    module = ".".join(script.relative_to(REPO).with_suffix("").parts)
     procs = {
         variant: subprocess.Popen(
-            [sys.executable, str(script)],
+            [sys.executable, "-m", module],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO,
             env={**os.environ, "REPRO_KERNEL": variant, "PYTHONPATH": str(REPO / "src")},
         )

@@ -1,10 +1,10 @@
 """Chaos campaigns end to end: the PR's two acceptance bars live here.
 
-Bar 1: a 200-plan seeded campaign against the default (resync-on)
-emulation runs with **zero** violations.  Bar 2: the deliberately
-broken emulation (recovery without state-resync) is *caught* by the
-same oracles and delta-debugged down to a pinned repro of at most five
-fault events.
+Bar 1: a 200-plan seeded campaign against the emulation runs with
+**zero** violations.  Bar 2: the ``skip-resync`` protocol mutant
+(recovery without state-resync, :mod:`tests.mutants`) is *caught* by
+the same oracles and delta-debugged down to a pinned repro of at most
+five fault events.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from repro.faults.campaign import (
 )
 from repro.workloads.registry import ALGORITHMS, build_scenario
 from repro.workloads.scenarios import DEFAULT_CHAOS_PLAN, chaos
+from tests.mutants import MUTANTS
+
+SKIP_RESYNC = MUTANTS["skip-resync"]
 
 
 def test_acceptance_200_plan_campaign_is_clean():
@@ -46,37 +49,38 @@ def test_acceptance_broken_resync_is_caught_and_shrunk():
     # Negative control: recovery WITHOUT state-resync serves amnesiac
     # replicas, which the consistency oracles must catch -- and the
     # delta debugger must pin to a minimal (<= 5 events) repro.
-    config = CampaignConfig(plans=4, seed=0, horizon=2000.0, resync=False)
-    result = run_campaign(config)
-    assert not result.ok, "broken emulation escaped the oracles"
-    violation = result.violations[0]
-    assert violation.violations > 0
-    assert violation.shrunk is not None
-    assert len(violation.shrunk) <= 5
-    assert violation.oracle_runs > 0
-    # The shrunk plan still violates under the exact pinned knobs.
-    summary = replay_plan(violation.shrunk, config, violation.where["seed"])
-    assert violation_count(summary) > 0
-    # ... and the identical campaign with resync ON is clean.
-    fixed = run_campaign(CampaignConfig(plans=4, seed=0, horizon=2000.0))
-    assert fixed.ok
+    config = CampaignConfig(plans=4, seed=0, horizon=2000.0)
+    with SKIP_RESYNC.applied():
+        result = run_campaign(config)
+        assert not result.ok, "broken emulation escaped the oracles"
+        violation = result.violations[0]
+        assert violation.violations > 0
+        assert violation.shrunk is not None
+        assert len(violation.shrunk) <= 5
+        assert violation.oracle_runs > 0
+        # The shrunk plan still violates under the exact pinned knobs.
+        summary = replay_plan(violation.shrunk, config, violation.where["seed"])
+        assert violation_count(summary) > 0
+    # ... and the identical campaign on the real emulation is clean.
+    assert run_campaign(config).ok
 
 
 def test_pinned_repro_replays_through_the_registry():
-    config = CampaignConfig(plans=4, seed=0, horizon=2000.0, resync=False)
-    result = run_campaign(config)
+    config = CampaignConfig(plans=4, seed=0, horizon=2000.0)
+    with SKIP_RESYNC.applied():
+        result = run_campaign(config)
     repro = result.violations[0].repro
     assert repro["factory"] == "chaos"
-    assert repro["kwargs"]["resync"] is False
     # Engine-ready: the registry rebuilds the scenario from the payload
     # and the rerun reproduces the violation from the pinned seed.
     scenario = build_scenario(repro["factory"], repro["kwargs"])
-    run = scenario.run(
-        ALGORITHMS[repro["algorithm"]],
-        seed=repro["seed"],
-        log_reads=False,
-        trace_events=False,
-    )
+    with SKIP_RESYNC.applied():
+        run = scenario.run(
+            ALGORITHMS[repro["algorithm"]],
+            seed=repro["seed"],
+            log_reads=False,
+            trace_events=False,
+        )
     audit = run.audit_consistency()
     assert audit is not None and len(audit.violations) > 0
 

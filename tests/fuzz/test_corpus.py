@@ -19,6 +19,9 @@ FAULTED = ScenarioGenome(
     ),
 )
 
+#: The smallest payload a regression slot accepts.
+REPRO = {"factory": "fuzz-cell", "kwargs": {}, "algorithm": "alg1", "seed": 0}
+
 
 class TestInMemory:
     def test_rootless_corpus_never_touches_disk(self):
@@ -48,7 +51,7 @@ class TestPersistence:
         corpus.add_genome(BASELINE_GENOME)
         corpus.add_genome(FAULTED)
         corpus.coverage = TraceFeatureMap({"stabilized=True": 3})
-        corpus.add_regression(FAULTED, {"factory": "fuzz-cell", "kwargs": {}})
+        corpus.add_regression(FAULTED, REPRO)
         corpus.save_coverage(3000.0)
 
         loaded = Corpus.load(root)
@@ -89,7 +92,7 @@ class TestTornFiles:
     def _corpus(self, root):
         corpus = Corpus(root)
         corpus.add_genome(FAULTED)
-        corpus.add_regression(FAULTED, {"factory": "fuzz-cell", "kwargs": {}})
+        corpus.add_regression(FAULTED, REPRO)
         corpus.save_coverage(3000.0)
 
     @pytest.mark.parametrize(
@@ -104,6 +107,35 @@ class TestTornFiles:
         with pytest.raises(ValueError, match="corrupt corpus file") as caught:
             Corpus.load(root)
         assert str(torn) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "relative, content, complaint",
+        [
+            # Valid JSON, but not the object the slot needs.
+            ("genomes/x.json", "[1, 2]", "expected a JSON object, got list"),
+            ("coverage.json", "[1]", "expected a JSON object, got list"),
+            ("coverage.json", '{"signatures": [1]}', "coverage.json: "),
+            ("regressions/x.json", "{}", "pinned repro lacks ['factory', 'kwargs'"),
+            ("regressions/x.json", '{"factory": "fuzz-cell", "kwargs": {}}',
+             "pinned repro lacks ['algorithm', 'seed']"),
+            # A genome from before the resync/transition axes were
+            # deleted: refused, never read back half-understood.
+            ("genomes/x.json", json.dumps({**FAULTED.to_jsonable(), "resync": True}),
+             "unknown genome key(s): ['resync']"),
+        ],
+        ids=["genome-list", "coverage-list", "coverage-signatures-list",
+             "repro-empty", "repro-without-algorithm-and-seed", "genome-with-resync"],
+    )
+    def test_a_malformed_file_is_named_in_the_error(self, tmp_path, relative, content, complaint):
+        root = tmp_path / "corpus"
+        bad = root / relative
+        bad.parent.mkdir(parents=True, exist_ok=True)
+        bad.write_text(content)
+        with pytest.raises(ValueError) as caught:
+            Corpus.load(root)
+        message = str(caught.value)
+        assert message.startswith(f"corrupt corpus file {bad}: ")
+        assert complaint in message
 
     def test_a_write_killed_midway_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
         root = tmp_path / "corpus"

@@ -66,9 +66,9 @@ class TestValidation:
             {"links": "lossy"},
             {"consistency": "atomic"},
             {"fault_plan": PAIR},
-            {"resync": False},
+            {"replicas": 5, "consistency": "atomic"},
             {"membership_plan": CHURN},
-            {"transition": "single-config"},
+            {"fault_plan": PAIR, "membership_plan": CHURN},
         ],
     )
     def test_shared_backend_forces_emulated_axes_to_baseline(self, kwargs):
@@ -91,8 +91,12 @@ class TestValidation:
         ScenarioGenome(backend="emulated", replicas=3, membership_plan=CHURN)
 
     def test_off_vocabulary_transition_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioGenome(backend="emulated", transition="triple-config")
+        # Broken transition modes are test-side protocol mutants, not a
+        # genome axis: a payload naming one is refused outright.
+        for key, value in (("transition", "single-config"), ("resync", False)):
+            payload = dict(BASELINE_GENOME.to_jsonable(), **{key: value})
+            with pytest.raises(ValueError, match=f"unknown genome key.*{key}"):
+                ScenarioGenome.from_jsonable(payload)
 
     def test_fault_plan_replica_indices_validated(self):
         storm = (
@@ -115,16 +119,15 @@ class TestAxisTable:
 
     def test_off_baseline_emulated_axes_lists_them_in_field_order(self):
         g = ScenarioGenome(
-            backend="emulated", consistency="atomic", replicas=5, resync=False, n=5
+            backend="emulated", consistency="atomic", replicas=5, fault_plan=PAIR, n=5
         )
-        assert g.off_baseline_emulated_axes() == ["replicas", "consistency", "resync"]
+        assert g.off_baseline_emulated_axes() == ["replicas", "consistency", "fault_plan"]
         assert ScenarioGenome(backend="emulated", n=5).off_baseline_emulated_axes() == []
 
     def test_on_shared_memory_keeps_only_the_backend_neutral_axes(self):
         g = ScenarioGenome(
             algorithm="alg1-nwnr", backend="emulated", n=4, delay="bursts", crash="leader",
-            replicas=5, consistency="atomic", fault_plan=PAIR, resync=False,
-            transition="single-config",
+            replicas=5, consistency="atomic", fault_plan=PAIR,
         )
         assert g.on_shared_memory() == ScenarioGenome(
             algorithm="alg1-nwnr", n=4, delay="bursts", crash="leader"
@@ -164,12 +167,11 @@ class TestComplexity:
         assert g.complexity() == 2  # backend step + the membership axis
 
     def test_membership_kwargs_carry_plan_and_transition(self):
-        g = ScenarioGenome(
-            backend="emulated", membership_plan=CHURN, transition="single-config"
-        )
+        g = ScenarioGenome(backend="emulated", membership_plan=CHURN)
         kwargs = g.scenario_kwargs(2000.0)
         assert kwargs["membership"] == [ev.to_jsonable() for ev in CHURN]
-        assert kwargs["transition"] == "single-config"
+        # The transition is the cell's correct dual-quorum default.
+        assert "transition" not in kwargs and "resync" not in kwargs
         assert BASELINE_GENOME.scenario_kwargs(2000.0)["membership"] is None
 
 
@@ -181,13 +183,19 @@ class TestRoundTrip:
             ScenarioGenome.from_jsonable(payload)
 
     def test_plan_survives_the_round_trip(self):
-        g = ScenarioGenome(backend="emulated", fault_plan=PAIR, resync=False)
+        g = ScenarioGenome(backend="emulated", fault_plan=PAIR)
         assert ScenarioGenome.from_jsonable(g.to_jsonable()) == g
 
+    def test_keys_outlive_the_deleted_axes(self):
+        # Keys order the corpus and so pick mutation parents: they are
+        # the values captured while genomes still carried resync and
+        # transition, so every fuzz trajectory stays what it was.
+        assert BASELINE_GENOME.key() == "e023a89d99fc"
+        churned = ScenarioGenome(backend="emulated", consistency="atomic", membership_plan=CHURN)
+        assert churned.key() == "9bc691c96481"
+
     def test_membership_plan_survives_the_round_trip(self):
-        g = ScenarioGenome(
-            backend="emulated", membership_plan=CHURN, transition="single-config"
-        )
+        g = ScenarioGenome(backend="emulated", membership_plan=CHURN)
         clone = ScenarioGenome.from_jsonable(g.to_jsonable())
         assert clone == g and clone.key() == g.key()
 

@@ -1,4 +1,4 @@
-"""Genome shrinking with synthetic (no-simulation) oracles."""
+"""Genome shrinking, mostly with synthetic (no-simulation) oracles."""
 
 from __future__ import annotations
 
@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.engine.search import replay, violation_count
 from repro.faults.plan import FaultEvent
 from repro.fuzz.genome import BASELINE_GENOME, ScenarioGenome
+from repro.fuzz.loop import FuzzConfig, pinned_repro
 from repro.fuzz.shrink import shrink_genome
+from tests.mutants import AMNESIA_GENOME, MUTANTS, SEARCH_HORIZON
 
 PAIR_A = (
     FaultEvent(kind="replica-crash", at=100.0, replica=1),
@@ -72,22 +75,20 @@ class TestFaultPlanStage:
         assert result.genome.fault_plan == PAIR_A
         assert result.genome.complexity() == 2
 
-    def test_resync_reduces_first_when_irrelevant(self):
-        start = ScenarioGenome(backend="emulated", resync=False, fault_plan=PAIR_A)
-        result = shrink_genome(start, lambda g: g.backend == "emulated")
-        assert result.genome == ScenarioGenome(backend="emulated")
-
     def test_broken_resync_is_kept_when_it_carries_the_violation(self):
-        def amnesia(g: ScenarioGenome) -> bool:
-            return not g.resync and bool(g.fault_plan)
+        # The real oracle under the skip-resync mutant: both crash/recover
+        # pairs carry the violation (one amnesiac replica alone cannot
+        # corrupt a majority), so both survive; the noise axis does not.
+        config = FuzzConfig(jobs=1, horizon=SEARCH_HORIZON)
 
-        start = ScenarioGenome(
-            backend="emulated", resync=False, fault_plan=PAIR_A + PAIR_B, n=4
-        )
-        result = shrink_genome(start, amnesia)
-        assert result.genome.resync is False
-        assert result.genome.n == 3  # the irrelevant axis still reduced
-        assert len(result.genome.fault_plan) == 2  # one group survived
+        def amnesia(g: ScenarioGenome) -> bool:
+            return violation_count(replay(pinned_repro(g, config))) > 0
+
+        start = replace(AMNESIA_GENOME, n=4)
+        with MUTANTS["skip-resync"].applied():
+            result = shrink_genome(start, amnesia)
+        assert result.genome == AMNESIA_GENOME  # n reduced, timeline kept
+        assert not amnesia(result.genome)  # clean on the real emulation
 
 
 class TestBudget:

@@ -4,9 +4,10 @@ The satellite acceptance bars live here:
 
 * same ``(seed, corpus)`` -> byte-identical genome sequence and
   coverage map, in-process and across ``REPRO_KERNEL`` variants;
-* the deliberately broken recover-without-resync emulation is caught,
-  shrunk to a mutation-minimal genome (complexity <= 6) and pinned as a
-  registry-replayable regression that stays red until fixed.
+* the ``skip-resync`` and ``single-config`` protocol mutants
+  (:mod:`tests.mutants`) are caught, shrunk to a mutation-minimal genome
+  (complexity <= 6) and pinned as registry-replayable regressions that
+  stay red until the mutant is gone.
 """
 
 from __future__ import annotations
@@ -23,15 +24,9 @@ import pytest
 
 from repro.engine.search import replay, violation_count
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.loop import (
-    FuzzConfig,
-    amnesia_probe,
-    membership_probe,
-    pinned_repro,
-    replay_regressions,
-    run_fuzz,
-)
+from repro.fuzz.loop import FuzzConfig, pinned_repro, replay_regressions, run_fuzz
 from repro.workloads.registry import ALGORITHMS, build_scenario
+from tests.mutants import AMNESIA_GENOME, MEMBERSHIP_GENOME, MUTANTS, fuzz_search
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -42,6 +37,27 @@ QUICK = dict(seed=0, budget=6, batch=6, jobs=2, horizon=900.0)
 
 def quick_config(**overrides) -> FuzzConfig:
     return FuzzConfig(**{**QUICK, **overrides})
+
+
+def pin_under(mutant: str, genome, root: Path):
+    """Fuzz ``genome`` alone under ``mutant``; the run's result."""
+    with MUTANTS[mutant].applied():
+        return fuzz_search(genome, root)
+
+
+def audit_violations(payload) -> int:
+    """The consistency-audit verdict of a pinned repro, the long way
+    round: through ``build_scenario`` and a plain run."""
+    scenario = build_scenario(payload["factory"], payload["kwargs"])
+    run = scenario.run(
+        ALGORITHMS[payload["algorithm"]],
+        seed=payload["seed"],
+        log_reads=False,
+        trace_events=False,
+    )
+    audit = run.audit_consistency()
+    assert audit is not None
+    return len(audit.violations)
 
 
 def fingerprint(result, corpus_dir: Path) -> dict:
@@ -106,9 +122,7 @@ class TestDeterminism:
 class TestNegativeControl:
     def test_amnesia_probe_caught_shrunk_and_pinned(self, tmp_path):
         root = tmp_path / "corpus"
-        probe = amnesia_probe(QUICK["horizon"])
-        config = quick_config(budget=1, resync=False)
-        result = run_fuzz(config, corpus_dir=root, initial=[probe])
+        result = pin_under("skip-resync", AMNESIA_GENOME, root)
         assert not result.ok
         assert len(result.violations) == 1
         violation = result.violations[0]
@@ -119,66 +133,43 @@ class TestNegativeControl:
         assert violation.oracle_runs > 0
         # Pinned payload is engine-ready and the corpus persisted it.
         assert violation.repro["factory"] == "fuzz-cell"
-        assert violation.repro["kwargs"]["resync"] is False
+        assert violation.repro["kwargs"]["plan"]
         assert Corpus.load(root).regression_items()
 
     def test_pinned_regression_replays_red_through_the_registry(self, tmp_path):
         root = tmp_path / "corpus"
-        probe = amnesia_probe(QUICK["horizon"])
-        run_fuzz(quick_config(budget=1, resync=False), corpus_dir=root, initial=[probe])
-        rows = replay_regressions(root)
-        assert rows and all(count > 0 for _, _, count in rows)
-        # ... and directly through build_scenario, the long-way round.
-        _key, payload, _count = rows[0]
-        scenario = build_scenario(payload["factory"], payload["kwargs"])
-        run = scenario.run(
-            ALGORITHMS[payload["algorithm"]],
-            seed=payload["seed"],
-            log_reads=False,
-            trace_events=False,
-        )
-        audit = run.audit_consistency()
-        assert audit is not None and len(audit.violations) > 0
+        pin_under("skip-resync", AMNESIA_GENOME, root)
+        with MUTANTS["skip-resync"].applied():
+            rows = replay_regressions(root)
+            assert rows and all(count > 0 for _, _, count in rows)
+            # ... and directly through build_scenario, the long-way round.
+            assert audit_violations(rows[0][1]) > 0
 
     def test_fixed_emulation_replays_the_regression_clean(self, tmp_path):
-        # "The fix" for the pinned regression is turning resync back on:
-        # the same cell kwargs with a correct emulation run violation-free.
+        # "The fix" for the pinned regression is the resync round: the
+        # same pinned cell on the real emulation runs violation-free.
         root = tmp_path / "corpus"
-        probe = amnesia_probe(QUICK["horizon"])
-        run_fuzz(quick_config(budget=1, resync=False), corpus_dir=root, initial=[probe])
-        _key, payload, _count = replay_regressions(root)[0]
-        fixed = dict(payload["kwargs"], resync=True)
-        scenario = build_scenario(payload["factory"], fixed)
-        run = scenario.run(
-            ALGORITHMS[payload["algorithm"]],
-            seed=payload["seed"],
-            log_reads=False,
-            trace_events=False,
-        )
-        summary = run.summarize(
-            scenario_name=scenario.name,
-            margin=scenario.margin,
-            assumption=scenario.assumption,
-        )
-        assert violation_count(summary) == 0
+        pin_under("skip-resync", AMNESIA_GENOME, root)
+        rows = replay_regressions(root)
+        assert rows and all(count == 0 for _, _, count in rows)
+        assert audit_violations(rows[0][1]) == 0
 
     def test_probe_is_clean_on_the_correct_emulation(self):
         # The canary genome itself carries no violation -- only the
-        # broken resync mode does (so fuzz runs on a clean tree can
-        # mutate onto fault plans without tripping the oracle).
-        summary = replay(pinned_repro(amnesia_probe(QUICK["horizon"]), quick_config()))
+        # mutant does (so fuzz runs on a clean tree can mutate onto
+        # fault plans without tripping the oracle).
+        summary = replay(pinned_repro(AMNESIA_GENOME, quick_config()))
         assert violation_count(summary) == 0
 
 
 class TestMembershipNegativeControl:
-    """The ``--broken-transition`` canary: single-config reconfiguration
-    must be caught, shrunk and pinned exactly like the resync one."""
+    """The ``single-config`` mutant: reconfiguration without dual
+    quorums or a transfer must be caught, shrunk and pinned exactly like
+    the ``skip-resync`` one."""
 
     def test_membership_probe_caught_shrunk_and_pinned(self, tmp_path):
         root = tmp_path / "corpus"
-        probe = membership_probe(QUICK["horizon"])
-        config = quick_config(budget=1, transition="single-config")
-        result = run_fuzz(config, corpus_dir=root, initial=[probe])
+        result = pin_under("single-config", MEMBERSHIP_GENOME, root)
         assert not result.ok
         assert len(result.violations) == 1
         violation = result.violations[0]
@@ -193,7 +184,6 @@ class TestMembershipNegativeControl:
         assert violation.oracle_runs > 0
         # Pinned payload is engine-ready and the corpus persisted it.
         assert violation.repro["factory"] == "fuzz-cell"
-        assert violation.repro["kwargs"]["transition"] == "single-config"
         assert violation.repro["kwargs"]["membership"]
         assert Corpus.load(root).regression_items()
 
@@ -201,57 +191,27 @@ class TestMembershipNegativeControl:
         self, tmp_path
     ):
         root = tmp_path / "corpus"
-        probe = membership_probe(QUICK["horizon"])
-        run_fuzz(
-            quick_config(budget=1, transition="single-config"),
-            corpus_dir=root,
-            initial=[probe],
-        )
-        rows = replay_regressions(root)
-        assert rows and all(count > 0 for _, _, count in rows)
-        # ... and directly through build_scenario, the long-way round.
-        _key, payload, _count = rows[0]
-        scenario = build_scenario(payload["factory"], payload["kwargs"])
-        run = scenario.run(
-            ALGORITHMS[payload["algorithm"]],
-            seed=payload["seed"],
-            log_reads=False,
-            trace_events=False,
-        )
-        audit = run.audit_consistency()
-        assert audit is not None and len(audit.violations) > 0
+        pin_under("single-config", MEMBERSHIP_GENOME, root)
+        with MUTANTS["single-config"].applied():
+            rows = replay_regressions(root)
+            assert rows and all(count > 0 for _, _, count in rows)
+            # ... and directly through build_scenario, the long-way round.
+            assert audit_violations(rows[0][1]) > 0
 
     def test_dual_quorum_replays_the_membership_regression_clean(self, tmp_path):
-        # "The fix" is restoring dual-quorum windows: the same cell
-        # kwargs with a correct transition mode run violation-free.
+        # "The fix" is restoring dual-quorum windows and the transfer:
+        # the same pinned cell on the real emulation runs violation-free.
         root = tmp_path / "corpus"
-        probe = membership_probe(QUICK["horizon"])
-        run_fuzz(
-            quick_config(budget=1, transition="single-config"),
-            corpus_dir=root,
-            initial=[probe],
-        )
-        _key, payload, _count = replay_regressions(root)[0]
-        fixed = dict(payload["kwargs"], transition="dual-quorum")
-        scenario = build_scenario(payload["factory"], fixed)
-        run = scenario.run(
-            ALGORITHMS[payload["algorithm"]],
-            seed=payload["seed"],
-            log_reads=False,
-            trace_events=False,
-        )
-        summary = run.summarize(
-            scenario_name=scenario.name,
-            margin=scenario.margin,
-            assumption=scenario.assumption,
-        )
-        assert violation_count(summary) == 0
+        pin_under("single-config", MEMBERSHIP_GENOME, root)
+        rows = replay_regressions(root)
+        assert rows and all(count == 0 for _, _, count in rows)
+        assert audit_violations(rows[0][1]) == 0
 
     def test_membership_probe_is_clean_on_the_correct_emulation(self):
         # The probe genome carries no violation of its own -- only the
-        # broken transition mode does (so clean-tree fuzz runs can
-        # mutate onto membership plans without tripping the oracle).
-        summary = replay(pinned_repro(membership_probe(QUICK["horizon"]), quick_config()))
+        # mutant does (so clean-tree fuzz runs can mutate onto
+        # membership plans without tripping the oracle).
+        summary = replay(pinned_repro(MEMBERSHIP_GENOME, quick_config()))
         assert violation_count(summary) == 0
         assert summary.configs_installed > 0
         assert summary.transfer_rounds > 0
@@ -261,10 +221,8 @@ class TestMembershipNegativeControl:
         # a static run land in different signatures.
         from repro.fuzz.coverage import signature
 
-        churned = dict(signature(replay(pinned_repro(
-            membership_probe(QUICK["horizon"]), quick_config()))))
-        static = dict(signature(replay(pinned_repro(
-            amnesia_probe(QUICK["horizon"]), quick_config()))))
+        churned = dict(signature(replay(pinned_repro(MEMBERSHIP_GENOME, quick_config()))))
+        static = dict(signature(replay(pinned_repro(AMNESIA_GENOME, quick_config()))))
         assert churned["configs_installed"] > 0
         assert static["configs_installed"] == 0
         assert churned["transfer_rounds"] > 0

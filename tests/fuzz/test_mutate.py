@@ -34,25 +34,11 @@ class TestSingleStep:
                 # The collapse back to shared resets emulated-only axes.
                 assert set(diff) <= {
                     "backend", "replicas", "links", "consistency",
-                    "fault_plan", "resync", "membership_plan", "transition",
+                    "fault_plan", "membership_plan",
                 }
             else:
                 assert len(diff) == 1, diff
             genome = child
-
-    def test_resync_is_never_a_mutation_axis(self):
-        rng = random.Random(7)
-        genome = BASELINE_GENOME
-        for _ in range(200):
-            genome = mutate(genome, rng)
-            assert genome.resync is True
-
-    def test_transition_is_never_a_mutation_axis(self):
-        rng = random.Random(11)
-        genome = BASELINE_GENOME
-        for _ in range(200):
-            genome = mutate(genome, rng)
-            assert genome.transition == "dual-quorum"
 
 
 class TestAxisRules:

@@ -4,46 +4,37 @@ The same-commit determinism tests (run twice, kernel variant vs kernel
 variant) cannot see a refactor that changes behaviour *consistently*.
 This file pins sha256 digests of everything ``repro chaos`` and ``repro
 fuzz`` report -- the ``--json`` payloads (shrunk subjects, oracle-run
-counts and pinned repros included), the persisted corpus keys and the
-CLI text of one red run each -- so a rewrite of the search pipeline
-must reproduce the exact candidates, verdicts, shrink trajectories and
-report bytes of the commit that generated ``golden_search_digests.json``.
+counts and pinned repros included) and the persisted corpus keys -- so
+a rewrite of the search pipeline must reproduce the exact candidates,
+verdicts, shrink trajectories and report bytes of the commit that
+generated ``golden_search_digests.json``.  The red runs search under
+the ``skip-resync`` and ``single-config`` protocol mutants
+(:mod:`tests.mutants`).
 
 Regenerate (only for an *intended* behaviour change)::
 
-    PYTHONPATH=src python tests/fuzz/test_search_golden.py \
+    PYTHONPATH=src python -m tests.fuzz.test_search_golden \
         > tests/fuzz/golden_search_digests.json
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.cli import main
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.fuzz.corpus import Corpus
-from repro.fuzz.loop import FuzzConfig, amnesia_probe, membership_probe, run_fuzz
+from repro.fuzz.loop import FuzzConfig, run_fuzz
+from tests.mutants import AMNESIA_GENOME, MEMBERSHIP_GENOME, MUTANTS
 
 GOLDEN = Path(__file__).with_name("golden_search_digests.json")
 
 #: Small enough for tier-1 wall clock, large enough to batch, reach
 #: several signatures and (in the red cells) shrink a real violation.
 FUZZ = dict(budget=6, batch=6, jobs=1, horizon=900.0)
-
-#: One red CLI run per command; the text reports (stdout + stderr) are
-#: digested next to the JSON ones.
-CLI_RUNS: Tuple[Tuple[str, List[str]], ...] = (
-    ("cli/chaos-no-resync", ["chaos", "--plans", "4", "--seed", "0", "--horizon", "2000",
-                             "--no-resync", "--verbose"]),
-    ("cli/fuzz-broken-transition", ["fuzz", "--budget", "1", "--batch", "1", "--jobs", "1",
-                                    "--horizon", "900", "--broken-transition", "--verbose"]),
-)
 
 
 def _digest(payload: Any) -> str:
@@ -66,34 +57,28 @@ def compute_digests() -> Dict[str, str]:
     digests: Dict[str, str] = {}
     clean = CampaignConfig(seed=7, plans=6, horizon=2000.0)
     digests["campaign/clean"] = _digest(run_campaign(clean).to_jsonable())
-    red = CampaignConfig(seed=0, plans=4, horizon=2000.0, resync=False)
-    digests["campaign/no-resync"] = _digest(run_campaign(red).to_jsonable())
-    unshrunk = CampaignConfig(seed=0, plans=4, horizon=2000.0, resync=False, shrink=False)
-    digests["campaign/no-resync-unshrunk"] = _digest(run_campaign(unshrunk).to_jsonable())
+    with MUTANTS["skip-resync"].applied():
+        red = CampaignConfig(seed=0, plans=4, horizon=2000.0)
+        digests["campaign/no-resync"] = _digest(run_campaign(red).to_jsonable())
+        unshrunk = CampaignConfig(seed=0, plans=4, horizon=2000.0, shrink=False)
+        digests["campaign/no-resync-unshrunk"] = _digest(run_campaign(unshrunk).to_jsonable())
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for seed in (0, 3):
             digests[f"fuzz/seed-{seed}"] = _digest(
                 _fuzz_fingerprint(FuzzConfig(seed=seed, **FUZZ), root / f"seed-{seed}")
             )
-        controls = (
-            ("amnesia", FuzzConfig(**{**FUZZ, "budget": 1, "resync": False}), amnesia_probe),
-            ("membership", FuzzConfig(**{**FUZZ, "budget": 1, "transition": "single-config"}),
-             membership_probe),
+        controls: Tuple[Tuple[str, str, Dict[str, Any], Any], ...] = (
+            ("amnesia-probe", "skip-resync", {}, AMNESIA_GENOME),
+            ("membership-probe", "single-config", {}, MEMBERSHIP_GENOME),
+            ("amnesia-probe-unshrunk", "skip-resync", {"shrink": False}, AMNESIA_GENOME),
         )
-        for label, config, probe in controls:
-            digests[f"fuzz/{label}-probe"] = _digest(
-                _fuzz_fingerprint(config, root / label, [probe(config.horizon)])
-            )
-        unshrunk_fuzz = FuzzConfig(**{**FUZZ, "budget": 1, "resync": False, "shrink": False})
-        digests["fuzz/amnesia-probe-unshrunk"] = _digest(
-            _fuzz_fingerprint(unshrunk_fuzz, root / "unshrunk", [amnesia_probe(FUZZ["horizon"])])
-        )
-    for label, argv in CLI_RUNS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        digests[label] = _digest({"code": code, "out": out.getvalue(), "err": err.getvalue()})
+        for label, mutant, knobs, genome in controls:
+            config = FuzzConfig(**{**FUZZ, "budget": 1, **knobs})
+            with MUTANTS[mutant].applied():
+                digests[f"fuzz/{label}"] = _digest(
+                    _fuzz_fingerprint(config, root / label, [genome])
+                )
     return digests
 
 

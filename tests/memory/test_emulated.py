@@ -42,7 +42,7 @@ def test_config_defaults_round_trip():
 _DEFAULT_JSON = (
     '{"replicas": 3, "links": "sync", "link_params": {}, "retry_interval": 20.0, '
     '"retry_policy": "fixed", "retry_cap": 160.0, "retry_jitter": 0.25, '
-    '"replica_crash_times": {}, "fault_plan": [], "resync": true, '
+    '"replica_crash_times": {}, "fault_plan": [], '
     '"membership_plan": [], "transfer_delay": 150.0, "transition": "dual-quorum", '
     '"consistency": "regular", "record_history": false}'
 )
@@ -54,7 +54,7 @@ _FULL_PAYLOAD = {
         {"kind": "replica-crash", "at": 100.0, "replica": 0},
         {"kind": "replica-recover", "at": 200.0, "replica": 0},
     ],
-    "resync": 0, "membership_plan": [{"kind": "join", "at": 50, "replica": 4}],
+    "membership_plan": [{"kind": "join", "at": 50, "replica": 4}],
     "transfer_delay": 30, "transition": "single-config", "consistency": "atomic",
     "record_history": 1,
 }
@@ -63,7 +63,7 @@ _FULL_JSON = (
     '"retry_interval": 5.0, "retry_policy": "backoff", "retry_cap": 40.0, '
     '"retry_jitter": 0.1, "replica_crash_times": {"1": 300.5, "4": 900.0}, '
     '"fault_plan": [{"kind": "replica-crash", "at": 100.0, "replica": 0}, '
-    '{"kind": "replica-recover", "at": 200.0, "replica": 0}], "resync": false, '
+    '{"kind": "replica-recover", "at": 200.0, "replica": 0}], '
     '"membership_plan": [{"kind": "join", "at": 50.0, "replica": 4}], '
     '"transfer_delay": 30.0, "transition": "single-config", "consistency": "atomic", '
     '"record_history": true}'
@@ -76,7 +76,7 @@ def test_config_json_shapes_are_frozen():
     full = EmulationConfig.from_dict(_FULL_PAYLOAD)
     assert json.dumps(full.to_dict()) == _FULL_JSON
     assert EmulationConfig.from_dict(full.to_dict()) == full
-    assert len(dataclasses.fields(EmulationConfig)) == 15
+    assert len(dataclasses.fields(EmulationConfig)) == 14
     # Empty / null non-scalars fall back to their defaults.
     assert EmulationConfig.from_dict(
         {"link_params": None, "replica_crash_times": None, "fault_plan": None,

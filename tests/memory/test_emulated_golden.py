@@ -6,26 +6,29 @@ vs kernel variant) cannot see a refactor that changes behaviour
 ``RunSummary.canonical_json`` for a grid that walks every protocol path
 of :mod:`repro.memory.emulated` -- static majorities, atomic
 write-backs, loss and ramp retransmission floods, amnesia resync,
-dual-quorum windows with state transfer, both deliberately broken modes
-and the backoff retry policy -- so a rewrite of the protocol core must
-reproduce the exact message and timer order of the commit that
-generated ``golden_emulated_digests.json``.
+dual-quorum windows with state transfer, the deliberately broken
+``single-config`` mode, the ``skip-resync`` protocol mutant
+(:mod:`tests.mutants`) and the backoff retry policy -- so a rewrite of
+the protocol core must reproduce the exact message and timer order of
+the commit that generated ``golden_emulated_digests.json``.
 
 Regenerate (only for an *intended* behaviour change)::
 
-    PYTHONPATH=src python tests/memory/test_emulated_golden.py \
+    PYTHONPATH=src python -m tests.memory.test_emulated_golden \
         > tests/memory/golden_emulated_digests.json
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.engine.summary import summarize_run
 from repro.workloads.registry import build_scenario, resolve_algorithm
+from tests.mutants import AMNESIA_PLAN, MUTANTS
 
 GOLDEN = Path(__file__).with_name("golden_emulated_digests.json")
 
@@ -45,15 +48,6 @@ GRID: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("nominal-emulated", {"horizon": 2000.0}),
 )
 
-#: Two crash/recover pairs on distinct replicas: the shape that makes
-#: recover-without-resync observable (cf. ``fuzz.loop.amnesia_probe``).
-_AMNESIA_PLAN = [
-    {"kind": "replica-crash", "at": 270.0, "replica": 1},
-    {"kind": "replica-recover", "at": 630.0, "replica": 1},
-    {"kind": "replica-crash", "at": 1125.0, "replica": 0},
-    {"kind": "replica-recover", "at": 1440.0, "replica": 0},
-]
-
 #: Replica 1 recovers while replica 2 is severed, so its resync round
 #: has to retransmit until the partition heals.
 _RESYNC_UNDER_PARTITION_PLAN = [
@@ -63,46 +57,51 @@ _RESYNC_UNDER_PARTITION_PLAN = [
     {"kind": "heal", "at": 1500.0, "replicas": [2]},
 ]
 
-#: One-off cells: ``(label, factory, kwargs, emulation overrides)``,
-#: each run for alg1 at seed 0.
-EXTRAS: Tuple[Tuple[str, str, Dict[str, Any], Dict[str, Any]], ...] = (
-    ("backoff", "emulated-lossy-audit", {"horizon": 6000.0}, {"retry_policy": "backoff"}),
-    ("no-resync", "chaos", {"horizon": 4500.0, "plan": _AMNESIA_PLAN, "resync": False}, {}),
+_Cell = Tuple[str, str, Dict[str, Any], Dict[str, Any], Optional[str], str, int]
+
+#: One-off cells: ``(label, factory, kwargs, emulation overrides,
+#: protocol mutant or None)``, each run for alg1 at seed 0.
+EXTRAS: Tuple[Tuple[str, str, Dict[str, Any], Dict[str, Any], Optional[str]], ...] = (
+    ("backoff", "emulated-lossy-audit", {"horizon": 6000.0}, {"retry_policy": "backoff"}, None),
+    ("no-resync", "chaos", {"horizon": 4500.0, "plan": AMNESIA_PLAN}, {}, "skip-resync"),
     (
         "resync-under-partition",
         "chaos",
         {"horizon": 3000.0, "plan": _RESYNC_UNDER_PARTITION_PLAN},
         {},
+        None,
     ),
     (
         "churn-over-lossy-links",
         "membership-churn",
         {"horizon": 4000.0},
         {"links": "lossy", "link_params": {"loss": 0.2}, "retry_interval": 10.0},
+        None,
     ),
 )
 
 
-def _cells() -> Iterator[Tuple[str, str, Dict[str, Any], Dict[str, Any], str, int]]:
+def _cells() -> Iterator[_Cell]:
     for factory, kwargs in GRID:
         tag = kwargs.get("transition", "")
         for algorithm in ("alg1", "alg2"):
             for seed in (0, 1):
                 label = "/".join(filter(None, (factory, tag, algorithm, str(seed))))
-                yield label, factory, kwargs, {}, algorithm, seed
-    for label, factory, kwargs, emulation in EXTRAS:
-        yield label, factory, kwargs, emulation, "alg1", 0
+                yield label, factory, kwargs, {}, None, algorithm, seed
+    for label, factory, kwargs, emulation, mutant in EXTRAS:
+        yield label, factory, kwargs, emulation, mutant, "alg1", 0
 
 
 def compute_digests() -> Dict[str, str]:
     """Run the whole grid; ``{cell label: sha256(canonical_json)}``."""
     digests: Dict[str, str] = {}
-    for label, factory, kwargs, emulation, algorithm, seed in _cells():
+    for label, factory, kwargs, emulation, mutant, algorithm, seed in _cells():
         scenario = build_scenario(factory, kwargs)
         overrides: Dict[str, Any] = {"log_reads": False, "trace_events": False}
         if emulation:
             overrides["emulation"] = {**scenario.emulation, **emulation}
-        result = scenario.run(resolve_algorithm(algorithm), seed=seed, **overrides)
+        with MUTANTS[mutant].applied() if mutant else contextlib.nullcontext():
+            result = scenario.run(resolve_algorithm(algorithm), seed=seed, **overrides)
         summary = summarize_run(
             result,
             scenario_name=scenario.name,

@@ -18,6 +18,7 @@ from repro.memory.emulated import (
 from repro.netsim.network import Message
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from tests.mutants import MUTANTS
 
 
 def make_memory(seed: int = 7, horizon: float = 10_000.0, **knobs):
@@ -140,17 +141,17 @@ def test_resync_merge_never_regresses_writes_applied_mid_recovery():
 
 
 def test_recovery_without_resync_is_amnesiac():
-    # The deliberately broken mode the chaos campaign must catch: the
-    # replica rejoins service straight out of amnesia.
+    # The skip-resync mutant the chaos campaign must catch: the replica
+    # rejoins service straight out of amnesia.
     sim, mem, reg = make_memory(
-        resync=False,
         fault_plan=[
             {"kind": "replica-crash", "at": 10.0, "replica": 1},
             {"kind": "replica-recover", "at": 40.0, "replica": 1},
         ],
     )
     sim.schedule_at(5.0, lambda: mem.emu_write(0, reg, 9, lambda _: None))
-    sim.run(until=10_000.0)
+    with MUTANTS["skip-resync"].applied():
+        sim.run(until=10_000.0)
     assert mem.recoveries == 1 and mem.resyncs == 0
     assert not mem.replicas[1].recovering  # never entered the window
     assert "PROG" not in mem.replicas[1].store  # the write is gone

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import typing
+from unittest import mock
 
 import pytest
 
 from repro import cli
 from repro.cli import ALGORITHMS, CHECK_SCENARIOS, SCENARIOS, build_parser, main
+from repro.fuzz import loop
 from repro.workloads.registry import SCENARIO_FACTORIES
+from tests.mutants import MEMBERSHIP_GENOME, MUTANTS
 
 
 class TestParser:
@@ -164,23 +169,26 @@ class TestParser:
         assert args.budget == 50 and args.seed == 0 and args.batch == 16
         assert args.horizon == 3000.0 and args.jobs is None
         assert args.corpus is None and not args.replay
-        assert not args.no_shrink and not args.no_resync and not args.json
+        assert not args.no_shrink and not args.json
 
     def test_fuzz_options(self):
         args = build_parser().parse_args(
             ["fuzz", "--budget", "25", "--seed", "3", "--batch", "8",
              "--jobs", "2", "--horizon", "1200", "--corpus", "results/fuzz",
-             "--no-shrink", "--no-resync", "--verbose", "--json"]
+             "--no-shrink", "--verbose", "--json"]
         )
         assert (args.budget, args.seed, args.batch, args.jobs) == (25, 3, 8, 2)
         assert args.horizon == 1200.0 and args.corpus == "results/fuzz"
-        assert args.no_shrink and args.no_resync and args.verbose and args.json
+        assert args.no_shrink and args.verbose and args.json
 
     def test_fuzz_broken_transition_flag(self):
-        assert not build_parser().parse_args(["fuzz"]).broken_transition
-        assert build_parser().parse_args(
-            ["fuzz", "--broken-transition"]
-        ).broken_transition
+        # The broken modes are test-side protocol mutants now
+        # (tests/mutants); the CLI offers no switch into them.
+        for argv in (["fuzz", "--broken-transition"], ["fuzz", "--no-resync"],
+                     ["chaos", "--no-resync"]):
+            with pytest.raises(SystemExit) as caught:
+                build_parser().parse_args(argv)
+            assert caught.value.code == 2
 
     def test_fuzz_cell_is_check_exempt_but_registered(self):
         # The fuzzer audits the genome space itself; `repro check` must
@@ -586,8 +594,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "repro fuzz: error: corrupt corpus file" in err and str(torn) in err
 
+    @pytest.mark.parametrize(
+        "relative, content, complaint",
+        [
+            ("genomes/x.json", "[1, 2]", "expected a JSON object, got list"),
+            ("genomes/x.json", json.dumps({"bogus": 1}), "unknown genome key(s): ['bogus']"),
+            ("coverage.json", "[1]", "expected a JSON object, got list"),
+            ("regressions/x.json", "{}", "pinned repro lacks"),
+        ],
+        ids=["genome-list", "genome-unknown-key", "coverage-list", "repro-empty"],
+    )
+    @pytest.mark.parametrize("mode", [["--replay"], ["--budget", "1"]])
+    def test_fuzz_reports_a_malformed_corpus_file(
+        self, capsys, tmp_path, mode, relative, content, complaint
+    ):
+        bad = tmp_path / relative
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_text(content)
+        assert main(["fuzz", *mode, "--jobs", "1", "--corpus", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro fuzz: error: corrupt corpus file {bad}: ")
+        assert complaint in err[0]
+
     def test_chaos_no_resync_reports_the_shrunk_plan(self, capsys):
-        code = main(["chaos", "--plans", "4", "--seed", "0", "--horizon", "2000", "--no-resync"])
+        with MUTANTS["skip-resync"].applied():
+            code = main(["chaos", "--plans", "4", "--seed", "0", "--horizon", "2000"])
         captured = capsys.readouterr()
         assert code == 1
         assert "4 plan(s) run: 1 violating plan(s)" in captured.out
@@ -609,24 +641,29 @@ class TestCommands:
         assert "0 still red" in capsys.readouterr().out
 
     def test_fuzz_broken_transition_pins_the_membership_repro(self, capsys, tmp_path):
-        # The membership negative oracle end to end: seeding the probe
-        # under --broken-transition must catch, shrink and pin a
-        # registry-replayable repro, mirroring --no-resync.
+        # The membership negative oracle end to end: `repro fuzz` seeded
+        # with the turnover genome under the single-config mutant must
+        # catch, shrink and pin a registry-replayable repro.
         corpus = tmp_path / "corpus"
-        code = main(
-            ["fuzz", "--budget", "1", "--batch", "1", "--jobs", "1",
-             "--horizon", "900", "--broken-transition", "--corpus", str(corpus)]
-        )
+        seeded = functools.partial(loop.run_fuzz, initial=[MEMBERSHIP_GENOME])
+        with MUTANTS["single-config"].applied(), mock.patch.object(loop, "run_fuzz", seeded):
+            code = main(
+                ["fuzz", "--budget", "1", "--batch", "1", "--jobs", "1",
+                 "--horizon", "900", "--corpus", str(corpus)]
+            )
         captured = capsys.readouterr()
         assert code == 1
-        assert "BROKEN TRANSITIONS" in captured.out
         assert "1 violating genome(s)" in captured.out
         assert "VIOLATING GENOME" in captured.err
         assert "pinned repro" in captured.err
-        assert '"transition": "single-config"' in captured.err
-        # The pinned repro stays red on replay until the mode is fixed.
-        assert main(["fuzz", "--replay", "--corpus", str(corpus)]) == 1
+        assert '"membership": [' in captured.err
+        # The pinned repro stays red on replay while the mutant is in,
+        # and goes green on the real emulation.
+        with MUTANTS["single-config"].applied():
+            assert main(["fuzz", "--replay", "--corpus", str(corpus)]) == 1
         assert "1 still red" in capsys.readouterr().out
+        assert main(["fuzz", "--replay", "--corpus", str(corpus)]) == 0
+        assert "0 still red" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -67,12 +67,7 @@ EXTRAS: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
     ("fuzz-cell/shared", "fuzz-cell", {"delay": "bursts", "crash": "leader"}),
     ("fuzz-cell/shared-n5", "fuzz-cell", {"n": 5, "delay": "gst-ramp", "crash": "minority-cascade"}),
     ("fuzz-cell/faults", "fuzz-cell", {"backend": "emulated", "plan": _FAULTS}),
-    ("fuzz-cell/faults-no-resync", "fuzz-cell",
-     {"backend": "emulated", "plan": _FAULTS, "resync": False, "replicas": 5}),
     ("fuzz-cell/churn", "fuzz-cell", {"backend": "emulated", "membership": _CHURN}),
-    ("fuzz-cell/churn-single-config", "fuzz-cell",
-     {"backend": "emulated", "membership": _CHURN, "transition": "single-config",
-      "consistency": "atomic"}),
     ("fuzz-cell/timely-links", "fuzz-cell", {"backend": "emulated", "links": "timely"}),
     ("cascade/t0", "cascade", {"crashes": 0}),
     ("cascade/t3", "cascade", {"crashes": 3, "start": 400.0, "spacing": 30.0}),
@@ -85,7 +80,6 @@ EXTRAS: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
     ("leader-crash-emulated/delta", "leader-crash-emulated", {"delta": 0.5, "crash_at_fraction": 0.2}),
     ("membership-churn/crashes", "membership-churn",
      {"replicas": 5, "crash_times": {"1": 900.0}, "transfer_delay": 60.0}),
-    ("chaos/no-resync-backoff", "chaos", {"resync": False, "retry_policy": "backoff"}),
     ("random-faults/max2", "random-faults", {"max_failures": 2}),
     ("near-all-cascade/s1", "near-all-cascade", {"survivors": 1, "spacing": 9.0}),
     ("capped-timers/pid2", "capped-timers", {"cap": 2.0, "timely_pid": 2}),
