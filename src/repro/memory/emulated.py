@@ -459,18 +459,14 @@ class ReplicaNode:
 
     def __init__(self, index: int, initial: Dict[str, Tuple[Tuple[int, int], Any]]) -> None:
         self.index = index
+        #: The replica's address on the emulation network: clients use
+        #: their non-negative pid, so replicas live on the negative axis.
+        self.node_id = -(index + 1)
         self.store: Dict[str, Tuple[Tuple[int, int], Any]] = dict(initial)
         self.crashed = False
         self.recovering = False
         self.writes_applied = 0
         self.reads_served = 0
-
-    #: Node id on the wire: clients use their non-negative pid, so
-    #: replicas live on the negative axis.
-    @property
-    def node_id(self) -> int:
-        """The replica's address on the emulation network."""
-        return -(self.index + 1)
 
     def handle(self, message: Message, network: Network, initial_of: Callable[[str], Tuple[Tuple[int, int], Any]]) -> None:
         """Serve one query or apply one timestamped write, then reply."""
@@ -861,9 +857,8 @@ class EmulatedMemory(SharedMemory):
         else:
             targets = self.current_config.members if rnd.node is None else self._serving
             kind, payload = "abd.sync", (rnd.round_id,)
-        for idx in targets:
-            if idx != rnd.exclude and idx not in rnd.replies:
-                self.network.send(rnd.pid, -(idx + 1), kind, payload)
+        targets = [-(idx + 1) for idx in targets if idx != rnd.exclude and idx not in rnd.replies]
+        self.network.multicast(rnd.pid, targets, kind, payload)
 
     def _on_sync_reply(self, message: Message) -> None:
         """Merge one snapshot; deliver once the round's quorum replied."""
@@ -1154,15 +1149,12 @@ class EmulatedMemory(SharedMemory):
         follows the config change.
         """
         name = op.register.name
-        for idx in self._serving:
-            if idx in op.replies:
-                continue
-            if op.phase == "query":
-                self.network.send(op.pid, -(idx + 1), "abd.read", (op.op_id, name))
-            else:
-                self.network.send(
-                    op.pid, -(idx + 1), "abd.write", (op.op_id, name, op.ts, op.value)
-                )
+        if op.phase == "query":
+            kind, payload = "abd.read", (op.op_id, name)
+        else:
+            kind, payload = "abd.write", (op.op_id, name, op.ts, op.value)
+        targets = [-(idx + 1) for idx in self._serving if idx not in op.replies]
+        self.network.multicast(op.pid, targets, kind, payload)
 
     def _retry_delay(self, item: Any) -> float:
         """Delay before ``item``'s next retransmission round.
@@ -1230,19 +1222,19 @@ class EmulatedMemory(SharedMemory):
     # Message handling
     # ------------------------------------------------------------------
     def _on_delivery(self, message: Message) -> None:
-        if message.kind == "abd.sync-reply":
-            # Snapshots address the round's wire origin -- a *replica*
-            # (negative receiver) -- but the round's state machine lives
-            # here, so route by kind before the replica dispatch.
-            self._on_sync_reply(message)
-            return
-        if message.kind == "abd.transfer-ack":
-            self._on_transfer_ack(message)  # same: addressed to the origin
-            return
         if message.receiver < 0:
-            self.replicas[-message.receiver - 1].handle(
-                message, self.network, self._initial_of
-            )
+            kind = message.kind
+            if kind == "abd.sync-reply":
+                # Snapshots address the round's wire origin -- a *replica*
+                # (negative receiver) -- but the round's state machine
+                # lives here, so route by kind before the replica dispatch.
+                self._on_sync_reply(message)
+            elif kind == "abd.transfer-ack":
+                self._on_transfer_ack(message)  # same: addressed to the origin
+            else:
+                self.replicas[-message.receiver - 1].handle(
+                    message, self.network, self._initial_of
+                )
             return
         op = self._ops.get(message.payload[0])
         if op is None or op.done:

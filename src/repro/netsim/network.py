@@ -36,22 +36,23 @@ assumption lives in the environment model, not in the algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Protocol, Tuple
+from functools import partial
+from typing import Any, Iterable, List, NamedTuple, Optional, Protocol, Tuple
 
-from repro.sim.events import EventLane
 from repro.sim.rng import RngRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One message in flight."""
+class Message(NamedTuple):
+    """One message in flight (immutable; ``_replace`` derives a mutated copy)."""
 
     sender: int
     receiver: int
     kind: str
     payload: Any
     sent_at: float
+
+
+_new_tuple = tuple.__new__
 
 
 class ChannelBehavior(Protocol):
@@ -309,7 +310,7 @@ class CorruptingLinks:
             if stream.random() < self.rate:
                 self.corrupted += 1
                 mutated = payload[:-1] + (_corrupt_value(payload[-1], stream),)
-                message = replace(message, payload=mutated)
+                message = message._replace(payload=mutated)
         return [(delay, message)]
 
 
@@ -373,6 +374,11 @@ class PartitionScheduleLinks:
     Client processes (non-negative pids) always sit on the majority
     side: a message is dropped exactly when one endpoint is inside an
     active island and the other is not.
+
+    A mutating ``base`` (one with a ``delivery_plan``) keeps mutating:
+    the overlay then offers a ``delivery_plan`` too, which drops every
+    fate of a severed message and storm-scales every other fate.  Over
+    a plain base the overlay stays a one-fate ``delivery_delay`` model.
     """
 
     def __init__(
@@ -396,6 +402,8 @@ class PartitionScheduleLinks:
             if end <= start or factor < 1.0:
                 raise ValueError("storm windows need end > start and factor >= 1")
         self.partitioned_drops = 0
+        if getattr(base, "delivery_plan", None) is not None:
+            self.delivery_plan = self._scheduled_plan
 
     @staticmethod
     def _replica_index(node_id: int) -> Optional[int]:
@@ -430,6 +438,19 @@ class PartitionScheduleLinks:
             return None
         return delay * self.storm_factor(message.sent_at)
 
+    def _scheduled_plan(self, message: Message) -> List[Tuple[Optional[float], Message]]:
+        """The base's fates: all dropped across an active island,
+        storm-scaled otherwise (bound as ``delivery_plan`` only over a
+        mutating base)."""
+        if self.severed(message):
+            self.partitioned_drops += 1
+            return [(None, message)]
+        factor = self.storm_factor(message.sent_at)
+        return [
+            (None if delay is None else delay * factor, fated)
+            for delay, fated in self.base.delivery_plan(message)
+        ]
+
 
 class Network:
     """The message fabric: send, count, deliver through the kernel.
@@ -446,49 +467,53 @@ class Network:
         self.delivered: int = 0
         self.dropped: int = 0
         self._deliver_cb = None  # type: ignore[assignment]
-        # Message deliveries are the highest-volume event kind, so they
-        # ride a columnar kernel lane: the in-flight Message *is* the
-        # lane payload -- no per-delivery closure allocation.
-        self._lane = EventLane("message", self._fire_delivery)
 
     def install_delivery(self, callback) -> None:
         """Set the ``callback(message)`` invoked at each delivery."""
         self._deliver_cb = callback
 
     def _fire_delivery(self, message: Message) -> None:
-        """Lane consumer: count and hand the message to the runtime."""
+        """Count one delivery and hand the message to the runtime."""
         self.delivered += 1
         assert self._deliver_cb is not None
         self._deliver_cb(message)
 
-    def send(self, sender: int, receiver: int, kind: str, payload: Any) -> None:
-        """Send one message; the channel decides its fate.
+    def multicast(self, sender: int, receivers: Iterable[int], kind: str, payload: Any) -> None:
+        """Send one message to each of ``receivers``, in order.
 
-        A behaviour with the optional ``delivery_plan`` hook may return
-        any number of ``(delay, message)`` deliveries per send (mutated
-        payloads, duplicates); plain behaviours yield exactly one fate
-        via ``delivery_delay``.
+        The channel decides each message's fate: a behaviour with the
+        optional ``delivery_plan`` hook may return any number of
+        ``(delay, message)`` deliveries per message (mutated payloads,
+        duplicates); plain behaviours yield exactly one fate via
+        ``delivery_delay``.  Receivers are served in iteration order, so
+        per-link random streams draw exactly as one ``send`` each would.
         """
-        message = Message(sender, receiver, kind, payload, self._sim.now)
-        self.sent_by_pid[sender] = self.sent_by_pid.get(sender, 0) + 1
+        now, schedule, fire = self._sim.now, self._sim.schedule_after, self._fire_delivery
         plan = getattr(self.behavior, "delivery_plan", None)
-        if plan is not None:
-            fates = plan(message)
-        else:
-            fates = [(self.behavior.delivery_delay(message), message)]
-        for delay, fated in fates:
-            if delay is None:
-                self.dropped += 1
-                continue
-            if delay <= 0:
-                raise ValueError("channel behaviour produced non-positive delay")
-            self._sim.schedule_lane_after(self._lane, delay, fated, pid=receiver)
+        delay_of = self.behavior.delivery_delay
+        sent = 0
+        for receiver in receivers:
+            sent += 1
+            # ``Message(...)`` without the Python frame of its ``__new__``.
+            message = _new_tuple(Message, (sender, receiver, kind, payload, now))
+            for delay, fated in plan(message) if plan is not None else ((delay_of(message), message),):
+                if delay is None:
+                    self.dropped += 1
+                elif delay <= 0:
+                    raise ValueError("channel behaviour produced non-positive delay")
+                else:
+                    # Never cancelled: the kernel's plain schedule-and-fire path.
+                    schedule(delay, partial(fire, fated), "message", receiver)
+        if sent:
+            self.sent_by_pid[sender] = self.sent_by_pid.get(sender, 0) + sent
+
+    def send(self, sender: int, receiver: int, kind: str, payload: Any) -> None:
+        """Send one message; the channel decides its fate."""
+        self.multicast(sender, (receiver,), kind, payload)
 
     def broadcast(self, sender: int, n: int, kind: str, payload: Any) -> None:
         """Send to every process except the sender."""
-        for receiver in range(n):
-            if receiver != sender:
-                self.send(sender, receiver, kind, payload)
+        self.multicast(sender, [r for r in range(n) if r != sender], kind, payload)
 
     @property
     def total_sent(self) -> int:

@@ -42,10 +42,12 @@ records.  ``handle`` is ``None`` on the dominant schedule-and-fire path.
 Cancellation comes in two flavours: :meth:`EventQueue.push_cancellable`
 allocates an :class:`EventHandle` (the O(1) lazy-cancel trick: the entry
 stays queued and the run loop skips it when popped), while the
-high-volume cancellable kinds -- timers, netsim message deliveries -- go
-through a columnar :class:`EventLane` whose *integer* tokens index
-preallocated payload/generation columns, so arming a timer or sending a
-message allocates no handle object at all.
+high-volume cancellable kinds -- the timer service's expirations and the
+message-passing runtime's named timers -- go through a columnar
+:class:`EventLane` whose *integer* tokens index preallocated
+payload/generation columns, so arming a timer allocates no handle object
+at all.  Netsim message deliveries are never cancelled, so they take the
+plain path.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class EventLane:
     int); cancelling or firing bumps the slot's generation so any stale
     queue entry still referencing the old token is skipped when popped
     (the same lazy-cancel contract as :class:`EventHandle`, without the
-    per-event handle allocation -- the timer services and the netsim
-    message fabric are the intended users).
+    per-event handle allocation -- the timer service and the
+    message-passing runtime's named timers are the users; a kind that is
+    never cancelled gains nothing from a lane and takes the plain path).
 
     ``consume`` is the single per-lane delivery function, called with
     the stored payload when a live token fires; when ``consume`` is

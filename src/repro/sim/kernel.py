@@ -14,15 +14,17 @@ Scheduling comes in three flavours:
 * :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` are
   the dominant schedule-and-fire path and allocate nothing but the
   queue's entry tuple (the queue insert is fused into these methods --
-  no intermediate call layer on the hot path);
+  no intermediate call layer on the hot path); netsim message
+  deliveries, which are never cancelled, ride this path too;
 * the ``*_cancellable`` variants additionally allocate and return an
   :class:`~repro.sim.events.EventHandle` for callers that may need to
   disarm the event later (register-emulation retries and other
   low-volume users);
 * :meth:`Simulator.schedule_lane_after` schedules through a columnar
   :class:`~repro.sim.events.EventLane` and returns an *integer* token --
-  the allocation-free cancellable path used by the two dominant
-  high-volume kinds, timer events and netsim message deliveries.
+  the allocation-free cancellable path of the high-volume timer kinds
+  (the timer service's expirations and the message-passing runtime's
+  named timers).
 
 **Batch dispatch.**  The run loop drains all events sharing the current
 virtual timestamp as one *batch*: the heap yields the first event at
@@ -233,9 +235,11 @@ class Simulator:
 
         Returns the lane token -- an integer that cancels or probes the
         event via ``lane.cancel(token)`` / ``lane.live(token)``.  This
-        is the columnar fast path for high-volume cancellable kinds: no
-        handle object, no per-event closure; the payload lives in the
-        lane's preallocated columns until the event fires.
+        is the columnar fast path for high-volume cancellable kinds (the
+        timer services): no handle object, no per-event closure; the
+        payload lives in the lane's preallocated columns until the event
+        fires.  Events that are never cancelled belong on
+        :meth:`schedule_after` instead.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")

@@ -14,8 +14,16 @@ every audit rule while breaking Theorem 1.  Two mechanisms close it:
 from __future__ import annotations
 
 from repro.memory.linearizability import OpRecord, check_atomic_history, check_regular_history
+from repro.netsim.network import PartitionScheduleLinks
 from repro.workloads.registry import ALGORITHMS
-from repro.workloads.scenarios import nominal_emulated
+from repro.workloads.scenarios import fuzz_cell, nominal_emulated
+
+#: One 100-unit partition of replica 0, and one 100-unit storm.
+_PARTITION = [
+    {"kind": "partition", "at": 100.0, "replicas": [0]},
+    {"kind": "heal", "at": 200.0, "replicas": [0]},
+]
+_STORM = [{"kind": "message-storm", "at": 100.0, "until": 200.0, "factor": 2.0}]
 
 
 def _rec(kind, ts, inv, resp, value, pid=0, reg="R"):
@@ -85,6 +93,25 @@ class TestEndToEndDetection:
         assert result.memory.integrity_violations == 0
         audit = result.audit_consistency()
         assert audit is not None and audit.ok
+
+    def test_a_fault_plan_keeps_corrupting_links_corrupting(self):
+        """A partition window wraps the links in the fault overlay; the
+        overlay must not strip the corruption for the whole run."""
+        scen = fuzz_cell(backend="emulated", horizon=1500.0, links="corruption", plan=_PARTITION)
+        result = scen.run(ALGORITHMS["alg1"], seed=0)
+        overlay = result.memory.network.behavior
+        assert isinstance(overlay, PartitionScheduleLinks) and overlay.partitioned_drops > 0
+        assert overlay.base.corrupted > 0
+        assert result.memory.integrity_violations > 0
+        assert not result.audit_consistency().ok
+
+    def test_a_fault_plan_keeps_duplicating_links_duplicating(self):
+        scen = fuzz_cell(backend="emulated", horizon=1500.0, links="duplication", plan=_STORM)
+        result = scen.run(ALGORITHMS["alg1"], seed=0)
+        network = result.memory.network
+        assert network.behavior.base.duplicated > 0
+        assert network.delivered > network.total_sent
+        assert result.memory.integrity_violations == 0
 
     def test_duplication_links_stay_integrity_clean(self):
         """Duplicate deliveries replay identical payloads: the

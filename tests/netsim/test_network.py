@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.network import (
+    CorruptingLinks,
+    DuplicatingLinks,
     EventuallyTimelyLinks,
     FairLossyLinks,
     Message,
@@ -170,6 +172,109 @@ class TestNetwork:
             net.send(0, 1, "X", None)
         assert net.dropped > 0
 
+    def test_non_positive_delay_is_refused(self):
+        class ZeroDelay:
+            def delivery_delay(self, message):
+                return 0.0
+
+        net = Network(Simulator(), ZeroDelay())
+        with pytest.raises(ValueError, match="non-positive delay"):
+            net.multicast(0, (1, 2), "X", None)
+        with pytest.raises(ValueError, match="non-positive delay"):
+            net.send(0, 1, "X", None)
+
+
+#: ``(send time, sender, receivers, kind, payload)``: clients (pids >= 0)
+#: and replicas (wire addresses -1, -2, -3) talking across the partition
+#: and storm windows of the ``partition-schedule`` twin below.  Payloads
+#: end in an int, so corrupting links may mutate them.
+_TRAFFIC = (
+    (0.0, 0, (-1, -2, -3), "abd.write", (1, "R", (1, 0), 7)),
+    (0.5, -1, (0,), "abd.write-ack", (1, "R", (1, 0), 7)),
+    (1.5, 1, (-1, -2, -3), "abd.read", (2, "R")),
+    (1.5, 2, (-3, -1, -2), "abd.write", (3, "R", (1, 2), 4)),
+    (2.5, -2, (1, 2, 0), "abd.read-reply", (2, "R", (1, 0), 7)),
+    (3.5, 2, (-3, -1), "abd.write", (4, "R", (2, 2), 9)),
+    (5.0, 0, (), "abd.read", (5, "R")),
+)
+
+_WINDOWS = dict(partitions=[(1.0, 3.0, [0])], storms=[(2.0, 4.0, 2.0)])
+
+#: Every behaviour family the fabric serves: plain one-fate models, the
+#: mutating ``delivery_plan`` models, and the fault overlay over both.
+_BEHAVIORS = [
+    pytest.param(lambda rng: SynchronousLinks(0.25), id="sync"),
+    pytest.param(lambda rng: TimelyLinks(rng), id="timely"),
+    pytest.param(lambda rng: FairLossyLinks(rng, loss=0.3), id="lossy"),
+    pytest.param(lambda rng: DuplicatingLinks(SynchronousLinks(0.25), rng, rate=0.5), id="duplication"),
+    pytest.param(lambda rng: CorruptingLinks(SynchronousLinks(0.25), rng, rate=0.5), id="corruption"),
+    pytest.param(lambda rng: PartitionScheduleLinks(TimelyLinks(rng), **_WINDOWS), id="partition-schedule"),
+    pytest.param(
+        lambda rng: PartitionScheduleLinks(DuplicatingLinks(TimelyLinks(rng), rng, rate=0.5), **_WINDOWS),
+        id="partition-schedule-over-duplication",
+    ),
+]
+
+
+def _drive(make_behavior, fan_out):
+    """Replay ``_TRAFFIC`` through one multicast per row (``fan_out``)
+    or one send per receiver; return everything observable."""
+    rng = make_rng(11)
+    sim = Simulator()
+    net = Network(sim, make_behavior(rng))
+    deliveries = []
+    net.install_delivery(lambda m: deliveries.append((sim.now, m.receiver, m)))
+    for at, sender, receivers, kind, payload in _TRAFFIC:
+
+        def emit(sender=sender, receivers=receivers, kind=kind, payload=payload):
+            if fan_out:
+                net.multicast(sender, receivers, kind, payload)
+            else:
+                for receiver in receivers:
+                    net.send(sender, receiver, kind, payload)
+
+        sim.schedule_at(at, emit)
+    sim.run()
+    streams = {name: stream.getstate() for name, stream in rng._streams.items()}
+    return net, deliveries, streams
+
+
+class TestMulticast:
+    """One call per fan-out is exactly one ``send`` per receiver."""
+
+    @pytest.mark.parametrize("make_behavior", _BEHAVIORS)
+    def test_matches_one_send_per_receiver(self, make_behavior):
+        net, deliveries, streams = _drive(make_behavior, fan_out=True)
+        twin, twin_deliveries, twin_streams = _drive(make_behavior, fan_out=False)
+        assert deliveries and deliveries == twin_deliveries
+        assert (net.dropped, net.delivered) == (twin.dropped, twin.delivered)
+        assert net.sent_by_pid == twin.sent_by_pid
+        assert streams == twin_streams
+
+    @pytest.mark.parametrize("make_behavior", _BEHAVIORS)
+    def test_every_sent_message_is_delivered_or_dropped(self, make_behavior):
+        net, deliveries, _ = _drive(make_behavior, fan_out=True)
+        behavior = net.behavior
+        duplicated = getattr(behavior, "duplicated", 0) + getattr(
+            getattr(behavior, "base", None), "duplicated", 0
+        )
+        assert net.total_sent == sum(len(row[2]) for row in _TRAFFIC)
+        assert net.delivered == len(deliveries)
+        assert net.delivered + net.dropped == net.total_sent + duplicated
+
+    def test_an_empty_fan_out_sends_nothing(self):
+        sim = Simulator()
+        net = Network(sim, SynchronousLinks(1.0))
+        net.multicast(0, (), "X", None)
+        assert net.sent_by_pid == {} and sim.pending() == 0
+
+    def test_message_is_an_immutable_record(self):
+        m = Message(sender=1, receiver=-1, kind="abd.read", payload=(1, "R"), sent_at=2.0)
+        assert (m.sender, m.receiver, m.kind, m.payload, m.sent_at) == (1, -1, "abd.read", (1, "R"), 2.0)
+        with pytest.raises(AttributeError):
+            m.payload = None
+        assert m._replace(payload=()) == Message(1, -1, "abd.read", (), 2.0)
+
 
 class TestPartitionScheduleLinks:
     """The fault-injection overlay: scheduled islands and storms."""
@@ -230,6 +335,40 @@ class TestPartitionScheduleLinks:
         )
         assert lossy.delivery_delay(msg(sent_at=5.0)) is None
         assert lossy.partitioned_drops == 0  # base loss, not a partition
+
+    def test_plain_base_keeps_the_one_fate_path(self):
+        assert not hasattr(self._links(storms=[(0.0, 1.0, 2.0)]), "delivery_plan")
+
+    def test_corrupting_base_keeps_corrupting_outside_islands(self):
+        links = PartitionScheduleLinks(
+            CorruptingLinks(SynchronousLinks(1.0), make_rng(3), rate=1.0),
+            partitions=[(10.0, 20.0, [0])],
+            storms=[(30.0, 40.0, 2.0)],
+        )
+        payload = (1, "R", (1, 0), 7)
+        for sent_at, delay in ((5.0, 1.0), (35.0, 2.0)):
+            [(fate_delay, fated)] = links.delivery_plan(msg(0, -1, payload=payload, sent_at=sent_at))
+            assert fate_delay == delay
+            assert fated.payload[:-1] == payload[:-1] and fated.payload[-1] != 7
+        assert links.base.corrupted == 2
+
+    def test_severed_messages_lose_every_fate(self):
+        links = PartitionScheduleLinks(
+            DuplicatingLinks(SynchronousLinks(1.0), make_rng(3), rate=1.0),
+            partitions=[(10.0, 20.0, [0])],
+        )
+        crossing = msg(0, -1, sent_at=15.0)
+        assert links.delivery_plan(crossing) == [(None, crossing)]
+        assert links.partitioned_drops == 1
+        assert links.base.duplicated == 0
+
+    def test_storms_scale_every_duplicated_fate(self):
+        links = PartitionScheduleLinks(
+            DuplicatingLinks(SynchronousLinks(1.0), make_rng(3), rate=1.0, lag=1.0),
+            storms=[(0.0, 50.0, 3.0)],
+        )
+        m = msg(sent_at=10.0)
+        assert links.delivery_plan(m) == [(3.0, m), (6.0, m)]
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="non-empty island"):
