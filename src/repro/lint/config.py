@@ -121,7 +121,7 @@ KERNEL_ALLOWED_DECORATORS: FrozenSet[str] = frozenset(
 #: ``EventQueue`` internals (its ``__slots__``): only the kernel module
 #: pair may touch these friend-style.
 QUEUE_PRIVATE_ATTRS: FrozenSet[str] = frozenset(
-    {"_heap", "_buckets", "_pool", "_next_seq", "_direct_time"}
+    {"_heap", "_buckets", "_next_seq", "_direct_time"}
 )
 
 #: Packages whose modules run *inside* dispatch callbacks; they must not

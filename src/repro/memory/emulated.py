@@ -136,6 +136,7 @@ from repro.netsim.network import (
     SynchronousLinks,
     TimelyLinks,
 )
+from repro.sim.events import EventLane
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -562,7 +563,7 @@ class _PendingOp:
         self.best_value: Any = None
         self.callback = callback
         self.done = False
-        self.retry_handle = None
+        self.retry_handle: Optional[int] = None  # lane token of the armed retry
         self.attempts = 0  # retransmission rounds fired (backoff exponent)
         self.started_at = started_at
 
@@ -609,7 +610,7 @@ class _SyncRound:
         self.pushing = False
         self.replies: Set[int] = set()  # snapshots in; acks once pushing
         self.merged: Dict[str, _Stamped] = {}
-        self.retry_handle = None
+        self.retry_handle: Optional[int] = None
         self.attempts = 0
         self.done = False
 
@@ -669,6 +670,12 @@ class EmulatedMemory(SharedMemory):
         self._op_counter = 0
         self._sync_counter = 0
         self._rounds: Dict[int, _SyncRound] = {}
+        # One cancellable lane per retransmission-timer kind; every
+        # payload is the item's own ``retry`` closure (see _arm_retry).
+        self._retry_lanes: Dict[str, EventLane] = {
+            kind: EventLane(kind, None)
+            for kind in ("abd-retry", "abd-resync-retry", "abd-transfer-retry")
+        }
         self._started = False
         # Membership state: the installed config, the proposed config of
         # an open transition window (None outside windows) and the queue
@@ -838,7 +845,7 @@ class EmulatedMemory(SharedMemory):
         """Retire a completed or abandoned round: no timer, no table entry."""
         rnd.done = True
         if rnd.retry_handle is not None:
-            rnd.retry_handle.cancel()
+            self._retry_lanes[rnd.retry_kind].cancel(rnd.retry_handle)
         del self._rounds[rnd.round_id]
 
     def _broadcast_round(self, rnd: _SyncRound) -> None:
@@ -1188,8 +1195,13 @@ class EmulatedMemory(SharedMemory):
         Until ``item.done``, every :meth:`_retry_delay` the timer counts
         a retransmission, re-broadcasts the item's current step -- which
         re-evaluates its target set, so whatever is in flight across an
-        install follows the config change -- and re-arms itself.
+        install follows the config change -- and re-arms itself.  The
+        timer rides the :class:`~repro.sim.events.EventLane` of its kind,
+        with the ``retry`` closure as the payload; ``item.retry_handle``
+        holds the lane token that :meth:`_close_round` / :meth:`_finish`
+        cancel.
         """
+        lane = self._retry_lanes[item.retry_kind]
 
         def retry() -> None:
             if item.done:
@@ -1200,18 +1212,18 @@ class EmulatedMemory(SharedMemory):
                 self._broadcast_round(item)
             else:
                 self._broadcast_phase(item)
-            item.retry_handle = self._sim.schedule_after_cancellable(
-                self._retry_delay(item), retry, kind=item.retry_kind, pid=item.pid
+            item.retry_handle = self._sim.schedule_lane_after(
+                lane, self._retry_delay(item), retry, item.pid
             )
 
-        item.retry_handle = self._sim.schedule_after_cancellable(
-            self._retry_delay(item), retry, kind=item.retry_kind, pid=item.pid
+        item.retry_handle = self._sim.schedule_lane_after(
+            lane, self._retry_delay(item), retry, item.pid
         )
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
         op.done = True
         if op.retry_handle is not None:
-            op.retry_handle.cancel()
+            self._retry_lanes[op.retry_kind].cancel(op.retry_handle)
         del self._ops[op.op_id]
         if len(self._rule) > 1:  # completed inside a dual-quorum window
             self.dual_quorum_ops += 1

@@ -14,7 +14,8 @@ Modules
 -------
 ``events``
     The time-ordered event queue: plain tuple heap entries, stable
-    within equal timestamps, with opt-in cancellation handles.
+    within equal timestamps, and the columnar :class:`EventLane` that
+    makes an event cancellable.
 ``kernel``
     The :class:`~repro.sim.kernel.Simulator`: virtual clock, callback
     scheduling, run-loop with stop predicates.
@@ -31,7 +32,7 @@ Modules
 """
 
 from repro.sim.crash import CrashPlan
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventLane
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.schedulers import (
@@ -49,8 +50,7 @@ __all__ = [
     "AdversarialStallDelay",
     "CompositeDelay",
     "CrashPlan",
-    "EventHandle",
-    "EventQueue",
+    "EventLane",
     "FixedDelay",
     "HeavyTailDelay",
     "PartiallySynchronousDelay",

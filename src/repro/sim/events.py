@@ -1,10 +1,10 @@
 """The time-ordered event queue: a collision-bucketed tuple heap.
 
 The queue is the heart of the simulator, and every experiment bottoms
-out in its push/pop cycle, so entries are bare tuples rather than
+out in its schedule/fire cycle, so entries are bare tuples rather than
 objects::
 
-    (time, seq, kind_id, pid, callback, handle)
+    (time, seq, kind_id, pid, callback, token)
 
 ordered by ``(time, seq)``.  The monotonically increasing sequence
 number makes ordering *stable* -- two events scheduled for the same
@@ -22,8 +22,10 @@ fixed-delay links, aligned timer populations -- and the bucket turns
 their heap ``O(log n)`` push/pop into two ``O(1)`` list operations while
 preserving exact ``(time, seq)`` order: the heap entry is always the
 *first* event scheduled for its timestamp, and bucket entries follow in
-append (= seq) order.  The run loop in :mod:`repro.sim.kernel` drains a
-timestamp's heap entry and its bucket as one *batch*.
+append (= seq) order.  :class:`EventQueue` is only the storage: the
+fused schedulers of :class:`~repro.sim.kernel.Simulator` file entries,
+and its run loop drains a timestamp's heap entry and its bucket as one
+*batch*.
 
 Two bookkeeping details keep the hybrid exact:
 
@@ -38,37 +40,23 @@ Two bookkeeping details keep the hybrid exact:
 ``kind_id`` is an interned integer id for the event-kind label
 (``"step"``, ``"timer"``, ...): interning happens once per distinct
 string, so the hot path never hashes label strings into per-event
-records.  ``handle`` is ``None`` on the dominant schedule-and-fire path.
-Cancellation comes in two flavours: :meth:`EventQueue.push_cancellable`
-allocates an :class:`EventHandle` (the O(1) lazy-cancel trick: the entry
-stays queued and the run loop skips it when popped), while the
-high-volume cancellable kinds -- the timer service's expirations and the
-message-passing runtime's named timers -- go through a columnar
-:class:`EventLane` whose *integer* tokens index preallocated
-payload/generation columns, so arming a timer allocates no handle object
-at all.  Netsim message deliveries are never cancelled, so they take the
-plain path.
+records.  ``token`` is ``None`` on the dominant schedule-and-fire path,
+where ``callback`` is a zero-argument callable.  Cancellation has one
+mechanism, the columnar :class:`EventLane`: a cancellable event's entry
+carries the lane in the ``callback`` slot and an *integer* token that
+indexes the lane's preallocated payload/generation columns, so arming a
+timer allocates no handle object at all.  Cancelling is the O(1)
+lazy-cancel trick: the entry stays queued and the run loop skips it as
+stale when it comes up.  Every re-armed timer is a lane user -- the
+timer service's expirations, the message-passing runtime's named timers
+and the register emulation's retransmission timers; netsim message
+deliveries are never cancelled, so they take the plain path.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
-
-# Tuple-entry layout indices (documented for consumers of pop()).
-TIME = 0
-SEQ = 1
-KIND = 2
-PID = 3
-CALLBACK = 4
-HANDLE = 5
-
-#: One scheduled event: ``(time, seq, kind_id, pid, callback, handle)``.
-#: ``handle`` is ``None`` (plain), an :class:`EventHandle` (cancellable)
-#: or an ``int`` lane token (in which case ``callback`` is the
-#: :class:`EventLane` owning the token).
-EventEntry = Tuple[float, int, int, Optional[int], Optional[Callable[[], None]], Any]
+from typing import Any, Callable, List, Optional
 
 #: Shared marker for "timestamp is in the heap with no collisions yet".
 #: Falsy and zero-length, so bucket-size arithmetic needs no special
@@ -106,27 +94,6 @@ def kind_name(kind_id: int) -> str:
     return _KIND_NAMES[kind_id]
 
 
-class EventHandle:
-    """Cancellable reference to a scheduled event (opt-in).
-
-    Cancellation is lazy: the entry stays in the heap but the run loop
-    skips its callback when popped.  Handles exist only for events
-    scheduled through the ``*_cancellable`` paths; the dominant
-    schedule-and-fire path carries ``None`` in the handle slot and
-    allocates nothing beyond the heap tuple.  High-volume cancellable
-    kinds use the cheaper :class:`EventLane` integer tokens instead.
-    """
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips its callback."""
-        self.cancelled = True
-
-
 class EventLane:
     """Columnar fast lane for one high-volume cancellable event kind.
 
@@ -136,10 +103,9 @@ class EventLane:
     returns an integer **token** (generation + slot packed into one
     int); cancelling or firing bumps the slot's generation so any stale
     queue entry still referencing the old token is skipped when popped
-    (the same lazy-cancel contract as :class:`EventHandle`, without the
-    per-event handle allocation -- the timer service and the
-    message-passing runtime's named timers are the users; a kind that is
-    never cancelled gains nothing from a lane and takes the plain path).
+    (lazy cancellation without a per-event handle allocation; a kind
+    that is never cancelled gains nothing from a lane and takes the
+    plain path).
 
     ``consume`` is the single per-lane delivery function, called with
     the stored payload when a live token fires; when ``consume`` is
@@ -224,30 +190,21 @@ class EventLane:
 
 
 class EventQueue:
-    """A stable min-queue of plain tuple event entries (hybrid storage).
+    """The hybrid storage of a :class:`~repro.sim.kernel.Simulator`'s events.
 
-    >>> q = EventQueue()
-    >>> q.push(2.0, "b", None)
-    >>> q.push(1.0, "a", None)
-    >>> kind_name(q.pop()[KIND])
-    'a'
-
-    The heap (`_heap`) holds one entry per distinct pending timestamp;
+    The heap (``_heap``) holds one entry per distinct pending timestamp;
     collisions append to that timestamp's FIFO bucket in ``_buckets``
-    (see the module docstring).  The kernel's run loop accesses these
-    structures directly, friend-style; their identities are stable (see
-    :meth:`clear`).
+    (see the module docstring).  The kernel's fused schedulers and run
+    loop are the only readers and writers of these structures, which
+    they access directly, friend-style; their identities are stable
+    (see :meth:`clear`).
     """
 
-    __slots__ = ("_heap", "_buckets", "_pool", "_next_seq", "_direct_time")
-
-    #: Recycled bucket lists kept at most this many deep.
-    _POOL_DEPTH = 8
+    __slots__ = ("_heap", "_buckets", "_next_seq", "_direct_time")
 
     def __init__(self) -> None:
         self._heap: list = []
         self._buckets: dict = {}
-        self._pool: list = []
         self._next_seq = itertools.count().__next__
         # Timestamp forced to heap-direct scheduling after a mid-batch
         # stop (NaN matches nothing, so the common path has no flag).
@@ -256,108 +213,9 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) + sum(map(len, self._buckets.values()))
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    # ------------------------------------------------------------------
-    def _insert(self, time: float, entry: EventEntry) -> None:
-        """File ``entry`` under ``time``: heap if first at that instant
-        (or the instant is pinned heap-direct), its bucket otherwise."""
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            if time != self._direct_time:
-                buckets[time] = _EMPTY
-            heappush(self._heap, entry)
-        elif bucket is _EMPTY:
-            if time != self._direct_time:
-                buckets[time] = [entry]
-            else:
-                heappush(self._heap, entry)
-        else:
-            bucket.append(entry)
-
-    def push(
-        self,
-        time: float,
-        kind: str,
-        callback: Optional[Callable[[], None]],
-        pid: Optional[int] = None,
-    ) -> None:
-        """Schedule ``callback`` at virtual time ``time`` (no handle).
-
-        The fast path: allocates only the entry tuple (plus, first time
-        an instant collides, its bucket list).  Scheduling at a NaN time
-        is a programming error and raises.
-        """
-        if time != time:  # NaN guard
-            raise ValueError("event time must not be NaN")
-        kid = _KIND_IDS.get(kind)
-        if kid is None:
-            kid = intern_kind(kind)
-        self._insert(time, (time, self._next_seq(), kid, pid, callback, None))
-
-    def push_cancellable(
-        self,
-        time: float,
-        kind: str,
-        callback: Optional[Callable[[], None]],
-        pid: Optional[int] = None,
-    ) -> EventHandle:
-        """Schedule ``callback`` and return a cancellation handle."""
-        if time != time:  # NaN guard
-            raise ValueError("event time must not be NaN")
-        kid = _KIND_IDS.get(kind)
-        if kid is None:
-            kid = intern_kind(kind)
-        handle = EventHandle()
-        self._insert(time, (time, self._next_seq(), kid, pid, callback, handle))
-        return handle
-
-    def push_lane(
-        self,
-        time: float,
-        lane: EventLane,
-        payload: Any,
-        pid: Optional[int] = None,
-    ) -> int:
-        """Schedule ``payload`` through ``lane``; return its token."""
-        if time != time:  # NaN guard
-            raise ValueError("event time must not be NaN")
-        token = lane.acquire(payload)
-        self._insert(time, (time, self._next_seq(), lane.kind_id, pid, lane, token))
-        return token
-
-    # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Time of the next (possibly cancelled) event, or ``None``."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> EventEntry:
-        """Remove and return the next entry tuple.
-
-        When the popped timestamp has a collision bucket, its entries
-        are re-filed into the heap individually (their seq numbers keep
-        the order exact) and the instant is pinned heap-direct -- this
-        is the cold public API; the run loop drains buckets in place.
-        """
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        entry = heappop(self._heap)
-        time = entry[0]
-        bucket = self._buckets.pop(time, _EMPTY)
-        if bucket:  # a real, non-empty collision bucket
-            heap = self._heap
-            for queued in bucket:
-                heappush(heap, queued)
-            self._direct_time = time
-        return entry
-
     def clear(self) -> None:
-        """Drop all pending events (in place; the heap list, bucket dict
-        and pool identities are stable so the kernel may hold direct
+        """Drop all pending events (in place; the heap list and bucket
+        dict identities are stable so the kernel may hold direct
         references to them)."""
         self._heap.clear()
         self._buckets.clear()
@@ -365,16 +223,8 @@ class EventQueue:
 
 
 __all__ = [
-    "CALLBACK",
-    "EventEntry",
-    "EventHandle",
     "EventLane",
     "EventQueue",
-    "HANDLE",
-    "KIND",
-    "PID",
-    "SEQ",
-    "TIME",
     "intern_kind",
     "kind_name",
 ]
@@ -399,7 +249,6 @@ if _variant.want_compiled():
             )
         del _exc
     else:
-        EventHandle = _ckernel.EventHandle  # type: ignore[misc]
         EventLane = _ckernel.EventLane  # type: ignore[misc]
         EventQueue = _ckernel.EventQueue  # type: ignore[misc]
         intern_kind = _ckernel.intern_kind

@@ -9,22 +9,22 @@ The kernel deliberately knows nothing about processes, registers or
 timers -- it is a plain DES core, which keeps it easy to test in
 isolation and reusable by every substrate.
 
-Scheduling comes in three flavours:
+Scheduling comes in two flavours:
 
 * :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` are
   the dominant schedule-and-fire path and allocate nothing but the
   queue's entry tuple (the queue insert is fused into these methods --
   no intermediate call layer on the hot path); netsim message
   deliveries, which are never cancelled, ride this path too;
-* the ``*_cancellable`` variants additionally allocate and return an
-  :class:`~repro.sim.events.EventHandle` for callers that may need to
-  disarm the event later (register-emulation retries and other
-  low-volume users);
 * :meth:`Simulator.schedule_lane_after` schedules through a columnar
-  :class:`~repro.sim.events.EventLane` and returns an *integer* token --
-  the allocation-free cancellable path of the high-volume timer kinds
-  (the timer service's expirations and the message-passing runtime's
-  named timers).
+  :class:`~repro.sim.events.EventLane` and returns an *integer* token
+  that cancels the event -- the one cancellable path, taken by every
+  re-armed timer (the timer service's expirations, the message-passing
+  runtime's named timers and the register emulation's retransmission
+  timers).
+
+The run loop therefore dispatches an entry two ways: a plain callable,
+or a ``(lane, token)`` pair whose token is skipped once stale.
 
 **Batch dispatch.**  The run loop drains all events sharing the current
 virtual timestamp as one *batch*: the heap yields the first event at
@@ -50,7 +50,6 @@ from repro.sim.events import (
     _EMPTY,
     _KIND_IDS,
     _KIND_NAMES,
-    EventHandle,
     EventLane,
     EventQueue,
     intern_kind,
@@ -87,7 +86,6 @@ class Simulator:
         # EventQueue.clear).
         self._heap = self._queue._heap
         self._buckets = self._queue._buckets
-        self._pool = self._queue._pool
         self._next_seq = self._queue._next_seq
         # Mirror of the queue's heap-direct pin (see EventQueue): the
         # fused schedulers read the mirror to avoid a chained attribute
@@ -137,9 +135,9 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual time ``time``.
 
         ``time`` may equal ``now`` (fires after currently-firing event)
-        but may not precede it.  The fast path: no handle is created;
-        use :meth:`schedule_at_cancellable` when the event may need to
-        be disarmed.
+        but may not precede it.  The fast path: no token is created;
+        use :meth:`schedule_lane_after` when the event may need to be
+        disarmed.
         """
         if time < self._now:
             raise SimulationError(
@@ -150,8 +148,10 @@ class Simulator:
         kid = _KIND_IDS.get(kind)
         if kid is None:
             kid = intern_kind(kind)
-        # Fused hybrid-queue insert (see EventQueue._insert; duplicated
-        # in the three hot schedulers so the path stays call-free).
+        # Fused hybrid-queue insert (the heap if first at that instant
+        # or the instant is pinned heap-direct, its bucket otherwise;
+        # duplicated in the three schedulers so the path stays
+        # call-free).
         entry = (time, self._next_seq(), kid, pid, callback, None)
         buckets = self._buckets
         bucket = buckets.get(time)
@@ -174,7 +174,7 @@ class Simulator:
         kind: str = "event",
         pid: Optional[int] = None,
     ) -> None:
-        """Schedule ``callback`` after a non-negative ``delay`` (no handle)."""
+        """Schedule ``callback`` after a non-negative ``delay`` (no token)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self._now + delay
@@ -198,32 +198,6 @@ class Simulator:
         else:
             bucket.append(entry)
 
-    def schedule_at_cancellable(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        kind: str = "event",
-        pid: Optional[int] = None,
-    ) -> EventHandle:
-        """Like :meth:`schedule_at`, but returns a cancellation handle."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        return self._queue.push_cancellable(time, kind, callback, pid=pid)
-
-    def schedule_after_cancellable(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        kind: str = "event",
-        pid: Optional[int] = None,
-    ) -> EventHandle:
-        """Like :meth:`schedule_after`, but returns a cancellation handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at_cancellable(self._now + delay, callback, kind=kind, pid=pid)
-
     def schedule_lane_after(
         self,
         lane: EventLane,
@@ -235,8 +209,7 @@ class Simulator:
 
         Returns the lane token -- an integer that cancels or probes the
         event via ``lane.cancel(token)`` / ``lane.live(token)``.  This
-        is the columnar fast path for high-volume cancellable kinds (the
-        timer services): no handle object, no per-event closure; the
+        is the kernel's one cancellable path: no handle object; the
         payload lives in the lane's preallocated columns until the event
         fires.  Events that are never cancelled belong on
         :meth:`schedule_after` instead.
@@ -283,11 +256,15 @@ class Simulator:
         until:
             Inclusive virtual-time horizon.  Events scheduled strictly
             after it stay queued; the clock is advanced to ``until``.
+            A horizon before :attr:`now` raises :class:`SimulationError`
+            (the clock never runs backwards) and a NaN one raises
+            ``ValueError``; ``until == now`` is allowed.
         max_events:
             Safety valve on the number of events fired *by this
             invocation* (not the simulator-lifetime ``events_fired``
             counter, so repeated ``run()`` calls each get a fresh
-            budget).  Honoured mid-batch.
+            budget).  Honoured mid-batch; a budget below 1 raises
+            ``ValueError``.
         stop_when:
             Optional predicate evaluated after every fired event; it
             observes exact live ``events_fired`` / ``events_skipped``
@@ -310,6 +287,15 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is not None:
+            if until != until:  # NaN guard
+                raise ValueError("run horizon must not be NaN")
+            if until < self._now:
+                raise SimulationError(
+                    f"cannot run until {until}, before current time {self._now}"
+                )
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be at least 1, got {max_events}")
         self._running = True
         self._stopped = False
         # Hoisted out of the loop: the batch drain touches only locals.
@@ -319,7 +305,6 @@ class Simulator:
         heap = self._heap
         buckets = self._buckets
         bpop = buckets.pop
-        pool = self._pool
         pop = heappop
         push = heappush
         counts = self._fired_counts if self._trace_events else None
@@ -339,23 +324,14 @@ class Simulator:
                 # the dominant singleton case takes the loop-free path).
                 bucket = bpop(time, _EMPTY)
                 if bucket is _EMPTY:
-                    callback = entry[4]
-                    handle = entry[5]
-                    if handle is None:
-                        if callback is None:
-                            skipped += 1
-                            continue
-                        callback()
-                    elif type(handle) is int:
-                        # Lane entry: callback slot holds the lane.
-                        if not callback.fire(handle):
-                            skipped += 1
-                            continue
-                    elif handle.cancelled or callback is None:
+                    token = entry[5]
+                    if token is None:
+                        entry[4]()
+                    elif not entry[4].fire(token):
+                        # Lane entry (the callback slot holds the lane)
+                        # whose token was cancelled.
                         skipped += 1
                         continue
-                    else:
-                        callback()
                     fired += 1
                     if counts is not None:
                         kid = entry[2]
@@ -392,32 +368,15 @@ class Simulator:
                 size = len(bucket)
                 index = 0
                 while True:
-                    callback = entry[4]
-                    handle = entry[5]
-                    if handle is None:
-                        if callback is None:
-                            skipped += 1
-                            live = False
-                        else:
-                            callback()
-                            fired += 1
-                            live = True
-                    elif type(handle) is int:
-                        # Lane entry: callback slot holds the lane.
-                        if callback.fire(handle):
-                            fired += 1
-                            live = True
-                        else:
-                            skipped += 1
-                            live = False
-                    elif handle.cancelled or callback is None:
-                        skipped += 1
-                        live = False
-                    else:
-                        callback()
-                        fired += 1
+                    token = entry[5]
+                    if token is None:
+                        entry[4]()
                         live = True
+                    else:
+                        # Lane entry: the callback slot holds the lane.
+                        live = entry[4].fire(token)
                     if live:
+                        fired += 1
                         if counts is not None:
                             kid = entry[2]
                             try:
@@ -449,13 +408,12 @@ class Simulator:
                                     push(heap, straggler)
                                 queue._direct_time = self._direct_time = time
                             break
+                    else:
+                        skipped += 1
                     if index >= size:
                         break
                     entry = bucket[index]
                     index += 1
-                bucket.clear()
-                if len(pool) < EventQueue._POOL_DEPTH:
-                    pool.append(bucket)
                 if stop:
                     break
                 # Batch boundary: sync the public counters.

@@ -7,12 +7,12 @@ time is decided by the process's :class:`~repro.timers.awb.TimerBehavior`
 is a pure number (the algorithms use ``max_k SUSPICIONS[i][k] + 1``);
 only the behaviour model converts it into virtual-time duration.
 
-Timers are one of the two dominant cancellable event kinds, so they ride
-the kernel's columnar fast lane (:class:`~repro.sim.events.EventLane`):
-arming a timer stores its callback in the lane's preallocated payload
-column and gets back an integer token -- no per-event
-:class:`~repro.sim.events.EventHandle` allocation, O(1) cancellation via
-the lane's generation counters.
+Re-arming must disarm the previous expiration, so timers ride the
+kernel's one cancellable path, the columnar
+:class:`~repro.sim.events.EventLane`: arming a timer stores its callback
+in the lane's preallocated payload column and gets back an integer token
+-- no per-event handle allocation, O(1) cancellation via the lane's
+generation counters.
 """
 
 from __future__ import annotations

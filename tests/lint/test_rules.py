@@ -255,11 +255,11 @@ class TestDispatchRule:
         body = "\n".join(
             f"    x{i} = queue.{attr}"
             for i, attr in enumerate(
-                ["_heap", "_buckets", "_pool", "_next_seq", "_direct_time"]
+                ["_heap", "_buckets", "_next_seq", "_direct_time"]
             )
         )
         src = make_source(tmp_path, f"def peek(queue):\n{body}\n", "memory/mod.py")
-        assert len(dispatch.check(src)) == 5
+        assert len(dispatch.check(src)) == 4
 
     def test_own_self_attribute_with_same_name_is_allowed(self, tmp_path):
         src = make_source(
@@ -267,10 +267,10 @@ class TestDispatchRule:
             """
             class Lane:
                 def __init__(self):
-                    self._pool = []
+                    self._buckets = []
 
                 def grab(self):
-                    return self._pool.pop()
+                    return self._buckets.pop()
             """,
             "netsim/mod.py",
         )

@@ -62,22 +62,6 @@ class TestBatchOrdering:
 
 
 class TestSameBatchCancellation:
-    def test_earlier_event_cancels_later_same_batch_handle(self):
-        sim = Simulator()
-        fired = []
-        victim = None
-
-        def assassin() -> None:
-            fired.append("assassin")
-            victim.cancel()
-
-        sim.schedule_at(3.0, assassin)
-        victim = sim.schedule_at_cancellable(3.0, lambda: fired.append("victim"))
-        sim.schedule_at(3.0, lambda: fired.append("bystander"))
-        sim.run()
-        assert fired == ["assassin", "bystander"]
-        assert sim.events_skipped == 1
-
     def test_earlier_event_cancels_later_same_batch_lane_token(self):
         sim = Simulator()
         fired = []
@@ -90,19 +74,22 @@ class TestSameBatchCancellation:
 
         sim.schedule_at(2.0, assassin)
         tokens.append(sim.schedule_lane_after(lane, 2.0, lambda: fired.append("victim")))
+        sim.schedule_at(2.0, lambda: fired.append("bystander"))
         sim.run()
-        assert fired == ["assassin"]
+        assert fired == ["assassin", "bystander"]
         assert sim.events_skipped == 1
 
     def test_cancelled_before_run_is_skipped_in_batch(self):
         sim = Simulator()
         fired = []
+        lane = EventLane("test-lane", None)
         sim.schedule_at(1.0, lambda: fired.append("a"))
-        handle = sim.schedule_at_cancellable(1.0, lambda: fired.append("x"))
+        token = sim.schedule_lane_after(lane, 1.0, lambda: fired.append("x"))
         sim.schedule_at(1.0, lambda: fired.append("b"))
-        handle.cancel()
+        lane.cancel(token)
         sim.run()
         assert fired == ["a", "b"]
+        assert (sim.events_fired, sim.events_skipped) == (2, 1)
 
 
 class TestMidBatchStops:
@@ -196,10 +183,6 @@ class TestSchedulingGuards:
             sim.schedule_at(nan, lambda: None)
         with pytest.raises(ValueError):
             sim.schedule_after(nan, lambda: None)
-        with pytest.raises(ValueError):
-            sim.schedule_at_cancellable(nan, lambda: None)
-        with pytest.raises(ValueError):
-            sim.schedule_after_cancellable(nan, lambda: None)
         with pytest.raises(ValueError):
             sim.schedule_lane_after(lane, nan, lambda: None)
 

@@ -1,4 +1,11 @@
-"""Tuple-heap event queue: ordering, stability, cancellation, guards."""
+"""The event queue as the kernel drives it: ordering, stability, lanes.
+
+The queue is storage only -- the fused schedulers of ``Simulator`` file
+entries and its run loop drains them -- so every test here goes through
+``schedule_at`` / ``schedule_after`` / ``schedule_lane_after`` and reads
+the result off the firing order or the queued entry tuples
+``(time, seq, kind_id, pid, callback, token)``.
+"""
 
 from __future__ import annotations
 
@@ -6,132 +13,142 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.events import (
-    CALLBACK,
-    HANDLE,
-    KIND,
-    PID,
-    SEQ,
-    TIME,
-    EventQueue,
-    intern_kind,
-    kind_name,
-)
+from repro.sim.events import EventLane, EventQueue, intern_kind, kind_name
+from repro.sim.kernel import Simulator
+
+MODES = ("at", "after", "lane", "lane-cancelled")
 
 
-def drain(queue: EventQueue):
-    out = []
-    while queue:
-        out.append(queue.pop())
-    return out
+def queued(sim: Simulator) -> list:
+    """Every pending entry tuple: heap entries plus collision buckets."""
+    return list(sim._heap) + [e for bucket in sim._buckets.values() for e in bucket]
+
+
+def schedule_mix(sim: Simulator, items, fired: list) -> list:
+    """Schedule ``(time, mode)`` items, tagging each with its index as
+    pid, through all three schedulers; cancel the ``lane-cancelled``
+    ones.  Returns the tags expected to fire, in schedule order."""
+    lane = EventLane("mix-lane", None)
+    live, doomed = [], []
+    for tag, (time, mode) in enumerate(items):
+        callback = lambda tag=tag: fired.append(tag)  # noqa: E731
+        if mode == "at":
+            sim.schedule_at(time, callback, "mix", tag)
+        elif mode == "after":
+            sim.schedule_after(time - sim.now, callback, "mix", tag)
+        else:
+            token = sim.schedule_lane_after(lane, time - sim.now, callback, tag)
+            if mode == "lane-cancelled":
+                doomed.append(token)
+                continue
+        live.append(tag)
+    for token in doomed:
+        assert lane.cancel(token)
+    return live
 
 
 class TestEventQueueBasics:
     def test_empty_queue_is_falsy(self):
         assert not EventQueue()
+        assert Simulator().pending() == 0
 
     def test_len_tracks_pushes(self):
-        q = EventQueue()
-        q.push(1.0, "a", None)
-        q.push(2.0, "b", None)
-        assert len(q) == 2
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_pop_returns_earliest(self):
-        q = EventQueue()
-        q.push(5.0, "late", None)
-        q.push(1.0, "early", None)
-        entry = q.pop()
-        assert kind_name(entry[KIND]) == "early"
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(3.0, "x", None)
-        assert q.peek_time() == 3.0
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)  # a collision bucket entry
+        sim.schedule_lane_after(EventLane("len-lane", None), 2.0, lambda: None)
+        assert len(sim._queue) == sim.pending() == 4
 
     def test_equal_times_fire_in_schedule_order(self):
-        q = EventQueue()
+        sim = Simulator()
+        fired = []
         for label in ("first", "second", "third"):
-            q.push(7.0, label, None)
-        kinds = [kind_name(entry[KIND]) for entry in drain(q)]
-        assert kinds == ["first", "second", "third"]
+            sim.schedule_at(7.0, lambda label=label: fired.append(label), label)
+        sim.run()
+        assert fired == ["first", "second", "third"]
+        assert sim.fired_by_kind == {"first": 1, "second": 1, "third": 1}
 
     def test_nan_time_rejected(self):
-        q = EventQueue()
         with pytest.raises(ValueError):
-            q.push(float("nan"), "x", None)
+            Simulator().schedule_at(float("nan"), lambda: None)
 
     def test_nan_time_rejected_on_cancellable_path(self):
-        q = EventQueue()
         with pytest.raises(ValueError):
-            q.push_cancellable(float("nan"), "x", None)
+            Simulator().schedule_lane_after(EventLane("nan-lane", None), float("nan"), lambda: None)
 
     def test_clear(self):
-        q = EventQueue()
-        q.push(1.0, "x", None)
-        q.clear()
-        assert not q
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(1.0, lambda: None)
+        sim._queue.clear()
+        assert sim.pending() == 0
+        assert sim.run() == 0.0 and sim.events_fired == 0
 
     def test_pid_recorded(self):
-        q = EventQueue()
-        q.push(1.0, "x", None, pid=3)
-        entry = q.pop()
-        assert entry[PID] == 3
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None, pid=3)
+        assert queued(sim)[0][3] == 3
 
     def test_entry_layout(self):
-        q = EventQueue()
+        sim = Simulator()
         cb = lambda: None  # noqa: E731
-        q.push(2.5, "step", cb, pid=1)
-        entry = q.pop()
-        assert entry[TIME] == 2.5
-        assert isinstance(entry[SEQ], int)
-        assert kind_name(entry[KIND]) == "step"
-        assert entry[PID] == 1
-        assert entry[CALLBACK] is cb
-        assert entry[HANDLE] is None
+        sim.schedule_at(2.5, cb, "step", 1)
+        (entry,) = queued(sim)
+        time, seq, kid, pid, callback, token = entry
+        assert time == 2.5
+        assert isinstance(seq, int)
+        assert kind_name(kid) == "step"
+        assert pid == 1
+        assert callback is cb
+        assert token is None
 
 
 class TestCancellation:
     def test_plain_push_carries_no_handle(self):
-        q = EventQueue()
-        q.push(1.0, "x", None)
-        assert q.pop()[HANDLE] is None
+        sim = Simulator()
+        sim.schedule_after(1.0, lambda: None)
+        assert queued(sim)[0][5] is None
 
     def test_cancel_marks_handle(self):
-        q = EventQueue()
-        handle = q.push_cancellable(1.0, "x", None)
-        assert not handle.cancelled
-        handle.cancel()
-        popped = q.pop()
-        assert popped[HANDLE] is handle
-        assert popped[HANDLE].cancelled
+        sim = Simulator()
+        lane = EventLane("x", None)
+        token = sim.schedule_lane_after(lane, 1.0, lambda: None)
+        (entry,) = queued(sim)
+        assert entry[4] is lane and entry[5] == token
+        assert lane.live(token)
+        assert lane.cancel(token)
+        assert not lane.live(token)
 
     def test_cancel_is_lazy_entry_stays_queued(self):
-        q = EventQueue()
-        handle = q.push_cancellable(1.0, "x", None)
-        handle.cancel()
-        assert len(q) == 1  # the standard O(1)-cancel trick
+        sim = Simulator()
+        lane = EventLane("x", None)
+        lane.cancel(sim.schedule_lane_after(lane, 1.0, lambda: None))
+        assert sim.pending() == 1  # the standard O(1)-cancel trick
+        sim.run()
+        assert sim.pending() == 0
+        assert (sim.events_fired, sim.events_skipped) == (0, 1)
 
     def test_cancel_one_of_many(self):
-        q = EventQueue()
-        q.push(1.0, "keep-a", None)
-        handle = q.push_cancellable(2.0, "drop", None)
-        q.push(3.0, "keep-b", None)
-        handle.cancel()
-        live = [kind_name(e[KIND]) for e in drain(q) if e[HANDLE] is None or not e[HANDLE].cancelled]
-        assert live == ["keep-a", "keep-b"]
+        sim = Simulator()
+        fired = []
+        lane = EventLane("drop", None)
+        sim.schedule_at(1.0, lambda: fired.append("keep-a"))
+        token = sim.schedule_lane_after(lane, 2.0, lambda: fired.append("drop"))
+        sim.schedule_at(3.0, lambda: fired.append("keep-b"))
+        lane.cancel(token)
+        sim.run()
+        assert fired == ["keep-a", "keep-b"]
 
     def test_cancellable_entries_keep_fifo_order_with_plain_ones(self):
-        q = EventQueue()
-        q.push(5.0, "plain-1", None)
-        q.push_cancellable(5.0, "cancellable", None)
-        q.push(5.0, "plain-2", None)
-        kinds = [kind_name(e[KIND]) for e in drain(q)]
-        assert kinds == ["plain-1", "cancellable", "plain-2"]
+        sim = Simulator()
+        fired = []
+        lane = EventLane("cancellable", None)
+        sim.schedule_at(5.0, lambda: fired.append("plain-1"))
+        sim.schedule_lane_after(lane, 5.0, lambda: fired.append("cancellable"))
+        sim.schedule_at(5.0, lambda: fired.append("plain-2"))
+        sim.run()
+        assert fired == ["plain-1", "cancellable", "plain-2"]
 
 
 class TestKindInterning:
@@ -143,50 +160,53 @@ class TestKindInterning:
         assert intern_kind("timer") == intern_kind("timer")
 
     def test_queue_uses_interned_ids(self):
-        q = EventQueue()
-        q.push(1.0, "timer", None)
-        assert q.pop()[KIND] == intern_kind("timer")
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None, kind="timer")
+        sim.schedule_lane_after(EventLane("timer", None), 1.0, lambda: None)
+        assert [entry[2] for entry in queued(sim)] == [intern_kind("timer")] * 2
 
 
 class TestEventOrderingProperty:
-    @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=60))
-    def test_pop_order_is_sorted_by_time(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(t, "e", None)
-        popped = [entry[TIME] for entry in drain(q)]
-        assert popped == sorted(times)
+    """Firing order over a mix of all three schedulers, lane
+    cancellations and (in the stability property) a mid-run stop."""
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.integers(0, 999)),
+            st.tuples(st.floats(min_value=0, max_value=1e6, allow_nan=False), st.sampled_from(MODES)),
             min_size=1,
             max_size=60,
         )
     )
-    def test_stable_within_equal_times(self, items):
-        q = EventQueue()
-        for t, tag in items:
-            q.push(t, str(tag), None)
-        popped = [(entry[TIME], kind_name(entry[KIND])) for entry in drain(q)]
-        expected = sorted(
-            [(t, str(tag)) for t, tag in items],
-            key=lambda pair: pair[0],
-        )
-        # stable sort on time must preserve insertion order for ties
-        by_time: dict[float, list[str]] = {}
-        for t, tag in items:
-            by_time.setdefault(t, []).append(str(tag))
-        reconstructed: dict[float, list[str]] = {}
-        for t, tag in popped:
-            reconstructed.setdefault(t, []).append(tag)
-        assert reconstructed == by_time
-        assert [p[0] for p in popped] == [e[0] for e in expected]
+    def test_pop_order_is_sorted_by_time(self, items):
+        sim = Simulator()
+        fired: list = []
+        live = schedule_mix(sim, items, fired)
+        sim.run()
+        assert [items[tag][0] for tag in fired] == sorted(items[tag][0] for tag in live)
+        assert sim.events_skipped == len(items) - len(live)
 
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
-    def test_seq_numbers_strictly_increase_in_push_order(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(float(t), "e", None)
-        seqs_by_push_order = sorted(drain(q), key=lambda e: e[SEQ])
-        assert [e[TIME] for e in seqs_by_push_order] == [float(t) for t in times]
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from(MODES)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(1, 60),
+    )
+    def test_stable_within_equal_times(self, items, budget):
+        sim = Simulator()
+        fired: list = []
+        live = schedule_mix(sim, items, fired)
+        # A budgeted first run may stop mid-batch; the restored remainder
+        # must keep the exact order.
+        sim.run(max_events=budget)
+        sim.run()
+        # A stable sort on time preserves schedule order within ties.
+        assert fired == sorted(live, key=lambda tag: items[tag][0])
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(MODES)), min_size=1, max_size=40))
+    def test_seq_numbers_strictly_increase_in_push_order(self, items):
+        sim = Simulator()
+        schedule_mix(sim, [(float(t), mode) for t, mode in items], [])
+        by_seq = sorted(queued(sim), key=lambda entry: entry[1])
+        assert [entry[3] for entry in by_seq] == list(range(len(items)))

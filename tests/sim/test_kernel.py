@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.events import EventLane
 from repro.sim.kernel import SimulationError, Simulator
 
 
@@ -57,8 +58,8 @@ class TestScheduling:
     def test_cancelled_event_skipped(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule_at_cancellable(1.0, lambda: fired.append("x"))
-        handle.cancel()
+        lane = EventLane("x", None)
+        lane.cancel(sim.schedule_lane_after(lane, 1.0, lambda: fired.append("x")))
         sim.run()
         assert fired == []
         assert sim.events_skipped == 1
@@ -66,21 +67,22 @@ class TestScheduling:
     def test_cancellable_after_delay(self):
         sim = Simulator()
         fired = []
-        keep = sim.schedule_after_cancellable(1.0, lambda: fired.append("keep"))
-        drop = sim.schedule_after_cancellable(2.0, lambda: fired.append("drop"))
-        drop.cancel()
+        lane = EventLane("x", None)
+        keep = sim.schedule_lane_after(lane, 1.0, lambda: fired.append("keep"))
+        drop = sim.schedule_lane_after(lane, 2.0, lambda: fired.append("drop"))
+        assert lane.cancel(drop)
         sim.run()
         assert fired == ["keep"]
-        assert not keep.cancelled
+        assert sim.now == 2.0  # the cancelled entry still advanced the clock
+        assert not lane.cancel(keep)  # fired tokens are stale
 
     def test_cancellable_rejects_past_and_negative(self):
         sim = Simulator()
         sim.schedule_at(5.0, sim.stop)
         sim.run()
+        # The lane schedules relative to now, so the past is a negative delay.
         with pytest.raises(SimulationError):
-            sim.schedule_at_cancellable(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_after_cancellable(-1.0, lambda: None)
+            sim.schedule_lane_after(EventLane("x", None), -1.0, lambda: None)
 
 
 class TestRunLoop:
@@ -94,6 +96,33 @@ class TestRunLoop:
         sim.run(until=20.0)
         assert fired == ["late"]
 
+    def test_until_in_the_past_is_rejected(self):
+        # The clock never runs backwards: a past horizon used to rewind
+        # ``now`` and let an event scheduled after it fire "early".
+        sim = Simulator()
+        sim.run(until=15.0)
+        with pytest.raises(SimulationError, match="before current time 15.0"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(6.0, lambda: None)
+
+    def test_until_now_is_a_no_op(self):
+        sim = Simulator()
+        sim.schedule_at(20.0, lambda: None)
+        sim.run(until=15.0)
+        assert sim.run(until=15.0) == 15.0
+        assert sim.events_fired == 0 and sim.pending() == 1
+
+    def test_nan_until_is_rejected(self):
+        # NaN compares false against every event time, so it used to mean
+        # "no horizon" silently.
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.events_fired == 0 and sim.now == 0.0
+
     def test_until_beyond_queue_advances_clock(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
@@ -106,6 +135,17 @@ class TestRunLoop:
             sim.schedule_at(float(t), lambda: None)
         sim.run(max_events=3)
         assert sim.events_fired == 3
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_max_events_below_one_is_rejected(self, budget):
+        # A budget of 0 (or less) used to fire one event anyway.
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValueError, match=f"got {budget}"):
+            sim.run(max_events=budget)
+        assert sim.events_fired == 0 and sim.pending() == 1
+        sim.run()  # the refused call left the simulator usable
+        assert sim.events_fired == 1
 
     def test_max_events_budget_is_per_invocation(self):
         # Regression: the budget used to be checked against the
