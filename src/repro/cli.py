@@ -72,22 +72,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_property_table, format_table
 from repro.analysis.timeline import build_timeline, render_timeline
 from repro.analysis.write_stats import forever_writers, growing_registers
+from repro.engine.spec import OVERRIDE_AXES
 from repro.lint.runner import RULE_FAMILIES
-from repro.memory.backend import BACKENDS
-from repro.memory.emulated import CONSISTENCY_LEVELS, LINK_MODELS, RETRY_POLICIES
-from repro.memory.membership import MEMBERSHIP_MODES
+from repro.memory.emulated import LINK_MODELS, RETRY_POLICIES
 from repro.workloads.registry import ALGORITHMS, SCENARIO_FACTORIES
 from repro.workloads.scenarios import Scenario
 from repro.workloads.sweep import SweepRow, summarize_result
-
-#: Backwards-compatible aliases; the registries now live in
-#: :mod:`repro.workloads.registry` so the engine can share them.
-SCENARIOS: Dict[str, Callable[..., Scenario]] = SCENARIO_FACTORIES
 
 #: Default adversarial suite of ``repro check``: six environments that
 #: stress crash storms, GST ramps, asynchrony bursts, near-(n-1)
@@ -166,14 +162,59 @@ def _print_failures(report: Any) -> None:
         print(f"\nFAILED {failure.key}:\n{failure.error}", file=sys.stderr)
 
 
-def _build_scenario(name: str, n: Optional[int], horizon: Optional[float]) -> Scenario:
-    factory = SCENARIOS[name]
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = n
-    if horizon is not None:
-        kwargs["horizon"] = horizon
-    return factory(**kwargs)
+def _build_scenarios(
+    command: str, args: argparse.Namespace, names: Sequence[str]
+) -> Optional[List[Scenario]]:
+    """The named scenarios at ``--n`` / ``--horizon`` -- or ``None``
+    after a one-line error (the caller exits 2) when a factory or the
+    :class:`Scenario` itself refuses the configuration (``--n 1``, a
+    non-finite horizon, ``near-all-cascade --n 2``)."""
+    sizes = {"n": args.n, "horizon": args.horizon}
+    kwargs = {knob: value for knob, value in sizes.items() if value is not None}
+    try:
+        return [SCENARIO_FACTORIES[name](**kwargs) for name in names]
+    except ValueError as exc:
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return None
+
+
+#: Flags that only configure the emulated backend, with the role each
+#: plays in the refusal text.
+EMULATED_ONLY_FLAGS = (
+    ("consistency", "is an emulated-backend axis"),
+    ("membership", "is an emulated-backend axis"),
+    ("links", "selects the emulated backend's link model"),
+)
+
+
+def _overridden(
+    command: str, args: argparse.Namespace, scenarios: Sequence[Scenario]
+) -> Optional[List[Scenario]]:
+    """``scenarios`` under the override flags -- the engine's own
+    transform, :meth:`Scenario.overridden` -- or ``None`` after a
+    one-line error (the caller exits 2) when the transform refuses a
+    cell or an emulated-only flag meets a cell that runs shared: both
+    are knowable before any cell is simulated."""
+    try:
+        cells = [
+            scen.overridden(**{axis: getattr(args, axis) for axis in OVERRIDE_AXES})
+            for scen in scenarios
+        ]
+    except ValueError as exc:
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return None
+    shared = [cell.name for cell in cells if cell.memory != "emulated"]
+    for flag, role in EMULATED_ONLY_FLAGS:
+        if shared and getattr(args, flag, None) is not None:
+            hint = (
+                f" but these cells run the shared backend: {shared}; "
+                "pass --memory emulated or pick emulated scenarios"
+                if command == "sweep"
+                else "; pass --memory emulated or pick an emulated scenario"
+            )
+            print(f"repro {command}: error: --{flag} {role}{hint}", file=sys.stderr)
+            return None
+    return cells
 
 
 def _engine_spec(
@@ -214,7 +255,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for name, cls in ALGORITHMS.items():
         print(f"  {name:14s} {cls.display_name} -- {cls.__doc__.strip().splitlines()[0]}")
     print("\nscenarios:")
-    for name, factory in SCENARIOS.items():
+    for name, factory in SCENARIO_FACTORIES.items():
         scen = factory()
         print(f"  {name:16s} n={scen.n:<3d} horizon={scen.horizon:<8.0f} {scen.description}")
     return 0
@@ -222,51 +263,28 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one (algorithm, scenario, seed) run and print the report."""
-    from repro.engine.spec import OVERRIDE_AXES
-
-    scen = _build_scenario(args.scenario, args.n, args.horizon)
+    scenarios = _build_scenarios("run", args, [args.scenario])
+    cells = None if scenarios is None else _overridden("run", args, scenarios)
+    if cells is None:
+        return 2
+    (scen,) = cells
     algorithm = ALGORITHMS[args.algorithm]
-    backend = args.memory or scen.memory
-    for flag, role in (
-        ("consistency", "is an emulated-backend axis"),
-        ("membership", "is an emulated-backend axis"),
-        ("links", "selects the emulated backend's link model"),
-    ):
-        if getattr(args, flag) is not None and backend != "emulated":
-            print(
-                f"repro run: error: --{flag} {role}; "
-                "pass --memory emulated or pick an emulated scenario",
-                file=sys.stderr,
-            )
-            return 2
-    overrides: Dict[str, Any] = {
-        axis: getattr(args, axis) for axis in OVERRIDE_AXES if getattr(args, axis) is not None
-    }
     if args.links is not None:
         # Link parameters are model-specific (delta/loss/ramp knobs) and
         # do not transfer across models; the override falls back to the
         # target model's defaults.
         emulation = {k: v for k, v in scen.emulation.items() if k != "link_params"}
-        overrides["emulation"] = {**emulation, "links": args.links}
-    if backend == "emulated":
-        effective = (
-            args.consistency
-            or scen.consistency
-            or dict(scen.emulation).get("consistency", "regular")
-        )
-        level = f", {effective} reads"
-    else:
-        level = ""
+        scen = replace(scen, emulation={**emulation, "links": args.links})
+    level = (
+        f", {scen.emulation.get('consistency', 'regular')} reads"
+        if scen.memory == "emulated"
+        else ""
+    )
     print(
         f"running {algorithm.display_name} on {scen.name} "
-        f"(seed {args.seed}, {backend} memory{level})..."
+        f"(seed {args.seed}, {scen.memory} memory{level})..."
     )
-    try:
-        result = scen.run(algorithm, seed=args.seed, **overrides)
-    except ValueError as exc:
-        # e.g. forcing the emulated backend onto the SAN disk scenario.
-        print(f"repro run: error: {exc}", file=sys.stderr)
-        return 2
+    result = scen.run(algorithm, seed=args.seed)
 
     report = result.stabilization(margin=scen.margin)
     print(f"\nstabilized: {report.stabilized}")
@@ -306,19 +324,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.seeds:
         print("repro compare: error: --seeds needs at least one seed", file=sys.stderr)
         return 2
-    try:
-        scen = _build_scenario(args.scenario, args.n, args.horizon)
-        results = {
-            name: [
-                summarize_result(scen.run(ALGORITHMS[name], seed=seed), scen)
-                for seed in args.seeds
-            ]
-            for name in args.algorithms or list(ALGORITHMS)
-        }
-    except ValueError as exc:
-        # e.g. --n 1: a factory or Run rejected the configuration.
-        print(f"repro compare: error: {exc}", file=sys.stderr)
+    scenarios = _build_scenarios("compare", args, [args.scenario])
+    if scenarios is None:
         return 2
+    (scen,) = scenarios
+    results = {
+        name: [
+            summarize_result(scen.run(ALGORITHMS[name], seed=seed), scen)
+            for seed in args.seeds
+        ]
+        for name in args.algorithms or list(ALGORITHMS)
+    }
     rows = []
     for name, per_seed in results.items():
         stab = [r for r in per_seed if r.stabilized]
@@ -346,24 +362,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an (algorithm x scenario x seed) grid through the engine."""
     from repro.engine.driver import check_sharding, parse_shard, run_experiment, shard_bounds
-    from repro.engine.spec import OVERRIDE_AXES
 
     algorithms = {name: ALGORITHMS[name] for name in (args.algorithms or list(ALGORITHMS))}
-    scenarios = [_build_scenario(name, args.n, args.horizon) for name in args.scenarios]
-    for axis, value in (("consistency", args.consistency), ("membership", args.membership)):
-        if value is not None and args.memory != "emulated":
-            # The override only ever applies to emulated cells; refusing
-            # a grid where it can't apply anywhere beats silently
-            # ignoring it.
-            off_axis = [s.name for s in scenarios if s.memory != "emulated"]
-            if args.memory == "shared" or off_axis:
-                print(
-                    f"repro sweep: error: --{axis} is an emulated-backend axis "
-                    f"but these cells run the shared backend: {off_axis or args.scenarios}; "
-                    "pass --memory emulated or pick emulated scenarios",
-                    file=sys.stderr,
-                )
-                return 2
+    scenarios = _build_scenarios("sweep", args, args.scenarios)
+    if scenarios is None or _overridden("sweep", args, scenarios) is None:
+        return 2
     spec = _engine_spec(
         "sweep",
         args,
@@ -420,7 +423,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.engine.search import violation_count
 
     algorithms = {name: ALGORITHMS[name] for name in args.algorithms}
-    scenarios = [SCENARIOS[name]() for name in args.scenarios]
+    scenarios = [SCENARIO_FACTORIES[name]() for name in args.scenarios]
     spec = _engine_spec("check", args, algorithms, scenarios)
     if spec is None:
         return 2
@@ -699,6 +702,18 @@ def _add_engine_options(parser: argparse.ArgumentParser, default_name: str) -> N
     )
 
 
+def _add_override_flags(parser: argparse.ArgumentParser, **help_for: str) -> None:
+    """One ``--<axis>`` flag per :data:`OVERRIDE_AXES` row, with the
+    row's help unless ``help_for`` words it for this command."""
+    for axis, (_noun, vocabulary, help_text) in OVERRIDE_AXES.items():
+        parser.add_argument(
+            f"--{axis}",
+            choices=list(vocabulary),
+            default=None,
+            help=help_for.get(axis, help_text),
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Assemble the full ``repro`` argument parser (all subcommands)."""
     parser = argparse.ArgumentParser(
@@ -711,37 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one run and print the report")
     run_p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="alg1")
-    run_p.add_argument("--scenario", choices=sorted(SCENARIOS), default="nominal")
+    run_p.add_argument("--scenario", choices=sorted(SCENARIO_FACTORIES), default="nominal")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--n", type=int, default=None, help="override process count")
     run_p.add_argument("--horizon", type=float, default=None, help="override horizon")
-    run_p.add_argument(
-        "--memory",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="memory backend override (default: the scenario's own choice)",
-    )
-    run_p.add_argument(
-        "--consistency",
-        choices=list(CONSISTENCY_LEVELS),
-        default=None,
-        help=(
-            "consistency level of the emulated registers ('atomic' adds the "
-            "ABD write-back phase to every read); only valid when the run is "
-            "on the emulated backend"
-        ),
-    )
-    run_p.add_argument(
-        "--membership",
-        choices=list(MEMBERSHIP_MODES),
-        default=None,
-        help=(
-            "dynamic-membership mode of the emulated replica set ('churn' "
-            "installs the canonical replace-one-replica reconfiguration, "
-            "'none' strips the scenario's membership plan); only valid when "
-            "the run is on the emulated backend"
-        ),
-    )
+    _add_override_flags(run_p)
     run_p.add_argument(
         "--links",
         choices=sorted(LINK_MODELS),
@@ -760,40 +749,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS), default=None)
     sweep_p.add_argument(
-        "--scenarios", nargs="*", choices=sorted(SCENARIOS), default=["nominal"]
+        "--scenarios", nargs="*", choices=sorted(SCENARIO_FACTORIES), default=["nominal"]
     )
     sweep_p.add_argument("--seeds", nargs="*", type=int, default=[0, 1])
     sweep_p.add_argument("--n", type=int, default=None, help="override process count")
     sweep_p.add_argument("--horizon", type=float, default=None, help="override horizon")
-    sweep_p.add_argument(
-        "--memory",
-        choices=sorted(BACKENDS),
-        default=None,
-        help=(
+    _add_override_flags(
+        sweep_p,
+        memory=(
             "force a memory backend onto every cell ('emulated' puts the whole "
             "grid on the ABD quorum emulation, 'shared' strips it from "
             "emulated-native scenarios); default: each scenario's own choice"
-        ),
-    )
-    sweep_p.add_argument(
-        "--consistency",
-        choices=list(CONSISTENCY_LEVELS),
-        default=None,
-        help=(
-            "force a consistency level onto every emulated cell ('atomic' = "
-            "ABD write-back reads); requires --memory emulated or an "
-            "emulated-native scenario list"
-        ),
-    )
-    sweep_p.add_argument(
-        "--membership",
-        choices=list(MEMBERSHIP_MODES),
-        default=None,
-        help=(
-            "force a dynamic-membership mode onto every emulated cell "
-            "('churn' = one replace-one-replica reconfiguration per cell, "
-            "'none' = strip membership plans); requires --memory emulated "
-            "or an emulated-native scenario list"
         ),
     )
     sweep_p.add_argument(
@@ -842,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument(
         "--scenarios",
         nargs="+",
-        choices=sorted(SCENARIOS),
+        choices=sorted(SCENARIO_FACTORIES),
         default=CHECK_SCENARIOS,
         help="scenario factories to audit (defaults to the adversarial suite)",
     )
@@ -991,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.set_defaults(func=cmd_lint)
 
     cmp_p = sub.add_parser("compare", help="compare algorithms on one scenario")
-    cmp_p.add_argument("--scenario", choices=sorted(SCENARIOS), default="nominal")
+    cmp_p.add_argument("--scenario", choices=sorted(SCENARIO_FACTORIES), default="nominal")
     cmp_p.add_argument("--algorithms", nargs="*", choices=sorted(ALGORITHMS), default=None)
     cmp_p.add_argument("--seeds", nargs="*", type=int, default=[0, 1])
     cmp_p.add_argument("--n", type=int, default=None)

@@ -339,6 +339,37 @@ class RunResult:
         )
 
 
+def check_run_shape(
+    n: int,
+    horizon: float,
+    sample_interval: float,
+    snapshot_interval: Optional[float],
+    memory: str,
+    has_disk: bool,
+) -> None:
+    """Refuse a run that cannot be built: fewer than two processes, a
+    non-positive or non-finite span, or the emulated backend on top of
+    the SAN disk.  :class:`Run` and
+    :class:`~repro.workloads.scenarios.Scenario` both call it, so a bad
+    cell is refused when it is described, before anything is simulated."""
+    if n < 2:
+        raise ValueError("need at least two processes")
+    spans = {
+        "horizon": horizon,
+        "sample_interval": sample_interval,
+        "snapshot_interval": snapshot_interval,
+    }
+    for name, value in spans.items():
+        # A zero interval would reschedule its observer at `now` forever.
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if memory == "emulated" and has_disk:
+        raise ValueError(
+            "the emulated backend and the SAN disk model both make register "
+            "accesses interval operations; pick one"
+        )
+
+
 class Run:
     """A configured, reproducible execution.
 
@@ -388,25 +419,12 @@ class Run:
     emulation:
         Plain-dict :class:`~repro.memory.emulated.EmulationConfig`
         knobs for the emulated backend (replica count, link model,
-        replica crashes); only valid with ``memory="emulated"``.
-    consistency:
-        Consistency level of the emulated registers (``"regular"`` or
-        ``"atomic"``; see
-        :data:`repro.memory.emulated.CONSISTENCY_LEVELS`).  A non-None
-        value overrides the ``consistency`` key of ``emulation`` and is
-        only valid with ``memory="emulated"`` -- the shared backend's
-        instantaneous registers are atomic by construction, so forcing
-        a level onto it would be dead configuration.
-    membership:
-        Dynamic-membership mode of the emulated replica set
-        (:data:`repro.memory.membership.MEMBERSHIP_MODES`): ``"none"``
-        strips any membership plan from ``emulation`` (the churn-free
-        control) and ``"churn"`` installs the canonical
-        :func:`~repro.memory.membership.churn_plan` replace-one-replica
-        reconfiguration scaled to the horizon.  A non-None value
-        overrides the ``membership_plan`` key of ``emulation`` and is
-        only valid with ``memory="emulated"`` -- the shared backend has
-        no replica set to reconfigure.
+        consistency level, membership plan, replica crashes); only
+        valid with ``memory="emulated"``.  The run-wide override axes
+        (``repro run|sweep --consistency`` / ``--membership``) are
+        folded into this dict by
+        :meth:`~repro.workloads.scenarios.Scenario.overridden` before a
+        ``Run`` is built.
     """
 
     def __init__(
@@ -428,52 +446,8 @@ class Run:
         trace_events: bool = True,
         memory: str = "shared",
         emulation: Optional[Dict[str, Any]] = None,
-        consistency: Optional[str] = None,
-        membership: Optional[str] = None,
     ) -> None:
-        if n < 2:
-            raise ValueError("need at least two processes")
-        spans = {"horizon": horizon, "sample_interval": sample_interval}
-        if snapshot_interval is not None:
-            spans["snapshot_interval"] = snapshot_interval
-        for name, value in spans.items():
-            # A zero interval would reschedule its observer at `now` forever.
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if memory == "emulated" and disk is not None:
-            raise ValueError(
-                "the emulated backend and the SAN disk model both make register "
-                "accesses interval operations; pick one"
-            )
-        if consistency is not None:
-            if memory != "emulated":
-                raise ValueError(
-                    "consistency is an axis of the emulated backend; "
-                    "pass memory='emulated' or drop the option"
-                )
-            emulation = dict(emulation or {})
-            emulation["consistency"] = consistency
-        if membership is not None:
-            from repro.memory.membership import MEMBERSHIP_MODES, churn_plan
-
-            if memory != "emulated":
-                raise ValueError(
-                    "membership is an axis of the emulated backend; "
-                    "pass memory='emulated' or drop the option"
-                )
-            if membership not in MEMBERSHIP_MODES:
-                raise ValueError(
-                    f"unknown membership mode {membership!r}; "
-                    f"choose from {list(MEMBERSHIP_MODES)}"
-                )
-            emulation = dict(emulation or {})
-            if membership == "none":
-                emulation["membership_plan"] = []
-            else:  # churn
-                replicas = int(emulation.get("replicas", 3))
-                emulation["membership_plan"] = churn_plan(
-                    replicas, horizon
-                ).to_jsonable()
+        check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, disk is not None)
         self.algorithm_cls = algorithm_cls
         self.n = n
         self.seed = seed
@@ -597,4 +571,4 @@ class Run:
         )
 
 
-__all__ = ["ProcessRuntime", "Run", "RunResult"]
+__all__ = ["ProcessRuntime", "Run", "RunResult", "check_run_shape"]

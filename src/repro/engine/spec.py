@@ -49,19 +49,44 @@ from repro.memory.membership import MEMBERSHIP_MODES
 SPEC_FORMAT = 7
 
 #: The spec-level override axes, declared once: field name -> (noun for
-#: error messages, legal values).  Each is an :class:`ExperimentSpec`
-#: field defaulting to ``None`` ("leave every scenario's own choice in
-#: force"); validation, the tail of the payload and the per-cell worker
-#: options derive from this table, and a set value reaches
-#: :class:`~repro.core.runner.Run` as the keyword of the same name.
-#: Every axis but ``memory`` configures the emulation, so
-#: :meth:`repro.workloads.scenarios.Scenario.build` drops it on cells
-#: that end up on the shared backend.
-OVERRIDE_AXES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "memory": ("memory backend", tuple(sorted(BACKENDS))),
-    "consistency": ("consistency level", CONSISTENCY_LEVELS),
-    "membership": ("membership mode", MEMBERSHIP_MODES),
+#: error messages, legal values, ``repro run|sweep --<axis>`` help).
+#: Each is an :class:`ExperimentSpec` field defaulting to ``None``
+#: ("leave every scenario's own choice in force"); validation, the tail
+#: of the payload, the per-cell worker options and the CLI flags derive
+#: from this table, and
+#: :meth:`repro.workloads.scenarios.Scenario.overridden` is the one
+#: transform that applies a set value to a scenario.
+OVERRIDE_AXES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    "memory": (
+        "memory backend",
+        tuple(sorted(BACKENDS)),
+        "memory backend override (default: the scenario's own choice)",
+    ),
+    "consistency": (
+        "consistency level",
+        CONSISTENCY_LEVELS,
+        "consistency level of the emulated registers ('atomic' adds the ABD "
+        "write-back phase to every read); only valid on cells that run the "
+        "emulated backend",
+    ),
+    "membership": (
+        "membership mode",
+        MEMBERSHIP_MODES,
+        "dynamic-membership mode of the emulated replica set ('churn' installs "
+        "the canonical replace-one-replica reconfiguration, 'none' strips the "
+        "scenario's membership plan); only valid on cells that run the "
+        "emulated backend",
+    ),
 }
+
+
+def check_overrides(overrides: Mapping[str, Optional[str]]) -> None:
+    """Refuse a set value outside its axis's vocabulary, naming the
+    vocabulary (``None`` = not overridden)."""
+    for axis, value in overrides.items():
+        noun, vocabulary, _help = OVERRIDE_AXES[axis]
+        if value is not None and value not in vocabulary:
+            raise ValueError(f"unknown {noun} {value!r}; choose from {list(vocabulary)}")
 
 
 def _canonical(payload: Any) -> str:
@@ -205,12 +230,7 @@ class ExperimentSpec:
             raise ValueError("spec needs at least one algorithm, scenario and seed")
         if not (math.isfinite(self.window) and self.window > 0):
             raise ValueError(f"window must be positive and finite, got {self.window!r}")
-        for axis, (noun, vocabulary) in OVERRIDE_AXES.items():
-            value = getattr(self, axis)
-            if value is not None and value not in vocabulary:
-                raise ValueError(
-                    f"unknown {noun} {value!r}; choose from {list(vocabulary)}"
-                )
+        check_overrides(self.overrides())
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate algorithm labels in spec: {labels}")
@@ -316,4 +336,5 @@ __all__ = [
     "OVERRIDE_AXES",
     "SPEC_FORMAT",
     "ScenarioRef",
+    "check_overrides",
 ]

@@ -20,7 +20,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.spec import OVERRIDE_AXES, Cell
+from repro.engine.spec import Cell
 from repro.engine.summary import RunSummary, summarize_run
 
 
@@ -60,26 +60,14 @@ def run_point(
     ``overrides`` are the spec-level override axes
     (:data:`repro.engine.spec.OVERRIDE_AXES`), by name; ``None`` -- the
     default of each -- leaves the scenario's own choice in force.
-    ``memory`` forces a backend onto the cell (the ``repro sweep
-    --memory emulated`` path -- and ``"shared"`` forces the shared
-    backend even onto emulated-native scenarios).  Every other axis
-    (``consistency``, ``membership``: ``repro sweep --consistency`` /
-    ``--membership``) configures the emulation, so
-    :meth:`~repro.workloads.scenarios.Scenario.build` drops it on a
-    cell that ends up on the shared backend (its registers are atomic
-    by construction and it has no replica set to reconfigure).
+    :meth:`~repro.workloads.scenarios.Scenario.build` applies them
+    through :meth:`~repro.workloads.scenarios.Scenario.overridden`.
     """
     from repro.workloads.registry import build_scenario, resolve_algorithm
 
-    unknown = set(overrides) - set(OVERRIDE_AXES)
-    if unknown:
-        raise TypeError(
-            f"unknown override axis {sorted(unknown)}; choose from {list(OVERRIDE_AXES)}"
-        )
     scenario = build_scenario(factory, kwargs)
     run_kwargs: Dict[str, Any] = {"log_reads": False, "trace_events": False} if fast else {}
-    run_kwargs.update((axis, value) for axis, value in overrides.items() if value is not None)
-    result = scenario.run(resolve_algorithm(algorithm), seed=seed, **run_kwargs)
+    result = scenario.run(resolve_algorithm(algorithm), seed=seed, **run_kwargs, **overrides)
     return summarize_run(
         result,
         scenario_name=scenario.name,

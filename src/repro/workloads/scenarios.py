@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.interfaces import OmegaAlgorithm
-from repro.core.runner import Run, RunResult
+from repro.core.runner import Run, RunResult, check_run_shape
 from repro.memory.backend import BACKENDS
 from repro.memory.disk import Disk, LatencyModel
 from repro.memory.emulated import CONSISTENCY_LEVELS, LINK_MODELS
@@ -110,7 +110,13 @@ def scramble_registers(memory: SharedMemory, rng: Any) -> None:
 
 @dataclass
 class Scenario:
-    """A named, reproducible run configuration."""
+    """A named, reproducible run configuration.
+
+    Construction refuses what :class:`Run` would refuse
+    (:func:`~repro.core.runner.check_run_shape`), :meth:`overridden`
+    applies the run-wide override axes and :meth:`build` instantiates
+    the run.
+    """
 
     name: str
     n: int
@@ -142,18 +148,12 @@ class Scenario:
     #: ``"shared"`` or ``"emulated"``.
     memory: str = "shared"
     #: Plain-dict :class:`~repro.memory.emulated.EmulationConfig` knobs
-    #: (replica count, link model, replica crashes); empty means the
-    #: emulation defaults, and it is ignored by the shared backend.
+    #: (replica count, link model, consistency level -- ``"regular"``
+    #: single-phase reads, all the paper needs, or ``"atomic"``
+    #: write-back reads --, membership plan, replica crashes); empty
+    #: means the emulation defaults.  Only an emulated scenario may
+    #: carry any.
     emulation: Dict[str, Any] = field(default_factory=dict)
-    #: Consistency level of the emulated registers
-    #: (:data:`repro.memory.emulated.CONSISTENCY_LEVELS`): ``"regular"``
-    #: single-phase reads (all the paper needs) or ``"atomic"``
-    #: write-back reads.  ``None`` -- the default -- defers to the
-    #: ``consistency`` key of :attr:`emulation` (itself defaulting to
-    #: regular); a set value overrides that key.  Ignored by the shared
-    #: backend, whose instantaneous registers are atomic by
-    #: construction.
-    consistency: Optional[str] = None
     #: ``(factory_name, kwargs)`` attached by :func:`scenario_factory`;
     #: lets the parallel engine rebuild this scenario in a worker
     #: process.  ``None`` for hand-built instances (in-process only).
@@ -161,40 +161,88 @@ class Scenario:
         default=None, compare=False, repr=False
     )
 
-    def build(self, algorithm_cls: Type[OmegaAlgorithm], seed: int = 0, **overrides: Any) -> Run:
-        """Instantiate a :class:`Run` for ``algorithm_cls`` at ``seed``."""
+    def __post_init__(self) -> None:
+        check_run_shape(
+            self.n, self.horizon, self.sample_interval, self.snapshot_interval,
+            self.memory, self.make_disk is not None,
+        )
+
+    def overridden(
+        self,
+        memory: Optional[str] = None,
+        consistency: Optional[str] = None,
+        membership: Optional[str] = None,
+    ) -> "Scenario":
+        """This scenario under the run-wide override axes
+        (:data:`repro.engine.spec.OVERRIDE_AXES`; ``None`` leaves the
+        scenario's own choice in force) -- the one place they are
+        applied, for the engine and the CLI alike.
+
+        ``memory`` forces a backend.  A cell that ends up on the shared
+        backend drops every emulation knob (its registers are atomic by
+        construction and it has no replica set to reconfigure), so
+        ``consistency`` and ``membership`` only reach emulated cells:
+        ``consistency`` sets the emulation's level, ``membership``
+        ``"none"`` strips its membership plan and ``"churn"`` installs
+        the canonical :func:`~repro.memory.membership.churn_plan`
+        scaled to the horizon.  An unknown value, or the emulated
+        backend forced onto the SAN disk, raises ``ValueError``.
+        Without overrides ``self`` is returned, not a copy.
+        """
+        from repro.engine.spec import check_overrides
+
+        chosen = {"memory": memory, "consistency": consistency, "membership": membership}
+        if all(value is None for value in chosen.values()):
+            return self
+        check_overrides(chosen)
+        backend = memory or self.memory
+        if backend == "shared":
+            return replace(self, memory="shared", emulation={})
+        emulation = dict(self.emulation)
+        if consistency is not None:
+            emulation["consistency"] = consistency
+        if membership == "none":
+            emulation["membership_plan"] = []
+        elif membership == "churn":
+            replicas = int(emulation.get("replicas", 3))
+            emulation["membership_plan"] = churn_plan(replicas, self.horizon).to_jsonable()
+        return replace(self, memory=backend, emulation=emulation)
+
+    def build(
+        self, algorithm_cls: Type[OmegaAlgorithm], seed: int = 0, *,
+        memory: Optional[str] = None, consistency: Optional[str] = None,
+        membership: Optional[str] = None, **run_options: Any,
+    ) -> Run:
+        """Instantiate a :class:`Run` for ``algorithm_cls`` at ``seed``.
+
+        The override axes go through :meth:`overridden`; every other
+        keyword (``log_reads``, ``trace_events``, ...) reaches
+        :class:`Run` unchanged and wins over the scenario's field.
+        """
+        scen = self.overridden(memory, consistency, membership)
         rng = RngRegistry(seed)
         kwargs: Dict[str, Any] = dict(
             seed=seed,
-            horizon=self.horizon,
-            sample_interval=self.sample_interval,
-            snapshot_interval=self.snapshot_interval,
-            delay_model=self.make_delay(rng) if self.make_delay else None,
-            timer_behaviors=self.make_timers(rng, self.n) if self.make_timers else None,
-            crash_plan=self.make_crash_plan(rng) if self.make_crash_plan else None,
-            disk=self.make_disk(rng) if self.make_disk else None,
-            scramble=self.scramble,
-            algo_config=dict(self.algo_config),
-            log_reads=self.log_reads,
-            trace_events=self.trace_events,
-            memory=self.memory,
-            emulation=dict(self.emulation) or None,
-            consistency=self.consistency if self.memory == "emulated" else None,
+            horizon=scen.horizon,
+            sample_interval=scen.sample_interval,
+            snapshot_interval=scen.snapshot_interval,
+            delay_model=scen.make_delay(rng) if scen.make_delay else None,
+            timer_behaviors=scen.make_timers(rng, scen.n) if scen.make_timers else None,
+            crash_plan=scen.make_crash_plan(rng) if scen.make_crash_plan else None,
+            disk=scen.make_disk(rng) if scen.make_disk else None,
+            scramble=scen.scramble,
+            algo_config=dict(scen.algo_config),
+            log_reads=scen.log_reads,
+            trace_events=scen.trace_events,
+            memory=scen.memory,
+            emulation=dict(scen.emulation) or None,
         )
-        kwargs.update(overrides)
-        if kwargs.get("memory") == "shared":
-            # Forcing an emulated scenario back onto the shared backend
-            # (e.g. ``repro run --memory shared``) drops the emulation
-            # knobs (consistency and membership included) instead of
-            # tripping the dead-configuration guards.
-            kwargs["emulation"] = None
-            kwargs["consistency"] = None
-            kwargs["membership"] = None
-        return Run(algorithm_cls, self.n, **kwargs)
+        kwargs.update(run_options)
+        return Run(algorithm_cls, scen.n, **kwargs)
 
-    def run(self, algorithm_cls: Type[OmegaAlgorithm], seed: int = 0, **overrides: Any) -> RunResult:
+    def run(self, algorithm_cls: Type[OmegaAlgorithm], seed: int = 0, **options: Any) -> RunResult:
         """Build and execute in one step."""
-        return self.build(algorithm_cls, seed, **overrides).execute()
+        return self.build(algorithm_cls, seed, **options).execute()
 
 
 DelayMaker = Callable[[RngRegistry], StepDelayModel]
@@ -353,18 +401,15 @@ def _compose(
     )
 
 
-def _twin(
-    base: Scenario, name: str, note: str, consistency: Optional[str] = None, **knobs: Any
-) -> Scenario:
-    """``base`` renamed, with ``note`` appended to its description,
-    ``knobs`` merged into its emulation config and (optionally) its
-    consistency level set: the ``-atomic`` / ``-audit`` cells."""
+def _twin(base: Scenario, name: str, note: str, **knobs: Any) -> Scenario:
+    """``base`` renamed, with ``note`` appended to its description and
+    ``knobs`` (the consistency level among them) merged into its
+    emulation config: the ``-atomic`` / ``-audit`` cells."""
     return replace(
         base,
         name=name,
         description=base.description + note,
         emulation={**base.emulation, **knobs},
-        consistency=consistency or base.consistency,
     )
 
 
@@ -1227,6 +1272,7 @@ def fuzz_cell(
             emulation = _ramp_links(replicas, horizon * 0.3, 6.0, retry_interval=4.0)
         else:
             emulation = _sync_links(replicas, links, delta)
+        emulation["consistency"] = consistency
         emulation["record_history"] = True
         if plan:
             emulation["fault_plan"] = [dict(ev) for ev in plan]
@@ -1245,7 +1291,6 @@ def fuzz_cell(
         crash=FUZZ_CRASHES[crash](n, horizon),
         margin=0.02,
         emulation=emulation,
-        consistency=consistency if backend == "emulated" else None,
     )
 
 

@@ -9,6 +9,7 @@ from repro.memory.emulated import EmulatedMemory
 from repro.workloads.registry import ALGORITHMS
 from repro.workloads.scenarios import (
     BACKEND_EQUIVALENCE_CELLS,
+    Scenario,
     emulated_lossy,
     leader_crash,
     leader_crash_emulated,
@@ -201,19 +202,25 @@ def test_audit_none_when_nothing_recorded():
 
 
 def test_run_rejects_consistency_on_shared_backend():
-    with pytest.raises(ValueError, match="axis of the emulated backend"):
-        Run(ALGORITHMS["alg1"], n=3, consistency="atomic")
+    # The override transform drops the level on a shared cell, so no
+    # dead configuration reaches Run; Run itself still refuses one.
+    assert nominal(n=3).overridden(consistency="atomic").emulation == {}
+    with pytest.raises(ValueError, match="backend is 'shared'"):
+        Run(ALGORITHMS["alg1"], n=3, emulation={"consistency": "atomic"})
+    with pytest.raises(
+        ValueError, match=r"unknown consistency level 'causal'; choose from \['regular', 'atomic'\]"
+    ):
+        nominal_emulated(n=3).overridden(consistency="causal")
 
 
 def test_run_consistency_param_overrides_emulation_dict():
-    run = Run(
-        ALGORITHMS["alg1"],
-        n=3,
-        memory="emulated",
+    scen = Scenario(
+        name="hand", n=3, horizon=2000.0, memory="emulated",
         emulation={"consistency": "regular"},
-        consistency="atomic",
     )
+    run = scen.build(ALGORITHMS["alg1"], seed=0, consistency="atomic")
     assert run.memory.config.consistency == "atomic"
+    assert scen.emulation == {"consistency": "regular"}  # the transform copies
 
 
 def test_atomic_scenario_override_back_to_shared_drops_consistency():

@@ -32,6 +32,7 @@ from repro.workloads.registry import ALGORITHMS
 from repro.workloads.scenarios import (
     MEMBERSHIP_CANARY_CRASHES,
     MEMBERSHIP_CANARY_PLAN,
+    Scenario,
     emulated_gst_ramp_audit,
     membership_canary,
     membership_churn,
@@ -199,54 +200,52 @@ class TestNegativeControl:
 
 
 # ----------------------------------------------------------------------
-# Run-level membership overrides (the spec/CLI axis)
+# Membership overrides (the spec/CLI axis, through Scenario.overridden)
 # ----------------------------------------------------------------------
+def _bare(memory="emulated", **emulation):
+    """A hand-built scenario: Run's own defaults for every part."""
+    return Scenario(name="bare", n=3, horizon=4000.0, memory=memory, emulation=emulation)
+
+
 class TestMembershipOverride:
     def test_churn_override_installs_the_canonical_plan(self):
-        result = Run(
-            ALGORITHMS["alg1"],
-            n=3,
-            seed=0,
-            horizon=4000.0,
-            memory="emulated",
-            membership="churn",
-        ).execute()
+        result = _bare().run(ALGORITHMS["alg1"], seed=0, membership="churn")
         assert result.memory.configs_installed == 2
         assert result.memory.transfer_rounds == 2
 
     def test_none_override_strips_an_existing_plan(self):
-        result = Run(
-            ALGORITHMS["alg1"],
-            n=3,
-            seed=0,
-            horizon=4000.0,
-            memory="emulated",
-            emulation={"membership_plan": [{"kind": "leave", "at": 500.0, "replica": 0}]},
-            membership="none",
-        ).execute()
+        scen = _bare(membership_plan=[{"kind": "leave", "at": 500.0, "replica": 0}])
+        result = scen.run(ALGORITHMS["alg1"], seed=0, membership="none")
         assert result.memory.config.membership_plan == ()
         assert result.memory.configs_installed == 0
 
     def test_membership_rejected_on_shared_backend(self):
-        with pytest.raises(ValueError, match="axis of the emulated backend"):
-            Run(ALGORITHMS["alg1"], n=3, membership="churn")
+        # The override transform drops the mode on a shared cell, so no
+        # dead configuration reaches Run; Run itself still refuses one.
+        shared = _bare(memory="shared").overridden(membership="churn")
+        assert shared.memory == "shared" and shared.emulation == {}
+        assert _bare().overridden(memory="shared", membership="churn").emulation == {}
+        with pytest.raises(ValueError, match="backend is 'shared'"):
+            Run(ALGORITHMS["alg1"], n=3, emulation={"membership_plan": []})
 
     def test_unknown_membership_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown membership mode"):
-            Run(ALGORITHMS["alg1"], n=3, memory="emulated", membership="rolling")
+        with pytest.raises(
+            ValueError, match=r"unknown membership mode 'rolling'; choose from \['none', 'churn'\]"
+        ):
+            _bare().overridden(membership="rolling")
 
 
 # ----------------------------------------------------------------------
 # Backend equivalence: a no-op plan changes nothing, on either kernel
 # ----------------------------------------------------------------------
 EQUIVALENCE_PROBE = (
-    "from repro.core.runner import Run\n"
     "from repro.workloads.registry import ALGORITHMS\n"
-    "kwargs = dict(n=3, seed=0, horizon=2000.0, memory='emulated',\n"
-    "              emulation={'record_history': True})\n"
-    "plain = Run(ALGORITHMS['alg1'], **kwargs).execute().summarize(\n"
+    "from repro.workloads.scenarios import Scenario\n"
+    "scen = Scenario(name='equiv', n=3, horizon=2000.0, memory='emulated',\n"
+    "                emulation={'record_history': True})\n"
+    "plain = scen.run(ALGORITHMS['alg1'], seed=0).summarize(\n"
     "    scenario_name='equiv', margin=100.0)\n"
-    "noop = Run(ALGORITHMS['alg1'], membership='none', **kwargs).execute().summarize(\n"
+    "noop = scen.run(ALGORITHMS['alg1'], seed=0, membership='none').summarize(\n"
     "    scenario_name='equiv', margin=100.0)\n"
     "assert plain.canonical_json() == noop.canonical_json()\n"
     "print(plain.canonical_json())\n"
@@ -255,12 +254,12 @@ EQUIVALENCE_PROBE = (
 
 class TestBackendEquivalence:
     def test_noop_plan_is_byte_identical_in_process(self):
-        kwargs = dict(n=3, seed=0, horizon=2000.0, memory="emulated",
-                      emulation={"record_history": True})
-        plain = Run(ALGORITHMS["alg1"], **kwargs).execute().summarize(
+        scen = Scenario(name="equiv", n=3, horizon=2000.0, memory="emulated",
+                        emulation={"record_history": True})
+        plain = scen.run(ALGORITHMS["alg1"], seed=0).summarize(
             scenario_name="equiv", margin=100.0
         )
-        noop = Run(ALGORITHMS["alg1"], membership="none", **kwargs).execute().summarize(
+        noop = scen.run(ALGORITHMS["alg1"], seed=0, membership="none").summarize(
             scenario_name="equiv", margin=100.0
         )
         assert plain.canonical_json() == noop.canonical_json()

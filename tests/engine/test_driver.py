@@ -82,13 +82,14 @@ class TestDriver:
 class TestErrorCapture:
     @pytest.fixture()
     def bad_spec(self):
-        # n=1 passes scenario construction but Run refuses it, so the
-        # failure happens inside the worker and must come back captured.
-        return ExperimentSpec.from_objects(
-            "bad",
-            {"alg1": WriteEfficientOmega},
-            [nominal(n=1, horizon=500.0)],
-            [0],
+        # A ref with n=1 is a well-formed spec, but the worker's
+        # scenario build refuses it, so the failure happens inside the
+        # worker and must come back captured.
+        return ExperimentSpec(
+            name="bad",
+            algorithms=(AlgorithmRef("alg1", "alg1"),),
+            scenarios=(ScenarioRef.make("nominal", {"n": 1, "horizon": 500.0}),),
+            seeds=(0,),
         )
 
     def test_strict_mode_raises_engine_error(self, bad_spec, tmp_path):
@@ -164,11 +165,14 @@ class TestErrorCapture:
         assert "... and 2 more" in str(err)
 
     def test_good_cells_survive_a_poisoned_grid(self, tmp_path):
-        mixed = ExperimentSpec.from_objects(
-            "mixed",
-            {"alg1": WriteEfficientOmega},
-            [nominal(n=3, horizon=1500.0), nominal(n=1, horizon=500.0)],
-            [0],
+        mixed = ExperimentSpec(
+            name="mixed",
+            algorithms=(AlgorithmRef("alg1", "alg1"),),
+            scenarios=(
+                ScenarioRef.make("nominal", {"n": 3, "horizon": 1500.0}),
+                ScenarioRef.make("nominal", {"n": 1, "horizon": 500.0}),
+            ),
+            seeds=(0,),
         )
         report = run_experiment(mixed, jobs=1, results_dir=tmp_path, strict=False)
         assert len(report.rows) == 1 and report.rows[0].stabilized

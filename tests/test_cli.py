@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from repro import cli
-from repro.cli import ALGORITHMS, CHECK_SCENARIOS, SCENARIOS, build_parser, main
+from repro.cli import ALGORITHMS, CHECK_SCENARIOS, build_parser, main
 from repro.fuzz import loop
 from repro.workloads.registry import SCENARIO_FACTORIES
 from tests.mutants import MEMBERSHIP_GENOME, MUTANTS
@@ -116,7 +116,7 @@ class TestParser:
 
     def test_check_scenarios_are_registered(self):
         for name in CHECK_SCENARIOS:
-            assert name in SCENARIOS
+            assert name in SCENARIO_FACTORIES
 
     def test_check_suite_includes_atomic_audit_cells(self):
         assert "nominal-emulated-atomic" in CHECK_SCENARIOS
@@ -161,7 +161,7 @@ class TestParser:
         # The canary is deliberately broken (single-config transitions);
         # `repro check` must never run it as a green cell, but CI replays
         # it by name expecting red.
-        assert "membership-canary" in SCENARIOS
+        assert "membership-canary" in SCENARIO_FACTORIES
         assert "membership-canary" not in CHECK_SCENARIOS
 
     def test_fuzz_defaults(self):
@@ -194,7 +194,7 @@ class TestParser:
         # The fuzzer audits the genome space itself; `repro check` must
         # not re-run an unpinned grid over it, but the factory has to be
         # registry-resolvable for pinned repros to replay.
-        assert "fuzz-cell" in SCENARIOS
+        assert "fuzz-cell" in SCENARIO_FACTORIES
         assert "fuzz-cell" not in CHECK_SCENARIOS
 
 
@@ -204,7 +204,7 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ALGORITHMS:
             assert name in out
-        for name in SCENARIOS:
+        for name in SCENARIO_FACTORIES:
             assert name in out
 
     def test_run_nominal(self, capsys):
@@ -338,6 +338,26 @@ class TestCommands:
             (["chaos", "--plans", "1", "--replicas", "1"], "replicas must be >= 2, got 1"),
             (["chaos", "--plans", "1", "--max-faults", "-1"], "max_faults must be >= 1, got -1"),
             (["sweep", "--shards", "0"], "shards must be >= 1, got 0"),
+            # Cells no run can be built from: refused by the scenario (or
+            # its factory) and the override transform, with Run's text.
+            (["run", "--scenario", "san", "--memory", "emulated"],
+             "the emulated backend and the SAN disk model both make register "
+             "accesses interval operations; pick one"),
+            (["sweep", "--scenarios", "san", "--memory", "emulated"], "; pick one"),
+            (["run", "--scenario", "near-all-cascade", "--n", "2"],
+             "need 1 <= survivors < n, got 2"),
+            (["sweep", "--scenarios", "near-all-cascade", "--n", "2"],
+             "need 1 <= survivors < n, got 2"),
+            (["run", "--n", "1"], "need at least two processes"),
+            (["sweep", "--scenarios", "nominal", "--n", "1"], "need at least two processes"),
+            (["sweep", "--scenarios", "nominal", "--horizon", "nan"],
+             "horizon must be positive and finite, got nan"),
+            (["run", "--horizon", "-5"], "horizon must be positive and finite, got -5.0"),
+            (["compare", "--horizon", "0"], "horizon must be positive and finite, got 0.0"),
+            (["sweep", "--scenarios", "nominal-emulated", "--memory", "shared",
+              "--membership", "churn"],
+             "--membership is an emulated-backend axis but these cells run the shared "
+             "backend: ['nominal-emulated-n4']"),
         ],
     )
     def test_bad_search_numbers_are_refused_before_anything_runs(
@@ -347,7 +367,8 @@ class TestCommands:
             raise AssertionError("the command ran")
 
         for target in ("repro.engine.driver.run_experiment",
-                       "repro.faults.campaign.run_campaign", "repro.fuzz.loop.run_fuzz"):
+                       "repro.faults.campaign.run_campaign", "repro.fuzz.loop.run_fuzz",
+                       "repro.workloads.scenarios.Scenario.build"):
             monkeypatch.setattr(target, never)
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -456,15 +477,19 @@ class TestCommands:
         assert "2 violation(s)" in captured.out
         assert "WRITE-ACK INTEGRITY FAILED (2 violation(s))" in captured.err
 
-    def test_sweep_reports_cell_failures(self, capsys, tmp_path):
+    def test_sweep_reports_cell_failures(self, capsys, tmp_path, monkeypatch):
+        def crash(*_args, **_kwargs):
+            raise RuntimeError("cell blew up")
+
+        monkeypatch.setattr("repro.engine.worker.run_point", crash)
         code = main(
             ["sweep", "--algorithms", "alg1", "--scenarios", "nominal",
-             "--seeds", "0", "--n", "1", "--horizon", "500",
+             "--seeds", "0", "--n", "3", "--horizon", "500", "--jobs", "1",
              "--results-dir", str(tmp_path)]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "FAILED" in captured.err
+        assert "FAILED" in captured.err and "RuntimeError: cell blew up" in captured.err
 
     def test_compare_table(self, capsys):
         code = main(

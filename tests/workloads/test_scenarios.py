@@ -140,12 +140,13 @@ class TestConsistencyFamily:
 
         scen = build_scenario("nominal-emulated", {"n": 8})
         config = EmulationConfig.from_dict(scen.emulation)
-        assert scen.consistency is None  # defer to the emulation dict
+        assert "consistency" not in scen.emulation  # the emulation's default
         assert config.record_history is False and config.consistency == "regular"
 
     def test_emulation_dict_consistency_key_is_honoured(self):
-        """A hand-built scenario may set the level through the emulation
-        dict alone; the field default must defer, not clobber it."""
+        """A hand-built scenario sets the level through the emulation
+        dict, the one place a scenario carries it; building must honour
+        it."""
         from repro.core.algorithm1 import WriteEfficientOmega
         from repro.workloads.scenarios import Scenario
 
@@ -169,7 +170,7 @@ class TestConsistencyFamily:
         for name in ("nominal-emulated-atomic", "replica-crash-atomic"):
             assert name in CHECK_SCENARIOS
             scen = build_scenario(name, {})
-            assert scen.consistency == "atomic"
+            assert scen.emulation["consistency"] == "atomic"
             assert EmulationConfig.from_dict(scen.emulation).record_history is True
 
     def test_atomic_factories_are_engine_rebuildable(self):
@@ -183,7 +184,7 @@ class TestConsistencyFamily:
             scen = factory()
             name, kwargs = scen.ref
             rebuilt = build_scenario(name, kwargs)
-            for field in ("name", "n", "horizon", "consistency", "emulation", "memory"):
+            for field in ("name", "n", "horizon", "emulation", "memory"):
                 assert getattr(rebuilt, field) == getattr(scen, field), factory.__name__
 
 

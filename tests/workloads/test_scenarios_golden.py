@@ -40,7 +40,7 @@ GOLDEN = Path(__file__).with_name("golden_scenarios.json")
 
 STATIC_FIELDS = (
     "name", "description", "n", "horizon", "sample_interval", "snapshot_interval",
-    "margin", "assumption", "memory", "emulation", "consistency", "algo_config",
+    "margin", "assumption", "memory", "emulation", "algo_config",
     "log_reads", "trace_events",
 )
 HOOKS = ("make_delay", "make_timers", "make_crash_plan", "make_disk", "scramble")

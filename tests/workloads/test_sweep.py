@@ -96,7 +96,7 @@ def _mutated(field):
     if isinstance(value, (int, float)):
         return value + 1
     if isinstance(value, str):
-        return "atomic" if field.name == "consistency" else value + "-x"
+        return value + "-x"
     return {**value, "x": 1}
 
 
