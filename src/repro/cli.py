@@ -14,8 +14,10 @@ Commands
     emulated`` forces the ABD register emulation onto every cell.
 ``check``
     Audit the paper's Theorems 1-4 over the adversarial scenario suite
-    through the parallel engine and print the property-violation table;
-    exits non-zero on any violated claim.
+    (every scenario whose registry row is marked audited; see
+    :data:`repro.workloads.registry.SCENARIO_REGISTRY`) through the
+    parallel engine and print the property-violation table; exits
+    non-zero on any violated claim.
 ``chaos``
     Run N seeded fault-injection campaigns (replica crash/recover with
     state-resync, partitions, message storms) through the ABD emulation
@@ -43,8 +45,8 @@ Commands
     non-zero on regression.
 ``lint``
     Run the AST-based invariant linter over the source tree
-    (determinism, kernel purity, registry completeness, batch-dispatch
-    safety, strict-typing ratchet); exits non-zero on any finding.
+    (determinism, kernel purity, batch-dispatch safety, strict-typing
+    ratchet); exits non-zero on any finding.
 ``list``
     Show the available algorithms and scenarios.
 
@@ -72,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_property_table, format_table
@@ -81,74 +82,9 @@ from repro.analysis.write_stats import forever_writers, growing_registers
 from repro.engine.spec import OVERRIDE_AXES
 from repro.lint.runner import RULE_FAMILIES
 from repro.memory.emulated import LINK_MODELS, RETRY_POLICIES
-from repro.workloads.registry import ALGORITHMS, SCENARIO_FACTORIES
+from repro.workloads.registry import ALGORITHMS, CHECK_SCENARIOS, SCENARIO_FACTORIES
 from repro.workloads.scenarios import Scenario
 from repro.workloads.sweep import SweepRow, summarize_result
-
-#: Default adversarial suite of ``repro check``: six environments that
-#: stress crash storms, GST ramps, asynchrony bursts, near-(n-1)
-#: cascades and timely-identity churn while still satisfying AWB by
-#: construction -- so every claimed theorem must hold.
-CHECK_SCENARIOS = [
-    "leader-storm",
-    "gst-ramp",
-    "async-bursts",
-    "near-all-cascade",
-    "timely-churn",
-    "awb-only",
-    # The emulated-backend cells: the same theorems must hold when the
-    # registers are realized by the ABD quorum emulation, including
-    # under a minority of replica crashes.
-    "nominal-emulated",
-    "replica-crash",
-    # The atomic consistency level: write-back reads whose recorded
-    # histories are additionally audited for linearizability (the audit
-    # verdict counts toward this command's violation total).
-    "nominal-emulated-atomic",
-    "replica-crash-atomic",
-    # The lossy-link audit cell: retransmission races (duplicate REQ/ACK
-    # deliveries) with the recorded history checked against the
-    # regular-register condition.
-    "emulated-lossy-audit",
-    # The ramp-stress audit cell: a deliberately tight retransmission
-    # timer floods duplicate replies through slow (but lossless) links;
-    # the audit asserts reply dedup never fakes a quorum.
-    "emulated-gst-ramp-audit",
-    # The fault-injection cell: the default chaos timeline (transient
-    # replica crash with recover-and-resync, partition/heal, a message
-    # storm) with the history audit on -- the theorems must survive it.
-    "chaos",
-    # The dynamic-membership cells: the replica set reconfigures
-    # mid-run through dual-quorum transition windows, and the recorded
-    # history must stay regular/linearizable across every config change.
-    "membership-churn",
-    "membership-churn-atomic",
-]
-
-#: Scenario factories deliberately NOT in the ``repro check`` default
-#: suite, with the reason on each line.  The ``registry-check-coverage``
-#: lint rule requires every ``SCENARIO_FACTORIES`` key to appear in
-#: exactly one of these two lists, so adding a factory without deciding
-#: whether it is audited fails ``repro lint``.
-CHECK_EXEMPT_SCENARIOS = [
-    "nominal",  # baseline environment; strictly dominated by the suite
-    "chaotic-timers",  # early-chaos variant of awb-only
-    "leader-crash",  # subsumed by leader-storm's repeated crashes
-    "cascade",  # subsumed by near-all-cascade at the fault edge
-    "all-but-one",  # n-1 crashes: T2/T4 trivial, nothing extra audited
-    "ev-sync",  # eventually-synchronous delays: weaker than gst-ramp
-    "scrambled",  # scheduler scrambling is on in every suite cell
-    "random-faults",  # unpinned random faults; suite uses pinned storms
-    "san",  # disk-latency (SAN) study cell, not a theorem stressor
-    "capped-timers",  # deliberately violates AWB (negative scenario)
-    "slow-leader-awb",  # Section-5 trade-off study cell
-    "ablation",  # algorithm-ablation study cell
-    "leader-crash-emulated",  # subsumed by replica-crash + leader-storm
-    "emulated-lossy",  # non-audited twin of emulated-lossy-audit
-    "emulated-gst-ramp",  # emulated twin of the shared gst-ramp cell
-    "fuzz-cell",  # genome-pinned fuzz cell; `repro fuzz` audits the space
-    "membership-canary",  # deliberately broken negative control (CI runs it red)
-]
 
 
 def _print_results_dir(report: Any) -> None:
@@ -190,14 +126,16 @@ EMULATED_ONLY_FLAGS = (
 def _overridden(
     command: str, args: argparse.Namespace, scenarios: Sequence[Scenario]
 ) -> Optional[List[Scenario]]:
-    """``scenarios`` under the override flags -- the engine's own
-    transform, :meth:`Scenario.overridden` -- or ``None`` after a
-    one-line error (the caller exits 2) when the transform refuses a
-    cell or an emulated-only flag meets a cell that runs shared: both
-    are knowable before any cell is simulated."""
+    """``scenarios`` under the override flags (``run``'s ``--links``
+    among them) -- the engine's own transform,
+    :meth:`Scenario.overridden` -- or ``None`` after a one-line error
+    (the caller exits 2) when the transform refuses a cell or an
+    emulated-only flag meets a cell that runs shared: both are knowable
+    before any cell is simulated."""
+    overrides = {axis: getattr(args, axis) for axis in OVERRIDE_AXES}
     try:
         cells = [
-            scen.overridden(**{axis: getattr(args, axis) for axis in OVERRIDE_AXES})
+            scen.overridden(links=getattr(args, "links", None), **overrides)
             for scen in scenarios
         ]
     except ValueError as exc:
@@ -269,12 +207,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     (scen,) = cells
     algorithm = ALGORITHMS[args.algorithm]
-    if args.links is not None:
-        # Link parameters are model-specific (delta/loss/ramp knobs) and
-        # do not transfer across models; the override falls back to the
-        # target model's defaults.
-        emulation = {k: v for k, v in scen.emulation.items() if k != "link_params"}
-        scen = replace(scen, emulation={**emulation, "links": args.links})
     level = (
         f", {scen.emulation.get('consistency', 'regular')} reads"
         if scen.memory == "emulated"
@@ -628,7 +560,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         report = run_lint(
             root=Path(args.root) if args.root else None,
-            tests_dir=Path(args.tests) if args.tests else None,
             families=args.rules or None,
         )
     except ValueError as exc:
@@ -737,8 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "link-model override for the emulated backend's replica fabric "
-            "(model-specific parameters reset to that model's defaults); "
-            "only valid when the run is on the emulated backend"
+            "(model-specific parameters come from that model's preset, "
+            "scaled to the horizon); only valid when the run is on the "
+            "emulated backend"
         ),
     )
     run_p.add_argument("--timeline", action="store_true", help="render the leadership timeline")
@@ -932,20 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (determinism, purity, registries, dispatch, typing)",
+        help="run the AST invariant linter (determinism, purity, dispatch, typing)",
     )
     lint_p.add_argument(
         "--root",
         default=None,
         help="package root to lint (default: the installed repro package)",
-    )
-    lint_p.add_argument(
-        "--tests",
-        default=None,
-        help=(
-            "tests directory for the registry test-coverage rule "
-            "(default: the sibling tests/ tree when present)"
-        ),
     )
     lint_p.add_argument(
         "--rules",

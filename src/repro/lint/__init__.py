@@ -2,8 +2,7 @@
 
 The repo's core value is *deterministic, byte-identical* simulation, and
 several of its subsystems rely on structural invariants nothing used to
-enforce: the compiled-kernel build only accepts a subset of Python, the
-scenario registries must stay covered by the ``repro check`` audit, and
+enforce: the compiled-kernel build only accepts a subset of Python, and
 no handler module may reach into the event queue's internals.  This
 package checks those invariants **statically**:
 
@@ -13,9 +12,6 @@ package checks those invariants **statically**:
 * :mod:`repro.lint.purity` -- ``repro/sim/events.py`` +
   ``repro/sim/kernel.py`` stay inside the subset that
   ``tools/build_kernel_ext.py`` can concatenate and compile;
-* :mod:`repro.lint.registry_rules` -- every scenario factory is audited
-  by ``repro check`` or explicitly exempted; every memory backend and
-  link model has a CLI surface and a test referencing it;
 * :mod:`repro.lint.dispatch` -- no module outside the kernel touches
   ``EventQueue`` internals, and no handler package re-enters
   ``Simulator.run()`` from inside a dispatch callback;
@@ -28,6 +24,12 @@ Findings are suppressible per line (``# repro-lint: disable=<rule>``);
 every finding that is not suppressed is fatal.  The CLI surface is
 ``repro lint`` (:func:`repro.cli.cmd_lint`); the programmatic entry
 point is :func:`repro.lint.runner.run_lint`.
+
+That every registry entry is reachable is not a lint rule: it is
+behaviour, so ``tests/test_registry_surface.py`` drives ``repro run``
+over every scenario factory under every override value, and each
+scenario's ``repro check`` status is a required field of its registry
+row (:data:`repro.workloads.registry.SCENARIO_REGISTRY`).
 """
 
 from __future__ import annotations

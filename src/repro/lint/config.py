@@ -153,7 +153,6 @@ STRICT_TYPED_MODULES: Tuple[str, ...] = (
     "repro/lint/config.py",
     "repro/lint/determinism.py",
     "repro/lint/purity.py",
-    "repro/lint/registry_rules.py",
     "repro/lint/dispatch.py",
     "repro/lint/typing_rules.py",
     "repro/lint/runner.py",

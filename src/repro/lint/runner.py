@@ -4,9 +4,9 @@
 (:func:`repro.cli.cmd_lint`) is a thin argparse shim over it.  The
 pipeline is: discover ``*.py`` files under the package root (skipping
 generated ``_ckernel*`` artifacts), parse each once, run every enabled
-per-file rule plus the tree-level registry rule, and drop findings
-silenced by ``# repro-lint: disable=...`` comments.  Every surviving
-finding is fatal: nothing is grandfathered.
+per-file rule, and drop findings silenced by ``# repro-lint:
+disable=...`` comments.  Every surviving finding is fatal: nothing is
+grandfathered.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
-from repro.lint import determinism, dispatch, purity, registry_rules, typing_rules
+from repro.lint import determinism, dispatch, purity, typing_rules
 from repro.lint.config import DEFAULT_ROOT
 from repro.lint.findings import Finding, SourceFile
-
-#: The rule families ``--rules`` may select.
-RULE_FAMILIES: FrozenSet[str] = frozenset(
-    {"determinism", "purity", "registry", "dispatch", "typing"}
-)
 
 #: Per-file rule entry points, keyed by family.
 _FILE_RULES: Dict[str, Callable[[SourceFile], List[Finding]]] = {
@@ -31,6 +26,9 @@ _FILE_RULES: Dict[str, Callable[[SourceFile], List[Finding]]] = {
     "dispatch": dispatch.check,
     "typing": typing_rules.check,
 }
+
+#: The rule families ``--rules`` may select.
+RULE_FAMILIES: FrozenSet[str] = frozenset(_FILE_RULES)
 
 
 @dataclass
@@ -86,21 +84,14 @@ def _display_path(path: Path, root: Path) -> str:
 
 
 def run_lint(
-    root: Optional[Path] = None,
-    tests_dir: Optional[Path] = None,
-    families: Optional[Sequence[str]] = None,
+    root: Optional[Path] = None, families: Optional[Sequence[str]] = None
 ) -> LintReport:
     """Lint the tree under ``root`` and return the full report.
 
-    ``root`` defaults to the installed ``repro`` package;
-    ``tests_dir`` to the sibling ``tests/`` tree when one exists.
-    ``families`` restricts the run to a subset of
-    :data:`RULE_FAMILIES`.
+    ``root`` defaults to the installed ``repro`` package; ``families``
+    restricts the run to a subset of :data:`RULE_FAMILIES`.
     """
     root = (root or DEFAULT_ROOT).resolve()
-    if tests_dir is None:
-        candidate = root.parent.parent / "tests"
-        tests_dir = candidate if candidate.is_dir() else None
     selected = frozenset(families) if families else RULE_FAMILIES
     unknown = selected - RULE_FAMILIES
     if unknown:
@@ -127,13 +118,6 @@ def run_lint(
         for family, rule in _FILE_RULES.items():
             if family in selected:
                 raw.extend(rule(source))
-
-    if "registry" in selected:
-        for finding in registry_rules.check_tree(root, tests_dir):
-            shown = _display_path(Path(finding.path), root)
-            raw.append(
-                Finding(rule=finding.rule, path=shown, line=finding.line, message=finding.message)
-            )
 
     for finding in sorted(raw, key=lambda f: (f.path, f.line, f.rule, f.message)):
         source = sources.get(finding.path)

@@ -3,7 +3,9 @@
 The CLI and the experiment engine both need to turn *strings* into live
 objects: the CLI because users type names, the engine because worker
 processes receive only picklable payloads and must rebuild their cell
-from scratch.  This module is the single source of truth for both.
+from scratch.  This module is the single source of truth for both, and
+each scenario row also declares whether ``repro check`` audits it: the
+default audit suite is derived from the rows, never listed by hand.
 
 Anything not in the registries can still be referenced by a
 ``module:qualname`` import path (e.g. a downstream experiment's custom
@@ -13,7 +15,7 @@ algorithm class), so the engine is not limited to the built-ins.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
@@ -31,52 +33,81 @@ ALGORITHMS: Dict[str, Type[OmegaAlgorithm]] = {
     "baseline": EventuallySynchronousOmega,
 }
 
-SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {
-    "nominal": scen_mod.nominal,
-    "chaotic-timers": scen_mod.chaotic_timers,
-    "leader-crash": scen_mod.leader_crash,
-    "cascade": scen_mod.cascade,
-    "all-but-one": scen_mod.all_but_one,
-    "awb-only": scen_mod.awb_only,
-    "ev-sync": scen_mod.ev_sync,
-    "scrambled": scen_mod.scrambled,
-    "random-faults": scen_mod.random_faults,
-    "san": scen_mod.san,
-    "capped-timers": scen_mod.capped_timers,
-    "slow-leader-awb": scen_mod.slow_leader_awb,
-    "ablation": scen_mod.ablation,
-    # The adversarial suite `repro check` audits the theorems against.
-    "leader-storm": scen_mod.leader_storm,
-    "gst-ramp": scen_mod.gst_ramp,
-    "async-bursts": scen_mod.async_bursts,
-    "near-all-cascade": scen_mod.near_all_cascade,
-    "timely-churn": scen_mod.timely_churn,
+#: The ``repro check`` status of an audited registry row (an exempt row
+#: carries the reason it is exempt instead).
+AUDITED: Optional[str] = None
+
+#: Every scenario factory by name, with its ``repro check`` status:
+#: :data:`AUDITED`, or the reason the default suite leaves it out.  The
+#: status is a required half of the row, so a factory cannot be
+#: registered without deciding whether the theorems are audited on it.
+SCENARIO_REGISTRY: Dict[str, Tuple[Callable[..., Scenario], Optional[str]]] = {
+    "nominal": (scen_mod.nominal, "baseline environment; strictly dominated by the suite"),
+    "chaotic-timers": (scen_mod.chaotic_timers, "early-chaos variant of awb-only"),
+    "leader-crash": (scen_mod.leader_crash, "subsumed by leader-storm's repeated crashes"),
+    "cascade": (scen_mod.cascade, "subsumed by near-all-cascade at the fault edge"),
+    "all-but-one": (scen_mod.all_but_one, "n-1 crashes: T2/T4 trivial, nothing extra audited"),
+    "awb-only": (scen_mod.awb_only, AUDITED),
+    "ev-sync": (scen_mod.ev_sync, "eventually-synchronous delays: weaker than gst-ramp"),
+    "scrambled": (scen_mod.scrambled, "scheduler scrambling is on in every suite cell"),
+    "random-faults": (scen_mod.random_faults, "unpinned random faults; suite uses pinned storms"),
+    "san": (scen_mod.san, "disk-latency (SAN) study cell, not a theorem stressor"),
+    "capped-timers": (scen_mod.capped_timers, "deliberately violates AWB (negative scenario)"),
+    "slow-leader-awb": (scen_mod.slow_leader_awb, "Section-5 trade-off study cell"),
+    "ablation": (scen_mod.ablation, "algorithm-ablation study cell"),
+    # The adversarial suite: crash storms, GST ramps, asynchrony bursts,
+    # near-(n-1) cascades and timely-identity churn, each satisfying AWB
+    # by construction -- so every claimed theorem must hold.
+    "leader-storm": (scen_mod.leader_storm, AUDITED),
+    "gst-ramp": (scen_mod.gst_ramp, AUDITED),
+    "async-bursts": (scen_mod.async_bursts, AUDITED),
+    "near-all-cascade": (scen_mod.near_all_cascade, AUDITED),
+    "timely-churn": (scen_mod.timely_churn, AUDITED),
     # The emulated-backend family: the registers realized by the ABD
     # quorum emulation over message passing (repro.memory.emulated).
-    "nominal-emulated": scen_mod.nominal_emulated,
-    "leader-crash-emulated": scen_mod.leader_crash_emulated,
-    "replica-crash": scen_mod.replica_crash,
-    "emulated-lossy": scen_mod.emulated_lossy,
-    "emulated-lossy-audit": scen_mod.emulated_lossy_audit,
-    "emulated-gst-ramp": scen_mod.emulated_gst_ramp,
-    "emulated-gst-ramp-audit": scen_mod.emulated_gst_ramp_audit,
+    # The -audit cells arm the operation recorder: retransmission races
+    # over lossy links, and duplicate-reply floods through slow ramp
+    # links, must never fake a quorum or a stale read.
+    "nominal-emulated": (scen_mod.nominal_emulated, AUDITED),
+    "leader-crash-emulated": (
+        scen_mod.leader_crash_emulated, "subsumed by replica-crash + leader-storm"
+    ),
+    "replica-crash": (scen_mod.replica_crash, AUDITED),
+    "emulated-lossy": (scen_mod.emulated_lossy, "non-audited twin of emulated-lossy-audit"),
+    "emulated-lossy-audit": (scen_mod.emulated_lossy_audit, AUDITED),
+    "emulated-gst-ramp": (scen_mod.emulated_gst_ramp, "emulated twin of the shared gst-ramp cell"),
+    "emulated-gst-ramp-audit": (scen_mod.emulated_gst_ramp_audit, AUDITED),
     # The atomic consistency level: write-back reads with the recorded
     # history audited by the interval-order checkers.
-    "nominal-emulated-atomic": scen_mod.nominal_emulated_atomic,
-    "replica-crash-atomic": scen_mod.replica_crash_atomic,
+    "nominal-emulated-atomic": (scen_mod.nominal_emulated_atomic, AUDITED),
+    "replica-crash-atomic": (scen_mod.replica_crash_atomic, AUDITED),
     # Dynamic replica membership: the emulation reconfigures mid-run
     # through dual-quorum transition windows (repro.memory.membership);
     # the canary is the pinned single-config negative control.
-    "membership-churn": scen_mod.membership_churn,
-    "membership-churn-atomic": scen_mod.membership_churn_atomic,
-    "membership-canary": scen_mod.membership_canary,
+    "membership-churn": (scen_mod.membership_churn, AUDITED),
+    "membership-churn-atomic": (scen_mod.membership_churn_atomic, AUDITED),
+    "membership-canary": (
+        scen_mod.membership_canary, "deliberately broken negative control (CI runs it red)"
+    ),
     # Fault-injection campaigns: a repro.faults timeline threaded down
     # to the emulation (the `repro chaos` workhorse cell).
-    "chaos": scen_mod.chaos,
+    "chaos": (scen_mod.chaos, AUDITED),
     # Coverage-guided fuzzing: the cell a ScenarioGenome pins down
     # (the `repro fuzz` workhorse; pinned repros replay through it).
-    "fuzz-cell": scen_mod.fuzz_cell,
+    "fuzz-cell": (scen_mod.fuzz_cell, "genome-pinned fuzz cell; `repro fuzz` audits the space"),
 }
+
+#: Scenario name -> factory: the rows of :data:`SCENARIO_REGISTRY`
+#: without their status.
+SCENARIO_FACTORIES: Dict[str, Callable[..., Scenario]] = {
+    name: factory for name, (factory, _status) in SCENARIO_REGISTRY.items()
+}
+
+#: The default suite of ``repro check``: every audited row, in registry
+#: order.
+CHECK_SCENARIOS: List[str] = [
+    name for name, (_factory, status) in SCENARIO_REGISTRY.items() if status is AUDITED
+]
 
 
 def _import_target(target: str) -> Any:
@@ -127,7 +158,10 @@ def build_scenario(factory: str, kwargs: Dict[str, Any] | None = None) -> Scenar
 
 __all__ = [
     "ALGORITHMS",
+    "AUDITED",
+    "CHECK_SCENARIOS",
     "SCENARIO_FACTORIES",
+    "SCENARIO_REGISTRY",
     "algorithm_target",
     "build_scenario",
     "resolve_algorithm",

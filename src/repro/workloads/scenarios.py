@@ -22,7 +22,9 @@ ABD substrate, a replica fabric.  Each is declared once, as a *part*:
   with :func:`_leader_crash` / :func:`_cascade_crash` for the two the
   fuzzer shares;
 * link profiles: :func:`_sync_links` (any deterministic-``delta``
-  model), :func:`_lossy_links`, :func:`_ramp_links`.
+  model), :func:`_lossy_links`, :func:`_ramp_links`, and
+  :func:`_link_fabric`, the one horizon-derived preset per link model
+  that :func:`fuzz_cell` and ``repro run --links`` share.
 
 :func:`_compose` is the one base scenario -- uniform delays, AWB
 ``f = 2x`` timers, no crashes, a 5 % margin, ``memory`` following
@@ -172,33 +174,42 @@ class Scenario:
         memory: Optional[str] = None,
         consistency: Optional[str] = None,
         membership: Optional[str] = None,
+        links: Optional[str] = None,
     ) -> "Scenario":
         """This scenario under the run-wide override axes
-        (:data:`repro.engine.spec.OVERRIDE_AXES`; ``None`` leaves the
-        scenario's own choice in force) -- the one place they are
-        applied, for the engine and the CLI alike.
+        (:data:`repro.engine.spec.OVERRIDE_AXES`, plus ``repro run``'s
+        ``links``; ``None`` leaves the scenario's own choice in force)
+        -- the one place they are applied, for the engine and the CLI
+        alike.
 
         ``memory`` forces a backend.  A cell that ends up on the shared
         backend drops every emulation knob (its registers are atomic by
         construction and it has no replica set to reconfigure), so
-        ``consistency`` and ``membership`` only reach emulated cells:
-        ``consistency`` sets the emulation's level, ``membership``
-        ``"none"`` strips its membership plan and ``"churn"`` installs
-        the canonical :func:`~repro.memory.membership.churn_plan`
-        scaled to the horizon.  An unknown value, or the emulated
+        ``consistency``, ``membership`` and ``links`` only reach
+        emulated cells: ``links`` swaps the replica fabric for that link
+        model's :func:`_link_fabric` preset (link parameters do not
+        transfer across models), ``consistency`` sets the emulation's
+        level, ``membership`` ``"none"`` strips its membership plan and
+        ``"churn"`` installs the canonical
+        :func:`~repro.memory.membership.churn_plan` scaled to the
+        horizon.  An unknown value, or the emulated
         backend forced onto the SAN disk, raises ``ValueError``.
         Without overrides ``self`` is returned, not a copy.
         """
         from repro.engine.spec import check_overrides
 
         chosen = {"memory": memory, "consistency": consistency, "membership": membership}
-        if all(value is None for value in chosen.values()):
+        if links is None and all(value is None for value in chosen.values()):
             return self
         check_overrides(chosen)
         backend = memory or self.memory
         if backend == "shared":
             return replace(self, memory="shared", emulation={})
         emulation = dict(self.emulation)
+        if links is not None:
+            emulation.pop("link_params", None)
+            replicas = int(emulation.get("replicas", 3))
+            emulation.update(_link_fabric(replicas, links, self.horizon))
         if consistency is not None:
             emulation["consistency"] = consistency
         if membership == "none":
@@ -361,6 +372,19 @@ def _ramp_links(replicas: int, gst: float, start_scale: float, **knobs: Any) -> 
         {"gst": gst, "start_scale": start_scale, "lo": 0.25, "hi": 1.0},
         **knobs,
     )
+
+
+def _link_fabric(replicas: int, links: str, horizon: float, delta: float = 0.25) -> Dict[str, Any]:
+    """The one preset fabric of link model ``links``, its timing knobs
+    scaled to ``horizon``: lossy links drop 10 % and retransmit every
+    10, ramp links shrink from 6x until 30 % of the horizon and
+    retransmit every 4, and every deterministic-timing model is
+    :func:`_sync_links` at ``delta``."""
+    if links == "lossy":
+        return _lossy_links(replicas, 0.1, 10.0)
+    if links == "gst-ramp":
+        return _ramp_links(replicas, horizon * 0.3, 6.0, retry_interval=4.0)
+    return _sync_links(replicas, links, delta)
 
 
 # ----------------------------------------------------------------------
@@ -1266,12 +1290,7 @@ def fuzz_cell(
     emulation: Dict[str, Any] = {}
     detail = ""
     if backend == "emulated":
-        if links == "lossy":
-            emulation = _lossy_links(replicas, 0.1, 10.0)
-        elif links == "gst-ramp":
-            emulation = _ramp_links(replicas, horizon * 0.3, 6.0, retry_interval=4.0)
-        else:
-            emulation = _sync_links(replicas, links, delta)
+        emulation = _link_fabric(replicas, links, horizon, delta)
         emulation["consistency"] = consistency
         emulation["record_history"] = True
         if plan:

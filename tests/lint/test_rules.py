@@ -5,7 +5,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.lint import determinism, dispatch, purity, registry_rules, typing_rules
+from repro.lint import determinism, dispatch, purity, typing_rules
 from repro.lint.config import REBIND_MARKER
 from repro.lint.findings import SourceFile
 
@@ -368,112 +368,3 @@ class TestTypingRule:
     def test_module_outside_the_ratchet_is_ignored(self, tmp_path):
         src = make_source(tmp_path, "def f(a):\n    return a\n", "repro/analysis/mod.py")
         assert typing_rules.check(src) == []
-
-
-# ----------------------------------------------------------------------
-# Registry completeness (tree-level)
-# ----------------------------------------------------------------------
-def write_tree(tmp_path: Path, *, cli: str, registry: str | None = None,
-               backend: str | None = None, emulated: str | None = None,
-               tests: dict | None = None) -> Path:
-    root = tmp_path / "pkg"
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "cli.py").write_text(textwrap.dedent(cli), encoding="utf-8")
-    if registry is not None:
-        (root / "workloads").mkdir(exist_ok=True)
-        (root / "workloads" / "registry.py").write_text(
-            textwrap.dedent(registry), encoding="utf-8"
-        )
-    for rel, text in (("backend.py", backend), ("emulated.py", emulated)):
-        if text is not None:
-            (root / "memory").mkdir(exist_ok=True)
-            (root / "memory" / rel).write_text(textwrap.dedent(text), encoding="utf-8")
-    tests_dir = tmp_path / "tests"
-    tests_dir.mkdir(exist_ok=True)
-    for name, text in (tests or {}).items():
-        (tests_dir / name).write_text(text, encoding="utf-8")
-    return root
-
-
-class TestRegistryRule:
-    def test_uncovered_factory_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = ['a']\nCHECK_EXEMPT_SCENARIOS = []\n",
-            registry="SCENARIO_FACTORIES = {'a': 1, 'b': 2}\n",
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert ["registry-check-coverage"] == rules_of(findings)
-        assert any("'b'" in f.message for f in findings)
-
-    def test_exempt_list_covers_a_factory(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = ['a']\nCHECK_EXEMPT_SCENARIOS = ['b']\n",
-            registry="SCENARIO_FACTORIES = {'a': 1, 'b': 2}\n",
-        )
-        assert registry_rules.check_tree(root, tmp_path / "tests") == []
-
-    def test_missing_exempt_list_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = ['a']\n",
-            registry="SCENARIO_FACTORIES = {'a': 1}\n",
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert any("CHECK_EXEMPT_SCENARIOS" in f.message for f in findings)
-
-    def test_stale_check_entry_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = ['a', 'ghost']\nCHECK_EXEMPT_SCENARIOS = []\n",
-            registry="SCENARIO_FACTORIES = {'a': 1}\n",
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert any("unknown scenario 'ghost'" in f.message for f in findings)
-
-    def test_checked_and_exempted_overlap_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = ['a']\nCHECK_EXEMPT_SCENARIOS = ['a']\n",
-            registry="SCENARIO_FACTORIES = {'a': 1}\n",
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert any("both checked and exempted" in f.message for f in findings)
-
-    def test_backend_without_cli_choice_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli="CHECK_SCENARIOS = []\nCHECK_EXEMPT_SCENARIOS = []\n",
-            backend="BACKENDS = {'shared': 'x', 'astral': 'y'}\n",
-            tests={"test_mem.py": "use('shared'); use('astral')\n"},
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert rules_of(findings) == ["registry-cli-surface"]
-        assert len(findings) == 2  # neither key is surfaced
-
-    def test_dynamic_sorted_choices_cover_every_backend(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli=(
-                "CHECK_SCENARIOS = []\nCHECK_EXEMPT_SCENARIOS = []\n"
-                "choices = sorted(BACKENDS)\n"
-            ),
-            backend="BACKENDS = {'shared': 'x', 'emulated': 'y'}\n",
-            tests={"test_mem.py": "use('shared'); use('emulated')\n"},
-        )
-        assert registry_rules.check_tree(root, tmp_path / "tests") == []
-
-    def test_link_model_without_test_reference_is_flagged(self, tmp_path):
-        root = write_tree(
-            tmp_path,
-            cli=(
-                "CHECK_SCENARIOS = []\nCHECK_EXEMPT_SCENARIOS = []\n"
-                "choices = sorted(LINK_MODELS)\n"
-            ),
-            emulated="LINK_MODELS = {'sync': 1, 'wormhole': 2}\n",
-            tests={"test_links.py": "model = 'sync'\n"},
-        )
-        findings = registry_rules.check_tree(root, tmp_path / "tests")
-        assert rules_of(findings) == ["registry-test-coverage"]
-        assert any("'wormhole'" in f.message for f in findings)

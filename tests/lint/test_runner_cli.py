@@ -45,16 +45,12 @@ def fixture_tree(tmp_path):
     root = tmp_path / "pkg"
     write(root, "sim/events.py", clean_kernel())
     write(root, "sim/kernel.py", clean_kernel())
-    write(root, "cli.py", "CHECK_SCENARIOS = []\nCHECK_EXEMPT_SCENARIOS = []\n")
-    write(root, "workloads/registry.py", "SCENARIO_FACTORIES = {}\n")
-    (tmp_path / "tests").mkdir(exist_ok=True)
     return root
 
 
 def lint_cli(root: Path, *extra: str) -> int:
     """Invoke the real ``repro lint`` CLI against a fixture tree."""
-    tests = root.parent / "tests"
-    return main(["lint", "--root", str(root), "--tests", str(tests), *extra])
+    return main(["lint", "--root", str(root), *extra])
 
 
 class TestSeededViolationsExitNonzeroPerFamily:
@@ -69,10 +65,6 @@ class TestSeededViolationsExitNonzeroPerFamily:
 
     def test_purity_violation(self, fixture_tree):
         write(fixture_tree, "sim/kernel.py", f"import os\n\n{REBIND_MARKER}\n")
-        assert lint_cli(fixture_tree) == 1
-
-    def test_registry_violation(self, fixture_tree):
-        write(fixture_tree, "workloads/registry.py", "SCENARIO_FACTORIES = {'lost': 1}\n")
         assert lint_cli(fixture_tree) == 1
 
     def test_dispatch_violation(self, fixture_tree):

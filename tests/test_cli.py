@@ -10,9 +10,9 @@ from unittest import mock
 import pytest
 
 from repro import cli
-from repro.cli import ALGORITHMS, CHECK_SCENARIOS, build_parser, main
+from repro.cli import ALGORITHMS, build_parser, main
 from repro.fuzz import loop
-from repro.workloads.registry import SCENARIO_FACTORIES
+from repro.workloads.registry import CHECK_SCENARIOS, SCENARIO_FACTORIES
 from tests.mutants import MEMBERSHIP_GENOME, MUTANTS
 
 
@@ -110,8 +110,25 @@ class TestParser:
     def test_check_defaults(self):
         args = build_parser().parse_args(["check"])
         assert args.algorithms == ["alg1", "alg2"]
-        assert args.scenarios == CHECK_SCENARIOS
-        assert len(args.scenarios) >= 6  # the adversarial suite
+        # Spelled out, not compared with the derived list: a registry
+        # row whose audit status flips must show up here.
+        assert args.scenarios == [
+            "awb-only",
+            "leader-storm",
+            "gst-ramp",
+            "async-bursts",
+            "near-all-cascade",
+            "timely-churn",
+            "nominal-emulated",
+            "replica-crash",
+            "emulated-lossy-audit",
+            "emulated-gst-ramp-audit",
+            "nominal-emulated-atomic",
+            "replica-crash-atomic",
+            "membership-churn",
+            "membership-churn-atomic",
+            "chaos",
+        ]
         assert args.seeds == [0]
 
     def test_check_scenarios_are_registered(self):

@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.algorithm1 import WriteEfficientOmega
+from repro.workloads.registry import SCENARIO_FACTORIES
 from repro.workloads.scenarios import (
     ablation,
     all_but_one,
     async_bursts,
     awb_only,
     capped_timers,
-    cascade,
-    chaotic_timers,
     ev_sync,
     gst_ramp,
     leader_crash,
@@ -21,39 +20,19 @@ from repro.workloads.scenarios import (
     nominal,
     san,
     scrambled,
-    slow_leader_awb,
     timely_churn,
 )
 
-ALL_SCENARIO_FACTORIES = [
-    nominal,
-    chaotic_timers,
-    leader_crash,
-    cascade,
-    all_but_one,
-    awb_only,
-    ev_sync,
-    scrambled,
-    san,
-    capped_timers,
-    slow_leader_awb,
-    leader_storm,
-    gst_ramp,
-    async_bursts,
-    near_all_cascade,
-    timely_churn,
-]
-
 
 class TestConstruction:
-    @pytest.mark.parametrize("factory", ALL_SCENARIO_FACTORIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", SCENARIO_FACTORIES.values(), ids=lambda f: f.__name__)
     def test_builds_a_run(self, factory):
         scen = factory()
         run = scen.build(WriteEfficientOmega, seed=0)
         assert run.n == scen.n
         assert run.horizon == scen.horizon
 
-    @pytest.mark.parametrize("factory", ALL_SCENARIO_FACTORIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("factory", SCENARIO_FACTORIES.values(), ids=lambda f: f.__name__)
     def test_names_unique_and_descriptive(self, factory):
         scen = factory()
         assert scen.name
@@ -163,9 +142,8 @@ class TestConsistencyFamily:
     def test_recorder_on_in_the_atomic_check_scenarios(self):
         """`repro check`'s atomic cells must actually record, or the
         audit would be vacuous."""
-        from repro.cli import CHECK_SCENARIOS
         from repro.memory.emulated import EmulationConfig
-        from repro.workloads.registry import build_scenario
+        from repro.workloads.registry import CHECK_SCENARIOS, build_scenario
 
         for name in ("nominal-emulated-atomic", "replica-crash-atomic"):
             assert name in CHECK_SCENARIOS
@@ -223,6 +201,20 @@ class TestFuzzCellValidation:
         # One declaration: the genome vocabularies are the part tables' keys.
         assert GENOME_DELAYS == tuple(FUZZ_DELAYS) == ("uniform", "gst-ramp", "bursts")
         assert GENOME_CRASHES == tuple(FUZZ_CRASHES) == ("none", "leader", "minority-cascade")
+
+    def test_links_override_installs_the_fuzz_cells_fabric(self):
+        # `repro run --links M` and the fuzz cell share one preset per
+        # link model, its timing knobs scaled to the horizon.
+        from repro.memory.emulated import LINK_MODELS
+        from repro.workloads.scenarios import chaos, fuzz_cell
+
+        for links in LINK_MODELS:
+            fuzz = fuzz_cell(backend="emulated", links=links, horizon=2000.0).emulation
+            cell = chaos(horizon=2000.0).overridden(links=links).emulation
+            for knob in ("links", "link_params"):
+                assert cell.get(knob) == fuzz.get(knob), (links, knob)
+        ramp = chaos(horizon=2000.0).overridden(links="gst-ramp").emulation
+        assert ramp["link_params"]["gst"] == 600.0 and ramp["retry_interval"] == 4.0
 
 
 class TestDeterminism:
