@@ -16,7 +16,8 @@ registers it owns and never issues shared *reads* for them -- only the
 writes hit shared memory.  The task structure is:
 
 * ``T1`` (``leader()``): return the least-suspected candidate
-  (lines 1-5), as the ``_leader_query`` sub-generator;
+  (lines 1-5), as the ``_leader_query`` sub-generator of
+  :class:`LeastSuspectedOmega`, which Algorithm 2 shares;
 * ``T2``: the repeat-forever loop (lines 6-12), :meth:`main_task`;
 * ``T3``: the timer handler (lines 13-27), :meth:`timer_task`.
 
@@ -29,8 +30,8 @@ write-optimality (Theorem 4 via Lemmas 5-6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.interfaces import (
     AlgorithmContext,
@@ -45,24 +46,103 @@ from repro.memory.arrays import RegisterArray, RegisterMatrix
 from repro.memory.memory import SharedMemory
 
 
+#: Prebuilt read operations of a register matrix, ``[row][col]``.
+MatrixReads = Tuple[Tuple[ReadReg, ...], ...]
+
+
+def array_reads(array: RegisterArray) -> Tuple[ReadReg, ...]:
+    """One prebuilt ``ReadReg`` per entry: ``reads[i]`` reads ``array[i]``."""
+    return tuple(ReadReg(array.register(i)) for i in range(len(array)))
+
+
+def matrix_reads(matrix: RegisterMatrix) -> MatrixReads:
+    """One prebuilt ``ReadReg`` per entry: ``reads[row][col]`` reads
+    ``matrix[row][col]``."""
+    n = matrix.n
+    return tuple(tuple(ReadReg(matrix.register(row, col)) for col in range(n)) for row in range(n))
+
+
 @dataclass
 class Algorithm1Shared:
-    """Shared-register layout of Algorithm 1."""
+    """Shared-register layout of Algorithm 1.
+
+    Operations are frozen, so each register's ``ReadReg`` is built once
+    per run, when :meth:`WriteEfficientOmega.create_shared` lays the
+    registers out, and every process yields that same object.
+    """
 
     suspicions: RegisterMatrix  # SUSPICIONS[n][n], row-owned, non-critical
     progress: RegisterArray  # PROGRESS[n], self-owned, critical
     stop: RegisterArray  # STOP[n], self-owned, critical
     n: int
+    suspicion_columns: MatrixReads = field(init=False, repr=False)  # [k][j] reads SUSPICIONS[j][k]
+    progress_reads: Tuple[ReadReg, ...] = field(init=False, repr=False)
+    stop_reads: Tuple[ReadReg, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.suspicion_columns = tuple(zip(*matrix_reads(self.suspicions)))
+        self.progress_reads = array_reads(self.progress)
+        self.stop_reads = array_reads(self.stop)
 
 
-class WriteEfficientOmega(OmegaAlgorithm):
-    """Per-process instance of the Figure 2 algorithm.
+class LeastSuspectedOmega(OmegaAlgorithm):
+    """Task T1, ``leader()`` (lines 1-5, the same in Figures 2 and 5):
+    the least-suspected candidate, ties broken by identity.
 
-    Config keys (``ctx.config``):
+    The layout needs ``suspicions`` (the ``SUSPICIONS`` matrix) and
+    ``suspicion_columns`` (its prebuilt column reads).  Config keys
+    (``ctx.config``):
 
     ``initial_candidates``
         Initial ``candidates_i`` set; any set containing ``i`` is legal
         (the paper allows any).  Default: all processes.
+    """
+
+    def __init__(self, ctx: AlgorithmContext, shared: Any) -> None:
+        super().__init__(ctx, shared)
+        i, n = self.pid, self.n
+        initial = ctx.config.get("initial_candidates")
+        #: candidates_i -- must contain i, and p_i never removes itself.
+        self.candidates: Set[int] = set(initial) | {i} if initial is not None else set(range(n))
+        # Own row of SUSPICIONS as a local copy (Section 3.2 remark) ...
+        self._my_suspicions: List[int] = [shared.suspicions.peek(i, k) for k in range(n)]
+        # ... so column k is read at SUSPICIONS[j][k] for every j != i.
+        self._column_reads = tuple(col[:i] + col[i + 1 :] for col in shared.suspicion_columns)
+
+    def _leader_query(self) -> Task:
+        """One ``leader()`` invocation; returns the elected identity.
+
+        Reads ``SUSPICIONS[j][k]`` for every candidate ``k`` and every
+        ``j != i`` (own row comes from the local copy).
+        """
+        reads, mine = self._column_reads, self._my_suspicions
+        order = sorted(self.candidates)
+        best = None
+        for k in order:
+            total = mine[k]
+            for op in reads[k]:
+                total += yield op  # line 3
+            # Line 4, lex min folded into the scan (no list, no call).
+            if best is None or (total, k) < best:
+                best = (total, k)
+        self._note_leader_invocation(len(order) * (self.n - 1))
+        return best[1]  # line 5
+
+    def leader_query(self):
+        """Public task ``T1`` (see :class:`OmegaAlgorithm.leader_query`)."""
+        return self._leader_query()
+
+    def peek_leader(self) -> int:
+        """Uncounted ``leader()`` evaluated on current register values."""
+        sums = self.shared.suspicions.column_sums()
+        return lexmin_pair([(sums[k], k) for k in self.candidates])[1]
+
+
+class WriteEfficientOmega(LeastSuspectedOmega):
+    """Per-process instance of the Figure 2 algorithm.
+
+    Config keys (``ctx.config``): ``initial_candidates`` (see
+    :class:`LeastSuspectedOmega`) and the ``timeout_policy`` ablation.
     """
 
     display_name = "alg1-write-efficient"
@@ -83,9 +163,6 @@ class WriteEfficientOmega(OmegaAlgorithm):
         self.const_timeout: float = float(ctx.config.get("const_timeout", 2.0))
         if self.timeout_policy not in ("max", "sum", "const"):
             raise ValueError(f"unknown timeout_policy {self.timeout_policy!r}")
-        initial = ctx.config.get("initial_candidates")
-        #: candidates_i -- must contain i, and p_i never removes itself.
-        self.candidates: Set[int] = set(initial) | {i} if initial is not None else set(range(n))
         #: last_i[k] -- greatest value read from PROGRESS[k]; arbitrary
         #: initial values are tolerated (self-stabilization, footnote 7),
         #: the None sentinel just forces a first-round refresh.
@@ -93,7 +170,6 @@ class WriteEfficientOmega(OmegaAlgorithm):
         # Local copies of the registers p_i owns (Section 3.2 remark).
         self._my_progress: int = shared.progress.peek(i)
         self._my_stop: bool = bool(shared.stop.peek(i))
-        self._my_suspicions: List[int] = [shared.suspicions.peek(i, k) for k in range(n)]
 
     # ------------------------------------------------------------------
     # Shared layout
@@ -108,33 +184,6 @@ class WriteEfficientOmega(OmegaAlgorithm):
             stop=memory.create_array("STOP", n, initial=True, critical=True),
             n=n,
         )
-
-    # ------------------------------------------------------------------
-    # Task T1 -- leader() (lines 1-5)
-    # ------------------------------------------------------------------
-    def _leader_query(self) -> Task:
-        """One ``leader()`` invocation; returns the elected identity.
-
-        Reads ``SUSPICIONS[j][k]`` for every candidate ``k`` and every
-        ``j != i`` (own row comes from the local copy).
-        """
-        ops = 0
-        susp: Dict[int, int] = {}
-        for k in sorted(self.candidates):
-            total = self._my_suspicions[k]
-            for j in range(self.n):
-                if j == self.pid:
-                    continue
-                total += yield ReadReg(self.shared.suspicions.register(j, k))  # line 3
-                ops += 1
-            susp[k] = total
-        _, leader = lexmin_pair((susp[k], k) for k in susp)  # line 4
-        self._note_leader_invocation(ops)
-        return leader  # line 5
-
-    def leader_query(self):
-        """Public task ``T1`` (see :class:`OmegaAlgorithm.leader_query`)."""
-        return self._leader_query()
 
     # ------------------------------------------------------------------
     # Task T2 -- main loop (lines 6-12)
@@ -165,8 +214,8 @@ class WriteEfficientOmega(OmegaAlgorithm):
         for k in range(n):  # line 14
             if k == i:
                 continue
-            stop_k = yield ReadReg(self.shared.stop.register(k))  # line 15
-            progress_k = yield ReadReg(self.shared.progress.register(k))  # line 16
+            stop_k = yield self.shared.stop_reads[k]  # line 15
+            progress_k = yield self.shared.progress_reads[k]  # line 16
             if progress_k != self.last[k]:  # line 17
                 self.candidates.add(k)  # line 18
                 self.last[k] = progress_k  # line 19
@@ -196,13 +245,12 @@ class WriteEfficientOmega(OmegaAlgorithm):
         """First timer arming, by the same line-27 rule."""
         return self._next_timeout()
 
-    # ------------------------------------------------------------------
-    # Observer
-    # ------------------------------------------------------------------
-    def peek_leader(self) -> int:
-        """Uncounted ``leader()`` evaluated on current register values."""
-        sums = self.shared.suspicions.column_sums()
-        return lexmin_pair([(sums[k], k) for k in self.candidates])[1]
 
-
-__all__ = ["Algorithm1Shared", "WriteEfficientOmega"]
+__all__ = [
+    "Algorithm1Shared",
+    "LeastSuspectedOmega",
+    "MatrixReads",
+    "WriteEfficientOmega",
+    "array_reads",
+    "matrix_reads",
+]

@@ -28,35 +28,43 @@ processes keep writing forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.interfaces import (
-    AlgorithmContext,
-    OmegaAlgorithm,
-    ReadReg,
-    SetTimer,
-    Task,
-    WriteReg,
-)
-from repro.core.lexmin import lexmin_pair
+from repro.core.algorithm1 import LeastSuspectedOmega, MatrixReads, array_reads, matrix_reads
+from repro.core.interfaces import AlgorithmContext, ReadReg, SetTimer, Task, WriteReg
 from repro.memory.arrays import RegisterArray, RegisterMatrix
 from repro.memory.memory import SharedMemory
 
 
 @dataclass
 class Algorithm2Shared:
-    """Shared-register layout of Algorithm 2."""
+    """Shared-register layout of Algorithm 2, with one prebuilt
+    ``ReadReg`` per register (as :class:`Algorithm1Shared`)."""
 
     suspicions: RegisterMatrix  # SUSPICIONS[n][n], row-owned, non-critical
     progress: RegisterMatrix  # PROGRESS[n][n] booleans, row-owned, critical
     last: RegisterMatrix  # LAST[n][n] booleans, COLUMN-owned, non-critical
     stop: RegisterArray  # STOP[n] booleans, self-owned, critical
     n: int
+    suspicion_columns: MatrixReads = field(init=False, repr=False)  # [k][j] reads SUSPICIONS[j][k]
+    progress_reads: MatrixReads = field(init=False, repr=False)
+    last_reads: MatrixReads = field(init=False, repr=False)
+    stop_reads: Tuple[ReadReg, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.suspicion_columns = tuple(zip(*matrix_reads(self.suspicions)))
+        self.progress_reads = matrix_reads(self.progress)
+        self.last_reads = matrix_reads(self.last)
+        self.stop_reads = array_reads(self.stop)
 
 
-class BoundedOmega(OmegaAlgorithm):
-    """Per-process instance of the Figure 5 algorithm."""
+class BoundedOmega(LeastSuspectedOmega):
+    """Per-process instance of the Figure 5 algorithm.
+
+    Task T1 (lines 1-5) is unchanged from Algorithm 1, so it is
+    inherited from :class:`~repro.core.algorithm1.LeastSuspectedOmega`.
+    """
 
     display_name = "alg2-bounded"
     uses_timer = True
@@ -68,14 +76,12 @@ class BoundedOmega(OmegaAlgorithm):
     def __init__(self, ctx: AlgorithmContext, shared: Algorithm2Shared) -> None:
         super().__init__(ctx, shared)
         i, n = self.pid, self.n
-        initial = ctx.config.get("initial_candidates")
-        self.candidates: Set[int] = set(initial) | {i} if initial is not None else set(range(n))
         # Local copies of owned registers (Section 3.2 remark):
-        # row i of PROGRESS, column i of LAST, STOP[i], row i of SUSPICIONS.
+        # row i of PROGRESS, column i of LAST, STOP[i] (and, in the
+        # base class, row i of SUSPICIONS).
         self._my_progress: List[bool] = [bool(shared.progress.peek(i, k)) for k in range(n)]
         self._my_last: List[bool] = [bool(shared.last.peek(k, i)) for k in range(n)]
         self._my_stop: bool = bool(shared.stop.peek(i))
-        self._my_suspicions: List[int] = [shared.suspicions.peek(i, k) for k in range(n)]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -93,28 +99,6 @@ class BoundedOmega(OmegaAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # Task T1 -- leader() (lines 1-5, unchanged from Algorithm 1)
-    # ------------------------------------------------------------------
-    def _leader_query(self) -> Task:
-        ops = 0
-        susp: Dict[int, int] = {}
-        for k in sorted(self.candidates):
-            total = self._my_suspicions[k]
-            for j in range(self.n):
-                if j == self.pid:
-                    continue
-                total += yield ReadReg(self.shared.suspicions.register(j, k))  # line 3
-                ops += 1
-            susp[k] = total
-        _, leader = lexmin_pair((susp[k], k) for k in susp)  # line 4
-        self._note_leader_invocation(ops)
-        return leader
-
-    def leader_query(self):
-        """Public task ``T1`` (see :class:`OmegaAlgorithm.leader_query`)."""
-        return self._leader_query()
-
-    # ------------------------------------------------------------------
     # Task T2 -- main loop (lines 6-12 with 8.R1-8.R3)
     # ------------------------------------------------------------------
     def main_task(self) -> Task:
@@ -127,7 +111,7 @@ class BoundedOmega(OmegaAlgorithm):
                 for k in range(self.n):  # line 8.R1
                     if k == i:
                         continue
-                    last_ik = yield ReadReg(self.shared.last.register(i, k))  # owned by p_k
+                    last_ik = yield self.shared.last_reads[i][k]  # owned by p_k
                     raised = not bool(last_ik)
                     self._my_progress[k] = raised
                     yield WriteReg(self.shared.progress.register(i, k), raised)  # line 8.R2
@@ -149,8 +133,8 @@ class BoundedOmega(OmegaAlgorithm):
         for k in range(n):  # line 14
             if k == i:
                 continue
-            stop_k = yield ReadReg(self.shared.stop.register(k))  # line 15
-            progress_k = yield ReadReg(self.shared.progress.register(k, i))  # line 16.R1
+            stop_k = yield self.shared.stop_reads[k]  # line 15
+            progress_k = yield self.shared.progress_reads[k][i]  # line 16.R1
             progress_k = bool(progress_k)
             if progress_k != self._my_last[k]:  # line 17.R1: pending signal?
                 self.candidates.add(k)  # line 18
@@ -171,12 +155,6 @@ class BoundedOmega(OmegaAlgorithm):
     def initial_timeout(self) -> Optional[float]:
         """First timer arming, by the same line-27 rule."""
         return self._next_timeout()
-
-    # ------------------------------------------------------------------
-    def peek_leader(self) -> int:
-        """Uncounted ``leader()`` on current register values."""
-        sums = self.shared.suspicions.column_sums()
-        return lexmin_pair([(sums[k], k) for k in self.candidates])[1]
 
 
 __all__ = ["Algorithm2Shared", "BoundedOmega"]

@@ -5,9 +5,12 @@ suspicion count are broken by process identity:
 
     ``(a, i) < (b, j)  iff  a < b  or  (a = b and i < j)``
 
-which is exactly lexicographic order on ``(count, id)`` pairs.  Kept in
-its own module because three algorithms and the observer all share it,
-and because it is a natural target for property-based tests.
+which is exactly lexicographic order on ``(count, id)`` pairs -- the
+order builtin ``min`` applies to tuples.  Kept in its own module
+because the observer, the nWnR variant and the related-work oracles
+share it (the paper algorithms' counted ``leader()`` folds the same
+comparison into its read scan), and because it is a natural target for
+property-based tests.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ def lexmin_pair(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
     Raises ``ValueError`` on an empty iterable (the algorithms guarantee
     ``i in candidates_i``, so their calls are never empty).
     """
-    best: Tuple[int, int] | None = None
-    for pair in pairs:
-        if best is None or pair < best:
-            best = pair
+    best = min(pairs, default=None)
     if best is None:
         raise ValueError("lexmin of an empty collection")
     return best

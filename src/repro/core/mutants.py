@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.algorithm1 import WriteEfficientOmega
-from repro.core.interfaces import LocalStep, ReadReg, SetTimer, Task, WriteReg
+from repro.core.interfaces import LocalStep, SetTimer, Task, WriteReg
 
 
 class MutedLeaderOmega(WriteEfficientOmega):
@@ -80,8 +80,8 @@ class MutedLeaderOmega(WriteEfficientOmega):
         for k in range(n):
             if k == i:
                 continue
-            stop_k = yield ReadReg(self.shared.stop.register(k))
-            progress_k = yield ReadReg(self.shared.progress.register(k))
+            stop_k = yield self.shared.stop_reads[k]
+            progress_k = yield self.shared.progress_reads[k]
             if progress_k != self.last[k]:
                 self.candidates.add(k)
                 self.last[k] = progress_k

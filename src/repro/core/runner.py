@@ -56,12 +56,12 @@ from repro.timers.service import TimerService
 
 @dataclass
 class _TaskState:
-    """One task coroutine plus the value to send on its next turn."""
+    """One task coroutine plus the value to send on its next turn
+    (``None`` on the first, which starts the generator)."""
 
     gen: Task
     name: str
     inbox: Any = None
-    started: bool = False
 
 
 class ProcessRuntime:
@@ -165,11 +165,7 @@ class ProcessRuntime:
             return  # all tasks exhausted; process is passive (not crashed)
         task = tasks[0]
         try:
-            if task.started:
-                op = task.gen.send(task.inbox)
-            else:
-                task.started = True
-                op = next(task.gen)
+            op = task.gen.send(task.inbox)
         except StopIteration:
             tasks.popleft()
             self._schedule_next_step()

@@ -217,8 +217,8 @@ class StepCounterOmega(WriteEfficientOmega):
         for k in range(n):
             if k == i:
                 continue
-            stop_k = yield ReadReg(self.shared.stop.register(k))
-            progress_k = yield ReadReg(self.shared.progress.register(k))
+            stop_k = yield self.shared.stop_reads[k]
+            progress_k = yield self.shared.progress_reads[k]
             if progress_k != self.last[k]:
                 self.candidates.add(k)
                 self.last[k] = progress_k

@@ -1,0 +1,70 @@
+"""Shared steps allocate no operations: every ``ReadReg`` is prebuilt.
+
+Both paper algorithms build one ``ReadReg`` per register when
+``create_shared`` lays the registers out; task T1's column reads, T3's
+``STOP`` / ``PROGRESS`` reads and Algorithm 2's ``LAST`` reads yield
+those objects.  Constructions are counted by code object through
+``cProfile.getstats()`` -- ``pstats`` would file the dataclass
+``__init__`` under a shared ``<string>`` row.
+"""
+
+from __future__ import annotations
+
+import cProfile
+
+import pytest
+
+from repro.core.algorithm1 import WriteEfficientOmega
+from repro.core.algorithm2 import BoundedOmega
+from repro.core.interfaces import ReadReg
+from repro.workloads.scenarios import nominal
+
+N = 4
+
+
+def read_reg_constructions(profile: cProfile.Profile) -> int:
+    """How many ``ReadReg`` objects the profiled code built."""
+    init = ReadReg.__init__.__code__
+    return sum(entry.callcount for entry in profile.getstats() if entry.code is init)
+
+
+def yielded_reads(task) -> list:
+    """Every ``ReadReg`` one task yields, answering each operation with 0."""
+    reads = []
+    try:
+        op = next(task)
+        while True:
+            if type(op) is ReadReg:
+                reads.append(op)
+            op = task.send(0)
+    except StopIteration:
+        return reads
+
+
+@pytest.mark.parametrize("algorithm", [WriteEfficientOmega, BoundedOmega], ids=["alg1", "alg2"])
+def test_a_fast_shared_run_builds_no_read_op_after_setup(algorithm):
+    build = cProfile.Profile()
+    run = build.runcall(nominal(n=N, horizon=500.0).build, algorithm, seed=0, log_reads=False, trace_events=False)
+    # The layout built its reads (the counter sees them) ...
+    assert read_reg_constructions(build) >= N * N
+    execute = cProfile.Profile()
+    result = execute.runcall(run.execute)
+    # ... and thousands of read steps later there is not one more.
+    assert sum(result.memory.reads_by_pid.values()) > 1000
+    assert read_reg_constructions(execute) == 0
+
+
+@pytest.mark.parametrize("algorithm", [WriteEfficientOmega, BoundedOmega], ids=["alg1", "alg2"])
+def test_processes_share_one_read_op_per_register(algorithm):
+    run = nominal(n=N, horizon=500.0).build(algorithm, seed=0)
+    by_pid = []
+    for alg in run.algorithms:
+        reads = yielded_reads(alg.leader_query()) + yielded_reads(alg.timer_task())
+        by_pid.append({op.register: op for op in reads})
+    shared = 0
+    for pid, mine in enumerate(by_pid):
+        for other in by_pid[pid + 1 :]:
+            for register in mine.keys() & other.keys():
+                assert mine[register] is other[register], register.name
+                shared += 1
+    assert shared > 0

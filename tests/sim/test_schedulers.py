@@ -252,3 +252,71 @@ class TestMeanDelayHelper:
         for model in models:
             d = model.delay(pid, 0.0)
             assert d > 0
+
+
+#: (pid, now) points crossing every model's gst, epoch and burst edges;
+#: repeated so each pid's stream is drawn from many times in turn.
+DRAW_POINTS = [
+    (pid, now) for now in (0.0, 40.0, 150.0, 250.0, 390.0, 610.0, 1000.0) for pid in (0, 1, 2)
+] * 4
+
+
+def _ramp_reference(s, pid, now):
+    base = s["delay"][pid].uniform(0.5, 1.5)
+    if pid not in (0, 1):
+        return base * 8.0
+    if now >= 500.0:
+        return base
+    return base * (1.0 + 7.0 * (1.0 - now / 500.0))
+
+
+def _burst_reference(s, pid, now):
+    stream = s["delay"][pid]
+    if pid == 2 and now >= 300.0:
+        return stream.uniform(0.5, 1.5)
+    if (now % 400.0) / 400.0 < 0.5:
+        return stream.uniform(0.5, 1.5)
+    return stream.uniform(5.0, 20.0)
+
+
+#: model id -> (build(rng), reference(twin streams, pid, now)), the
+#: reference written with ``random.Random.uniform``.
+INLINE_DRAW_MODELS = {
+    "uniform": (
+        lambda rng: UniformDelay(rng, 0.5, 1.5),
+        lambda s, pid, now: s["delay"][pid].uniform(0.5, 1.5),
+    ),
+    "partially-synchronous": (
+        lambda rng: PartiallySynchronousDelay(UniformDelay(rng, 0.5, 2.0), [1], 200.0, rng, 0.5, 1.0),
+        lambda s, pid, now: (
+            s["timely"][pid].uniform(0.5, 1.0) if pid == 1 and now >= 200.0 else s["delay"][pid].uniform(0.5, 2.0)
+        ),
+    ),
+    "gst-ramp": (
+        lambda rng: GstRampDelay(rng, gst=500.0, start_scale=8.0, lo=0.5, hi=1.5, timely_pids=[0, 1]),
+        _ramp_reference,
+    ),
+    "alternating-burst": (
+        lambda rng: AlternatingBurstDelay(rng, period=400.0, timely_pids=[2], gst=300.0),
+        _burst_reference,
+    ),
+    "churning-timely": (
+        lambda rng: ChurningTimelyDelay(UniformDelay(rng, 1.0, 3.0), [0, 1, 2], 100.0, 600.0, 2, rng),
+        lambda s, pid, now: (
+            s["timely"][pid].uniform(0.5, 1.0)
+            if pid == (2 if now >= 600.0 else int(now // 100.0) % 3)
+            else s["delay"][pid].uniform(1.0, 3.0)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("build, reference", INLINE_DRAW_MODELS.values(), ids=list(INLINE_DRAW_MODELS))
+def test_inline_draws_are_bit_identical_to_random_uniform(build, reference):
+    """``lo + (hi - lo) * stream.random()`` is ``Random.uniform``'s body:
+    the same floats, drawn in the same per-pid order, as on twin streams."""
+    model = build(make_rng(7))
+    twin = make_rng(7)
+    streams = {"delay": twin.per_pid("delay"), "timely": twin.per_pid("timely")}
+    drawn = [model.delay(pid, now) for pid, now in DRAW_POINTS]
+    assert drawn == [reference(streams, pid, now) for pid, now in DRAW_POINTS]
