@@ -126,13 +126,13 @@ def test_san_deployment_linearizable(benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     lin = check_atomic_history(result.disk.history)
     assert lin.ok, lin.summary()
     lines = [
         "SAN deployment: Algorithm 1 over network-attached-disk registers",
-        f"(latency 1..4 per access): stabilized={report.stabilized} "
-        f"leader={report.leader} t={report.time:.0f}",
+        f"(latency 1..4 per access): stabilized={report.holds} "
+        f"leader={report.leader} t={report.settle_time:.0f}",
         lin.summary(),
         "paper context (Section 1): commodity-disk shared memory is the target",
         "deployment; the interval history the run produced is atomic-register",

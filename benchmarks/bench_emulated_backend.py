@@ -31,6 +31,7 @@ from __future__ import annotations
 from _helpers import emit
 
 from repro.analysis.report import format_property_table, format_table
+from repro.engine import ExperimentSpec, run_experiment
 from repro.workloads.registry import ALGORITHMS
 from repro.workloads.scenarios import (
     BACKEND_EQUIVALENCE_CELLS,
@@ -42,9 +43,15 @@ from repro.workloads.scenarios import (
     nominal_emulated_atomic,
     replica_crash,
 )
-from repro.workloads.sweep import run_matrix
 
 SEEDS = [0, 1, 2]
+
+
+def _grid(name, algos, scenarios):
+    """The rows of an ``algos x scenarios x SEEDS`` grid, one worker per
+    CPU, served from the ``results/engine/`` cache when unchanged."""
+    spec = ExperimentSpec.from_objects(name, algos, scenarios, SEEDS)
+    return run_experiment(spec, jobs=None).rows
 
 
 def test_emu_nominal(benchmark):
@@ -53,7 +60,7 @@ def test_emu_nominal(benchmark):
     scen = nominal_emulated(n=4)
 
     rows = benchmark.pedantic(
-        lambda: run_matrix(algos, [scen], SEEDS, jobs=0, cache=True),
+        lambda: _grid("EMU-nominal", algos, [scen]),
         rounds=1,
         iterations=1,
     )
@@ -79,7 +86,7 @@ def test_emu_leader_crash(benchmark):
     scen = leader_crash_emulated(n=4)
 
     rows = benchmark.pedantic(
-        lambda: run_matrix(algos, [scen], SEEDS, jobs=0, cache=True),
+        lambda: _grid("EMU-leader-crash", algos, [scen]),
         rounds=1,
         iterations=1,
     )
@@ -135,7 +142,7 @@ def test_emu_replica_faults(benchmark):
     scens = [replica_crash(n=4), emulated_lossy(n=3)]
 
     rows = benchmark.pedantic(
-        lambda: run_matrix(algos, scens, SEEDS, jobs=0, cache=True),
+        lambda: _grid("EMU-replica-faults", algos, scens),
         rounds=1,
         iterations=1,
     )
@@ -183,7 +190,7 @@ def test_emu_atomic(benchmark):
         assert audit is not None and audit.ok and audit.ops_checked > 0
         assert regular.audit_consistency() is None  # recorder off: no cost
         assert atomic.memory.write_backs > 0 and regular.memory.write_backs == 0
-        assert atomic.stabilization().stabilized and regular.stabilization().stabilized
+        assert atomic.stabilization().holds and regular.stabilization().holds
         reg_lat = regular.memory.read_op_latency / regular.memory.reads_completed
         atm_lat = atomic.memory.read_op_latency / atomic.memory.reads_completed
         assert atm_lat > reg_lat  # the write-back is a real second round
@@ -283,7 +290,7 @@ def test_emu_membership(benchmark):
         for result in (static, churned):
             audit = result.audit_consistency()
             assert audit is not None and audit.ok and audit.ops_checked > 0
-            assert result.stabilization().stabilized
+            assert result.stabilization().holds
         table.append(
             [
                 seed,

@@ -21,12 +21,14 @@ the paper's algorithms ride out:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from _helpers import emit
 
 from repro.analysis.report import format_table
+from repro.engine import ExperimentSpec, run_experiment
 from repro.workloads.registry import ALGORITHMS
 from repro.workloads.scenarios import chaos, emulated_lossy
-from repro.workloads.sweep import run_matrix
 
 SEEDS = [0, 1, 2]
 
@@ -45,10 +47,15 @@ PARTITION_STORM_PLAN = [
 def test_emu_faults_crash_recover(benchmark):
     """A replica crash + amnesia recovery is absorbed by the resync."""
     algos = {name: ALGORITHMS[name] for name in ("alg1", "alg2")}
-    scen = chaos(n=3, horizon=8000.0, plan=CRASH_RECOVER_PLAN)
+    spec = ExperimentSpec.from_objects(
+        "EMU-faults-crash-recover",
+        algos,
+        [chaos(n=3, horizon=8000.0, plan=CRASH_RECOVER_PLAN)],
+        SEEDS,
+    )
 
     rows = benchmark.pedantic(
-        lambda: run_matrix(algos, [scen], SEEDS, jobs=0, cache=False),
+        lambda: run_experiment(spec, jobs=None, cache=False).rows,
         rounds=1,
         iterations=1,
     )
@@ -83,7 +90,7 @@ def test_emu_faults_partition_heal(benchmark):
     cells = benchmark.pedantic(run_cells, rounds=1, iterations=1)
     table = []
     for seed, run in cells:
-        assert run.stabilization().stabilized
+        assert run.stabilization().holds
         audit = run.audit_consistency()
         assert audit is not None and audit.ok
         drops = run.memory.network.behavior.partitioned_drops
@@ -109,12 +116,11 @@ def test_emu_faults_retry_policy(benchmark):
         pairs = []
         for seed in SEEDS:
             fixed_scen = emulated_lossy(n=3, horizon=9000.0)
-            backoff_scen = emulated_lossy(n=3, horizon=9000.0)
-            backoff_scen.name = "emulated-lossy-backoff-n3"
-            backoff_scen.emulation = {
-                **backoff_scen.emulation,
-                "retry_policy": "backoff",
-            }
+            backoff_scen = replace(
+                fixed_scen,
+                name="emulated-lossy-backoff-n3",
+                emulation={**fixed_scen.emulation, "retry_policy": "backoff"},
+            )
             fixed = fixed_scen.run(cls, seed=seed, log_reads=False)
             backoff = backoff_scen.run(cls, seed=seed, log_reads=False)
             pairs.append((seed, fixed, backoff))
@@ -123,16 +129,16 @@ def test_emu_faults_retry_policy(benchmark):
     pairs = benchmark.pedantic(run_pairs, rounds=1, iterations=1)
     table = []
     for seed, fixed, backoff in pairs:
-        assert fixed.stabilization().stabilized
-        assert backoff.stabilization().stabilized
+        assert fixed.stabilization().holds
+        assert backoff.stabilization().holds
         assert fixed.memory.retransmissions > 0  # loss really bit
         table.append(
             [
                 seed,
                 fixed.memory.retransmissions,
                 backoff.memory.retransmissions,
-                f"{fixed.stabilization().time:.0f}",
-                f"{backoff.stabilization().time:.0f}",
+                f"{fixed.stabilization().settle_time:.0f}",
+                f"{backoff.stabilization().settle_time:.0f}",
             ]
         )
     lines = [

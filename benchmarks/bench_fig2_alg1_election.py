@@ -23,7 +23,6 @@ from repro.analysis.write_stats import (
 )
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.workloads.scenarios import leader_crash, nominal
-from repro.workloads.sweep import summarize_result
 
 SEEDS = list(range(6))
 
@@ -40,8 +39,8 @@ def test_fig2_alg1_nominal(benchmark):
     stab_times = []
     for result in results:
         report = result.stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct  # Theorem 1
-        stab_times.append(report.time)
+        assert report.holds and report.leader_correct  # Theorem 1
+        stab_times.append(report.settle_time)
 
         growing = growing_registers(result.memory, result.horizon)
         assert growing == frozenset({f"PROGRESS[{report.leader}]"})  # Theorem 2
@@ -51,12 +50,17 @@ def test_fig2_alg1_nominal(benchmark):
         tail_regs = tail_written_registers(result.memory, result.horizon, tail=300.0)
         assert tail_regs == frozenset({f"PROGRESS[{report.leader}]"})
 
-        row = summarize_result(result, scen, window=200.0)
+        row = result.summarize(
+            scenario_name=scen.name,
+            margin=scen.margin,
+            window=200.0,
+            assumption=scen.assumption,
+        )
         rows.append(
             [
                 result.seed,
                 report.leader,
-                report.time,
+                report.settle_time,
                 point.time,
                 sorted(growing),
                 row.total_writes,
@@ -89,8 +93,8 @@ def test_fig2_alg1_leader_crash(benchmark):
     rows = []
     for result in results:
         report = result.stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader != 0  # re-election
-        rows.append([result.seed, report.leader, report.time])
+        assert report.holds and report.leader != 0  # re-election
+        rows.append([result.seed, report.leader, report.settle_time])
     lines = [
         "Theorem 1 under leader crash (pid 0 crashes at t=2100):",
         format_table(["seed", "new leader", "t_stabilize"], rows),

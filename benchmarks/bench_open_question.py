@@ -52,7 +52,7 @@ def test_open_question_lazy_leader(benchmark):
 
     # The prize under stable conditions.
     stable_report = stable.stabilization(margin=200.0)
-    assert stable_report.stabilized
+    assert stable_report.holds
     leader = stable_report.leader
     leader_tail_reads = len(
         [r for r in stable.memory.reads_in(HORIZON * 0.7, HORIZON) if r.pid == leader]
@@ -62,25 +62,25 @@ def test_open_question_lazy_leader(benchmark):
     # The price under disturbance; the control recovers.
     disturbed_report = disturbed.stabilization(margin=200.0)
     control_report = control.stabilization(margin=200.0)
-    assert not disturbed_report.stabilized
-    assert control_report.stabilized
+    assert not disturbed_report.holds
+    assert control_report.holds
 
     rows = [
         [
             "lazy, stable env",
-            stable_report.stabilized,
+            stable_report.holds,
             f"p{leader}",
             leader_tail_reads,
         ],
         [
             "lazy, stall burst",
-            disturbed_report.stabilized,
+            disturbed_report.holds,
             "split: p0 vs others",
             0,
         ],
         [
             "plain alg1, stall burst",
-            control_report.stabilized,
+            control_report.holds,
             f"p{control_report.leader}",
             "(reads forever)",
         ],

@@ -20,8 +20,8 @@ from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.baseline import EventuallySynchronousOmega
 from repro.core.variants import MultiWriterOmega, StepCounterOmega
+from repro.engine import ExperimentSpec, run_experiment
 from repro.workloads.scenarios import nominal
-from repro.workloads.sweep import run_matrix
 
 ALGORITHMS = {
     "alg1 (Fig 2)": WriteEfficientOmega,
@@ -35,17 +35,11 @@ ENGINE_CACHE = RESULTS_DIR / "engine"
 
 
 def test_comparison_table(benchmark):
-    scen = nominal(n=4, horizon=9000.0)
+    spec = ExperimentSpec.from_objects(
+        "CMP-tradeoff", ALGORITHMS, [nominal(n=4, horizon=9000.0)], SEEDS, window=300.0
+    )
     rows = benchmark.pedantic(
-        lambda: run_matrix(
-            ALGORITHMS,
-            [scen],
-            SEEDS,
-            window=300.0,
-            jobs=0,  # 0/None -> one worker per CPU (engine default)
-            cache=True,
-            results_dir=ENGINE_CACHE,
-        ),
+        lambda: run_experiment(spec, jobs=None, results_dir=ENGINE_CACHE).rows,
         rounds=1,
         iterations=1,
     )

@@ -35,7 +35,7 @@ def main() -> None:
     report_a = result_a.stabilization(margin=scen.margin)
     xs, ys = suspicion_series(result_a)
     print(format_series("cumulative false suspicions", xs, ys))
-    rows.append(["chaotic-then-AWB", report_a.stabilized, report_a.time])
+    rows.append(["chaotic-then-AWB", report_a.holds, report_a.settle_time])
 
     print("\nRun B: capped timers (AWB2 violated) under a slow timely leader")
     scen_b = capped_timers(n=4)
@@ -43,7 +43,7 @@ def main() -> None:
     report_b = result_b.stabilization(margin=scen_b.margin)
     xs, ys = suspicion_series(result_b)
     print(format_series("cumulative false suspicions", xs, ys))
-    rows.append(["capped (violator)", report_b.stabilized, report_b.time])
+    rows.append(["capped (violator)", report_b.holds, report_b.settle_time])
 
     print("\nRun C: same asynchrony as B, AWB timers restored")
     scen_c = slow_leader_awb(n=4)
@@ -51,7 +51,7 @@ def main() -> None:
     report_c = result_c.stabilization(margin=scen_c.margin)
     xs, ys = suspicion_series(result_c)
     print(format_series("cumulative false suspicions", xs, ys))
-    rows.append(["slow leader + AWB", report_c.stabilized, report_c.time])
+    rows.append(["slow leader + AWB", report_c.holds, report_c.settle_time])
 
     print()
     print(format_table(["timers", "stabilized", "t_stabilize"], rows))

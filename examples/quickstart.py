@@ -37,9 +37,9 @@ def main() -> None:
 
     # --- the eventual-leadership verdict --------------------------------
     report = result.stabilization(margin=200.0)
-    print(f"\nstabilized: {report.stabilized}")
+    print(f"\nstabilized: {report.holds}")
     print(f"elected leader: p{report.leader} (correct: {report.leader_correct})")
-    print(f"stabilization time: {report.time:.0f}")
+    print(f"stabilization time: {report.settle_time:.0f}")
 
     # --- the paper's signature properties --------------------------------
     writers = forever_writers(result.memory, horizon, window=300.0)

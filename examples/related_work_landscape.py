@@ -33,7 +33,7 @@ def main() -> None:
     rows.append(
         [
             "shared-memory AWB (Alg 1)",
-            report.stabilized,
+            report.holds,
             f"p{report.leader}",
             f"{len(writers)} writer(s)",
             f"{shm.memory.total_writes}w/{shm.memory.total_reads}r",
@@ -55,7 +55,7 @@ def main() -> None:
     rows.append(
         [
             "MP eventual t-source [2]",
-            ts_report.stabilized,
+            ts_report.holds,
             f"p{ts_report.leader}",
             "all keep sending",
             f"{ts.network.total_sent} msgs ({ts.network.dropped} lost)",
@@ -72,7 +72,7 @@ def main() -> None:
     rows.append(
         [
             "MP message pattern [21,23]",
-            pat_report.stabilized,
+            pat_report.holds,
             f"p{pat_report.leader}",
             "all keep querying",
             f"{pat.network.total_sent} msgs, 0 timers",

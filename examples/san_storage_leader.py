@@ -38,17 +38,17 @@ def main() -> None:
             [
                 [
                     "in-memory",
-                    control_report.stabilized,
+                    control_report.holds,
                     control_report.leader,
-                    control_report.time,
+                    control_report.settle_time,
                     control.memory.total_writes,
                     control.memory.total_reads,
                 ],
                 [
                     "SAN (latency 1..4)",
-                    report.stabilized,
+                    report.holds,
                     report.leader,
-                    report.time,
+                    report.settle_time,
                     result.memory.total_writes,
                     result.memory.total_reads,
                 ],

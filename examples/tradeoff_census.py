@@ -30,7 +30,7 @@ def census(algorithm_cls, horizon, seed=9):
     growing = growing_registers(result.memory, horizon)
     return [
         algorithm_cls.display_name,
-        report.stabilized,
+        report.holds,
         len(writers),
         len(growing) == 0,
         sorted(growing) if growing else "-",

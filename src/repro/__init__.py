@@ -9,7 +9,7 @@ stress-tests its two Omega (eventual leader) algorithms:
 >>> from repro import Run, WriteEfficientOmega
 >>> result = Run(WriteEfficientOmega, n=4, seed=1, horizon=500.0).execute()
 >>> report = result.stabilization()
->>> report.stabilized and report.leader_correct
+>>> report.holds and report.leader_correct
 True
 
 See README.md for the tour, DESIGN.md for the system inventory and

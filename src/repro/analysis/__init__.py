@@ -5,8 +5,8 @@ implementation of each property, folded once per run); this package
 holds its per-figure views and the measurements that are not theorems:
 
 * :mod:`~repro.analysis.omega_props` -- the Omega specification:
-  Validity and the Termination witness, plus Eventual Leadership as a
-  view of the Theorem 1 verdict;
+  Validity and the Termination witness (Eventual Leadership is the
+  Theorem 1 verdict, :func:`repro.props.checkers.leadership_verdict`);
 * :mod:`~repro.analysis.write_stats` -- forever-writer / forever-reader
   censuses, single-writer points and the Figure 5 growth columns, all
   read from the Theorem 2-4 implementations (also Theorems 6, 7 and
@@ -20,12 +20,7 @@ holds its per-figure views and the measurements that are not theorems:
   benches and EXPERIMENTS.md.
 """
 
-from repro.analysis.omega_props import (
-    StabilizationReport,
-    check_eventual_leadership,
-    check_termination,
-    check_validity,
-)
+from repro.analysis.omega_props import check_termination, check_validity
 from repro.analysis.suspicion import (
     cumulative_suspicions,
     suspicion_quiescence,
@@ -42,11 +37,9 @@ from repro.analysis.write_stats import (
 
 __all__ = [
     "BoundednessVerdict",
-    "StabilizationReport",
     "TimelineReport",
     "boundedness",
     "build_timeline",
-    "check_eventual_leadership",
     "check_termination",
     "check_validity",
     "cumulative_suspicions",

@@ -84,7 +84,6 @@ from repro.lint.runner import RULE_FAMILIES
 from repro.memory.emulated import LINK_MODELS, RETRY_POLICIES
 from repro.workloads.registry import ALGORITHMS, CHECK_SCENARIOS, SCENARIO_FACTORIES
 from repro.workloads.scenarios import Scenario
-from repro.workloads.sweep import SweepRow, summarize_result
 
 
 def _print_results_dir(report: Any) -> None:
@@ -177,9 +176,11 @@ def _engine_spec(
             try:
                 tail_windows(scen.horizon, args.window)  # the judge's own rule
             except ValueError as exc:
+                # ``compare`` fixes the window: it has no --window flag.
+                fix = "lower --window or " if command != "compare" else ""
                 raise ValueError(
                     f"scenario {scen.name!r} (horizon {scen.horizon:g}): {exc} "
-                    f"of width {args.window:g}; lower --window or raise the horizon"
+                    f"of width {args.window:g}; {fix}raise the horizon"
                 ) from None
     except ValueError as exc:
         print(f"repro {command}: error: {exc}", file=sys.stderr)
@@ -219,11 +220,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = scen.run(algorithm, seed=args.seed)
 
     report = result.stabilization(margin=scen.margin)
-    print(f"\nstabilized: {report.stabilized}")
+    print(f"\nstabilized: {report.holds}")
     if report.leader is not None:
         print(f"leader: p{report.leader} (correct: {report.leader_correct})")
-    if report.time is not None:
-        print(f"stabilization time: {report.time:.0f}")
+    if report.settle_time is not None:
+        print(f"stabilization time: {report.settle_time:.0f}")
 
     writers = forever_writers(result.memory, result.horizon, window=result.horizon / 20)
     growing = growing_registers(result.memory, result.horizon)
@@ -245,14 +246,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.timeline:
         print("\nleadership timeline:")
         print(render_timeline(build_timeline(result.trace, result.crash_plan)))
-    ok = report.stabilized or scen.assumption == "none"
+    ok = report.holds or scen.assumption == "none"
     if audit is not None and not audit.ok:
         ok = False
     return 0 if ok else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Run several algorithms on one scenario and print the table."""
+    """Run several algorithms on one scenario through the engine and
+    print the table."""
+    from repro.engine.driver import run_experiment
+
     if not args.seeds:
         print("repro compare: error: --seeds needs at least one seed", file=sys.stderr)
         return 2
@@ -260,15 +264,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if scenarios is None:
         return 2
     (scen,) = scenarios
-    results = {
-        name: [
-            summarize_result(scen.run(ALGORITHMS[name], seed=seed), scen)
-            for seed in args.seeds
-        ]
-        for name in args.algorithms or list(ALGORITHMS)
-    }
+    algorithms = {name: ALGORITHMS[name] for name in (args.algorithms or list(ALGORITHMS))}
+    spec = _engine_spec("compare", args, algorithms, scenarios)
+    if spec is None:
+        return 2
+    report = run_experiment(spec, jobs=1, cache=False)
     rows = []
-    for name, per_seed in results.items():
+    for name in algorithms:
+        per_seed = [r for r in report.rows if r.algorithm == name]
         stab = [r for r in per_seed if r.stabilized]
         times = [r.stabilization_time for r in stab]
         rows.append(
@@ -289,6 +292,40 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+#: Column names of the ``repro sweep`` table (:func:`_sweep_cells`).
+SWEEP_HEADERS = [
+    "algorithm",
+    "scenario",
+    "seed",
+    "stab",
+    "t_stab",
+    "leader",
+    "forever_writers",
+    "growing_regs",
+    "single_writer",
+    "writes",
+    "reads",
+]
+
+
+def _sweep_cells(row: Any) -> List[object]:
+    """One :class:`~repro.engine.summary.RunSummary` as the printable
+    cells of the ``repro sweep`` table, in :data:`SWEEP_HEADERS` order."""
+    return [
+        row.algorithm,
+        row.scenario,
+        row.seed,
+        row.stabilized,
+        row.stabilization_time if row.stabilization_time is not None else "-",
+        row.leader if row.leader is not None else "-",
+        row.forever_writers,
+        row.growing_register_count,
+        row.single_writer,
+        row.total_writes,
+        row.total_reads,
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -324,7 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shard=shard,
         shards=args.shards,
     )
-    print(format_table(SweepRow.headers(), [row.cells() for row in report.rows]))
+    print(format_table(SWEEP_HEADERS, [_sweep_cells(row) for row in report.rows]))
     cache_note = (
         f"cache: {report.cache_hits} hit(s), file {report.store_path}"
         if not args.no_cache
@@ -886,7 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seeds", nargs="*", type=int, default=[0, 1])
     cmp_p.add_argument("--n", type=int, default=None)
     cmp_p.add_argument("--horizon", type=float, default=None)
-    cmp_p.set_defaults(func=cmd_compare)
+    # The engine's spec fields the compare grid fixes (no flags).
+    cmp_p.set_defaults(func=cmd_compare, name="compare", window=100.0)
 
     perf_p = sub.add_parser(
         "perf", help="run the repo benchmark (bench/run.py); save or gate the result it prints"

@@ -12,10 +12,9 @@ builds them plus its keyword arguments.  That makes a spec
   cache under ``results/engine/``.
 
 Construction normally goes through :meth:`ExperimentSpec.from_objects`,
-which accepts the same ``{label: AlgorithmClass}`` /
-``[Scenario, ...]`` arguments as :func:`repro.workloads.sweep.run_matrix`
-and derives the references automatically (scenario factories attach a
-``ref`` to every instance they build; see
+which accepts live ``{label: AlgorithmClass}`` / ``[Scenario, ...]``
+arguments and derives the references automatically (scenario factories
+attach a ``ref`` to every instance they build; see
 :mod:`repro.workloads.scenarios`).
 """
 
@@ -239,8 +238,7 @@ class ExperimentSpec:
     def cells(self) -> List[Cell]:
         """The grid in deterministic scenario-major order.
 
-        Matches the historical ``run_matrix`` nesting (scenario, then
-        algorithm, then seed) so engine rows line up with legacy rows.
+        The nesting is scenario, then algorithm, then seed.
         """
         return [
             Cell(algorithm=alg, scenario=scen, seed=seed)
@@ -293,16 +291,16 @@ class ExperimentSpec:
         seeds: Iterable[int],
         **options: Any,
     ) -> "ExperimentSpec":
-        """Build a spec from live objects (the ``run_matrix`` arguments);
-        ``options`` are the remaining fields (``window``, ``fast`` and
-        the override axes), by name.
+        """Build a spec from live objects; ``options`` are the remaining
+        fields (``window``, ``fast`` and the override axes), by name.
 
-        Every scenario must carry a ``ref`` attribute -- a
-        ``(factory_name, kwargs)`` tuple attached by the factory
-        decorator in :mod:`repro.workloads.scenarios`.  Hand-built
-        :class:`~repro.workloads.scenarios.Scenario` instances (no
-        ``ref``) cannot cross process boundaries; callers fall back to
-        the in-process path for those.
+        Every scenario must carry a ``ref`` -- the
+        ``(factory_name, kwargs)`` tuple the factory decorator in
+        :mod:`repro.workloads.scenarios` attaches.  Hand-built
+        :class:`~repro.workloads.scenarios.Scenario` instances and
+        ``dataclasses.replace`` copies have none and are refused with a
+        one-line ``ValueError``: they cannot be rebuilt in a worker, so
+        they run in-process (``scenario.run(...).summarize(...)``).
         """
         from repro.workloads.registry import algorithm_target
 

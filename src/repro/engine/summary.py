@@ -4,9 +4,10 @@ Worker processes must not ship a full
 :class:`~repro.core.runner.RunResult` back to the driver: it drags the
 simulator, the shared memory (with its access logs) and every algorithm
 instance across the pickle boundary.  Instead each cell is condensed
-*in the worker* into a :class:`RunSummary` -- the
-:class:`~repro.workloads.sweep.SweepRow` fields plus timing/event
-counts and the small register censuses the ablation benches need.
+*in the worker* into a :class:`RunSummary` -- the run's outcome columns
+plus timing/event counts and the small register censuses the ablation
+benches need.  It is the one row type of every table in the repo: CLI
+``compare``/``sweep``/``check``, the benches and the searches.
 
 Summaries are value objects: two runs of the same (algorithm, scenario,
 seed) produce equal summaries whether they executed serially or in a
@@ -26,7 +27,6 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.omega_props import check_termination, check_validity
 from repro.core.runner import RunResult
 from repro.props.report import PropertyReport, check_properties
-from repro.workloads.sweep import SweepRow
 
 #: Register-name prefix of the suspicion counters shared by Algorithm 1
 #: and its variants; algorithms without such registers report ``None`` /
@@ -40,9 +40,25 @@ TAIL_FRACTION = 0.8
 
 
 @dataclass
-class RunSummary(SweepRow):
-    """One cell outcome: a :class:`SweepRow` plus engine metadata."""
+class RunSummary:
+    """One (algorithm, scenario, seed) outcome plus engine metadata."""
 
+    algorithm: str
+    scenario: str
+    seed: int
+    n: int
+    horizon: float
+    stabilized: bool
+    stabilization_time: Optional[float]
+    leader: Optional[int]
+    valid: bool
+    termination_ok: bool
+    forever_writer_count: int
+    forever_writers: frozenset
+    growing_register_count: int
+    single_writer: bool
+    total_writes: int
+    total_reads: int
     #: Host-clock seconds spent executing + summarizing the cell.
     #: Excluded from equality: it is measurement noise, not outcome.
     wall_time_s: float = field(default=0.0, compare=False)

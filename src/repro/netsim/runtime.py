@@ -88,10 +88,11 @@ class MpRunResult:
     processes: List[MpProcess]
 
     def stabilization(self, margin: float = 0.0) -> Any:
-        """Eventual-leadership verdict (see :mod:`repro.analysis.omega_props`)."""
-        from repro.analysis.omega_props import check_eventual_leadership
+        """The Theorem 1 (Eventual Leadership) verdict: a
+        :class:`~repro.props.checkers.LeadershipVerdict`."""
+        from repro.props.checkers import leadership_verdict
 
-        return check_eventual_leadership(self.trace, self.crash_plan, self.horizon, margin=margin)
+        return leadership_verdict(self.trace, self.crash_plan, self.horizon, margin=margin)
 
 
 class MpRun:

@@ -1,10 +1,10 @@
-"""Scenario library and sweep driver.
+"""Scenario library and name registries.
 
 Scenarios are named, parameterized run configurations shared by the
 test suite, the examples and every benchmark, so "the leader-crash
-workload" means the same thing everywhere.  The sweep driver runs an
-(algorithm x scenario x seed) matrix and emits the flat rows the
-comparison tables are built from.
+workload" means the same thing everywhere.  An (algorithm x scenario x
+seed) grid of them runs through the experiment engine
+(:func:`repro.engine.driver.run_experiment`).
 """
 
 from repro.workloads.scenarios import (
@@ -22,11 +22,9 @@ from repro.workloads.scenarios import (
     scrambled,
     slow_leader_awb,
 )
-from repro.workloads.sweep import SweepRow, run_matrix
 
 __all__ = [
     "Scenario",
-    "SweepRow",
     "all_but_one",
     "awb_only",
     "capped_timers",
@@ -36,7 +34,6 @@ __all__ = [
     "leader_crash",
     "nominal",
     "random_faults",
-    "run_matrix",
     "san",
     "scrambled",
     "slow_leader_awb",

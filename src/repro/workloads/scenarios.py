@@ -89,7 +89,7 @@ def scenario_factory(factory: Callable[..., "Scenario"]) -> Callable[..., "Scena
         scen = factory(*args, **kwargs)
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
-        scen.ref = (factory.__name__, dict(bound.arguments))
+        object.__setattr__(scen, "ref", (factory.__name__, dict(bound.arguments)))
         return scen
 
     return wrapper
@@ -110,10 +110,11 @@ def scramble_registers(memory: SharedMemory, rng: Any) -> None:
             reg.poke(rng.randrange(0, 8))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A named, reproducible run configuration.
 
+    A frozen value: a variant is a :func:`dataclasses.replace` copy.
     Construction refuses what :class:`Run` would refuse
     (:func:`~repro.core.runner.check_run_shape`), :meth:`overridden`
     applies the run-wide override axes and :meth:`build` instantiates
@@ -156,11 +157,13 @@ class Scenario:
     #: means the emulation defaults.  Only an emulated scenario may
     #: carry any.
     emulation: Dict[str, Any] = field(default_factory=dict)
-    #: ``(factory_name, kwargs)`` attached by :func:`scenario_factory`;
+    #: ``(factory_name, kwargs)`` set by :func:`scenario_factory` only;
     #: lets the parallel engine rebuild this scenario in a worker
-    #: process.  ``None`` for hand-built instances (in-process only).
+    #: process.  ``None`` for hand-built instances and for every
+    #: :func:`dataclasses.replace` copy (``replace`` does not carry an
+    #: ``init=False`` field), so a ref always describes its scenario.
     ref: Optional[Tuple[str, Dict[str, Any]]] = field(
-        default=None, compare=False, repr=False
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:

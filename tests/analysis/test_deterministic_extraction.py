@@ -17,10 +17,10 @@ from repro.workloads.scenarios import leader_crash, nominal
 
 class TestRewrittenExtractionSites:
     def test_omega_props_reports_the_agreed_leader(self):
-        """repro.analysis.omega_props: ``min(common)`` on agreement."""
+        """``RunResult.stabilization()``: ``min(common)`` on agreement."""
         result = nominal(n=4).run(ALGORITHMS["alg1"], seed=0)
         report = result.stabilization(margin=nominal(n=4).margin)
-        assert report.stabilized and report.leader is not None
+        assert report.holds and report.leader is not None
         # Every correct process converged on the same leader: the
         # singleton extraction must return exactly that value.
         finals = {
@@ -37,7 +37,7 @@ class TestRewrittenExtractionSites:
         props = result.check_properties(margin=scen.margin)
         assert props.violations() == []
         report = result.stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_single_writer_point_names_the_sole_writer(self):
         """repro.analysis.write_stats: ``min(tail_writers)``."""

@@ -59,9 +59,9 @@ class TestOnRealElection:
         result = Run(WriteEfficientOmega, n=4, seed=120, horizon=2000.0).execute()
         report = lease_intervals(result.trace, length=100.0)
         stab = result.stabilization(margin=100.0)
-        assert stab.stabilized
+        assert stab.holds
         # After stabilization + one lease length, exactly one holder.
-        probe = stab.time + 150.0
+        probe = stab.settle_time + 150.0
         holders = report.holders_at(probe) or report.holders_at(probe + 50.0)
-        assert report.last_overlap() <= stab.time + 100.0
+        assert report.last_overlap() <= stab.settle_time + 100.0
         assert holders == [stab.leader]

@@ -39,7 +39,7 @@ def crash_result():
 class TestTheorem1EventualLeadership:
     def test_stabilizes_on_correct_common_leader(self, nominal_result):
         report = nominal_result.stabilization(margin=200.0)
-        assert report.stabilized
+        assert report.holds
         assert report.leader_correct
 
     def test_all_correct_processes_agree(self, nominal_result):
@@ -49,7 +49,7 @@ class TestTheorem1EventualLeadership:
 
     def test_reelects_after_leader_crash(self, crash_result):
         report = crash_result.stabilization(margin=200.0)
-        assert report.stabilized
+        assert report.holds
         assert report.leader != 0
         assert report.leader_correct
 
@@ -163,7 +163,7 @@ class TestSelfStabilization:
             WriteEfficientOmega, n=4, seed=44, horizon=2500.0, scramble=scramble_registers
         ).execute()
         report = result.stabilization(margin=200.0)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_converges_with_partial_initial_candidates(self):
         result = Run(
@@ -174,4 +174,4 @@ class TestSelfStabilization:
             algo_config={"initial_candidates": [0]},
         ).execute()
         report = result.stabilization(margin=200.0)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct

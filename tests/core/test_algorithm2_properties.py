@@ -34,11 +34,11 @@ def crash_result():
 class TestTheorem1StillHolds:
     def test_stabilizes_on_correct_common_leader(self, nominal_result):
         report = nominal_result.stabilization(margin=MARGIN)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_reelects_after_leader_crash(self, crash_result):
         report = crash_result.stabilization(margin=MARGIN)
-        assert report.stabilized
+        assert report.holds
         assert report.leader != 0
 
 
@@ -140,4 +140,4 @@ class TestSelfStabilization:
             BoundedOmega, n=3, seed=52, horizon=HORIZON, scramble=scramble_registers
         ).execute()
         report = result.stabilization(margin=MARGIN)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct

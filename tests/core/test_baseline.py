@@ -19,7 +19,7 @@ class TestBaselineCorrectness:
 
     def test_stabilizes_under_eventual_synchrony(self, result):
         report = result.stabilization(margin=100.0)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_elects_smallest_correct_id(self, result):
         assert result.stabilization(margin=100.0).leader == 0
@@ -29,7 +29,7 @@ class TestBaselineCorrectness:
         plan = CrashPlan.single(4, 0, 2500.0)
         result = scen.run(EventuallySynchronousOmega, seed=71, crash_plan=plan)
         report = result.stabilization(margin=100.0)
-        assert report.stabilized and report.leader == 1
+        assert report.holds and report.leader == 1
 
 
 class TestBaselineCosts:

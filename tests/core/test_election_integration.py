@@ -35,7 +35,7 @@ class TestNominalMatrix:
     def test_stabilizes(self, algorithm, seed):
         scen = nominal(n=4)
         report = scen.run(algorithm, seed=seed).stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
 
 class TestLeaderCrashMatrix:
@@ -44,13 +44,13 @@ class TestLeaderCrashMatrix:
     def test_reelects(self, algorithm, seed):
         scen = leader_crash(n=4)
         report = scen.run(algorithm, seed=seed).stabilization(margin=scen.margin)
-        assert report.stabilized
+        assert report.holds
         assert report.leader != 0
 
     def test_alg2_reelects(self):
         scen = leader_crash(n=4, horizon=9000.0)
         report = scen.run(BoundedOmega, seed=0).stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader != 0
+        assert report.holds and report.leader != 0
 
 
 class TestChaoticTimers:
@@ -59,7 +59,7 @@ class TestChaoticTimers:
         scen = chaotic_timers(n=4)
         result = scen.run(algorithm, seed=2)
         report = result.stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_chaos_causes_false_suspicions(self):
         scen = chaotic_timers(n=4)
@@ -77,14 +77,14 @@ class TestHeavyFaults:
     def test_cascade(self, algorithm):
         scen = cascade(n=6)
         report = scen.run(algorithm, seed=3).stabilization(margin=scen.margin)
-        assert report.stabilized
+        assert report.holds
         assert report.leader in range(3, 6)  # pids 0..2 crashed
 
     @pytest.mark.parametrize("algorithm", FAST_ALGORITHMS, ids=lambda a: a.display_name)
     def test_all_but_one(self, algorithm):
         scen = all_but_one(n=5, survivor=2)
         report = scen.run(algorithm, seed=4).stabilization(margin=scen.margin)
-        assert report.stabilized
+        assert report.holds
         assert report.leader == 2
 
 
@@ -96,7 +96,7 @@ class TestAwbOnly:
     def test_stabilizes_with_single_timely_process(self, algorithm):
         scen = awb_only(n=4, timely_pid=0)
         report = scen.run(algorithm, seed=5).stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
 
 class TestScrambledInitialValues:
@@ -104,7 +104,7 @@ class TestScrambledInitialValues:
     def test_converges(self, algorithm):
         scen = scrambled(n=4)
         report = scen.run(algorithm, seed=6).stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
 
 class TestNegativeScenario:
@@ -134,7 +134,7 @@ class TestNegativeScenario:
 
         scen = slow_leader_awb(n=4)
         report = scen.run(WriteEfficientOmega, seed=7).stabilization(margin=scen.margin)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
 
 class TestDeterminismAcrossMatrix:
@@ -143,4 +143,4 @@ class TestDeterminismAcrossMatrix:
         scen = nominal(n=3, horizon=2500.0)
         a = scen.run(algorithm, seed=9).stabilization(margin=scen.margin)
         b = scen.run(algorithm, seed=9).stabilization(margin=scen.margin)
-        assert (a.stabilized, a.leader, a.time) == (b.stabilized, b.leader, b.time)
+        assert (a.holds, a.leader, a.settle_time) == (b.holds, b.leader, b.settle_time)

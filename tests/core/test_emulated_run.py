@@ -29,7 +29,7 @@ def test_nominal_emulated_stabilizes_clean(algo):
     assert result.memory_backend == "emulated"
     assert isinstance(result.memory, EmulatedMemory)
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     props = result.check_properties(assumption=scen.assumption, margin=scen.margin)
     assert props.violations() == []
     assert result.memory.network.total_sent > 0
@@ -40,7 +40,7 @@ def test_leader_crash_emulated_reelects_clean(algo):
     scen = leader_crash_emulated(n=4)
     result = scen.run(ALGORITHMS[algo], seed=0)
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader != 0 and report.leader_correct
+    assert report.holds and report.leader != 0 and report.leader_correct
     props = result.check_properties(assumption=scen.assumption, margin=scen.margin)
     assert props.violations() == []
 
@@ -63,7 +63,7 @@ def test_replica_crash_scenario_survives():
     result = scen.run(ALGORITHMS["alg1"], seed=1)
     assert result.memory.live_replicas == 3  # 2 of 5 crashed
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     assert result.check_properties(margin=scen.margin).violations() == []
 
 
@@ -73,7 +73,7 @@ def test_lossy_scenario_retransmits_and_stabilizes():
     assert result.memory.network.dropped > 0
     assert result.memory.retransmissions > 0
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
 
 
 def test_emulated_run_blocks_are_intervals():
@@ -121,7 +121,7 @@ def test_nominal_atomic_stabilizes_and_audits_clean(algo):
     assert result.memory.config.consistency == "atomic"
     assert result.memory.write_backs > 0
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     assert result.check_properties(assumption=scen.assumption, margin=scen.margin).violations() == []
     audit = result.audit_consistency()
     assert audit is not None and audit.ok and audit.ops_checked > 0
@@ -134,7 +134,7 @@ def test_replica_crash_atomic_audits_clean():
     result = scen.run(ALGORITHMS["alg1"], seed=0)
     assert result.memory.live_replicas == 3  # 2 of 5 crashed
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     audit = result.audit_consistency()
     assert audit is not None and audit.ok and audit.ops_checked > 0
 
@@ -271,5 +271,5 @@ def test_duplication_links_are_survived():
     result = scen.run(ALGORITHMS["alg1"], seed=0)
     assert result.memory.network.behavior.duplicated > 0
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     assert result.check_properties(assumption=scen.assumption, margin=scen.margin).violations() == []

@@ -33,7 +33,7 @@ class TestStableConditions:
 
     def test_still_elects_correct_leader(self, result):
         report = result.stabilization(margin=200.0)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_leader_goes_lazy(self, result):
         leader = result.stabilization(margin=200.0).leader
@@ -81,7 +81,7 @@ class TestDisturbedConditions:
 
     def test_plain_algorithm_recovers_from_the_stall(self, plain_result):
         report = plain_result.stabilization(margin=200.0)
-        assert report.stabilized and report.leader_correct
+        assert report.holds and report.leader_correct
 
     def test_lazy_leader_never_notices_demotion(self, lazy_result):
         """Followers suspect the stalled leader and elect someone else;
@@ -92,7 +92,7 @@ class TestDisturbedConditions:
         assert 0 not in others
 
     def test_eventual_leadership_violated(self, lazy_result):
-        assert not lazy_result.stabilization(margin=200.0).stabilized
+        assert not lazy_result.stabilization(margin=200.0).holds
 
     def test_violation_is_permanent(self, lazy_result):
         """The lazy process reads nothing after going lazy, so no

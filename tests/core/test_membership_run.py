@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ REPO = Path(__file__).resolve().parents[2]
 def assert_clean(result, scen) -> None:
     """The full membership oracle stack: liveness, theorems, audit."""
     report = result.stabilization(margin=scen.margin)
-    assert report.stabilized and report.leader_correct
+    assert report.holds and report.leader_correct
     props = result.check_properties(assumption=scen.assumption, margin=scen.margin)
     assert props.violations() == []
     audit = result.audit_consistency()
@@ -84,12 +85,15 @@ class TestChurnBattery:
         """Retiring replica 0 while links are still ramping toward GST:
         the transition's transfer round itself rides slow links, so the
         window stays open across stretched quorum round trips."""
-        scen = emulated_gst_ramp_audit(n=4, horizon=10000.0)
-        scen.name = "membership-leave-under-ramp"
-        scen.emulation = {
-            **scen.emulation,
-            "membership_plan": [{"kind": "leave", "at": 2000.0, "replica": 0}],
-        }
+        base = emulated_gst_ramp_audit(n=4, horizon=10000.0)
+        scen = replace(
+            base,
+            name="membership-leave-under-ramp",
+            emulation={
+                **base.emulation,
+                "membership_plan": [{"kind": "leave", "at": 2000.0, "replica": 0}],
+            },
+        )
         result = scen.run(ALGORITHMS["alg1"], seed=0)
         assert result.memory.configs_installed == 1
         assert result.memory.transfer_rounds == 1
@@ -121,15 +125,18 @@ class TestChurnBattery:
         plan is mid-transition: the recovery resync and the membership
         state transfer overlap, and neither may manufacture a stale
         read."""
-        scen = membership_churn(n=3, horizon=8000.0)
-        scen.name = "membership-vs-amnesia"
-        scen.emulation = {
-            **scen.emulation,
-            "fault_plan": [
-                {"kind": "replica-crash", "at": 2000.0, "replica": 1},
-                {"kind": "replica-recover", "at": 2600.0, "replica": 1},
-            ],
-        }
+        base = membership_churn(n=3, horizon=8000.0)
+        scen = replace(
+            base,
+            name="membership-vs-amnesia",
+            emulation={
+                **base.emulation,
+                "fault_plan": [
+                    {"kind": "replica-crash", "at": 2000.0, "replica": 1},
+                    {"kind": "replica-recover", "at": 2600.0, "replica": 1},
+                ],
+            },
+        )
         result = scen.run(ALGORITHMS["alg1"], seed=0)
         assert result.memory.recoveries > 0
         assert result.memory.resyncs > 0

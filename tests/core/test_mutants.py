@@ -38,7 +38,7 @@ class TestLemma5LeaderMustWriteForever:
 
     def test_control_keeps_pid0_leading(self, control_result):
         report = control_result.stabilization(margin=200.0)
-        assert report.stabilized and report.leader == 0
+        assert report.holds and report.leader == 0
 
     def test_muted_leader_is_demoted_at_followers(self, muted_result):
         """After the mute point, followers stop outputting 0."""
@@ -96,4 +96,4 @@ class TestLemma6EveryoneMustReadForever:
 
     def test_eventual_leadership_violated(self, blind_result):
         report = blind_result.stabilization(margin=200.0)
-        assert not report.stabilized
+        assert not report.holds

@@ -134,7 +134,7 @@ class TestAnalysisReuseAcrossSubstrates:
     def test_lease_on_mp_trace(self, mp_result):
         report = lease_intervals(mp_result.trace, length=200.0)
         stab = mp_result.stabilization(margin=200.0)
-        assert stab.stabilized
+        assert stab.holds
         assert report.holders_at(mp_result.horizon - 10.0) == [stab.leader]
 
 
@@ -142,7 +142,7 @@ class TestLeaseOnBoundedOmega:
     def test_unique_holder_after_stabilization(self):
         result = Run(BoundedOmega, n=3, seed=55, horizon=6000.0).execute()
         stab = result.stabilization(margin=300.0)
-        assert stab.stabilized
+        assert stab.holds
         report = lease_intervals(result.trace, length=200.0)
         assert report.holders_at(result.horizon - 10.0) == [stab.leader]
 

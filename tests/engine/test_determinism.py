@@ -13,7 +13,6 @@ from repro.core.variants import StepCounterOmega
 from repro.engine import ExperimentSpec, run_experiment
 from repro.engine.worker import execute_cell, run_cell
 from repro.workloads.scenarios import leader_crash, nominal
-from repro.workloads.sweep import run_matrix
 
 ALGOS = {"alg1": WriteEfficientOmega, "step": StepCounterOmega}
 SCENARIOS = [nominal(n=3, horizon=1500.0), leader_crash(n=3, horizon=2000.0)]
@@ -44,12 +43,22 @@ class TestDeterminism:
         assert outcome.ok
         assert outcome.summary.canonical_json() == run_cell(cell).canonical_json()
 
-    def test_run_matrix_vs_engine_grid(self):
-        legacy_style = run_matrix(ALGOS, SCENARIOS, SEEDS, jobs=1)
+    def test_in_process_vs_engine_grid(self):
+        """The whole grid, in the spec's scenario-major order: in-process
+        ``Scenario.run`` + ``summarize`` vs the engine's worker pool."""
+        in_process = []
+        for scen in SCENARIOS:
+            for label, cls in ALGOS.items():
+                for seed in SEEDS:
+                    row = scen.run(cls, seed=seed).summarize(
+                        scenario_name=scen.name,
+                        margin=scen.margin,
+                        assumption=scen.assumption,
+                    )
+                    row.algorithm = label
+                    in_process.append(row.canonical_json())
         engine = run_experiment(_spec(), jobs=2, cache=False)
-        assert [r.canonical_json() for r in legacy_style] == [
-            r.canonical_json() for r in engine.rows
-        ]
+        assert in_process == [r.canonical_json() for r in engine.rows]
 
     def test_repeated_execution_is_stable(self):
         cell = _spec().cells()[3]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core.algorithm1 import WriteEfficientOmega
@@ -39,6 +41,23 @@ class TestRefs:
         bare = Scenario(name="bare", n=3, horizon=100.0)
         with pytest.raises(ValueError, match="factory ref"):
             ExperimentSpec.from_objects("t", {"alg1": WriteEfficientOmega}, [bare], [0])
+
+    def test_scenario_fields_cannot_be_assigned(self):
+        # A ref always describes its scenario because nothing can change
+        # the scenario after the factory built it.
+        scen = nominal(n=3)
+        with pytest.raises(FrozenInstanceError):
+            scen.n = 4  # type: ignore[misc]
+        assert scen.n == 3 and scen.ref == ("nominal", {"n": 3, "horizon": 4000.0})
+
+    def test_replaced_scenario_has_no_ref(self):
+        assert replace(nominal(n=3), n=4).ref is None
+
+    def test_replaced_scenario_rejected(self):
+        altered = replace(nominal(n=3), n=4)
+        with pytest.raises(ValueError, match="has no factory ref") as info:
+            ExperimentSpec.from_objects("t", {"alg1": WriteEfficientOmega}, [altered], [0])
+        assert len(str(info.value).splitlines()) == 1
 
 
 class TestGrid:

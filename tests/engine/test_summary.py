@@ -118,12 +118,12 @@ def test_a_crash_planned_beyond_the_horizon_never_happened():
 
     report = result.stabilization()
     props = result.check_properties(window=5.0)
-    assert not report.stabilized and report.leader is None
+    assert not report.holds and report.leader is None
     assert not props.verdict(1).holds and "disagree" in props.verdict(1).detail
     assert result.final_leaders() == report.final_by_pid == {0: 0, 1: 1}
     assert props.measured[0].final_by_pid == {0: 0, 1: 1}
 
     # A crash at or before the horizon did happen: p1's samples stop counting.
     crashed = hand_built_result([], samples, CrashPlan.single(2, 1, 20.0), horizon=20.0)
-    assert crashed.stabilization().stabilized and crashed.final_leaders() == {0: 0}
+    assert crashed.stabilization().holds and crashed.final_leaders() == {0: 0}
     assert crashed.check_properties(window=5.0).measured[0].holds

@@ -13,6 +13,8 @@ every audit rule while breaking Theorem 1.  Two mechanisms close it:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.memory.linearizability import OpRecord, check_atomic_history, check_regular_history
 from repro.netsim.network import PartitionScheduleLinks
 from repro.workloads.registry import ALGORITHMS
@@ -79,16 +81,16 @@ class TestEndToEndDetection:
         """Pin the division of labour: corruption never touches the
         timestamps (the trailing payload element is the value), so every
         audit violation comes from the value cross-check."""
-        scen = nominal_emulated(n=4, links="corruption")
-        scen.emulation = {**scen.emulation, "record_history": True}
+        base = nominal_emulated(n=4, links="corruption")
+        scen = replace(base, emulation={**base.emulation, "record_history": True})
         result = scen.run(ALGORITHMS["alg1"], seed=0)
         audit = result.audit_consistency()
         assert audit is not None and not audit.ok
         assert {v.rule for v in audit.violations} == {"value-corruption"}
 
     def test_clean_fabric_has_zero_integrity_violations(self):
-        scen = nominal_emulated(n=4)
-        scen.emulation = {**scen.emulation, "record_history": True}
+        base = nominal_emulated(n=4)
+        scen = replace(base, emulation={**base.emulation, "record_history": True})
         result = scen.run(ALGORITHMS["alg1"], seed=0)
         assert result.memory.integrity_violations == 0
         audit = result.audit_consistency()

@@ -29,7 +29,7 @@ class TestTSourceOmega:
 
     def test_stabilizes_on_the_source(self, result):
         report = result.stabilization(margin=200.0)
-        assert report.stabilized
+        assert report.holds
         assert report.leader == 0
 
     def test_validity(self, result):
@@ -67,7 +67,7 @@ class TestTSourceOmega:
             crash_plan=CrashPlan.single(4, 0, 2000.0),
         ).execute()
         report = result.stabilization(margin=200.0)
-        assert report.stabilized
+        assert report.holds
         assert report.leader == 1
 
     def test_without_source_still_valid_and_often_lucky(self):
@@ -89,7 +89,7 @@ class TestTSourceOmega:
         ).execute()
         assert check_validity(result.trace, result.n)
         report = result.stabilization(margin=200.0)
-        if report.stabilized:
+        if report.holds:
             assert report.leader_correct
         # False accusations did happen (the channel is lossy)...
         assert any(max(p.accusations) > 0 for p in result.processes)
@@ -116,7 +116,7 @@ class TestPatternOmega:
 
     def test_stabilizes_on_the_winner(self, result):
         report = result.stabilization(margin=200.0)
-        assert report.stabilized
+        assert report.holds
         assert report.leader == 0
 
     def test_time_free_no_timers_used(self, result):
@@ -147,16 +147,16 @@ class TestCrossModelComparison:
         from repro.workloads.scenarios import awb_only
 
         shm = awb_only(n=4).run(WriteEfficientOmega, seed=5)
-        assert shm.stabilization(margin=100.0).stabilized
+        assert shm.stabilization(margin=100.0).holds
 
         ts = MpRun(
             TSourceOmega, n=4, seed=1, horizon=4000.0, behavior=tsource_behavior(1, {0})
         ).execute()
-        assert ts.stabilization(margin=200.0).stabilized
+        assert ts.stabilization(margin=200.0).holds
 
         rng = RngRegistry(2)
         pat = MpRun(
             PatternOmega, n=4, seed=2, horizon=4000.0,
             behavior=pattern_friendly_links(rng, winner=0),
         ).execute()
-        assert pat.stabilization(margin=200.0).stabilized
+        assert pat.stabilization(margin=200.0).holds

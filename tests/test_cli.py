@@ -375,6 +375,8 @@ class TestCommands:
               "--membership", "churn"],
              "--membership is an emulated-backend axis but these cells run the shared "
              "backend: ['nominal-emulated-n4']"),
+            (["compare", "--scenario", "nominal", "--horizon", "300"],
+             "horizon too short for the requested windows"),
         ],
     )
     def test_bad_search_numbers_are_refused_before_anything_runs(

@@ -1,4 +1,11 @@
-"""The sweep driver."""
+"""An (algorithm x scenario x seed) grid of scenarios, and the scenarios
+that cannot join one.
+
+Factory-built scenarios run as a grid through the engine
+(:func:`repro.engine.driver.run_experiment`); a hand-built scenario or a
+``dataclasses.replace`` copy has no factory ref, so the engine refuses
+it and it runs in-process (``scenario.run(...).summarize(...)``).
+"""
 
 from __future__ import annotations
 
@@ -6,19 +13,30 @@ import dataclasses
 
 import pytest
 
+from repro.cli import SWEEP_HEADERS, _sweep_cells
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.variants import StepCounterOmega
+from repro.engine import ExperimentSpec, run_experiment
+from repro.workloads.registry import build_scenario
 from repro.workloads.scenarios import Scenario, nominal
-from repro.workloads.sweep import SweepRow, run_matrix, stabilization_rate, summarize_result
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_matrix(
+    spec = ExperimentSpec.from_objects(
+        "grid",
         {"alg1": WriteEfficientOmega, "step": StepCounterOmega},
         [nominal(n=3, horizon=1500.0)],
-        seeds=[0, 1],
+        [0, 1],
         window=100.0,
+    )
+    return run_experiment(spec, jobs=1, cache=False).rows
+
+
+def _in_process(scen, seed=0):
+    """One cell run and summarized in-process."""
+    return scen.run(WriteEfficientOmega, seed=seed).summarize(
+        scenario_name=scen.name, margin=scen.margin, assumption=scen.assumption
     )
 
 
@@ -30,8 +48,7 @@ class TestRunMatrix:
         assert {r.algorithm for r in rows} == {"alg1", "step"}
 
     def test_all_stabilize_nominal(self, rows):
-        stab, total = stabilization_rate(rows)
-        assert (stab, total) == (4, 4)
+        assert sum(r.stabilized for r in rows) == len(rows) == 4
 
     def test_rows_carry_census(self, rows):
         for row in rows:
@@ -42,46 +59,22 @@ class TestRunMatrix:
 
     def test_cells_match_headers(self, rows):
         for row in rows:
-            assert len(row.cells()) == len(SweepRow.headers())
+            assert len(_sweep_cells(row)) == len(SWEEP_HEADERS)
 
 
 class TestMutatedScenario:
     def test_post_construction_mutation_is_honored(self):
-        # A mutated factory scenario no longer matches its ref; the
-        # matrix must run the *live* object, not a stale rebuild.
-        scen = nominal(n=4, horizon=1500.0)
-        scen.n = 3
-        rows = run_matrix({"alg1": WriteEfficientOmega}, [scen], seeds=[0])
-        assert [row.n for row in rows] == [3]
+        # A scenario is frozen; its altered copy drops the factory ref,
+        # so no stale rebuild can stand in for it, and running the copy
+        # honors the altered field.
+        scen = dataclasses.replace(nominal(n=4, horizon=1500.0), n=3)
+        assert scen.ref is None
+        assert _in_process(scen).n == 3
 
     def test_handbuilt_scenario_runs_in_process(self):
-        from repro.workloads.scenarios import Scenario
-
         bare = Scenario(name="bare", n=3, horizon=1000.0)
-        rows = run_matrix({"alg1": WriteEfficientOmega}, [bare], seeds=[0])
-        assert len(rows) == 1 and rows[0].scenario == "bare"
-
-    def test_mixed_matrix_keeps_engine_for_faithful_scenarios(self, tmp_path):
-        # One hand-built scenario must not disable caching/parallelism
-        # for the factory scenarios around it.
-        from repro.workloads.scenarios import Scenario
-
-        factory_scen = nominal(n=3, horizon=1500.0)
-        bare = Scenario(name="bare", n=3, horizon=1000.0)
-        mixed = [factory_scen, bare, nominal(n=3, horizon=1500.0)]
-        rows = run_matrix(
-            {"alg1": WriteEfficientOmega}, mixed, seeds=[0], cache=True,
-            results_dir=tmp_path,
-        )
-        assert [r.scenario for r in rows] == ["nominal-n3", "bare", "nominal-n3"]
-        # The factory cells were cached (one spec file exists)...
-        assert list(tmp_path.glob("*.jsonl"))
-        # ...and a re-run reproduces the same rows in the same order.
-        again = run_matrix(
-            {"alg1": WriteEfficientOmega}, mixed, seeds=[0], cache=True,
-            results_dir=tmp_path,
-        )
-        assert [r.canonical_json() for r in again] == [r.canonical_json() for r in rows]
+        row = _in_process(bare)
+        assert row.scenario == "bare" and row.n == 3
 
 
 def _mutated(field):
@@ -102,9 +95,16 @@ def _mutated(field):
 
 class TestRefIsFaithful:
     def test_untouched_factory_scenario_is_faithful(self):
-        from repro.workloads.sweep import _ref_is_faithful
-
-        assert _ref_is_faithful(nominal(n=3, horizon=1500.0))
+        # The ref rebuilds the same scenario (the make_* closures cannot
+        # be compared, so only their presence is).
+        scen = nominal(n=3, horizon=1500.0)
+        rebuilt = build_scenario(*scen.ref)
+        for field in dataclasses.fields(Scenario):
+            mine, theirs = getattr(scen, field.name), getattr(rebuilt, field.name)
+            if callable(mine) or callable(theirs):
+                assert (mine is None) == (theirs is None), field.name
+            else:
+                assert mine == theirs, field.name
 
     @pytest.mark.parametrize(
         "field",
@@ -112,18 +112,21 @@ class TestRefIsFaithful:
         ids=lambda f: f.name,
     )
     def test_mutating_any_field_flips_the_verdict(self, field):
-        from repro.workloads.sweep import _ref_is_faithful
-
+        # Whatever field a copy changes, the copy has no ref, and the
+        # engine's verdict on it flips from accepted to refused.
         scen = nominal(n=3, horizon=1500.0)
-        setattr(scen, field.name, _mutated(field))
-        assert not _ref_is_faithful(scen)
+        ExperimentSpec.from_objects("t", {"alg1": WriteEfficientOmega}, [scen], [0])
+        changed = dataclasses.replace(scen, **{field.name: _mutated(field)})
+        assert changed.ref is None
+        with pytest.raises(ValueError, match="has no factory ref"):
+            ExperimentSpec.from_objects("t", {"alg1": WriteEfficientOmega}, [changed], [0])
 
 
 class TestSummarizeResult:
     def test_summary_fields(self):
         scen = nominal(n=3, horizon=1500.0)
         result = scen.run(WriteEfficientOmega, seed=3)
-        row = summarize_result(result, scen)
+        row = result.summarize(scenario_name=scen.name)
         assert row.n == 3
         assert row.seed == 3
         assert row.scenario == scen.name
