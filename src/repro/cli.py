@@ -949,6 +949,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv`` and dispatch to the selected subcommand."""
     args = build_parser().parse_args(argv)
+    jobs = getattr(args, "jobs", None)  # sweep, check and fuzz have --jobs
+    if jobs is not None and jobs < 0:
+        # The engine reads any jobs <= 0 as "one per CPU"; the flag
+        # promises that for omitted or 0 only.
+        print(f"repro {args.command}: error: jobs must be >= 0, got {jobs}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

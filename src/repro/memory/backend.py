@@ -68,9 +68,11 @@ class MemoryBackend(Protocol):
       algorithm's ``create_shared``;
     * **accounting hooks** -- ``_count_read`` / ``_count_write``, invoked
       by the register objects on every counted access.  ``_count_read``
-      is hook-swapped at construction time when ``log_reads`` is false
-      (the PR 3 no-log fast path), so backends must route reads through
-      the *instance attribute*, never the class method;
+      is picked once at construction time: with ``log_reads`` it also
+      appends the read to the columnar read log (time, pid and register
+      name columns, no record object), without it only the per-pid
+      counters move.  Backends must therefore route reads through the
+      *instance attribute*, never the class method;
     * **window queries and censuses** -- the write index the
       Theorem 3/4 verdicts and the write-statistics views query after
       a run;

@@ -12,11 +12,19 @@ checkable statements:
   log;
 * *Theorem 5*'s bounded-memory adversary needs global state snapshots to
   detect recurring memory states -- :meth:`SharedMemory.snapshot`.
+
+Writes are few and their consumers walk whole records, so the write log
+is a list of :class:`WriteRecord`.  Reads outnumber writes by an order
+of magnitude and their one consumer (the Lemma 6 census) needs only the
+readers' pids, so the read log is kept as three parallel columns --
+times, pids and register names -- and a :class:`ReadRecord` is built
+only when a query asks for records.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -56,6 +64,13 @@ class ReadRecord:
 class SharedMemory:
     """Namespace of registers plus the run's access log.
 
+    The write log is a list of records (:attr:`write_log`).  The read
+    log is three parallel columns appended by the logged read hook --
+    ``array('d')`` times, ``array('q')`` pids and a list of register
+    names -- so a traced read allocates no object.  :attr:`read_log`
+    and :meth:`reads_in` build :class:`ReadRecord` objects on demand;
+    :meth:`readers_in` slices the pid column directly.
+
     Parameters
     ----------
     clock:
@@ -75,9 +90,11 @@ class SharedMemory:
         self.log_reads = log_reads
 
         self.write_log: List[WriteRecord] = []
-        self.read_log: List[ReadRecord] = []
         self._write_times: List[float] = []  # parallel to write_log, for bisect
-        self._read_times: List[float] = []
+        # The read log, one column per ReadRecord field (times for bisect).
+        self._read_times = array("d")
+        self._read_pids = array("q")
+        self._read_names: List[str] = []
 
         self.reads_by_pid: Dict[int, int] = {}
         self.writes_by_pid: Dict[int, int] = {}
@@ -163,8 +180,9 @@ class SharedMemory:
         reads = self.reads_by_pid
         reads[pid] = reads.get(pid, 0) + 1
         self.last_read_time_by_pid[pid] = now
-        self.read_log.append(ReadRecord(now, pid, name))
         self._read_times.append(now)
+        self._read_pids.append(pid)
+        self._read_names.append(name)
 
     def _count_read_fast(self, name: str, pid: int) -> None:
         """The low-overhead mode: aggregate counters only, no log."""
@@ -188,21 +206,37 @@ class SharedMemory:
         hi = bisect.bisect_left(self._write_times, t1)
         return self.write_log[lo:hi]
 
-    def reads_in(self, t0: float, t1: float) -> List[ReadRecord]:
-        """Read records with ``t0 <= time < t1`` (needs ``log_reads``)."""
+    @property
+    def read_log(self) -> List[ReadRecord]:
+        """Every logged read as a record, in log order (a fresh list;
+        empty when ``log_reads`` is off)."""
+        return self._read_records(0, len(self._read_names))
+
+    def _read_records(self, lo: int, hi: int) -> List[ReadRecord]:
+        """Rows ``lo:hi`` of the read columns, as records."""
+        return list(
+            map(ReadRecord, self._read_times[lo:hi], self._read_pids[lo:hi], self._read_names[lo:hi])
+        )
+
+    def _read_window(self, t0: float, t1: float) -> Tuple[int, int]:
+        """Row bounds of ``[t0, t1)`` in the read columns (needs ``log_reads``)."""
         if not self.log_reads:
             raise RuntimeError("read logging is disabled for this run")
-        lo = bisect.bisect_left(self._read_times, t0)
-        hi = bisect.bisect_left(self._read_times, t1)
-        return self.read_log[lo:hi]
+        times = self._read_times
+        return bisect.bisect_left(times, t0), bisect.bisect_left(times, t1)
+
+    def reads_in(self, t0: float, t1: float) -> List[ReadRecord]:
+        """Read records with ``t0 <= time < t1`` (needs ``log_reads``)."""
+        return self._read_records(*self._read_window(t0, t1))
 
     def writers_in(self, t0: float, t1: float) -> FrozenSet[int]:
         """Pids that wrote at least once in ``[t0, t1)``."""
         return frozenset(rec.pid for rec in self.writes_in(t0, t1))
 
     def readers_in(self, t0: float, t1: float) -> FrozenSet[int]:
-        """Pids that read at least once in ``[t0, t1)``."""
-        return frozenset(rec.pid for rec in self.reads_in(t0, t1))
+        """Pids that read at least once in ``[t0, t1)`` (needs ``log_reads``)."""
+        lo, hi = self._read_window(t0, t1)
+        return frozenset(self._read_pids[lo:hi])
 
     def registers_written_in(self, t0: float, t1: float) -> FrozenSet[str]:
         """Names of registers written in ``[t0, t1)``."""

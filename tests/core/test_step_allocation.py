@@ -3,9 +3,10 @@
 Both paper algorithms build one ``ReadReg`` per register when
 ``create_shared`` lays the registers out; task T1's column reads, T3's
 ``STOP`` / ``PROGRESS`` reads and Algorithm 2's ``LAST`` reads yield
-those objects.  Constructions are counted by code object through
-``cProfile.getstats()`` -- ``pstats`` would file the dataclass
-``__init__`` under a shared ``<string>`` row.
+those objects.  A traced run's read log is columnar, so a logged read
+builds no ``ReadRecord`` either.  Constructions are counted by code
+object through ``cProfile.getstats()`` -- ``pstats`` would file the
+dataclass ``__init__`` under a shared ``<string>`` row.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import pytest
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.interfaces import ReadReg
-from repro.workloads.scenarios import nominal
+from repro.memory.memory import ReadRecord
+from repro.workloads.scenarios import nominal, nominal_emulated
 
 N = 4
 
 
-def read_reg_constructions(profile: cProfile.Profile) -> int:
-    """How many ``ReadReg`` objects the profiled code built."""
-    init = ReadReg.__init__.__code__
+def constructions(profile: cProfile.Profile, cls: type) -> int:
+    """How many ``cls`` objects the profiled code built."""
+    init = cls.__init__.__code__
     return sum(entry.callcount for entry in profile.getstats() if entry.code is init)
 
 
@@ -46,12 +48,32 @@ def test_a_fast_shared_run_builds_no_read_op_after_setup(algorithm):
     build = cProfile.Profile()
     run = build.runcall(nominal(n=N, horizon=500.0).build, algorithm, seed=0, log_reads=False, trace_events=False)
     # The layout built its reads (the counter sees them) ...
-    assert read_reg_constructions(build) >= N * N
+    assert constructions(build, ReadReg) >= N * N
     execute = cProfile.Profile()
     result = execute.runcall(run.execute)
     # ... and thousands of read steps later there is not one more.
     assert sum(result.memory.reads_by_pid.values()) > 1000
-    assert read_reg_constructions(execute) == 0
+    assert constructions(execute, ReadReg) == 0
+
+
+@pytest.mark.parametrize(
+    "scenario, algorithm",
+    [
+        (nominal(n=N, horizon=500.0), WriteEfficientOmega),
+        (nominal(n=N, horizon=500.0), BoundedOmega),
+        (nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega),
+    ],
+    ids=["shared-alg1", "shared-alg2", "emulated-alg1"],
+)
+def test_a_traced_run_builds_no_read_record(scenario, algorithm):
+    run = scenario.build(algorithm, seed=0)
+    assert run.memory.log_reads
+    execute = cProfile.Profile()
+    result = execute.runcall(run.execute)
+    # Every read went into the log's columns ...
+    assert len(result.memory.read_log) > 500
+    # ... and not one of them as a record while the run was executing.
+    assert constructions(execute, ReadRecord) == 0
 
 
 @pytest.mark.parametrize("algorithm", [WriteEfficientOmega, BoundedOmega], ids=["alg1", "alg2"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.memory import SharedMemory
+from repro.memory.memory import ReadRecord, SharedMemory
 
 
 class FakeClock:
@@ -106,6 +106,9 @@ class TestAccessAccounting:
         assert memory.reads_by_pid == {1: 1}
         with pytest.raises(RuntimeError):
             memory.reads_in(0.0, 1.0)
+        # An empty reader set would read as "Lemma 6 violated".
+        with pytest.raises(RuntimeError):
+            memory.readers_in(0.0, 1.0)
 
     def test_critical_flag_in_write_log(self, memory):
         reg = memory.create_register("C", owner=0, critical=True)
@@ -198,3 +201,62 @@ class TestWindowQueryProperty:
         left = memory.writes_in(0.0, mid)
         right = memory.writes_in(mid, 101.0)
         assert len(left) + len(right) == len(times)
+
+
+#: One access: (time step, "read" | "write" | "fetch-add", pid, register).
+#: Zero steps give equal-time runs, as a simulator batch does.
+ACCESSES = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.25]),
+        st.sampled_from(["read", "read", "write", "fetch-add"]),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(["A", "B", "M"]),
+    ),
+    max_size=60,
+)
+
+
+class TestColumnarReadLog:
+    """The read columns answer every query as a plain record list would."""
+
+    @staticmethod
+    def _replay(accesses):
+        """Apply ``accesses`` to a fresh memory; return it with the
+        reference read log built from plain records."""
+        clock = FakeClock()
+        memory = SharedMemory(clock=clock)
+        registers = {
+            "A": memory.create_register("A", owner=None),
+            "B": memory.create_register("B", owner=None),
+            "M": memory.create_mwmr("M"),
+        }
+        reference = []
+        for step, kind, pid, name in accesses:
+            clock.now += step
+            register = registers[name]
+            if kind == "write":
+                register.write(pid, clock.now)
+                continue
+            if kind == "read" or name != "M":
+                register.read(pid)
+            else:
+                register.fetch_add(pid)
+            reference.append(ReadRecord(clock.now, pid, name))
+        return memory, reference
+
+    @given(ACCESSES, st.data())
+    def test_queries_match_a_record_list(self, accesses, data):
+        memory, reference = self._replay(accesses)
+        assert memory.read_log == reference
+        assert memory.read_log is not memory.read_log  # a fresh list each time
+        times = [rec.time for rec in reference] or [0.0]
+        bound = st.one_of(
+            st.sampled_from(times), st.floats(min_value=-5.0, max_value=max(times) + 5.0)
+        )
+        windows = st.one_of(st.tuples(bound, bound), bound.map(lambda t: (t, t)))
+        for t0, t1 in data.draw(st.lists(windows, min_size=1, max_size=8)):
+            expected = [rec for rec in reference if t0 <= rec.time < t1]
+            assert memory.reads_in(t0, t1) == expected
+            assert memory.readers_in(t0, t1) == frozenset(rec.pid for rec in expected)
+            if t0 >= t1:
+                assert expected == []

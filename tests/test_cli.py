@@ -377,6 +377,11 @@ class TestCommands:
              "backend: ['nominal-emulated-n4']"),
             (["compare", "--scenario", "nominal", "--horizon", "300"],
              "horizon too short for the requested windows"),
+            # The engine takes any jobs <= 0 for "one per CPU"; --jobs
+            # promises that for omitted or 0 only.
+            (["sweep", "--scenarios", "nominal", "--jobs", "-1"], "jobs must be >= 0, got -1"),
+            (["check", "--jobs", "-1"], "jobs must be >= 0, got -1"),
+            (["fuzz", "--budget", "1", "--jobs", "-2"], "jobs must be >= 0, got -2"),
         ],
     )
     def test_bad_search_numbers_are_refused_before_anything_runs(
