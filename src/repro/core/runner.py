@@ -1,9 +1,12 @@
 """Run assembly: algorithm + kernel + memory + timers + crash plan.
 
 A :class:`Run` wires one algorithm class into the substrates and drives
-it to a horizon; the outcome is a :class:`RunResult` bundling the trace,
-the shared-memory access log, and everything the analysis layer needs.
-Every run is a pure function of its configuration and seed.
+it to a horizon; the outcome is a :class:`RunResult` bundling the
+observer's leader samples, the shared-memory access log, and everything
+the analysis layer needs.  Each fact is recorded once: leader samples in
+the :class:`~repro.sim.tracing.RunTrace`, timer armings in each timer
+behaviour's history, crashes in the run's crash plan (cut to the
+horizon).  Every run is a pure function of its configuration and seed.
 
 Execution model
 ---------------
@@ -136,11 +139,6 @@ class ProcessRuntime:
         if self.crashed:
             return
         self.timer_expirations += 1
-        handle = self.run.timer_service.active_timer(self.pid)
-        if handle is not None:
-            self.run.trace.record_timer_fired(
-                self._sim._now, self.pid, handle.fires_at - handle.set_at
-            )
         gen = self.algorithm.timer_task()
         if gen is not None:
             self.tasks.append(_TaskState(gen, "T3"))
@@ -199,9 +197,7 @@ class ProcessRuntime:
         task.inbox = op.register.fetch_add(self.pid, op.amount)
 
     def _op_set_timer(self, task: _TaskState, op: SetTimer) -> None:
-        run = self.run
-        run.timer_service.set_timer(self.pid, op.timeout, self.on_timer)
-        run.trace.record_timer_set(self._sim._now, self.pid, op.timeout)
+        self.run.timer_service.set_timer(self.pid, op.timeout, self.on_timer)
 
     # ------------------------------------------------------------------
     # Interval handlers (disk accesses and ABD quorum phases alike)
@@ -244,7 +240,13 @@ class ProcessRuntime:
 # ----------------------------------------------------------------------
 @dataclass
 class RunResult:
-    """Everything a finished run produced."""
+    """Everything a finished run produced.
+
+    ``trace`` holds the observer's leader samples; the timers' realized
+    durations are in ``timer_service.behavior(pid).history``; and
+    ``crash_plan`` holds exactly the crashes that happened, those
+    planned at or before ``horizon``.
+    """
 
     algorithm_name: str
     n: int
@@ -386,7 +388,9 @@ class Run:
         Per-pid timer behaviours; default is an immediately
         well-behaved AWB timer with ``f(x) = x`` (no chaotic prefix).
     crash_plan:
-        Defaults to fault-free.
+        Defaults to fault-free.  A crash planned beyond ``horizon``
+        never happens, so the run keeps only the crashes at or before
+        it: its pid is correct for every verdict.
     sample_interval:
         Observer ``leader()`` sampling period.
     snapshot_interval:
@@ -472,7 +476,7 @@ class Run:
             emulation=emulation,
         )
         self.delay_model: StepDelayModel = delay_model or UniformDelay(self.rng, 0.5, 1.5)
-        self.crash_plan = crash_plan or CrashPlan.none(n)
+        self.crash_plan = (crash_plan or CrashPlan.none(n)).until(horizon)
         self.trace = RunTrace()
         config = dict(algo_config or {})
 
@@ -502,16 +506,8 @@ class Run:
 
     # ------------------------------------------------------------------
     def _install_crashes(self) -> None:
-        for pid in range(self.n):
-            t = self.crash_plan.crash_time(pid)
-            if t <= self.horizon:
-                runtime = self.runtimes[pid]
-
-                def crash(rt: ProcessRuntime = runtime, when: float = t) -> None:
-                    rt.crash()
-                    self.trace.record(when, "crash", pid=rt.pid)
-
-                self.sim.schedule_at(t, crash, kind="crash", pid=pid)
+        for pid, t in sorted(self.crash_plan.crash_times.items()):
+            self.sim.schedule_at(t, self.runtimes[pid].crash, kind="crash", pid=pid)
 
     def _sample(self) -> None:
         now = self.sim.now

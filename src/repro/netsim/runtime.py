@@ -8,7 +8,9 @@ matters lives in the *channels* (that is precisely the [2] model, where
 process speeds are benign and links carry the timing assumption).
 
 Crash-stop semantics, observer sampling and determinism mirror the
-shared-memory runner, so the same analysis code consumes both.
+shared-memory runner, so the same analysis code consumes both: the
+trace holds the leader samples, the crash plan (cut to the horizon) the
+crashes.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class MpRun:
         self.rng = RngRegistry(seed)
         self.sim = Simulator()
         self.network = Network(self.sim, behavior or TimelyLinks(self.rng))
-        self.crash_plan = crash_plan or CrashPlan.none(n)
+        self.crash_plan = (crash_plan or CrashPlan.none(n)).until(horizon)
         self.sample_interval = sample_interval
         self.trace = RunTrace()
         cfg = dict(config or {})
@@ -155,15 +157,12 @@ class MpRun:
             self.processes[message.receiver].on_message(message)
 
     def _install_crashes(self) -> None:
-        for pid in range(self.n):
-            t = self.crash_plan.crash_time(pid)
-            if t <= self.horizon:
+        for pid, t in sorted(self.crash_plan.crash_times.items()):
 
-                def crash(p: int = pid, when: float = t) -> None:
-                    self._crashed[p] = True
-                    self.trace.record(when, "crash", pid=p)
+            def crash(p: int = pid) -> None:
+                self._crashed[p] = True
 
-                self.sim.schedule_at(t, crash, kind="crash", pid=pid)
+            self.sim.schedule_at(t, crash, kind="crash", pid=pid)
 
     def _sample(self) -> None:
         now = self.sim.now

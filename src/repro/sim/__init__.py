@@ -28,7 +28,7 @@ Modules
     Named, seeded random streams so independent components never share a
     random sequence.
 ``tracing``
-    Structured run traces (leader samples, custom records).
+    The run trace: the observer's leader samples.
 """
 
 from repro.sim.crash import CrashPlan
@@ -44,7 +44,7 @@ from repro.sim.schedulers import (
     StepDelayModel,
     UniformDelay,
 )
-from repro.sim.tracing import RunTrace, TraceRecord
+from repro.sim.tracing import RunTrace
 
 __all__ = [
     "AdversarialStallDelay",
@@ -58,6 +58,5 @@ __all__ = [
     "RunTrace",
     "Simulator",
     "StepDelayModel",
-    "TraceRecord",
     "UniformDelay",
 ]

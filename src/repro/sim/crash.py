@@ -68,6 +68,11 @@ class CrashPlan:
         """Processes that have not crashed at ``now``."""
         return frozenset(p for p in range(self.n) if not self.is_crashed(p, now))
 
+    def until(self, horizon: float) -> "CrashPlan":
+        """The crashes that happen in a run ending at ``horizon``: a
+        crash planned beyond it never happens, so its pid is correct."""
+        return CrashPlan(self.n, {p: t for p, t in self.crash_times.items() if t <= horizon})
+
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------

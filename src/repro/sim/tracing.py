@@ -1,201 +1,33 @@
-"""Structured run traces.
+"""The run trace: the observer's leader samples.
 
-A :class:`RunTrace` is an append-only log of typed records produced
-during a run: periodic leader samples, step counts, crash notifications,
-and any custom record an experiment wants.  The analysis layer
-(:mod:`repro.analysis`) consumes traces; the runner only produces them.
-
-Storage is split by temperature.  The *hot* kinds -- ``leader_sample``,
-``timer_set`` and ``timer_fired``, the ones recorded inside the
-simulation loop -- are stored as plain scalar row tuples in per-kind
-columns (one small tuple per record, no per-record dataclass and no
-field dict); :class:`TraceRecord` objects for them are materialized
-lazily, and only if somebody asks through the generic query API.  Every
-other kind is stored as a :class:`TraceRecord` directly.  The common
-queries (:meth:`RunTrace.leader_samples` and friends) read the columns
-without copying.
+A :class:`RunTrace` is the append-only log of ``(time, pid, leader)``
+rows the observer writes as it samples every live process's
+``leader()`` output -- the one record Theorem 1's verdict, the
+timelines and the analysis layer (:mod:`repro.analysis`) read.  The
+runner only produces it.  Other facts of a run are recorded once, where
+they are read: a timer's ``(tau, x, duration)`` history by its
+behaviour (:mod:`repro.timers.awb`), crashes by the run's
+:class:`~repro.sim.crash.CrashPlan`, register accesses by the memory's
+logs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
-
-#: Field names of the hot record kinds, in row order after ``time``.
-#: A hot row is the tuple ``(time, *fields)``.
-HOT_KINDS: Dict[str, Tuple[str, str]] = {
-    "leader_sample": ("pid", "leader"),
-    "timer_set": ("pid", "timeout"),
-    "timer_fired": ("pid", "duration"),
-}
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One trace entry: a timestamped, typed bag of fields."""
-
-    time: float
-    kind: str
-    fields: Mapping[str, Any]
-
-    def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Field lookup with a default, dict-style."""
-        return self.fields.get(key, default)
+from typing import Dict, List, Sequence, Tuple
 
 
 class RunTrace:
-    """Append-only, queryable log of trace records.
+    """Append-only, queryable log of observer leader samples."""
 
-    Record kinds used by the library:
-
-    ``leader_sample``
-        ``pid``, ``leader`` -- output of the observer ``peek_leader``.
-    ``crash``
-        ``pid`` -- the process crashed at this instant.
-    ``timer_set`` / ``timer_fired``
-        ``pid``, ``timeout`` / ``duration`` -- timer service activity.
-    ``leader_return``
-        ``pid``, ``leader``, ``ops`` -- a completed ``leader()``
-        invocation by the algorithm itself (used for the Termination
-        property and the op-count bound).
-    """
-
-    __slots__ = ("_rows", "_cold_by_kind", "_seq_kinds", "_seq_entries", "_hot_cache")
+    __slots__ = ("_samples",)
 
     def __init__(self) -> None:
-        #: kind -> list of hot rows ``(time, f0, f1)``.
-        self._rows: Dict[str, List[tuple]] = {kind: [] for kind in HOT_KINDS}
-        #: kind -> list of cold TraceRecords.
-        self._cold_by_kind: Dict[str, List[TraceRecord]] = {}
-        # Global insertion order: parallel lists of kind labels and
-        # entries (a hot row tuple or a TraceRecord).  Appending to them
-        # stores pointers only -- no per-record allocation.
-        self._seq_kinds: List[str] = []
-        self._seq_entries: List[Union[tuple, TraceRecord]] = []
-        #: kind -> materialized TraceRecord list for hot kinds (extended
-        #: incrementally; see :meth:`of_kind`).
-        self._hot_cache: Dict[str, List[TraceRecord]] = {}
-
-    def __len__(self) -> int:
-        return len(self._seq_entries)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        hot = HOT_KINDS
-        for kind, entry in zip(self._seq_kinds, self._seq_entries):
-            if entry.__class__ is tuple:  # hot row; materialize lazily
-                fields = hot[kind]
-                yield TraceRecord(
-                    time=entry[0],
-                    kind=kind,
-                    fields={fields[0]: entry[1], fields[1]: entry[2]},
-                )
-            else:
-                yield entry  # already a TraceRecord
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def record(self, time: float, kind: str, **fields: Any) -> Optional[TraceRecord]:
-        """Append a record.
-
-        Hot kinds with exactly their canonical fields are stored as
-        scalar rows and return ``None`` (no record object exists yet);
-        every other record is stored as a :class:`TraceRecord` and
-        returned.
-        """
-        hot = HOT_KINDS.get(kind)
-        if hot is not None and len(fields) == 2:
-            try:
-                row = (time, fields[hot[0]], fields[hot[1]])
-            except KeyError:
-                pass
-            else:
-                self._rows[kind].append(row)
-                self._seq_kinds.append(kind)
-                self._seq_entries.append(row)
-                return None
-        rec = TraceRecord(time=time, kind=kind, fields=fields)
-        self._cold_by_kind.setdefault(kind, []).append(rec)
-        self._seq_kinds.append(kind)
-        self._seq_entries.append(rec)
-        return rec
+        self._samples: List[Tuple[float, int, int]] = []
 
     def record_leader_sample(self, time: float, pid: int, leader: int) -> None:
-        """Hot path: append one observer sample (one tuple, no dict)."""
-        row = (time, pid, leader)
-        self._rows["leader_sample"].append(row)
-        self._seq_kinds.append("leader_sample")
-        self._seq_entries.append(row)
+        """Append one observer sample (one tuple, no dict)."""
+        self._samples.append((time, pid, leader))
 
-    def record_timer_set(self, time: float, pid: int, timeout: float) -> None:
-        """Hot path: append one ``timer_set`` row."""
-        row = (time, pid, timeout)
-        self._rows["timer_set"].append(row)
-        self._seq_kinds.append("timer_set")
-        self._seq_entries.append(row)
-
-    def record_timer_fired(self, time: float, pid: int, duration: float) -> None:
-        """Hot path: append one ``timer_fired`` row."""
-        row = (time, pid, duration)
-        self._rows["timer_fired"].append(row)
-        self._seq_kinds.append("timer_fired")
-        self._seq_entries.append(row)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def of_kind(self, kind: str) -> Sequence[TraceRecord]:
-        """All records of a kind, in time order.
-
-        Returns the internal sequence -- treat it as **read-only** (the
-        props checkers call this in loops; copying per call was the
-        dominant cost of replay).  Hot kinds are materialized into
-        :class:`TraceRecord` objects lazily, extending a per-kind cache
-        by however many rows appeared since the previous call.
-        """
-        hot = HOT_KINDS.get(kind)
-        if hot is None:
-            return self._cold_by_kind.get(kind, [])
-        if kind in self._cold_by_kind:
-            # Rare mixed case: somebody recorded a hot kind with
-            # non-canonical fields (stored as a cold TraceRecord).
-            # Rebuild from the global sequence to preserve order.
-            return [rec for rec in self if rec.kind == kind]
-        rows = self._rows[kind]
-        cache = self._hot_cache.get(kind)
-        if cache is None:
-            cache = self._hot_cache[kind] = []
-        if len(cache) < len(rows):
-            f0, f1 = hot
-            cache.extend(
-                TraceRecord(time=row[0], kind=kind, fields={f0: row[1], f1: row[2]})
-                for row in rows[len(cache):]
-            )
-        return cache
-
-    def last_of_kind(self, kind: str) -> Optional[TraceRecord]:
-        """Most recent record of a kind, or ``None``."""
-        hot = HOT_KINDS.get(kind)
-        if hot is None:
-            records = self._cold_by_kind.get(kind)
-            return records[-1] if records else None
-        if kind in self._cold_by_kind:
-            records = self.of_kind(kind)  # rare mixed case
-            return records[-1] if records else None
-        rows = self._rows[kind]
-        if not rows:
-            return None
-        row = rows[-1]
-        return TraceRecord(
-            time=row[0], kind=kind, fields={hot[0]: row[1], hot[1]: row[2]}
-        )
-
-    # ------------------------------------------------------------------
-    # Hot-row access (the most common queries; no copies)
-    # ------------------------------------------------------------------
     def leader_samples(self) -> Sequence[Tuple[float, int, int]]:
         """All ``(time, pid, leader)`` observer samples.
 
@@ -203,17 +35,12 @@ class RunTrace:
         Rows are in append order, which for a simulation-produced trace
         is also non-decreasing time order.
         """
-        return self._rows["leader_sample"]
-
-    def timer_rows(self, kind: str) -> Sequence[Tuple[float, int, float]]:
-        """``(time, pid, timeout|duration)`` rows of a timer kind
-        (read-only view of the internal list)."""
-        return self._rows[kind]
+        return self._samples
 
     def leader_samples_by_pid(self) -> Dict[int, List[Tuple[float, int]]]:
         """Per-process list of ``(time, leader)`` samples."""
         out: Dict[int, List[Tuple[float, int]]] = {}
-        for t, pid, leader in self._rows["leader_sample"]:
+        for t, pid, leader in self._samples:
             out.setdefault(pid, []).append((t, leader))
         return out
 
@@ -221,11 +48,11 @@ class RunTrace:
         """Distinct times at which leader samples were taken."""
         seen: List[float] = []
         last = None
-        for t, _, _ in self._rows["leader_sample"]:
+        for t, _, _ in self._samples:
             if t != last:
                 seen.append(t)
                 last = t
         return seen
 
 
-__all__ = ["HOT_KINDS", "RunTrace", "TraceRecord"]
+__all__ = ["RunTrace"]

@@ -34,7 +34,7 @@ from repro.timers.functions import (
     check_f2_divergence,
     check_f3_domination,
 )
-from repro.timers.service import TimerHandle, TimerService
+from repro.timers.service import TimerService
 
 __all__ = [
     "AccurateTimer",
@@ -46,7 +46,6 @@ __all__ = [
     "LogF",
     "SqrtF",
     "TimerBehavior",
-    "TimerHandle",
     "TimerService",
     "check_f1",
     "check_f2_divergence",

@@ -10,7 +10,9 @@ an era in which the duration always dominates a chosen ``f`` while still
 jittering non-monotonically above it.
 
 Every behaviour records its ``(tau, x, duration)`` history so (f3) can
-be checked post-run and the Figure 1 series regenerated.
+be checked post-run and the Figure 1 series regenerated.  That history
+is the one timer record of a run: neither the timer service nor the run
+trace keeps another.
 """
 
 from __future__ import annotations

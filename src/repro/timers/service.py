@@ -11,34 +11,19 @@ Re-arming must disarm the previous expiration, so timers ride the
 kernel's one cancellable path, the columnar
 :class:`~repro.sim.events.EventLane`: arming a timer stores its callback
 in the lane's preallocated payload column and gets back an integer token
--- no per-event handle allocation, O(1) cancellation via the lane's
-generation counters.
+-- the service keeps one token per pid, so arming allocates no handle
+and cancels in O(1) via the lane's generation counters.  The service
+records nothing: each behaviour's ``(tau, x, duration)`` history is the
+one timer record of a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict
 
 from repro.sim.events import EventLane
 from repro.sim.kernel import Simulator
 from repro.timers.awb import TimerBehavior
-
-
-@dataclass(slots=True)
-class TimerHandle:
-    """Reference to an armed timer; cancellable."""
-
-    pid: int
-    timeout: float
-    set_at: float
-    fires_at: float
-    _lane: EventLane
-    _token: int
-
-    def cancel(self) -> None:
-        """Disarm the timer (its callback will not run)."""
-        self._lane.cancel(self._token)
 
 
 class TimerService:
@@ -57,9 +42,8 @@ class TimerService:
     def __init__(self, sim: Simulator, behavior_for: Dict[int, TimerBehavior]) -> None:
         self._sim = sim
         self._behaviors = behavior_for
-        #: realized (set_at, timeout, duration) per pid -- Figure 1 data.
-        self.history_by_pid: Dict[int, List[Tuple[float, float, float]]] = {}
-        self._active: Dict[int, TimerHandle] = {}
+        #: pid -> lane token of its last armed timer (stale once fired).
+        self._tokens: Dict[int, int] = {}
         # Lane payloads are the timer callbacks themselves (consume=None
         # means "payload is a zero-arg callable; invoke it").
         self._lane = EventLane("timer", None)
@@ -68,44 +52,25 @@ class TimerService:
         """The behaviour model of ``pid`` (KeyError if none configured)."""
         return self._behaviors[pid]
 
-    def set_timer(self, pid: int, timeout: float, callback: Callable[[], None]) -> TimerHandle:
+    def set_timer(self, pid: int, timeout: float, callback: Callable[[], None]) -> None:
         """Arm (or re-arm) ``pid``'s timer to ``timeout``.
 
         Re-arming cancels any previously armed timer of the same
         process -- each process owns exactly one timer, as in the paper.
-        Returns the handle.
         """
-        previous = self._active.get(pid)
+        previous = self._tokens.get(pid)
         if previous is not None:
-            previous.cancel()
-        now = self._sim.now
-        duration = self._behaviors[pid].duration(pid, now, timeout)
+            self._lane.cancel(previous)
+        duration = self._behaviors[pid].duration(pid, self._sim.now, timeout)
         if duration <= 0:
             raise ValueError(f"behaviour produced non-positive duration {duration}")
-        self.history_by_pid.setdefault(pid, []).append((now, timeout, duration))
-        # Re-arming must disarm the previous event, so timers go through
-        # the columnar lane: cancellable, but allocation-free.
-        token = self._sim.schedule_lane_after(self._lane, duration, callback, pid=pid)
-        handle = TimerHandle(
-            pid=pid,
-            timeout=timeout,
-            set_at=now,
-            fires_at=now + duration,
-            _lane=self._lane,
-            _token=token,
-        )
-        self._active[pid] = handle
-        return handle
+        self._tokens[pid] = self._sim.schedule_lane_after(self._lane, duration, callback, pid=pid)
 
     def cancel(self, pid: int) -> None:
         """Disarm ``pid``'s timer if armed (used on crash)."""
-        handle = self._active.pop(pid, None)
-        if handle is not None:
-            handle.cancel()
-
-    def active_timer(self, pid: int) -> Optional[TimerHandle]:
-        """The currently armed timer of ``pid``, if any."""
-        return self._active.get(pid)
+        token = self._tokens.pop(pid, None)
+        if token is not None:
+            self._lane.cancel(token)
 
 
-__all__ = ["TimerHandle", "TimerService"]
+__all__ = ["TimerService"]

@@ -12,7 +12,7 @@ def trace_from(samples):
     """Build a trace from (time, pid, leader) triples."""
     trace = RunTrace()
     for t, pid, leader in samples:
-        trace.record(t, "leader_sample", pid=pid, leader=leader)
+        trace.record_leader_sample(t, pid, leader)
     return trace
 
 

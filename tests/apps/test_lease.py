@@ -13,7 +13,7 @@ from repro.sim.tracing import RunTrace
 def trace_from(samples):
     trace = RunTrace()
     for t, pid, leader in samples:
-        trace.record(t, "leader_sample", pid=pid, leader=leader)
+        trace.record_leader_sample(t, pid, leader)
     return trace
 
 

@@ -7,11 +7,19 @@ those objects.  A traced run's read log is columnar, so a logged read
 builds no ``ReadRecord`` either.  Constructions are counted by code
 object through ``cProfile.getstats()`` -- ``pstats`` would file the
 dataclass ``__init__`` under a shared ``<string>`` row.
+
+A run also records each fact once: the timer service keeps one lane
+token per pid (the behaviours' histories are the timer record), and the
+trace keeps one ``(time, pid, leader)`` row per observer sample.  The
+last test pins that with ``tracemalloc``: what those two modules still
+hold after a fast run must not grow with the horizon beyond the samples.
 """
 
 from __future__ import annotations
 
 import cProfile
+import os
+import tracemalloc
 
 import pytest
 
@@ -90,3 +98,34 @@ def test_processes_share_one_read_op_per_register(algorithm):
                 assert mine[register] is other[register], register.name
                 shared += 1
     assert shared > 0
+
+
+def retained_by_module(scenario, algorithm, modules):
+    """Bytes still held after a fast run, by allocating module, and the
+    run's leader-sample count."""
+    run = scenario.build(algorithm, seed=0, log_reads=False, trace_events=False)
+    tracemalloc.start()
+    try:
+        result = run.execute()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = {}
+    for module in modules:
+        pattern = "*" + os.sep + os.path.join("repro", *module.split("/"))
+        traces = snapshot.filter_traces([tracemalloc.Filter(True, pattern)])
+        held[module] = sum(stat.size for stat in traces.statistics("filename"))
+    return held, len(result.trace.leader_samples())
+
+
+@pytest.mark.parametrize("algorithm", [WriteEfficientOmega, BoundedOmega], ids=["alg1", "alg2"])
+def test_timers_and_trace_retain_only_the_leader_samples(algorithm):
+    modules = ("timers/service.py", "sim/tracing.py")
+    held = {}
+    for horizon in (1000.0, 4000.0):
+        held[horizon], samples = retained_by_module(nominal(n=N, horizon=horizon), algorithm, modules)
+        per_sample = held[horizon]["sim/tracing.py"] / samples
+        print(f"{algorithm.display_name} horizon {horizon:.0f}: {held[horizon]} bytes, {per_sample:.0f} B/sample")
+        assert per_sample <= 100
+    # The timer service holds one token per pid, whatever the horizon.
+    assert held[1000.0]["timers/service.py"] == held[4000.0]["timers/service.py"]

@@ -74,7 +74,7 @@ class TestStepCounterOmega:
         assert "timer" not in result.sim.fired_by_kind
 
     def test_no_timer_history(self, result):
-        assert result.timer_service.history_by_pid == {}
+        assert all(result.timer_service.behavior(pid).history == [] for pid in range(result.n))
 
     def test_single_growing_register(self, result):
         leader = result.stabilization(margin=MARGIN).leader

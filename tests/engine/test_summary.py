@@ -48,7 +48,7 @@ def test_summarizer_walks_samples_and_write_log_at_most_twice(scenario):
     options = dict(scenario_name=scenario.name, margin=scenario.margin, assumption=scenario.assumption)
     expected = summarize_run(result, **options)
 
-    samples = result.trace._rows["leader_sample"] = CountingList(result.trace.leader_samples())
+    samples = result.trace._samples = CountingList(result.trace.leader_samples())
     writes = result.memory.write_log = CountingList(result.memory.write_log)
     assert len(samples) > 100 and len(writes) > 20
     summary = summarize_run(result, **options)
@@ -76,7 +76,7 @@ def hand_built_result(writes, samples, crash_plan, horizon) -> RunResult:
     (time, pid, leader) samples."""
     trace = RunTrace()
     for t, pid, leader in samples:
-        trace.record(t, "leader_sample", pid=pid, leader=leader)
+        trace.record_leader_sample(t, pid, leader)
     return RunResult(
         algorithm_name="hand-built",
         n=crash_plan.n,

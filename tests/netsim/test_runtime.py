@@ -75,12 +75,6 @@ class TestCrashSemantics:
         # pid 1 stops firing timers after its crash at t=5.
         assert result.processes[1].timer_fires == 0
 
-    def test_crash_recorded(self):
-        plan = CrashPlan.single(3, 2, 7.0)
-        result = MpRun(EchoProcess, n=3, seed=2, horizon=50.0, crash_plan=plan).execute()
-        crashes = result.trace.of_kind("crash")
-        assert [(c.time, c["pid"]) for c in crashes] == [(7.0, 2)]
-
     def test_crashed_process_not_sampled(self):
         plan = CrashPlan.single(3, 2, 7.0)
         result = MpRun(EchoProcess, n=3, seed=2, horizon=50.0, crash_plan=plan).execute()

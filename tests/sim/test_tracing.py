@@ -1,123 +1,26 @@
-"""Run traces: recording and querying."""
+"""Run traces: recording and querying the observer's leader samples."""
 
 from __future__ import annotations
 
 from repro.sim.tracing import RunTrace
 
 
-class TestRunTrace:
-    def test_record_and_len(self):
-        trace = RunTrace()
-        trace.record(1.0, "crash", pid=2)
-        assert len(trace) == 1
-
-    def test_of_kind_filters_in_order(self):
-        trace = RunTrace()
-        trace.record(1.0, "a", x=1)
-        trace.record(2.0, "b", x=2)
-        trace.record(3.0, "a", x=3)
-        assert [r["x"] for r in trace.of_kind("a")] == [1, 3]
-
-    def test_of_kind_missing_is_empty(self):
-        assert RunTrace().of_kind("nope") == []
-
-    def test_last_of_kind(self):
-        trace = RunTrace()
-        assert trace.last_of_kind("a") is None
-        trace.record(1.0, "a", x=1)
-        trace.record(2.0, "a", x=2)
-        assert trace.last_of_kind("a")["x"] == 2
-
-    def test_record_getitem_and_get(self):
-        trace = RunTrace()
-        rec = trace.record(1.0, "a", x=1)
-        assert rec["x"] == 1
-        assert rec.get("y", "default") == "default"
-
-    def test_iteration_in_order(self):
-        trace = RunTrace()
-        trace.record(1.0, "a")
-        trace.record(2.0, "b")
-        assert [r.kind for r in trace] == ["a", "b"]
-
-
 class TestColumnarHotKinds:
-    def test_generic_record_routes_hot_kind_to_columns(self):
-        trace = RunTrace()
-        assert trace.record(1.0, "leader_sample", pid=0, leader=2) is None
-        assert trace.leader_samples() == [(1.0, 0, 2)]
-
-    def test_hot_kind_with_extra_fields_falls_back_to_cold(self):
-        trace = RunTrace()
-        rec = trace.record(1.0, "leader_sample", pid=0, leader=2, note="odd")
-        assert rec is not None
-        assert rec["note"] == "odd"
-        assert trace.leader_samples() == []  # not a canonical hot row
-        assert [r["leader"] for r in trace.of_kind("leader_sample")] == [2]
-
-    def test_dedicated_recorders(self):
-        trace = RunTrace()
-        trace.record_leader_sample(1.0, 0, 1)
-        trace.record_timer_set(2.0, 1, 4.0)
-        trace.record_timer_fired(3.0, 1, 5.5)
-        assert trace.timer_rows("timer_set") == [(2.0, 1, 4.0)]
-        assert trace.timer_rows("timer_fired") == [(3.0, 1, 5.5)]
-        assert len(trace) == 3
+    """The sample rows are the trace's one column, handed out as is."""
 
     def test_leader_samples_returns_internal_sequence_no_copy(self):
         trace = RunTrace()
         trace.record_leader_sample(1.0, 0, 1)
         assert trace.leader_samples() is trace.leader_samples()
 
-    def test_of_kind_returns_same_sequence_no_copy(self):
-        trace = RunTrace()
-        trace.record(1.0, "a", x=1)
-        trace.record_leader_sample(2.0, 0, 1)
-        assert trace.of_kind("a") is trace.of_kind("a")
-        assert trace.of_kind("leader_sample") is trace.of_kind("leader_sample")
-
-    def test_of_kind_materializes_hot_rows_lazily(self):
-        trace = RunTrace()
-        trace.record_leader_sample(1.0, 0, 1)
-        records = trace.of_kind("leader_sample")
-        assert [(r.time, r["pid"], r["leader"]) for r in records] == [(1.0, 0, 1)]
-        trace.record_leader_sample(2.0, 1, 0)  # cache must extend on next query
-        records = trace.of_kind("leader_sample")
-        assert [(r.time, r["pid"], r["leader"]) for r in records] == [
-            (1.0, 0, 1),
-            (2.0, 1, 0),
-        ]
-
-    def test_last_of_kind_hot(self):
-        trace = RunTrace()
-        assert trace.last_of_kind("timer_set") is None
-        trace.record_timer_set(1.0, 0, 2.0)
-        trace.record_timer_set(5.0, 1, 3.0)
-        last = trace.last_of_kind("timer_set")
-        assert last.time == 5.0
-        assert last["pid"] == 1
-        assert last["timeout"] == 3.0
-
-    def test_mixed_iteration_preserves_insertion_order(self):
-        trace = RunTrace()
-        trace.record(1.0, "crash", pid=0)
-        trace.record_leader_sample(2.0, 0, 1)
-        trace.record(3.0, "leader_return", pid=0, leader=1, ops=7)
-        trace.record_timer_set(4.0, 0, 2.0)
-        kinds = [r.kind for r in trace]
-        assert kinds == ["crash", "leader_sample", "leader_return", "timer_set"]
-        # materialized hot records expose the canonical field names
-        sample = list(trace)[1]
-        assert (sample["pid"], sample["leader"]) == (0, 1)
-
 
 class TestLeaderSampleHelpers:
     def _trace(self) -> RunTrace:
         trace = RunTrace()
-        trace.record(0.0, "leader_sample", pid=0, leader=1)
-        trace.record(0.0, "leader_sample", pid=1, leader=1)
-        trace.record(5.0, "leader_sample", pid=0, leader=0)
-        trace.record(5.0, "leader_sample", pid=1, leader=0)
+        trace.record_leader_sample(0.0, 0, 1)
+        trace.record_leader_sample(0.0, 1, 1)
+        trace.record_leader_sample(5.0, 0, 0)
+        trace.record_leader_sample(5.0, 1, 0)
         return trace
 
     def test_leader_samples(self):

@@ -55,14 +55,8 @@ class TestTimerService:
         sim, service = make_service()
         service.set_timer(0, 5.0, lambda: None)
         sim.run()
-        assert service.history_by_pid[0] == [(0.0, 5.0, 5.0)]
-
-    def test_active_timer_handle(self):
-        sim, service = make_service()
-        assert service.active_timer(0) is None
-        handle = service.set_timer(0, 5.0, lambda: None)
-        assert service.active_timer(0) is handle
-        assert handle.fires_at == 5.0
+        assert service.behavior(0).history == [(0.0, 5.0, 5.0)]
+        assert service.behavior(1).history == []
 
     def test_behavior_lookup(self):
         _, service = make_service()
