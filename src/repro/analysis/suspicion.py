@@ -14,13 +14,17 @@ from typing import List, Optional, Tuple
 
 from repro.memory.memory import SharedMemory
 
+#: Register-name prefix of the suspicion counters shared by Algorithm 1
+#: and its variants (the ``SUSPICIONS`` matrix, or its nWnR vector).
+SUSPICION_PREFIX = "SUSPICIONS"
+
 
 def suspicion_writes(memory: SharedMemory) -> List[Tuple[float, int, str]]:
     """All ``(time, suspecting pid, register)`` suspicion writes."""
     return [
         (rec.time, rec.pid, rec.register)
         for rec in memory.write_log
-        if rec.register.startswith("SUSPICIONS")
+        if rec.register.startswith(SUSPICION_PREFIX)
     ]
 
 
@@ -85,4 +89,10 @@ def suspicion_quiescence(
     )
 
 
-__all__ = ["SuspicionQuiescence", "cumulative_suspicions", "suspicion_quiescence", "suspicion_writes"]
+__all__ = [
+    "SUSPICION_PREFIX",
+    "SuspicionQuiescence",
+    "cumulative_suspicions",
+    "suspicion_quiescence",
+    "suspicion_writes",
+]

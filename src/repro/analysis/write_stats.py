@@ -22,7 +22,6 @@ from repro.memory.memory import SharedMemory
 from repro.props.checkers import (
     CENSUS_WINDOWS,
     in_every_tail_window,
-    last_write_by_others,
     record_table,
     tail_writes,
 )
@@ -85,7 +84,7 @@ def single_writer_point(memory: SharedMemory, horizon: float, tail: float = 100.
     if len(tail_writers) != 1:
         return SingleWriterPoint(False, None, None)
     writer = min(tail_writers)
-    return SingleWriterPoint(True, writer, last_write_by_others(memory, writer))
+    return SingleWriterPoint(True, writer, memory.last_write_by_others(writer))
 
 
 @dataclass

@@ -25,13 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.analysis.omega_props import check_termination, check_validity
+from repro.analysis.suspicion import SUSPICION_PREFIX, suspicion_writes
 from repro.core.runner import RunResult
 from repro.props.report import PropertyReport, check_properties
-
-#: Register-name prefix of the suspicion counters shared by Algorithm 1
-#: and its variants; algorithms without such registers report ``None`` /
-#: zero in the suspicion census fields.
-SUSPICION_PREFIX = "SUSPICIONS"
 
 #: Fraction of the horizon counted as the "late" tail for
 #: :attr:`RunSummary.suspicion_writes_tail` (the timeout-policy ablation
@@ -159,14 +155,11 @@ class RunSummary:
 
 # ----------------------------------------------------------------------
 def _suspicion_census(result: RunResult) -> tuple[Optional[float], int, int]:
-    """(max current value, total writes, tail writes) of SUSPICIONS*."""
+    """(max current value, total writes, tail writes) of SUSPICIONS*;
+    algorithms without such registers report ``None`` / zero."""
     cutoff = TAIL_FRACTION * result.horizon
-    total = tail = 0
-    for rec in result.memory.write_log:
-        if rec.register.startswith(SUSPICION_PREFIX):
-            total += 1
-            if rec.time >= cutoff:
-                tail += 1
+    writes = suspicion_writes(result.memory)
+    tail = sum(t >= cutoff for t, _, _ in writes)
     best: Optional[float] = None
     for reg in result.memory.all_registers():
         if not reg.name.startswith(SUSPICION_PREFIX):
@@ -175,7 +168,7 @@ def _suspicion_census(result: RunResult) -> tuple[Optional[float], int, int]:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             v = float(value)
             best = v if best is None or v > best else best
-    return best, total, tail
+    return best, len(writes), tail
 
 
 def summarize_run(
@@ -189,7 +182,7 @@ def summarize_run(
 ) -> RunSummary:
     """Condense a finished run into a :class:`RunSummary`.
 
-    Only consumes the write log, the aggregate access counters and the
+    Only consumes the write log, the registers' read counts and the
     leader-sample trace, so it works identically in the low-overhead run
     mode (``log_reads=False``, ``trace_events=False``).  ``assumption``
     is the scenario's declared environment class; it decides which

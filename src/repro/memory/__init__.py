@@ -10,15 +10,16 @@ one-writer/multi-reader (1WnR) registers.  This package provides:
   algorithms use (``PROGRESS[n]``, ``STOP[n]``, ``SUSPICIONS[n][n]``,
   ``LAST[n][n]``), with per-entry ownership;
 * :class:`~repro.memory.memory.SharedMemory` -- the namespace plus the
-  access statistics that the theorems are *checked* against (who wrote
-  when, which registers are still growing, global state snapshots);
+  access log that the theorems are *checked* against (who wrote when,
+  which registers are still growing, global state snapshots).  Each
+  access is recorded once: a register counts its own reads, and the
+  write log is the only write record;
 * :class:`~repro.memory.mwmr.MultiWriterRegister` -- for the paper's
   Section 3.5 nWnR variant;
 * :mod:`~repro.memory.backend` -- the pluggable **memory backend**
-  layer: the :class:`~repro.memory.backend.MemoryBackend` protocol every
-  substrate implements, the :data:`~repro.memory.backend.BACKENDS`
-  registry and the :func:`~repro.memory.backend.create_memory` factory
-  ``Run`` selects backends through;
+  layer: the :data:`~repro.memory.backend.BACKENDS` registry and the
+  :func:`~repro.memory.backend.create_memory` factory ``Run`` selects
+  backends through (every backend is a ``SharedMemory``);
 * :mod:`~repro.memory.emulated` -- the ``"emulated"`` backend: an
   ABD-style majority-quorum emulation of the registers over
   :mod:`repro.netsim` message passing (replica nodes, timestamped
@@ -38,22 +39,20 @@ one-writer/multi-reader (1WnR) registers.  This package provides:
 """
 
 from repro.memory.arrays import RegisterArray, RegisterMatrix
-from repro.memory.backend import BACKENDS, MemoryBackend, create_memory
+from repro.memory.backend import BACKENDS, create_memory
 from repro.memory.emulated import EmulatedMemory, EmulationConfig
 from repro.memory.membership import MembershipEvent, MembershipPlan, ReplicaConfig
-from repro.memory.memory import AccessKind, SharedMemory
+from repro.memory.memory import SharedMemory
 from repro.memory.mwmr import MultiWriterRegister
 from repro.memory.register import AtomicRegister, OwnershipError
 
 __all__ = [
-    "AccessKind",
     "AtomicRegister",
     "BACKENDS",
     "EmulatedMemory",
     "EmulationConfig",
     "MembershipEvent",
     "MembershipPlan",
-    "MemoryBackend",
     "MultiWriterRegister",
     "ReplicaConfig",
     "OwnershipError",

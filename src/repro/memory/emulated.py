@@ -94,7 +94,7 @@ patch of this module's methods; production config names none of them.
 
 :class:`EmulatedMemory` subclasses
 :class:`~repro.memory.memory.SharedMemory`: the namespace, the access
-logs, the window queries and the no-log read fast path are all
+logs, the window queries and the read accounting are all
 inherited, so every theorem monitor, census and report in the repo
 consumes emulated runs unchanged.  What changes is the *operation
 semantics*: reads and writes become asynchronous phases behind the
@@ -618,13 +618,12 @@ class _SyncRound:
 class EmulatedMemory(SharedMemory):
     """1WMR regular registers emulated by an ABD replica quorum.
 
-    Drop-in :class:`~repro.memory.backend.MemoryBackend`: the namespace,
-    access logs, censuses and snapshots are inherited from
-    :class:`SharedMemory`.  The local register objects act as the
-    *completed-state mirror* -- a register's local value is updated at
-    the instant its write's quorum completes, so uncounted observer
-    reads (``peek``, leader sampling, snapshots) and the write log see
-    exactly the completed prefix of the emulated history.
+    Drop-in :class:`SharedMemory` subclass: the namespace, access logs,
+    censuses and snapshots are inherited.  The local register objects
+    act as the *completed-state mirror* -- a register's local value is
+    updated at the instant its write's quorum completes, so uncounted
+    observer reads (``peek``, leader sampling, snapshots) and the write
+    log see exactly the completed prefix of the emulated history.
 
     The asynchronous operation API (:meth:`emu_read`,
     :meth:`emu_write`, :meth:`emu_fetch_add`) is driven by
@@ -636,7 +635,7 @@ class EmulatedMemory(SharedMemory):
     Parameters
     ----------
     clock / log_reads:
-        As for :class:`SharedMemory` (the read fast path is inherited).
+        As for :class:`SharedMemory`.
     sim:
         The run's simulator; all protocol messages ride its event queue.
     rng:
@@ -1309,31 +1308,21 @@ class EmulatedMemory(SharedMemory):
     # Completions (the linearization points of the emulated history)
     # ------------------------------------------------------------------
     def _complete_read(self, op: _PendingOp) -> None:
-        register = op.register
-        self._count_read(register.name, op.pid)
-        if isinstance(register, AtomicRegister):
-            register._reads += 1  # keep the per-register counter exact
+        op.register.read(op.pid)  # accounting only; the value is the quorum's
         self.reads_completed += 1
         self.read_op_latency += self._clock() - op.started_at
         self._record(op, "read", op.best_ts, op.best_value)
         self._finish(op, op.best_value)
 
     def _complete_write(self, op: _PendingOp) -> None:
-        register = op.register
+        fetch_add = op.kind == "fetch-add"
         self.writes_completed += 1
-        if op.kind == "fetch-add":
-            # One counted read + one counted write, like the shared
-            # fetch&add; the local mirror takes the written value.
-            self._count_read(register.name, op.pid)
-            register.poke(op.value)
-            self._count_write(register.name, op.pid, op.value, critical=register.critical)
+        if fetch_add:  # one counted read + one counted write, like the shared fetch&add
+            op.register.read(op.pid)
             self._record(op, "read", op.best_ts, op.best_value)
-            self._record(op, "write", op.ts, op.value)
-            self._finish(op, op.value - op.amount)
-        else:
-            register.write(op.pid, op.value)  # mirror + accounting + owner check
-            self._record(op, "write", op.ts, op.value)
-            self._finish(op, None)
+        op.register.write(op.pid, op.value)  # mirror + accounting + owner check
+        self._record(op, "write", op.ts, op.value)
+        self._finish(op, op.value - op.amount if fetch_add else None)
 
 
 __all__ = [

@@ -1,8 +1,8 @@
-"""The shared-memory namespace and its access statistics.
+"""The shared-memory namespace and its access log.
 
-Besides owning every register of a run, :class:`SharedMemory` records an
-append-only access log.  The log is what turns the paper's theorems into
-checkable statements:
+Besides owning every register of a run, :class:`SharedMemory` keeps the
+run's one record of each access.  That record is what turns the paper's
+theorems into checkable statements:
 
 * *Theorem 3* ("after some time only the leader writes, always the same
   variable") becomes a query over the tail of the write log;
@@ -13,10 +13,14 @@ checkable statements:
 * *Theorem 5*'s bounded-memory adversary needs global state snapshots to
   detect recurring memory states -- :meth:`SharedMemory.snapshot`.
 
-Writes are few and their consumers walk whole records, so the write log
-is a list of :class:`WriteRecord`.  Reads outnumber writes by an order
-of magnitude and their one consumer (the Lemma 6 census) needs only the
-readers' pids, so the read log is kept as three parallel columns --
+Each access is recorded once.  A write appends one
+:class:`WriteRecord` to :attr:`SharedMemory.write_log`, the only write
+record: totals, per-window writer sets, the single-writer switch time
+and the critical-write gaps are all queries over it.  A read bumps its
+register's ``read_count``, the only read count; only a run that logs
+reads also appends it to the read log.  Reads outnumber writes by an
+order of magnitude and their one consumer (the Lemma 6 census) needs
+only the readers' pids, so the read log is three parallel columns --
 times, pids and register names -- and a :class:`ReadRecord` is built
 only when a query asks for records.
 """
@@ -26,19 +30,12 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
-from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.memory.arrays import RegisterArray, RegisterMatrix
 from repro.memory.mwmr import MultiWriterRegister
 from repro.memory.register import AtomicRegister
-
-
-class AccessKind(str, Enum):
-    """Kind of shared-memory access."""
-
-    READ = "read"
-    WRITE = "write"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +46,9 @@ class WriteRecord:
     pid: int
     register: str
     value: Any
-    critical: bool
+
+
+_TIME = attrgetter("time")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +63,13 @@ class ReadRecord:
 class SharedMemory:
     """Namespace of registers plus the run's access log.
 
-    The write log is a list of records (:attr:`write_log`).  The read
-    log is three parallel columns appended by the logged read hook --
-    ``array('d')`` times, ``array('q')`` pids and a list of register
-    names -- so a traced read allocates no object.  :attr:`read_log`
-    and :meth:`reads_in` build :class:`ReadRecord` objects on demand;
-    :meth:`readers_in` slices the pid column directly.
+    The write log is a list of records (:attr:`write_log`), in time
+    order.  The read log is three parallel columns appended by
+    :meth:`_log_read` -- ``array('d')`` times, ``array('q')`` pids and a
+    list of register names -- so a traced read allocates no object.
+    :attr:`read_log` and :meth:`reads_in` build :class:`ReadRecord`
+    objects on demand; :meth:`readers_in` slices the pid column
+    directly.
 
     Parameters
     ----------
@@ -79,8 +79,8 @@ class SharedMemory:
     log_reads:
         Whether to keep the full read log.  Reads vastly outnumber
         writes (every ``leader()`` invocation reads up to ``n^2``
-        registers), so long benches may disable it; aggregate per-pid
-        read counters are always maintained.
+        registers), so long benches may disable it; each register still
+        counts its reads, and :attr:`total_reads` sums those counts.
     """
 
     def __init__(self, clock: Callable[[], float], log_reads: bool = True) -> None:
@@ -90,22 +90,10 @@ class SharedMemory:
         self.log_reads = log_reads
 
         self.write_log: List[WriteRecord] = []
-        self._write_times: List[float] = []  # parallel to write_log, for bisect
         # The read log, one column per ReadRecord field (times for bisect).
         self._read_times = array("d")
         self._read_pids = array("q")
         self._read_names: List[str] = []
-
-        self.reads_by_pid: Dict[int, int] = {}
-        self.writes_by_pid: Dict[int, int] = {}
-        self.last_read_time_by_pid: Dict[int, float] = {}
-        self.last_write_time_by_pid: Dict[int, float] = {}
-
-        # Reads vastly outnumber every other access; pick the read hook
-        # once instead of testing ``log_reads`` on every call.  The
-        # instance attribute shadows the class methods for the registers'
-        # ``memory._count_read(...)`` calls.
-        self._count_read = self._count_read_logged if log_reads else self._count_read_fast
 
     # ------------------------------------------------------------------
     # Construction of registers
@@ -175,36 +163,24 @@ class SharedMemory:
     # ------------------------------------------------------------------
     # Accounting hooks (called by registers)
     # ------------------------------------------------------------------
-    def _count_read_logged(self, name: str, pid: int) -> None:
-        now = self._clock()
-        reads = self.reads_by_pid
-        reads[pid] = reads.get(pid, 0) + 1
-        self.last_read_time_by_pid[pid] = now
-        self._read_times.append(now)
+    def _log_read(self, name: str, pid: int) -> None:
+        """Append one read to the read columns (only when ``log_reads``)."""
+        self._read_times.append(self._clock())
         self._read_pids.append(pid)
         self._read_names.append(name)
 
-    def _count_read_fast(self, name: str, pid: int) -> None:
-        """The low-overhead mode: aggregate counters only, no log."""
-        reads = self.reads_by_pid
-        reads[pid] = reads.get(pid, 0) + 1
-        self.last_read_time_by_pid[pid] = self._clock()
-
-    def _count_write(self, name: str, pid: int, value: Any, critical: bool) -> None:
-        now = self._clock()
-        self.writes_by_pid[pid] = self.writes_by_pid.get(pid, 0) + 1
-        self.last_write_time_by_pid[pid] = now
-        self.write_log.append(WriteRecord(now, pid, name, value, critical))
-        self._write_times.append(now)
+    def _count_write(self, name: str, pid: int, value: Any) -> None:
+        self.write_log.append(WriteRecord(self._clock(), pid, name, value))
 
     # ------------------------------------------------------------------
     # Window queries (all intervals are half-open [t0, t1))
     # ------------------------------------------------------------------
     def writes_in(self, t0: float, t1: float) -> List[WriteRecord]:
         """Write records with ``t0 <= time < t1``."""
-        lo = bisect.bisect_left(self._write_times, t0)
-        hi = bisect.bisect_left(self._write_times, t1)
-        return self.write_log[lo:hi]
+        log = self.write_log
+        lo = bisect.bisect_left(log, t0, key=_TIME)
+        hi = bisect.bisect_left(log, t1, lo, key=_TIME)
+        return log[lo:hi]
 
     @property
     def read_log(self) -> List[ReadRecord]:
@@ -242,6 +218,15 @@ class SharedMemory:
         """Names of registers written in ``[t0, t1)``."""
         return frozenset(rec.register for rec in self.writes_in(t0, t1))
 
+    def last_write_by_others(self, pid: int) -> float:
+        """Latest write by any process other than ``pid`` (0.0 when nobody
+        else ever wrote): after this instant ``pid`` writes alone --
+        Theorem 3's switch time."""
+        for rec in reversed(self.write_log):
+            if rec.pid != pid:
+                return rec.time
+        return 0.0
+
     # ------------------------------------------------------------------
     # Per-register value history and growth
     # ------------------------------------------------------------------
@@ -249,27 +234,14 @@ class SharedMemory:
         """The ``(time, value)`` sequence written to a register."""
         return [(rec.time, rec.value) for rec in self.write_log if rec.register == name]
 
-    def distinct_values_written(self, name: str) -> Set[Any]:
-        """Set of distinct values ever written to a register."""
-        return {rec.value for rec in self.write_log if rec.register == name}
-
-    def max_numeric_value(self, name: str) -> Optional[float]:
-        """Largest numeric value ever written (``None`` if never written
-        or non-numeric)."""
-        best: Optional[float] = None
-        for rec in self.write_log:
-            if rec.register == name and isinstance(rec.value, (int, float)) and not isinstance(rec.value, bool):
-                v = float(rec.value)
-                best = v if best is None or v > best else best
-        return best
-
     def critical_write_times(self, pid: int) -> List[float]:
         """Times of ``pid``'s writes to *critical* registers.
 
         Consecutive gaps in this list are exactly the quantity AWB1
         bounds after tau_1 -- the Figure 3 experiment plots them.
         """
-        return [rec.time for rec in self.write_log if rec.pid == pid and rec.critical]
+        critical = {reg.name for reg in self.all_registers() if reg.critical}
+        return [rec.time for rec in self.write_log if rec.pid == pid and rec.register in critical]
 
     # ------------------------------------------------------------------
     # Global state (Theorem 5 harness)
@@ -294,13 +266,13 @@ class SharedMemory:
     # ------------------------------------------------------------------
     @property
     def total_reads(self) -> int:
-        """Counted reads across all processes."""
-        return sum(self.reads_by_pid.values())
+        """Counted reads across all processes (the registers' counts)."""
+        return sum(reg.read_count for reg in self.all_registers())
 
     @property
     def total_writes(self) -> int:
-        """Counted writes across all processes."""
-        return sum(self.writes_by_pid.values())
+        """Counted writes across all processes (the write log's length)."""
+        return len(self.write_log)
 
 
-__all__ = ["AccessKind", "ReadRecord", "SharedMemory", "WriteRecord"]
+__all__ = ["ReadRecord", "SharedMemory", "WriteRecord"]

@@ -26,7 +26,7 @@ class MultiWriterRegister:
     :class:`~repro.memory.register.AtomicRegister`.
     """
 
-    __slots__ = ("name", "critical", "_value", "_memory")
+    __slots__ = ("name", "critical", "_value", "_memory", "_reads")
 
     def __init__(
         self,
@@ -39,18 +39,21 @@ class MultiWriterRegister:
         self.critical = critical
         self._value = initial
         self._memory = memory
+        self._reads = 0
 
     def read(self, reader: int) -> Any:
         """Atomically read the register (counted)."""
-        if self._memory is not None:
-            self._memory._count_read(self.name, reader)
+        self._reads += 1
+        memory = self._memory
+        if memory is not None and memory.log_reads:
+            memory._log_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
         """Atomically write the register (counted); any writer allowed."""
         self._value = value
         if self._memory is not None:
-            self._memory._count_write(self.name, writer, value, critical=self.critical)
+            self._memory._count_write(self.name, writer, value)
 
     def fetch_add(self, writer: int, amount: int = 1) -> int:
         """Atomic read-modify-write increment; returns the *old* value.
@@ -59,11 +62,8 @@ class MultiWriterRegister:
         once but both directions of the access matter for the
         forever-reader/forever-writer censuses).
         """
-        old = self._value
-        self._value = old + amount
-        if self._memory is not None:
-            self._memory._count_read(self.name, writer)
-            self._memory._count_write(self.name, writer, self._value, critical=self.critical)
+        old = self.read(writer)
+        self.write(writer, old + amount)
         return old
 
     def peek(self) -> Any:
@@ -73,6 +73,11 @@ class MultiWriterRegister:
     def poke(self, value: Any) -> None:
         """Observer write (uncounted) -- scenario setup only."""
         self._value = value
+
+    @property
+    def read_count(self) -> int:
+        """Number of (counted) reads ever applied."""
+        return self._reads
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MultiWriterRegister({self.name!r}, value={self._value!r})"

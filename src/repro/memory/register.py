@@ -7,9 +7,12 @@ sense holds by construction.  What the register layer adds is:
 * **ownership enforcement**: only the owner may write (the paper's model
   and the reason ``SUSPICIONS`` is an ``n x n`` matrix rather than a
   vector);
-* **accounting hooks** into :class:`~repro.memory.memory.SharedMemory`,
-  so the analysis layer can answer "who wrote what, when" -- which is
-  how Theorems 2, 3, 5, 6, 7 are checked;
+* **accounting**: the register's own ``read_count`` is the one read
+  count of a run, and every write appends one record to
+  :class:`~repro.memory.memory.SharedMemory`'s write log, so the
+  analysis layer can answer "who wrote what, when" -- which is how
+  Theorems 2, 3, 5, 6, 7 are checked.  A read calls into the memory
+  only when the run logs reads (Lemma 6's reader census);
 * **criticality**: registers may be flagged *critical*, the subset of
   registers the AWB1 assumption constrains (``PROGRESS`` and ``STOP``
   in both algorithms; ``SUSPICIONS`` is explicitly non-critical).
@@ -31,8 +34,9 @@ class AtomicRegister:
     """An atomic 1WnR register.
 
     Instances are created through :class:`SharedMemory` (which supplies
-    the clock and accounting); constructing one directly with
-    ``memory=None`` yields an unaccounted register, handy in unit tests.
+    the clock and the write log); constructing one directly with
+    ``memory=None`` yields a register that only counts its reads, handy
+    in unit tests.
 
     Parameters
     ----------
@@ -49,7 +53,7 @@ class AtomicRegister:
         Whether the register is subject to the AWB1 timing assumption.
     """
 
-    __slots__ = ("name", "owner", "critical", "_value", "_memory", "_writes", "_reads", "_matrix")
+    __slots__ = ("name", "owner", "critical", "_value", "_memory", "_reads", "_matrix")
 
     def __init__(
         self,
@@ -64,7 +68,6 @@ class AtomicRegister:
         self.critical = critical
         self._value = initial
         self._memory = memory
-        self._writes = 0
         self._reads = 0
         #: The :class:`~repro.memory.arrays.RegisterMatrix` this register
         #: is an entry of (set by the matrix), whose cached column sums
@@ -77,8 +80,9 @@ class AtomicRegister:
     def read(self, reader: int) -> Any:
         """Atomically read the register (counted)."""
         self._reads += 1
-        if self._memory is not None:
-            self._memory._count_read(self.name, reader)
+        memory = self._memory
+        if memory is not None and memory.log_reads:
+            memory._log_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
@@ -87,12 +91,11 @@ class AtomicRegister:
             raise OwnershipError(
                 f"process {writer} attempted to write {self.name} owned by {self.owner}"
             )
-        self._writes += 1
         self._value = value
         if self._matrix is not None:
             self._matrix._sums = None
         if self._memory is not None:
-            self._memory._count_write(self.name, writer, value, critical=self.critical)
+            self._memory._count_write(self.name, writer, value)
 
     # ------------------------------------------------------------------
     # Observer access (not part of the modelled computation)
@@ -110,11 +113,6 @@ class AtomicRegister:
         self._value = value
         if self._matrix is not None:
             self._matrix._sums = None
-
-    @property
-    def write_count(self) -> int:
-        """Number of (counted) writes ever applied."""
-        return self._writes
 
     @property
     def read_count(self) -> int:

@@ -328,12 +328,6 @@ def tail_writes(memory: Any, horizon: float, tail: float) -> Tuple[FrozenSet[int
     return memory.writers_in(t0, t1), memory.registers_written_in(t0, t1)
 
 
-def last_write_by_others(memory: Any, pid: int) -> float:
-    """Latest write by any process other than ``pid`` (0.0 when nobody
-    else ever wrote): after this instant ``pid`` writes alone."""
-    return max((t for p, t in memory.last_write_time_by_pid.items() if p != pid), default=0.0)
-
-
 # ----------------------------------------------------------------------
 # Theorem 3 -- eventually a single writer of a single variable
 # ----------------------------------------------------------------------
@@ -359,7 +353,7 @@ def single_writer_verdict(
     variable (``PROGRESS[ell]``)."""
     tail_pids, tail_names = tail_writes(memory, horizon, tail)
     writers, registers = tuple(sorted(tail_pids)), tuple(sorted(tail_names))
-    switch = None if leader is None else last_write_by_others(memory, leader)
+    switch = None if leader is None else memory.last_write_by_others(leader)
     holds = (
         leader is not None
         and writers == (leader,)
@@ -422,7 +416,6 @@ __all__ = [
     "StabilizationMonitor",
     "WriteOptimalityVerdict",
     "in_every_tail_window",
-    "last_write_by_others",
     "leadership_verdict",
     "progress_register",
     "record_table",

@@ -38,12 +38,16 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 
 
 #: (scenario, algorithm, traced, ceiling).  Measured on CPython 3.11 with
-#: the pure-Python kernel: 18.38 and 18.76 on the shared cells, 19.78 on
-#: the emulated regular cell and 18.14 on the atomic one, which adds the
+#: the pure-Python kernel: 16.05 and 16.40 on the shared cells, 19.39 on
+#: the emulated regular cell and 17.92 on the atomic one, which adds the
 #: write-back path.  Traced, where every read also lands in the columnar
-#: read log: 20.66 / 20.90 on the shared cells and 20.15 on the emulated
-#: one -- these rows pin the logged read hook.  History, newest first:
+#: read log: 19.85 / 19.96 on the shared cells and 20.01 on the emulated
+#: one -- these rows pin the read-log append.  History, newest first:
 #:
+#: * fast 18.38 / 18.76 / 19.78 / 18.14 and traced 20.66 / 20.90 / 20.15
+#:   while every read also went through a memory hook that bumped a
+#:   per-pid counter and stamped a per-pid last-read time, and every
+#:   write kept per-pid counters and times beside the write log;
 #: * fast 19.54 / 19.74 / 20.06 / 18.31 and traced 21.82 / 21.88 / 20.43
 #:   while every timer arming built a ``TimerHandle`` and wrote a trace
 #:   row, and every expiry wrote another;
@@ -62,15 +66,15 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 #:
 #: A compiled kernel counts fewer calls, never more.
 BUDGETS = [
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 18.88, id="shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 19.26, id="shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 20.28, id="emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 16.55, id="shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 16.90, id="shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 19.89, id="emulated-alg1"),
     pytest.param(
-        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 18.64, id="emulated-atomic-alg1"
+        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 18.42, id="emulated-atomic-alg1"
     ),
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 21.16, id="traced-shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 21.40, id="traced-shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 20.65, id="traced-emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 20.35, id="traced-shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 20.46, id="traced-shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 20.51, id="traced-emulated-alg1"),
 ]
 
 

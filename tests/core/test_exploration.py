@@ -99,5 +99,5 @@ class TestDisturbedConditions:
         future information can fix its answer."""
         lazy_alg = lazy_result.algorithms[0]
         assert lazy_alg.lazy
-        last_read = lazy_result.memory.last_read_time_by_pid[0]
+        last_read = max(rec.time for rec in lazy_result.memory.read_log if rec.pid == 0)
         assert last_read < HORIZON * 0.6

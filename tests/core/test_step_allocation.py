@@ -4,7 +4,9 @@ Both paper algorithms build one ``ReadReg`` per register when
 ``create_shared`` lays the registers out; task T1's column reads, T3's
 ``STOP`` / ``PROGRESS`` reads and Algorithm 2's ``LAST`` reads yield
 those objects.  A traced run's read log is columnar, so a logged read
-builds no ``ReadRecord`` either.  Constructions are counted by code
+builds no ``ReadRecord`` either, and a fast read makes no call into
+``repro/memory/memory.py`` at all: the register's own counter is the
+run's one read count.  Constructions and calls are counted by code
 object through ``cProfile.getstats()`` -- ``pstats`` would file the
 dataclass ``__init__`` under a shared ``<string>`` row.
 
@@ -30,6 +32,7 @@ from repro.memory.memory import ReadRecord
 from repro.workloads.scenarios import nominal, nominal_emulated
 
 N = 4
+MEMORY_MODULE = os.path.join("repro", "memory", "memory.py")
 
 
 def constructions(profile: cProfile.Profile, cls: type) -> int:
@@ -60,8 +63,24 @@ def test_a_fast_shared_run_builds_no_read_op_after_setup(algorithm):
     execute = cProfile.Profile()
     result = execute.runcall(run.execute)
     # ... and thousands of read steps later there is not one more.
-    assert sum(result.memory.reads_by_pid.values()) > 1000
+    assert result.memory.total_reads > 1000
     assert constructions(execute, ReadReg) == 0
+
+
+@pytest.mark.parametrize("algorithm", [WriteEfficientOmega, BoundedOmega], ids=["alg1", "alg2"])
+def test_a_fast_read_makes_no_memory_call(algorithm):
+    run = nominal(n=N, horizon=500.0).build(algorithm, seed=0, log_reads=False, trace_events=False)
+    execute = cProfile.Profile()
+    result = execute.runcall(run.execute)
+    # A fast read stays inside its register; only a write (one append
+    # to the write log) calls into the memory.
+    calls = sum(
+        entry.callcount
+        for entry in execute.getstats()
+        if getattr(entry.code, "co_filename", "").endswith(MEMORY_MODULE)
+    )
+    assert result.memory.total_reads > 1000
+    assert calls == result.memory.total_writes > 0
 
 
 @pytest.mark.parametrize(

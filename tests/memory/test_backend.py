@@ -1,10 +1,10 @@
-"""The memory-backend layer: protocol conformance and the factory."""
+"""The memory-backend layer: every backend is a ``SharedMemory``, and the factory."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.memory.backend import BACKENDS, MemoryBackend, create_memory
+from repro.memory.backend import BACKENDS, create_memory
 from repro.memory.emulated import EmulatedMemory
 from repro.memory.memory import SharedMemory
 from repro.sim.kernel import Simulator
@@ -17,13 +17,13 @@ def test_registry_names():
 
 def test_shared_memory_implements_protocol():
     mem = SharedMemory(clock=lambda: 0.0)
-    assert isinstance(mem, MemoryBackend)
+    assert isinstance(mem, SharedMemory)
 
 
 def test_emulated_memory_implements_protocol(rng):
     sim = Simulator()
     mem = EmulatedMemory(clock=lambda: sim.now, sim=sim, rng=rng)
-    assert isinstance(mem, MemoryBackend)
+    assert isinstance(mem, SharedMemory)
 
 
 def test_factory_builds_shared():

@@ -176,8 +176,8 @@ def test_read_returns_latest_completed_write():
     mem.emu_read(3, reg, got.append)
     sim.run(until=10.0)
     assert got == [7]
-    assert mem.reads_by_pid[3] == 1
-    assert reg.read_count == 1  # the per-register counter stays exact
+    assert [rec.pid for rec in mem.read_log] == [3]
+    assert mem.total_reads == reg.read_count == 1  # the one read count
 
 
 def test_read_of_initial_value():

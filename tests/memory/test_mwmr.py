@@ -44,14 +44,15 @@ class TestAccountingIntegration:
         memory, _ = self._memory()
         reg = memory.create_mwmr("M")
         reg.write(3, 1)
-        assert memory.writes_by_pid == {3: 1}
+        assert [(rec.pid, rec.register, rec.value) for rec in memory.write_log] == [(3, "M", 1)]
 
     def test_fetch_add_counts_read_and_write(self):
         memory, _ = self._memory()
         reg = memory.create_mwmr("M")
         reg.fetch_add(2)
-        assert memory.writes_by_pid == {2: 1}
-        assert memory.reads_by_pid == {2: 1}
+        assert [(rec.pid, rec.value) for rec in memory.write_log] == [(2, 1)]
+        assert [(rec.pid, rec.register) for rec in memory.read_log] == [(2, "M")]
+        assert memory.total_reads == reg.read_count == 1
 
     def test_snapshot_includes_mwmr(self):
         memory, _ = self._memory()

@@ -51,7 +51,7 @@ class TestCountingAndObservers:
         reg.write(0, 1)
         reg.write(0, 2)
         reg.read(1)
-        assert reg.write_count == 2
+        assert reg.peek() == 2
         assert reg.read_count == 1
 
     def test_peek_not_counted(self):
@@ -63,7 +63,7 @@ class TestCountingAndObservers:
         reg = AtomicRegister("R", owner=0)
         reg.poke(99)
         assert reg.peek() == 99
-        assert reg.write_count == 0
+        assert reg.read_count == 0
 
     def test_critical_flag(self):
         assert AtomicRegister("R", owner=0, critical=True).critical
