@@ -82,10 +82,28 @@ class ProcessRuntime:
     (``type(op) -> handler``).  Operation classes are final frozen
     dataclasses (:mod:`repro.core.interfaces`), so exact-type tests are
     safe.
+
+    A runtime is handed its collaborators -- the simulator, the delay
+    model, the timer service, the memory and the disk -- and holds no
+    reference to its :class:`Run`; the dispatch table maps op classes
+    to plain functions, not to methods bound to this runtime.  The one
+    self-reference left is the pre-bound step callback, which the hot
+    loop reschedules without allocating; :meth:`release` drops it when
+    the run ends.
     """
 
-    def __init__(self, run: "Run", pid: int, algorithm: OmegaAlgorithm) -> None:
-        self.run = run
+    def __init__(
+        self,
+        pid: int,
+        algorithm: OmegaAlgorithm,
+        *,
+        sim: Simulator,
+        delay_model: StepDelayModel,
+        timer_service: TimerService,
+        crash_at: float,
+        memory: SharedMemory,
+        disk: Optional[Disk] = None,
+    ) -> None:
         self.pid = pid
         self.algorithm = algorithm
         self.tasks: deque[_TaskState] = deque()
@@ -95,28 +113,30 @@ class ProcessRuntime:
         self.crashed = False
         self.blocked = False
         self.timer_expirations = 0
+        self._timer_service = timer_service
         # Pre-bound hot-path collaborators.
-        self._sim = run.sim
-        self._step_cb = self.step
-        self._delay_of = run.delay_model.delay
-        self._schedule_after = run.sim.schedule_after
-        self._crash_at = run.crash_plan.crash_time(pid)
-        # Exact-type operation dispatch.  A handler returns True when the
-        # interval substrate's completion callback reschedules the
-        # process's continuation instead.
-        self._dispatch: Dict[type, Callable[[_TaskState, Any], Any]] = {
-            WriteReg: self._op_write,
-            SetTimer: self._op_set_timer,
-            FetchAdd: self._op_fetch_add,
+        self._sim = sim
+        self._step_cb: Optional[Callable[[], None]] = self.step
+        self._delay_of = delay_model.delay
+        self._schedule_after = sim.schedule_after
+        self._crash_at = crash_at
+        # Exact-type operation dispatch: ``handler(runtime, task, op)``.
+        # A handler returns True when the interval substrate's
+        # completion callback reschedules the process's continuation
+        # instead.
+        self._dispatch: Dict[type, Callable[[ProcessRuntime, _TaskState, Any], Any]] = {
+            WriteReg: ProcessRuntime._op_write,
+            SetTimer: ProcessRuntime._op_set_timer,
+            FetchAdd: ProcessRuntime._op_fetch_add,
         }
-        interval = run.disk if run.disk is not None else run.memory
+        interval = disk if disk is not None else memory
         if isinstance(interval, (Disk, EmulatedMemory)):
             self._interval = interval
-            self._dispatch[ReadReg] = self._op_read_interval
-            self._dispatch[WriteReg] = self._op_write_interval
+            self._dispatch[ReadReg] = ProcessRuntime._op_read_interval
+            self._dispatch[WriteReg] = ProcessRuntime._op_write_interval
         if isinstance(interval, EmulatedMemory):
             # A quorum read-then-write; on a disk it stays instantaneous.
-            self._dispatch[FetchAdd] = self._op_fetch_add_emulated
+            self._dispatch[FetchAdd] = ProcessRuntime._op_fetch_add_emulated
         #: The op class ``step`` applies inline: instantaneous reads of
         #: the plain shared backend.  Interval backends dispatch instead.
         self._inline_read = None if ReadReg in self._dispatch else ReadReg
@@ -126,13 +146,19 @@ class ProcessRuntime:
         """Arm the initial timer and schedule the first step."""
         timeout = self.algorithm.initial_timeout()
         if timeout is not None:
-            self.run.timer_service.set_timer(self.pid, timeout, self.on_timer)
+            self._timer_service.set_timer(self.pid, timeout, self.on_timer)
         self._schedule_next_step()
+
+    def release(self) -> None:
+        """End of run: drop the pre-bound step callback, this runtime's
+        one reference to itself.  Called by :meth:`Run.execute` after
+        the simulator released its queue; the runtime steps no more."""
+        self._step_cb = None
 
     def crash(self) -> None:
         """Crash-stop: no further step or timer action, ever."""
         self.crashed = True
-        self.run.timer_service.cancel(self.pid)
+        self._timer_service.cancel(self.pid)
 
     def on_timer(self) -> None:
         """Timer expiry: enqueue a fresh ``T3`` task."""
@@ -178,7 +204,7 @@ class ProcessRuntime:
                 handler = self._dispatch.get(kind)
                 if handler is None:  # pragma: no cover - defensive
                     raise TypeError(f"unknown operation {op!r}")
-                if handler(task, op):
+                if handler(self, task, op):
                     return  # interval operation: its completion reschedules
         if tasks[-1] is not task:  # a lone task needs no rotation
             tasks.rotate(-1)
@@ -197,7 +223,7 @@ class ProcessRuntime:
         task.inbox = op.register.fetch_add(self.pid, op.amount)
 
     def _op_set_timer(self, task: _TaskState, op: SetTimer) -> None:
-        self.run.timer_service.set_timer(self.pid, op.timeout, self.on_timer)
+        self._timer_service.set_timer(self.pid, op.timeout, self.on_timer)
 
     # ------------------------------------------------------------------
     # Interval handlers (disk accesses and ABD quorum phases alike)
@@ -233,7 +259,7 @@ class ProcessRuntime:
 
     def _op_fetch_add_emulated(self, task: _TaskState, op: FetchAdd) -> bool:
         self.blocked = True
-        self.run.memory.emu_fetch_add(self.pid, op.register, op.amount, self._resume(task))
+        self._interval.emu_fetch_add(self.pid, op.register, op.amount, self._resume(task))
         return True
 
 
@@ -501,7 +527,19 @@ class Run:
                 config=config,
             )
             self.algorithms.append(algorithm_cls(ctx, shared))
-        self.runtimes = [ProcessRuntime(self, pid, alg) for pid, alg in enumerate(self.algorithms)]
+        self.runtimes = [
+            ProcessRuntime(
+                pid,
+                alg,
+                sim=sim,
+                delay_model=self.delay_model,
+                timer_service=self.timer_service,
+                crash_at=self.crash_plan.crash_time(pid),
+                memory=self.memory,
+                disk=disk,
+            )
+            for pid, alg in enumerate(self.algorithms)
+        ]
         self.snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = []
 
     # ------------------------------------------------------------------
@@ -527,9 +565,33 @@ class Run:
         if nxt <= self.horizon:
             self.sim.schedule_at(nxt, self._snapshot, kind="snapshot")
 
+    def _release(self) -> None:
+        """Break the cycles an event-driven run needs while it runs.
+
+        Pending events hold their owners (runtimes, timers, the
+        observer, the network, the emulation's retries), and the owners
+        hold the simulator; a runtime holds its own step callback; the
+        emulation holds its network and retry lanes, whose callbacks
+        hold the emulation.  One kernel release drops every pending
+        event, then the runtimes and the emulation drop their own.
+        Every post-run query -- the logs, the samples, the emulated
+        history with its in-flight writes -- reads state this leaves in
+        place.  Anything that extends a run must do so before this.
+        """
+        self.sim.release()
+        for runtime in self.runtimes:
+            runtime.release()
+        if isinstance(self.memory, EmulatedMemory):
+            self.memory.release()
+
     # ------------------------------------------------------------------
     def execute(self, max_events: Optional[int] = None) -> RunResult:
-        """Run to the horizon and return the result bundle."""
+        """Run to the horizon and return the result bundle.
+
+        After the final observer sample the run releases itself (see
+        :meth:`_release`): the returned :class:`RunResult` holds no
+        reference cycle, so dropping it frees the run's logs at once.
+        """
         self._install_crashes()
         if isinstance(self.memory, EmulatedMemory):
             # Seed the replicas from the (possibly scrambled) initial
@@ -547,6 +609,7 @@ class Run:
                 self.trace.record_leader_sample(
                     self.horizon, pid, self.algorithms[pid].peek_leader()
                 )
+        self._release()
         return RunResult(
             algorithm_name=self.algorithm_cls.display_name,
             n=self.n,

@@ -96,7 +96,9 @@ class RegisterMatrix:
     aggregate) under one invalidation rule: every ``write`` or ``poke``
     of a member register drops the cache, whoever issues it -- an
     algorithm step, the emulated backend's mirror write, a scenario's
-    scramble hook.
+    scramble hook.  The cache is a one-slot list the matrix and its
+    registers share, so a register holds no reference back to its
+    matrix.
     """
 
     def __init__(
@@ -113,7 +115,8 @@ class RegisterMatrix:
         self.name = name
         self.n = n
         owner_fn = owner_of or (lambda row, col: row)
-        self._sums: Optional[List[Any]] = None  # None: dirty, recompute on demand
+        # Slot 0: the cached column sums, None when dirty (recomputed on demand).
+        self._sums: List[Optional[List[Any]]] = [None]
         self._regs: List[List[AtomicRegister]] = []
         for i in range(n):
             row: List[AtomicRegister] = []
@@ -127,7 +130,7 @@ class RegisterMatrix:
                     reg = AtomicRegister(
                         reg_name, owner=owner_fn(i, j), initial=initial, critical=critical
                     )
-                reg._matrix = self
+                reg._matrix_sums = self._sums
                 row.append(reg)
             self._regs.append(row)
 
@@ -161,10 +164,11 @@ class RegisterMatrix:
         Recomputed only after a member register changed, so sampling a
         settled ``SUSPICIONS`` costs one call, not ``n^2`` peeks.
         """
-        sums = self._sums
+        cache = self._sums
+        sums = cache[0]
         if sums is None:
             rows = [[reg._value for reg in row] for row in self._regs]
-            sums = self._sums = [sum(column) for column in zip(*rows)]
+            sums = cache[0] = [sum(column) for column in zip(*rows)]
         return sums
 
     def column_sum(self, j: int) -> Any:

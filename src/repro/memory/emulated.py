@@ -670,9 +670,10 @@ class EmulatedMemory(SharedMemory):
         self._sync_counter = 0
         self._rounds: Dict[int, _SyncRound] = {}
         # One cancellable lane per retransmission-timer kind; every
-        # payload is the item's own ``retry`` closure (see _arm_retry).
+        # payload is the pending op or sync round itself, consumed by
+        # _retry (see _arm_retry).
         self._retry_lanes: Dict[str, EventLane] = {
-            kind: EventLane(kind, None)
+            kind: EventLane(kind, self._retry)
             for kind in ("abd-retry", "abd-resync-retry", "abd-transfer-retry")
         }
         self._started = False
@@ -797,6 +798,22 @@ class EmulatedMemory(SharedMemory):
             self.network.behavior = PartitionScheduleLinks(
                 self.network.behavior, partitions=partitions, storms=storms
             )
+
+    def release(self) -> None:
+        """End of run: break the emulation's own reference cycles.
+
+        The network's delivery callback, the retry lanes' consumer and
+        the completion callback of every op still in flight all lead
+        back to this object.  ``Run.execute`` calls this after the
+        simulator released its queue; the emulation runs no more, but
+        every post-run query (the logs, the counters, the ops in flight
+        that :meth:`recorded_history` reports with ``resp = inf``)
+        still reads the state it left.
+        """
+        self.network.install_delivery(None)
+        self._retry_lanes = {}
+        for op in self._ops.values():
+            op.callback = None
 
     def _initial_of(self, name: str) -> Tuple[Tuple[int, int], Any]:
         """A register's seeded replica state (for post-start lookups)."""
@@ -1195,29 +1212,27 @@ class EmulatedMemory(SharedMemory):
         a retransmission, re-broadcasts the item's current step -- which
         re-evaluates its target set, so whatever is in flight across an
         install follows the config change -- and re-arms itself.  The
-        timer rides the :class:`~repro.sim.events.EventLane` of its kind,
-        with the ``retry`` closure as the payload; ``item.retry_handle``
-        holds the lane token that :meth:`_close_round` / :meth:`_finish`
-        cancel.
+        timer rides the :class:`~repro.sim.events.EventLane` of its kind
+        with the item itself as the payload, and the lane hands it to
+        :meth:`_retry`: arming builds no closure, so a finished op
+        leaves no garbage cycle behind.  ``item.retry_handle`` holds the
+        lane token that :meth:`_close_round` / :meth:`_finish` cancel.
         """
-        lane = self._retry_lanes[item.retry_kind]
-
-        def retry() -> None:
-            if item.done:
-                return
-            self.retransmissions += 1
-            item.attempts += 1
-            if isinstance(item, _SyncRound):
-                self._broadcast_round(item)
-            else:
-                self._broadcast_phase(item)
-            item.retry_handle = self._sim.schedule_lane_after(
-                lane, self._retry_delay(item), retry, item.pid
-            )
-
         item.retry_handle = self._sim.schedule_lane_after(
-            lane, self._retry_delay(item), retry, item.pid
+            self._retry_lanes[item.retry_kind], self._retry_delay(item), item, item.pid
         )
+
+    def _retry(self, item: Any) -> None:
+        """One retransmission round of ``item`` (the retry lanes' consumer)."""
+        if item.done:
+            return
+        self.retransmissions += 1
+        item.attempts += 1
+        if isinstance(item, _SyncRound):
+            self._broadcast_round(item)
+        else:
+            self._broadcast_phase(item)
+        self._arm_retry(item)
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
         op.done = True

@@ -23,6 +23,12 @@ order of magnitude and their one consumer (the Lemma 6 census) needs
 only the readers' pids, so the read log is three parallel columns --
 times, pids and register names -- and a :class:`ReadRecord` is built
 only when a query asks for records.
+
+Both records live in one :class:`AccessLog`, which the memory and each
+of its registers hold.  A register never holds the memory itself: the
+namespace points at its registers and the registers point at the log,
+so the graph has no cycle and a finished run is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -60,16 +66,45 @@ class ReadRecord:
     register: str
 
 
+class AccessLog:
+    """The run's one record of each access, appended by the registers.
+
+    ``write_log`` is a list of :class:`WriteRecord`, in time order.  The
+    read log is three parallel columns -- ``array('d')`` times,
+    ``array('q')`` pids and a list of register names -- appended only
+    when ``log_reads`` is on, so a traced read allocates no object.
+    ``clock`` stamps both.
+    """
+
+    __slots__ = ("clock", "log_reads", "write_log", "read_times", "read_pids", "read_names")
+
+    def __init__(self, clock: Callable[[], float], log_reads: bool) -> None:
+        self.clock = clock
+        self.log_reads = log_reads
+        self.write_log: List[WriteRecord] = []
+        self.read_times = array("d")
+        self.read_pids = array("q")
+        self.read_names: List[str] = []
+
+    def log_read(self, name: str, pid: int) -> None:
+        """Append one read to the read columns (only when ``log_reads``)."""
+        self.read_times.append(self.clock())
+        self.read_pids.append(pid)
+        self.read_names.append(name)
+
+    def log_write(self, name: str, pid: int, value: Any) -> None:
+        """Append one write record."""
+        self.write_log.append(WriteRecord(self.clock(), pid, name, value))
+
+
 class SharedMemory:
     """Namespace of registers plus the run's access log.
 
     The write log is a list of records (:attr:`write_log`), in time
-    order.  The read log is three parallel columns appended by
-    :meth:`_log_read` -- ``array('d')`` times, ``array('q')`` pids and a
-    list of register names -- so a traced read allocates no object.
-    :attr:`read_log` and :meth:`reads_in` build :class:`ReadRecord`
-    objects on demand; :meth:`readers_in` slices the pid column
-    directly.
+    order.  The read log is the :class:`AccessLog`'s three parallel
+    columns, so a traced read allocates no object.  :attr:`read_log`
+    and :meth:`reads_in` build :class:`ReadRecord` objects on demand;
+    :meth:`readers_in` slices the pid column directly.
 
     Parameters
     ----------
@@ -87,13 +122,22 @@ class SharedMemory:
         self._clock = clock
         self._registers: Dict[str, AtomicRegister] = {}
         self._mwmr: Dict[str, MultiWriterRegister] = {}
-        self.log_reads = log_reads
+        self._log = AccessLog(clock, log_reads)
 
-        self.write_log: List[WriteRecord] = []
-        # The read log, one column per ReadRecord field (times for bisect).
-        self._read_times = array("d")
-        self._read_pids = array("q")
-        self._read_names: List[str] = []
+    @property
+    def log_reads(self) -> bool:
+        """Whether reads are logged (each register counts them regardless)."""
+        return self._log.log_reads
+
+    @property
+    def write_log(self) -> List[WriteRecord]:
+        """Every write, in time order (the run's one write record)."""
+        return self._log.write_log
+
+    @write_log.setter
+    def write_log(self, records: List[WriteRecord]) -> None:
+        """Replace the write log; the registers append to the new list."""
+        self._log.write_log = records
 
     # ------------------------------------------------------------------
     # Construction of registers
@@ -108,7 +152,7 @@ class SharedMemory:
         """Create and register a named 1WnR register."""
         if name in self._registers or name in self._mwmr:
             raise ValueError(f"register {name!r} already exists")
-        reg = AtomicRegister(name, owner=owner, initial=initial, critical=critical, memory=self)
+        reg = AtomicRegister(name, owner=owner, initial=initial, critical=critical, log=self._log)
         self._registers[name] = reg
         return reg
 
@@ -138,7 +182,7 @@ class SharedMemory:
         """Create a multi-writer register (Section 3.5 variant)."""
         if name in self._registers or name in self._mwmr:
             raise ValueError(f"register {name!r} already exists")
-        reg = MultiWriterRegister(name, initial=initial, critical=critical, memory=self)
+        reg = MultiWriterRegister(name, initial=initial, critical=critical, log=self._log)
         self._mwmr[name] = reg
         return reg
 
@@ -161,18 +205,6 @@ class SharedMemory:
         return regs
 
     # ------------------------------------------------------------------
-    # Accounting hooks (called by registers)
-    # ------------------------------------------------------------------
-    def _log_read(self, name: str, pid: int) -> None:
-        """Append one read to the read columns (only when ``log_reads``)."""
-        self._read_times.append(self._clock())
-        self._read_pids.append(pid)
-        self._read_names.append(name)
-
-    def _count_write(self, name: str, pid: int, value: Any) -> None:
-        self.write_log.append(WriteRecord(self._clock(), pid, name, value))
-
-    # ------------------------------------------------------------------
     # Window queries (all intervals are half-open [t0, t1))
     # ------------------------------------------------------------------
     def writes_in(self, t0: float, t1: float) -> List[WriteRecord]:
@@ -186,19 +218,20 @@ class SharedMemory:
     def read_log(self) -> List[ReadRecord]:
         """Every logged read as a record, in log order (a fresh list;
         empty when ``log_reads`` is off)."""
-        return self._read_records(0, len(self._read_names))
+        return self._read_records(0, len(self._log.read_names))
 
     def _read_records(self, lo: int, hi: int) -> List[ReadRecord]:
         """Rows ``lo:hi`` of the read columns, as records."""
+        log = self._log
         return list(
-            map(ReadRecord, self._read_times[lo:hi], self._read_pids[lo:hi], self._read_names[lo:hi])
+            map(ReadRecord, log.read_times[lo:hi], log.read_pids[lo:hi], log.read_names[lo:hi])
         )
 
     def _read_window(self, t0: float, t1: float) -> Tuple[int, int]:
         """Row bounds of ``[t0, t1)`` in the read columns (needs ``log_reads``)."""
         if not self.log_reads:
             raise RuntimeError("read logging is disabled for this run")
-        times = self._read_times
+        times = self._log.read_times
         return bisect.bisect_left(times, t0), bisect.bisect_left(times, t1)
 
     def reads_in(self, t0: float, t1: float) -> List[ReadRecord]:
@@ -212,7 +245,7 @@ class SharedMemory:
     def readers_in(self, t0: float, t1: float) -> FrozenSet[int]:
         """Pids that read at least once in ``[t0, t1)`` (needs ``log_reads``)."""
         lo, hi = self._read_window(t0, t1)
-        return frozenset(self._read_pids[lo:hi])
+        return frozenset(self._log.read_pids[lo:hi])
 
     def registers_written_in(self, t0: float, t1: float) -> FrozenSet[str]:
         """Names of registers written in ``[t0, t1)``."""
@@ -275,4 +308,4 @@ class SharedMemory:
         return len(self.write_log)
 
 
-__all__ = ["ReadRecord", "SharedMemory", "WriteRecord"]
+__all__ = ["AccessLog", "ReadRecord", "SharedMemory", "WriteRecord"]

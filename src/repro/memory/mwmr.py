@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.memory.memory import SharedMemory
+    from repro.memory.memory import AccessLog
 
 
 class MultiWriterRegister:
@@ -26,34 +26,34 @@ class MultiWriterRegister:
     :class:`~repro.memory.register.AtomicRegister`.
     """
 
-    __slots__ = ("name", "critical", "_value", "_memory", "_reads")
+    __slots__ = ("name", "critical", "_value", "_log", "_reads")
 
     def __init__(
         self,
         name: str,
         initial: Any = 0,
         critical: bool = False,
-        memory: Optional["SharedMemory"] = None,
+        log: Optional["AccessLog"] = None,
     ) -> None:
         self.name = name
         self.critical = critical
         self._value = initial
-        self._memory = memory
+        self._log = log
         self._reads = 0
 
     def read(self, reader: int) -> Any:
         """Atomically read the register (counted)."""
         self._reads += 1
-        memory = self._memory
-        if memory is not None and memory.log_reads:
-            memory._log_read(self.name, reader)
+        log = self._log
+        if log is not None and log.log_reads:
+            log.log_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
         """Atomically write the register (counted); any writer allowed."""
         self._value = value
-        if self._memory is not None:
-            self._memory._count_write(self.name, writer, value)
+        if self._log is not None:
+            self._log.log_write(self.name, writer, value)
 
     def fetch_add(self, writer: int, amount: int = 1) -> int:
         """Atomic read-modify-write increment; returns the *old* value.

@@ -8,11 +8,11 @@ sense holds by construction.  What the register layer adds is:
   and the reason ``SUSPICIONS`` is an ``n x n`` matrix rather than a
   vector);
 * **accounting**: the register's own ``read_count`` is the one read
-  count of a run, and every write appends one record to
-  :class:`~repro.memory.memory.SharedMemory`'s write log, so the
-  analysis layer can answer "who wrote what, when" -- which is how
-  Theorems 2, 3, 5, 6, 7 are checked.  A read calls into the memory
-  only when the run logs reads (Lemma 6's reader census);
+  count of a run, and every write appends one record to the run's
+  :class:`~repro.memory.memory.AccessLog`, so the analysis layer can
+  answer "who wrote what, when" -- which is how Theorems 2, 3, 5, 6, 7
+  are checked.  A read calls into the log only when the run logs reads
+  (Lemma 6's reader census);
 * **criticality**: registers may be flagged *critical*, the subset of
   registers the AWB1 assumption constrains (``PROGRESS`` and ``STOP``
   in both algorithms; ``SUSPICIONS`` is explicitly non-critical).
@@ -20,10 +20,10 @@ sense holds by construction.  What the register layer adds is:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.memory.memory import SharedMemory
+    from repro.memory.memory import AccessLog
 
 
 class OwnershipError(RuntimeError):
@@ -33,10 +33,12 @@ class OwnershipError(RuntimeError):
 class AtomicRegister:
     """An atomic 1WnR register.
 
-    Instances are created through :class:`SharedMemory` (which supplies
-    the clock and the write log); constructing one directly with
-    ``memory=None`` yields a register that only counts its reads, handy
-    in unit tests.
+    Instances are created through :class:`SharedMemory`, which hands
+    each register the run's :class:`~repro.memory.memory.AccessLog`
+    (clock, write log, read columns) -- never the memory itself, so
+    the namespace and its registers form no reference cycle.
+    Constructing one directly with ``log=None`` yields a register that
+    only counts its reads, handy in unit tests.
 
     Parameters
     ----------
@@ -53,7 +55,7 @@ class AtomicRegister:
         Whether the register is subject to the AWB1 timing assumption.
     """
 
-    __slots__ = ("name", "owner", "critical", "_value", "_memory", "_reads", "_matrix")
+    __slots__ = ("name", "owner", "critical", "_value", "_log", "_reads", "_matrix_sums")
 
     def __init__(
         self,
@@ -61,18 +63,19 @@ class AtomicRegister:
         owner: Optional[int],
         initial: Any = 0,
         critical: bool = False,
-        memory: Optional["SharedMemory"] = None,
+        log: Optional["AccessLog"] = None,
     ) -> None:
         self.name = name
         self.owner = owner
         self.critical = critical
         self._value = initial
-        self._memory = memory
+        self._log = log
         self._reads = 0
-        #: The :class:`~repro.memory.arrays.RegisterMatrix` this register
-        #: is an entry of (set by the matrix), whose cached column sums
-        #: every value change must invalidate.
-        self._matrix: Any = None
+        #: The one-slot column-sum cache of the
+        #: :class:`~repro.memory.arrays.RegisterMatrix` this register is
+        #: an entry of (set by the matrix), which every value change
+        #: must empty.  The slot, not the matrix: no cycle.
+        self._matrix_sums: Optional[List[Any]] = None
 
     # ------------------------------------------------------------------
     # Operations (linearize at the instant they are applied)
@@ -80,9 +83,9 @@ class AtomicRegister:
     def read(self, reader: int) -> Any:
         """Atomically read the register (counted)."""
         self._reads += 1
-        memory = self._memory
-        if memory is not None and memory.log_reads:
-            memory._log_read(self.name, reader)
+        log = self._log
+        if log is not None and log.log_reads:
+            log.log_read(self.name, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:
@@ -92,10 +95,10 @@ class AtomicRegister:
                 f"process {writer} attempted to write {self.name} owned by {self.owner}"
             )
         self._value = value
-        if self._matrix is not None:
-            self._matrix._sums = None
-        if self._memory is not None:
-            self._memory._count_write(self.name, writer, value)
+        if self._matrix_sums is not None:
+            self._matrix_sums[0] = None
+        if self._log is not None:
+            self._log.log_write(self.name, writer, value)
 
     # ------------------------------------------------------------------
     # Observer access (not part of the modelled computation)
@@ -111,8 +114,8 @@ class AtomicRegister:
         (self-stabilization experiments) -- never by algorithms.
         """
         self._value = value
-        if self._matrix is not None:
-            self._matrix._sums = None
+        if self._matrix_sums is not None:
+            self._matrix_sums[0] = None
 
     @property
     def read_count(self) -> int:

@@ -469,7 +469,9 @@ class Network:
         self._deliver_cb = None  # type: ignore[assignment]
 
     def install_delivery(self, callback) -> None:
-        """Set the ``callback(message)`` invoked at each delivery."""
+        """Set the ``callback(message)`` invoked at each delivery
+        (``None`` uninstalls it: the owner's end-of-run release, which
+        breaks the owner -> network -> callback -> owner cycle)."""
         self._deliver_cb = callback
 
     def _fire_delivery(self, message: Message) -> None:

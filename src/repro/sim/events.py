@@ -108,10 +108,15 @@ class EventLane:
     plain path).
 
     ``consume`` is the single per-lane delivery function, called with
-    the stored payload when a live token fires; when ``consume`` is
-    ``None`` the payload itself must be a zero-argument callable and is
-    invoked directly (the timer-service pattern, where every armed timer
-    carries its own callback).
+    the stored payload when a live token fires -- the register
+    emulation's retransmission lanes pass their retry method, and each
+    payload is the pending operation or sync round to retransmit, so
+    arming a retry builds no closure.  When ``consume`` is ``None`` the
+    payload itself must be a zero-argument callable and is invoked
+    directly (the timer-service pattern, where every armed timer carries
+    its own callback).  A slot holds its payload until the token fires,
+    is cancelled, or :meth:`~repro.sim.kernel.Simulator.release` drops
+    the queued entry at the end of a run.
     """
 
     __slots__ = ("kind", "kind_id", "_consume", "_payloads", "_gens", "_free")
@@ -197,7 +202,7 @@ class EventQueue:
     (see the module docstring).  The kernel's fused schedulers and run
     loop are the only readers and writers of these structures, which
     they access directly, friend-style; their identities are stable
-    (see :meth:`clear`).
+    (:meth:`~repro.sim.kernel.Simulator.release` empties them in place).
     """
 
     __slots__ = ("_heap", "_buckets", "_next_seq", "_direct_time")
@@ -212,14 +217,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap) + sum(map(len, self._buckets.values()))
-
-    def clear(self) -> None:
-        """Drop all pending events (in place; the heap list and bucket
-        dict identities are stable so the kernel may hold direct
-        references to them)."""
-        self._heap.clear()
-        self._buckets.clear()
-        self._direct_time = float("nan")
 
 
 __all__ = [

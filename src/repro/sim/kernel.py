@@ -82,8 +82,8 @@ class Simulator:
     def __init__(self, trace_events: bool = True) -> None:
         self._queue = EventQueue()
         # Direct references to the queue's storage for the fused
-        # schedule/run paths (all identities are stable; see
-        # EventQueue.clear).
+        # schedule/run paths (all identities are stable; release()
+        # empties them in place).
         self._heap = self._queue._heap
         self._buckets = self._queue._buckets
         self._next_seq = self._queue._next_seq
@@ -432,6 +432,33 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
         return len(self._queue)
+
+    def release(self) -> None:
+        """Drop every pending event and free its lane slot.
+
+        The end of a run: each queued entry holds its callback (a step,
+        a timer, a sample, a delivery, a retry), each callback holds its
+        owner, and each owner holds this simulator, so a queue left
+        standing at the horizon keeps the whole run graph alive in
+        reference cycles.  Releasing empties the heap and the collision
+        buckets in place and cancels every lane token still queued, so
+        its lane drops the payload and the slot returns to the free
+        list.  The clock, ``events_fired``, ``events_skipped`` and the
+        per-kind counts are untouched; events scheduled afterwards run
+        as on a fresh queue.  Refused while the loop is running.
+        """
+        if self._running:
+            raise SimulationError("cannot release pending events while running")
+        for entry in self._heap:
+            if entry[5] is not None:
+                entry[4].cancel(entry[5])
+        for bucket in self._buckets.values():
+            for entry in bucket:
+                if entry[5] is not None:
+                    entry[4].cancel(entry[5])
+        self._heap.clear()
+        self._buckets.clear()
+        self._queue._direct_time = self._direct_time = float("nan")
 
 
 __all__ = ["SimulationError", "Simulator"]

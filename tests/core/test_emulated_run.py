@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.runner import Run
@@ -273,3 +275,33 @@ def test_duplication_links_are_survived():
     report = result.stabilization(margin=scen.margin)
     assert report.holds and report.leader_correct
     assert result.check_properties(assumption=scen.assumption, margin=scen.margin).violations() == []
+
+
+# ----------------------------------------------------------------------
+# The end-of-run release
+# ----------------------------------------------------------------------
+def test_post_run_queries_survive_the_release(monkeypatch):
+    """``Run.execute`` releases the run's reference cycles after the final
+    sample.  Every question asked of the result afterwards -- ops still
+    in flight at the horizon included -- must get the answer an
+    unreleased twin of the same cell gives."""
+    # At this horizon seed 0 ends with three ops in flight, one of them a
+    # write in its write phase (the history's one ``resp = inf`` record).
+    scen = nominal_emulated_atomic(n=3, horizon=1000.5)
+    released = scen.run(ALGORITHMS["alg1"], seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(Run, "_release", lambda self: None)
+        kept = scen.run(ALGORITHMS["alg1"], seed=0)
+    assert released.sim.pending() == 0 < kept.sim.pending()
+
+    assert len(released.memory._ops) == 3
+    history = released.memory.recorded_history()
+    assert [rec.kind for rec in history if rec.resp == math.inf] == ["write"]
+    assert history == kept.memory.recorded_history()
+    assert released.audit_consistency() == kept.audit_consistency()
+    judge = dict(assumption=scen.assumption, margin=scen.margin)
+    assert released.check_properties(**judge) == kept.check_properties(**judge)
+    assert released.sim.events_fired == kept.sim.events_fired
+    assert released.sim.fired_by_kind == kept.sim.fired_by_kind
+    rows = [result.summarize(scenario_name=scen.name, **judge).canonical_json() for result in (released, released, kept)]
+    assert rows[0] == rows[1] == rows[2]

@@ -13,15 +13,25 @@ dataclass ``__init__`` under a shared ``<string>`` row.
 A run also records each fact once: the timer service keeps one lane
 token per pid (the behaviours' histories are the timer record), and the
 trace keeps one ``(time, pid, leader)`` row per observer sample.  The
-last test pins that with ``tracemalloc``: what those two modules still
-hold after a fast run must not grow with the horizon beyond the samples.
+retained-bytes test pins that with ``tracemalloc``: what those two
+modules still hold after a fast run must not grow with the horizon
+beyond the samples.
+
+A finished run frees itself: ``Run.execute`` releases the reference
+cycles an event-driven run needs while it runs, so dropping the result
+frees every log by reference counting alone.  The last test runs every
+registered scenario with the collector off and asks it what it would
+have had to free.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
+import inspect
 import os
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,6 +39,7 @@ from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.interfaces import ReadReg
 from repro.memory.memory import ReadRecord
+from repro.workloads.registry import SCENARIO_REGISTRY
 from repro.workloads.scenarios import nominal, nominal_emulated
 
 N = 4
@@ -148,3 +159,55 @@ def test_timers_and_trace_retain_only_the_leader_samples(algorithm):
         assert per_sample <= 100
     # The timer service holds one token per pid, whatever the horizon.
     assert held[1000.0]["timers/service.py"] == held[4000.0]["timers/service.py"]
+
+
+#: Every registered scenario under Algorithm 1, plus Algorithm 2 on the
+#: nominal cell (its ``LAST`` matrix and hand-shake writes).
+CYCLE_CELLS = [(name, WriteEfficientOmega) for name in SCENARIO_REGISTRY] + [("nominal", BoundedOmega)]
+
+
+def run_cell(name: str, algorithm, fast: bool, horizon: float = 1000.0) -> None:
+    """Execute and summarize one short cell, then drop everything."""
+    factory = SCENARIO_REGISTRY[name][0]
+    scenario = factory(horizon=horizon) if "horizon" in inspect.signature(factory).parameters else factory()
+    options = {"log_reads": False, "trace_events": False} if fast else {}
+    scenario.run(algorithm, seed=0, **options).summarize(scenario_name=scenario.name)
+
+
+def cyclic_garbage(cell) -> Counter:
+    """``repro`` objects, by class, that only the cycle collector could
+    free after ``cell()`` ran with the collector disabled."""
+    gc.collect()
+    gc.disable()
+    try:
+        cell()
+        start = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            found = Counter(
+                type(obj).__qualname__
+                for obj in gc.garbage[start:]
+                if type(obj).__module__.startswith("repro.")
+            )
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[start:]
+    finally:
+        gc.enable()
+    return found
+
+
+@pytest.fixture(scope="module")
+def warmed_up():
+    """One cell first, so first-use imports and caches are not judged."""
+    run_cell("nominal", WriteEfficientOmega, fast=True)
+
+
+@pytest.mark.parametrize("mode", ["fast", "traced"])
+@pytest.mark.parametrize(
+    "name, algorithm", CYCLE_CELLS, ids=[f"{name}-{alg.display_name.split('-')[0]}" for name, alg in CYCLE_CELLS]
+)
+def test_a_finished_run_leaves_no_cyclic_garbage(warmed_up, name, algorithm, mode):
+    found = cyclic_garbage(lambda: run_cell(name, algorithm, fast=mode == "fast"))
+    assert not found, f"{name} ({mode}) left reference cycles: {dict(found)}"

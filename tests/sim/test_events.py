@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.events import EventLane, EventQueue, intern_kind, kind_name
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 MODES = ("at", "after", "lane", "lane-cancelled")
 
@@ -77,13 +77,38 @@ class TestEventQueueBasics:
         with pytest.raises(ValueError):
             Simulator().schedule_lane_after(EventLane("nan-lane", None), float("nan"), lambda: None)
 
-    def test_clear(self):
+    def test_release_empties_the_queue(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(1.0, lambda: None)
-        sim._queue.clear()
+        sim.release()
         assert sim.pending() == 0
         assert sim.run() == 0.0 and sim.events_fired == 0
+
+    def test_release_frees_every_lane_slot(self):
+        sim = Simulator()
+        lane = EventLane("release-lane", None, capacity=2)
+        tokens = [sim.schedule_lane_after(lane, delay, lambda: None) for delay in (1.0, 1.0, 2.0)]
+        lane.cancel(tokens[0])  # a stale entry stays queued; releasing it is a no-op
+        sim.schedule_at(1.0, lambda: None)
+        sim.release()
+        # The lane grew to 4 slots for 3 armed events; all are free again
+        # and none keeps its payload alive.
+        assert sorted(lane._free) == list(range(len(lane._payloads))) == [0, 1, 2, 3]
+        assert lane._payloads == [None] * 4
+        assert not any(lane.live(token) for token in tokens)
+        # A re-arm reuses a freed slot instead of growing the columns.
+        fired = []
+        token = sim.schedule_lane_after(lane, 1.0, lambda: fired.append("re-armed"))
+        assert len(lane._payloads) == 4 and lane.live(token)
+        sim.run()
+        assert fired == ["re-armed"] and sim.events_fired == 1
+
+    def test_release_is_refused_while_running(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, sim.release)
+        with pytest.raises(SimulationError):
+            sim.run()
 
     def test_pid_recorded(self):
         sim = Simulator()
