@@ -28,8 +28,9 @@ from repro.sim.tracing import RunTrace
 
 
 def check_validity(trace: RunTrace, n: int) -> bool:
-    """Every sampled ``leader()`` output is a process identity."""
-    return all(0 <= leader < n for _, _, leader in trace.leader_samples())
+    """Every sampled ``leader()`` output is a process identity (each
+    sampled value is some change point's, so those are all it reads)."""
+    return all(0 <= leader < n for _, _, leader in trace.leader_changes())
 
 
 @dataclass

@@ -56,6 +56,9 @@ from repro.timers.awb import AsymptoticallyWellBehavedTimer, TimerBehavior
 from repro.timers.functions import LinearF
 from repro.timers.service import TimerService
 
+#: The observer's "no sample yet" leader: unequal to any ``leader()`` output.
+_UNSAMPLED = object()
+
 
 @dataclass
 class _TaskState:
@@ -504,6 +507,10 @@ class Run:
         self.delay_model: StepDelayModel = delay_model or UniformDelay(self.rng, 0.5, 1.5)
         self.crash_plan = (crash_plan or CrashPlan.none(n)).until(horizon)
         self.trace = RunTrace()
+        self._pids = range(n)
+        #: Each pid's last sampled ``leader()`` output (the observer's
+        #: run-length state; ``_UNSAMPLED`` before its first sample).
+        self._last_leader: List[Any] = [_UNSAMPLED] * n
         config = dict(algo_config or {})
 
         behaviors: Dict[int, TimerBehavior] = dict(timer_behaviors or {})
@@ -547,13 +554,25 @@ class Run:
         for pid, t in sorted(self.crash_plan.crash_times.items()):
             self.sim.schedule_at(t, self.runtimes[pid].crash, kind="crash", pid=pid)
 
-    def _sample(self) -> None:
-        now = self.sim.now
-        record = self.trace.record_leader_sample
+    def _sample(self, final: bool = False) -> None:
+        """One observer pass: sample every live process's ``leader()``
+        output, then schedule the next pass (the ``final`` one, at the
+        horizon, schedules none).  Only a value that differs from the
+        pid's last sample reaches the trace, as a change point."""
+        now = self.horizon if final else self.sim.now
+        runtimes = self.runtimes
+        live = [pid for pid in self._pids if not runtimes[pid].crashed]
+        trace = self.trace
+        trace.open_tick(now, live)
+        last = self._last_leader
         algorithms = self.algorithms
-        for pid, runtime in enumerate(self.runtimes):
-            if not runtime.crashed:
-                record(now, pid, algorithms[pid].peek_leader())
+        for pid in live:
+            leader = algorithms[pid].peek_leader()
+            if leader != last[pid]:
+                last[pid] = leader
+                trace.record_change(pid, leader)
+        if final:
+            return
         nxt = now + self.sample_interval
         if nxt <= self.horizon:
             self.sim.schedule_at(nxt, self._sample, kind="sample")
@@ -603,12 +622,7 @@ class Run:
         if self.snapshot_interval is not None:
             self.sim.schedule_at(0.0, self._snapshot, kind="snapshot")
         self.sim.run(until=self.horizon, max_events=max_events)
-        # Final observer sample at the horizon.
-        for pid, runtime in enumerate(self.runtimes):
-            if not runtime.crashed:
-                self.trace.record_leader_sample(
-                    self.horizon, pid, self.algorithms[pid].peek_leader()
-                )
+        self._sample(final=True)
         self._release()
         return RunResult(
             algorithm_name=self.algorithm_cls.display_name,

@@ -21,8 +21,10 @@ register's ``read_count``, the only read count; only a run that logs
 reads also appends it to the read log.  Reads outnumber writes by an
 order of magnitude and their one consumer (the Lemma 6 census) needs
 only the readers' pids, so the read log is three parallel columns --
-times, pids and register names -- and a :class:`ReadRecord` is built
-only when a query asks for records.
+8-byte times, 2-byte pids and 2-byte register ids, 12 bytes a read --
+and a :class:`ReadRecord` is built only when a query asks for records.
+A register gets its id from the log when it is created and keeps it;
+the log's one list of names maps ids back.
 
 Both records live in one :class:`AccessLog`, which the memory and each
 of its registers hold.  A register never holds the memory itself: the
@@ -66,31 +68,47 @@ class ReadRecord:
     register: str
 
 
+#: Registers one :class:`AccessLog` can number: its id column is ``array('H')``.
+MAX_REGISTERS = 1 << 16
+
+
 class AccessLog:
     """The run's one record of each access, appended by the registers.
 
     ``write_log`` is a list of :class:`WriteRecord`, in time order.  The
     read log is three parallel columns -- ``array('d')`` times,
-    ``array('q')`` pids and a list of register names -- appended only
+    ``array('H')`` pids and ``array('H')`` register ids -- appended only
     when ``log_reads`` is on, so a traced read allocates no object.
-    ``clock`` stamps both.
+    ``names`` maps a register id (:meth:`register_id`) to its name.
+    ``clock`` stamps both logs.
     """
 
-    __slots__ = ("clock", "log_reads", "write_log", "read_times", "read_pids", "read_names")
+    __slots__ = ("clock", "log_reads", "write_log", "read_times", "read_pids", "read_regs", "names")
 
     def __init__(self, clock: Callable[[], float], log_reads: bool) -> None:
         self.clock = clock
         self.log_reads = log_reads
         self.write_log: List[WriteRecord] = []
         self.read_times = array("d")
-        self.read_pids = array("q")
-        self.read_names: List[str] = []
+        self.read_pids = array("H")
+        self.read_regs = array("H")
+        self.names: List[str] = []
 
-    def log_read(self, name: str, pid: int) -> None:
+    def register_id(self, name: str) -> int:
+        """Number a new register for the read columns."""
+        if len(self.names) >= MAX_REGISTERS:
+            raise ValueError(
+                f"cannot create register {name!r}: one memory holds at most "
+                f"{MAX_REGISTERS} registers (the read log's register-id column is 16-bit)"
+            )
+        self.names.append(name)
+        return len(self.names) - 1
+
+    def log_read(self, reg_id: int, pid: int) -> None:
         """Append one read to the read columns (only when ``log_reads``)."""
         self.read_times.append(self.clock())
         self.read_pids.append(pid)
-        self.read_names.append(name)
+        self.read_regs.append(reg_id)
 
     def log_write(self, name: str, pid: int, value: Any) -> None:
         """Append one write record."""
@@ -102,9 +120,10 @@ class SharedMemory:
 
     The write log is a list of records (:attr:`write_log`), in time
     order.  The read log is the :class:`AccessLog`'s three parallel
-    columns, so a traced read allocates no object.  :attr:`read_log`
-    and :meth:`reads_in` build :class:`ReadRecord` objects on demand;
-    :meth:`readers_in` slices the pid column directly.
+    columns (time, pid, register id), so a traced read allocates no
+    object.  :attr:`read_log` and :meth:`reads_in` build
+    :class:`ReadRecord` objects on demand; :meth:`readers_in` slices the
+    pid column directly.
 
     Parameters
     ----------
@@ -218,14 +237,13 @@ class SharedMemory:
     def read_log(self) -> List[ReadRecord]:
         """Every logged read as a record, in log order (a fresh list;
         empty when ``log_reads`` is off)."""
-        return self._read_records(0, len(self._log.read_names))
+        return self._read_records(0, len(self._log.read_regs))
 
     def _read_records(self, lo: int, hi: int) -> List[ReadRecord]:
         """Rows ``lo:hi`` of the read columns, as records."""
         log = self._log
-        return list(
-            map(ReadRecord, log.read_times[lo:hi], log.read_pids[lo:hi], log.read_names[lo:hi])
-        )
+        names = map(log.names.__getitem__, log.read_regs[lo:hi])
+        return list(map(ReadRecord, log.read_times[lo:hi], log.read_pids[lo:hi], names))
 
     def _read_window(self, t0: float, t1: float) -> Tuple[int, int]:
         """Row bounds of ``[t0, t1)`` in the read columns (needs ``log_reads``)."""
@@ -308,4 +326,4 @@ class SharedMemory:
         return len(self.write_log)
 
 
-__all__ = ["AccessLog", "ReadRecord", "SharedMemory", "WriteRecord"]
+__all__ = ["MAX_REGISTERS", "AccessLog", "ReadRecord", "SharedMemory", "WriteRecord"]

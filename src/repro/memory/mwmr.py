@@ -26,7 +26,7 @@ class MultiWriterRegister:
     :class:`~repro.memory.register.AtomicRegister`.
     """
 
-    __slots__ = ("name", "critical", "_value", "_log", "_reads")
+    __slots__ = ("name", "critical", "_value", "_log", "_id", "_reads")
 
     def __init__(
         self,
@@ -39,6 +39,8 @@ class MultiWriterRegister:
         self.critical = critical
         self._value = initial
         self._log = log
+        #: This register's row value in the log's register-id column.
+        self._id = log.register_id(name) if log is not None else 0
         self._reads = 0
 
     def read(self, reader: int) -> Any:
@@ -46,7 +48,7 @@ class MultiWriterRegister:
         self._reads += 1
         log = self._log
         if log is not None and log.log_reads:
-            log.log_read(self.name, reader)
+            log.log_read(self._id, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:

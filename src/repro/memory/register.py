@@ -36,7 +36,8 @@ class AtomicRegister:
     Instances are created through :class:`SharedMemory`, which hands
     each register the run's :class:`~repro.memory.memory.AccessLog`
     (clock, write log, read columns) -- never the memory itself, so
-    the namespace and its registers form no reference cycle.
+    the namespace and its registers form no reference cycle -- and the
+    register takes its id in the log's register-id column from it.
     Constructing one directly with ``log=None`` yields a register that
     only counts its reads, handy in unit tests.
 
@@ -55,7 +56,7 @@ class AtomicRegister:
         Whether the register is subject to the AWB1 timing assumption.
     """
 
-    __slots__ = ("name", "owner", "critical", "_value", "_log", "_reads", "_matrix_sums")
+    __slots__ = ("name", "owner", "critical", "_value", "_log", "_id", "_reads", "_matrix_sums")
 
     def __init__(
         self,
@@ -70,6 +71,8 @@ class AtomicRegister:
         self.critical = critical
         self._value = initial
         self._log = log
+        #: This register's row value in the log's register-id column.
+        self._id = log.register_id(name) if log is not None else 0
         self._reads = 0
         #: The one-slot column-sum cache of the
         #: :class:`~repro.memory.arrays.RegisterMatrix` this register is
@@ -85,7 +88,7 @@ class AtomicRegister:
         self._reads += 1
         log = self._log
         if log is not None and log.log_reads:
-            log.log_read(self.name, reader)
+            log.log_read(self._id, reader)
         return self._value
 
     def write(self, writer: int, value: Any) -> None:

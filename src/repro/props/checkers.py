@@ -153,6 +153,11 @@ def leadership_verdict(
     """Replay a finished run's crash plan and leader samples through
     :class:`StabilizationMonitor`.
 
+    Only the trace's change points are fed, each pid's in time order and
+    the pids in order of first appearance: a sample that repeats its
+    pid's previous leader leaves the monitor's state as it was, so the
+    verdict is the one the full rows give, without expanding them.
+
     Edge rule: a process is *faulty* for this verdict iff its crash time
     is ``<= horizon`` -- a crash planned beyond the horizon never
     happened in the run, so that process's samples count and it may be
@@ -162,7 +167,7 @@ def leadership_verdict(
     for pid, t in crash_plan.crash_times.items():
         if t <= horizon:
             monitor.observe_crash(t, pid)
-    for t, pid, leader in trace.leader_samples():
+    for t, pid, leader in trace.leader_changes():
         monitor.observe_sample(t, pid, leader)
     return monitor.finish()
 

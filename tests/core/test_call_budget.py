@@ -38,12 +38,15 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 
 
 #: (scenario, algorithm, traced, ceiling).  Measured on CPython 3.11 with
-#: the pure-Python kernel: 16.05 and 16.40 on the shared cells, 19.39 on
-#: the emulated regular cell and 17.92 on the atomic one, which adds the
+#: the pure-Python kernel: 15.89 and 16.29 on the shared cells, 19.36 on
+#: the emulated regular cell and 17.90 on the atomic one, which adds the
 #: write-back path.  Traced, where every read also lands in the columnar
-#: read log: 19.85 / 19.96 on the shared cells and 20.01 on the emulated
+#: read log: 19.69 / 19.85 on the shared cells and 19.99 on the emulated
 #: one -- these rows pin the read-log append.  History, newest first:
 #:
+#: * fast 16.05 / 16.40 / 19.39 / 17.92 and traced 19.85 / 19.96 / 20.01
+#:   while the observer appended one ``(time, pid, leader)`` row per
+#:   live pid per pass, through a trace method call each;
 #: * fast 18.38 / 18.76 / 19.78 / 18.14 and traced 20.66 / 20.90 / 20.15
 #:   while every read also went through a memory hook that bumped a
 #:   per-pid counter and stamped a per-pid last-read time, and every
@@ -66,15 +69,15 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 #:
 #: A compiled kernel counts fewer calls, never more.
 BUDGETS = [
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 16.55, id="shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 16.90, id="shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 19.89, id="emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 16.39, id="shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 16.79, id="shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 19.86, id="emulated-alg1"),
     pytest.param(
-        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 18.42, id="emulated-atomic-alg1"
+        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 18.40, id="emulated-atomic-alg1"
     ),
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 20.35, id="traced-shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 20.46, id="traced-shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 20.51, id="traced-emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 20.19, id="traced-shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 20.35, id="traced-shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 20.49, id="traced-emulated-alg1"),
 ]
 
 

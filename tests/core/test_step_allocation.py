@@ -12,10 +12,10 @@ dataclass ``__init__`` under a shared ``<string>`` row.
 
 A run also records each fact once: the timer service keeps one lane
 token per pid (the behaviours' histories are the timer record), and the
-trace keeps one ``(time, pid, leader)`` row per observer sample.  The
-retained-bytes test pins that with ``tracemalloc``: what those two
-modules still hold after a fast run must not grow with the horizon
-beyond the samples.
+trace keeps one 8-byte time per observer pass plus one change point per
+leader change, not a row per sample.  The retained-bytes test pins that
+with ``tracemalloc``: the timer service holds the same bytes at every
+horizon, and the trace at most 10 B per leader sample it expands to.
 
 A finished run frees itself: ``Run.execute`` releases the reference
 cycles an event-driven run needs while it runs, so dropping the result
@@ -156,7 +156,7 @@ def test_timers_and_trace_retain_only_the_leader_samples(algorithm):
         held[horizon], samples = retained_by_module(nominal(n=N, horizon=horizon), algorithm, modules)
         per_sample = held[horizon]["sim/tracing.py"] / samples
         print(f"{algorithm.display_name} horizon {horizon:.0f}: {held[horizon]} bytes, {per_sample:.0f} B/sample")
-        assert per_sample <= 100
+        assert per_sample <= 10
     # The timer service holds one token per pid, whatever the horizon.
     assert held[1000.0]["timers/service.py"] == held[4000.0]["timers/service.py"]
 

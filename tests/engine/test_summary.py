@@ -2,9 +2,10 @@
 ``check_properties`` judgement into its census columns.
 
 * a **pass budget** in the style of ``tests/core/test_call_budget.py``:
-  the summarizer may walk the leader samples and the write log at most
-  twice each (the judge once, plus validity / the suspicion census), so
-  the next per-cell pass someone adds fails here in a second;
+  the summarizer never expands the run-length leader samples into rows
+  (the judges read the trace's change points) and walks the write log
+  at most twice (the judge once, plus the suspicion census), so the
+  next per-cell pass someone adds fails here in a second;
 * the **two edges** where the census and the theorem verdicts used to be
   derived separately and disagreed, pinned on hand-built runs: a write
   at exactly ``t == horizon``, and a crash planned beyond the horizon.
@@ -36,6 +37,10 @@ class CountingList(list):
         return super().__iter__()
 
 
+#: The trace queries that expand change points into rows.
+EXPANSIONS = ("leader_samples", "leader_samples_by_pid", "sample_times")
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -43,18 +48,30 @@ class CountingList(list):
         pytest.param(nominal_emulated_atomic(n=3, horizon=500.0), id="emulated-atomic"),
     ],
 )
-def test_summarizer_walks_samples_and_write_log_at_most_twice(scenario):
+def test_summarizer_never_expands_the_samples(scenario, monkeypatch):
     result = scenario.run(WriteEfficientOmega, seed=0, log_reads=False, trace_events=False)
     options = dict(scenario_name=scenario.name, margin=scenario.margin, assumption=scenario.assumption)
     expected = summarize_run(result, **options)
 
-    samples = result.trace._samples = CountingList(result.trace.leader_samples())
+    expanded = []
+
+    def counted(name, query):
+        def expand(trace):
+            expanded.append(name)
+            return query(trace)
+
+        return expand
+
+    for name in EXPANSIONS:
+        monkeypatch.setattr(RunTrace, name, counted(name, getattr(RunTrace, name)))
+    assert len(result.trace.leader_samples()) > 100 and expanded == ["leader_samples"]
+    expanded.clear()
     writes = result.memory.write_log = CountingList(result.memory.write_log)
-    assert len(samples) > 100 and len(writes) > 20
+    assert len(writes) > 20
     summary = summarize_run(result, **options)
-    print(f"{scenario.name}: {samples.walks} walk(s) of the samples, {writes.walks} of the write log")
+    print(f"{scenario.name}: {len(expanded)} expansion(s) of the samples, {writes.walks} walk(s) of the write log")
     assert summary == expected
-    assert 1 <= samples.walks <= 2
+    assert expanded == []
     assert 1 <= writes.walks <= 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.memory import ReadRecord, SharedMemory
+from repro.memory.memory import MAX_REGISTERS, ReadRecord, SharedMemory
 
 
 class FakeClock:
@@ -58,6 +58,20 @@ class TestNamespace:
         memory.create_register("A", owner=0)
         memory.create_mwmr("B")
         assert [r.name for r in memory.all_registers()] == ["A", "B"]
+
+
+class TestRegisterIds:
+    """The read log's register column holds 16-bit ids, one per register."""
+
+    def test_a_register_past_the_id_column_is_refused(self, memory):
+        memory.create_array("R", MAX_REGISTERS)
+        last = memory.register(f"R[{MAX_REGISTERS - 1}]")
+        last.read(7)
+        assert memory.read_log == [ReadRecord(0.0, 7, last.name)]
+        for create in (lambda: memory.create_register("X", owner=None), lambda: memory.create_mwmr("X")):
+            with pytest.raises(ValueError, match=f"at most {MAX_REGISTERS} registers"):
+                create()
+        assert "X" not in memory.names()
 
 
 class TestAccessAccounting:
