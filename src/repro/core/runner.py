@@ -89,10 +89,11 @@ class ProcessRuntime:
     A runtime is handed its collaborators -- the simulator, the delay
     model, the timer service, the memory and the disk -- and holds no
     reference to its :class:`Run`; the dispatch table maps op classes
-    to plain functions, not to methods bound to this runtime.  The one
-    self-reference left is the pre-bound step callback, which the hot
-    loop reschedules without allocating; :meth:`release` drops it when
-    the run ends.
+    to plain functions, not to methods bound to this runtime.  The
+    self-references left are the pre-bound step callback, which the hot
+    loop reschedules without allocating, and the pre-bound completion
+    callback every interval operation hands its substrate;
+    :meth:`release` drops both when the run ends.
     """
 
     def __init__(
@@ -120,6 +121,7 @@ class ProcessRuntime:
         # Pre-bound hot-path collaborators.
         self._sim = sim
         self._step_cb: Optional[Callable[[], None]] = self.step
+        self._resume_cb: Optional[Callable[[Any], None]] = self._resume
         self._delay_of = delay_model.delay
         self._schedule_after = sim.schedule_after
         self._crash_at = crash_at
@@ -153,10 +155,12 @@ class ProcessRuntime:
         self._schedule_next_step()
 
     def release(self) -> None:
-        """End of run: drop the pre-bound step callback, this runtime's
-        one reference to itself.  Called by :meth:`Run.execute` after
-        the simulator released its queue; the runtime steps no more."""
+        """End of run: drop the pre-bound step and completion callbacks,
+        this runtime's references to itself.  Called by
+        :meth:`Run.execute` after the simulator released its queue; the
+        runtime steps no more."""
         self._step_cb = None
+        self._resume_cb = None
 
     def crash(self) -> None:
         """Crash-stop: no further step or timer action, ever."""
@@ -231,38 +235,37 @@ class ProcessRuntime:
     # ------------------------------------------------------------------
     # Interval handlers (disk accesses and ABD quorum phases alike)
     # ------------------------------------------------------------------
-    def _resume(self, task: _TaskState) -> Callable[[Any], None]:
+    def _resume(self, value: Any) -> None:
         """Completion callback: unblock, deliver the value, reschedule.
 
-        An interval operation outlives its invoker: a disk access still
-        linearizes and a quorum write still completes if the process
-        crashed mid-interval -- only the process's continuation is
-        suppressed.
+        The blocked task is always the front one: a blocked process
+        takes no step, so nothing rotates the queue, and a timer only
+        appends.  An interval operation outlives its invoker: a disk
+        access still linearizes and a quorum write still completes if
+        the process crashed mid-interval -- only the process's
+        continuation is suppressed.
         """
-
-        def resume(value: Any) -> None:
-            self.blocked = False
-            if self.crashed:
-                return
-            task.inbox = value
-            self.tasks.rotate(-1)
-            self._schedule_next_step()
-
-        return resume
+        self.blocked = False
+        if self.crashed:
+            return
+        tasks = self.tasks
+        tasks[0].inbox = value
+        tasks.rotate(-1)
+        self._schedule_next_step()
 
     def _op_read_interval(self, task: _TaskState, op: ReadReg) -> bool:
         self.blocked = True
-        self._interval.emu_read(self.pid, op.register, self._resume(task))
+        self._interval.emu_read(self.pid, op.register, self._resume_cb)
         return True
 
     def _op_write_interval(self, task: _TaskState, op: WriteReg) -> bool:
         self.blocked = True
-        self._interval.emu_write(self.pid, op.register, op.value, self._resume(task))
+        self._interval.emu_write(self.pid, op.register, op.value, self._resume_cb)
         return True
 
     def _op_fetch_add_emulated(self, task: _TaskState, op: FetchAdd) -> bool:
         self.blocked = True
-        self._interval.emu_fetch_add(self.pid, op.register, op.amount, self._resume(task))
+        self._interval.emu_fetch_add(self.pid, op.register, op.amount, self._resume_cb)
         return True
 
 

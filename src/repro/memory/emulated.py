@@ -444,77 +444,99 @@ def _merge_newer(store: Dict[str, _Stamped], entries: Iterable[Tuple[str, _Stamp
             store[name] = (ts, value)
 
 
+#: The replica state of a register no seed names (one created after start).
+_UNSEEDED: _Stamped = (INITIAL_TS, 0)
+
+
 class ReplicaNode:
     """One replica: a ``{register: (timestamp, value)}`` store.
 
     Replicas are passive state machines -- they never initiate traffic,
     only answer queries and apply timestamped writes (monotonically:
     an older write arriving late never regresses the stored value).
-    A crashed replica silently drops everything; a *recovering* replica
-    (post-crash amnesia, pre-resync) applies and acks writes -- the
-    timestamps make that safe -- but refuses to serve reads or to
-    certify another replica's resync until its own quorum state-resync
-    completes (the ``abd.sync`` round driven by
-    :class:`EmulatedMemory`).
+    Each request kind has its own handler, routed by the emulation's
+    network straight to this node (``on_read``, ``on_write``,
+    ``on_sync``, ``on_transfer``); each counts its delivery and replies
+    through :attr:`network`.  A crashed replica silently drops
+    everything; a *recovering* replica (post-crash amnesia, pre-resync)
+    applies and acks writes -- the timestamps make that safe -- but
+    refuses to serve reads or to certify another replica's resync until
+    its own quorum state-resync completes (the ``abd.sync`` round
+    driven by :class:`EmulatedMemory`).  A node created *amnesiac* (a
+    membership joiner) starts empty and recovering.
     """
 
-    def __init__(self, index: int, initial: Dict[str, Tuple[Tuple[int, int], Any]]) -> None:
+    def __init__(
+        self, index: int, network: Network, initial: Dict[str, _Stamped], amnesiac: bool = False
+    ) -> None:
         self.index = index
         #: The replica's address on the emulation network: clients use
         #: their non-negative pid, so replicas live on the negative axis.
         self.node_id = -(index + 1)
-        self.store: Dict[str, Tuple[Tuple[int, int], Any]] = dict(initial)
+        self.network = network
+        #: The emulation's seeded register values: the state of every
+        #: register this store holds nothing for.
+        self._initial = initial
+        self.store: Dict[str, _Stamped] = {} if amnesiac else dict(initial)
         self.crashed = False
-        self.recovering = False
+        self.recovering = amnesiac
         self.writes_applied = 0
         self.reads_served = 0
 
-    def handle(self, message: Message, network: Network, initial_of: Callable[[str], Tuple[Tuple[int, int], Any]]) -> None:
-        """Serve one query or apply one timestamped write, then reply."""
+    def on_read(self, message: Message) -> None:
+        """Serve an ``abd.read``: reply with the stored stamped value."""
+        self.network.delivered += 1
+        if self.crashed or self.recovering:
+            return  # amnesiac state must not enter any read quorum
+        op_id, name = message.payload
+        ts, value = self.store.get(name) or self._initial.get(name, _UNSEEDED)
+        self.reads_served += 1
+        self.network.send(self.node_id, message.sender, "abd.read-reply", (op_id, name, ts, value))
+
+    def on_write(self, message: Message) -> None:
+        """Apply an ``abd.write`` monotonically and ack it."""
+        self.network.delivered += 1
         if self.crashed:
             return
-        if message.kind == "abd.read":
-            if self.recovering:
-                return  # amnesiac state must not enter any read quorum
-            op_id, name = message.payload
-            ts, value = self.store.get(name) or initial_of(name)
-            self.reads_served += 1
-            network.send(self.node_id, message.sender, "abd.read-reply", (op_id, name, ts, value))
-        elif message.kind == "abd.sync":
-            if self.recovering:
-                return  # cannot certify state it does not have itself
-            (sync_id,) = message.payload
-            network.send(
-                self.node_id,
-                message.sender,
-                "abd.sync-reply",
-                (sync_id, tuple(sorted(self.store.items()))),
-            )
-        elif message.kind == "abd.transfer":
-            # A membership state transfer: the merged old-config state,
-            # applied monotonically (timestamps arbitrate, so a write
-            # this replica overheard during the window never regresses).
-            # The grant carries a majority-of-old-config's worth of
-            # state -- the same guarantee a resync provides -- so an
-            # amnesiac joiner may start serving reads after applying it.
-            transfer_id, entries = message.payload
-            _merge_newer(self.store, entries)
-            self.recovering = False
-            network.send(self.node_id, message.sender, "abd.transfer-ack", (transfer_id,))
-        elif message.kind == "abd.write":
-            op_id, name, ts, value = message.payload
-            current = self.store.get(name) or initial_of(name)
-            if ts > current[0]:
-                self.store[name] = (ts, value)
-                self.writes_applied += 1
-            # The ack echoes the value this replica received: it is the
-            # quorum certificate's value entry, letting the writer
-            # cross-check that the payload survived the wire (the
-            # value-integrity detector; timestamps alone cannot see a
-            # corrupted value travelling under a valid timestamp).
-            network.send(
-                self.node_id, message.sender, "abd.write-ack", (op_id, name, ts, value)
-            )
+        op_id, name, ts, value = message.payload
+        current = self.store.get(name) or self._initial.get(name, _UNSEEDED)
+        if ts > current[0]:
+            self.store[name] = (ts, value)
+            self.writes_applied += 1
+        # The ack echoes the value this replica received: it is the
+        # quorum certificate's value entry, letting the writer
+        # cross-check that the payload survived the wire (the
+        # value-integrity detector; timestamps alone cannot see a
+        # corrupted value travelling under a valid timestamp).
+        self.network.send(self.node_id, message.sender, "abd.write-ack", (op_id, name, ts, value))
+
+    def on_sync(self, message: Message) -> None:
+        """Answer an ``abd.sync`` with a snapshot of the whole store."""
+        self.network.delivered += 1
+        if self.crashed or self.recovering:
+            return  # cannot certify state it does not have itself
+        (sync_id,) = message.payload
+        self.network.send(
+            self.node_id, message.sender, "abd.sync-reply", (sync_id, tuple(sorted(self.store.items())))
+        )
+
+    def on_transfer(self, message: Message) -> None:
+        """Apply a membership state transfer and ack it.
+
+        The payload is the merged old-config state, applied
+        monotonically (timestamps arbitrate, so a write this replica
+        overheard during the window never regresses).  The grant
+        carries a majority-of-old-config's worth of state -- the same
+        guarantee a resync provides -- so an amnesiac joiner may start
+        serving reads after applying it.
+        """
+        self.network.delivered += 1
+        if self.crashed:
+            return
+        transfer_id, entries = message.payload
+        _merge_newer(self.store, entries)
+        self.recovering = False
+        self.network.send(self.node_id, message.sender, "abd.transfer-ack", (transfer_id,))
 
 
 class _PendingOp:
@@ -533,7 +555,6 @@ class _PendingOp:
         "best_ts",
         "best_value",
         "callback",
-        "done",
         "retry_handle",
         "attempts",
         "started_at",
@@ -562,7 +583,6 @@ class _PendingOp:
         self.best_ts: Tuple[int, int] = INITIAL_TS
         self.best_value: Any = None
         self.callback = callback
-        self.done = False
         self.retry_handle: Optional[int] = None  # lane token of the armed retry
         self.attempts = 0  # retransmission rounds fired (backoff exponent)
         self.started_at = started_at
@@ -596,7 +616,6 @@ class _SyncRound:
         "merged",
         "retry_handle",
         "attempts",
-        "done",
     )
 
     def __init__(
@@ -612,7 +631,6 @@ class _SyncRound:
         self.merged: Dict[str, _Stamped] = {}
         self.retry_handle: Optional[int] = None
         self.attempts = 0
-        self.done = False
 
 
 class EmulatedMemory(SharedMemory):
@@ -637,7 +655,9 @@ class EmulatedMemory(SharedMemory):
     clock / log_reads:
         As for :class:`SharedMemory`.
     sim:
-        The run's simulator; all protocol messages ride its event queue.
+        The run's simulator; all protocol messages ride its event queue,
+        and its clock stamps every operation's interval (invocation,
+        response, latency), so ``clock`` must read the same time.
     rng:
         The run's RNG registry; link models draw per-link streams from
         it (the ``sync`` model draws nothing, keeping emulated runs
@@ -661,7 +681,11 @@ class EmulatedMemory(SharedMemory):
         self.network = Network(
             sim, _make_links(self.config.links, rng, dict(self.config.link_params))
         )
-        self.network.install_delivery(self._on_delivery)
+        # Clients (any pid) take the default table; each replica's
+        # address gets its own as the node is made (_add_replica).
+        self.network.install_routes(
+            {"abd.read-reply": self._on_read_reply, "abd.write-ack": self._on_write_ack}
+        )
         self.replicas: List[ReplicaNode] = []
         self._initial: Dict[str, Tuple[Tuple[int, int], Any]] = {}
         self._write_counters: Dict[str, int] = {}
@@ -736,62 +760,27 @@ class EmulatedMemory(SharedMemory):
         self._started = True
         for reg in self.all_registers():
             self._initial[reg.name] = (INITIAL_TS, reg.peek())
-        self.replicas = [
-            ReplicaNode(i, self._initial) for i in range(self.config.replicas)
-        ]
+        for _ in range(self.config.replicas):
+            self._add_replica(amnesiac=False)
         for idx, t in self.config.replica_crash_times:
             if t <= horizon:
-                if idx < len(self.replicas):
-                    replica = self.replicas[idx]
-
-                    def crash(node: ReplicaNode = replica) -> None:
-                        self._crash_replica(node)
-
-                    self._sim.schedule_at(t, crash, kind="replica-crash")
-                else:
-                    # A joiner's crash: the node does not exist yet, so
-                    # resolve the index at fire time (config validation
-                    # guarantees the join precedes the crash).
-                    def crash_joiner(i: int = idx) -> None:
-                        if i < len(self.replicas):
-                            self._crash_replica(self.replicas[i])
-
-                    self._sim.schedule_at(t, crash_joiner, kind="replica-crash")
+                self._sim.schedule_at(t, self._replica_event, "replica-crash", None, ("replica-crash", idx))
         for ev in MembershipPlan(self.config.membership_plan):
-            if ev.at > horizon:
-                continue
-
-            def fire(event: MembershipEvent = ev) -> None:
-                self._on_membership_event(event)
-
-            self._sim.schedule_at(ev.at, fire, kind="membership-event")
+            if ev.at <= horizon:
+                self._sim.schedule_at(ev.at, self._on_membership_event, "membership-event", None, ev)
         self._apply_fault_plan(horizon)
 
     def _apply_fault_plan(self, horizon: float) -> None:
-        """Arm the config's fault plan: replica events become scheduled
-        closures; partition and storm windows compile into a
+        """Arm the config's fault plan: replica events are scheduled;
+        partition and storm windows compile into a
         :class:`~repro.netsim.network.PartitionScheduleLinks` overlay
         wrapping the configured link behaviour."""
         plan = FaultPlan(self.config.fault_plan)
         if not plan.events:
             return
         for ev in plan:
-            if ev.at > horizon:
-                continue
-            if ev.kind == "replica-crash":
-                replica = self.replicas[ev.replica]
-
-                def crash(node: ReplicaNode = replica) -> None:
-                    self._crash_replica(node)
-
-                self._sim.schedule_at(ev.at, crash, kind="replica-crash")
-            elif ev.kind == "replica-recover":
-                replica = self.replicas[ev.replica]
-
-                def recover(node: ReplicaNode = replica) -> None:
-                    self._begin_recovery(node)
-
-                self._sim.schedule_at(ev.at, recover, kind="replica-recover")
+            if ev.at <= horizon and ev.kind in ("replica-crash", "replica-recover"):
+                self._sim.schedule_at(ev.at, self._replica_event, ev.kind, None, (ev.kind, ev.replica))
         partitions = plan.partition_windows(horizon)
         storms = plan.storm_windows(horizon)
         if partitions or storms:
@@ -799,25 +788,49 @@ class EmulatedMemory(SharedMemory):
                 self.network.behavior, partitions=partitions, storms=storms
             )
 
+    def _replica_event(self, event: Tuple[str, int]) -> None:
+        """Fire one scheduled ``(kind, replica index)`` crash or recovery.
+
+        The node is resolved now: a joiner's crash is scheduled before
+        the join makes its node (config validation guarantees the join
+        comes first).
+        """
+        kind, index = event
+        if index < len(self.replicas):
+            node = self.replicas[index]
+            if kind == "replica-crash":
+                self._crash_replica(node)
+            else:
+                self._begin_recovery(node)
+
+    def _add_replica(self, amnesiac: bool) -> None:
+        """Make the next replica node and route its address's traffic:
+        the requests it serves to its own handlers, and the state-sync
+        replies addressed to it -- a round's wire origin -- to the
+        round's state machine here."""
+        node = ReplicaNode(len(self.replicas), self.network, self._initial, amnesiac)
+        self.replicas.append(node)
+        routes = {"abd.read": node.on_read, "abd.write": node.on_write, "abd.sync": node.on_sync}
+        routes["abd.transfer"] = node.on_transfer
+        routes["abd.sync-reply"] = self._on_sync_reply
+        routes["abd.transfer-ack"] = self._on_transfer_ack
+        self.network.install_routes(routes, node.node_id)
+
     def release(self) -> None:
         """End of run: break the emulation's own reference cycles.
 
-        The network's delivery callback, the retry lanes' consumer and
-        the completion callback of every op still in flight all lead
-        back to this object.  ``Run.execute`` calls this after the
+        The network's routes, the retry lanes' consumer and the
+        completion callback of every op still in flight all lead back
+        to this object.  ``Run.execute`` calls this after the
         simulator released its queue; the emulation runs no more, but
         every post-run query (the logs, the counters, the ops in flight
         that :meth:`recorded_history` reports with ``resp = inf``)
         still reads the state it left.
         """
-        self.network.install_delivery(None)
+        self.network.install_routes({})
         self._retry_lanes = {}
         for op in self._ops.values():
             op.callback = None
-
-    def _initial_of(self, name: str) -> Tuple[Tuple[int, int], Any]:
-        """A register's seeded replica state (for post-start lookups)."""
-        return self._initial.get(name, (INITIAL_TS, 0))
 
     # ------------------------------------------------------------------
     # Crash, recovery and the state-sync round
@@ -859,7 +872,6 @@ class EmulatedMemory(SharedMemory):
 
     def _close_round(self, rnd: _SyncRound) -> None:
         """Retire a completed or abandoned round: no timer, no table entry."""
-        rnd.done = True
         if rnd.retry_handle is not None:
             self._retry_lanes[rnd.retry_kind].cancel(rnd.retry_handle)
         del self._rounds[rnd.round_id]
@@ -885,6 +897,7 @@ class EmulatedMemory(SharedMemory):
 
     def _on_sync_reply(self, message: Message) -> None:
         """Merge one snapshot; deliver once the round's quorum replied."""
+        self.network.delivered += 1
         round_id, entries = message.payload
         rnd = self._rounds.get(round_id)
         replica_index = -message.sender - 1
@@ -920,6 +933,7 @@ class EmulatedMemory(SharedMemory):
 
     def _on_transfer_ack(self, message: Message) -> None:
         """Count one push ack; install on a majority of the new config."""
+        self.network.delivered += 1
         rnd = self._rounds.get(message.payload[0])
         if rnd is None or not rnd.pushing or self.next_config is None:
             return
@@ -959,9 +973,7 @@ class EmulatedMemory(SharedMemory):
         members = set(self.current_config.members)
         if event.kind == "join":
             while len(self.replicas) <= event.replica:
-                node = ReplicaNode(len(self.replicas), {})
-                node.recovering = True
-                self.replicas.append(node)
+                self._add_replica(amnesiac=True)
             members.add(event.replica)
         else:
             members.discard(event.replica)
@@ -1036,20 +1048,20 @@ class EmulatedMemory(SharedMemory):
     # Operation-history recorder
     # ------------------------------------------------------------------
     def _record(self, op: _PendingOp, kind: str, ts: Tuple[int, int], value: Any) -> None:
-        """Append one completed-operation interval record (if recording)."""
-        if self.config.record_history:
-            self.op_history.append(
-                OpRecord(
-                    op_id=op.op_id,
-                    kind=kind,
-                    pid=op.pid,
-                    register=op.register.name,
-                    ts=ts,
-                    value=value,
-                    inv=op.started_at,
-                    resp=self._clock(),
-                )
+        """Append one completed-operation interval record (callers check
+        ``config.record_history`` first)."""
+        self.op_history.append(
+            OpRecord(
+                op_id=op.op_id,
+                kind=kind,
+                pid=op.pid,
+                register=op.register.name,
+                ts=ts,
+                value=value,
+                inv=op.started_at,
+                resp=self._sim._now,
             )
+        )
 
     def recorded_history(self) -> List[OpRecord]:
         """The auditable interval history of this run.
@@ -1142,14 +1154,14 @@ class EmulatedMemory(SharedMemory):
                 "(Run.execute does this)"
             )
         self._op_counter += 1
-        op = _PendingOp(self._op_counter, pid, register, kind, callback, self._clock())
+        op = _PendingOp(self._op_counter, pid, register, kind, callback, self._sim._now)
         self._ops[op.op_id] = op
         return op
 
     def _enter_query(self, op: _PendingOp) -> None:
         op.phase = "query"
         op.replies = set()
-        op.best_ts, op.best_value = self._initial_of(op.register.name)
+        op.best_ts, op.best_value = self._initial.get(op.register.name, _UNSEEDED)
         self._broadcast_phase(op)
         self._arm_retry(op)
 
@@ -1208,8 +1220,8 @@ class EmulatedMemory(SharedMemory):
         scheduled, for client phases (``abd-retry``) and state-sync
         rounds (``abd-resync-retry`` / ``abd-transfer-retry``) alike.
 
-        Until ``item.done``, every :meth:`_retry_delay` the timer counts
-        a retransmission, re-broadcasts the item's current step -- which
+        Until the item is finished (its token cancelled), every
+        :meth:`_retry_delay` the timer counts a retransmission, re-broadcasts the item's current step -- which
         re-evaluates its target set, so whatever is in flight across an
         install follows the config change -- and re-arms itself.  The
         timer rides the :class:`~repro.sim.events.EventLane` of its kind
@@ -1224,8 +1236,6 @@ class EmulatedMemory(SharedMemory):
 
     def _retry(self, item: Any) -> None:
         """One retransmission round of ``item`` (the retry lanes' consumer)."""
-        if item.done:
-            return
         self.retransmissions += 1
         item.attempts += 1
         if isinstance(item, _SyncRound):
@@ -1235,45 +1245,24 @@ class EmulatedMemory(SharedMemory):
         self._arm_retry(item)
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
-        op.done = True
         if op.retry_handle is not None:
             self._retry_lanes[op.retry_kind].cancel(op.retry_handle)
         del self._ops[op.op_id]
         if len(self._rule) > 1:  # completed inside a dual-quorum window
             self.dual_quorum_ops += 1
-        self.total_op_latency += self._clock() - op.started_at
+        self.total_op_latency += self._sim._now - op.started_at
         op.callback(result)
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Client-side message handling (one route per reply kind)
     # ------------------------------------------------------------------
-    def _on_delivery(self, message: Message) -> None:
-        if message.receiver < 0:
-            kind = message.kind
-            if kind == "abd.sync-reply":
-                # Snapshots address the round's wire origin -- a *replica*
-                # (negative receiver) -- but the round's state machine
-                # lives here, so route by kind before the replica dispatch.
-                self._on_sync_reply(message)
-            elif kind == "abd.transfer-ack":
-                self._on_transfer_ack(message)  # same: addressed to the origin
-            else:
-                self.replicas[-message.receiver - 1].handle(
-                    message, self.network, self._initial_of
-                )
-            return
-        op = self._ops.get(message.payload[0])
-        if op is None or op.done:
-            return  # late ack of a completed phase
-        if message.kind == "abd.read-reply":
-            self._on_read_reply(op, message)
-        elif message.kind == "abd.write-ack":
-            self._on_write_ack(op, message)
-
-    def _on_read_reply(self, op: _PendingOp, message: Message) -> None:
-        if op.phase != "query":
-            return
-        _, name, ts, value = message.payload
+    def _on_read_reply(self, message: Message) -> None:
+        """Count one query reply; act once the phase's quorum replied."""
+        self.network.delivered += 1
+        op_id, _, ts, value = message.payload
+        op = self._ops.get(op_id)
+        if op is None or op.phase != "query":
+            return  # late reply: the op completed or left its query phase
         replica_index = -message.sender - 1
         if replica_index in op.replies:
             return
@@ -1298,10 +1287,13 @@ class EmulatedMemory(SharedMemory):
             op.value = op.best_value + op.amount
             self._enter_write(op, (op.best_ts[0] + 1, op.pid))
 
-    def _on_write_ack(self, op: _PendingOp, message: Message) -> None:
-        _, name, ts, value = message.payload
-        if op.phase != "write" or ts != op.ts:
-            return
+    def _on_write_ack(self, message: Message) -> None:
+        """Count one write ack; complete once the phase's quorum acked."""
+        self.network.delivered += 1
+        op_id, _, ts, value = message.payload
+        op = self._ops.get(op_id)
+        if op is None or op.phase != "write" or ts != op.ts:
+            return  # late ack: the op completed, or of an earlier phase
         replica_index = -message.sender - 1
         if replica_index not in op.replies and value != op.value:
             # The replica echoed back a value other than the one this
@@ -1325,18 +1317,22 @@ class EmulatedMemory(SharedMemory):
     def _complete_read(self, op: _PendingOp) -> None:
         op.register.read(op.pid)  # accounting only; the value is the quorum's
         self.reads_completed += 1
-        self.read_op_latency += self._clock() - op.started_at
-        self._record(op, "read", op.best_ts, op.best_value)
+        self.read_op_latency += self._sim._now - op.started_at
+        if self.config.record_history:
+            self._record(op, "read", op.best_ts, op.best_value)
         self._finish(op, op.best_value)
 
     def _complete_write(self, op: _PendingOp) -> None:
         fetch_add = op.kind == "fetch-add"
         self.writes_completed += 1
+        recording = self.config.record_history
         if fetch_add:  # one counted read + one counted write, like the shared fetch&add
             op.register.read(op.pid)
-            self._record(op, "read", op.best_ts, op.best_value)
+            if recording:
+                self._record(op, "read", op.best_ts, op.best_value)
         op.register.write(op.pid, op.value)  # mirror + accounting + owner check
-        self._record(op, "write", op.ts, op.value)
+        if recording:
+            self._record(op, "write", op.ts, op.value)
         self._finish(op, op.value - op.amount if fetch_add else None)
 
 

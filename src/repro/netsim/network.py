@@ -36,8 +36,8 @@ assumption lives in the environment model, not in the algorithm.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Iterable, List, NamedTuple, Optional, Protocol, Tuple
+from collections import defaultdict
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Protocol, Tuple
 
 from repro.sim.rng import RngRegistry
 
@@ -111,7 +111,7 @@ class RampLinks:
         self.gst = gst
         self.start_scale = start_scale
         self.lo, self.hi = lo, hi
-        self._rng = rng
+        self._streams = rng.per_link("link")
 
     def scale_at(self, time: float) -> float:
         """The delay multiplier in effect at ``time`` (1.0 from gst on)."""
@@ -122,7 +122,7 @@ class RampLinks:
 
     def delivery_delay(self, message: Message) -> Optional[float]:
         """A timely draw scaled by the ramp at the send instant."""
-        stream = self._rng.stream(f"link:{message.sender}->{message.receiver}")
+        stream = self._streams[message.sender, message.receiver]
         return stream.uniform(self.lo, self.hi) * self.scale_at(message.sent_at)
 
 
@@ -133,11 +133,11 @@ class TimelyLinks:
         if not 0 < lo <= hi:
             raise ValueError("need 0 < lo <= hi")
         self.lo, self.hi = lo, hi
-        self._rng = rng
+        self._streams = rng.per_link("link")
 
     def delivery_delay(self, message: Message) -> Optional[float]:
         """A uniform draw in ``[lo, hi]``; never a drop."""
-        stream = self._rng.stream(f"link:{message.sender}->{message.receiver}")
+        stream = self._streams[message.sender, message.receiver]
         return stream.uniform(self.lo, self.hi)
 
 
@@ -163,11 +163,11 @@ class FairLossyLinks:
         if not 0 < lo <= hi <= cap:
             raise ValueError("need 0 < lo <= hi <= cap")
         self.loss, self.lo, self.hi, self.cap = loss, lo, hi, cap
-        self._rng = rng
+        self._streams = rng.per_link("link")
 
     def delivery_delay(self, message: Message) -> Optional[float]:
         """Drop with probability ``loss``; otherwise an arbitrary finite delay."""
-        stream = self._rng.stream(f"link:{message.sender}->{message.receiver}")
+        stream = self._streams[message.sender, message.receiver]
         if stream.random() < self.loss:
             return None
         # Occasionally spike toward the cap: "arbitrary but finite".
@@ -199,12 +199,12 @@ class EventuallyTimelyLinks:
         self.sources = frozenset(sources)
         self.gst = gst
         self.timely_lo, self.timely_hi = timely_lo, timely_hi
-        self._rng = rng
+        self._streams = rng.per_link("timely")
 
     def delivery_delay(self, message: Message) -> Optional[float]:
         """Timely for post-gst source traffic; ``base`` for everything else."""
         if message.sender in self.sources and message.sent_at >= self.gst:
-            stream = self._rng.stream(f"timely:{message.sender}->{message.receiver}")
+            stream = self._streams[message.sender, message.receiver]
             return stream.uniform(self.timely_lo, self.timely_hi)
         return self.base.delivery_delay(message)
 
@@ -244,7 +244,7 @@ class SourceChurnLinks:
         self.epoch = epoch
         self.rotation = [frozenset(window) for window in (rotation or [])]
         self.timely_lo, self.timely_hi = timely_lo, timely_hi
-        self._rng = rng
+        self._streams = rng.per_link("timely")
 
     def sources_at(self, time: float) -> frozenset:
         """The timely source set in effect at ``time``."""
@@ -255,7 +255,7 @@ class SourceChurnLinks:
     def delivery_delay(self, message: Message) -> Optional[float]:
         """Timely for the epoch's rotating source set; ``base`` otherwise."""
         if message.sender in self.sources_at(message.sent_at):
-            stream = self._rng.stream(f"timely:{message.sender}->{message.receiver}")
+            stream = self._streams[message.sender, message.receiver]
             return stream.uniform(self.timely_lo, self.timely_hi)
         return self.base.delivery_delay(message)
 
@@ -289,7 +289,7 @@ class CorruptingLinks:
             raise ValueError("rate must be in [0, 1]")
         self.base = base
         self.rate = rate
-        self._rng = rng
+        self._streams = rng.per_link("corrupt")
         self.corrupted = 0
 
     def delivery_delay(self, message: Message) -> Optional[float]:
@@ -306,7 +306,7 @@ class CorruptingLinks:
             and payload
             and isinstance(payload[-1], (bool, int))
         ):
-            stream = self._rng.stream(f"corrupt:{message.sender}->{message.receiver}")
+            stream = self._streams[message.sender, message.receiver]
             if stream.random() < self.rate:
                 self.corrupted += 1
                 mutated = payload[:-1] + (_corrupt_value(payload[-1], stream),)
@@ -338,7 +338,7 @@ class DuplicatingLinks:
         self.base = base
         self.rate = rate
         self.lag = lag
-        self._rng = rng
+        self._streams = rng.per_link("dup")
         self.duplicated = 0
 
     def delivery_delay(self, message: Message) -> Optional[float]:
@@ -350,7 +350,7 @@ class DuplicatingLinks:
         delay = self.base.delivery_delay(message)
         fates: List[Tuple[Optional[float], Message]] = [(delay, message)]
         if delay is not None:
-            stream = self._rng.stream(f"dup:{message.sender}->{message.receiver}")
+            stream = self._streams[message.sender, message.receiver]
             if stream.random() < self.rate:
                 self.duplicated += 1
                 fates.append((delay + self.lag, message))
@@ -452,33 +452,74 @@ class PartitionScheduleLinks:
         ]
 
 
+#: A route's handler: called with the message at its delivery instant.
+Handler = Callable[[Message], None]
+
+
 class Network:
     """The message fabric: send, count, deliver through the kernel.
 
-    Delivery callbacks are installed by :class:`~repro.netsim.runtime.MpRun`;
-    the network itself only decides timing/loss and keeps the traffic
-    accounting (sent/delivered/dropped per pid).
+    Its owner -- :class:`~repro.netsim.runtime.MpRun`, or the register
+    emulation of :mod:`repro.memory.emulated` -- installs the routes: a
+    kind -> handler table per address (:meth:`install_routes`).  A send
+    looks the message's handler up and hands the kernel a one-argument
+    entry, so a delivery is one ``handler(message)`` call; a kind with no
+    handler at its address raises at the send.  The handler owns the
+    delivery: it counts it in :attr:`delivered` and serves it.  The
+    network itself only decides timing/loss and keeps the traffic
+    accounting (sent/delivered/dropped).
+
+    The channel's hooks (``delivery_delay`` and the optional
+    ``delivery_plan``) are bound when :attr:`behavior` is assigned, not
+    looked up per message; reassigning it (a fault overlay wrapping the
+    links mid-setup) rebinds them for the next send.
     """
 
     def __init__(self, sim: Any, behavior: ChannelBehavior) -> None:
         self._sim = sim
+        self._schedule = sim.schedule_after
         self.behavior = behavior
-        self.sent_by_pid: dict[int, int] = {}
+        self.sent_by_pid: Dict[int, int] = defaultdict(int)
         self.delivered: int = 0
         self.dropped: int = 0
-        self._deliver_cb = None  # type: ignore[assignment]
+        self.install_routes({})
 
-    def install_delivery(self, callback) -> None:
-        """Set the ``callback(message)`` invoked at each delivery
-        (``None`` uninstalls it: the owner's end-of-run release, which
-        breaks the owner -> network -> callback -> owner cycle)."""
-        self._deliver_cb = callback
+    @property
+    def behavior(self) -> ChannelBehavior:
+        """The channel model deciding every message's fate."""
+        return self._behavior
 
-    def _fire_delivery(self, message: Message) -> None:
-        """Count one delivery and hand the message to the runtime."""
-        self.delivered += 1
-        assert self._deliver_cb is not None
-        self._deliver_cb(message)
+    @behavior.setter
+    def behavior(self, behavior: ChannelBehavior) -> None:
+        """Install ``behavior`` and bind its hooks for the next send."""
+        self._behavior = behavior
+        self._delay_of = behavior.delivery_delay
+        self._plan_of = getattr(behavior, "delivery_plan", None)
+
+    def install_routes(self, handlers: Mapping[str, Handler], address: Optional[int] = None) -> None:
+        """Deliver each message kind in ``handlers`` to its handler.
+
+        With ``address`` the table serves the messages addressed there;
+        without, it is the table of every address that has none of its
+        own, and it replaces every table installed before
+        (``install_routes({})`` uninstalls all: the owner's end-of-run
+        release, which breaks the owner -> network -> handler -> owner
+        cycle).
+        """
+        if address is None:
+            self._routes: Dict[int, Mapping[str, Handler]] = defaultdict(lambda: handlers)
+        else:
+            self._routes[address] = handlers
+
+    def install_delivery(self, callback: Handler) -> None:
+        """Route every message, whatever its kind or address, to
+        ``callback(message)``; each delivery is counted first."""
+
+        def deliver(message: Message) -> None:
+            self.delivered += 1
+            callback(message)
+
+        self.install_routes(defaultdict(lambda: deliver))
 
     def multicast(self, sender: int, receivers: Iterable[int], kind: str, payload: Any) -> None:
         """Send one message to each of ``receivers``, in order.
@@ -490,11 +531,14 @@ class Network:
         ``delivery_delay``.  Receivers are served in iteration order, so
         per-link random streams draw exactly as one ``send`` each would.
         """
-        now, schedule, fire = self._sim.now, self._sim.schedule_after, self._fire_delivery
-        plan = getattr(self.behavior, "delivery_plan", None)
-        delay_of = self.behavior.delivery_delay
+        now, routes, schedule = self._sim._now, self._routes, self._schedule
+        delay_of, plan = self._delay_of, self._plan_of
         sent = 0
         for receiver in receivers:
+            try:
+                handler = routes[receiver][kind]
+            except KeyError:
+                raise KeyError(f"no route for {kind!r} messages to {receiver}") from None
             sent += 1
             # ``Message(...)`` without the Python frame of its ``__new__``.
             message = _new_tuple(Message, (sender, receiver, kind, payload, now))
@@ -504,10 +548,10 @@ class Network:
                 elif delay <= 0:
                     raise ValueError("channel behaviour produced non-positive delay")
                 else:
-                    # Never cancelled: the kernel's plain schedule-and-fire path.
-                    schedule(delay, partial(fire, fated), "message", receiver)
+                    # Never cancelled: the kernel's one-argument entry.
+                    schedule(delay, handler, "message", receiver, fated)
         if sent:
-            self.sent_by_pid[sender] = self.sent_by_pid.get(sender, 0) + sent
+            self.sent_by_pid[sender] += sent
 
     def send(self, sender: int, receiver: int, kind: str, payload: Any) -> None:
         """Send one message; the channel decides its fate."""

@@ -132,7 +132,7 @@ class MpRun:
         # Named timers share one columnar lane; the payload is the
         # ``(pid, tag)`` key and the token in ``_timers`` both probes
         # and cancels (see EventLane).
-        self._timer_lane = EventLane("mp-timer", self._fire_timer)
+        self._timer_lane: Optional[EventLane] = EventLane("mp-timer", self._fire_timer)
         self.network.install_delivery(self._deliver)
 
     # ------------------------------------------------------------------
@@ -142,6 +142,7 @@ class MpRun:
             raise ValueError("timer delay must be positive")
         key = (pid, tag)
         lane = self._timer_lane
+        assert lane is not None, "a released run arms no timer"
         previous = self._timers.get(key)
         if previous is not None:
             lane.cancel(previous)
@@ -173,9 +174,24 @@ class MpRun:
         if nxt <= self.horizon:
             self.sim.schedule_at(nxt, self._sample, kind="sample")
 
+    def _release(self) -> None:
+        """Break the cycles the run needs while it runs, as
+        :meth:`repro.core.runner.Run.execute` does: the kernel drops
+        every pending event, the network its routes, the timer lane
+        goes with its consumer, and each process forgets the run."""
+        self.sim.release()
+        self.network.install_routes({})
+        self._timer_lane = None
+        for proc in self.processes:
+            proc._run = None
+
     # ------------------------------------------------------------------
     def execute(self) -> MpRunResult:
-        """Run to the horizon and return the result bundle."""
+        """Run to the horizon and return the result bundle.
+
+        After the final observer sample the run releases itself (see
+        :meth:`_release`), so dropping the result frees it at once.
+        """
         self._install_crashes()
         for pid, proc in enumerate(self.processes):
             if not self.crash_plan.is_crashed(pid, 0.0):
@@ -187,6 +203,7 @@ class MpRun:
         for pid, proc in enumerate(self.processes):
             if not self._crashed[pid]:
                 self.trace.record_leader_sample(self.horizon, pid, proc.peek_leader())
+        self._release()
         return MpRunResult(
             algorithm_name=type(self.processes[0]).display_name,
             n=self.n,

@@ -46,11 +46,11 @@ class _SplitLatencyLinks:
     pattern approach."""
 
     def __init__(self, rng: RngRegistry, fast_sources: Set[int]) -> None:
-        self._rng = rng
+        self._streams = rng.per_link("link")
         self.fast_sources = frozenset(fast_sources)
 
     def delivery_delay(self, message: Message) -> Optional[float]:
-        stream = self._rng.stream(f"link:{message.sender}->{message.receiver}")
+        stream = self._streams[message.sender, message.receiver]
         fast = (message.sender in self.fast_sources and message.kind == "RESPONSE") or (
             message.receiver in self.fast_sources and message.kind == "QUERY"
         )

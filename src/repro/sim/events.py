@@ -41,7 +41,9 @@ Two bookkeeping details keep the hybrid exact:
 (``"step"``, ``"timer"``, ...): interning happens once per distinct
 string, so the hot path never hashes label strings into per-event
 records.  ``token`` is ``None`` on the dominant schedule-and-fire path,
-where ``callback`` is a zero-argument callable.  Cancellation has one
+where ``callback`` is a zero-argument callable; any other value beside a
+callback that is not a lane is that callback's one argument (how a
+netsim delivery hands its message to its handler).  Cancellation has one
 mechanism, the columnar :class:`EventLane`: a cancellable event's entry
 carries the lane in the ``callback`` slot and an *integer* token that
 indexes the lane's preallocated payload/generation columns, so arming a
@@ -50,7 +52,7 @@ lazy-cancel trick: the entry stays queued and the run loop skips it as
 stale when it comes up.  Every re-armed timer is a lane user -- the
 timer service's expirations, the message-passing runtime's named timers
 and the register emulation's retransmission timers; netsim message
-deliveries are never cancelled, so they take the plain path.
+deliveries are never cancelled, so they take the one-argument path.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ Scheduling comes in two flavours:
 * :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` are
   the dominant schedule-and-fire path and allocate nothing but the
   queue's entry tuple (the queue insert is fused into these methods --
-  no intermediate call layer on the hot path); netsim message
-  deliveries, which are never cancelled, ride this path too;
+  no intermediate call layer on the hot path).  Both also take an
+  ``arg``: the entry then calls ``callback(arg)``, which is how a netsim
+  message delivery (never cancelled) reaches its handler with no
+  closure or ``partial`` built per message;
 * :meth:`Simulator.schedule_lane_after` schedules through a columnar
   :class:`~repro.sim.events.EventLane` and returns an *integer* token
   that cancels the event -- the one cancellable path, taken by every
@@ -23,8 +25,10 @@ Scheduling comes in two flavours:
   runtime's named timers and the register emulation's retransmission
   timers).
 
-The run loop therefore dispatches an entry two ways: a plain callable,
-or a ``(lane, token)`` pair whose token is skipped once stale.
+The run loop therefore dispatches an entry three ways, on its last
+slot: ``None`` calls the zero-argument callback; otherwise a lane in
+the callback slot fires the slot's token (skipped once stale), and any
+other callback is called with the slot's value as its one argument.
 
 **Batch dispatch.**  The run loop drains all events sharing the current
 virtual timestamp as one *batch*: the heap yields the first event at
@@ -128,16 +132,18 @@ class Simulator:
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         kind: str = "event",
         pid: Optional[int] = None,
+        arg: Any = None,
     ) -> None:
         """Schedule ``callback`` at absolute virtual time ``time``.
 
         ``time`` may equal ``now`` (fires after currently-firing event)
         but may not precede it.  The fast path: no token is created;
         use :meth:`schedule_lane_after` when the event may need to be
-        disarmed.
+        disarmed.  The event calls ``callback()``, or ``callback(arg)``
+        when ``arg`` is not ``None``.
         """
         if time < self._now:
             raise SimulationError(
@@ -152,7 +158,7 @@ class Simulator:
         # or the instant is pinned heap-direct, its bucket otherwise;
         # duplicated in the three schedulers so the path stays
         # call-free).
-        entry = (time, self._next_seq(), kid, pid, callback, None)
+        entry = (time, self._next_seq(), kid, pid, callback, arg)
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
@@ -170,11 +176,17 @@ class Simulator:
     def schedule_after(
         self,
         delay: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         kind: str = "event",
         pid: Optional[int] = None,
+        arg: Any = None,
     ) -> None:
-        """Schedule ``callback`` after a non-negative ``delay`` (no token)."""
+        """Schedule ``callback`` after a non-negative ``delay`` (no token).
+
+        The event calls ``callback()``, or ``callback(arg)`` when
+        ``arg`` is not ``None`` -- one entry tuple either way, so a
+        one-argument event needs no closure or ``partial``.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self._now + delay
@@ -183,7 +195,7 @@ class Simulator:
         kid = _KIND_IDS.get(kind)
         if kid is None:
             kid = intern_kind(kind)
-        entry = (time, self._next_seq(), kid, pid, callback, None)
+        entry = (time, self._next_seq(), kid, pid, callback, arg)
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
@@ -308,6 +320,7 @@ class Simulator:
         pop = heappop
         push = heappush
         counts = self._fired_counts if self._trace_events else None
+        lane_type = EventLane
         start = fired = self.events_fired
         skipped = self.events_skipped
         stop = False
@@ -327,6 +340,8 @@ class Simulator:
                     token = entry[5]
                     if token is None:
                         entry[4]()
+                    elif type(entry[4]) is not lane_type:
+                        entry[4](token)  # a one-argument entry
                     elif not entry[4].fire(token):
                         # Lane entry (the callback slot holds the lane)
                         # whose token was cancelled.
@@ -371,6 +386,9 @@ class Simulator:
                     token = entry[5]
                     if token is None:
                         entry[4]()
+                        live = True
+                    elif type(entry[4]) is not lane_type:
+                        entry[4](token)  # a one-argument entry
                         live = True
                     else:
                         # Lane entry: the callback slot holds the lane.
@@ -437,24 +455,26 @@ class Simulator:
         """Drop every pending event and free its lane slot.
 
         The end of a run: each queued entry holds its callback (a step,
-        a timer, a sample, a delivery, a retry), each callback holds its
-        owner, and each owner holds this simulator, so a queue left
-        standing at the horizon keeps the whole run graph alive in
-        reference cycles.  Releasing empties the heap and the collision
-        buckets in place and cancels every lane token still queued, so
-        its lane drops the payload and the slot returns to the free
-        list.  The clock, ``events_fired``, ``events_skipped`` and the
-        per-kind counts are untouched; events scheduled afterwards run
-        as on a fresh queue.  Refused while the loop is running.
+        a timer, a sample, a delivery handler with its message, a
+        retry), each callback holds its owner, and each owner holds
+        this simulator, so a queue left standing at the horizon keeps
+        the whole run graph alive in reference cycles.  Releasing
+        empties the heap and the collision buckets in place and cancels
+        every lane token still queued, so its lane drops the payload
+        and the slot returns to the free list (a one-argument entry's
+        value is no token: it is simply dropped).  The clock,
+        ``events_fired``, ``events_skipped`` and the per-kind counts are
+        untouched; events scheduled afterwards run as on a fresh queue.
+        Refused while the loop is running.
         """
         if self._running:
             raise SimulationError("cannot release pending events while running")
         for entry in self._heap:
-            if entry[5] is not None:
+            if type(entry[4]) is EventLane:
                 entry[4].cancel(entry[5])
         for bucket in self._buckets.values():
             for entry in bucket:
-                if entry[5] is not None:
+                if type(entry[4]) is EventLane:
                     entry[4].cancel(entry[5])
         self._heap.clear()
         self._buckets.clear()

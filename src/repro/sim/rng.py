@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 
 def derive_seed(base_seed: int, name: str) -> int:
@@ -52,12 +52,17 @@ class RngRegistry:
         """The ``f"{prefix}:{pid}"`` streams, indexable by pid."""
         return PidStreams(self, prefix)
 
+    def per_link(self, prefix: str) -> "LinkStreams":
+        """The ``f"{prefix}:{sender}->{receiver}"`` streams, indexable
+        by ``(sender, receiver)``."""
+        return LinkStreams(self, prefix)
+
     def fork(self, name: str) -> "RngRegistry":
         """Return a child registry whose streams are independent of ours."""
         return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
 
 
-class PidStreams(Dict[int, random.Random]):
+class PidStreams(Dict[Any, random.Random]):
     """``streams[pid]`` is ``registry.stream(f"{prefix}:{pid}")``.
 
     Per-step consumers (delay models, timers) index this instead of
@@ -70,9 +75,20 @@ class PidStreams(Dict[int, random.Random]):
         self._registry = registry
         self._prefix = prefix
 
-    def __missing__(self, pid: int) -> random.Random:
+    def __missing__(self, pid: Any) -> random.Random:
         stream = self[pid] = self._registry.stream(f"{self._prefix}:{pid}")
         return stream
 
 
-__all__ = ["PidStreams", "RngRegistry", "derive_seed"]
+class LinkStreams(PidStreams):
+    """``streams[sender, receiver]`` is
+    ``registry.stream(f"{prefix}:{sender}->{receiver}")``: the per-link
+    streams of the netsim channel models, bound on first use like
+    :class:`PidStreams`."""
+
+    def __missing__(self, link: Tuple[int, int]) -> random.Random:
+        stream = self[link] = self._registry.stream(f"{self._prefix}:{link[0]}->{link[1]}")
+        return stream
+
+
+__all__ = ["LinkStreams", "PidStreams", "RngRegistry", "derive_seed"]

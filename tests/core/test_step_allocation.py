@@ -21,7 +21,8 @@ A finished run frees itself: ``Run.execute`` releases the reference
 cycles an event-driven run needs while it runs, so dropping the result
 frees every log by reference counting alone.  The last test runs every
 registered scenario with the collector off and asks it what it would
-have had to free.
+have had to free; the message-passing runs of both related-work Omegas
+(``MpRun``) are held to the same rule.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.interfaces import ReadReg
 from repro.memory.memory import ReadRecord
+from repro.netsim.network import EventuallyTimelyLinks, FairLossyLinks
+from repro.netsim.runtime import MpRun
+from repro.related.omega_pattern import PatternOmega, pattern_friendly_links
+from repro.related.omega_tsource import TSourceOmega
+from repro.sim.rng import RngRegistry
 from repro.workloads.registry import SCENARIO_REGISTRY
 from repro.workloads.scenarios import nominal, nominal_emulated
 
@@ -211,3 +217,21 @@ def warmed_up():
 def test_a_finished_run_leaves_no_cyclic_garbage(warmed_up, name, algorithm, mode):
     found = cyclic_garbage(lambda: run_cell(name, algorithm, fast=mode == "fast"))
     assert not found, f"{name} ({mode}) left reference cycles: {dict(found)}"
+
+
+def _tsource_cell() -> None:
+    rng = RngRegistry(1)
+    links = EventuallyTimelyLinks(FairLossyLinks(rng, loss=0.2), sources={0}, gst=300.0, rng=rng)
+    MpRun(TSourceOmega, n=4, seed=1, horizon=1000.0, behavior=links).execute().stabilization()
+
+
+def _pattern_cell() -> None:
+    links = pattern_friendly_links(RngRegistry(1), winner=0)
+    MpRun(PatternOmega, n=4, seed=1, horizon=1000.0, behavior=links).execute().stabilization()
+
+
+@pytest.mark.parametrize("cell", [_tsource_cell, _pattern_cell], ids=["tsource", "pattern"])
+def test_a_finished_message_passing_run_leaves_no_cyclic_garbage(warmed_up, cell):
+    # MpRun.execute ends with the same release step as Run.execute.
+    found = cyclic_garbage(cell)
+    assert not found, f"left reference cycles: {dict(found)}"

@@ -36,10 +36,12 @@ def make_memory(seed: int = 7, horizon: float = 10_000.0, **knobs):
 
 
 class _RecordingNet:
-    """Stub network capturing ``send`` calls (for direct handle() probes)."""
+    """Stub network capturing ``send`` calls (for direct probes of a
+    replica's per-kind handlers)."""
 
     def __init__(self):
         self.sent = []
+        self.delivered = 0
 
     def send(self, sender, receiver, kind, payload):
         self.sent.append((sender, receiver, kind, payload))
@@ -47,9 +49,6 @@ class _RecordingNet:
 
 def _msg(sender, receiver, kind, payload, sent_at=0.0):
     return Message(sender=sender, receiver=receiver, kind=kind, payload=payload, sent_at=sent_at)
-
-
-_INITIAL = lambda name: ((0, -1), 0)  # noqa: E731 - trivial initial_of stub
 
 
 # ----------------------------------------------------------------------
@@ -107,19 +106,18 @@ def test_recovering_replica_serves_no_reads_but_applies_writes():
     mem._begin_recovery(node)
     assert node.recovering  # resync is pending; no replies ran yet
 
-    net = _RecordingNet()
-    node.handle(_msg(0, node.node_id, "abd.read", (1, "PROG")), net, _INITIAL)
+    net = node.network = _RecordingNet()
+    node.on_read(_msg(0, node.node_id, "abd.read", (1, "PROG")))
     assert net.sent == []  # amnesiac state must not enter a read quorum
     assert node.reads_served == 0
 
-    node.handle(_msg(-1, node.node_id, "abd.sync", (9,)), net, _INITIAL)
+    node.on_sync(_msg(-1, node.node_id, "abd.sync", (9,)))
     assert net.sent == []  # nor certify another replica's resync
 
-    node.handle(
-        _msg(0, node.node_id, "abd.write", (2, "PROG", (1, 0), 5)), net, _INITIAL
-    )
+    node.on_write(_msg(0, node.node_id, "abd.write", (2, "PROG", (1, 0), 5)))
     assert node.store["PROG"] == ((1, 0), 5)  # writes apply and ack
     assert [entry[2] for entry in net.sent] == ["abd.write-ack"]
+    assert net.delivered == 3  # every delivery counts, served or refused
 
 
 def test_resync_merge_never_regresses_writes_applied_mid_recovery():

@@ -12,6 +12,7 @@ from repro.netsim.network import (
     Message,
     Network,
     PartitionScheduleLinks,
+    RampLinks,
     SourceChurnLinks,
     SynchronousLinks,
     TimelyLinks,
@@ -178,6 +179,7 @@ class TestNetwork:
                 return 0.0
 
         net = Network(Simulator(), ZeroDelay())
+        net.install_delivery(lambda m: None)
         with pytest.raises(ValueError, match="non-positive delay"):
             net.multicast(0, (1, 2), "X", None)
         with pytest.raises(ValueError, match="non-positive delay"):
@@ -274,6 +276,90 @@ class TestMulticast:
         with pytest.raises(AttributeError):
             m.payload = None
         assert m._replace(payload=()) == Message(1, -1, "abd.read", (), 2.0)
+
+
+#: ``(model, its stream prefix)``: every channel model drawing per-link
+#: randomness.  Senders and receivers span clients and replicas.
+_STREAM_MODELS = [
+    pytest.param(lambda rng: TimelyLinks(rng), "link", id="timely"),
+    pytest.param(lambda rng: FairLossyLinks(rng), "link", id="lossy"),
+    pytest.param(lambda rng: RampLinks(rng, gst=100.0), "link", id="gst-ramp"),
+    pytest.param(lambda rng: EventuallyTimelyLinks(SynchronousLinks(), {0, -1}, 0.0, rng), "timely", id="t-source"),
+    pytest.param(lambda rng: SourceChurnLinks(SynchronousLinks(), {0, -1}, 0.0, rng), "timely", id="source-churn"),
+    pytest.param(lambda rng: CorruptingLinks(SynchronousLinks(), rng, rate=1.0), "corrupt", id="corruption"),
+    pytest.param(lambda rng: DuplicatingLinks(SynchronousLinks(), rng, rate=1.0), "dup", id="duplication"),
+]
+_LINKS = [(0, -1), (-1, 0), (0, -2), (-1, 2), (0, -1)]
+
+
+class TestPerLinkStreams:
+    """Each model binds a link's stream once, to the registry stream of
+    the link's name, and only when the link first carries a message."""
+
+    @pytest.mark.parametrize("make_links, prefix", _STREAM_MODELS)
+    def test_a_link_stream_is_the_named_registry_stream(self, make_links, prefix):
+        rng = make_rng(5)
+        links = make_links(rng)
+        assert rng._streams == {}  # nothing drawn, nothing bound
+        hook = getattr(links, "delivery_plan", links.delivery_delay)
+        for sender, receiver in _LINKS:
+            hook(msg(sender, receiver, payload=(1, 2)))
+        names = {f"{prefix}:{s}->{r}" for s, r in _LINKS}
+        assert set(rng._streams) == names
+        for sender, receiver in _LINKS:
+            assert links._streams[sender, receiver] is rng.stream(f"{prefix}:{sender}->{receiver}")
+
+    def test_draws_match_the_name_lookup(self):
+        links = TimelyLinks(make_rng(8), lo=0.5, hi=2.0)
+        reference = make_rng(8)
+        for sender, receiver in _LINKS * 3:
+            expected = reference.stream(f"link:{sender}->{receiver}").uniform(0.5, 2.0)
+            assert links.delivery_delay(msg(sender, receiver)) == expected
+
+
+class TestBehaviorBinding:
+    """The network binds the channel's hooks on assignment, so a
+    reassigned behaviour governs the very next send."""
+
+    def _network(self, behavior):
+        sim = Simulator()
+        net = Network(sim, behavior)
+        inbox = []
+        net.install_delivery(lambda m: inbox.append((sim.now, m.payload)))
+        return sim, net, inbox
+
+    def test_plain_to_duplicating_mid_run(self):
+        sim, net, inbox = self._network(SynchronousLinks(1.0))
+        sim.schedule_at(0.0, lambda: net.send(0, 1, "X", "before"))
+        duplicating = DuplicatingLinks(SynchronousLinks(1.0), make_rng(2), rate=1.0, lag=0.5)
+
+        def swap() -> None:
+            net.behavior = duplicating
+
+        sim.schedule_at(5.0, swap)
+        sim.schedule_at(5.0, lambda: net.multicast(0, (1, 2), "X", "after"))
+        sim.run()
+        assert inbox == [(1.0, "before"), (6.0, "after"), (6.0, "after"), (6.5, "after"), (6.5, "after")]
+        assert net.behavior is duplicating and duplicating.duplicated == 2
+        assert (net.total_sent, net.delivered, net.dropped) == (3, 5, 0)
+
+    def test_duplicating_to_plain_mid_run(self):
+        sim, net, inbox = self._network(DuplicatingLinks(SynchronousLinks(1.0), make_rng(2), rate=1.0))
+        net.send(0, 1, "X", "before")
+        sim.run()
+        net.behavior = SynchronousLinks(2.0)
+        net.send(0, 1, "X", "after")
+        sim.run()
+        assert inbox == [(1.0, "before"), (2.0, "before"), (4.0, "after")]
+        assert net.delivered == 3
+
+    def test_overlay_wrapping_the_links(self):
+        sim, net, inbox = self._network(SynchronousLinks(1.0))
+        net.behavior = PartitionScheduleLinks(net.behavior, partitions=[(0.0, 10.0, [0])])
+        net.send(0, -1, "X", "severed")
+        net.send(0, -2, "X", "kept")
+        sim.run()
+        assert inbox == [(1.0, "kept")] and net.dropped == 1
 
 
 class TestPartitionScheduleLinks:

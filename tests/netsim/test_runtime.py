@@ -65,6 +65,17 @@ class TestRuntime:
         with pytest.raises(ValueError):
             run.set_timer(0, "bad", 0.0)
 
+    def test_every_delivery_is_counted_once(self):
+        result = MpRun(EchoProcess, n=4, seed=1, horizon=100.0).execute()
+        assert result.network.delivered == result.sim.fired_by_kind["message"] == 6
+
+    def test_a_finished_run_is_released(self):
+        result = MpRun(EchoProcess, n=3, seed=1, horizon=50.0).execute()
+        assert result.sim.pending() == 0
+        assert all(proc._run is None for proc in result.processes)
+        with pytest.raises(KeyError, match="no route"):
+            result.network.send(0, 1, "PING", None)
+
 
 class TestCrashSemantics:
     def test_crashed_process_handles_nothing(self):

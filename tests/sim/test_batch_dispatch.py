@@ -10,6 +10,8 @@ of the undrained remainder when ``stop()`` / ``max_events`` /
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.sim.events import EventLane
@@ -276,3 +278,88 @@ class TestEventLane:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventLane("bad", None, capacity=0)
+
+
+class TestOneArgumentEntries:
+    """``schedule_after(..., arg=x)``: the entry calls ``callback(x)``.
+
+    The run loop tells the three entry forms apart by the last slot and
+    the callback slot's type, so an argument -- even an int shaped like
+    a lane token -- must never reach a lane, and a lane token must
+    never be handed to a callback.
+    """
+
+    def test_exact_order_when_all_three_forms_share_a_bucket(self):
+        sim = Simulator()
+        fired = []
+        lane = EventLane("arg-mix-lane", lambda payload: fired.append(("lane", payload)))
+        sim.schedule_after(1.0, lambda: fired.append("plain0"))
+        sim.schedule_after(1.0, lambda value: fired.append(("arg", value)), arg=0)
+        sim.schedule_lane_after(lane, 1.0, "p")
+        sim.schedule_after(1.0, lambda value: fired.append(("arg", value)), arg="x")
+        sim.schedule_after(1.0, lambda: fired.append("plain1"))
+        sim.schedule_after(2.0, lambda value: fired.append(("solo", value)), arg=5)
+        assert sim.pending() == 6
+        sim.run()
+        assert fired == ["plain0", ("arg", 0), ("lane", "p"), ("arg", "x"), "plain1", ("solo", 5)]
+        assert sim.events_fired == 6 and sim.events_skipped == 0
+
+    def test_stop_mid_batch_restores_arg_entries_in_order(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper() -> None:
+            fired.append("stopper")
+            sim.stop()
+
+        sim.schedule_after(3.0, stopper)
+        for i in range(3):
+            sim.schedule_after(3.0, fired.append, arg=i)
+        sim.schedule_after(3.0, lambda: fired.append("plain"))
+        sim.run()
+        assert fired == ["stopper"] and sim.pending() == 4
+        sim.run()
+        assert fired == ["stopper", 0, 1, 2, "plain"]
+
+    def test_max_events_mid_batch_restores_arg_entries_in_order(self):
+        sim = Simulator()
+        fired = []
+        for i in range(6):
+            sim.schedule_after(1.0, fired.append, arg=i)
+        sim.run(max_events=4)
+        assert fired == [0, 1, 2, 3] and sim.pending() == 2
+        sim.run()
+        assert fired == list(range(6))
+
+    def test_release_drops_arg_entries_without_touching_a_lane(self):
+        class Recorder:
+            """A one-argument callback that also looks like a lane."""
+
+            def __init__(self) -> None:
+                self.cancelled = []
+
+            def __call__(self, value: object) -> None:
+                raise AssertionError("released entry fired")
+
+            def cancel(self, token: object) -> None:
+                self.cancelled.append(token)
+
+        class Payload:
+            pass
+
+        sim = Simulator()
+        lane = EventLane("arg-release-lane", None, capacity=1)
+        token = sim.schedule_lane_after(lane, 1.0, lambda: None)
+        recorder = Recorder()
+        payload = Payload()
+        alive = weakref.ref(payload)
+        sim.schedule_after(1.0, recorder, arg=token)  # an int shaped like the token
+        sim.schedule_after(2.0, recorder, arg=payload)
+        del payload
+        assert sim.pending() == 3
+        sim.release()
+        assert sim.pending() == 0
+        assert recorder.cancelled == []  # an argument is never a lane token
+        assert alive() is None  # the entry's argument is freed with it
+        assert not lane.live(token) and lane._free == [0]  # the lane entry was
+        assert sim.run() == 0.0 and sim.events_fired == 0
