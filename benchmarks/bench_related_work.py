@@ -23,8 +23,8 @@ from _helpers import emit
 from repro.analysis.report import format_table
 from repro.analysis.write_stats import forever_writers
 from repro.core.algorithm1 import WriteEfficientOmega
+from repro.core.runner import Run
 from repro.netsim.network import EventuallyTimelyLinks, FairLossyLinks
-from repro.netsim.runtime import MpRun
 from repro.related.omega_pattern import PatternOmega, pattern_friendly_links
 from repro.related.omega_tsource import TSourceOmega
 from repro.sim.rng import RngRegistry
@@ -37,23 +37,23 @@ def test_related_work_landscape(benchmark):
         shm = shm_scen.run(WriteEfficientOmega, seed=5)
 
         rng = RngRegistry(1)
-        ts = MpRun(
+        ts = Run(
             TSourceOmega,
             n=4,
             seed=1,
             horizon=4000.0,
-            behavior=EventuallyTimelyLinks(
+            channel=EventuallyTimelyLinks(
                 FairLossyLinks(rng, loss=0.2), sources={0}, gst=300.0, rng=rng
             ),
         ).execute()
 
         rng2 = RngRegistry(2)
-        pat = MpRun(
+        pat = Run(
             PatternOmega,
             n=4,
             seed=2,
             horizon=4000.0,
-            behavior=pattern_friendly_links(rng2, winner=0),
+            channel=pattern_friendly_links(rng2, winner=0),
         ).execute()
         return shm_scen, shm, ts, pat
 

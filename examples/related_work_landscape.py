@@ -12,11 +12,10 @@ Run:  python examples/related_work_landscape.py
 
 from __future__ import annotations
 
-from repro import WriteEfficientOmega
+from repro import Run, WriteEfficientOmega
 from repro.analysis.report import format_table
 from repro.analysis.write_stats import forever_writers
 from repro.netsim.network import EventuallyTimelyLinks, FairLossyLinks
-from repro.netsim.runtime import MpRun
 from repro.related import PatternOmega, TSourceOmega, pattern_friendly_links
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import awb_only
@@ -42,12 +41,12 @@ def main() -> None:
 
     print("2/3 message-passing, eventual t-source [2]...")
     rng = RngRegistry(1)
-    ts = MpRun(
+    ts = Run(
         TSourceOmega,
         n=4,
         seed=1,
         horizon=4000.0,
-        behavior=EventuallyTimelyLinks(
+        channel=EventuallyTimelyLinks(
             FairLossyLinks(rng, loss=0.2), sources={0}, gst=300.0, rng=rng
         ),
     ).execute()
@@ -64,9 +63,9 @@ def main() -> None:
 
     print("3/3 message-passing, time-free pattern [21,23]...")
     rng2 = RngRegistry(2)
-    pat = MpRun(
+    pat = Run(
         PatternOmega, n=4, seed=2, horizon=4000.0,
-        behavior=pattern_friendly_links(rng2, winner=0),
+        channel=pattern_friendly_links(rng2, winner=0),
     ).execute()
     pat_report = pat.stabilization(margin=200.0)
     rows.append(

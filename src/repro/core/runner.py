@@ -24,6 +24,16 @@ register read and write becomes an interval: one blocking-operation
 path hands it to the substrate's ``emu_read`` / ``emu_write``, and the
 process stays blocked until the substrate's completion callback
 resumes it.
+
+A *message-passing* algorithm -- an
+:class:`~repro.netsim.runtime.MpProcess` subclass, one of the
+related-work Omegas -- runs under the same :class:`Run`: the run builds
+a :class:`~repro.netsim.network.Network` over its simulator and drives
+each process with an
+:class:`~repro.netsim.runtime.MpProcessRuntime` (message and timer
+handlers instead of step coroutines).  The crash installer, the
+observer, the end-of-run release and the :class:`RunResult` serve both
+families.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.interfaces import (
     AlgorithmContext,
@@ -47,6 +57,8 @@ from repro.memory.backend import create_memory
 from repro.memory.disk import Disk
 from repro.memory.emulated import EmulatedMemory
 from repro.memory.memory import SharedMemory
+from repro.netsim.network import ChannelBehavior, Network, TimelyLinks
+from repro.netsim.runtime import MpProcess, MpProcessRuntime, attach_runtimes
 from repro.sim.crash import CrashPlan
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -277,7 +289,10 @@ class RunResult:
     ``trace`` holds the observer's leader samples; the timers' realized
     durations are in ``timer_service.behavior(pid).history``; and
     ``crash_plan`` holds exactly the crashes that happened, those
-    planned at or before ``horizon``.
+    planned at or before ``horizon``.  A message-passing run's
+    ``algorithms`` are its :class:`~repro.netsim.runtime.MpProcess`
+    instances and ``network`` its message fabric (``None`` for every
+    other run; an emulated backend keeps its own in ``memory``).
     """
 
     algorithm_name: str
@@ -288,12 +303,13 @@ class RunResult:
     memory: SharedMemory
     sim: Simulator
     crash_plan: CrashPlan
-    algorithms: List[OmegaAlgorithm]
+    algorithms: List[Union[OmegaAlgorithm, MpProcess]]
     timer_service: TimerService
     disk: Optional[Disk]
     snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = field(default_factory=list)
     #: Which memory backend produced this run ("shared" or "emulated").
     memory_backend: str = "shared"
+    network: Optional[Network] = None
 
     # Convenience delegations to the analysis layer --------------------
     def stabilization(self, margin: float = 0.0) -> "Any":
@@ -407,7 +423,10 @@ class Run:
     Parameters
     ----------
     algorithm_cls:
-        The :class:`OmegaAlgorithm` subclass to run.
+        The :class:`OmegaAlgorithm` subclass to run, or a
+        message-passing :class:`~repro.netsim.runtime.MpProcess`
+        subclass (which touches no register and arms no timer of the
+        timer service: it talks over ``channel``).
     n:
         Number of processes (>= 2).
     seed:
@@ -449,6 +468,10 @@ class Run:
         ``"emulated"`` (ABD quorum emulation over message passing, in
         which case every register access becomes an interval operation
         like the disk path).
+    channel:
+        The link model of a message-passing algorithm's network;
+        defaults to :class:`~repro.netsim.network.TimelyLinks`.  Only
+        valid with an :class:`~repro.netsim.runtime.MpProcess` class.
     emulation:
         Plain-dict :class:`~repro.memory.emulated.EmulationConfig`
         knobs for the emulated backend (replica count, link model,
@@ -462,7 +485,7 @@ class Run:
 
     def __init__(
         self,
-        algorithm_cls: Type[OmegaAlgorithm],
+        algorithm_cls: Union[Type[OmegaAlgorithm], Type[MpProcess]],
         n: int,
         *,
         seed: int = 0,
@@ -479,6 +502,7 @@ class Run:
         trace_events: bool = True,
         memory: str = "shared",
         emulation: Optional[Dict[str, Any]] = None,
+        channel: Optional[ChannelBehavior] = None,
     ) -> None:
         check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, disk is not None)
         self.algorithm_cls = algorithm_cls
@@ -524,32 +548,45 @@ class Run:
                 )
         self.timer_service = TimerService(self.sim, behaviors)
 
-        shared = algorithm_cls.create_shared(self.memory, n, config)
-        if scramble is not None:
-            scramble(self.memory, self.rng.stream("scramble"))
-        self.algorithms: List[OmegaAlgorithm] = []
-        for pid in range(n):
-            ctx = AlgorithmContext(
-                pid=pid,
-                n=n,
-                clock=clock,
-                rng=self.rng.stream(f"algo:{pid}"),
-                config=config,
+        self.network: Optional[Network] = None
+        self.runtimes: Sequence[Union[ProcessRuntime, MpProcessRuntime]]
+        if issubclass(algorithm_cls, MpProcess):
+            network = self.network = Network(sim, channel or TimelyLinks(self.rng))
+            self.algorithms: List[Union[OmegaAlgorithm, MpProcess]] = [
+                algorithm_cls(pid, n, config) for pid in range(n)
+            ]
+            self.runtimes = attach_runtimes(
+                self.algorithms, sim=sim, network=network, crash_plan=self.crash_plan
             )
-            self.algorithms.append(algorithm_cls(ctx, shared))
-        self.runtimes = [
-            ProcessRuntime(
-                pid,
-                alg,
-                sim=sim,
-                delay_model=self.delay_model,
-                timer_service=self.timer_service,
-                crash_at=self.crash_plan.crash_time(pid),
-                memory=self.memory,
-                disk=disk,
-            )
-            for pid, alg in enumerate(self.algorithms)
-        ]
+        else:
+            if channel is not None:
+                raise ValueError("channel applies only to a message-passing algorithm")
+            shared = algorithm_cls.create_shared(self.memory, n, config)
+            if scramble is not None:
+                scramble(self.memory, self.rng.stream("scramble"))
+            self.algorithms = []
+            for pid in range(n):
+                ctx = AlgorithmContext(
+                    pid=pid,
+                    n=n,
+                    clock=clock,
+                    rng=self.rng.stream(f"algo:{pid}"),
+                    config=config,
+                )
+                self.algorithms.append(algorithm_cls(ctx, shared))
+            self.runtimes = [
+                ProcessRuntime(
+                    pid,
+                    alg,
+                    sim=sim,
+                    delay_model=self.delay_model,
+                    timer_service=self.timer_service,
+                    crash_at=self.crash_plan.crash_time(pid),
+                    memory=self.memory,
+                    disk=disk,
+                )
+                for pid, alg in enumerate(self.algorithms)
+            ]
         self.snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = []
 
     # ------------------------------------------------------------------
@@ -592,10 +629,12 @@ class Run:
 
         Pending events hold their owners (runtimes, timers, the
         observer, the network, the emulation's retries), and the owners
-        hold the simulator; a runtime holds its own step callback; the
-        emulation holds its network and retry lanes, whose callbacks
-        hold the emulation.  One kernel release drops every pending
-        event, then the runtimes and the emulation drop their own.
+        hold the simulator; a runtime holds its own step callback (a
+        message-passing one: its process holds it back); the emulation
+        holds its network and retry lanes, whose callbacks hold the
+        emulation; a message-passing run's network routes to its
+        runtimes.  One kernel release drops every pending event, then
+        the runtimes, the emulation and the network drop their own.
         Every post-run query -- the logs, the samples, the emulated
         history with its in-flight writes -- reads state this leaves in
         place.  Anything that extends a run must do so before this.
@@ -605,6 +644,8 @@ class Run:
             runtime.release()
         if isinstance(self.memory, EmulatedMemory):
             self.memory.release()
+        if self.network is not None:
+            self.network.install_routes({})
 
     # ------------------------------------------------------------------
     def execute(self, max_events: Optional[int] = None) -> RunResult:
@@ -641,6 +682,7 @@ class Run:
             disk=self.disk,
             snapshots=self.snapshots,
             memory_backend=self.memory_backend,
+            network=self.network,
         )
 
 

@@ -11,9 +11,11 @@ network analogue of :mod:`repro.memory`:
   message loss, and the *eventually timely source* property of [2]
   (after some unknown time, one correct process's outgoing links
   deliver within a bound);
-* an event-driven process runtime (handlers for messages and timers)
-  -- message-passing algorithms are reactive, so they use handler
-  style rather than the shared-memory package's step coroutines;
+* message-passing processes and their per-process runtime (handlers
+  for messages and timers) -- message-passing algorithms are reactive,
+  so they use handler style rather than the shared-memory package's
+  step coroutines, and :class:`~repro.core.runner.Run` executes them
+  like any other algorithm;
 * full traffic accounting, mirroring the shared-memory access logs, so
   the same censuses (who sends forever, convergence times) apply.
 
@@ -35,7 +37,7 @@ from repro.netsim.network import (
     SynchronousLinks,
     TimelyLinks,
 )
-from repro.netsim.runtime import MpProcess, MpRun, MpRunResult
+from repro.netsim.runtime import MpProcess, MpProcessRuntime
 
 __all__ = [
     "ChannelBehavior",
@@ -43,8 +45,7 @@ __all__ = [
     "FairLossyLinks",
     "Message",
     "MpProcess",
-    "MpRun",
-    "MpRunResult",
+    "MpProcessRuntime",
     "Network",
     "RampLinks",
     "SourceChurnLinks",

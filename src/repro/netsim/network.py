@@ -459,12 +459,14 @@ Handler = Callable[[Message], None]
 class Network:
     """The message fabric: send, count, deliver through the kernel.
 
-    Its owner -- :class:`~repro.netsim.runtime.MpRun`, or the register
-    emulation of :mod:`repro.memory.emulated` -- installs the routes: a
-    kind -> handler table per address (:meth:`install_routes`).  A send
-    looks the message's handler up and hands the kernel a one-argument
-    entry, so a delivery is one ``handler(message)`` call; a kind with no
-    handler at its address raises at the send.  The handler owns the
+    Its owner -- a message-passing :class:`~repro.core.runner.Run`
+    (through each :class:`~repro.netsim.runtime.MpProcessRuntime`), or
+    the register emulation of :mod:`repro.memory.emulated` -- installs
+    the routes: a kind -> handler table per address
+    (:meth:`install_routes`).  A send looks the message's handler up and
+    hands the kernel a one-argument entry, so a delivery is one
+    ``handler(message)`` call; a kind with no handler at its address
+    raises at the send.  The handler owns the
     delivery: it counts it in :attr:`delivered` and serves it.  The
     network itself only decides timing/loss and keeps the traffic
     accounting (sent/delivered/dropped).

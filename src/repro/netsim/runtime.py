@@ -1,38 +1,38 @@
-"""Event-driven runtime for message-passing processes.
+"""Message-passing processes and their per-process runtime.
 
 Message-passing Omega algorithms are reactive (handle a message, handle
-a timeout), so the runtime dispatches handler callbacks rather than
-stepping operation coroutines.  Local handler execution is modelled as
+a timeout), so a process is a set of handler callbacks rather than a
+set of operation coroutines.  Local handler execution is modelled as
 instantaneous: in the related-work algorithms all the asynchrony that
 matters lives in the *channels* (that is precisely the [2] model, where
 process speeds are benign and links carry the timing assumption).
 
-Crash-stop semantics, observer sampling and determinism mirror the
-shared-memory runner, so the same analysis code consumes both: the
-trace holds the leader samples, the crash plan (cut to the horizon) the
-crashes.
+:class:`~repro.core.runner.Run` executes an :class:`MpProcess`
+subclass like any other algorithm: it builds a
+:class:`~repro.netsim.network.Network` over its simulator and one
+:class:`MpProcessRuntime` per pid, and its crash installer, observer,
+release step and result bundle serve both families.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Type
+from collections import defaultdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.netsim.network import ChannelBehavior, Message, Network, TimelyLinks
+from repro.netsim.network import Message, Network
 from repro.sim.crash import CrashPlan
 from repro.sim.events import EventLane
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.tracing import RunTrace
 
 
 class MpProcess(abc.ABC):
     """Base class for message-passing processes.
 
     Subclasses implement the three handlers and :meth:`peek_leader`.
-    The runtime injects :attr:`send`, :attr:`broadcast` and
-    :attr:`set_timer` before :meth:`on_start` runs.
+    Their :attr:`send`, :attr:`broadcast` and :attr:`set_timer` go
+    through the :class:`MpProcessRuntime` the run attaches before
+    :meth:`on_start` runs.
     """
 
     display_name: str = "mp-process"
@@ -41,23 +41,23 @@ class MpProcess(abc.ABC):
         self.pid = pid
         self.n = n
         self.config = config
-        self._run: Optional["MpRun"] = None
+        self._runtime: Optional[MpProcessRuntime] = None
 
-    # -- wiring (installed by the runtime) -------------------------------
+    # -- wiring (through the runtime) ------------------------------------
     def send(self, receiver: int, kind: str, payload: Any = None) -> None:
         """Send one message."""
-        assert self._run is not None
-        self._run.network.send(self.pid, receiver, kind, payload)
+        assert self._runtime is not None
+        self._runtime.network.send(self.pid, receiver, kind, payload)
 
     def broadcast(self, kind: str, payload: Any = None) -> None:
         """Send to all other processes."""
-        assert self._run is not None
-        self._run.network.broadcast(self.pid, self.n, kind, payload)
+        assert self._runtime is not None
+        self._runtime.network.broadcast(self.pid, self.n, kind, payload)
 
     def set_timer(self, tag: str, delay: float) -> None:
         """(Re-)arm the named local timer."""
-        assert self._run is not None
-        self._run.set_timer(self.pid, tag, delay)
+        assert self._runtime is not None
+        self._runtime.set_timer(tag, delay)
 
     # -- handlers ---------------------------------------------------------
     def on_start(self) -> None:
@@ -75,146 +75,80 @@ class MpProcess(abc.ABC):
         """Observer ``leader()`` output."""
 
 
-@dataclass
-class MpRunResult:
-    """Outcome bundle of a message-passing run."""
-
-    algorithm_name: str
-    n: int
-    horizon: float
-    seed: int
-    trace: RunTrace
-    network: Network
-    sim: Simulator
-    crash_plan: CrashPlan
-    processes: List[MpProcess]
-
-    def stabilization(self, margin: float = 0.0) -> Any:
-        """The Theorem 1 (Eventual Leadership) verdict: a
-        :class:`~repro.props.checkers.LeadershipVerdict`."""
-        from repro.props.checkers import leadership_verdict
-
-        return leadership_verdict(self.trace, self.crash_plan, self.horizon, margin=margin)
+def _fire_timer(key: Tuple["MpProcessRuntime", str]) -> None:
+    """The ``mp-timer`` lane's consumer: a crashed process's timers
+    still fire (and count) but are dropped."""
+    runtime, tag = key
+    if not runtime.crashed:
+        runtime.process.on_timer(tag)
 
 
-class MpRun:
-    """Assemble and execute a message-passing run."""
+class MpProcessRuntime:
+    """Drives one :class:`MpProcess` inside a run: routes, timers, crash.
+
+    It has the members :class:`~repro.core.runner.Run` reads of a
+    process runtime: :attr:`crashed`, :meth:`start`, :meth:`crash` and
+    :meth:`release`.  Every message addressed to the pid, whatever its
+    kind, is routed to :meth:`_deliver`, which counts it and hands it
+    to the process unless the process crashed.  Named timers share the
+    run's one ``mp-timer`` lane (:func:`attach_runtimes`); re-arming a
+    tag cancels its last token.
+    """
 
     def __init__(
-        self,
-        process_cls: Type[MpProcess],
-        n: int,
-        *,
-        seed: int = 0,
-        horizon: float = 2000.0,
-        behavior: Optional[ChannelBehavior] = None,
-        crash_plan: Optional[CrashPlan] = None,
-        sample_interval: float = 5.0,
-        config: Optional[Dict[str, Any]] = None,
+        self, process: MpProcess, sim: Simulator, network: Network, timers: EventLane, crash_at: float
     ) -> None:
-        if n < 2:
-            raise ValueError("need at least two processes")
-        self.n = n
-        self.seed = seed
-        self.horizon = horizon
-        self.rng = RngRegistry(seed)
-        self.sim = Simulator()
-        self.network = Network(self.sim, behavior or TimelyLinks(self.rng))
-        self.crash_plan = (crash_plan or CrashPlan.none(n)).until(horizon)
-        self.sample_interval = sample_interval
-        self.trace = RunTrace()
-        cfg = dict(config or {})
-        self.processes = [process_cls(pid, n, cfg) for pid in range(n)]
-        for proc in self.processes:
-            proc._run = self
-        self._crashed = [False] * n
-        self._timers: Dict[tuple[int, str], int] = {}
-        # Named timers share one columnar lane; the payload is the
-        # ``(pid, tag)`` key and the token in ``_timers`` both probes
-        # and cancels (see EventLane).
-        self._timer_lane: Optional[EventLane] = EventLane("mp-timer", self._fire_timer)
-        self.network.install_delivery(self._deliver)
+        self.process = process
+        self.network = network
+        self.crashed = False
+        self._sim = sim
+        self._timers = timers
+        self._tokens: Dict[str, int] = {}
+        self._crash_at = crash_at
+        process._runtime = self
+        deliver = self._deliver
+        network.install_routes(defaultdict(lambda: deliver), address=process.pid)
 
-    # ------------------------------------------------------------------
-    def set_timer(self, pid: int, tag: str, delay: float) -> None:
-        """(Re-)arm one process's named timer (cancels the previous one)."""
+    def start(self) -> None:
+        """Call the process's ``on_start`` unless it is crashed at 0."""
+        if self._crash_at > 0.0:
+            self.process.on_start()
+
+    def crash(self) -> None:
+        """Crash-stop: the process handles no further message or timer."""
+        self.crashed = True
+
+    def release(self) -> None:
+        """End of run: the process forgets this runtime (the run drops
+        the network's routes to it)."""
+        self.process._runtime = None
+
+    def set_timer(self, tag: str, delay: float) -> None:
+        """(Re-)arm the named timer (cancels the previous one)."""
         if delay <= 0:
             raise ValueError("timer delay must be positive")
-        key = (pid, tag)
-        lane = self._timer_lane
-        assert lane is not None, "a released run arms no timer"
-        previous = self._timers.get(key)
+        previous = self._tokens.get(tag)
         if previous is not None:
-            lane.cancel(previous)
-        self._timers[key] = self.sim.schedule_lane_after(lane, delay, key, pid=pid)
-
-    def _fire_timer(self, key: tuple[int, str]) -> None:
-        pid, tag = key
-        if not self._crashed[pid]:
-            self.processes[pid].on_timer(tag)
-
-    def _deliver(self, message: Message) -> None:
-        if not self._crashed[message.receiver]:
-            self.processes[message.receiver].on_message(message)
-
-    def _install_crashes(self) -> None:
-        for pid, t in sorted(self.crash_plan.crash_times.items()):
-
-            def crash(p: int = pid) -> None:
-                self._crashed[p] = True
-
-            self.sim.schedule_at(t, crash, kind="crash", pid=pid)
-
-    def _sample(self) -> None:
-        now = self.sim.now
-        for pid, proc in enumerate(self.processes):
-            if not self._crashed[pid]:
-                self.trace.record_leader_sample(now, pid, proc.peek_leader())
-        nxt = now + self.sample_interval
-        if nxt <= self.horizon:
-            self.sim.schedule_at(nxt, self._sample, kind="sample")
-
-    def _release(self) -> None:
-        """Break the cycles the run needs while it runs, as
-        :meth:`repro.core.runner.Run.execute` does: the kernel drops
-        every pending event, the network its routes, the timer lane
-        goes with its consumer, and each process forgets the run."""
-        self.sim.release()
-        self.network.install_routes({})
-        self._timer_lane = None
-        for proc in self.processes:
-            proc._run = None
-
-    # ------------------------------------------------------------------
-    def execute(self) -> MpRunResult:
-        """Run to the horizon and return the result bundle.
-
-        After the final observer sample the run releases itself (see
-        :meth:`_release`), so dropping the result frees it at once.
-        """
-        self._install_crashes()
-        for pid, proc in enumerate(self.processes):
-            if not self.crash_plan.is_crashed(pid, 0.0):
-                proc.on_start()
-        self.sim.schedule_at(0.0, self._sample, kind="sample")
-        # Top-level run driver (execute() is called from outside the
-        # simulator), not a dispatch callback.
-        self.sim.run(until=self.horizon)  # repro-lint: disable=dispatch-reentrant-run
-        for pid, proc in enumerate(self.processes):
-            if not self._crashed[pid]:
-                self.trace.record_leader_sample(self.horizon, pid, proc.peek_leader())
-        self._release()
-        return MpRunResult(
-            algorithm_name=type(self.processes[0]).display_name,
-            n=self.n,
-            horizon=self.horizon,
-            seed=self.seed,
-            trace=self.trace,
-            network=self.network,
-            sim=self.sim,
-            crash_plan=self.crash_plan,
-            processes=self.processes,
+            self._timers.cancel(previous)
+        self._tokens[tag] = self._sim.schedule_lane_after(
+            self._timers, delay, (self, tag), pid=self.process.pid
         )
 
+    def _deliver(self, message: Message) -> None:
+        self.network.delivered += 1
+        if not self.crashed:
+            self.process.on_message(message)
 
-__all__ = ["MpProcess", "MpRun", "MpRunResult"]
+
+def attach_runtimes(
+    processes: Sequence[MpProcess], *, sim: Simulator, network: Network, crash_plan: CrashPlan
+) -> List[MpProcessRuntime]:
+    """One runtime per process, all arming timers on one ``mp-timer`` lane."""
+    timers = EventLane("mp-timer", _fire_timer)
+    return [
+        MpProcessRuntime(proc, sim, network, timers, crash_plan.crash_time(proc.pid))
+        for proc in processes
+    ]
+
+
+__all__ = ["MpProcess", "MpProcessRuntime", "attach_runtimes"]

@@ -22,7 +22,7 @@ Scheduling comes in two flavours:
   :class:`~repro.sim.events.EventLane` and returns an *integer* token
   that cancels the event -- the one cancellable path, taken by every
   re-armed timer (the timer service's expirations, the message-passing
-  runtime's named timers and the register emulation's retransmission
+  processes' named timers and the register emulation's retransmission
   timers).
 
 The run loop therefore dispatches an entry three ways, on its last

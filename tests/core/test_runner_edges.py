@@ -13,7 +13,6 @@ from repro.core.interfaces import LocalStep, OmegaAlgorithm, SetTimer
 from repro.core.runner import Run
 from repro.memory.disk import Disk, LatencyModel
 from repro.netsim.network import EventuallyTimelyLinks, FairLossyLinks
-from repro.netsim.runtime import MpRun
 from repro.related.omega_tsource import TSourceOmega
 from repro.sim.rng import RngRegistry
 
@@ -121,10 +120,10 @@ class TestAnalysisReuseAcrossSubstrates:
     @pytest.fixture(scope="class")
     def mp_result(self):
         rng = RngRegistry(1)
-        behavior = EventuallyTimelyLinks(
+        links = EventuallyTimelyLinks(
             FairLossyLinks(rng, loss=0.2), sources={0}, gst=300.0, rng=rng
         )
-        return MpRun(TSourceOmega, n=4, seed=1, horizon=4000.0, behavior=behavior).execute()
+        return Run(TSourceOmega, n=4, seed=1, horizon=4000.0, channel=links).execute()
 
     def test_timeline_on_mp_trace(self, mp_result):
         report = build_timeline(mp_result.trace, crash_plan=mp_result.crash_plan)
@@ -156,29 +155,40 @@ class TestHorizonSamplingConsistency:
         assert at_horizon == {0, 1, 2}
 
 
+def both_families(values):
+    """``(algorithm, value)`` cells for a shared-memory and a
+    message-passing Omega; the shared-memory cells keep the plain value
+    as their id."""
+    return [pytest.param(WriteEfficientOmega, v, id=str(v)) for v in values] + [
+        pytest.param(TSourceOmega, v, id=f"mp-{v}") for v in values
+    ]
+
+
 class TestIntervalValidation:
     """A zero ``sample_interval`` / ``snapshot_interval`` used to make
     the observer reschedule itself at ``now`` forever; non-positive and
-    non-finite spans are rejected up front, naming the argument."""
+    non-finite spans are rejected up front, naming the argument, for
+    both algorithm families (one ``Run``, one ``check_run_shape``)."""
 
-    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
-    def test_sample_interval_must_be_positive_and_finite(self, value):
+    @pytest.mark.parametrize("algorithm, value", both_families([0.0, -5.0, float("nan"), float("inf")]))
+    def test_sample_interval_must_be_positive_and_finite(self, algorithm, value):
         with pytest.raises(ValueError, match="sample_interval"):
-            Run(WriteEfficientOmega, n=3, horizon=50.0, sample_interval=value)
+            Run(algorithm, n=3, horizon=50.0, sample_interval=value)
 
-    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
-    def test_snapshot_interval_must_be_positive_and_finite(self, value):
+    @pytest.mark.parametrize("algorithm, value", both_families([0.0, -5.0, float("nan"), float("inf")]))
+    def test_snapshot_interval_must_be_positive_and_finite(self, algorithm, value):
         with pytest.raises(ValueError, match="snapshot_interval"):
-            Run(WriteEfficientOmega, n=3, horizon=50.0, snapshot_interval=value)
+            Run(algorithm, n=3, horizon=50.0, snapshot_interval=value)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_must_be_positive_and_finite(self, value):
+    @pytest.mark.parametrize("algorithm, value", both_families([0.0, -1.0, float("nan"), float("inf")]))
+    def test_horizon_must_be_positive_and_finite(self, algorithm, value):
         with pytest.raises(ValueError, match="horizon"):
-            Run(WriteEfficientOmega, n=3, horizon=value)
+            Run(algorithm, n=3, horizon=value)
 
-    def test_no_snapshots_and_small_intervals_stay_legal(self):
+    @pytest.mark.parametrize("algorithm", [WriteEfficientOmega, TSourceOmega], ids=["shared", "mp"])
+    def test_no_snapshots_and_small_intervals_stay_legal(self, algorithm):
         result = Run(
-            WriteEfficientOmega, n=3, horizon=20.0, sample_interval=0.5, snapshot_interval=None
+            algorithm, n=3, horizon=20.0, sample_interval=0.5, snapshot_interval=None
         ).execute()
         assert result.snapshots == []
         assert len(result.trace.leader_samples()) == 3 * 42  # t = 0, 0.5 .. 20 plus the horizon sample

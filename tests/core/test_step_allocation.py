@@ -22,7 +22,8 @@ cycles an event-driven run needs while it runs, so dropping the result
 frees every log by reference counting alone.  The last test runs every
 registered scenario with the collector off and asks it what it would
 have had to free; the message-passing runs of both related-work Omegas
-(``MpRun``) are held to the same rule.
+are held to the same rule (their network routes, process runtimes and
+``mp-timer`` lane are released by the same step).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import pytest
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.algorithm2 import BoundedOmega
 from repro.core.interfaces import ReadReg
+from repro.core.runner import Run
 from repro.memory.memory import ReadRecord
 from repro.netsim.network import EventuallyTimelyLinks, FairLossyLinks
-from repro.netsim.runtime import MpRun
 from repro.related.omega_pattern import PatternOmega, pattern_friendly_links
 from repro.related.omega_tsource import TSourceOmega
 from repro.sim.rng import RngRegistry
@@ -222,16 +223,15 @@ def test_a_finished_run_leaves_no_cyclic_garbage(warmed_up, name, algorithm, mod
 def _tsource_cell() -> None:
     rng = RngRegistry(1)
     links = EventuallyTimelyLinks(FairLossyLinks(rng, loss=0.2), sources={0}, gst=300.0, rng=rng)
-    MpRun(TSourceOmega, n=4, seed=1, horizon=1000.0, behavior=links).execute().stabilization()
+    Run(TSourceOmega, n=4, seed=1, horizon=1000.0, channel=links).execute().stabilization()
 
 
 def _pattern_cell() -> None:
     links = pattern_friendly_links(RngRegistry(1), winner=0)
-    MpRun(PatternOmega, n=4, seed=1, horizon=1000.0, behavior=links).execute().stabilization()
+    Run(PatternOmega, n=4, seed=1, horizon=1000.0, channel=links).execute().stabilization()
 
 
 @pytest.mark.parametrize("cell", [_tsource_cell, _pattern_cell], ids=["tsource", "pattern"])
 def test_a_finished_message_passing_run_leaves_no_cyclic_garbage(warmed_up, cell):
-    # MpRun.execute ends with the same release step as Run.execute.
     found = cyclic_garbage(cell)
     assert not found, f"left reference cycles: {dict(found)}"

@@ -1,12 +1,15 @@
-"""The message-passing runtime: handlers, timers, crash semantics."""
+"""Message-passing processes under ``Run``: handlers, timers, crash semantics."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithm1 import WriteEfficientOmega
+from repro.core.runner import Run
 from repro.netsim.network import Message, TimelyLinks
-from repro.netsim.runtime import MpProcess, MpRun
+from repro.netsim.runtime import MpProcess
 from repro.sim.crash import CrashPlan
+from repro.sim.rng import RngRegistry
 
 
 class EchoProcess(MpProcess):
@@ -42,37 +45,41 @@ class EchoProcess(MpProcess):
 
 class TestRuntime:
     def test_ping_pong_roundtrip(self):
-        result = MpRun(EchoProcess, n=3, seed=1, horizon=50.0).execute()
-        assert result.processes[0].pongs == 2
-        assert result.processes[1].pings == 1
+        result = Run(EchoProcess, n=3, seed=1, horizon=50.0).execute()
+        assert result.algorithms[0].pongs == 2
+        assert result.algorithms[1].pings == 1
 
     def test_timers_repeat(self):
-        result = MpRun(EchoProcess, n=2, seed=1, horizon=100.0).execute()
-        assert result.processes[0].timer_fires == pytest.approx(10, abs=2)
+        result = Run(EchoProcess, n=2, seed=1, horizon=100.0).execute()
+        assert result.algorithms[0].timer_fires == pytest.approx(10, abs=2)
 
     def test_needs_two_processes(self):
         with pytest.raises(ValueError):
-            MpRun(EchoProcess, n=1)
+            Run(EchoProcess, n=1)
+
+    def test_a_channel_needs_a_message_passing_algorithm(self):
+        with pytest.raises(ValueError, match="channel"):
+            Run(WriteEfficientOmega, n=2, channel=TimelyLinks(RngRegistry(0)))
 
     def test_deterministic(self):
-        a = MpRun(EchoProcess, n=3, seed=5, horizon=100.0).execute()
-        b = MpRun(EchoProcess, n=3, seed=5, horizon=100.0).execute()
+        a = Run(EchoProcess, n=3, seed=5, horizon=100.0).execute()
+        b = Run(EchoProcess, n=3, seed=5, horizon=100.0).execute()
         assert a.trace.leader_samples() == b.trace.leader_samples()
         assert a.network.total_sent == b.network.total_sent
 
     def test_timer_validation(self):
-        run = MpRun(EchoProcess, n=2, seed=1, horizon=10.0)
+        run = Run(EchoProcess, n=2, seed=1, horizon=10.0)
         with pytest.raises(ValueError):
-            run.set_timer(0, "bad", 0.0)
+            run.algorithms[0].set_timer("bad", 0.0)
 
     def test_every_delivery_is_counted_once(self):
-        result = MpRun(EchoProcess, n=4, seed=1, horizon=100.0).execute()
+        result = Run(EchoProcess, n=4, seed=1, horizon=100.0).execute()
         assert result.network.delivered == result.sim.fired_by_kind["message"] == 6
 
     def test_a_finished_run_is_released(self):
-        result = MpRun(EchoProcess, n=3, seed=1, horizon=50.0).execute()
+        result = Run(EchoProcess, n=3, seed=1, horizon=50.0).execute()
         assert result.sim.pending() == 0
-        assert all(proc._run is None for proc in result.processes)
+        assert all(proc._runtime is None for proc in result.algorithms)
         with pytest.raises(KeyError, match="no route"):
             result.network.send(0, 1, "PING", None)
 
@@ -80,20 +87,20 @@ class TestRuntime:
 class TestCrashSemantics:
     def test_crashed_process_handles_nothing(self):
         plan = CrashPlan.single(3, 1, 5.0)
-        result = MpRun(
+        result = Run(
             EchoProcess, n=3, seed=2, horizon=100.0, crash_plan=plan
         ).execute()
         # pid 1 stops firing timers after its crash at t=5.
-        assert result.processes[1].timer_fires == 0
+        assert result.algorithms[1].timer_fires == 0
 
     def test_crashed_process_not_sampled(self):
         plan = CrashPlan.single(3, 2, 7.0)
-        result = MpRun(EchoProcess, n=3, seed=2, horizon=50.0, crash_plan=plan).execute()
+        result = Run(EchoProcess, n=3, seed=2, horizon=50.0, crash_plan=plan).execute()
         late = [(t, pid) for t, pid, _ in result.trace.leader_samples() if t > 10 and pid == 2]
         assert late == []
 
     def test_initially_crashed_process_never_starts(self):
         plan = CrashPlan.single(2, 1, 0.0)
-        result = MpRun(EchoProcess, n=2, seed=3, horizon=50.0, crash_plan=plan).execute()
-        assert result.processes[1].timer_fires == 0
+        result = Run(EchoProcess, n=2, seed=3, horizon=50.0, crash_plan=plan).execute()
+        assert result.algorithms[1].timer_fires == 0
         assert result.network.sent_by_pid.get(1, 0) == 0
