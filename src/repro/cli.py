@@ -45,8 +45,8 @@ Commands
     non-zero on regression.
 ``lint``
     Run the AST-based invariant linter over the source tree
-    (determinism, kernel purity, batch-dispatch safety, strict-typing
-    ratchet); exits non-zero on any finding.
+    (determinism, batch-dispatch safety, strict-typing ratchet); exits
+    non-zero on any finding.
 ``list``
     Show the available algorithms and scenarios.
 
@@ -901,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (determinism, purity, dispatch, typing)",
+        help="run the AST invariant linter (determinism, dispatch, typing)",
     )
     lint_p.add_argument(
         "--root",

@@ -356,7 +356,11 @@ class RunResult:
         margin: float = 0.0,
         window: float = 100.0,
     ) -> "Any":
-        """Theorem 1-4 audit of this run (see :mod:`repro.props`)."""
+        """Theorem 1-4 audit of this run (see :mod:`repro.props`).
+
+        A message-passing run is refused (``ValueError``): it has no
+        registers to judge; :meth:`stabilization` is its verdict.
+        """
         from repro.props.report import check_properties
 
         return check_properties(
@@ -374,7 +378,8 @@ class RunResult:
         """Condense this result into a compact, picklable
         :class:`~repro.engine.summary.RunSummary` -- the in-place path
         the parallel engine's workers use instead of shipping the whole
-        result bundle across process boundaries."""
+        result bundle across process boundaries.  Refused for a
+        message-passing run, like :meth:`check_properties`."""
         from repro.engine.summary import summarize_run
 
         return summarize_run(
@@ -471,7 +476,11 @@ class Run:
     channel:
         The link model of a message-passing algorithm's network;
         defaults to :class:`~repro.netsim.network.TimelyLinks`.  Only
-        valid with an :class:`~repro.netsim.runtime.MpProcess` class.
+        valid with an :class:`~repro.netsim.runtime.MpProcess` class,
+        which in turn refuses every shared-memory argument:
+        ``delay_model``, ``timer_behaviors``, ``scramble``, ``disk``,
+        ``emulation``, ``snapshot_interval`` and a ``memory`` other than
+        ``"shared"``.
     emulation:
         Plain-dict :class:`~repro.memory.emulated.EmulationConfig`
         knobs for the emulated backend (replica count, link model,
@@ -505,6 +514,22 @@ class Run:
         channel: Optional[ChannelBehavior] = None,
     ) -> None:
         check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, disk is not None)
+        if issubclass(algorithm_cls, MpProcess):
+            shared_only = {
+                "delay_model": delay_model,
+                "timer_behaviors": timer_behaviors,
+                "scramble": scramble,
+                "disk": disk,
+                "memory": None if memory == "shared" else memory,
+                "emulation": emulation,
+                "snapshot_interval": snapshot_interval,
+            }
+            given = [name for name, value in shared_only.items() if value is not None]
+            if given:
+                raise ValueError(
+                    f"{algorithm_cls.__name__} is message-passing and takes no "
+                    f"shared-memory argument: got {', '.join(given)}"
+                )
         self.algorithm_cls = algorithm_cls
         self.n = n
         self.seed = seed

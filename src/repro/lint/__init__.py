@@ -2,18 +2,15 @@
 
 The repo's core value is *deterministic, byte-identical* simulation, and
 several of its subsystems rely on structural invariants nothing used to
-enforce: the compiled-kernel build only accepts a subset of Python, and
-no handler module may reach into the event queue's internals.  This
-package checks those invariants **statically**:
+enforce: no simulation module may read the wall clock or ambient
+entropy, and no handler module may reach into the event queue's
+internals.  This package checks those invariants **statically**:
 
 * :mod:`repro.lint.determinism` -- no wall-clock reads, no ambient
   entropy, no module-level ``random``, no order-dependent set iteration
   in the simulation/summary packages;
-* :mod:`repro.lint.purity` -- ``repro/sim/events.py`` +
-  ``repro/sim/kernel.py`` stay inside the subset that
-  ``tools/build_kernel_ext.py`` can concatenate and compile;
 * :mod:`repro.lint.dispatch` -- no module outside the kernel touches
-  ``EventQueue`` internals, and no handler package re-enters
+  the event queue's internals, and no handler package re-enters
   ``Simulator.run()`` from inside a dispatch callback;
 * :mod:`repro.lint.typing_rules` -- the strict-typed module ratchet:
   every function in :data:`repro.lint.config.STRICT_TYPED_MODULES` is

@@ -1,15 +1,14 @@
 """Scopes, forbidden-call tables, and ratchet surfaces for the linter.
 
 Everything policy-like lives here so the rule modules stay pure
-mechanism: which packages the determinism rule patrols, which modules
-are concatenated into the compiled kernel, which private attributes
-count as ``EventQueue`` internals, and which modules are inside the
-strict-typing ratchet.
+mechanism: which packages the determinism rule patrols, which private
+attributes count as the event queue's internals, and which modules are
+inside the strict-typing ratchet.
 
 Scoping is by *path suffix*, not by resolved import, so the rules work
 identically on the real tree and on the tmp-dir fixture corpora the
-lint tests build (a fixture at ``<tmp>/sim/events.py`` is held to the
-same purity contract as ``src/repro/sim/events.py``).
+lint tests build (a fixture at ``<tmp>/netsim/mod.py`` is held to the
+same dispatch contract as ``src/repro/netsim/network.py``).
 """
 
 from __future__ import annotations
@@ -88,38 +87,10 @@ GLOBAL_RANDOM_FUNCTIONS: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Kernel purity scope
-# ----------------------------------------------------------------------
-#: Path suffixes of the modules ``tools/build_kernel_ext.py``
-#: concatenates into ``repro.sim._ckernel``.  Order matters for the
-#: build but not for linting.
-KERNEL_MODULE_SUFFIXES: Tuple[str, ...] = ("sim/events.py", "sim/kernel.py")
-
-#: The marker ``tools/build_kernel_ext.py`` cuts each module at; source
-#: below it (the variant-rebind tail) is NOT compiled and is exempt from
-#: the purity rules.  Must match ``build_kernel_ext.REBIND_MARKER``.
-REBIND_MARKER = "# --- kernel-variant rebind"
-
-#: Imports the concatenated kernel may keep.  ``repro.sim.events`` is
-#: allowed because the concatenator strips it (kernel.py importing its
-#: sibling); anything else would survive into the .pyx and break the
-#: closed compilation unit.
-KERNEL_ALLOWED_IMPORTS: FrozenSet[str] = frozenset(
-    {"heapq", "itertools", "typing", "__future__", "repro.sim.events"}
-)
-
-#: Decorators the Cython-compiled subset supports on kernel classes and
-#: functions.  ``@property`` compiles (the committed kernel uses it);
-#: anything registering, caching, or wrapping dynamically does not.
-KERNEL_ALLOWED_DECORATORS: FrozenSet[str] = frozenset(
-    {"property", "staticmethod", "classmethod"}
-)
-
-# ----------------------------------------------------------------------
 # Batch-dispatch safety scope
 # ----------------------------------------------------------------------
-#: ``EventQueue`` internals (its ``__slots__``): only the kernel module
-#: pair may touch these friend-style.
+#: The event queue's internals, owned by ``Simulator``: only the kernel
+#: module may touch these.
 QUEUE_PRIVATE_ATTRS: FrozenSet[str] = frozenset(
     {"_heap", "_buckets", "_next_seq", "_direct_time"}
 )
@@ -139,7 +110,6 @@ HANDLER_PACKAGES: FrozenSet[str] = frozenset(
 #: when mypy is available.  Entries may be dropped from this tuple only
 #: together with the module itself -- the typed surface only grows.
 STRICT_TYPED_MODULES: Tuple[str, ...] = (
-    "repro/sim/variant.py",
     "repro/sim/rng.py",
     "repro/sim/events.py",
     "repro/sim/kernel.py",
@@ -152,7 +122,6 @@ STRICT_TYPED_MODULES: Tuple[str, ...] = (
     "repro/lint/findings.py",
     "repro/lint/config.py",
     "repro/lint/determinism.py",
-    "repro/lint/purity.py",
     "repro/lint/dispatch.py",
     "repro/lint/typing_rules.py",
     "repro/lint/runner.py",
@@ -168,19 +137,10 @@ def in_determinism_scope(path: str) -> bool:
     """True when the determinism rule patrols ``path``.
 
     Scope is any module living under one of
-    :data:`DETERMINISM_PACKAGES`; generated kernel artifacts
-    (``_ckernel*``) are excluded -- they mirror already-linted sources.
+    :data:`DETERMINISM_PACKAGES`.
     """
     parts = _parts(path)
-    if not parts or parts[-1].startswith("_ckernel"):
-        return False
     return any(part in DETERMINISM_PACKAGES for part in parts[:-1])
-
-
-def is_kernel_module(path: str) -> bool:
-    """True when ``path`` is concatenated into the compiled kernel."""
-    posix = "/".join(_parts(path))
-    return any(posix.endswith(suffix) for suffix in KERNEL_MODULE_SUFFIXES)
 
 
 def in_handler_scope(path: str) -> bool:

@@ -1,19 +1,18 @@
 """Batch-dispatch safety rule family: handlers stay out of the kernel.
 
 PR 6's batched event core drains equal-timestamp collision buckets with
-a locals-only loop: ``Simulator.run`` snapshots ``EventQueue`` state
-into locals before dispatching a batch.  A handler that mutates queue
+a locals-only loop: ``Simulator.run`` snapshots its queue state into
+locals before dispatching a batch.  A handler that mutates queue
 internals mid-batch desynchronises those locals from the queue, and a
 handler that re-enters ``Simulator.run`` corrupts the drain outright.
-Both are friend-only operations of the kernel module pair.  Rules
-(scoped to the handler packages,
-:data:`~repro.lint.config.HANDLER_PACKAGES`):
+Both are operations of the kernel module alone.  Rules (scoped to the
+handler packages, :data:`~repro.lint.config.HANDLER_PACKAGES`):
 
 ``dispatch-queue-internals``
-    Reads or writes of ``EventQueue`` private slots
+    Reads or writes of the queue storage ``Simulator`` owns
     (:data:`~repro.lint.config.QUEUE_PRIVATE_ATTRS`) on anything other
     than ``self`` -- handler modules must go through the public
-    ``schedule``/``cancel``/``pop`` surface.
+    ``schedule_*`` methods and ``EventLane.cancel``.
 ``dispatch-reentrant-run``
     ``<...>.sim.run(...)`` / ``sim.run(...)`` / ``simulator.run(...)``
     calls: a handler executes *inside* ``Simulator.run`` and must
@@ -57,9 +56,9 @@ def check(source: SourceFile) -> List[Finding]:
                         path=source.path,
                         line=node.lineno,
                         message=(
-                            f"access to EventQueue internal {node.attr!r}: "
+                            f"access to Simulator queue internal {node.attr!r}: "
                             "handler modules must use the public "
-                            "schedule/cancel/pop surface"
+                            "schedule_* methods and EventLane.cancel"
                         ),
                     )
                 )

@@ -2,10 +2,9 @@
 
 :func:`run_lint` is the single programmatic entry point; ``repro lint``
 (:func:`repro.cli.cmd_lint`) is a thin argparse shim over it.  The
-pipeline is: discover ``*.py`` files under the package root (skipping
-generated ``_ckernel*`` artifacts), parse each once, run every enabled
-per-file rule, and drop findings silenced by ``# repro-lint:
-disable=...`` comments.  Every surviving finding is fatal: nothing is
+pipeline is: discover ``*.py`` files under the package root, parse
+each once, run every enabled per-file rule, and drop findings silenced
+by ``# repro-lint: disable=...`` comments.  Every surviving finding is fatal: nothing is
 grandfathered.
 """
 
@@ -15,14 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
-from repro.lint import determinism, dispatch, purity, typing_rules
+from repro.lint import determinism, dispatch, typing_rules
 from repro.lint.config import DEFAULT_ROOT
 from repro.lint.findings import Finding, SourceFile
 
 #: Per-file rule entry points, keyed by family.
 _FILE_RULES: Dict[str, Callable[[SourceFile], List[Finding]]] = {
     "determinism": determinism.check,
-    "purity": purity.check,
     "dispatch": dispatch.check,
     "typing": typing_rules.check,
 }
@@ -59,19 +57,8 @@ class LintReport:
 
 
 def iter_source_files(root: Path) -> List[Path]:
-    """All lintable ``*.py`` files under ``root``, sorted.
-
-    Generated compiled-kernel artifacts (``_ckernel*``) mirror
-    already-linted sources and are skipped, as are caches.
-    """
-    files: List[Path] = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name.startswith("_ckernel"):
-            continue
-        if "__pycache__" in path.parts:
-            continue
-        files.append(path)
-    return files
+    """All lintable ``*.py`` files under ``root``, sorted, caches skipped."""
+    return [path for path in sorted(root.rglob("*.py")) if "__pycache__" not in path.parts]
 
 
 def _display_path(path: Path, root: Path) -> str:

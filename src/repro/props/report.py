@@ -164,8 +164,15 @@ def check_properties(
     One walk of the leader samples and one of the write log; only
     consumes the write log and its index, the crash plan and the
     leader-sample trace, so it works identically in the engine's
-    low-overhead run mode.
+    low-overhead run mode.  A message-passing run (one with a
+    ``network``) is refused with ``ValueError``: Theorems 2-4 judge
+    shared-memory registers, which it has none of.
     """
+    if getattr(result, "network", None) is not None:
+        raise ValueError(
+            "Theorems 2-4 concern shared-memory registers and a message-passing "
+            "run has none; its verdict is RunResult.stabilization()"
+        )
     cls = algorithm_cls or type(result.algorithms[0])
     claimed = frozenset(getattr(cls, "claimed_theorems", frozenset()))
     requires = getattr(cls, "requires_assumption", "awb")

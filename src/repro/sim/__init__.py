@@ -13,12 +13,12 @@ GIL-scheduling noise without adding fidelity; see DESIGN.md.)
 Modules
 -------
 ``events``
-    The time-ordered event queue: plain tuple heap entries, stable
-    within equal timestamps, and the columnar :class:`EventLane` that
-    makes an event cancellable.
+    The event queue's entries: plain tuples, stable within equal
+    timestamps, their interned kind ids, and the columnar
+    :class:`EventLane` that makes an event cancellable.
 ``kernel``
-    The :class:`~repro.sim.kernel.Simulator`: virtual clock, callback
-    scheduling, run-loop with stop predicates.
+    The :class:`~repro.sim.kernel.Simulator`: virtual clock, the queue
+    storage, callback scheduling, run-loop with stop predicates.
 ``schedulers``
     Step-delay models, including the partially-synchronous model that
     enforces assumption *AWB1* for a designated process.

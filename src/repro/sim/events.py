@@ -22,10 +22,12 @@ fixed-delay links, aligned timer populations -- and the bucket turns
 their heap ``O(log n)`` push/pop into two ``O(1)`` list operations while
 preserving exact ``(time, seq)`` order: the heap entry is always the
 *first* event scheduled for its timestamp, and bucket entries follow in
-append (= seq) order.  :class:`EventQueue` is only the storage: the
-fused schedulers of :class:`~repro.sim.kernel.Simulator` file entries,
+append (= seq) order.  The storage -- ``_heap``, ``_buckets``,
+``_next_seq`` and ``_direct_time`` -- lives on
+:class:`~repro.sim.kernel.Simulator`: its fused schedulers file entries,
 and its run loop drains a timestamp's heap entry and its bucket as one
-*batch*.
+*batch*.  This module holds what the entries carry: the kind-interning
+table and the columnar :class:`EventLane`.
 
 Two bookkeeping details keep the hybrid exact:
 
@@ -57,7 +59,6 @@ deliveries are never cancelled, so they take the one-argument path.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional
 
 #: Shared marker for "timestamp is in the heap with no collisions yet".
@@ -196,63 +197,9 @@ class EventLane:
         return True
 
 
-class EventQueue:
-    """The hybrid storage of a :class:`~repro.sim.kernel.Simulator`'s events.
-
-    The heap (``_heap``) holds one entry per distinct pending timestamp;
-    collisions append to that timestamp's FIFO bucket in ``_buckets``
-    (see the module docstring).  The kernel's fused schedulers and run
-    loop are the only readers and writers of these structures, which
-    they access directly, friend-style; their identities are stable
-    (:meth:`~repro.sim.kernel.Simulator.release` empties them in place).
-    """
-
-    __slots__ = ("_heap", "_buckets", "_next_seq", "_direct_time")
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._buckets: dict = {}
-        self._next_seq = itertools.count().__next__
-        # Timestamp forced to heap-direct scheduling after a mid-batch
-        # stop (NaN matches nothing, so the common path has no flag).
-        self._direct_time = float("nan")
-
-    def __len__(self) -> int:
-        return len(self._heap) + sum(map(len, self._buckets.values()))
-
-
 __all__ = [
     "EventLane",
-    "EventQueue",
     "intern_kind",
     "kind_name",
 ]
 
-
-# --- kernel-variant rebind (stripped from the compiled build) ---------
-# When tools/build_kernel_ext.py has produced repro.sim._ckernel and
-# REPRO_KERNEL permits it (see repro.sim.variant), expose the compiled
-# classes under the public names; everything above remains the always-
-# available pure-Python fallback.  The kind-interning tables must be the
-# compiled module's so both variants agree on kind ids.
-from repro.sim import variant as _variant
-
-if _variant.want_compiled():
-    try:
-        from repro.sim import _ckernel as _ckernel
-    except Exception as _exc:  # noqa: BLE001 - any import failure -> fallback
-        if _variant.requested() == "compiled":
-            _variant.mark_python(
-                f"REPRO_KERNEL=compiled but repro.sim._ckernel failed to import "
-                f"({_exc!r}); pure-Python fallback"
-            )
-        del _exc
-    else:
-        EventLane = _ckernel.EventLane  # type: ignore[misc]
-        EventQueue = _ckernel.EventQueue  # type: ignore[misc]
-        intern_kind = _ckernel.intern_kind
-        kind_name = _ckernel.kind_name
-        _EMPTY = _ckernel._EMPTY
-        _KIND_IDS = _ckernel._KIND_IDS
-        _KIND_NAMES = _ckernel._KIND_NAMES
-        _variant.mark_compiled()

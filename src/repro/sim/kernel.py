@@ -47,17 +47,11 @@ to the queue in exact order.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.events import (
-    _EMPTY,
-    _KIND_IDS,
-    _KIND_NAMES,
-    EventLane,
-    EventQueue,
-    intern_kind,
-)
+from repro.sim.events import _EMPTY, _KIND_IDS, _KIND_NAMES, EventLane, intern_kind
 
 
 class SimulationError(RuntimeError):
@@ -84,16 +78,15 @@ class Simulator:
     """
 
     def __init__(self, trace_events: bool = True) -> None:
-        self._queue = EventQueue()
-        # Direct references to the queue's storage for the fused
-        # schedule/run paths (all identities are stable; release()
-        # empties them in place).
-        self._heap = self._queue._heap
-        self._buckets = self._queue._buckets
-        self._next_seq = self._queue._next_seq
-        # Mirror of the queue's heap-direct pin (see EventQueue): the
-        # fused schedulers read the mirror to avoid a chained attribute
-        # lookup per push; the run loop writes both.
+        # The hybrid queue (see repro.sim.events): one heap entry per
+        # distinct pending timestamp, the rest in that timestamp's FIFO
+        # bucket.  Identities are stable; release() empties them in
+        # place.
+        self._heap: list = []
+        self._buckets: dict = {}
+        self._next_seq = itertools.count().__next__
+        # Timestamp forced to heap-direct scheduling after a mid-batch
+        # stop (NaN matches nothing, so the common path has no flag).
         self._direct_time = float("nan")
         self._now = 0.0
         self._running = False
@@ -313,7 +306,6 @@ class Simulator:
         # Hoisted out of the loop: the batch drain touches only locals.
         # ``heap`` / ``buckets`` alias the queue's storage, so callbacks
         # that schedule new events grow them in place.
-        queue = self._queue
         heap = self._heap
         buckets = self._buckets
         bpop = buckets.pop
@@ -374,7 +366,7 @@ class Simulator:
                         if extra is not _EMPTY:
                             for straggler in extra:
                                 push(heap, straggler)
-                            queue._direct_time = self._direct_time = time
+                            self._direct_time = time
                         break
                     # Batch boundary: sync the public counters.
                     self.events_fired = fired
@@ -424,7 +416,7 @@ class Simulator:
                                     push(heap, bucket[j])
                                 for straggler in extra:
                                     push(heap, straggler)
-                                queue._direct_time = self._direct_time = time
+                                self._direct_time = time
                             break
                     else:
                         skipped += 1
@@ -449,7 +441,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return len(self._queue)
+        return len(self._heap) + sum(map(len, self._buckets.values()))
 
     def release(self) -> None:
         """Drop every pending event and free its lane slot.
@@ -478,20 +470,8 @@ class Simulator:
                     entry[4].cancel(entry[5])
         self._heap.clear()
         self._buckets.clear()
-        self._queue._direct_time = self._direct_time = float("nan")
+        self._direct_time = float("nan")
 
 
 __all__ = ["SimulationError", "Simulator"]
 
-
-# --- kernel-variant rebind (stripped from the compiled build) ---------
-# The events module (imported above) has already decided the variant;
-# when the compiled extension is active, its Simulator shares the
-# extension's queue/lane/interning internals, so rebind wholesale.
-from repro.sim import variant as _variant
-
-if _variant.kernel_variant()[0] == "compiled":
-    from repro.sim import _ckernel as _ckernel
-
-    SimulationError = _ckernel.SimulationError  # type: ignore[misc]
-    Simulator = _ckernel.Simulator  # type: ignore[misc]

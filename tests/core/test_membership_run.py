@@ -14,7 +14,8 @@ stabilization, zero T1-T4 violations, and a clean history audit:
 Plus the negative control (``single-config`` transition mode must go
 red under the history audit while the matched dual-quorum run stays
 clean) and the backend-equivalence satellite: a no-op membership plan
-changes nothing, byte for byte, under both ``REPRO_KERNEL`` variants.
+changes nothing, byte for byte, in-process and across two fresh
+interpreters with different ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ class TestMembershipOverride:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: a no-op plan changes nothing, on either kernel
+# Backend equivalence: a no-op plan changes nothing, in any interpreter
 # ----------------------------------------------------------------------
 EQUIVALENCE_PROBE = (
     "from repro.workloads.registry import ALGORITHMS\n"
@@ -272,18 +273,18 @@ class TestBackendEquivalence:
         assert plain.canonical_json() == noop.canonical_json()
         assert plain.configs_installed == 0 and noop.configs_installed == 0
 
-    def test_noop_plan_agrees_across_kernel_variants(self):
-        """REPRO_KERNEL=python and =compiled: the probe asserts the
-        no-op-plan equivalence inside each variant and the two variants'
-        canonical summaries must match byte for byte."""
+    def test_noop_plan_agrees_across_interpreters(self):
+        """Two fresh interpreters with different string-hash seeds: the
+        probe asserts the no-op-plan equivalence inside each, and the
+        two canonical summaries must match byte for byte."""
         outputs = {}
-        for variant in ("python", "compiled"):
-            env = {**os.environ, "REPRO_KERNEL": variant,
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                    "PYTHONPATH": str(REPO / "src")}
             proc = subprocess.run(
                 [sys.executable, "-c", EQUIVALENCE_PROBE],
                 capture_output=True, text=True, timeout=600, env=env, cwd=REPO,
             )
             assert proc.returncode == 0, proc.stderr
-            outputs[variant] = proc.stdout
-        assert outputs["python"] == outputs["compiled"]
+            outputs[hash_seed] = proc.stdout
+        assert outputs["1"] == outputs["2"]

@@ -3,7 +3,8 @@
 The satellite acceptance bars live here:
 
 * same ``(seed, corpus)`` -> byte-identical genome sequence and
-  coverage map, in-process and across ``REPRO_KERNEL`` variants;
+  coverage map, in-process and across two fresh interpreters with
+  different ``PYTHONHASHSEED`` values;
 * the ``skip-resync`` and ``single-config`` protocol mutants
   (:mod:`tests.mutants`) are caught, shrunk to a mutation-minimal genome
   (complexity <= 6) and pinned as registry-replayable regressions that
@@ -79,10 +80,10 @@ class TestDeterminism:
         assert a.genomes_run == QUICK["budget"]
         assert a.total_signatures >= 3
 
-    def test_kernel_variants_agree_byte_for_byte(self, tmp_path):
-        """REPRO_KERNEL=python and =compiled produce identical fuzz runs
-        (with no built extension the compiled variant falls back, which
-        must be equally deterministic)."""
+    def test_two_interpreters_agree_byte_for_byte(self, tmp_path):
+        """Two fresh interpreters with different string-hash seeds
+        produce identical fuzz runs: no result may depend on the
+        iteration order of a set or dict of strings."""
         probe = (
             "import json, sys\n"
             "from pathlib import Path\n"
@@ -97,16 +98,16 @@ class TestDeterminism:
             "'coverage': corpus.coverage.keys()}, sort_keys=True))\n"
         )
         outputs = {}
-        for variant in ("python", "compiled"):
-            env = {**os.environ, "REPRO_KERNEL": variant,
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                    "PYTHONPATH": str(REPO / "src")}
             proc = subprocess.run(
-                [sys.executable, "-c", probe, str(tmp_path / variant)],
+                [sys.executable, "-c", probe, str(tmp_path / hash_seed)],
                 capture_output=True, text=True, timeout=600, env=env, cwd=REPO,
             )
             assert proc.returncode == 0, proc.stderr
-            outputs[variant] = proc.stdout
-        assert outputs["python"] == outputs["compiled"]
+            outputs[hash_seed] = proc.stdout
+        assert outputs["1"] == outputs["2"]
 
     def test_corpus_reload_skips_already_seen_genomes(self, tmp_path):
         root = tmp_path / "corpus"

@@ -39,8 +39,8 @@ class TestSuppressions:
         assert src.is_suppressed(f)
 
     def test_preceding_line_disable(self, tmp_path):
-        src = make_source(tmp_path, "# repro-lint: disable=purity-import\nimport os\n")
-        f = Finding(rule="purity-import", path="mod.py", line=2, message="m")
+        src = make_source(tmp_path, "# repro-lint: disable=dispatch-queue-internals\nimport os\n")
+        f = Finding(rule="dispatch-queue-internals", path="mod.py", line=2, message="m")
         assert src.is_suppressed(f)
 
     def test_family_name_disables_every_rule_in_the_family(self, tmp_path):
@@ -54,15 +54,15 @@ class TestSuppressions:
         assert src.is_suppressed(f)
 
     def test_unrelated_rule_name_does_not_suppress(self, tmp_path):
-        src = make_source(tmp_path, "x = 1  # repro-lint: disable=purity-import\n")
+        src = make_source(tmp_path, "x = 1  # repro-lint: disable=dispatch-queue-internals\n")
         f = Finding(rule="determinism-set-pop", path="mod.py", line=1, message="m")
         assert not src.is_suppressed(f)
 
     def test_comma_separated_list(self, tmp_path):
         src = make_source(
-            tmp_path, "x = 1  # repro-lint: disable=purity-import, determinism-set-pop\n"
+            tmp_path, "x = 1  # repro-lint: disable=dispatch-queue-internals, determinism-set-pop\n"
         )
-        for rule in ("purity-import", "determinism-set-pop"):
+        for rule in ("dispatch-queue-internals", "determinism-set-pop"):
             assert src.is_suppressed(Finding(rule=rule, path="mod.py", line=1, message="m"))
 
     def test_disable_inside_a_string_literal_is_ignored(self, tmp_path):

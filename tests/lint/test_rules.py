@@ -5,8 +5,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.lint import determinism, dispatch, purity, typing_rules
-from repro.lint.config import REBIND_MARKER
+from repro.lint import determinism, dispatch, typing_rules
 from repro.lint.findings import SourceFile
 
 
@@ -122,119 +121,6 @@ class TestDeterminismRule:
         src = make_source(tmp_path, "import time\nt0 = time.time()\n", "engine/mod.py")
         assert determinism.check(src) == []
 
-    def test_generated_kernel_artifact_is_ignored(self, tmp_path):
-        src = make_source(tmp_path, "import time\nt0 = time.time()\n", "sim/_ckernel_src.py")
-        assert determinism.check(src) == []
-
-
-# ----------------------------------------------------------------------
-# Kernel purity
-# ----------------------------------------------------------------------
-KERNEL_OK = f"""
-from __future__ import annotations
-
-import heapq
-from typing import Any
-
-class EventQueue:
-    pass
-
-{REBIND_MARKER} ---------------------------------------------------
-import os  # the uncompiled tail may import anything
-"""
-
-
-class TestPurityRule:
-    def test_clean_kernel_module_passes(self, tmp_path):
-        src = make_source(tmp_path, KERNEL_OK, "sim/events.py")
-        assert purity.check(src) == []
-
-    def test_missing_rebind_marker_is_flagged(self, tmp_path):
-        src = make_source(tmp_path, "import heapq\n", "sim/kernel.py")
-        assert rules_of(purity.check(src)) == ["purity-rebind-marker"]
-
-    def test_import_outside_the_closure_is_flagged(self, tmp_path):
-        src = make_source(
-            tmp_path, f"import os\n\n{REBIND_MARKER}\n", "sim/events.py"
-        )
-        assert rules_of(purity.check(src)) == ["purity-import"]
-
-    def test_relative_import_is_flagged(self, tmp_path):
-        src = make_source(
-            tmp_path, f"from . import events\n\n{REBIND_MARKER}\n", "sim/kernel.py"
-        )
-        assert rules_of(purity.check(src)) == ["purity-import"]
-
-    def test_sibling_kernel_import_is_allowed(self, tmp_path):
-        src = make_source(
-            tmp_path,
-            f"from repro.sim.events import EventQueue\n\n{REBIND_MARKER}\n",
-            "sim/kernel.py",
-        )
-        assert purity.check(src) == []
-
-    def test_unsupported_decorator_is_flagged(self, tmp_path):
-        src = make_source(
-            tmp_path,
-            f"""
-            import functools
-
-            @functools.lru_cache(maxsize=None)
-            def hot(x):
-                return x
-
-            {REBIND_MARKER}
-            """,
-            "sim/kernel.py",
-        )
-        assert "purity-decorator" in rules_of(purity.check(src))
-
-    def test_property_decorator_is_allowed(self, tmp_path):
-        src = make_source(
-            tmp_path,
-            f"""
-            class Simulator:
-                @property
-                def now(self):
-                    return self._now
-
-            {REBIND_MARKER}
-            """,
-            "sim/kernel.py",
-        )
-        assert purity.check(src) == []
-
-    def test_dynamic_attribute_injection_is_flagged(self, tmp_path):
-        src = make_source(
-            tmp_path,
-            f"""
-            def install(obj, name, fn):
-                setattr(obj, name, fn)
-
-            {REBIND_MARKER}
-            """,
-            "sim/events.py",
-        )
-        assert rules_of(purity.check(src)) == ["purity-dynamic"]
-
-    def test_tail_below_the_marker_is_exempt(self, tmp_path):
-        src = make_source(
-            tmp_path,
-            f"""
-            import heapq
-
-            {REBIND_MARKER}
-            import os
-            setattr(object, "x", 1)
-            """,
-            "sim/events.py",
-        )
-        assert purity.check(src) == []
-
-    def test_non_kernel_module_is_ignored(self, tmp_path):
-        src = make_source(tmp_path, "import os\nsetattr(object, 'x', 1)\n", "sim/rng.py")
-        assert purity.check(src) == []
-
 
 # ----------------------------------------------------------------------
 # Batch-dispatch safety
@@ -321,7 +207,7 @@ class TestTypingRule:
             def add(a: int, b: int) -> int:
                 return a + b
             """,
-            "repro/sim/variant.py",
+            "repro/sim/rng.py",
         )
         assert typing_rules.check(src) == []
 
@@ -332,7 +218,7 @@ class TestTypingRule:
             def add(a: int, b) -> int:
                 return a + b
             """,
-            "repro/sim/variant.py",
+            "repro/sim/rng.py",
         )
         findings = typing_rules.check(src)
         assert rules_of(findings) == ["typing-missing-annotation"]
@@ -345,7 +231,7 @@ class TestTypingRule:
             def add(a: int, b: int):
                 return a + b
             """,
-            "repro/sim/variant.py",
+            "repro/sim/rng.py",
         )
         assert rules_of(typing_rules.check(src)) == ["typing-missing-annotation"]
 
@@ -361,7 +247,7 @@ class TestTypingRule:
                 def make(cls) -> "Box":
                     return cls()
             """,
-            "repro/sim/variant.py",
+            "repro/sim/rng.py",
         )
         assert typing_rules.check(src) == []
 

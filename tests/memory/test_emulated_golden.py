@@ -1,7 +1,7 @@
 """Cross-commit golden digests of the ABD emulation.
 
-The same-commit equivalence tests (plain vs no-op plan, kernel variant
-vs kernel variant) cannot see a refactor that changes behaviour
+The same-commit equivalence tests (plain vs no-op plan, one
+interpreter vs another) cannot see a refactor that changes behaviour
 *consistently*.  This file pins sha256 digests of
 ``RunSummary.canonical_json`` for a grid that walks every protocol path
 of :mod:`repro.memory.emulated` -- static majorities, atomic
@@ -33,9 +33,8 @@ from tests.mutants import AMNESIA_PLAN, MUTANTS
 GOLDEN = Path(__file__).with_name("golden_emulated_digests.json")
 
 #: ``(factory, kwargs)`` run for both algorithms at seeds 0 and 1.
-#: Horizons are trimmed so the passes (in-process + one subprocess per
-#: other kernel variant) stay a small share of tier-1; every plan in the
-#: grid still completes with time to settle.
+#: Horizons are trimmed so the pass stays a small share of tier-1;
+#: every plan in the grid still completes with time to settle.
 GRID: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("chaos", {"horizon": 6000.0}),
     ("membership-churn", {"horizon": 4000.0}),
@@ -144,15 +143,6 @@ def test_grid_covers_the_slow_paths():
 
 def test_golden_digests_in_process():
     assert _mismatches(compute_digests()) == {}
-
-
-def test_golden_digests_under_both_kernel_variants():
-    # Imported here: this file is also run as a script, without tests/ on the path.
-    from tests.conftest import run_under_other_kernel_variants
-
-    records = run_under_other_kernel_variants(Path(__file__).resolve())
-    for variant, record in records.items():
-        assert _mismatches(record) == {}, f"REPRO_KERNEL={variant}"
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ import pytest
 
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.runner import Run
+from repro.memory.disk import Disk, LatencyModel
 from repro.netsim.network import Message, TimelyLinks
 from repro.netsim.runtime import MpProcess
 from repro.sim.crash import CrashPlan
 from repro.sim.rng import RngRegistry
+from repro.sim.schedulers import UniformDelay
+from repro.timers.awb import AsymptoticallyWellBehavedTimer
+from repro.timers.functions import LinearF
 
 
 class EchoProcess(MpProcess):
@@ -60,6 +64,31 @@ class TestRuntime:
     def test_a_channel_needs_a_message_passing_algorithm(self):
         with pytest.raises(ValueError, match="channel"):
             Run(WriteEfficientOmega, n=2, channel=TimelyLinks(RngRegistry(0)))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("delay_model", UniformDelay(RngRegistry(0), 0.5, 1.5)),
+            ("timer_behaviors", {0: AsymptoticallyWellBehavedTimer(LinearF(1.0), RngRegistry(0))}),
+            ("scramble", lambda memory, rng: None),
+            ("disk", Disk(LatencyModel(RngRegistry(0)))),
+            ("memory", "emulated"),
+            ("emulation", {"replicas": 3}),
+            ("snapshot_interval", 10.0),
+        ],
+    )
+    def test_a_message_passing_algorithm_refuses_shared_memory_arguments(self, name, value):
+        # Each used to be accepted and ignored (an unused EmulatedMemory,
+        # empty snapshots): the run fired the same events as without it.
+        with pytest.raises(ValueError, match=f"message-passing .*: got {name}$"):
+            Run(EchoProcess, n=2, horizon=50.0, **{name: value})
+
+    def test_theorems_2_to_4_refuse_a_message_passing_run(self):
+        result = Run(EchoProcess, n=3, seed=1, horizon=50.0).execute()
+        assert result.stabilization().holds
+        for judge in (result.check_properties, result.summarize):
+            with pytest.raises(ValueError, match="Theorems 2-4 concern shared-memory registers"):
+                judge()
 
     def test_deterministic(self):
         a = Run(EchoProcess, n=3, seed=5, horizon=100.0).execute()

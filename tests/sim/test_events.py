@@ -1,6 +1,6 @@
 """The event queue as the kernel drives it: ordering, stability, lanes.
 
-The queue is storage only -- the fused schedulers of ``Simulator`` file
+The queue is ``Simulator``'s own storage -- its fused schedulers file
 entries and its run loop drains them -- so every test here goes through
 ``schedule_at`` / ``schedule_after`` / ``schedule_lane_after`` and reads
 the result off the firing order or the queued entry tuples
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.events import EventLane, EventQueue, intern_kind, kind_name
+from repro.sim.events import EventLane, intern_kind, kind_name
 from repro.sim.kernel import SimulationError, Simulator
 
 MODES = ("at", "after", "lane", "lane-cancelled")
@@ -49,8 +49,9 @@ def schedule_mix(sim: Simulator, items, fired: list) -> list:
 
 class TestEventQueueBasics:
     def test_empty_queue_is_falsy(self):
-        assert not EventQueue()
-        assert Simulator().pending() == 0
+        sim = Simulator()
+        assert not sim.pending()
+        assert not sim._heap and not sim._buckets
 
     def test_len_tracks_pushes(self):
         sim = Simulator()
@@ -58,7 +59,7 @@ class TestEventQueueBasics:
         sim.schedule_at(2.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)  # a collision bucket entry
         sim.schedule_lane_after(EventLane("len-lane", None), 2.0, lambda: None)
-        assert len(sim._queue) == sim.pending() == 4
+        assert len(queued(sim)) == sim.pending() == 4
 
     def test_equal_times_fire_in_schedule_order(self):
         sim = Simulator()

@@ -7,9 +7,8 @@ lint rule (which enforces the AST-checkable half of the contract even
 where mypy is not installed).  The ratchet: modules are only ever added
 to that tuple, so the strictly-typed surface monotonically grows.
 
-mypy is an *optional* dependency (the test container does not ship it);
-like ``tools/build_kernel_ext.py`` without Cython, a missing backend
-skips gracefully:
+mypy is an *optional* dependency (the test container does not ship it),
+so a missing mypy skips gracefully:
 
 * default: print a notice and exit 0 when mypy is absent;
 * ``--require``: exit 3 instead (the CI lint job installs mypy and
