@@ -21,10 +21,7 @@ holds its per-figure views and the measurements that are not theorems:
 """
 
 from repro.analysis.omega_props import check_termination, check_validity
-from repro.analysis.suspicion import (
-    cumulative_suspicions,
-    suspicion_quiescence,
-)
+from repro.analysis.suspicion import cumulative_suspicions
 from repro.analysis.timeline import TimelineReport, build_timeline, render_timeline
 from repro.analysis.write_stats import (
     BoundednessVerdict,
@@ -47,6 +44,5 @@ __all__ = [
     "forever_writers",
     "render_timeline",
     "single_writer_point",
-    "suspicion_quiescence",
     "tail_written_registers",
 ]

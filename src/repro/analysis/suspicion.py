@@ -9,8 +9,7 @@ chaos/ablation experiments and the examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.memory.memory import SharedMemory
 
@@ -57,42 +56,8 @@ def cumulative_suspicions(
     return xs, ys
 
 
-@dataclass(frozen=True, slots=True)
-class SuspicionQuiescence:
-    """When (and whether) the suspicion stream went quiet."""
-
-    total: int
-    #: Time of the last suspicion write (None when there was none).
-    last_write: Optional[float]
-    #: True when no suspicion write landed in the final ``tail`` units.
-    quiesced: bool
-
-
-def suspicion_quiescence(
-    memory: SharedMemory,
-    horizon: float,
-    tail: float = 0.2,
-) -> SuspicionQuiescence:
-    """Quiescence verdict: Lemma 2 predicts quiet tails under AWB;
-    the capped-timer violation predicts a never-quiet stream.
-
-    ``tail`` is a fraction of the horizon.
-    """
-    if not 0 < tail < 1:
-        raise ValueError("tail must be a fraction in (0, 1)")
-    times = [t for t, _, _ in suspicion_writes(memory)]
-    last = max(times) if times else None
-    return SuspicionQuiescence(
-        total=len(times),
-        last_write=last,
-        quiesced=last is None or last < horizon * (1.0 - tail),
-    )
-
-
 __all__ = [
     "SUSPICION_PREFIX",
-    "SuspicionQuiescence",
     "cumulative_suspicions",
-    "suspicion_quiescence",
     "suspicion_writes",
 ]

@@ -52,21 +52,11 @@ class TimelineReport:
     changes_by_pid: Dict[int, int] = field(default_factory=dict)
 
     @property
-    def total_anarchy(self) -> float:
-        """Total duration of the anarchy intervals."""
-        return sum(end - start for start, end in self.anarchy_intervals)
-
-    @property
     def last_anarchy_end(self) -> float:
         """End of the final anarchy interval (``-inf`` when none)."""
         if not self.anarchy_intervals:
             return float("-inf")
         return self.anarchy_intervals[-1][1]
-
-    @property
-    def total_changes(self) -> int:
-        """Leader changes summed over all processes (churn)."""
-        return sum(self.changes_by_pid.values())
 
 
 def build_timeline(trace: RunTrace, crash_plan: Optional[CrashPlan] = None) -> TimelineReport:

@@ -17,9 +17,10 @@ Safety comes from majority intersection across disks (two completed
 phases share a disk, so the later ballot observes the earlier block);
 liveness again comes from Omega nominating a single proposer.
 
-A failed disk access costs the process a step and returns
-``DISK_FAILED``; availability is part of the *environment* (the disk
-returns an error), not of the process's logic.
+A request to a crashed disk costs the process a step and is skipped
+(it neither writes nor returns a block); availability is part of the
+*environment* (the disk returns an error), not of the process's
+logic.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from repro.core.interfaces import (
 )
 from repro.memory.arrays import RegisterArray
 from repro.memory.memory import SharedMemory
-
-#: Sentinel returned by accesses to a crashed disk.
-DISK_FAILED = object()
 
 
 @dataclass
@@ -262,4 +260,4 @@ class DiskPaxosProcess(OmegaAlgorithm):
         yield WriteReg(self.shared.decision.register(pid), self.decision)
 
 
-__all__ = ["DISK_FAILED", "DiskFleet", "DiskPaxosCell", "DiskPaxosProcess", "DiskPaxosShared"]
+__all__ = ["DiskFleet", "DiskPaxosCell", "DiskPaxosProcess", "DiskPaxosShared"]

@@ -15,7 +15,7 @@ property-based tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Tuple
 
 
 def lexmin_pair(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
@@ -30,14 +30,4 @@ def lexmin_pair(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
     return best
 
 
-def least_suspected(suspicions: Mapping[int, int]) -> int:
-    """The id minimising ``(suspicions[id], id)`` -- the elected leader.
-
-    >>> least_suspected({2: 5, 0: 7, 1: 5})
-    1
-    """
-    count, pid = lexmin_pair((count, pid) for pid, count in suspicions.items())
-    return pid
-
-
-__all__ = ["least_suspected", "lexmin_pair"]
+__all__ = ["lexmin_pair"]

@@ -673,7 +673,7 @@ class Run:
             self.network.install_routes({})
 
     # ------------------------------------------------------------------
-    def execute(self, max_events: Optional[int] = None) -> RunResult:
+    def execute(self) -> RunResult:
         """Run to the horizon and return the result bundle.
 
         After the final observer sample the run releases itself (see
@@ -690,7 +690,7 @@ class Run:
         self.sim.schedule_at(0.0, self._sample, kind="sample")
         if self.snapshot_interval is not None:
             self.sim.schedule_at(0.0, self._snapshot, kind="snapshot")
-        self.sim.run(until=self.horizon, max_events=max_events)
+        self.sim.run(until=self.horizon)
         self._sample(final=True)
         self._release()
         return RunResult(

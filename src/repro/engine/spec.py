@@ -126,11 +126,6 @@ class ScenarioRef:
         """The JSON form stored in spec payloads."""
         return {"factory": self.factory, "kwargs": self.kwargs_dict()}
 
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ScenarioRef":
-        """Rebuild a ref from its JSON form."""
-        return cls.make(payload["factory"], payload.get("kwargs") or {})
-
 
 @dataclass(frozen=True)
 class AlgorithmRef:
@@ -149,11 +144,6 @@ class AlgorithmRef:
     def to_payload(self) -> Dict[str, Any]:
         """The JSON form stored in spec payloads."""
         return {"label": self.label, "target": self.target}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "AlgorithmRef":
-        """Rebuild a ref from its JSON form."""
-        return cls(label=payload["label"], target=payload["target"])
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,6 @@ def default_results_dir() -> Path:
     return _anchored_default()
 
 
-#: Default location at import time (without the env override applied;
-#: callers that should honor ``REPRO_RESULTS_DIR`` per invocation use
-#: :func:`default_results_dir` instead).
-DEFAULT_RESULTS_DIR = _anchored_default()
-
 CellKey = Tuple[str, str, int]
 
 
@@ -184,4 +179,4 @@ class ResultStore:
         return path
 
 
-__all__ = ["DEFAULT_RESULTS_DIR", "ENV_RESULTS_DIR", "ResultStore", "default_results_dir"]
+__all__ = ["ENV_RESULTS_DIR", "ResultStore", "default_results_dir"]

@@ -74,10 +74,6 @@ class RegisterArray:
         """Observer read of entry ``i`` (uncounted)."""
         return self._regs[i].peek()
 
-    def peek_all(self) -> List[Any]:
-        """Observer snapshot of the whole array."""
-        return [r.peek() for r in self._regs]
-
     def __len__(self) -> int:
         return self.n
 
@@ -153,10 +149,6 @@ class RegisterMatrix:
     def peek_column(self, j: int) -> List[Any]:
         """Observer snapshot of column ``j`` (e.g. all suspicions of ``p_j``)."""
         return [self._regs[i][j].peek() for i in range(self.n)]
-
-    def peek_row(self, i: int) -> List[Any]:
-        """Observer snapshot of row ``i``."""
-        return [self._regs[i][j].peek() for j in range(self.n)]
 
     def column_sums(self) -> List[Any]:
         """Observer sums of every column (a shared list: do not mutate).

@@ -386,47 +386,33 @@ class EmulationConfig:
         return self.replicas // 2 + 1
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """The plain-dict form (scenario kwargs, JSON payloads)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name, (encode, _) in _FIELD_CODECS.items():
-            out[name] = encode(out[name])
-        return out
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EmulationConfig":
-        """Build a config from the plain-dict form (inverse of
-        :meth:`to_dict`; JSON string keys are re-intified)."""
+        """Build a config from the plain-dict form (scenario kwargs,
+        JSON payloads; JSON string keys are re-intified)."""
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = set(payload) - set(defaults)
         if unknown:
             raise ValueError(f"unknown emulation option(s): {sorted(unknown)}")
         kwargs: Dict[str, Any] = {}
         for name, value in payload.items():
-            if name in _FIELD_CODECS:
-                kwargs[name] = _FIELD_CODECS[name][1](value)
+            if name in _FIELD_DECODERS:
+                kwargs[name] = _FIELD_DECODERS[name](value)
             else:  # a scalar: coerce to its default's type (JSON 5 -> 5.0)
                 kwargs[name] = type(defaults[name])(value)
         return cls(**kwargs)
 
 
-#: ``field -> (encode, decode)`` for the :class:`EmulationConfig` fields
-#: whose JSON shape differs from their frozen in-memory shape; every
-#: other field is a scalar that serialises as itself.
-_FIELD_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
-    "link_params": (dict, lambda v: tuple(sorted((v or {}).items()))),
-    "replica_crash_times": (
-        lambda v: {str(i): t for i, t in v},
-        lambda v: tuple(sorted((int(i), float(t)) for i, t in dict(v or {}).items())),
+#: ``field -> decode`` for the :class:`EmulationConfig` fields whose
+#: plain-dict shape differs from their frozen in-memory shape; every
+#: other field is a scalar.
+_FIELD_DECODERS: Dict[str, Callable[[Any], Any]] = {
+    "link_params": lambda v: tuple(sorted((v or {}).items())),
+    "replica_crash_times": lambda v: tuple(
+        sorted((int(i), float(t)) for i, t in dict(v or {}).items())
     ),
-    "fault_plan": (
-        lambda v: [ev.to_jsonable() for ev in v],
-        lambda v: tuple(FaultEvent.from_jsonable(ev) for ev in v or ()),
-    ),
-    "membership_plan": (
-        lambda v: [ev.to_jsonable() for ev in v],
-        lambda v: tuple(MembershipEvent.from_jsonable(ev) for ev in v or ()),
-    ),
+    "fault_plan": lambda v: tuple(FaultEvent.from_jsonable(ev) for ev in v or ()),
+    "membership_plan": lambda v: tuple(MembershipEvent.from_jsonable(ev) for ev in v or ()),
 }
 
 

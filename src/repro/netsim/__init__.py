@@ -33,7 +33,6 @@ from repro.netsim.network import (
     Message,
     Network,
     RampLinks,
-    SourceChurnLinks,
     SynchronousLinks,
     TimelyLinks,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "MpProcessRuntime",
     "Network",
     "RampLinks",
-    "SourceChurnLinks",
     "SynchronousLinks",
     "TimelyLinks",
 ]

@@ -209,57 +209,6 @@ class EventuallyTimelyLinks:
         return self.base.delivery_delay(message)
 
 
-class SourceChurnLinks:
-    """Eventual t-source with *source-set churn*.
-
-    Before ``gst`` the set of timely senders rotates: during epoch ``e``
-    (of length ``epoch``) the window ``rotation[e % len(rotation)]`` is
-    timely and everything else follows ``base``.  From ``gst`` on the
-    behaviour is exactly :class:`EventuallyTimelyLinks` with the final
-    ``sources`` set.  This is the adversarial reading of the [2]
-    assumption: "there is a time after which some set of sources is
-    timely" permits the candidate set to churn arbitrarily long first,
-    and an algorithm leaning on early winners must survive every
-    reshuffle.
-    """
-
-    def __init__(
-        self,
-        base: ChannelBehavior,
-        sources: Iterable[int],
-        gst: float,
-        rng: RngRegistry,
-        rotation: Optional[Iterable[Iterable[int]]] = None,
-        epoch: float = 100.0,
-        timely_lo: float = 0.5,
-        timely_hi: float = 2.0,
-    ) -> None:
-        if not 0 < timely_lo <= timely_hi:
-            raise ValueError("need 0 < timely_lo <= timely_hi")
-        if epoch <= 0:
-            raise ValueError("epoch must be positive")
-        self.base = base
-        self.sources = frozenset(sources)
-        self.gst = gst
-        self.epoch = epoch
-        self.rotation = [frozenset(window) for window in (rotation or [])]
-        self.timely_lo, self.timely_hi = timely_lo, timely_hi
-        self._streams = rng.per_link("timely")
-
-    def sources_at(self, time: float) -> frozenset:
-        """The timely source set in effect at ``time``."""
-        if time >= self.gst or not self.rotation:
-            return self.sources
-        return self.rotation[int(time // self.epoch) % len(self.rotation)]
-
-    def delivery_delay(self, message: Message) -> Optional[float]:
-        """Timely for the epoch's rotating source set; ``base`` otherwise."""
-        if message.sender in self.sources_at(message.sent_at):
-            stream = self._streams[message.sender, message.receiver]
-            return stream.uniform(self.timely_lo, self.timely_hi)
-        return self.base.delivery_delay(message)
-
-
 def _corrupt_value(value: Any, stream: Any) -> Any:
     """A *different* value of the same shape (bool flip, int jitter)."""
     if isinstance(value, bool):
@@ -579,7 +528,6 @@ __all__ = [
     "Network",
     "PartitionScheduleLinks",
     "RampLinks",
-    "SourceChurnLinks",
     "SynchronousLinks",
     "TimelyLinks",
 ]

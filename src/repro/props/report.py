@@ -28,7 +28,7 @@ from repro.props.checkers import (
     single_writer_verdict,
     write_optimality_verdict,
 )
-from repro.props.claims import THEOREM_NAMES, assumption_covers
+from repro.props.claims import THEOREM_NAMES, expected_theorems
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def check_properties(
     cls = algorithm_cls or type(result.algorithms[0])
     claimed = frozenset(getattr(cls, "claimed_theorems", frozenset()))
     requires = getattr(cls, "requires_assumption", "awb")
-    covered = assumption_covers(assumption, requires)
+    expected = expected_theorems(cls, assumption)
 
     memory, horizon = result.memory, result.horizon
     t1 = leadership_verdict(result.trace, result.crash_plan, horizon, margin=margin)
@@ -195,7 +195,7 @@ def check_properties(
                 theorem=theorem,
                 name=THEOREM_NAMES[theorem],
                 holds=record.holds,
-                expected=covered and theorem in claimed,
+                expected=theorem in expected,
                 detail=record.detail,
             )
             for theorem, record in enumerate(measured, start=1)

@@ -37,7 +37,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.schedulers import (
     AdversarialStallDelay,
-    CompositeDelay,
     FixedDelay,
     HeavyTailDelay,
     PartiallySynchronousDelay,
@@ -48,7 +47,6 @@ from repro.sim.tracing import RunTrace
 
 __all__ = [
     "AdversarialStallDelay",
-    "CompositeDelay",
     "CrashPlan",
     "EventLane",
     "FixedDelay",

@@ -33,9 +33,9 @@ Two bookkeeping details keep the hybrid exact:
 
 * an *empty* bucket is the shared ``_EMPTY`` marker (no list allocated),
   so unique-timestamp workloads pay one dict hit and nothing else;
-* when a run loop stops mid-batch (``stop()``, ``max_events``,
-  ``stop_when``), the undrained bucket entries are pushed back into the
-  heap *individually* and ``_direct_time`` pins that timestamp to
+* when a run loop's ``max_events`` budget stops it mid-batch, the
+  undrained bucket entries are pushed back into the heap
+  *individually* and ``_direct_time`` pins that timestamp to
   heap-direct scheduling, so every event at the interrupted instant --
   restored or newly scheduled -- keeps strict seq order.
 
@@ -90,11 +90,6 @@ def intern_kind(kind: str) -> int:
         _KIND_IDS[kind] = kid
         _KIND_NAMES.append(kind)
     return kid
-
-
-def kind_name(kind_id: int) -> str:
-    """The label interned as ``kind_id`` (IndexError if never interned)."""
-    return _KIND_NAMES[kind_id]
 
 
 class EventLane:
@@ -200,6 +195,5 @@ class EventLane:
 __all__ = [
     "EventLane",
     "intern_kind",
-    "kind_name",
 ]
 

@@ -37,12 +37,10 @@ exact ``(time, seq)`` order, without touching the heap again.  The loop
 body is locals-only; ``events_fired`` / ``events_skipped`` are synced to
 the instance at **batch boundaries** (and whenever the loop returns), so
 a callback that reads ``sim.events_fired`` mid-batch observes the value
-as of the start of its batch -- the *batch-visible contract*.  The
-per-event guarantee is preserved where it is contractual: ``stop_when``
-predicates observe exact live counters (both are synced immediately
-before every predicate call), and ``max_events`` / ``stop()`` are
-honoured mid-batch, with the undrained remainder of the batch restored
-to the queue in exact order.
+as of the start of its batch -- the *batch-visible contract*.  The one
+per-event guarantee is the ``max_events`` budget: it is honoured
+mid-batch, with the undrained remainder of the batch restored to the
+queue in exact order.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ class Simulator:
         self._direct_time = float("nan")
         self._now = 0.0
         self._running = False
-        self._stopped = False
         self.events_fired = 0
         self.events_skipped = 0
         self._trace_events = trace_events
@@ -144,8 +141,9 @@ class Simulator:
             )
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
-        kid = _KIND_IDS.get(kind)
-        if kid is None:
+        try:
+            kid = _KIND_IDS[kind]
+        except KeyError:
             kid = intern_kind(kind)
         # Fused hybrid-queue insert (the heap if first at that instant
         # or the instant is pinned heap-direct, its bucket otherwise;
@@ -185,8 +183,9 @@ class Simulator:
         time = self._now + delay
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
-        kid = _KIND_IDS.get(kind)
-        if kid is None:
+        try:
+            kid = _KIND_IDS[kind]
+        except KeyError:
             kid = intern_kind(kind)
         entry = (time, self._next_seq(), kid, pid, callback, arg)
         buckets = self._buckets
@@ -244,17 +243,12 @@ class Simulator:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request the run loop to return after the current event."""
-        self._stopped = True
-
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> float:
-        """Fire events in order until a stop condition holds.
+        """Fire events in order until the queue drains or a bound holds.
 
         Parameters
         ----------
@@ -270,10 +264,6 @@ class Simulator:
             counter, so repeated ``run()`` calls each get a fresh
             budget).  Honoured mid-batch; a budget below 1 raises
             ``ValueError``.
-        stop_when:
-            Optional predicate evaluated after every fired event; it
-            observes exact live ``events_fired`` / ``events_skipped``
-            values (both are synced immediately before each call).
 
         Returns
         -------
@@ -284,11 +274,11 @@ class Simulator:
         -----
         Events sharing a timestamp are dispatched as one batch (see the
         module docstring).  ``events_fired`` / ``events_skipped`` are
-        synced to the instance at batch boundaries, so *callbacks* that
+        synced to the instance at batch boundaries, so callbacks that
         read them mid-batch observe the values as of the start of their
-        batch; ``stop_when`` always sees exact values.  When the loop
-        stops mid-batch, the rest of the batch is restored to the queue
-        in exact ``(time, seq)`` order.
+        batch.  When the budget stops the loop mid-batch, the rest of
+        the batch is restored to the queue in exact ``(time, seq)``
+        order.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -302,7 +292,6 @@ class Simulator:
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be at least 1, got {max_events}")
         self._running = True
-        self._stopped = False
         # Hoisted out of the loop: the batch drain touches only locals.
         # ``heap`` / ``buckets`` alias the queue's storage, so callbacks
         # that schedule new events grow them in place.
@@ -313,9 +302,11 @@ class Simulator:
         push = heappush
         counts = self._fired_counts if self._trace_events else None
         lane_type = EventLane
-        start = fired = self.events_fired
+        fired = self.events_fired
         skipped = self.events_skipped
-        stop = False
+        # The loop stops once ``fired`` reaches the budget; without one
+        # it is -1, which a non-negative count never equals.
+        budget = -1 if max_events is None else fired + max_events
         try:
             while heap:
                 time = heap[0][0]
@@ -347,16 +338,7 @@ class Simulator:
                         except IndexError:
                             counts.extend([0] * (kid + 1 - len(counts)))
                             counts[kid] = 1
-                    if self._stopped:
-                        stop = True
-                    elif max_events is not None and fired - start >= max_events:
-                        stop = True
-                    elif stop_when is not None:
-                        self.events_fired = fired
-                        self.events_skipped = skipped
-                        if stop_when():
-                            stop = True
-                    if stop:
+                    if fired == budget:
                         # A same-instant straggler scheduled by this
                         # event sits in the heap with a fresh marker (or
                         # upgraded bucket); restore it heap-individual
@@ -394,16 +376,7 @@ class Simulator:
                             except IndexError:
                                 counts.extend([0] * (kid + 1 - len(counts)))
                                 counts[kid] = 1
-                        if self._stopped:
-                            stop = True
-                        elif max_events is not None and fired - start >= max_events:
-                            stop = True
-                        elif stop_when is not None:
-                            self.events_fired = fired
-                            self.events_skipped = skipped
-                            if stop_when():
-                                stop = True
-                        if stop:
+                        if fired == budget:
                             # Mid-batch stop: restore the undrained
                             # remainder (and any same-instant stragglers
                             # scheduled during the batch) to the heap
@@ -424,7 +397,7 @@ class Simulator:
                         break
                     entry = bucket[index]
                     index += 1
-                if stop:
+                if fired == budget:
                     break
                 # Batch boundary: sync the public counters.
                 self.events_fired = fired

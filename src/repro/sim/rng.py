@@ -57,10 +57,6 @@ class RngRegistry:
         by ``(sender, receiver)``."""
         return LinkStreams(self, prefix)
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose streams are independent of ours."""
-        return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
-
 
 class PidStreams(Dict[Any, random.Random]):
     """``streams[pid]`` is ``registry.stream(f"{prefix}:{pid}")``.

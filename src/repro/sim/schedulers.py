@@ -24,9 +24,8 @@ every per-pid stream's draw order stay bit-identical.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Protocol, Sequence
 
 from repro.sim.rng import RngRegistry
 
@@ -191,23 +190,6 @@ class AdversarialStallDelay:
         return wake - now
 
 
-class CompositeDelay:
-    """Dispatch to a per-pid model, with a default.
-
-    Lets scenarios give one process (say, a slow follower) a different
-    asynchrony profile than everyone else.
-    """
-
-    def __init__(self, default: StepDelayModel, per_pid: Optional[Dict[int, StepDelayModel]] = None) -> None:
-        self.default = default
-        self.per_pid = dict(per_pid or {})
-
-    def delay(self, pid: int, now: float) -> float:
-        """Delegate to the pid's own model, or the default."""
-        model = self.per_pid.get(pid, self.default)
-        return model.delay(pid, now)
-
-
 class GstRampDelay:
     """A GST *ramp*: asynchrony decays linearly toward ``gst``.
 
@@ -309,9 +291,10 @@ class ChurningTimelyDelay:
     Before ``settle_at`` the timely identity rotates through
     ``candidates`` every ``epoch`` time units (everyone else follows
     ``base``); from ``settle_at`` on, ``final_pid`` is timely forever.
-    The churning prefix is the shared-memory analogue of the eventual
-    t-source *source-set churn* of Aguilera et al. (see
-    :class:`repro.netsim.network.SourceChurnLinks`): assumptions that
+    The churning prefix is the shared-memory analogue of *source-set
+    churn* under the eventual t-source assumption of Aguilera et al.
+    (whose settled form is
+    :class:`repro.netsim.network.EventuallyTimelyLinks`): assumptions that
     only eventually pick their witness must tolerate arbitrarily long
     periods where the witness moves.
     """
@@ -354,48 +337,15 @@ class ChurningTimelyDelay:
         return self.base.delay(pid, now)
 
 
-@dataclass
-class RampDelay:
-    """Delays that grow over time: ``base * (1 + rate * now)``.
-
-    Used in negative tests: a process whose steps slow down without
-    bound never satisfies AWB1, and a run where *every* process uses
-    this model should not be required to elect a stable leader.
-    """
-
-    base: float = 1.0
-    rate: float = 0.01
-
-    def delay(self, pid: int, now: float) -> float:
-        """``base * (1 + rate * now)`` -- grows without bound (violates AWB1)."""
-        if self.base <= 0 or self.rate < 0:
-            raise ValueError("base must be positive and rate non-negative")
-        return self.base * (1.0 + self.rate * now)
-
-
-def mean_delay(model: StepDelayModel, pid: int, now: float, samples: int = 256) -> float:
-    """Empirical mean of a model's delay at a point in time (test helper)."""
-    total = 0.0
-    for _ in range(samples):
-        d = model.delay(pid, now)
-        if not math.isfinite(d) or d < 0:
-            raise ValueError(f"model produced invalid delay {d}")
-        total += d
-    return total / samples
-
-
 __all__ = [
     "AdversarialStallDelay",
     "AlternatingBurstDelay",
     "ChurningTimelyDelay",
-    "CompositeDelay",
     "FixedDelay",
     "GstRampDelay",
     "HeavyTailDelay",
     "PartiallySynchronousDelay",
-    "RampDelay",
     "StallWindow",
     "StepDelayModel",
     "UniformDelay",
-    "mean_delay",
 ]

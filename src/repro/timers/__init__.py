@@ -22,7 +22,6 @@ from repro.timers.awb import (
     AccurateTimer,
     AsymptoticallyWellBehavedTimer,
     CappedTimer,
-    EventuallyMonotoneTimer,
     TimerBehavior,
 )
 from repro.timers.functions import (
@@ -41,7 +40,6 @@ __all__ = [
     "AffineF",
     "AsymptoticallyWellBehavedTimer",
     "CappedTimer",
-    "EventuallyMonotoneTimer",
     "LinearF",
     "LogF",
     "SqrtF",

@@ -108,41 +108,6 @@ class AsymptoticallyWellBehavedTimer(_HistoryMixin):
         return self._remember(tau, x, d)
 
 
-class EventuallyMonotoneTimer(_HistoryMixin):
-    """The *traditional* timer the paper generalizes away from.
-
-    After ``accurate_after`` the duration is exactly ``alpha * x``
-    (monotone in ``x``); before, it is uniformly random.  Every
-    eventually-monotone timer is asymptotically well-behaved (take
-    ``f = alpha * x``), so the algorithms must work with it -- covered
-    by tests as the "stronger assumption still works" case.
-    """
-
-    def __init__(
-        self,
-        rng: RngRegistry,
-        accurate_after: float = 100.0,
-        alpha: float = 1.0,
-        chaos_lo: float = 0.05,
-        chaos_hi: float = 2.0,
-    ) -> None:
-        super().__init__()
-        self.accurate_after = accurate_after
-        self.alpha = alpha
-        self.chaos_lo = chaos_lo
-        self.chaos_hi = chaos_hi
-        self._streams = rng.per_pid("timer")
-
-    def duration(self, pid: int, tau: float, x: float) -> float:
-        """Arbitrary before ``accurate_after``; exactly ``alpha * x`` after."""
-        stream = self._streams[pid]
-        if tau < self.accurate_after:
-            d = stream.uniform(self.chaos_lo, self.chaos_hi)
-        else:
-            d = max(self.alpha * x, 1e-9)
-        return self._remember(tau, x, d)
-
-
 class CappedTimer(_HistoryMixin):
     """VIOLATOR of AWB2: the duration never exceeds ``cap``.
 
@@ -172,6 +137,5 @@ __all__ = [
     "AccurateTimer",
     "AsymptoticallyWellBehavedTimer",
     "CappedTimer",
-    "EventuallyMonotoneTimer",
     "TimerBehavior",
 ]

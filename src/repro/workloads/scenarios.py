@@ -774,8 +774,9 @@ def timely_churn(
 ) -> Scenario:
     """AWB1 source churn: the timely identity rotates before settling.
 
-    The shared-memory analogue of eventual-t-source source-set churn
-    (cf. :class:`repro.netsim.network.SourceChurnLinks`): during the
+    The shared-memory analogue of source-set churn under the eventual
+    t-source assumption (settled form:
+    :class:`repro.netsim.network.EventuallyTimelyLinks`): during the
     prefix a different process is timely each epoch while the rest stay
     heavy-tailed; only after the settle point does ``final_pid`` hold
     the role forever.  Algorithms must not commit to an early witness.

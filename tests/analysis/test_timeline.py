@@ -32,18 +32,13 @@ class TestIntervals:
         assert [(iv.leader, iv.start, iv.end) for iv in ivs] == [(1, 0.0, 20.0), (2, 20.0, 30.0)]
         assert report.changes_by_pid[0] == 1
 
-    def test_total_changes(self):
-        samples = [(0.0, 0, 1), (10.0, 0, 2), (0.0, 1, 1), (10.0, 1, 1)]
-        report = build_timeline(trace_from(samples))
-        assert report.total_changes == 1
-
 
 class TestAnarchy:
     def test_agreement_has_no_anarchy(self):
         samples = [(t, pid, 0) for t in (0.0, 10.0) for pid in (0, 1)]
         report = build_timeline(trace_from(samples))
         assert report.anarchy_times == []
-        assert report.total_anarchy == 0.0
+        assert report.anarchy_intervals == []
 
     def test_disagreement_detected(self):
         samples = [(0.0, 0, 0), (0.0, 1, 1), (10.0, 0, 0), (10.0, 1, 0)]
@@ -58,7 +53,6 @@ class TestAnarchy:
         samples += [(30.0, 0, 0), (30.0, 1, 0)]
         report = build_timeline(trace_from(samples))
         assert report.anarchy_intervals == [(0.0, 20.0)]
-        assert report.total_anarchy == 20.0
         assert report.last_anarchy_end == 20.0
 
     def test_faulty_opinions_excluded(self):

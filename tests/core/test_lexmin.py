@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.lexmin import least_suspected, lexmin_pair
+from repro.core.lexmin import lexmin_pair
 
 
 class TestLexminPair:
@@ -28,14 +28,6 @@ class TestLexminPair:
         assert lexmin_pair([(1, 9), (2, 0)]) == (1, 9)
 
 
-class TestLeastSuspected:
-    def test_basic(self):
-        assert least_suspected({0: 7, 1: 5, 2: 5}) == 1
-
-    def test_all_equal_yields_min_id(self):
-        assert least_suspected({3: 0, 1: 0, 2: 0}) == 1
-
-
 class TestLexminProperties:
     @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 31)), min_size=1, max_size=30))
     def test_matches_sorted(self, pairs):
@@ -43,9 +35,10 @@ class TestLexminProperties:
 
     @given(st.dictionaries(st.integers(0, 31), st.integers(0, 100), min_size=1, max_size=16))
     def test_winner_has_minimal_count(self, suspicions):
-        winner = least_suspected(suspicions)
-        assert suspicions[winner] == min(suspicions.values())
+        count, winner = lexmin_pair((c, pid) for pid, c in suspicions.items())
+        assert suspicions[winner] == count == min(suspicions.values())
 
     @given(st.dictionaries(st.integers(0, 31), st.integers(0, 100), min_size=1, max_size=16))
     def test_deterministic(self, suspicions):
-        assert least_suspected(suspicions) == least_suspected(dict(reversed(list(suspicions.items()))))
+        pairs = [(c, pid) for pid, c in suspicions.items()]
+        assert lexmin_pair(pairs) == lexmin_pair(reversed(pairs))

@@ -91,11 +91,6 @@ class TestTaskLifecycle:
             assert alg.extra_done
             assert alg.main_steps > 20
 
-    def test_max_events_cap(self):
-        run = Run(FiniteTaskAlgorithm, n=2, seed=1, horizon=1e6)
-        run.execute(max_events=500)
-        assert run.sim.events_fired <= 500
-
 
 class TestTimerDuringDiskBlock:
     def test_expiry_midblock_is_deferred_not_lost(self):

@@ -11,6 +11,8 @@ relies on.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,7 +190,14 @@ class TestEmulationConfigMembership:
             transition="dual-quorum",
             record_history=True,
         )
-        assert EmulationConfig.from_dict(cfg.to_dict()) == cfg
+        payload = {
+            "replicas": 3,
+            "membership_plan": [ev.to_jsonable() for ev in cfg.membership_plan],
+            "transfer_delay": 90,
+            "transition": "dual-quorum",
+            "record_history": True,
+        }
+        assert EmulationConfig.from_dict(json.loads(json.dumps(payload))) == cfg
 
     def test_rejects_unknown_transition_mode(self):
         with pytest.raises(ValueError, match="unknown transition mode"):

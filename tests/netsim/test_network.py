@@ -13,7 +13,6 @@ from repro.netsim.network import (
     Network,
     PartitionScheduleLinks,
     RampLinks,
-    SourceChurnLinks,
     SynchronousLinks,
     TimelyLinks,
 )
@@ -83,58 +82,6 @@ class TestEventuallyTimelyLinks:
         links = self._links()
         outcomes = [links.delivery_delay(msg(sender=1, sent_at=1e6)) for _ in range(300)]
         assert any(d is None for d in outcomes)
-
-
-class TestSourceChurnLinks:
-    def _links(self, gst=300.0):
-        rng = make_rng(8)
-        return SourceChurnLinks(
-            FairLossyLinks(rng, loss=0.5),
-            sources={0},
-            gst=gst,
-            rng=rng,
-            rotation=[{1}, {2}, {0}],
-            epoch=100.0,
-            timely_lo=0.5,
-            timely_hi=2.0,
-        )
-
-    def test_source_set_rotates_before_gst(self):
-        links = self._links()
-        assert links.sources_at(50.0) == frozenset({1})
-        assert links.sources_at(150.0) == frozenset({2})
-        assert links.sources_at(250.0) == frozenset({0})
-        # The rotation wraps around until the gst...
-        assert links.sources_at(350.0) == frozenset({0})  # past gst: final set
-
-    def test_final_sources_timely_after_gst(self):
-        links = self._links()
-        for _ in range(200):
-            d = links.delivery_delay(msg(sender=0, sent_at=400.0))
-            assert d is not None and 0.5 <= d <= 2.0
-
-    def test_current_epoch_witness_is_timely(self):
-        links = self._links()
-        for _ in range(100):
-            d = links.delivery_delay(msg(sender=1, sent_at=50.0))
-            assert d is not None and 0.5 <= d <= 2.0
-
-    def test_off_rotation_sender_stays_lossy(self):
-        links = self._links()
-        outcomes = [links.delivery_delay(msg(sender=2, sent_at=50.0)) for _ in range(300)]
-        assert any(d is None for d in outcomes)
-
-    def test_empty_rotation_degenerates_to_eventually_timely(self):
-        rng = make_rng(9)
-        links = SourceChurnLinks(
-            FairLossyLinks(rng, loss=0.5), sources={0}, gst=100.0, rng=rng
-        )
-        assert links.sources_at(5.0) == frozenset({0})
-
-    def test_validation(self):
-        rng = make_rng(9)
-        with pytest.raises(ValueError):
-            SourceChurnLinks(FairLossyLinks(rng), {0}, 10.0, rng, epoch=0.0)
 
 
 class TestNetwork:
@@ -285,7 +232,6 @@ _STREAM_MODELS = [
     pytest.param(lambda rng: FairLossyLinks(rng), "link", id="lossy"),
     pytest.param(lambda rng: RampLinks(rng, gst=100.0), "link", id="gst-ramp"),
     pytest.param(lambda rng: EventuallyTimelyLinks(SynchronousLinks(), {0, -1}, 0.0, rng), "timely", id="t-source"),
-    pytest.param(lambda rng: SourceChurnLinks(SynchronousLinks(), {0, -1}, 0.0, rng), "timely", id="source-churn"),
     pytest.param(lambda rng: CorruptingLinks(SynchronousLinks(), rng, rate=1.0), "corrupt", id="corruption"),
     pytest.param(lambda rng: DuplicatingLinks(SynchronousLinks(), rng, rate=1.0), "dup", id="duplication"),
 ]

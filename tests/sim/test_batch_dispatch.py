@@ -4,8 +4,8 @@ The run loop drains all events sharing one virtual instant as a single
 batch (heap entry + collision bucket).  These tests pin the contracts
 that batching must preserve: exact FIFO within the batch, lazy
 cancellation taking effect inside the same batch, and exact restoration
-of the undrained remainder when ``stop()`` / ``max_events`` /
-``stop_when`` end the run mid-batch.
+of the undrained remainder when the ``max_events`` budget ends the run
+mid-batch.
 """
 
 from __future__ import annotations
@@ -96,17 +96,14 @@ class TestSameBatchCancellation:
 
 class TestMidBatchStops:
     def test_stop_mid_batch_restores_remainder_in_order(self):
+        # A budget spent on the batch's heap entry restores the whole
+        # bucket.
         sim = Simulator()
         fired = []
-
-        def stopper() -> None:
-            fired.append("stopper")
-            sim.stop()
-
-        sim.schedule_at(4.0, stopper)
+        sim.schedule_at(4.0, lambda: fired.append("stopper"))
         for i in range(3):
             sim.schedule_at(4.0, lambda i=i: fired.append(i))
-        sim.run()
+        sim.run(max_events=1)
         assert fired == ["stopper"]
         assert sim.pending() == 3
         # Resuming drains the restored remainder in the original order.
@@ -131,41 +128,37 @@ class TestMidBatchStops:
         sim.run(max_events=4)
         assert sim.events_fired == 6
 
-    def test_stop_when_sees_live_counters_mid_batch(self):
-        sim = Simulator()
-        observed = []
-        for _ in range(5):
-            sim.schedule_at(1.0, lambda: None)
-        sim.run(stop_when=lambda: (observed.append(sim.events_fired), False)[1])
-        assert observed == [1, 2, 3, 4, 5]
-
-    def test_stop_when_mid_batch_restores_remainder(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule_at(1.0, lambda i=i: fired.append(i))
-        sim.run(stop_when=lambda: sim.events_fired >= 2)
-        assert fired == [0, 1]
-        sim.run()
-        assert fired == list(range(5))
-
     def test_post_stop_schedule_at_pinned_instant_keeps_order(self):
         # After a mid-batch stop the instant is pinned heap-direct;
         # events scheduled at it between runs must still interleave in
         # exact schedule order with the restored remainder.
         sim = Simulator()
         fired = []
-
-        def stopper() -> None:
-            fired.append("stopper")
-            sim.stop()
-
-        sim.schedule_at(4.0, stopper)
+        sim.schedule_at(4.0, lambda: fired.append("stopper"))
         sim.schedule_at(4.0, lambda: fired.append("restored"))
-        sim.run()
+        sim.run(max_events=1)
         sim.schedule_at(4.0, lambda: fired.append("late"))
         sim.run()
         assert fired == ["stopper", "restored", "late"]
+
+    def test_budget_spent_on_a_singleton_restores_its_straggler(self):
+        # The singleton path: the event that spends the budget schedules
+        # another at its own instant, which must still fire before a
+        # same-instant event scheduled after the stop.
+        sim = Simulator()
+        fired = []
+
+        def head() -> None:
+            fired.append("head")
+            sim.schedule_at(2.0, lambda: fired.append("straggler"))
+
+        sim.schedule_at(2.0, head)
+        sim.schedule_at(3.0, lambda: fired.append("after"))
+        sim.run(max_events=1)
+        assert fired == ["head"] and sim.pending() == 2
+        sim.schedule_at(2.0, lambda: fired.append("late"))
+        sim.run()
+        assert fired == ["head", "straggler", "late", "after"]
 
     def test_counters_synced_after_mid_batch_stop(self):
         sim = Simulator()
@@ -307,16 +300,11 @@ class TestOneArgumentEntries:
     def test_stop_mid_batch_restores_arg_entries_in_order(self):
         sim = Simulator()
         fired = []
-
-        def stopper() -> None:
-            fired.append("stopper")
-            sim.stop()
-
-        sim.schedule_after(3.0, stopper)
+        sim.schedule_after(3.0, lambda: fired.append("stopper"))
         for i in range(3):
             sim.schedule_after(3.0, fired.append, arg=i)
         sim.schedule_after(3.0, lambda: fired.append("plain"))
-        sim.run()
+        sim.run(max_events=1)
         assert fired == ["stopper"] and sim.pending() == 4
         sim.run()
         assert fired == ["stopper", 0, 1, 2, "plain"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.events import EventLane, intern_kind, kind_name
+from repro.sim.events import EventLane, intern_kind
 from repro.sim.kernel import SimulationError, Simulator
 
 MODES = ("at", "after", "lane", "lane-cancelled")
@@ -124,7 +124,7 @@ class TestEventQueueBasics:
         time, seq, kid, pid, callback, token = entry
         assert time == 2.5
         assert isinstance(seq, int)
-        assert kind_name(kid) == "step"
+        assert kid == intern_kind("step")
         assert pid == 1
         assert callback is cb
         assert token is None
@@ -179,8 +179,11 @@ class TestCancellation:
 
 class TestKindInterning:
     def test_round_trip(self):
-        kid = intern_kind("some-unique-kind-label")
-        assert kind_name(kid) == "some-unique-kind-label"
+        # A traced run keys its per-kind counts by the interned label.
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None, kind="some-unique-kind-label")
+        sim.run()
+        assert sim.fired_by_kind == {"some-unique-kind-label": 1}
 
     def test_stable_ids(self):
         assert intern_kind("timer") == intern_kind("timer")

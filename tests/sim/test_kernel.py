@@ -14,7 +14,7 @@ class TestScheduling:
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule_at(5.0, lambda: sim.stop())
+        sim.schedule_at(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
@@ -78,7 +78,7 @@ class TestScheduling:
 
     def test_cancellable_rejects_past_and_negative(self):
         sim = Simulator()
-        sim.schedule_at(5.0, sim.stop)
+        sim.schedule_at(5.0, lambda: None)
         sim.run()
         # The lane schedules relative to now, so the past is a negative delay.
         with pytest.raises(SimulationError):
@@ -161,37 +161,14 @@ class TestRunLoop:
         assert sim.events_fired == 10
 
     def test_events_fired_is_live_during_the_run(self):
-        # stop_when predicates may read the public counter mid-run.
+        # Every singleton event is its own batch, so a callback reads
+        # the count of the events fired before it.
         sim = Simulator()
+        observed = []
         for t in range(10):
-            sim.schedule_at(float(t), lambda: None)
-        sim.run(stop_when=lambda: sim.events_fired >= 4)
-        assert sim.events_fired == 4
-
-    def test_stop_when_predicate(self):
-        sim = Simulator()
-        counter = {"n": 0}
-
-        def bump():
-            counter["n"] += 1
-
-        for t in range(10):
-            sim.schedule_at(float(t), bump)
-        sim.run(stop_when=lambda: counter["n"] >= 4)
-        assert counter["n"] == 4
-
-    def test_stop_method(self):
-        sim = Simulator()
-        fired = []
-
-        def stopper():
-            fired.append("stop")
-            sim.stop()
-
-        sim.schedule_at(1.0, stopper)
-        sim.schedule_at(2.0, lambda: fired.append("never"))
-        sim.run()
-        assert fired == ["stop"]
+            sim.schedule_at(float(t), lambda: observed.append(sim.events_fired))
+        sim.run(max_events=4)
+        assert observed == [0, 1, 2, 3] and sim.events_fired == 4
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()

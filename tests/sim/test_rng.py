@@ -39,16 +39,6 @@ class TestRngRegistry:
         reg = RngRegistry(7)
         assert reg.stream("a").random() != reg.stream("b").random()
 
-    def test_fork_independent_of_parent(self):
-        parent = RngRegistry(7)
-        child = parent.fork("child")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_fork_deterministic(self):
-        a = RngRegistry(7).fork("c").stream("x").random()
-        b = RngRegistry(7).fork("c").stream("x").random()
-        assert a == b
-
 
 class TestPerPidStreams:
     def test_indexing_is_the_named_stream(self):

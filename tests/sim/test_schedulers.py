@@ -11,15 +11,12 @@ from repro.sim.schedulers import (
     AdversarialStallDelay,
     AlternatingBurstDelay,
     ChurningTimelyDelay,
-    CompositeDelay,
     FixedDelay,
     GstRampDelay,
     HeavyTailDelay,
     PartiallySynchronousDelay,
-    RampDelay,
     StallWindow,
     UniformDelay,
-    mean_delay,
 )
 from tests.conftest import make_rng
 
@@ -138,19 +135,6 @@ class TestAdversarialStallDelay:
         assert model.delay(0, 1.5) == pytest.approx(7.5)
 
 
-class TestRampDelay:
-    def test_grows_with_time(self):
-        model = RampDelay(base=1.0, rate=0.1)
-        assert model.delay(0, 100.0) > model.delay(0, 10.0)
-
-
-class TestCompositeDelay:
-    def test_dispatch(self):
-        model = CompositeDelay(FixedDelay(1.0), {2: FixedDelay(9.0)})
-        assert model.delay(0, 0.0) == 1.0
-        assert model.delay(2, 0.0) == 9.0
-
-
 class TestGstRampDelay:
     def test_delays_shrink_toward_gst(self):
         model = GstRampDelay(make_rng(3), gst=1000.0, start_scale=8.0, lo=1.0, hi=1.0)
@@ -237,10 +221,7 @@ class TestChurningTimelyDelay:
             ChurningTimelyDelay(FixedDelay(1.0), [], 10.0, 0.0, 0, make_rng(0))
 
 
-class TestMeanDelayHelper:
-    def test_mean_of_fixed(self):
-        assert mean_delay(FixedDelay(2.0), 0, 0.0) == pytest.approx(2.0)
-
+class TestEveryModel:
     @given(st.floats(min_value=0.1, max_value=10.0), st.integers(0, 7))
     def test_all_models_produce_valid_delays(self, base, pid):
         reg = make_rng(99)

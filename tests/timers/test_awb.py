@@ -8,7 +8,6 @@ from repro.timers.awb import (
     AccurateTimer,
     AsymptoticallyWellBehavedTimer,
     CappedTimer,
-    EventuallyMonotoneTimer,
 )
 from repro.timers.functions import LinearF, check_f3_domination
 from tests.conftest import make_rng
@@ -70,20 +69,6 @@ class TestAsymptoticallyWellBehavedTimer:
             AsymptoticallyWellBehavedTimer(LinearF(1.0), make_rng(1), chaos_lo=2.0, chaos_hi=1.0)
         with pytest.raises(ValueError):
             AsymptoticallyWellBehavedTimer(LinearF(1.0), make_rng(1), jitter=-0.1)
-
-
-class TestEventuallyMonotoneTimer:
-    def test_exact_after_stabilization(self):
-        timer = EventuallyMonotoneTimer(make_rng(3), accurate_after=50.0, alpha=2.0)
-        assert timer.duration(0, 60.0, 4.0) == 8.0
-
-    def test_is_awb_special_case(self):
-        """Eventually-monotone timers dominate f = alpha*x after tau_f."""
-        timer = EventuallyMonotoneTimer(make_rng(3), accurate_after=50.0, alpha=2.0)
-        for tau in (0.0, 20.0, 60.0, 100.0):
-            for x in (1.0, 5.0):
-                timer.duration(0, tau, x)
-        assert check_f3_domination(LinearF(2.0), timer.history, tau_f=50.0, x_f=0.0)
 
 
 class TestCappedTimer:
