@@ -22,7 +22,7 @@ Empirically we exhibit the two ingredients and the predicted outcome:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.analysis.write_stats import forever_writers
 from repro.core.runner import RunResult

@@ -27,7 +27,7 @@ and as an extra workload over the shared-memory substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.core.interfaces import ReadReg, Task, WriteReg
 from repro.memory.arrays import RegisterArray

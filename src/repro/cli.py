@@ -45,7 +45,7 @@ Commands
     non-zero on regression.
 ``lint``
     Run the AST-based invariant linter over the source tree
-    (determinism, batch-dispatch safety, strict-typing ratchet); exits
+    (determinism, dispatch safety, strict-typing ratchet); exits
     non-zero on any finding.
 ``list``
     Show the available algorithms and scenarios.

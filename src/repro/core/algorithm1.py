@@ -108,6 +108,11 @@ class LeastSuspectedOmega(OmegaAlgorithm):
         self._my_suspicions: List[int] = [shared.suspicions.peek(i, k) for k in range(n)]
         # ... so column k is read at SUSPICIONS[j][k] for every j != i.
         self._column_reads = tuple(col[:i] + col[i + 1 :] for col in shared.suspicion_columns)
+        # The observer's cache: the column sums and candidates the last
+        # peek_leader() answer was computed from, and that answer.
+        self._peeked_sums: Optional[List[Any]] = None
+        self._peeked_candidates: Set[int] = set()
+        self._peeked_leader = i
 
     def _leader_query(self) -> Task:
         """One ``leader()`` invocation; returns the elected identity.
@@ -133,9 +138,20 @@ class LeastSuspectedOmega(OmegaAlgorithm):
         return self._leader_query()
 
     def peek_leader(self) -> int:
-        """Uncounted ``leader()`` evaluated on current register values."""
+        """Uncounted ``leader()`` evaluated on current register values.
+
+        ``column_sums()`` hands back the same list until a member
+        register changes, so while that list and ``candidates`` are
+        unchanged the last answer is still the answer.
+        """
         sums = self.shared.suspicions.column_sums()
-        return lexmin_pair([(sums[k], k) for k in self.candidates])[1]
+        if sums is self._peeked_sums and self.candidates == self._peeked_candidates:
+            return self._peeked_leader
+        leader = lexmin_pair([(sums[k], k) for k in self.candidates])[1]
+        self._peeked_sums = sums
+        self._peeked_candidates = set(self.candidates)
+        self._peeked_leader = leader
+        return leader
 
 
 class WriteEfficientOmega(LeastSuspectedOmega):

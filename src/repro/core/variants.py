@@ -29,7 +29,7 @@ from repro.core.interfaces import (
     Task,
     WriteReg,
 )
-from repro.core.algorithm1 import Algorithm1Shared, WriteEfficientOmega
+from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.lexmin import lexmin_pair
 from repro.memory.arrays import RegisterArray
 from repro.memory.memory import SharedMemory

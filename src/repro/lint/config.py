@@ -87,13 +87,12 @@ GLOBAL_RANDOM_FUNCTIONS: FrozenSet[str] = frozenset(
 )
 
 # ----------------------------------------------------------------------
-# Batch-dispatch safety scope
+# Dispatch safety scope
 # ----------------------------------------------------------------------
 #: The event queue's internals, owned by ``Simulator``: only the kernel
-#: module may touch these.
-QUEUE_PRIVATE_ATTRS: FrozenSet[str] = frozenset(
-    {"_heap", "_buckets", "_next_seq", "_direct_time"}
-)
+#: module may touch these (an entry filed past its checked schedulers
+#: could sit in the past or carry a stray lane token).
+QUEUE_PRIVATE_ATTRS: FrozenSet[str] = frozenset({"_heap", "_next_seq"})
 
 #: Packages whose modules run *inside* dispatch callbacks; they must not
 #: reach into queue internals nor re-enter ``Simulator.run``.
@@ -145,7 +144,7 @@ def in_determinism_scope(path: str) -> bool:
 
 def in_handler_scope(path: str) -> bool:
     """True when ``path`` runs inside dispatch callbacks (and therefore
-    must respect the batch-dispatch safety rule)."""
+    must respect the dispatch safety rule)."""
     parts = _parts(path)
     return any(part in HANDLER_PACKAGES for part in parts[:-1])
 

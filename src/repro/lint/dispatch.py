@@ -1,12 +1,11 @@
-"""Batch-dispatch safety rule family: handlers stay out of the kernel.
+"""Dispatch safety rule family: handlers stay out of the kernel.
 
-PR 6's batched event core drains equal-timestamp collision buckets with
-a locals-only loop: ``Simulator.run`` snapshots its queue state into
-locals before dispatching a batch.  A handler that mutates queue
-internals mid-batch desynchronises those locals from the queue, and a
-handler that re-enters ``Simulator.run`` corrupts the drain outright.
-Both are operations of the kernel module alone.  Rules (scoped to the
-handler packages, :data:`~repro.lint.config.HANDLER_PACKAGES`):
+``Simulator.run`` pops entries off its one heap in ``(time, seq)``
+order.  A handler that edits the heap directly can break its invariant
+or file an entry out of order, and a handler that re-enters
+``Simulator.run`` corrupts the drain outright.  Both are operations of
+the kernel module alone.  Rules (scoped to the handler packages,
+:data:`~repro.lint.config.HANDLER_PACKAGES`):
 
 ``dispatch-queue-internals``
     Reads or writes of the queue storage ``Simulator`` owns

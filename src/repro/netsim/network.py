@@ -123,7 +123,8 @@ class RampLinks:
     def delivery_delay(self, message: Message) -> Optional[float]:
         """A timely draw scaled by the ramp at the send instant."""
         stream = self._streams[message.sender, message.receiver]
-        return stream.uniform(self.lo, self.hi) * self.scale_at(message.sent_at)
+        lo = self.lo
+        return (lo + (self.hi - lo) * stream.random()) * self.scale_at(message.sent_at)
 
 
 class TimelyLinks:
@@ -138,7 +139,8 @@ class TimelyLinks:
     def delivery_delay(self, message: Message) -> Optional[float]:
         """A uniform draw in ``[lo, hi]``; never a drop."""
         stream = self._streams[message.sender, message.receiver]
-        return stream.uniform(self.lo, self.hi)
+        lo = self.lo
+        return lo + (self.hi - lo) * stream.random()  # Random.uniform's body, frame-free
 
 
 class FairLossyLinks:
@@ -171,9 +173,11 @@ class FairLossyLinks:
         if stream.random() < self.loss:
             return None
         # Occasionally spike toward the cap: "arbitrary but finite".
+        hi = self.hi
         if stream.random() < 0.1:
-            return stream.uniform(self.hi, self.cap)
-        return stream.uniform(self.lo, self.hi)
+            return hi + (self.cap - hi) * stream.random()
+        lo = self.lo
+        return lo + (hi - lo) * stream.random()
 
 
 class EventuallyTimelyLinks:
@@ -205,7 +209,8 @@ class EventuallyTimelyLinks:
         """Timely for post-gst source traffic; ``base`` for everything else."""
         if message.sender in self.sources and message.sent_at >= self.gst:
             stream = self._streams[message.sender, message.receiver]
-            return stream.uniform(self.timely_lo, self.timely_hi)
+            lo = self.timely_lo
+            return lo + (self.timely_hi - lo) * stream.random()
         return self.base.delivery_delay(message)
 
 
@@ -496,7 +501,7 @@ class Network:
             for delay, fated in plan(message) if plan is not None else ((delay_of(message), message),):
                 if delay is None:
                     self.dropped += 1
-                elif delay <= 0:
+                elif not delay > 0:  # also rejects NaN
                     raise ValueError("channel behaviour produced non-positive delay")
                 else:
                     # Never cancelled: the kernel's one-argument entry.

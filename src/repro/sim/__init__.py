@@ -18,7 +18,7 @@ Modules
     :class:`EventLane` that makes an event cancellable.
 ``kernel``
     The :class:`~repro.sim.kernel.Simulator`: virtual clock, the queue
-    storage, callback scheduling, run-loop with stop predicates.
+    storage, callback scheduling, the run loop.
 ``schedulers``
     Step-delay models, including the partially-synchronous model that
     enforces assumption *AWB1* for a designated process.

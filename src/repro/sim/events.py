@@ -1,48 +1,27 @@
-"""The time-ordered event queue: a collision-bucketed tuple heap.
+"""The time-ordered event queue's entries: bare tuples on one heap.
 
 The queue is the heart of the simulator, and every experiment bottoms
 out in its schedule/fire cycle, so entries are bare tuples rather than
 objects::
 
-    (time, seq, kind_id, pid, callback, token)
+    (time, seq, kind_id, pid, callback, arg)
 
 ordered by ``(time, seq)``.  The monotonically increasing sequence
 number makes ordering *stable* -- two events scheduled for the same
 instant fire in the order they were scheduled, which keeps runs
 deterministic and makes the linearization order of same-time register
 operations well defined -- and, because it is unique, tuple comparison
-never reaches the non-comparable ``callback`` element.
-
-Storage is *hybrid*: the binary heap holds at most one entry per
-distinct timestamp, and every further event scheduled for an
-already-pending timestamp lands in that timestamp's FIFO **collision
-bucket** (a plain list in ``_buckets``).  Equal-timestamp events are the
-common case in batch-shaped workloads -- broadcast deliveries over
-fixed-delay links, aligned timer populations -- and the bucket turns
-their heap ``O(log n)`` push/pop into two ``O(1)`` list operations while
-preserving exact ``(time, seq)`` order: the heap entry is always the
-*first* event scheduled for its timestamp, and bucket entries follow in
-append (= seq) order.  The storage -- ``_heap``, ``_buckets``,
-``_next_seq`` and ``_direct_time`` -- lives on
-:class:`~repro.sim.kernel.Simulator`: its fused schedulers file entries,
-and its run loop drains a timestamp's heap entry and its bucket as one
-*batch*.  This module holds what the entries carry: the kind-interning
-table and the columnar :class:`EventLane`.
-
-Two bookkeeping details keep the hybrid exact:
-
-* an *empty* bucket is the shared ``_EMPTY`` marker (no list allocated),
-  so unique-timestamp workloads pay one dict hit and nothing else;
-* when a run loop's ``max_events`` budget stops it mid-batch, the
-  undrained bucket entries are pushed back into the heap
-  *individually* and ``_direct_time`` pins that timestamp to
-  heap-direct scheduling, so every event at the interrupted instant --
-  restored or newly scheduled -- keeps strict seq order.
+never reaches the non-comparable ``callback`` element.  The storage --
+one binary heap, ``_heap``, and its ``_next_seq`` counter -- lives on
+:class:`~repro.sim.kernel.Simulator`, whose checked schedulers file
+every entry.  This module holds what
+the entries carry: the kind-interning table and the columnar
+:class:`EventLane`.
 
 ``kind_id`` is an interned integer id for the event-kind label
 (``"step"``, ``"timer"``, ...): interning happens once per distinct
 string, so the hot path never hashes label strings into per-event
-records.  ``token`` is ``None`` on the dominant schedule-and-fire path,
+records.  ``arg`` is ``None`` on the dominant schedule-and-fire path,
 where ``callback`` is a zero-argument callable; any other value beside a
 callback that is not a lane is that callback's one argument (how a
 netsim delivery hands its message to its handler).  Cancellation has one
@@ -60,11 +39,6 @@ deliveries are never cancelled, so they take the one-argument path.
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
-
-#: Shared marker for "timestamp is in the heap with no collisions yet".
-#: Falsy and zero-length, so bucket-size arithmetic needs no special
-#: case; never mutated.
-_EMPTY: tuple = ()
 
 #: Lane tokens pack ``(generation << _SLOT_BITS) | slot``; 32 slot bits
 #: bound a lane at ~4e9 *concurrently live* events, far past any run.

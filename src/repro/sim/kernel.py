@@ -9,15 +9,18 @@ The kernel deliberately knows nothing about processes, registers or
 timers -- it is a plain DES core, which keeps it easy to test in
 isolation and reusable by every substrate.
 
-Scheduling comes in two flavours:
+The queue is one binary heap of entry tuples
+``(time, seq, kind_id, pid, callback, arg)`` (see
+:mod:`repro.sim.events`), popped in exact ``(time, seq)`` order: ties
+fire in the order they were scheduled.  The entry layout is private to
+this module: every entry is filed by one of the checked schedulers,
+which come in two flavours:
 
-* :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` are
-  the dominant schedule-and-fire path and allocate nothing but the
-  queue's entry tuple (the queue insert is fused into these methods --
-  no intermediate call layer on the hot path).  Both also take an
-  ``arg``: the entry then calls ``callback(arg)``, which is how a netsim
-  message delivery (never cancelled) reaches its handler with no
-  closure or ``partial`` built per message;
+* :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after`
+  check the time and push one entry.  Both also take an ``arg``: the
+  entry then calls ``callback(arg)``, which is how a netsim message
+  delivery (never cancelled) reaches its handler with no closure or
+  ``partial`` built per message;
 * :meth:`Simulator.schedule_lane_after` schedules through a columnar
   :class:`~repro.sim.events.EventLane` and returns an *integer* token
   that cancels the event -- the one cancellable path, taken by every
@@ -25,22 +28,12 @@ Scheduling comes in two flavours:
   processes' named timers and the register emulation's retransmission
   timers).
 
-The run loop therefore dispatches an entry three ways, on its last
-slot: ``None`` calls the zero-argument callback; otherwise a lane in
-the callback slot fires the slot's token (skipped once stale), and any
-other callback is called with the slot's value as its one argument.
-
-**Batch dispatch.**  The run loop drains all events sharing the current
-virtual timestamp as one *batch*: the heap yields the first event at
-that instant and the queue's collision bucket supplies the rest, in
-exact ``(time, seq)`` order, without touching the heap again.  The loop
-body is locals-only; ``events_fired`` / ``events_skipped`` are synced to
-the instance at **batch boundaries** (and whenever the loop returns), so
-a callback that reads ``sim.events_fired`` mid-batch observes the value
-as of the start of its batch -- the *batch-visible contract*.  The one
-per-event guarantee is the ``max_events`` budget: it is honoured
-mid-batch, with the undrained remainder of the batch restored to the
-queue in exact order.
+The run loop dispatches an entry three ways, on its last slot: ``None``
+calls the zero-argument callback; otherwise a lane in the callback slot
+fires the slot's token (skipped once stale), and any other callback is
+called with the slot's value as its one argument.  ``events_fired`` /
+``events_skipped`` are stored after every event, so a callback reads
+the count of the events before it.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.events import _EMPTY, _KIND_IDS, _KIND_NAMES, EventLane, intern_kind
+from repro.sim.events import _KIND_IDS, _KIND_NAMES, EventLane, intern_kind
 
 
 class SimulationError(RuntimeError):
@@ -76,23 +69,15 @@ class Simulator:
     """
 
     def __init__(self, trace_events: bool = True) -> None:
-        # The hybrid queue (see repro.sim.events): one heap entry per
-        # distinct pending timestamp, the rest in that timestamp's FIFO
-        # bucket.  Identities are stable; release() empties them in
-        # place.
+        # Identities are stable: release() empties the heap in place.
         self._heap: list = []
-        self._buckets: dict = {}
-        self._next_seq = itertools.count().__next__
-        # Timestamp forced to heap-direct scheduling after a mid-batch
-        # stop (NaN matches nothing, so the common path has no flag).
-        self._direct_time = float("nan")
+        self._next_seq: Callable[[], int] = itertools.count().__next__
         self._now = 0.0
         self._running = False
         self.events_fired = 0
         self.events_skipped = 0
         self._trace_events = trace_events
-        # Per-kind fire counts, indexed by interned kind id (satellite
-        # fix: the old dict.get per traced event is gone).
+        # Per-kind fire counts, indexed by interned kind id.
         self._fired_counts: list = []
 
     @property
@@ -130,8 +115,8 @@ class Simulator:
         """Schedule ``callback`` at absolute virtual time ``time``.
 
         ``time`` may equal ``now`` (fires after currently-firing event)
-        but may not precede it.  The fast path: no token is created;
-        use :meth:`schedule_lane_after` when the event may need to be
+        but may not precede it.  No token is created; use
+        :meth:`schedule_lane_after` when the event may need to be
         disarmed.  The event calls ``callback()``, or ``callback(arg)``
         when ``arg`` is not ``None``.
         """
@@ -145,24 +130,7 @@ class Simulator:
             kid = _KIND_IDS[kind]
         except KeyError:
             kid = intern_kind(kind)
-        # Fused hybrid-queue insert (the heap if first at that instant
-        # or the instant is pinned heap-direct, its bucket otherwise;
-        # duplicated in the three schedulers so the path stays
-        # call-free).
-        entry = (time, self._next_seq(), kid, pid, callback, arg)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            if time != self._direct_time:
-                buckets[time] = _EMPTY
-            heappush(self._heap, entry)
-        elif bucket is _EMPTY:
-            if time != self._direct_time:
-                buckets[time] = [entry]
-            else:
-                heappush(self._heap, entry)
-        else:
-            bucket.append(entry)
+        heappush(self._heap, (time, self._next_seq(), kid, pid, callback, arg))
 
     def schedule_after(
         self,
@@ -187,20 +155,7 @@ class Simulator:
             kid = _KIND_IDS[kind]
         except KeyError:
             kid = intern_kind(kind)
-        entry = (time, self._next_seq(), kid, pid, callback, arg)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            if time != self._direct_time:
-                buckets[time] = _EMPTY
-            heappush(self._heap, entry)
-        elif bucket is _EMPTY:
-            if time != self._direct_time:
-                buckets[time] = [entry]
-            else:
-                heappush(self._heap, entry)
-        else:
-            bucket.append(entry)
+        heappush(self._heap, (time, self._next_seq(), kid, pid, callback, arg))
 
     def schedule_lane_after(
         self,
@@ -224,20 +179,7 @@ class Simulator:
         if time != time:  # NaN guard
             raise ValueError("event time must not be NaN")
         token = lane.acquire(payload)
-        entry = (time, self._next_seq(), lane.kind_id, pid, lane, token)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            if time != self._direct_time:
-                buckets[time] = _EMPTY
-            heappush(self._heap, entry)
-        elif bucket is _EMPTY:
-            if time != self._direct_time:
-                buckets[time] = [entry]
-            else:
-                heappush(self._heap, entry)
-        else:
-            bucket.append(entry)
+        heappush(self._heap, (time, self._next_seq(), lane.kind_id, pid, lane, token))
         return token
 
     # ------------------------------------------------------------------
@@ -262,23 +204,12 @@ class Simulator:
             Safety valve on the number of events fired *by this
             invocation* (not the simulator-lifetime ``events_fired``
             counter, so repeated ``run()`` calls each get a fresh
-            budget).  Honoured mid-batch; a budget below 1 raises
-            ``ValueError``.
+            budget).  A budget below 1 raises ``ValueError``.
 
         Returns
         -------
         float
             The virtual time when the loop returned.
-
-        Notes
-        -----
-        Events sharing a timestamp are dispatched as one batch (see the
-        module docstring).  ``events_fired`` / ``events_skipped`` are
-        synced to the instance at batch boundaries, so callbacks that
-        read them mid-batch observe the values as of the start of their
-        batch.  When the budget stops the loop mid-batch, the rest of
-        the batch is restored to the queue in exact ``(time, seq)``
-        order.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -292,129 +223,56 @@ class Simulator:
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be at least 1, got {max_events}")
         self._running = True
-        # Hoisted out of the loop: the batch drain touches only locals.
-        # ``heap`` / ``buckets`` alias the queue's storage, so callbacks
-        # that schedule new events grow them in place.
+        # Hoisted out of the loop.  ``heap`` aliases the queue, so
+        # callbacks that schedule new events grow it in place.
         heap = self._heap
-        buckets = self._buckets
-        bpop = buckets.pop
         pop = heappop
-        push = heappush
+        horizon = float("inf") if until is None else until
         counts = self._fired_counts if self._trace_events else None
         lane_type = EventLane
         fired = self.events_fired
-        skipped = self.events_skipped
         # The loop stops once ``fired`` reaches the budget; without one
         # it is -1, which a non-negative count never equals.
         budget = -1 if max_events is None else fired + max_events
         try:
             while heap:
-                time = heap[0][0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
                 entry = pop(heap)
+                time, _, kid, _, callback, arg = entry
+                if time > horizon:
+                    heappush(heap, entry)
+                    self._now = horizon
+                    break
                 self._now = time
-                # The batch: the heap entry plus the instant's collision
-                # bucket (exact seq order; _EMPTY means no collisions --
-                # the dominant singleton case takes the loop-free path).
-                bucket = bpop(time, _EMPTY)
-                if bucket is _EMPTY:
-                    token = entry[5]
-                    if token is None:
-                        entry[4]()
-                    elif type(entry[4]) is not lane_type:
-                        entry[4](token)  # a one-argument entry
-                    elif not entry[4].fire(token):
-                        # Lane entry (the callback slot holds the lane)
-                        # whose token was cancelled.
-                        skipped += 1
-                        continue
-                    fired += 1
-                    if counts is not None:
-                        kid = entry[2]
-                        try:
-                            counts[kid] += 1
-                        except IndexError:
-                            counts.extend([0] * (kid + 1 - len(counts)))
-                            counts[kid] = 1
-                    if fired == budget:
-                        # A same-instant straggler scheduled by this
-                        # event sits in the heap with a fresh marker (or
-                        # upgraded bucket); restore it heap-individual
-                        # and pin the instant so post-stop schedules at
-                        # it stay in exact seq order.
-                        extra = bpop(time, _EMPTY)
-                        if extra is not _EMPTY:
-                            for straggler in extra:
-                                push(heap, straggler)
-                            self._direct_time = time
-                        break
-                    # Batch boundary: sync the public counters.
-                    self.events_fired = fired
-                    self.events_skipped = skipped
+                if arg is None:
+                    callback()
+                elif type(callback) is not lane_type:
+                    callback(arg)  # a one-argument entry
+                elif not callback.fire(arg):
+                    # Lane entry (the callback slot holds the lane)
+                    # whose token was cancelled.
+                    self.events_skipped += 1
                     continue
-                size = len(bucket)
-                index = 0
-                while True:
-                    token = entry[5]
-                    if token is None:
-                        entry[4]()
-                        live = True
-                    elif type(entry[4]) is not lane_type:
-                        entry[4](token)  # a one-argument entry
-                        live = True
-                    else:
-                        # Lane entry: the callback slot holds the lane.
-                        live = entry[4].fire(token)
-                    if live:
-                        fired += 1
-                        if counts is not None:
-                            kid = entry[2]
-                            try:
-                                counts[kid] += 1
-                            except IndexError:
-                                counts.extend([0] * (kid + 1 - len(counts)))
-                                counts[kid] = 1
-                        if fired == budget:
-                            # Mid-batch stop: restore the undrained
-                            # remainder (and any same-instant stragglers
-                            # scheduled during the batch) to the heap
-                            # individually -- their seqs keep the order
-                            # exact -- and pin the instant heap-direct
-                            # so later same-time schedules stay exact.
-                            extra = bpop(time, _EMPTY)
-                            if index < size or extra is not _EMPTY:
-                                for j in range(index, size):
-                                    push(heap, bucket[j])
-                                for straggler in extra:
-                                    push(heap, straggler)
-                                self._direct_time = time
-                            break
-                    else:
-                        skipped += 1
-                    if index >= size:
-                        break
-                    entry = bucket[index]
-                    index += 1
+                fired += 1
+                self.events_fired = fired
+                if counts is not None:
+                    try:
+                        counts[kid] += 1
+                    except IndexError:
+                        counts.extend([0] * (kid + 1 - len(counts)))
+                        counts[kid] = 1
                 if fired == budget:
                     break
-                # Batch boundary: sync the public counters.
-                self.events_fired = fired
-                self.events_skipped = skipped
             else:
                 # Queue drained; advance the clock to the horizon if given.
                 if until is not None and until > self._now:
                     self._now = until
         finally:
             self._running = False
-            self.events_fired = fired
-            self.events_skipped = skipped
         return self._now
 
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return len(self._heap) + sum(map(len, self._buckets.values()))
+        return len(self._heap)
 
     def release(self) -> None:
         """Drop every pending event and free its lane slot.
@@ -424,27 +282,20 @@ class Simulator:
         retry), each callback holds its owner, and each owner holds
         this simulator, so a queue left standing at the horizon keeps
         the whole run graph alive in reference cycles.  Releasing
-        empties the heap and the collision buckets in place and cancels
-        every lane token still queued, so its lane drops the payload
-        and the slot returns to the free list (a one-argument entry's
-        value is no token: it is simply dropped).  The clock,
-        ``events_fired``, ``events_skipped`` and the per-kind counts are
-        untouched; events scheduled afterwards run as on a fresh queue.
-        Refused while the loop is running.
+        empties the heap in place and cancels every lane token still
+        queued, so its lane drops the payload and the slot returns to
+        the free list (a one-argument entry's value is no token: it is
+        simply dropped).  The clock, ``events_fired``,
+        ``events_skipped`` and the per-kind counts are untouched;
+        events scheduled afterwards run as on a fresh queue.  Refused
+        while the loop is running.
         """
         if self._running:
             raise SimulationError("cannot release pending events while running")
         for entry in self._heap:
             if type(entry[4]) is EventLane:
                 entry[4].cancel(entry[5])
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                if type(entry[4]) is EventLane:
-                    entry[4].cancel(entry[5])
         self._heap.clear()
-        self._buckets.clear()
-        self._direct_time = float("nan")
 
 
 __all__ = ["SimulationError", "Simulator"]
-

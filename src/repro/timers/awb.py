@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Protocol, Tuple
 
 from repro.sim.rng import RngRegistry
-from repro.timers.functions import FFunction, LinearF
+from repro.timers.functions import FFunction
 
 
 class TimerBehavior(Protocol):

@@ -123,7 +123,7 @@ class TestDeterminismRule:
 
 
 # ----------------------------------------------------------------------
-# Batch-dispatch safety
+# Dispatch safety
 # ----------------------------------------------------------------------
 class TestDispatchRule:
     def test_queue_internal_access_is_flagged(self, tmp_path):
@@ -140,12 +140,10 @@ class TestDispatchRule:
     def test_every_private_slot_is_covered(self, tmp_path):
         body = "\n".join(
             f"    x{i} = queue.{attr}"
-            for i, attr in enumerate(
-                ["_heap", "_buckets", "_next_seq", "_direct_time"]
-            )
+            for i, attr in enumerate(["_heap", "_next_seq"])
         )
         src = make_source(tmp_path, f"def peek(queue):\n{body}\n", "memory/mod.py")
-        assert len(dispatch.check(src)) == 4
+        assert len(dispatch.check(src)) == 2
 
     def test_own_self_attribute_with_same_name_is_allowed(self, tmp_path):
         src = make_source(
@@ -153,10 +151,10 @@ class TestDispatchRule:
             """
             class Lane:
                 def __init__(self):
-                    self._buckets = []
+                    self._heap = []
 
                 def grab(self):
-                    return self._buckets.pop()
+                    return self._heap.pop()
             """,
             "netsim/mod.py",
         )

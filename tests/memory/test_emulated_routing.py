@@ -172,5 +172,4 @@ def test_delivered_counts_every_fired_message_exactly(knobs):
 def _queued_messages(sim):
     """Message deliveries still queued in ``sim``."""
     kid = intern_kind("message")
-    entries = list(sim._heap) + [entry for bucket in sim._buckets.values() for entry in bucket]
-    return sum(1 for entry in entries if entry[2] == kid)
+    return sum(1 for entry in sim._heap if entry[2] == kid)

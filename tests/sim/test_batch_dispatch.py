@@ -1,11 +1,10 @@
-"""Equal-timestamp batch dispatch: ordering, cancellation, mid-batch stops.
+"""Equal-timestamp dispatch: ordering, cancellation, budget stops.
 
-The run loop drains all events sharing one virtual instant as a single
-batch (heap entry + collision bucket).  These tests pin the contracts
-that batching must preserve: exact FIFO within the batch, lazy
-cancellation taking effect inside the same batch, and exact restoration
-of the undrained remainder when the ``max_events`` budget ends the run
-mid-batch.
+Events sharing one virtual instant fire in exact ``(time, seq)`` order
+off the one heap.  These tests pin the contracts a queue change must
+preserve: exact FIFO among equal times, lazy cancellation taking effect
+at the same instant, and exact resumption of the remaining same-instant
+events when the ``max_events`` budget ends the run among them.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ class TestSameBatchCancellation:
 
 class TestMidBatchStops:
     def test_stop_mid_batch_restores_remainder_in_order(self):
-        # A budget spent on the batch's heap entry restores the whole
-        # bucket.
+        # A budget spent on the first event at an instant leaves every
+        # other event at that instant queued.
         sim = Simulator()
         fired = []
         sim.schedule_at(4.0, lambda: fired.append("stopper"))
@@ -129,9 +128,8 @@ class TestMidBatchStops:
         assert sim.events_fired == 6
 
     def test_post_stop_schedule_at_pinned_instant_keeps_order(self):
-        # After a mid-batch stop the instant is pinned heap-direct;
-        # events scheduled at it between runs must still interleave in
-        # exact schedule order with the restored remainder.
+        # Events scheduled at the stopped instant between runs must
+        # still interleave in exact schedule order with the remainder.
         sim = Simulator()
         fired = []
         sim.schedule_at(4.0, lambda: fired.append("stopper"))
@@ -142,9 +140,9 @@ class TestMidBatchStops:
         assert fired == ["stopper", "restored", "late"]
 
     def test_budget_spent_on_a_singleton_restores_its_straggler(self):
-        # The singleton path: the event that spends the budget schedules
-        # another at its own instant, which must still fire before a
-        # same-instant event scheduled after the stop.
+        # The event that spends the budget schedules another at its own
+        # instant, which must still fire before a same-instant event
+        # scheduled after the stop.
         sim = Simulator()
         fired = []
 
@@ -194,14 +192,15 @@ class TestSchedulingGuards:
             sim.schedule_lane_after(EventLane("g", None), -1.0, lambda: None)
 
     def test_batch_contract_for_plain_callbacks(self):
-        # Plain callbacks observe events_fired as of the start of their
-        # batch (the documented batch-visible contract).
+        # The counters are stored after every event, so plain callbacks
+        # sharing an instant each read the count of the events before
+        # them (the live contract).
         sim = Simulator()
         seen = []
         for _ in range(3):
             sim.schedule_at(1.0, lambda: seen.append(sim.events_fired))
         sim.run()
-        assert seen == [0, 0, 0]
+        assert seen == [0, 1, 2]
         assert sim.events_fired == 3
 
 

@@ -20,8 +20,8 @@ MODES = ("at", "after", "lane", "lane-cancelled")
 
 
 def queued(sim: Simulator) -> list:
-    """Every pending entry tuple: heap entries plus collision buckets."""
-    return list(sim._heap) + [e for bucket in sim._buckets.values() for e in bucket]
+    """Every pending entry tuple on the heap."""
+    return list(sim._heap)
 
 
 def schedule_mix(sim: Simulator, items, fired: list) -> list:
@@ -51,13 +51,13 @@ class TestEventQueueBasics:
     def test_empty_queue_is_falsy(self):
         sim = Simulator()
         assert not sim.pending()
-        assert not sim._heap and not sim._buckets
+        assert not sim._heap
 
     def test_len_tracks_pushes(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
-        sim.schedule_at(2.0, lambda: None)  # a collision bucket entry
+        sim.schedule_at(2.0, lambda: None)  # a same-time entry
         sim.schedule_lane_after(EventLane("len-lane", None), 2.0, lambda: None)
         assert len(queued(sim)) == sim.pending() == 4
 

@@ -13,6 +13,10 @@ Names are matched by spelling, not by module, so the check is a lower
 bound on deadness: a reference to any same-spelled name keeps a
 definition.  Methods are not checked (too many protocol hooks and
 duck-typed entry points to gate).
+
+The same holds for imports: a name a ``src/repro`` module imports
+(``__init__`` modules aside) must be read somewhere in that module, in
+code, in a quoted annotation or in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,17 @@ ALLOWLIST: Dict[str, str] = {
     "lease_intervals": "the leader-lease view of a trace; tests judge message-passing runs with it",
     "anomaly_history": "the pinned regular-vs-atomic divergence EXPERIMENTS.md cites and the mutant canary",
 }
+
+
+#: Imports kept without a use in their module, ``"module: name"``.
+UNUSED_IMPORT_ALLOWLIST: Dict[str, str] = {
+    "src/repro/faults/campaign.py: summarize_run": "the benchmark's span recorder patches it on this module",
+    "src/repro/fuzz/loop.py: summarize_run": "the benchmark's span recorder patches it on this module",
+}
+
+#: A string that may name a module-level binding (a quoted annotation
+#: such as ``Optional["SharedMemory"]`` or an ``__all__`` entry).
+_NAME_EXPRESSION = re.compile(r"[A-Za-z_][\w.\[\], ]*$")
 
 
 def _python_files(root: Path) -> List[Path]:
@@ -95,3 +110,55 @@ def test_the_allowlist_names_only_uncalled_definitions() -> None:
     references = _references()
     stale = sorted(name for name in ALLOWLIST if name not in defined or name in references)
     assert not stale, f"allowlist entries to drop: {stale}"
+
+
+def _imported_names(tree: ast.Module) -> List[Tuple[int, str]]:
+    """``(line, bound name)`` of every import in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.asname or alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.extend((node.lineno, alias.asname or alias.name) for alias in node.names)
+    return found
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Every name read in ``tree``, in code or in a name-shaped string."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _NAME_EXPRESSION.match(node.value):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(sub.id for sub in ast.walk(quoted) if isinstance(sub, ast.Name))
+    return used
+
+
+def test_every_import_is_used() -> None:
+    unused = []
+    for path in _python_files(SRC):
+        if path.name == "__init__.py":
+            continue
+        module = str(path.relative_to(REPO_ROOT))
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        unused.extend(
+            f"{module}:{line}: {name}"
+            for line, name in _imported_names(tree)
+            if name not in used and f"{module}: {name}" not in UNUSED_IMPORT_ALLOWLIST
+        )
+    assert not unused, "imports their module never uses:\n" + "\n".join(unused)
+
+
+def test_the_import_allowlist_names_only_unused_imports() -> None:
+    stale = []
+    for entry in UNUSED_IMPORT_ALLOWLIST:
+        module, _, name = entry.partition(": ")
+        tree = ast.parse((REPO_ROOT / module).read_text())
+        if name not in {bound for _, bound in _imported_names(tree)} or name in _used_names(tree):
+            stale.append(entry)
+    assert not stale, f"import allowlist entries to drop: {stale}"
