@@ -1,10 +1,11 @@
-"""Run assembly: algorithm + kernel + memory + timers + crash plan.
+"""Run assembly: algorithm + kernel + substrate + crash plan.
 
-A :class:`Run` wires one algorithm class into the substrates and drives
-it to a horizon; the outcome is a :class:`RunResult` bundling the
-observer's leader samples, the shared-memory access log, and everything
-the analysis layer needs.  Each fact is recorded once: leader samples in
-the :class:`~repro.sim.tracing.RunTrace`, timer armings in each timer
+A :class:`Run` wires one algorithm class into the substrates its
+family drives and runs it to a horizon; the outcome is a
+:class:`RunResult` bundling the observer's leader samples, the
+shared-memory access log, and everything the analysis layer needs.
+Each fact is recorded once: leader samples in the
+:class:`~repro.sim.tracing.RunTrace`, timer armings in each timer
 behaviour's history, crashes in the run's crash plan (cut to the
 horizon).  Every run is a pure function of its configuration and seed.
 
@@ -27,11 +28,12 @@ resumes it.
 
 A *message-passing* algorithm -- an
 :class:`~repro.netsim.runtime.MpProcess` subclass, one of the
-related-work Omegas -- runs under the same :class:`Run`: the run builds
-a :class:`~repro.netsim.network.Network` over its simulator and drives
-each process with an
+related-work Omegas -- runs under the same :class:`Run`, assembled for
+its family: the run builds a :class:`~repro.netsim.network.Network`
+over its simulator and drives each process with an
 :class:`~repro.netsim.runtime.MpProcessRuntime` (message and timer
-handlers instead of step coroutines).  The crash installer, the
+handlers instead of step coroutines), and builds no registers, no
+step-delay model and no timer service.  The crash installer, the
 observer, the end-of-run release and the :class:`RunResult` serve both
 families.
 """
@@ -41,7 +43,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.interfaces import (
     AlgorithmContext,
@@ -53,9 +56,8 @@ from repro.core.interfaces import (
     Task,
     WriteReg,
 )
-from repro.memory.backend import create_memory
 from repro.memory.disk import Disk
-from repro.memory.emulated import EmulatedMemory
+from repro.memory.emulated import EmulatedMemory, EmulationConfig
 from repro.memory.memory import SharedMemory
 from repro.netsim.network import ChannelBehavior, Network, TimelyLinks
 from repro.netsim.runtime import MpProcess, MpProcessRuntime, attach_runtimes
@@ -70,6 +72,18 @@ from repro.timers.service import TimerService
 
 #: The observer's "no sample yet" leader: unequal to any ``leader()`` output.
 _UNSAMPLED = object()
+
+#: Memory backend name -> one-line description (the ``--memory`` choices).
+#: Every backend is a :class:`~repro.memory.memory.SharedMemory`: the
+#: emulation subclasses it and replaces only the operation semantics.
+BACKENDS: Dict[str, str] = {
+    "shared": "atomic registers linearizing instantaneously (the paper's model)",
+    "emulated": "ABD-style quorum emulation of the registers over netsim message passing",
+}
+
+#: What a register run's runtimes block on for every register access:
+#: the SAN disk or the ABD emulation (``None`` on plain shared registers).
+IntervalSubstrate = Union[Disk, EmulatedMemory]
 
 
 @dataclass
@@ -99,9 +113,10 @@ class ProcessRuntime:
     safe.
 
     A runtime is handed its collaborators -- the simulator, the delay
-    model, the timer service, the memory and the disk -- and holds no
-    reference to its :class:`Run`; the dispatch table maps op classes
-    to plain functions, not to methods bound to this runtime.  The
+    model, the timer service, the interval substrate and the run's one
+    dispatch table (:func:`_dispatch_table`) -- and holds no reference
+    to its :class:`Run`; the dispatch table maps op classes to plain
+    functions, not to methods bound to this runtime.  The
     self-references left are the pre-bound step callback, which the hot
     loop reschedules without allocating, and the pre-bound completion
     callback every interval operation hands its substrate;
@@ -117,8 +132,8 @@ class ProcessRuntime:
         delay_model: StepDelayModel,
         timer_service: TimerService,
         crash_at: float,
-        memory: SharedMemory,
-        disk: Optional[Disk] = None,
+        dispatch: Dict[type, Callable[[ProcessRuntime, _TaskState, Any], Any]],
+        interval: Optional[IntervalSubstrate],
     ) -> None:
         self.pid = pid
         self.algorithm = algorithm
@@ -137,26 +152,11 @@ class ProcessRuntime:
         self._delay_of = delay_model.delay
         self._schedule_after = sim.schedule_after
         self._crash_at = crash_at
-        # Exact-type operation dispatch: ``handler(runtime, task, op)``.
-        # A handler returns True when the interval substrate's
-        # completion callback reschedules the process's continuation
-        # instead.
-        self._dispatch: Dict[type, Callable[[ProcessRuntime, _TaskState, Any], Any]] = {
-            WriteReg: ProcessRuntime._op_write,
-            SetTimer: ProcessRuntime._op_set_timer,
-            FetchAdd: ProcessRuntime._op_fetch_add,
-        }
-        interval = disk if disk is not None else memory
-        if isinstance(interval, (Disk, EmulatedMemory)):
-            self._interval = interval
-            self._dispatch[ReadReg] = ProcessRuntime._op_read_interval
-            self._dispatch[WriteReg] = ProcessRuntime._op_write_interval
-        if isinstance(interval, EmulatedMemory):
-            # A quorum read-then-write; on a disk it stays instantaneous.
-            self._dispatch[FetchAdd] = ProcessRuntime._op_fetch_add_emulated
+        self._dispatch = dispatch
+        self._interval = interval
         #: The op class ``step`` applies inline: instantaneous reads of
         #: the plain shared backend.  Interval backends dispatch instead.
-        self._inline_read = None if ReadReg in self._dispatch else ReadReg
+        self._inline_read = None if ReadReg in dispatch else ReadReg
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -281,6 +281,33 @@ class ProcessRuntime:
         return True
 
 
+def _dispatch_table(
+    interval: Optional[IntervalSubstrate], emulated: bool
+) -> Dict[type, Callable[[ProcessRuntime, _TaskState, Any], Any]]:
+    """A register run's exact-type operation dispatch, built once per
+    run and shared by its runtimes: ``handler(runtime, task, op)``.  A
+    handler returns True when the interval substrate's completion
+    callback reschedules the process's continuation instead.  With an
+    interval substrate every register read and write is an interval;
+    ``FetchAdd`` is a quorum read-then-write on the emulation and stays
+    instantaneous on a disk."""
+    table: Dict[type, Callable[[ProcessRuntime, _TaskState, Any], Any]] = {
+        WriteReg: ProcessRuntime._op_write,
+        SetTimer: ProcessRuntime._op_set_timer,
+        FetchAdd: ProcessRuntime._op_fetch_add,
+    }
+    if interval is not None:
+        table[ReadReg] = ProcessRuntime._op_read_interval
+        table[WriteReg] = ProcessRuntime._op_write_interval
+    if emulated:
+        table[FetchAdd] = ProcessRuntime._op_fetch_add_emulated
+    return table
+
+
+def _no_hook() -> None:
+    """A substrate with nothing to start or release."""
+
+
 # ----------------------------------------------------------------------
 @dataclass
 class RunResult:
@@ -292,7 +319,9 @@ class RunResult:
     planned at or before ``horizon``.  A message-passing run's
     ``algorithms`` are its :class:`~repro.netsim.runtime.MpProcess`
     instances and ``network`` its message fabric (``None`` for every
-    other run; an emulated backend keeps its own in ``memory``).
+    other run; an emulated backend keeps its own in ``memory``); it has
+    no registers and no timer service, so its ``memory`` and
+    ``timer_service`` are ``None``.
     """
 
     algorithm_name: str
@@ -300,11 +329,11 @@ class RunResult:
     horizon: float
     seed: int
     trace: RunTrace
-    memory: SharedMemory
+    memory: Optional[SharedMemory]
     sim: Simulator
     crash_plan: CrashPlan
     algorithms: List[Union[OmegaAlgorithm, MpProcess]]
-    timer_service: TimerService
+    timer_service: Optional[TimerService]
     disk: Optional[Disk]
     snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = field(default_factory=list)
     #: Which memory backend produced this run ("shared" or "emulated").
@@ -397,11 +426,13 @@ def check_run_shape(
     sample_interval: float,
     snapshot_interval: Optional[float],
     memory: str,
+    emulation: Optional[Mapping[str, Any]],
     has_disk: bool,
 ) -> None:
     """Refuse a run that cannot be built: fewer than two processes, a
-    non-positive or non-finite span, or the emulated backend on top of
-    the SAN disk.  :class:`Run` and
+    non-positive or non-finite span, a backend not in :data:`BACKENDS`,
+    emulation knobs on the shared backend (dead configuration), or the
+    emulated backend on top of the SAN disk.  :class:`Run` and
     :class:`~repro.workloads.scenarios.Scenario` both call it, so a bad
     cell is refused when it is described, before anything is simulated."""
     if n < 2:
@@ -415,6 +446,15 @@ def check_run_shape(
         # A zero interval would reschedule its observer at `now` forever.
         if value is not None and not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if memory not in BACKENDS:
+        raise ValueError(
+            f"unknown memory backend {memory!r}; choose from {sorted(BACKENDS)}"
+        )
+    if memory == "shared" and emulation:
+        raise ValueError(
+            "emulation options were provided but the backend is 'shared'; "
+            "pass memory='emulated' or drop the options"
+        )
     if memory == "emulated" and has_disk:
         raise ValueError(
             "the emulated backend and the SAN disk model both make register "
@@ -430,8 +470,8 @@ class Run:
     algorithm_cls:
         The :class:`OmegaAlgorithm` subclass to run, or a
         message-passing :class:`~repro.netsim.runtime.MpProcess`
-        subclass (which touches no register and arms no timer of the
-        timer service: it talks over ``channel``).
+        subclass (it talks over ``channel``; its run builds no
+        registers, step-delay model or timer service).
     n:
         Number of processes (>= 2).
     seed:
@@ -468,7 +508,7 @@ class Run:
         skip per-kind event accounting on the hot path (the engine's
         low-overhead run mode).
     memory:
-        Memory backend name (:data:`repro.memory.backend.BACKENDS`):
+        Memory backend name (a key of :data:`BACKENDS`):
         ``"shared"`` (instantaneous registers, the default) or
         ``"emulated"`` (ABD quorum emulation over message passing, in
         which case every register access becomes an interval operation
@@ -513,8 +553,8 @@ class Run:
         emulation: Optional[Dict[str, Any]] = None,
         channel: Optional[ChannelBehavior] = None,
     ) -> None:
-        check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, disk is not None)
-        if issubclass(algorithm_cls, MpProcess):
+        message_passing = issubclass(algorithm_cls, MpProcess)
+        if message_passing:
             shared_only = {
                 "delay_model": delay_model,
                 "timer_behaviors": timer_behaviors,
@@ -530,6 +570,8 @@ class Run:
                     f"{algorithm_cls.__name__} is message-passing and takes no "
                     f"shared-memory argument: got {', '.join(given)}"
                 )
+        has_disk = disk is not None
+        check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, emulation, has_disk)
         self.algorithm_cls = algorithm_cls
         self.n = n
         self.seed = seed
@@ -537,82 +579,113 @@ class Run:
         self.sample_interval = sample_interval
         self.snapshot_interval = snapshot_interval
         self.disk = disk
-        self.rng = RngRegistry(seed)
-
-        sim = self.sim = Simulator(trace_events=trace_events)
-        if disk is not None:
-            disk.attach(sim)
-
-        def clock() -> float:
-            # One call deep: every counted register access stamps the time.
-            return sim._now
-
         self.memory_backend = memory
-        self.memory = create_memory(
-            memory,
-            clock=clock,
-            log_reads=log_reads,
-            sim=self.sim,
-            rng=self.rng,
-            emulation=emulation,
-        )
-        self.delay_model: StepDelayModel = delay_model or UniformDelay(self.rng, 0.5, 1.5)
+        self.rng = RngRegistry(seed)
+        self.sim = Simulator(trace_events=trace_events)
         self.crash_plan = (crash_plan or CrashPlan.none(n)).until(horizon)
         self.trace = RunTrace()
         self._pids = range(n)
         #: Each pid's last sampled ``leader()`` output (the observer's
         #: run-length state; ``_UNSAMPLED`` before its first sample).
         self._last_leader: List[Any] = [_UNSAMPLED] * n
+        self.snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = []
         config = dict(algo_config or {})
+
+        # One assembly per substrate family: each builds only what its
+        # family drives and sets the substrate's start and release.
+        self.memory: Optional[SharedMemory] = None
+        self.timer_service: Optional[TimerService] = None
+        self.network: Optional[Network] = None
+        self._start_substrate: Callable[[], None] = _no_hook
+        self._release_substrate: Callable[[], None] = _no_hook
+        self.algorithms: List[Union[OmegaAlgorithm, MpProcess]]
+        self.runtimes: Sequence[Union[ProcessRuntime, MpProcessRuntime]]
+        if message_passing:
+            self._assemble_message_passing(channel, config)
+        elif channel is not None:
+            raise ValueError("channel applies only to a message-passing algorithm")
+        else:
+            self._assemble_registers(
+                delay_model, timer_behaviors, scramble, config, log_reads, emulation
+            )
+
+    def _assemble_registers(
+        self,
+        delay_model: Optional[StepDelayModel],
+        timer_behaviors: Optional[Dict[int, TimerBehavior]],
+        scramble: Optional[Callable[[SharedMemory, Any], None]],
+        config: Dict[str, Any],
+        log_reads: bool,
+        emulation: Optional[Dict[str, Any]],
+    ) -> None:
+        """Shared, SAN-disk and emulated runs: the registers, the
+        step-delay model, the timer service and one
+        :class:`ProcessRuntime` per process.  The three differ only in
+        the interval substrate a runtime blocks on -- none, the disk or
+        the emulation -- and that substrate fixes the run's one
+        dispatch table."""
+        sim, rng, n = self.sim, self.rng, self.n
+
+        def clock() -> float:
+            # One call deep: every counted register access stamps the time.
+            return sim._now
+
+        interval: Optional[IntervalSubstrate]
+        emulated = self.memory_backend == "emulated"
+        if emulated:
+            knobs = EmulationConfig.from_dict(emulation or {})
+            memory = self.memory = interval = EmulatedMemory(
+                clock=clock, sim=sim, rng=rng, config=knobs, log_reads=log_reads
+            )
+            # Seeded from the (possibly scrambled) initial register
+            # values when the run starts; replica crashes scheduled then.
+            self._start_substrate = partial(memory.start, self.horizon)
+            self._release_substrate = memory.release
+        else:
+            memory = self.memory = SharedMemory(clock=clock, log_reads=log_reads)
+            interval = self.disk
+            if interval is not None:
+                interval.attach(sim)
 
         behaviors: Dict[int, TimerBehavior] = dict(timer_behaviors or {})
         for pid in range(n):
             if pid not in behaviors:
                 behaviors[pid] = AsymptoticallyWellBehavedTimer(
-                    LinearF(1.0), self.rng, chaos_until=0.0, jitter=0.25
+                    LinearF(1.0), rng, chaos_until=0.0, jitter=0.25
                 )
-        self.timer_service = TimerService(self.sim, behaviors)
+        timer_service = self.timer_service = TimerService(sim, behaviors)
 
-        self.network: Optional[Network] = None
-        self.runtimes: Sequence[Union[ProcessRuntime, MpProcessRuntime]]
-        if issubclass(algorithm_cls, MpProcess):
-            network = self.network = Network(sim, channel or TimelyLinks(self.rng))
-            self.algorithms: List[Union[OmegaAlgorithm, MpProcess]] = [
-                algorithm_cls(pid, n, config) for pid in range(n)
-            ]
-            self.runtimes = attach_runtimes(
-                self.algorithms, sim=sim, network=network, crash_plan=self.crash_plan
+        shared = self.algorithm_cls.create_shared(memory, n, config)
+        if scramble is not None:
+            scramble(memory, rng.stream("scramble"))
+        contexts = [
+            AlgorithmContext(pid=pid, n=n, clock=clock, rng=rng.stream(f"algo:{pid}"), config=config)
+            for pid in range(n)
+        ]
+        self.algorithms = [self.algorithm_cls(ctx, shared) for ctx in contexts]
+        dispatch = _dispatch_table(interval, emulated)
+        delay_model = delay_model or UniformDelay(rng, 0.5, 1.5)
+        self.runtimes = [
+            ProcessRuntime(
+                pid, alg, sim=sim, delay_model=delay_model, timer_service=timer_service,
+                crash_at=self.crash_plan.crash_time(pid), dispatch=dispatch, interval=interval,
             )
-        else:
-            if channel is not None:
-                raise ValueError("channel applies only to a message-passing algorithm")
-            shared = algorithm_cls.create_shared(self.memory, n, config)
-            if scramble is not None:
-                scramble(self.memory, self.rng.stream("scramble"))
-            self.algorithms = []
-            for pid in range(n):
-                ctx = AlgorithmContext(
-                    pid=pid,
-                    n=n,
-                    clock=clock,
-                    rng=self.rng.stream(f"algo:{pid}"),
-                    config=config,
-                )
-                self.algorithms.append(algorithm_cls(ctx, shared))
-            self.runtimes = [
-                ProcessRuntime(
-                    pid,
-                    alg,
-                    sim=sim,
-                    delay_model=self.delay_model,
-                    timer_service=self.timer_service,
-                    crash_at=self.crash_plan.crash_time(pid),
-                    memory=self.memory,
-                    disk=disk,
-                )
-                for pid, alg in enumerate(self.algorithms)
-            ]
-        self.snapshots: List[Tuple[float, Tuple[Tuple[str, Any], ...]]] = []
+            for pid, alg in enumerate(self.algorithms)
+        ]
+
+    def _assemble_message_passing(
+        self, channel: Optional[ChannelBehavior], config: Dict[str, Any]
+    ) -> None:
+        """A message-passing run: the network and one
+        :class:`~repro.netsim.runtime.MpProcessRuntime` per process,
+        nothing else.  Its release uninstalls the network's routes to
+        the runtimes."""
+        network = self.network = Network(self.sim, channel or TimelyLinks(self.rng))
+        self.algorithms = [self.algorithm_cls(pid, self.n, config) for pid in range(self.n)]
+        self.runtimes = attach_runtimes(
+            self.algorithms, sim=self.sim, network=network, crash_plan=self.crash_plan
+        )
+        self._release_substrate = partial(network.install_routes, {})
 
     # ------------------------------------------------------------------
     def _install_crashes(self) -> None:
@@ -643,7 +716,7 @@ class Run:
             self.sim.schedule_at(nxt, self._sample, kind="sample")
 
     def _snapshot(self) -> None:
-        assert self.snapshot_interval is not None
+        assert self.snapshot_interval is not None and self.memory is not None
         self.snapshots.append((self.sim.now, self.memory.snapshot()))
         nxt = self.sim.now + self.snapshot_interval
         if nxt <= self.horizon:
@@ -659,7 +732,9 @@ class Run:
         holds its network and retry lanes, whose callbacks hold the
         emulation; a message-passing run's network routes to its
         runtimes.  One kernel release drops every pending event, then
-        the runtimes, the emulation and the network drop their own.
+        the runtimes drop their own and the substrate release the
+        assembly handed back (the emulation's, or the uninstall of the
+        network's routes) drops the substrate's.
         Every post-run query -- the logs, the samples, the emulated
         history with its in-flight writes -- reads state this leaves in
         place.  Anything that extends a run must do so before this.
@@ -667,10 +742,7 @@ class Run:
         self.sim.release()
         for runtime in self.runtimes:
             runtime.release()
-        if isinstance(self.memory, EmulatedMemory):
-            self.memory.release()
-        if self.network is not None:
-            self.network.install_routes({})
+        self._release_substrate()
 
     # ------------------------------------------------------------------
     def execute(self) -> RunResult:
@@ -681,10 +753,7 @@ class Run:
         reference cycle, so dropping it frees the run's logs at once.
         """
         self._install_crashes()
-        if isinstance(self.memory, EmulatedMemory):
-            # Seed the replicas from the (possibly scrambled) initial
-            # register values and schedule replica crashes.
-            self.memory.start(self.horizon)
+        self._start_substrate()
         for runtime in self.runtimes:
             runtime.start()
         self.sim.schedule_at(0.0, self._sample, kind="sample")
@@ -711,4 +780,4 @@ class Run:
         )
 
 
-__all__ = ["ProcessRuntime", "Run", "RunResult", "check_run_shape"]
+__all__ = ["BACKENDS", "ProcessRuntime", "Run", "RunResult", "check_run_shape"]

@@ -35,13 +35,16 @@ def violation_count(summary: RunSummary) -> int:
     """The search oracle: every violation class a run can surface.
 
     Theorem 1-4 monitor violations, consistency history-audit
-    violations and write-ack value-integrity violations all count -- a
-    run is clean only when *all* of them are zero.
+    violations, write-ack value-integrity violations and a failed
+    Omega Validity or Termination check all count -- a run is clean
+    only when *all* of them are zero.
     """
     return (
         summary.property_violations
         + summary.audit_violations
         + summary.integrity_violations
+        + (not summary.valid)
+        + (not summary.termination_ok)
     )
 
 

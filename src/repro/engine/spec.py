@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.memory.backend import BACKENDS
+from repro.core.runner import BACKENDS
 from repro.memory.emulated import CONSISTENCY_LEVELS
 from repro.memory.membership import MEMBERSHIP_MODES
 
@@ -180,7 +180,7 @@ class ExperimentSpec:
         the write log, the aggregate counters and the sample trace.
     memory:
         Memory-backend override for every cell
-        (:data:`repro.memory.backend.BACKENDS`).  ``None`` -- the
+        (:data:`repro.core.runner.BACKENDS`).  ``None`` -- the
         default -- leaves each scenario's own backend choice in force
         (so the ``*-emulated`` factories still emulate); ``"emulated"``
         forces the ABD emulation onto every cell (the ``repro sweep

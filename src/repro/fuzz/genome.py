@@ -43,7 +43,7 @@ from repro.workloads.scenarios import FUZZ_CRASHES, FUZZ_DELAYS
 #: every fuzz batch's horizon.
 GENOME_ALGORITHMS: Tuple[str, ...] = ("alg1", "alg1-nwnr", "alg1-no-timer")
 
-#: Memory backends (mirrors :data:`repro.memory.backend.BACKENDS`).
+#: Memory backends (mirrors :data:`repro.core.runner.BACKENDS`).
 GENOME_BACKENDS: Tuple[str, ...] = ("shared", "emulated")
 
 #: Delay-model families and process-crash plans: exactly the parts the

@@ -112,7 +112,6 @@ STRICT_TYPED_MODULES: Tuple[str, ...] = (
     "repro/sim/rng.py",
     "repro/sim/events.py",
     "repro/sim/kernel.py",
-    "repro/memory/backend.py",
     "repro/memory/linearizability.py",
     "repro/memory/membership.py",
     "repro/faults/plan.py",

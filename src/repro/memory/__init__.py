@@ -16,11 +16,9 @@ one-writer/multi-reader (1WnR) registers.  This package provides:
   write log is the only write record;
 * :class:`~repro.memory.mwmr.MultiWriterRegister` -- for the paper's
   Section 3.5 nWnR variant;
-* :mod:`~repro.memory.backend` -- the pluggable **memory backend**
-  layer: the :data:`~repro.memory.backend.BACKENDS` registry and the
-  :func:`~repro.memory.backend.create_memory` factory ``Run`` selects
-  backends through (every backend is a ``SharedMemory``);
-* :mod:`~repro.memory.emulated` -- the ``"emulated"`` backend: an
+* :mod:`~repro.memory.emulated` -- the ``"emulated"`` backend (a
+  ``SharedMemory`` subclass; ``Run``'s register assembly picks the
+  backend by name from :data:`repro.core.runner.BACKENDS`): an
   ABD-style majority-quorum emulation of the registers over
   :mod:`repro.netsim` message passing (replica nodes, timestamped
   values, reader/writer phases, retransmission, replica crashes);
@@ -39,7 +37,6 @@ one-writer/multi-reader (1WnR) registers.  This package provides:
 """
 
 from repro.memory.arrays import RegisterArray, RegisterMatrix
-from repro.memory.backend import BACKENDS, create_memory
 from repro.memory.emulated import EmulatedMemory, EmulationConfig
 from repro.memory.membership import MembershipEvent, MembershipPlan, ReplicaConfig
 from repro.memory.memory import SharedMemory
@@ -48,7 +45,6 @@ from repro.memory.register import AtomicRegister, OwnershipError
 
 __all__ = [
     "AtomicRegister",
-    "BACKENDS",
     "EmulatedMemory",
     "EmulationConfig",
     "MembershipEvent",
@@ -59,5 +55,4 @@ __all__ = [
     "RegisterArray",
     "RegisterMatrix",
     "SharedMemory",
-    "create_memory",
 ]

@@ -8,10 +8,12 @@ matters lives in the *channels* (that is precisely the [2] model, where
 process speeds are benign and links carry the timing assumption).
 
 :class:`~repro.core.runner.Run` executes an :class:`MpProcess`
-subclass like any other algorithm: it builds a
-:class:`~repro.netsim.network.Network` over its simulator and one
-:class:`MpProcessRuntime` per pid, and its crash installer, observer,
-release step and result bundle serve both families.
+subclass like any other algorithm: its message-passing assembly builds
+a :class:`~repro.netsim.network.Network` over its simulator and one
+:class:`MpProcessRuntime` per pid, and no registers, step-delay model
+or timer service (the result's ``memory`` and ``timer_service`` are
+``None``); its crash installer, observer, release step and result
+bundle serve both families.
 """
 
 from __future__ import annotations

@@ -47,8 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.core.interfaces import OmegaAlgorithm
-from repro.core.runner import Run, RunResult, check_run_shape
-from repro.memory.backend import BACKENDS
+from repro.core.runner import BACKENDS, Run, RunResult, check_run_shape
 from repro.memory.disk import Disk, LatencyModel
 from repro.memory.emulated import CONSISTENCY_LEVELS, LINK_MODELS
 from repro.memory.membership import churn_plan
@@ -147,7 +146,7 @@ class Scenario:
     #: checkers (:mod:`repro.props`) expect an algorithm's claimed
     #: theorems only when this class covers the algorithm's requirement.
     assumption: str = "awb"
-    #: Memory backend the runs use (:data:`repro.memory.backend.BACKENDS`):
+    #: Memory backend the runs use (:data:`repro.core.runner.BACKENDS`):
     #: ``"shared"`` or ``"emulated"``.
     memory: str = "shared"
     #: Plain-dict :class:`~repro.memory.emulated.EmulationConfig` knobs
@@ -169,7 +168,7 @@ class Scenario:
     def __post_init__(self) -> None:
         check_run_shape(
             self.n, self.horizon, self.sample_interval, self.snapshot_interval,
-            self.memory, self.make_disk is not None,
+            self.memory, self.emulation, self.make_disk is not None,
         )
 
     def overridden(

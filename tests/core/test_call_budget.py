@@ -37,8 +37,8 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
     return calls / events
 
 
-#: (scenario, algorithm, traced, ceiling).  Measured on CPython 3.11 with
-#: the pure-Python kernel: 12.41 and 12.94 on the shared cells, 13.16 on
+#: (scenario, algorithm, traced, ceiling).  Measured on CPython 3.11:
+#: 12.41 and 12.94 on the shared cells, 13.16 on
 #: the emulated regular cell and 11.92 on the atomic one, which adds the
 #: write-back path.  Traced, where every read also lands in the columnar
 #: read log: 16.21 / 16.50 on the shared cells and 13.79 on the emulated

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Tuple
 import pytest
 
 from repro.cli import build_parser
-from repro.memory.backend import BACKENDS
+from repro.core.runner import BACKENDS
 from repro.workloads.registry import SCENARIO_FACTORIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent

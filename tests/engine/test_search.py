@@ -56,17 +56,33 @@ def toy_runs(monkeypatch):
             property_violations=0,
             audit_violations=kwargs["items"].count(7),
             integrity_violations=0,
+            valid=True,
+            termination_ok=True,
         )
 
     monkeypatch.setattr(search, "run_point", fake_run_point)
     return seen
 
 
-@pytest.mark.parametrize("field", ["property_violations", "audit_violations", "integrity_violations"])
+#: Each violation class's faulty value and what it adds to the count.
+FAULTS = {
+    "property_violations": (2, 2),
+    "audit_violations": (2, 2),
+    "integrity_violations": (2, 2),
+    "valid": (False, 1),
+    "termination_ok": (False, 1),
+}
+
+
+@pytest.mark.parametrize("field", list(FAULTS))
 def test_every_violation_class_counts(field):
-    clean = dict(property_violations=0, audit_violations=0, integrity_violations=0)
+    clean = dict(
+        property_violations=0, audit_violations=0, integrity_violations=0,
+        valid=True, termination_ok=True,
+    )
+    value, count = FAULTS[field]
     assert violation_count(SimpleNamespace(**clean)) == 0
-    assert violation_count(SimpleNamespace(**{**clean, field: 2})) == 2
+    assert violation_count(SimpleNamespace(**{**clean, field: value})) == count
 
 
 def test_replay_is_run_point_on_the_payload():

@@ -1,14 +1,18 @@
-"""The memory-backend layer: every backend is a ``SharedMemory``, and the factory."""
+"""The memory-backend axis: every backend is a ``SharedMemory``, built by
+``Run``'s register assembly from the backend's name."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.memory.backend import BACKENDS, create_memory
+from repro.core.algorithm1 import WriteEfficientOmega
+from repro.core.runner import BACKENDS, Run
 from repro.memory.emulated import EmulatedMemory
 from repro.memory.memory import SharedMemory
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
+from repro.workloads.scenarios import nominal
 
 
 def test_registry_names():
@@ -27,20 +31,13 @@ def test_emulated_memory_implements_protocol(rng):
 
 
 def test_factory_builds_shared():
-    mem = create_memory("shared", clock=lambda: 0.0, log_reads=False)
+    mem = Run(WriteEfficientOmega, 3, log_reads=False).memory
     assert type(mem) is SharedMemory
     assert mem.log_reads is False
 
 
-def test_factory_builds_emulated(rng):
-    sim = Simulator()
-    mem = create_memory(
-        "emulated",
-        clock=lambda: sim.now,
-        sim=sim,
-        rng=rng,
-        emulation={"replicas": 5},
-    )
+def test_factory_builds_emulated():
+    mem = Run(WriteEfficientOmega, 3, memory="emulated", emulation={"replicas": 5}).memory
     assert isinstance(mem, EmulatedMemory)
     assert mem.config.replicas == 5
     assert mem.config.majority == 3
@@ -48,14 +45,13 @@ def test_factory_builds_emulated(rng):
 
 def test_factory_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown memory backend"):
-        create_memory("quantum", clock=lambda: 0.0)
+        Run(WriteEfficientOmega, 3, memory="quantum")
+    with pytest.raises(ValueError, match="unknown memory backend 'quantum'"):
+        dataclasses.replace(nominal(n=3), memory="quantum")
 
 
 def test_factory_rejects_dead_emulation_options():
     with pytest.raises(ValueError, match="backend is 'shared'"):
-        create_memory("shared", clock=lambda: 0.0, emulation={"replicas": 5})
-
-
-def test_factory_emulated_needs_sim_and_rng():
-    with pytest.raises(ValueError, match="simulator and RNG"):
-        create_memory("emulated", clock=lambda: 0.0)
+        Run(WriteEfficientOmega, 3, emulation={"replicas": 5})
+    with pytest.raises(ValueError, match="backend is 'shared'"):
+        dataclasses.replace(nominal(n=3), emulation={"replicas": 5})

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.runner import Run
 from repro.memory.disk import Disk, LatencyModel
+from repro.memory.memory import SharedMemory
 from repro.netsim.network import Message, TimelyLinks
 from repro.netsim.runtime import MpProcess
 from repro.sim.crash import CrashPlan
@@ -14,6 +18,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.schedulers import UniformDelay
 from repro.timers.awb import AsymptoticallyWellBehavedTimer
 from repro.timers.functions import LinearF
+from repro.timers.service import TimerService
 
 
 class EchoProcess(MpProcess):
@@ -82,6 +87,18 @@ class TestRuntime:
         # empty snapshots): the run fired the same events as without it.
         with pytest.raises(ValueError, match=f"message-passing .*: got {name}$"):
             Run(EchoProcess, n=2, horizon=50.0, **{name: value})
+
+    def test_a_message_passing_run_builds_no_register_substrate(self):
+        run = Run(EchoProcess, n=3, seed=1, horizon=50.0)
+        seen, frontier = {id(run)}, [run]
+        while frontier:  # every object the run reaches, not through classes or code
+            for ref in gc.get_referents(frontier.pop()):
+                if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType, types.FunctionType)):
+                    seen.add(id(ref))
+                    frontier.append(ref)
+                    assert not isinstance(ref, (UniformDelay, SharedMemory, TimerService)), ref
+        result = run.execute()
+        assert result.memory is None and result.timer_service is None
 
     def test_theorems_2_to_4_refuse_a_message_passing_run(self):
         result = Run(EchoProcess, n=3, seed=1, horizon=50.0).execute()

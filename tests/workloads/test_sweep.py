@@ -18,7 +18,7 @@ from repro.core.algorithm1 import WriteEfficientOmega
 from repro.core.variants import StepCounterOmega
 from repro.engine import ExperimentSpec, run_experiment
 from repro.workloads.registry import build_scenario
-from repro.workloads.scenarios import Scenario, nominal
+from repro.workloads.scenarios import Scenario, nominal, nominal_emulated
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,16 @@ class TestMutatedScenario:
         assert row.scenario == "bare" and row.n == 3
 
 
+def _base(field):
+    """The factory scenario ``field`` is mutated on: only an emulated
+    scenario may carry emulation knobs."""
+    factory = nominal_emulated if field.name == "emulation" else nominal
+    return factory(n=3, horizon=1500.0)
+
+
 def _mutated(field):
-    """A value that differs from what ``nominal`` puts in ``field``."""
-    value = getattr(nominal(n=3, horizon=1500.0), field.name)
+    """A value that differs from what :func:`_base` puts in ``field``."""
+    value = getattr(_base(field), field.name)
     if value is None:
         return (lambda *args: None) if field.name.startswith(("make_", "scramble")) else 7.0
     if callable(value):
@@ -88,6 +95,8 @@ def _mutated(field):
         return not value
     if isinstance(value, (int, float)):
         return value + 1
+    if field.name == "memory":
+        return "emulated"  # construction refuses an unknown backend name
     if isinstance(value, str):
         return value + "-x"
     return {**value, "x": 1}
@@ -114,7 +123,7 @@ class TestRefIsFaithful:
     def test_mutating_any_field_flips_the_verdict(self, field):
         # Whatever field a copy changes, the copy has no ref, and the
         # engine's verdict on it flips from accepted to refused.
-        scen = nominal(n=3, horizon=1500.0)
+        scen = _base(field)
         ExperimentSpec.from_objects("t", {"alg1": WriteEfficientOmega}, [scen], [0])
         changed = dataclasses.replace(scen, **{field.name: _mutated(field)})
         assert changed.ref is None
