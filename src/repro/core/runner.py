@@ -62,6 +62,7 @@ from repro.memory.memory import SharedMemory
 from repro.netsim.network import ChannelBehavior, Network, TimelyLinks
 from repro.netsim.runtime import MpProcess, MpProcessRuntime, attach_runtimes
 from repro.sim.crash import CrashPlan
+from repro.sim.events import intern_kind
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.schedulers import StepDelayModel, UniformDelay
@@ -72,6 +73,9 @@ from repro.timers.service import TimerService
 
 #: The observer's "no sample yet" leader: unequal to any ``leader()`` output.
 _UNSAMPLED = object()
+
+#: The kind id of every step entry the step loop files.
+_STEP_KIND = intern_kind("step")
 
 #: Memory backend name -> one-line description (the ``--memory`` choices).
 #: Every backend is a :class:`~repro.memory.memory.SharedMemory`: the
@@ -103,9 +107,11 @@ class ProcessRuntime:
     fuses its common path: the crash check is one comparison against
     the pid's crash time (a :class:`CrashPlan` is frozen, so the time
     is read once here), a ``ReadReg`` on the plain shared backend and
-    a ``LocalStep`` are applied inline, and the reschedule is one
-    positional ``schedule_after`` call.  Everything else -- writes,
-    timers, fetch&add, and *every* register read and write on an
+    a ``LocalStep`` are applied inline, and the reschedule files its
+    entry with one ``Simulator.push`` (the step loop is one of the
+    kernel's raw producers, so it refuses a bad delay itself).
+    Everything else -- writes, timers, fetch&add, and *every* register
+    read and write on an
     interval substrate (one pair of handlers for the disk and the
     emulation alike) -- goes through an exact-type dispatch table
     (``type(op) -> handler``).  Operation classes are final frozen
@@ -150,7 +156,8 @@ class ProcessRuntime:
         self._step_cb: Optional[Callable[[], None]] = self.step
         self._resume_cb: Optional[Callable[[Any], None]] = self._resume
         self._delay_of = delay_model.delay
-        self._schedule_after = sim.schedule_after
+        self._push = sim.push
+        self._seq = sim.next_seq
         self._crash_at = crash_at
         self._dispatch = dispatch
         self._interval = interval
@@ -190,10 +197,11 @@ class ProcessRuntime:
 
     # ------------------------------------------------------------------
     def _schedule_next_step(self) -> None:
-        delay = self._delay_of(self.pid, self._sim._now)
-        if delay <= 0:
-            raise ValueError(f"step-delay model returned non-positive delay {delay}")
-        self._schedule_after(delay, self._step_cb, kind="step", pid=self.pid)
+        now = self._sim._now
+        delay = self._delay_of(self.pid, now)
+        if not delay > 0:  # also rejects NaN
+            raise ValueError(f"step-delay model returned non-positive or NaN delay {delay}")
+        self._push((now + delay, self._seq(), _STEP_KIND, self.pid, self._step_cb, None))
 
     def step(self) -> None:
         """Execute one operation of the front task."""
@@ -227,10 +235,11 @@ class ProcessRuntime:
                     return  # interval operation: its completion reschedules
         if tasks[-1] is not task:  # a lone task needs no rotation
             tasks.rotate(-1)
-        delay = self._delay_of(pid, sim._now)
-        if delay <= 0:
-            raise ValueError(f"step-delay model returned non-positive delay {delay}")
-        self._schedule_after(delay, self._step_cb, "step", pid)
+        now = sim._now
+        delay = self._delay_of(pid, now)
+        if not delay > 0:  # also rejects NaN
+            raise ValueError(f"step-delay model returned non-positive or NaN delay {delay}")
+        self._push((now + delay, self._seq(), _STEP_KIND, pid, self._step_cb, None))
 
     # ------------------------------------------------------------------
     # Operation handlers (exact-type dispatch targets)
@@ -428,13 +437,17 @@ def check_run_shape(
     memory: str,
     emulation: Optional[Mapping[str, Any]],
     has_disk: bool,
-) -> None:
+) -> Optional[EmulationConfig]:
     """Refuse a run that cannot be built: fewer than two processes, a
     non-positive or non-finite span, a backend not in :data:`BACKENDS`,
-    emulation knobs on the shared backend (dead configuration), or the
-    emulated backend on top of the SAN disk.  :class:`Run` and
+    emulation knobs on the shared backend (dead configuration), the
+    emulated backend on top of the SAN disk, or emulation knobs that
+    :meth:`EmulationConfig.from_dict` refuses.  :class:`Run` and
     :class:`~repro.workloads.scenarios.Scenario` both call it, so a bad
-    cell is refused when it is described, before anything is simulated."""
+    cell is refused when it is described, before anything is simulated.
+
+    Returns the decoded emulation config of an emulated run (``None``
+    on the shared backend)."""
     if n < 2:
         raise ValueError("need at least two processes")
     spans = {
@@ -455,11 +468,14 @@ def check_run_shape(
             "emulation options were provided but the backend is 'shared'; "
             "pass memory='emulated' or drop the options"
         )
-    if memory == "emulated" and has_disk:
+    if memory != "emulated":
+        return None
+    if has_disk:
         raise ValueError(
             "the emulated backend and the SAN disk model both make register "
             "accesses interval operations; pick one"
         )
+    return EmulationConfig.from_dict(emulation or {})
 
 
 class Run:
@@ -571,7 +587,7 @@ class Run:
                     f"shared-memory argument: got {', '.join(given)}"
                 )
         has_disk = disk is not None
-        check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, emulation, has_disk)
+        knobs = check_run_shape(n, horizon, sample_interval, snapshot_interval, memory, emulation, has_disk)
         self.algorithm_cls = algorithm_cls
         self.n = n
         self.seed = seed
@@ -605,9 +621,7 @@ class Run:
         elif channel is not None:
             raise ValueError("channel applies only to a message-passing algorithm")
         else:
-            self._assemble_registers(
-                delay_model, timer_behaviors, scramble, config, log_reads, emulation
-            )
+            self._assemble_registers(delay_model, timer_behaviors, scramble, config, log_reads, knobs)
 
     def _assemble_registers(
         self,
@@ -616,7 +630,7 @@ class Run:
         scramble: Optional[Callable[[SharedMemory, Any], None]],
         config: Dict[str, Any],
         log_reads: bool,
-        emulation: Optional[Dict[str, Any]],
+        knobs: Optional[EmulationConfig],
     ) -> None:
         """Shared, SAN-disk and emulated runs: the registers, the
         step-delay model, the timer service and one
@@ -631,9 +645,7 @@ class Run:
             return sim._now
 
         interval: Optional[IntervalSubstrate]
-        emulated = self.memory_backend == "emulated"
-        if emulated:
-            knobs = EmulationConfig.from_dict(emulation or {})
+        if knobs is not None:
             memory = self.memory = interval = EmulatedMemory(
                 clock=clock, sim=sim, rng=rng, config=knobs, log_reads=log_reads
             )
@@ -663,7 +675,7 @@ class Run:
             for pid in range(n)
         ]
         self.algorithms = [self.algorithm_cls(ctx, shared) for ctx in contexts]
-        dispatch = _dispatch_table(interval, emulated)
+        dispatch = _dispatch_table(interval, knobs is not None)
         delay_model = delay_model or UniformDelay(rng, 0.5, 1.5)
         self.runtimes = [
             ProcessRuntime(

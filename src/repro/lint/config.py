@@ -94,6 +94,21 @@ GLOBAL_RANDOM_FUNCTIONS: FrozenSet[str] = frozenset(
 #: could sit in the past or carry a stray lane token).
 QUEUE_PRIVATE_ATTRS: FrozenSet[str] = frozenset({"_heap", "_next_seq"})
 
+#: ``Simulator``'s raw-producer entry points: ``push`` files an entry
+#: tuple unchecked and ``next_seq`` draws its ``seq``.  A module that
+#: files entries itself owns the checks the schedulers make, so only
+#: the producers in :data:`RAW_PUSH_PRODUCERS` may name them.
+RAW_PUSH_ATTRS: FrozenSet[str] = frozenset({"push", "next_seq"})
+
+#: The modules that file their own heap entries (repo-relative under
+#: ``src/``): the step loop, message delivery and the register
+#: emulation's retry wakes.
+RAW_PUSH_PRODUCERS: Tuple[str, ...] = (
+    "repro/core/runner.py",
+    "repro/netsim/network.py",
+    "repro/memory/emulated.py",
+)
+
 #: Packages whose modules run *inside* dispatch callbacks; they must not
 #: reach into queue internals nor re-enter ``Simulator.run``.
 HANDLER_PACKAGES: FrozenSet[str] = frozenset(
@@ -146,6 +161,12 @@ def in_handler_scope(path: str) -> bool:
     must respect the dispatch safety rule)."""
     parts = _parts(path)
     return any(part in HANDLER_PACKAGES for part in parts[:-1])
+
+
+def is_raw_push_producer(path: str) -> bool:
+    """True when ``path`` is one of :data:`RAW_PUSH_PRODUCERS`."""
+    posix = "/".join(_parts(path))
+    return any(posix.endswith(mod) for mod in RAW_PUSH_PRODUCERS)
 
 
 def in_strict_typed_surface(path: str) -> bool:

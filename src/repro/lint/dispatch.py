@@ -12,6 +12,13 @@ the kernel module alone.  Rules (scoped to the handler packages,
     (:data:`~repro.lint.config.QUEUE_PRIVATE_ATTRS`) on anything other
     than ``self`` -- handler modules must go through the public
     ``schedule_*`` methods and ``EventLane.cancel``.
+``dispatch-raw-push``
+    Any use of ``Simulator``'s raw-producer entry points
+    (:data:`~repro.lint.config.RAW_PUSH_ATTRS`: ``push`` and
+    ``next_seq``) outside the producer modules
+    (:data:`~repro.lint.config.RAW_PUSH_PRODUCERS`).  A raw push skips
+    the schedulers' checks, so the few modules that file their own
+    entries are named, and every other handler module schedules.
 ``dispatch-reentrant-run``
     ``<...>.sim.run(...)`` / ``sim.run(...)`` / ``simulator.run(...)``
     calls: a handler executes *inside* ``Simulator.run`` and must
@@ -23,7 +30,12 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.lint.config import QUEUE_PRIVATE_ATTRS, in_handler_scope
+from repro.lint.config import (
+    QUEUE_PRIVATE_ATTRS,
+    RAW_PUSH_ATTRS,
+    in_handler_scope,
+    is_raw_push_producer,
+)
 from repro.lint.findings import Finding, SourceFile
 
 #: Receiver identifiers treated as "the simulator" for the reentrancy
@@ -45,6 +57,7 @@ def check(source: SourceFile) -> List[Finding]:
     if source.tree is None or not in_handler_scope(source.path):
         return []
     findings: List[Finding] = []
+    producer = is_raw_push_producer(source.path)
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Attribute) and node.attr in QUEUE_PRIVATE_ATTRS:
             receiver = node.value
@@ -61,6 +74,19 @@ def check(source: SourceFile) -> List[Finding]:
                         ),
                     )
                 )
+        elif isinstance(node, ast.Attribute) and node.attr in RAW_PUSH_ATTRS and not producer:
+            findings.append(
+                Finding(
+                    rule="dispatch-raw-push",
+                    path=source.path,
+                    line=node.lineno,
+                    message=(
+                        f"use of Simulator.{node.attr} outside the raw producers: "
+                        "only the modules in RAW_PUSH_PRODUCERS file their own "
+                        "heap entries; schedule through the schedule_* methods"
+                    ),
+                )
+            )
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

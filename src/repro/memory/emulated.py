@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -541,12 +542,10 @@ class _PendingOp:
         "best_ts",
         "best_value",
         "callback",
-        "retry_handle",
+        "retry_key",
         "attempts",
         "started_at",
     )
-    #: Event kind of the retransmission timer of every client phase.
-    retry_kind = "abd-retry"
 
     def __init__(
         self,
@@ -569,9 +568,34 @@ class _PendingOp:
         self.best_ts: Tuple[int, int] = INITIAL_TS
         self.best_value: Any = None
         self.callback = callback
-        self.retry_handle: Optional[int] = None  # lane token of the armed retry
+        #: ``(time, seq)`` heap key of the next retransmission while armed.
+        self.retry_key: Optional[Tuple[float, int]] = None
         self.attempts = 0  # retransmission rounds fired (backoff exponent)
         self.started_at = started_at
+
+
+#: The armed op a client retransmits first: the earliest retry key.
+_retry_key_of = attrgetter("retry_key")
+
+
+class _RetryClient:
+    """One client's retransmission timers: its armed ops and its one
+    queued wake entry on the ``abd-retry`` lane.
+
+    The wake is filed at the earliest armed op's key or before it; see
+    :meth:`EmulatedMemory._arm_retry`.  A client process blocks on its
+    operation, so ``armed`` holds one op at most in a run; direct
+    callers of the operation API may arm several.
+    """
+
+    __slots__ = ("pid", "armed", "wake", "token")
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.armed: List[_PendingOp] = []
+        #: Heap key of the queued wake entry, ``None`` when none is queued.
+        self.wake: Optional[Tuple[float, int]] = None
+        self.token = 0  # the queued wake's lane token
 
 
 class _SyncRound:
@@ -679,13 +703,18 @@ class EmulatedMemory(SharedMemory):
         self._op_counter = 0
         self._sync_counter = 0
         self._rounds: Dict[int, _SyncRound] = {}
-        # One cancellable lane per retransmission-timer kind; every
-        # payload is the pending op or sync round itself, consumed by
-        # _retry (see _arm_retry).
+        # One cancellable lane per state-sync retransmission kind; every
+        # payload is the round itself, consumed by _retry_round.
         self._retry_lanes: Dict[str, EventLane] = {
-            kind: EventLane(kind, self._retry)
-            for kind in ("abd-retry", "abd-resync-retry", "abd-transfer-retry")
+            kind: EventLane(kind, self._retry_round)
+            for kind in ("abd-resync-retry", "abd-transfer-retry")
         }
+        # Client phases retransmit through one wake entry per client on
+        # the abd-retry lane, filed straight onto the heap (_arm_retry).
+        self._clients: Dict[int, _RetryClient] = {}
+        self._wake_lane: Optional[EventLane] = EventLane("abd-retry", self._wake)
+        self._push = sim.push
+        self._seq = sim.next_seq
         self._started = False
         # Membership state: the installed config, the proposed config of
         # an open transition window (None outside windows) and the queue
@@ -805,16 +834,19 @@ class EmulatedMemory(SharedMemory):
     def release(self) -> None:
         """End of run: break the emulation's own reference cycles.
 
-        The network's routes, the retry lanes' consumer and the
+        The network's routes, the retry lanes' consumers and the
         completion callback of every op still in flight all lead back
         to this object.  ``Run.execute`` calls this after the
         simulator released its queue; the emulation runs no more, but
         every post-run query (the logs, the counters, the ops in flight
         that :meth:`recorded_history` reports with ``resp = inf``)
-        still reads the state it left.
+        still reads the state it left.  The clients' wake state goes
+        with the wake lane.
         """
         self.network.install_routes({})
         self._retry_lanes = {}
+        self._wake_lane = None
+        self._clients = {}
         for op in self._ops.values():
             op.callback = None
 
@@ -854,7 +886,7 @@ class EmulatedMemory(SharedMemory):
         rnd = _SyncRound(self._sync_counter, pid, node, retry_kind)
         self._rounds[rnd.round_id] = rnd
         self._broadcast_round(rnd)
-        self._arm_retry(rnd)
+        self._arm_round(rnd)
 
     def _close_round(self, rnd: _SyncRound) -> None:
         """Retire a completed or abandoned round: no timer, no table entry."""
@@ -1142,6 +1174,8 @@ class EmulatedMemory(SharedMemory):
         self._op_counter += 1
         op = _PendingOp(self._op_counter, pid, register, kind, callback, self._sim._now)
         self._ops[op.op_id] = op
+        if pid not in self._clients:
+            self._clients[pid] = _RetryClient(pid)
         return op
 
     def _enter_query(self, op: _PendingOp) -> None:
@@ -1156,7 +1190,7 @@ class EmulatedMemory(SharedMemory):
         op.ts = ts
         op.replies = set()
         self._broadcast_phase(op)
-        if op.retry_handle is None:  # direct writes skip the query phase
+        if op.retry_key is None:  # direct writes skip the query phase
             self._arm_retry(op)
 
     def _broadcast_phase(self, op: _PendingOp) -> None:
@@ -1201,38 +1235,84 @@ class EmulatedMemory(SharedMemory):
             delay *= 1.0 + config.retry_jitter * stream.random()
         return delay
 
-    def _arm_retry(self, item: Any) -> None:
-        """Arm ``item``'s retransmission timer -- the only place one is
-        scheduled, for client phases (``abd-retry``) and state-sync
-        rounds (``abd-resync-retry`` / ``abd-transfer-retry``) alike.
+    def _arm_retry(self, op: _PendingOp) -> None:
+        """Arm ``op``'s next retransmission -- at its first phase and
+        after each retransmission.
 
-        Until the item is finished (its token cancelled), every
-        :meth:`_retry_delay` the timer counts a retransmission, re-broadcasts the item's current step -- which
-        re-evaluates its target set, so whatever is in flight across an
-        install follows the config change -- and re-arms itself.  The
-        timer rides the :class:`~repro.sim.events.EventLane` of its kind
-        with the item itself as the payload, and the lane hands it to
-        :meth:`_retry`: arming builds no closure, so a finished op
-        leaves no garbage cycle behind.  ``item.retry_handle`` holds the
-        lane token that :meth:`_close_round` / :meth:`_finish` cancel.
+        The op reserves its heap key ``(now + delay, seq)`` here: the
+        :meth:`_retry_delay` draw and one ``seq`` from the kernel's
+        counter, exactly the key a per-op timer entry would get, so
+        every other entry keeps its ``seq``.  The client's wake entry
+        (:meth:`_wake`) carries the retransmission to that key; a new
+        one is filed only when the client has none queued at or before
+        it (a queued later one is cancelled), so arming an op while an
+        earlier wake is queued pushes nothing.  A finished op needs no
+        cancellation: :meth:`_finish` only disarms it, and the next wake
+        follows the op armed after it or declines.
         """
-        item.retry_handle = self._sim.schedule_lane_after(
-            self._retry_lanes[item.retry_kind], self._retry_delay(item), item, item.pid
+        key = op.retry_key = (self._sim._now + self._retry_delay(op), self._seq())
+        client = self._clients[op.pid]
+        client.armed.append(op)
+        wake = client.wake
+        if wake is None or key < wake:
+            if wake is not None:
+                self._wake_lane.cancel(client.token)
+            self._file_wake(client, key)
+
+    def _file_wake(self, client: _RetryClient, key: Tuple[float, int]) -> None:
+        """Queue ``client``'s wake entry under the reserved ``key``."""
+        lane = self._wake_lane
+        client.wake = key
+        client.token = token = lane.acquire(client)
+        self._push((key[0], key[1], lane.kind_id, client.pid, lane, token))
+
+    def _wake(self, client: _RetryClient) -> bool:
+        """A client's wake entry came up (the abd-retry lane's consumer).
+
+        The entry's key is the armed op's key: that op retransmits, as
+        it would have from its own timer, and re-arms.  The earliest
+        armed op is due later (the op the wake was filed for finished):
+        the wake re-files itself at that op's key and declines.  No op
+        is armed: it declines.  A declined wake counts as a skipped
+        event, not a fired one.
+        """
+        key, client.wake = client.wake, None
+        armed = client.armed
+        if not armed:
+            return False
+        op = min(armed, key=_retry_key_of)
+        if op.retry_key != key:
+            self._file_wake(client, op.retry_key)
+            return False
+        armed.remove(op)
+        if armed:  # the wake follows the earliest of the others meanwhile
+            self._file_wake(client, min(armed, key=_retry_key_of).retry_key)
+        self.retransmissions += 1
+        op.attempts += 1
+        self._broadcast_phase(op)
+        self._arm_retry(op)
+        return True
+
+    def _arm_round(self, rnd: _SyncRound) -> None:
+        """Arm ``rnd``'s retransmission timer on the lane of its kind,
+        with the round itself as the payload; ``rnd.retry_handle``
+        holds the token :meth:`_close_round` cancels."""
+        rnd.retry_handle = self._sim.schedule_lane_after(
+            self._retry_lanes[rnd.retry_kind], self._retry_delay(rnd), rnd, rnd.pid
         )
 
-    def _retry(self, item: Any) -> None:
-        """One retransmission round of ``item`` (the retry lanes' consumer)."""
+    def _retry_round(self, rnd: _SyncRound) -> None:
+        """One retransmission of a state-sync round (the sync lanes' consumer)."""
         self.retransmissions += 1
-        item.attempts += 1
-        if isinstance(item, _SyncRound):
-            self._broadcast_round(item)
-        else:
-            self._broadcast_phase(item)
-        self._arm_retry(item)
+        rnd.attempts += 1
+        self._broadcast_round(rnd)
+        self._arm_round(rnd)
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
-        if op.retry_handle is not None:
-            self._retry_lanes[op.retry_kind].cancel(op.retry_handle)
+        """Complete ``op``: disarm its retransmission (no entry is
+        touched; the client's wake declines or follows the next op),
+        retire it and hand ``result`` to its caller."""
+        self._clients[op.pid].armed.remove(op)
         del self._ops[op.op_id]
         if len(self._rule) > 1:  # completed inside a dual-quorum window
             self.dual_quorum_ops += 1

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Protocol, Tuple
 
+from repro.sim.events import intern_kind
 from repro.sim.rng import RngRegistry
 
 
@@ -409,6 +410,9 @@ class PartitionScheduleLinks:
 #: A route's handler: called with the message at its delivery instant.
 Handler = Callable[[Message], None]
 
+#: The kind id of every delivery entry the network files.
+_MESSAGE_KIND = intern_kind("message")
+
 
 class Network:
     """The message fabric: send, count, deliver through the kernel.
@@ -418,22 +422,30 @@ class Network:
     the register emulation of :mod:`repro.memory.emulated` -- installs
     the routes: a kind -> handler table per address
     (:meth:`install_routes`).  A send looks the message's handler up and
-    hands the kernel a one-argument entry, so a delivery is one
-    ``handler(message)`` call; a kind with no handler at its address
-    raises at the send.  The handler owns the
-    delivery: it counts it in :attr:`delivered` and serves it.  The
-    network itself only decides timing/loss and keeps the traffic
-    accounting (sent/delivered/dropped).
+    files a one-argument entry ``(time, seq, kind_id, receiver, handler,
+    message)`` straight onto the kernel's heap with ``Simulator.push``
+    (one C-level call per delivery; the network is one of the kernel's
+    raw producers, so it refuses a bad delay itself), so a delivery is
+    one ``handler(message)`` call; a kind with no handler at its address
+    raises at the send.  The handler owns the delivery: it counts it in
+    :attr:`delivered` and serves it.  The network itself only decides
+    timing/loss and keeps the traffic accounting
+    (sent/delivered/dropped).
 
     The channel's hooks (``delivery_delay`` and the optional
     ``delivery_plan``) are bound when :attr:`behavior` is assigned, not
     looked up per message; reassigning it (a fault overlay wrapping the
-    links mid-setup) rebinds them for the next send.
+    links mid-setup) rebinds them for the next send.  A
+    :class:`SynchronousLinks` channel's delay is read then too: every
+    message takes that one constant, with no call per message (a valid
+    ``delta`` only -- an invalid one stays on the per-message path,
+    which refuses it at the send).
     """
 
     def __init__(self, sim: Any, behavior: ChannelBehavior) -> None:
         self._sim = sim
-        self._schedule = sim.schedule_after
+        self._push = sim.push
+        self._seq = sim.next_seq
         self.behavior = behavior
         self.sent_by_pid: Dict[int, int] = defaultdict(int)
         self.delivered: int = 0
@@ -451,6 +463,11 @@ class Network:
         self._behavior = behavior
         self._delay_of = behavior.delivery_delay
         self._plan_of = getattr(behavior, "delivery_plan", None)
+        self._constant_delay: Optional[float] = (
+            behavior.delta
+            if type(behavior) is SynchronousLinks and behavior.delta > 0  # also rejects NaN
+            else None
+        )
 
     def install_routes(self, handlers: Mapping[str, Handler], address: Optional[int] = None) -> None:
         """Deliver each message kind in ``handlers`` to its handler.
@@ -477,6 +494,17 @@ class Network:
 
         self.install_routes(defaultdict(lambda: deliver))
 
+    def _file(self, now: float, receiver: int, handler: Handler, delay: Optional[float], message: Message) -> None:
+        """File one delivery entry: a ``None`` delay is a drop, and a
+        non-positive or NaN one is refused."""
+        if delay is None:
+            self.dropped += 1
+        elif not delay > 0:  # also rejects NaN
+            raise ValueError("channel behaviour produced non-positive delay")
+        else:
+            # Never cancelled: the kernel's one-argument entry.
+            self._push((now + delay, self._seq(), _MESSAGE_KIND, receiver, handler, message))
+
     def multicast(self, sender: int, receivers: Iterable[int], kind: str, payload: Any) -> None:
         """Send one message to each of ``receivers``, in order.
 
@@ -484,10 +512,12 @@ class Network:
         optional ``delivery_plan`` hook may return any number of
         ``(delay, message)`` deliveries per message (mutated payloads,
         duplicates); plain behaviours yield exactly one fate via
-        ``delivery_delay``.  Receivers are served in iteration order, so
-        per-link random streams draw exactly as one ``send`` each would.
+        ``delivery_delay``, and a synchronous channel its one constant
+        delay.  Receivers are served in iteration order, so per-link
+        random streams draw exactly as one ``send`` each would.
         """
-        now, routes, schedule = self._sim._now, self._routes, self._schedule
+        now, routes = self._sim._now, self._routes
+        delay, push, seq = self._constant_delay, self._push, self._seq
         delay_of, plan = self._delay_of, self._plan_of
         sent = 0
         for receiver in receivers:
@@ -498,20 +528,34 @@ class Network:
             sent += 1
             # ``Message(...)`` without the Python frame of its ``__new__``.
             message = _new_tuple(Message, (sender, receiver, kind, payload, now))
-            for delay, fated in plan(message) if plan is not None else ((delay_of(message), message),):
-                if delay is None:
-                    self.dropped += 1
-                elif not delay > 0:  # also rejects NaN
-                    raise ValueError("channel behaviour produced non-positive delay")
-                else:
-                    # Never cancelled: the kernel's one-argument entry.
-                    schedule(delay, handler, "message", receiver, fated)
+            if delay is not None:
+                push((now + delay, seq(), _MESSAGE_KIND, receiver, handler, message))
+            elif plan is None:
+                self._file(now, receiver, handler, delay_of(message), message)
+            else:
+                for fate, fated in plan(message):
+                    self._file(now, receiver, handler, fate, fated)
         if sent:
             self.sent_by_pid[sender] += sent
 
     def send(self, sender: int, receiver: int, kind: str, payload: Any) -> None:
-        """Send one message; the channel decides its fate."""
-        self.multicast(sender, (receiver,), kind, payload)
+        """Send one message; the channel decides its fate (as for one
+        receiver of :meth:`multicast`)."""
+        try:
+            handler = self._routes[receiver][kind]
+        except KeyError:
+            raise KeyError(f"no route for {kind!r} messages to {receiver}") from None
+        now = self._sim._now
+        message = _new_tuple(Message, (sender, receiver, kind, payload, now))
+        delay = self._constant_delay
+        if delay is not None:
+            self._push((now + delay, self._seq(), _MESSAGE_KIND, receiver, handler, message))
+        elif self._plan_of is None:
+            self._file(now, receiver, handler, self._delay_of(message), message)
+        else:
+            for fate, fated in self._plan_of(message):
+                self._file(now, receiver, handler, fate, fated)
+        self.sent_by_pid[sender] += 1
 
     def broadcast(self, sender: int, n: int, kind: str, payload: Any) -> None:
         """Send to every process except the sender."""

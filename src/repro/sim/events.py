@@ -2,38 +2,46 @@
 
 The queue is the heart of the simulator, and every experiment bottoms
 out in its schedule/fire cycle, so entries are bare tuples rather than
-objects::
+objects.  Their layout is a contract::
 
     (time, seq, kind_id, pid, callback, arg)
 
-ordered by ``(time, seq)``.  The monotonically increasing sequence
-number makes ordering *stable* -- two events scheduled for the same
-instant fire in the order they were scheduled, which keeps runs
+ordered by ``(time, seq)``.  ``time`` is a finite-or-infinite, never
+NaN, virtual time no earlier than the clock at filing;  ``seq`` comes
+from the simulator's one counter, ``Simulator.next_seq``, and is unique,
+which makes ordering *stable* -- two events scheduled for the same
+instant fire in the order their ``seq`` was drawn, which keeps runs
 deterministic and makes the linearization order of same-time register
 operations well defined -- and, because it is unique, tuple comparison
 never reaches the non-comparable ``callback`` element.  The storage --
-one binary heap, ``_heap``, and its ``_next_seq`` counter -- lives on
-:class:`~repro.sim.kernel.Simulator`, whose checked schedulers file
-every entry.  This module holds what
-the entries carry: the kind-interning table and the columnar
+one binary heap and its counter -- lives on
+:class:`~repro.sim.kernel.Simulator`.  Its checked schedulers file most
+entries; three hot producers build the tuple themselves and file it
+with ``Simulator.push``: the step loop (:mod:`repro.core.runner`),
+message delivery (:mod:`repro.netsim.network`) and the register
+emulation's retry wakes (:mod:`repro.memory.emulated`).  No other module
+may (the ``dispatch-raw-push`` lint rule).  This module holds what the
+entries carry: the kind-interning table and the columnar
 :class:`EventLane`.
 
 ``kind_id`` is an interned integer id for the event-kind label
 (``"step"``, ``"timer"``, ...): interning happens once per distinct
 string, so the hot path never hashes label strings into per-event
-records.  ``arg`` is ``None`` on the dominant schedule-and-fire path,
-where ``callback`` is a zero-argument callable; any other value beside a
-callback that is not a lane is that callback's one argument (how a
-netsim delivery hands its message to its handler).  Cancellation has one
-mechanism, the columnar :class:`EventLane`: a cancellable event's entry
-carries the lane in the ``callback`` slot and an *integer* token that
-indexes the lane's preallocated payload/generation columns, so arming a
-timer allocates no handle object at all.  Cancelling is the O(1)
-lazy-cancel trick: the entry stays queued and the run loop skips it as
-stale when it comes up.  Every re-armed timer is a lane user -- the
-timer service's expirations, the message-passing runtime's named timers
-and the register emulation's retransmission timers; netsim message
-deliveries are never cancelled, so they take the one-argument path.
+records.  ``pid`` is the process (or wire address) the event belongs
+to, or ``None``.  ``arg`` is ``None`` on the dominant schedule-and-fire
+path, where ``callback`` is a zero-argument callable; any other value
+beside a callback that is not a lane is that callback's one argument
+(how a netsim delivery hands its message to its handler).  Cancellation
+has one mechanism, the columnar :class:`EventLane`: a cancellable
+event's entry carries the lane in the ``callback`` slot and an
+*integer* token that indexes the lane's preallocated payload/generation
+columns, so arming a timer allocates no handle object at all.
+Cancelling is the O(1) lazy-cancel trick: the entry stays queued and
+the run loop skips it as stale when it comes up.  The lane users are
+the timer service's expirations, the message-passing runtime's named
+timers, the register emulation's state-sync retransmissions and its
+per-client retry wakes; netsim message deliveries are never cancelled,
+so they take the one-argument path.
 """
 
 from __future__ import annotations
@@ -81,9 +89,12 @@ class EventLane:
 
     ``consume`` is the single per-lane delivery function, called with
     the stored payload when a live token fires -- the register
-    emulation's retransmission lanes pass their retry method, and each
-    payload is the pending operation or sync round to retransmit, so
-    arming a retry builds no closure.  When ``consume`` is ``None`` the
+    emulation's retransmission lanes pass their retry methods, and each
+    payload is the sync round or the client to retransmit for, so
+    arming a retry builds no closure.  A consumer that returns
+    ``False`` *declines* the event: the run loop counts it as skipped,
+    not fired (a retry wake that finds its operation finished or due
+    later).  When ``consume`` is ``None`` the
     payload itself must be a zero-argument callable and is invoked
     directly (the timer-service pattern, where every armed timer carries
     its own callback).  A slot holds its payload until the token fires,
@@ -96,7 +107,7 @@ class EventLane:
     def __init__(
         self,
         kind: str,
-        consume: Optional[Callable[[Any], None]] = None,
+        consume: Optional[Callable[[Any], Optional[bool]]] = None,
         capacity: int = 32,
     ) -> None:
         if capacity < 1:
@@ -144,7 +155,8 @@ class EventLane:
         return self._gens[token & _SLOT_MASK] == token >> _SLOT_BITS
 
     def fire(self, token: int) -> bool:
-        """Deliver ``token``'s payload; False when the token is stale.
+        """Deliver ``token``'s payload; False when the token is stale
+        or the consumer declined the event.
 
         Called by the kernel's run loop when a lane entry is popped.
         The slot is released *before* the payload is consumed, so a
@@ -161,9 +173,8 @@ class EventLane:
         consume = self._consume
         if consume is None:
             payload()
-        else:
-            consume(payload)
-        return True
+            return True
+        return consume(payload) is not False
 
 
 __all__ = [

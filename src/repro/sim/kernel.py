@@ -12,33 +12,44 @@ isolation and reusable by every substrate.
 The queue is one binary heap of entry tuples
 ``(time, seq, kind_id, pid, callback, arg)`` (see
 :mod:`repro.sim.events`), popped in exact ``(time, seq)`` order: ties
-fire in the order they were scheduled.  The entry layout is private to
-this module: every entry is filed by one of the checked schedulers,
-which come in two flavours:
+fire in the order their ``seq`` was drawn.  Entries are filed two ways:
 
-* :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after`
-  check the time and push one entry.  Both also take an ``arg``: the
-  entry then calls ``callback(arg)``, which is how a netsim message
-  delivery (never cancelled) reaches its handler with no closure or
-  ``partial`` built per message;
-* :meth:`Simulator.schedule_lane_after` schedules through a columnar
+* the checked schedulers.  :meth:`Simulator.schedule_at` /
+  :meth:`Simulator.schedule_after` check the time and push one entry.
+  Both also take an ``arg``: the entry then calls ``callback(arg)``.
+  :meth:`Simulator.schedule_lane_after` schedules through a columnar
   :class:`~repro.sim.events.EventLane` and returns an *integer* token
-  that cancels the event -- the one cancellable path, taken by every
-  re-armed timer (the timer service's expirations, the message-passing
-  processes' named timers and the register emulation's retransmission
-  timers).
+  that cancels the event -- the one cancellable path, taken by the
+  timer service's expirations and the message-passing processes' named
+  timers;
+* the raw producers.  :attr:`Simulator.push` is the C-level
+  ``heappush`` onto the heap and :attr:`Simulator.next_seq` the
+  counter's ``__next__``; a producer builds the entry tuple itself and
+  owns the checks a scheduler would make (a time neither in the past
+  nor NaN, an interned ``kind_id``).  Three hot producers do this and
+  no other module may (the ``dispatch-raw-push`` lint rule): the step
+  loop (:mod:`repro.core.runner`), message delivery
+  (:mod:`repro.netsim.network`) and the register emulation's per-client
+  retry wakes (:mod:`repro.memory.emulated`), which reserve a ``seq``
+  when an operation arms and file the entry later under that key.
+
+``next_seq`` is the only source of ``seq`` for both ways, so the
+tie order between same-instant entries has one place to change.
 
 The run loop dispatches an entry three ways, on its last slot: ``None``
 calls the zero-argument callback; otherwise a lane in the callback slot
-fires the slot's token (skipped once stale), and any other callback is
-called with the slot's value as its one argument.  ``events_fired`` /
-``events_skipped`` are stored after every event, so a callback reads
-the count of the events before it.
+fires the slot's token, and any other callback is called with the
+slot's value as its one argument.  A lane entry whose token is stale,
+or whose consumer returns ``False`` (it declines the event), counts in
+``events_skipped``; every other entry counts in ``events_fired``.  Both
+counters are stored after every event, so a callback reads the count
+of the events before it.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -72,6 +83,11 @@ class Simulator:
         # Identities are stable: release() empties the heap in place.
         self._heap: list = []
         self._next_seq: Callable[[], int] = itertools.count().__next__
+        #: The raw producers' entry points (see the module docstring):
+        #: ``push(entry)`` files an entry tuple with no Python frame,
+        #: and ``next_seq()`` draws the next ``seq``.
+        self.push: Callable[[tuple], None] = partial(heappush, self._heap)
+        self.next_seq: Callable[[], int] = self._next_seq
         self._now = 0.0
         self._running = False
         self.events_fired = 0
@@ -249,7 +265,8 @@ class Simulator:
                     callback(arg)  # a one-argument entry
                 elif not callback.fire(arg):
                     # Lane entry (the callback slot holds the lane)
-                    # whose token was cancelled.
+                    # whose token was cancelled or whose consumer
+                    # declined it.
                     self.events_skipped += 1
                     continue
                 fired += 1

@@ -38,12 +38,19 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 
 
 #: (scenario, algorithm, traced, ceiling).  Measured on CPython 3.11:
-#: 12.41 and 12.94 on the shared cells, 13.16 on
-#: the emulated regular cell and 11.92 on the atomic one, which adds the
+#: 10.61 and 11.12 on the shared cells, 9.28 on
+#: the emulated regular cell and 8.22 on the atomic one, which adds the
 #: write-back path.  Traced, where every read also lands in the columnar
-#: read log: 16.21 / 16.50 on the shared cells and 13.79 on the emulated
+#: read log: 14.41 / 14.68 on the shared cells and 9.90 on the emulated
 #: one -- these rows pin the read-log append.  History, newest first:
 #:
+#: * fast 12.41 / 12.94 / 13.16 / 11.92 and traced 16.21 / 16.50 / 13.79
+#:   while every step and every message delivery went through a
+#:   ``schedule_after`` frame, every ``send`` went through ``multicast``
+#:   with a one-fate tuple, a synchronous channel's delay was one
+#:   ``delivery_delay`` call per message, and every quorum op armed its
+#:   own retry token (a lane frame to arm, another to cancel at the
+#:   finish, and a stale pop, with its ``fire`` frame, per finished op);
 #: * fast 14.94 / 15.34 / 14.48 / 12.98 and traced 18.74 / 18.90 / 15.10
 #:   while the queue filed same-time entries in collision buckets (three
 #:   dict operations on float keys per event plus counter stores at each
@@ -83,15 +90,15 @@ def calls_per_event(scenario, algorithm, traced: bool) -> float:
 #: A ceiling only ever comes down: a change that needs more calls per
 #: event than its row allows is a regression of the hot path.
 BUDGETS = [
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 12.91, id="shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 13.44, id="shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 13.66, id="emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, False, 11.11, id="shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, False, 11.62, id="shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, False, 9.78, id="emulated-alg1"),
     pytest.param(
-        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 12.42, id="emulated-atomic-alg1"
+        nominal_emulated_atomic(n=3, horizon=500.0), WriteEfficientOmega, False, 8.72, id="emulated-atomic-alg1"
     ),
-    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 16.71, id="traced-shared-alg1"),
-    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 17.00, id="traced-shared-alg2"),
-    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 14.29, id="traced-emulated-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), WriteEfficientOmega, True, 14.91, id="traced-shared-alg1"),
+    pytest.param(nominal(n=4, horizon=500.0), BoundedOmega, True, 15.18, id="traced-shared-alg2"),
+    pytest.param(nominal_emulated(n=3, horizon=500.0), WriteEfficientOmega, True, 10.40, id="traced-emulated-alg1"),
 ]
 
 

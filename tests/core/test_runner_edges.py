@@ -187,3 +187,28 @@ class TestIntervalValidation:
         ).execute()
         assert result.snapshots == []
         assert len(result.trace.leader_samples()) == 3 * 42  # t = 0, 0.5 .. 20 plus the horizon sample
+
+
+class _BadAfter:
+    """Step-delay model: ``good`` timely delays, then ``bad`` for ever."""
+
+    def __init__(self, good, bad):
+        self.good, self.bad = good, bad
+
+    def delay(self, pid, now):
+        if self.good:
+            self.good -= 1
+            return 1.0
+        return self.bad
+
+
+class TestStepDelayValidation:
+    """The step loop files its own heap entries, so it refuses a bad
+    delay itself: at the first step (``start``) and at a reschedule."""
+
+    @pytest.mark.parametrize("good", [0, 2], ids=["first-step", "reschedule"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+    def test_non_positive_and_nan_delays_are_refused(self, good, bad):
+        run = Run(WriteEfficientOmega, n=2, horizon=50.0, delay_model=_BadAfter(good, bad))
+        with pytest.raises(ValueError, match="step-delay model returned non-positive or NaN delay"):
+            run.execute()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import determinism, dispatch, typing_rules
+from repro.lint.config import RAW_PUSH_PRODUCERS
 from repro.lint.findings import SourceFile
 
 
@@ -181,6 +184,56 @@ class TestDispatchRule:
             "workloads/mod.py",
         )
         assert dispatch.check(src) == []
+
+    @pytest.mark.parametrize("attr", ["push", "next_seq"])
+    def test_raw_push_outside_the_producers_is_flagged(self, tmp_path, attr):
+        src = make_source(
+            tmp_path,
+            f"""
+            def file_now(sim, entry):
+                sim.{attr}
+            """,
+            "repro/timers/service.py",
+        )
+        findings = dispatch.check(src)
+        assert rules_of(findings) == ["dispatch-raw-push"]
+        assert f"Simulator.{attr}" in findings[0].message
+
+    def test_a_prebound_raw_push_is_flagged_too(self, tmp_path):
+        src = make_source(
+            tmp_path,
+            """
+            class Fabric:
+                def __init__(self, sim):
+                    self._push = sim.push
+                    self._seq = sim.next_seq
+            """,
+            "repro/apps/fabric.py",
+        )
+        assert [f.rule for f in dispatch.check(src)] == ["dispatch-raw-push"] * 2
+
+    @pytest.mark.parametrize("module", RAW_PUSH_PRODUCERS)
+    def test_the_producer_modules_may_push(self, tmp_path, module):
+        src = make_source(
+            tmp_path,
+            """
+            def file_now(sim, entry):
+                sim.push((1.0, sim.next_seq(), 0, None, print, entry))
+            """,
+            module,
+        )
+        assert dispatch.check(src) == []
+
+    def test_the_producers_still_may_not_touch_the_heap(self, tmp_path):
+        src = make_source(
+            tmp_path,
+            """
+            def peek(sim):
+                return sim._heap[0]
+            """,
+            "repro/netsim/network.py",
+        )
+        assert rules_of(dispatch.check(src)) == ["dispatch-queue-internals"]
 
     def test_kernel_module_itself_is_out_of_scope(self, tmp_path):
         src = make_source(

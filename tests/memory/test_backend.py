@@ -12,7 +12,7 @@ from repro.core.runner import BACKENDS, Run
 from repro.memory.emulated import EmulatedMemory
 from repro.memory.memory import SharedMemory
 from repro.sim.kernel import Simulator
-from repro.workloads.scenarios import nominal
+from repro.workloads.scenarios import nominal, nominal_emulated
 
 
 def test_registry_names():
@@ -55,3 +55,21 @@ def test_factory_rejects_dead_emulation_options():
         Run(WriteEfficientOmega, 3, emulation={"replicas": 5})
     with pytest.raises(ValueError, match="backend is 'shared'"):
         dataclasses.replace(nominal(n=3), emulation={"replicas": 5})
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"replicas": 3, "x": 1}, r"unknown emulation option\(s\): \['x'\]"),
+        ({"replicas": 1}, "need at least two replicas for a meaningful quorum"),
+        ({"retry_interval": 0}, "retry_interval must be positive"),
+    ],
+    ids=["unknown-option", "one-replica", "zero-retry"],
+)
+def test_scenario_refuses_what_the_emulation_config_refuses(knobs, message):
+    """A scenario is refused when it is described, with the message
+    ``EmulationConfig.from_dict`` gives, not first at ``build()``."""
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(nominal_emulated(n=3, horizon=600.0), emulation=knobs)
+    with pytest.raises(ValueError, match=message):
+        Run(WriteEfficientOmega, 3, memory="emulated", emulation=knobs)

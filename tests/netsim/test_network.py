@@ -132,6 +132,54 @@ class TestNetwork:
         with pytest.raises(ValueError, match="non-positive delay"):
             net.send(0, 1, "X", None)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("hook", ["delivery_delay", "delivery_plan", "sync-delta"])
+    def test_a_bad_delay_is_refused_by_send_and_multicast(self, bad, hook):
+        class PlainDelay:
+            def delivery_delay(self, message):
+                return bad
+
+        class PlannedDelay(PlainDelay):
+            def delivery_plan(self, message):
+                return [(1.0, message), (bad, message)]
+
+        if hook == "sync-delta":
+            links = SynchronousLinks(1.0)
+            links.delta = bad  # past the constructor's check
+        else:
+            links = PlainDelay() if hook == "delivery_delay" else PlannedDelay()
+        sim = Simulator()
+        net = Network(sim, links)
+        net.install_delivery(lambda m: None)
+        with pytest.raises(ValueError, match="non-positive delay"):
+            net.multicast(0, (1, 2), "X", None)
+        with pytest.raises(ValueError, match="non-positive delay"):
+            net.send(0, 1, "X", None)
+        assert net.total_sent == 0
+
+    @pytest.mark.parametrize("links", [SynchronousLinks(0.25), TimelyLinks(make_rng(3))], ids=["sync", "timely"])
+    def test_a_kind_with_no_route_is_refused_by_send_and_multicast(self, links):
+        sim = Simulator()
+        net = Network(sim, links)
+        net.install_routes({"X": lambda m: None})
+        with pytest.raises(KeyError, match="no route for 'Y' messages to 1"):
+            net.multicast(0, (1, 2), "Y", None)
+        with pytest.raises(KeyError, match="no route for 'Y' messages to 1"):
+            net.send(0, 1, "Y", None)
+        assert sim.pending() == 0 and net.total_sent == 0
+
+    def test_a_synchronous_delay_is_read_when_the_behaviour_is_assigned(self):
+        sim = Simulator()
+        links = SynchronousLinks(0.5)
+        net = Network(sim, links)
+        inbox = []
+        net.install_delivery(lambda m: inbox.append((sim.now, m.receiver)))
+        net.send(0, 1, "X", None)
+        net.behavior = SynchronousLinks(2.0)
+        net.multicast(0, (2, 3), "X", None)
+        sim.run()
+        assert inbox == [(0.5, 1), (2.0, 2), (2.0, 3)]
+
 
 #: ``(send time, sender, receivers, kind, payload)``: clients (pids >= 0)
 #: and replicas (wire addresses -1, -2, -3) talking across the partition

@@ -176,6 +176,42 @@ class TestCancellation:
         sim.run()
         assert fired == ["plain-1", "cancellable", "plain-2"]
 
+    def test_a_declining_consumer_counts_as_skipped(self):
+        sim = Simulator()
+        seen = []
+        lane = EventLane("declines", lambda payload: seen.append(payload) or payload != "no")
+        for payload in ("yes", "no", "yes"):
+            sim.schedule_lane_after(lane, 1.0, payload)
+        sim.run()
+        assert seen == ["yes", "no", "yes"]  # the consumer ran for each
+        assert (sim.events_fired, sim.events_skipped) == (2, 1)
+        assert sim.fired_by_kind == {"declines": 2}
+
+
+class TestRawProducers:
+    """``Simulator.push`` / ``Simulator.next_seq``: entries a producer
+    files itself share the one ``seq`` counter with the schedulers."""
+
+    def test_push_files_on_the_one_heap(self):
+        sim = Simulator()
+        fired = []
+        sim.push((2.0, sim.next_seq(), intern_kind("raw"), 7, fired.append, "raw"))
+        assert sim.pending() == 1 and queued(sim)[0][3] == 7
+        sim.run()
+        assert fired == ["raw"] and sim.fired_by_kind == {"raw": 1}
+
+    def test_pushed_and_scheduled_entries_at_one_instant_fire_in_seq_order(self):
+        sim = Simulator()
+        fired = []
+        kid = intern_kind("raw")
+        reserved = sim.next_seq()  # drawn first, filed last
+        sim.schedule_after(1.0, fired.append, arg="scheduled-1")
+        sim.push((1.0, sim.next_seq(), kid, None, fired.append, "pushed-2"))
+        sim.schedule_at(1.0, fired.append, arg="scheduled-3")
+        sim.push((1.0, reserved, kid, None, fired.append, "pushed-0"))
+        sim.run()
+        assert fired == ["pushed-0", "scheduled-1", "pushed-2", "scheduled-3"]
+
 
 class TestKindInterning:
     def test_round_trip(self):

@@ -99,7 +99,8 @@ def _mutated(field):
         return "emulated"  # construction refuses an unknown backend name
     if isinstance(value, str):
         return value + "-x"
-    return {**value, "x": 1}
+    # Construction refuses an unknown emulation knob, so change a real one.
+    return {**value, "retry_interval": value.get("retry_interval", 20.0) + 1}
 
 
 class TestRefIsFaithful:
