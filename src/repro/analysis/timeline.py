@@ -51,13 +51,6 @@ class TimelineReport:
     #: Number of leader changes each process went through.
     changes_by_pid: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def last_anarchy_end(self) -> float:
-        """End of the final anarchy interval (``-inf`` when none)."""
-        if not self.anarchy_intervals:
-            return float("-inf")
-        return self.anarchy_intervals[-1][1]
-
 
 def build_timeline(trace: RunTrace, crash_plan: Optional[CrashPlan] = None) -> TimelineReport:
     """Extract the leadership timeline from observer samples.

@@ -36,10 +36,6 @@ class LeaseReport:
             if any(a <= t <= b for a, b in spans)
         ]
 
-    def last_overlap(self) -> float:
-        """Last instant with multiple holders (``-inf`` when none)."""
-        return self.overlap_times[-1] if self.overlap_times else float("-inf")
-
 
 def lease_intervals(trace: RunTrace, length: float) -> LeaseReport:
     """Compute lease intervals from observer samples.

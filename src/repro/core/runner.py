@@ -741,7 +741,7 @@ class Run:
         observer, the network, the emulation's retries), and the owners
         hold the simulator; a runtime holds its own step callback (a
         message-passing one: its process holds it back); the emulation
-        holds its network and retry lanes, whose callbacks hold the
+        holds its network and its wake lane, whose callbacks hold the
         emulation; a message-passing run's network routes to its
         runtimes.  One kernel release drops every pending event, then
         the runtimes drop their own and the substrate release the

@@ -108,10 +108,6 @@ class TraceFeatureMap:
         """The reached signature keys, sorted (deterministic order)."""
         return sorted(self._counts)
 
-    def hits(self, key: str) -> int:
-        """How many runs landed in ``key`` (0 when unreached)."""
-        return self._counts.get(key, 0)
-
     def to_jsonable(self) -> Dict[str, int]:
         """The plain-JSON form (sorted on dump by the corpus writer)."""
         return dict(self._counts)

@@ -102,7 +102,8 @@ RAW_PUSH_ATTRS: FrozenSet[str] = frozenset({"push", "next_seq"})
 
 #: The modules that file their own heap entries (repo-relative under
 #: ``src/``): the step loop, message delivery and the register
-#: emulation's retry wakes.
+#: emulation's retry wakes (one per wire address, for its quorum ops
+#: and its state-sync rounds alike).
 RAW_PUSH_PRODUCERS: Tuple[str, ...] = (
     "repro/core/runner.py",
     "repro/netsim/network.py",

@@ -163,9 +163,5 @@ class RegisterMatrix:
             sums = cache[0] = [sum(column) for column in zip(*rows)]
         return sums
 
-    def column_sum(self, j: int) -> Any:
-        """Observer sum of column ``j`` -- the paper's ``sum_j SUSPICIONS[j][k]``."""
-        return self.column_sums()[j]
-
 
 __all__ = ["RegisterArray", "RegisterMatrix"]

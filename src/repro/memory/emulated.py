@@ -109,7 +109,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.memory.linearizability import INITIAL_TS, OpRecord
@@ -153,17 +153,6 @@ CONSISTENCY_LEVELS: Tuple[str, ...] = ("regular", "atomic")
 #: up to ``retry_cap``, with multiplicative sim-RNG jitter to break
 #: retransmission synchrony under congestion.
 RETRY_POLICIES: Tuple[str, ...] = ("fixed", "backoff")
-
-
-def _make_links(name: str, rng: RngRegistry, params: Mapping[str, Any]) -> ChannelBehavior:
-    """Instantiate a link model by registry name with keyword ``params``."""
-    try:
-        factory = LINK_MODELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown emulation link model {name!r}; choose from {sorted(LINK_MODELS)}"
-        ) from None
-    return factory(rng, dict(params))
 
 
 #: Link-model name -> ``(rng, params) -> ChannelBehavior`` factory.
@@ -345,23 +334,18 @@ class EmulationConfig:
                     f"replica {idx} crashes at t={t} before it joins at "
                     f"t={join_times[idx]}"
                 )
-        if not self.membership_plan:
-            if len(crashes) > (self.replicas - 1) // 2:
-                raise ValueError(
-                    f"crashing {len(crashes)} of {self.replicas} replicas leaves no "
-                    "majority; the emulation tolerates only a minority of crashes"
-                )
-        else:
-            self._validate_crash_liveness(plan, crashes)
+        self._validate_crash_liveness(plan, crashes)
 
     def _validate_crash_liveness(
         self, plan: MembershipPlan, crashes: Dict[int, float]
     ) -> None:
         """Walk membership and crash timelines together: at every step
         the *current* member set must keep a live majority, or quorums
-        (and the transitions themselves) become unreachable.  Transient
-        fault-plan crashes are exempt, as for the static-membership
-        check -- campaigns may probe stalls."""
+        (and the transitions themselves) become unreachable.  Without a
+        membership plan this is the static rule -- at most a minority of
+        the replicas may crash -- since crashes only accumulate.
+        Transient fault-plan crashes are exempt: campaigns may probe
+        stalls."""
         timeline: List[Tuple[float, int, str, int]] = [
             (ev.at, 0, ev.kind, ev.replica) for ev in plan
         ]
@@ -378,7 +362,8 @@ class EmulationConfig:
             if len(members & crashed) > (len(members) - 1) // 2:
                 raise ValueError(
                     f"at t={at} the member set {sorted(members)} has no live "
-                    "majority; membership plans must keep a quorum alive"
+                    "majority; the emulation tolerates only a minority of "
+                    "member crashes"
                 )
 
     @property
@@ -574,28 +559,20 @@ class _PendingOp:
         self.started_at = started_at
 
 
-#: The armed op a client retransmits first: the earliest retry key.
-_retry_key_of = attrgetter("retry_key")
-
-
-class _RetryClient:
-    """One client's retransmission timers: its armed ops and its one
-    queued wake entry on the ``abd-retry`` lane.
-
-    The wake is filed at the earliest armed op's key or before it; see
-    :meth:`EmulatedMemory._arm_retry`.  A client process blocks on its
-    operation, so ``armed`` holds one op at most in a run; direct
-    callers of the operation API may arm several.
-    """
-
-    __slots__ = ("pid", "armed", "wake", "token")
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.armed: List[_PendingOp] = []
-        #: Heap key of the queued wake entry, ``None`` when none is queued.
-        self.wake: Optional[Tuple[float, int]] = None
-        self.token = 0  # the queued wake's lane token
+def _op_record(
+    op: _PendingOp, kind: str, ts: Tuple[int, int], value: Any, resp: float
+) -> OpRecord:
+    """``op``'s interval record of one ``kind`` answered at ``resp``."""
+    return OpRecord(
+        op_id=op.op_id,
+        kind=kind,
+        pid=op.pid,
+        register=op.register.name,
+        ts=ts,
+        value=value,
+        inv=op.started_at,
+        resp=resp,
+    )
 
 
 class _SyncRound:
@@ -613,34 +590,65 @@ class _SyncRound:
       from the old config and delivers by pushing ``abd.transfer`` to
       the new config's members (``pushing``), completing -- and
       installing the new config -- on a majority of their acks.
+
+    It retransmits as a quorum op does: an armed item of its wire
+    address's :class:`_RetryClient`.
     """
 
     __slots__ = (
         "round_id",
         "pid",
-        "retry_kind",
         "node",
         "exclude",
         "pushing",
         "replies",
         "merged",
-        "retry_handle",
+        "retry_key",
         "attempts",
     )
 
-    def __init__(
-        self, round_id: int, pid: int, node: Optional[ReplicaNode], retry_kind: str
-    ) -> None:
+    def __init__(self, round_id: int, pid: int, node: Optional[ReplicaNode]) -> None:
         self.round_id = round_id
         self.pid = pid  # wire address the round's messages come from
-        self.retry_kind = retry_kind  # event kind of its retransmission timer
         self.node = node
         self.exclude = -1 if node is None else node.index  # never its own quorum
         self.pushing = False
         self.replies: Set[int] = set()  # snapshots in; acks once pushing
         self.merged: Dict[str, _Stamped] = {}
-        self.retry_handle: Optional[int] = None
+        #: ``(time, seq)`` heap key of the next retransmission while armed.
+        self.retry_key: Optional[Tuple[float, int]] = None
         self.attempts = 0
+
+
+#: What a wire address retransmits: a client's quorum operation or a
+#: replica address's state-sync round.
+_Retried = Union[_PendingOp, _SyncRound]
+
+#: The armed item a wire address retransmits first: the earliest retry key.
+_retry_key_of = attrgetter("retry_key")
+
+
+class _RetryClient:
+    """One wire address's retransmission timers: its armed items and
+    its one queued wake entry on the ``abd-retry`` lane.
+
+    The address is a client process, whose items are its quorum ops, or
+    a replica address running state-sync rounds.  The wake is filed at
+    the earliest armed item's key or before it; see
+    :meth:`EmulatedMemory._arm_retry`.  A client process blocks on its
+    operation, so it arms one op at most in a run (direct callers of
+    the operation API may arm several); a resync and a transfer round
+    can share a replica address, which then arms both.
+    """
+
+    __slots__ = ("pid", "armed", "wake", "token")
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.armed: List[_Retried] = []
+        #: Heap key of the queued wake entry, ``None`` when none is queued.
+        self.wake: Optional[Tuple[float, int]] = None
+        self.token = 0  # the queued wake's lane token
 
 
 class EmulatedMemory(SharedMemory):
@@ -689,7 +697,7 @@ class EmulatedMemory(SharedMemory):
         self._sim = sim
         self._rng = rng
         self.network = Network(
-            sim, _make_links(self.config.links, rng, dict(self.config.link_params))
+            sim, LINK_MODELS[self.config.links](rng, dict(self.config.link_params))
         )
         # Clients (any pid) take the default table; each replica's
         # address gets its own as the node is made (_add_replica).
@@ -703,14 +711,9 @@ class EmulatedMemory(SharedMemory):
         self._op_counter = 0
         self._sync_counter = 0
         self._rounds: Dict[int, _SyncRound] = {}
-        # One cancellable lane per state-sync retransmission kind; every
-        # payload is the round itself, consumed by _retry_round.
-        self._retry_lanes: Dict[str, EventLane] = {
-            kind: EventLane(kind, self._retry_round)
-            for kind in ("abd-resync-retry", "abd-transfer-retry")
-        }
-        # Client phases retransmit through one wake entry per client on
-        # the abd-retry lane, filed straight onto the heap (_arm_retry).
+        # Op phases and sync rounds retransmit through one wake entry
+        # per wire address on the abd-retry lane, filed straight onto
+        # the heap (_arm_retry).
         self._clients: Dict[int, _RetryClient] = {}
         self._wake_lane: Optional[EventLane] = EventLane("abd-retry", self._wake)
         self._push = sim.push
@@ -834,17 +837,16 @@ class EmulatedMemory(SharedMemory):
     def release(self) -> None:
         """End of run: break the emulation's own reference cycles.
 
-        The network's routes, the retry lanes' consumers and the
+        The network's routes, the wake lane's consumer and the
         completion callback of every op still in flight all lead back
         to this object.  ``Run.execute`` calls this after the
         simulator released its queue; the emulation runs no more, but
         every post-run query (the logs, the counters, the ops in flight
         that :meth:`recorded_history` reports with ``resp = inf``)
-        still reads the state it left.  The clients' wake state goes
-        with the wake lane.
+        still reads the state it left.  Every wire address's wake state
+        -- its armed ops and rounds -- goes with the wake lane.
         """
         self.network.install_routes({})
-        self._retry_lanes = {}
         self._wake_lane = None
         self._clients = {}
         for op in self._ops.values():
@@ -876,22 +878,26 @@ class EmulatedMemory(SharedMemory):
         node.store.clear()
         self.recoveries += 1
         node.recovering = True
-        self._open_round(node, node.node_id, "abd-resync-retry")
+        self._open_round(node, node.node_id)
 
-    def _open_round(self, node: Optional[ReplicaNode], pid: int, retry_kind: str) -> None:
-        """Open a state-sync round (with retransmission): the resync of
-        a recovering ``node``, or -- ``node`` is ``None`` -- the state
-        transfer that closes the open transition window."""
+    def _open_round(self, node: Optional[ReplicaNode], pid: int) -> None:
+        """Open a state-sync round from wire address ``pid`` and arm its
+        retransmission: the resync of a recovering ``node``, or --
+        ``node`` is ``None`` -- the state transfer that closes the open
+        transition window."""
         self._sync_counter += 1
-        rnd = _SyncRound(self._sync_counter, pid, node, retry_kind)
+        rnd = _SyncRound(self._sync_counter, pid, node)
         self._rounds[rnd.round_id] = rnd
+        if pid not in self._clients:
+            self._clients[pid] = _RetryClient(pid)
         self._broadcast_round(rnd)
-        self._arm_round(rnd)
+        self._arm_retry(rnd)
 
     def _close_round(self, rnd: _SyncRound) -> None:
-        """Retire a completed or abandoned round: no timer, no table entry."""
-        if rnd.retry_handle is not None:
-            self._retry_lanes[rnd.retry_kind].cancel(rnd.retry_handle)
+        """Retire a completed or abandoned round: disarm it, as
+        :meth:`_finish` disarms an op (its wire address's wake declines
+        or follows the next armed item), and drop its table entry."""
+        self._clients[rnd.pid].armed.remove(rnd)
         del self._rounds[rnd.round_id]
 
     def _broadcast_round(self, rnd: _SyncRound) -> None:
@@ -960,11 +966,6 @@ class EmulatedMemory(SharedMemory):
             self._close_round(rnd)
             self.transfer_rounds += 1
             self._install_config()
-
-    @property
-    def live_replicas(self) -> int:
-        """Replicas that have not crashed yet."""
-        return sum(1 for r in self.replicas if not r.crashed)
 
     # ------------------------------------------------------------------
     # Dynamic membership: transitions, the rule in force, installs
@@ -1045,7 +1046,7 @@ class EmulatedMemory(SharedMemory):
         # The round's state machine lives in this object; the new
         # config's lowest member is merely the wire address its replies
         # route to.
-        self._open_round(None, -(min(nxt.members) + 1), "abd-transfer-retry")
+        self._open_round(None, -(min(nxt.members) + 1))
 
     def _install_config(self) -> None:
         """Install the proposed config and garbage-collect the old one.
@@ -1068,18 +1069,7 @@ class EmulatedMemory(SharedMemory):
     def _record(self, op: _PendingOp, kind: str, ts: Tuple[int, int], value: Any) -> None:
         """Append one completed-operation interval record (callers check
         ``config.record_history`` first)."""
-        self.op_history.append(
-            OpRecord(
-                op_id=op.op_id,
-                kind=kind,
-                pid=op.pid,
-                register=op.register.name,
-                ts=ts,
-                value=value,
-                inv=op.started_at,
-                resp=self._sim._now,
-            )
-        )
+        self.op_history.append(_op_record(op, kind, ts, value, self._sim._now))
 
     def recorded_history(self) -> List[OpRecord]:
         """The auditable interval history of this run.
@@ -1096,18 +1086,7 @@ class EmulatedMemory(SharedMemory):
         if self.config.record_history:
             for op in self._ops.values():
                 if op.kind != "read" and op.phase == "write":
-                    records.append(
-                        OpRecord(
-                            op_id=op.op_id,
-                            kind="write",
-                            pid=op.pid,
-                            register=op.register.name,
-                            ts=op.ts,
-                            value=op.value,
-                            inv=op.started_at,
-                            resp=math.inf,
-                        )
-                    )
+                    records.append(_op_record(op, "write", op.ts, op.value, math.inf))
         return records
 
     # ------------------------------------------------------------------
@@ -1211,7 +1190,7 @@ class EmulatedMemory(SharedMemory):
         targets = [-(idx + 1) for idx in self._serving if idx not in op.replies]
         self.network.multicast(op.pid, targets, kind, payload)
 
-    def _retry_delay(self, item: Any) -> float:
+    def _retry_delay(self, item: _Retried) -> float:
         """Delay before ``item``'s next retransmission round.
 
         ``fixed`` returns the constant interval and draws **no**
@@ -1235,24 +1214,25 @@ class EmulatedMemory(SharedMemory):
             delay *= 1.0 + config.retry_jitter * stream.random()
         return delay
 
-    def _arm_retry(self, op: _PendingOp) -> None:
-        """Arm ``op``'s next retransmission -- at its first phase and
-        after each retransmission.
+    def _arm_retry(self, item: _Retried) -> None:
+        """Arm ``item``'s next retransmission -- an op at its first
+        phase, a round when it opens, either after each retransmission.
 
-        The op reserves its heap key ``(now + delay, seq)`` here: the
+        The item reserves its heap key ``(now + delay, seq)`` here: the
         :meth:`_retry_delay` draw and one ``seq`` from the kernel's
-        counter, exactly the key a per-op timer entry would get, so
-        every other entry keeps its ``seq``.  The client's wake entry
-        (:meth:`_wake`) carries the retransmission to that key; a new
-        one is filed only when the client has none queued at or before
-        it (a queued later one is cancelled), so arming an op while an
-        earlier wake is queued pushes nothing.  A finished op needs no
-        cancellation: :meth:`_finish` only disarms it, and the next wake
-        follows the op armed after it or declines.
+        counter, exactly the key a per-item timer entry would get, so
+        every other entry keeps its ``seq``.  The wake entry of the
+        item's wire address (:meth:`_wake`) carries the retransmission
+        to that key; a new one is filed only when the address has none
+        queued at or before it (a queued later one is cancelled), so
+        arming an item while an earlier wake is queued pushes nothing.
+        A finished item needs no cancellation: :meth:`_finish` and
+        :meth:`_close_round` only disarm it, and the next wake follows
+        the item armed after it or declines.
         """
-        key = op.retry_key = (self._sim._now + self._retry_delay(op), self._seq())
-        client = self._clients[op.pid]
-        client.armed.append(op)
+        key = item.retry_key = (self._sim._now + self._retry_delay(item), self._seq())
+        client = self._clients[item.pid]
+        client.armed.append(item)
         wake = client.wake
         if wake is None or key < wake:
             if wake is not None:
@@ -1267,46 +1247,36 @@ class EmulatedMemory(SharedMemory):
         self._push((key[0], key[1], lane.kind_id, client.pid, lane, token))
 
     def _wake(self, client: _RetryClient) -> bool:
-        """A client's wake entry came up (the abd-retry lane's consumer).
+        """A wire address's wake entry came up (the abd-retry lane's
+        consumer).
 
-        The entry's key is the armed op's key: that op retransmits, as
-        it would have from its own timer, and re-arms.  The earliest
-        armed op is due later (the op the wake was filed for finished):
-        the wake re-files itself at that op's key and declines.  No op
-        is armed: it declines.  A declined wake counts as a skipped
-        event, not a fired one.
+        The entry's key is the armed item's key: that item retransmits,
+        as it would have from its own timer -- a round re-sends its
+        current step, an op its current phase -- and re-arms.  The
+        earliest armed item is due later (the item the wake was filed
+        for finished): the wake re-files itself at that item's key and
+        declines.  Nothing is armed: it declines.  A declined wake
+        counts as a skipped event, not a fired one.
         """
         key, client.wake = client.wake, None
         armed = client.armed
         if not armed:
             return False
-        op = min(armed, key=_retry_key_of)
-        if op.retry_key != key:
-            self._file_wake(client, op.retry_key)
+        item = min(armed, key=_retry_key_of)
+        if item.retry_key != key:
+            self._file_wake(client, item.retry_key)
             return False
-        armed.remove(op)
+        armed.remove(item)
         if armed:  # the wake follows the earliest of the others meanwhile
             self._file_wake(client, min(armed, key=_retry_key_of).retry_key)
         self.retransmissions += 1
-        op.attempts += 1
-        self._broadcast_phase(op)
-        self._arm_retry(op)
+        item.attempts += 1
+        if isinstance(item, _SyncRound):
+            self._broadcast_round(item)
+        else:
+            self._broadcast_phase(item)
+        self._arm_retry(item)
         return True
-
-    def _arm_round(self, rnd: _SyncRound) -> None:
-        """Arm ``rnd``'s retransmission timer on the lane of its kind,
-        with the round itself as the payload; ``rnd.retry_handle``
-        holds the token :meth:`_close_round` cancels."""
-        rnd.retry_handle = self._sim.schedule_lane_after(
-            self._retry_lanes[rnd.retry_kind], self._retry_delay(rnd), rnd, rnd.pid
-        )
-
-    def _retry_round(self, rnd: _SyncRound) -> None:
-        """One retransmission of a state-sync round (the sync lanes' consumer)."""
-        self.retransmissions += 1
-        rnd.attempts += 1
-        self._broadcast_round(rnd)
-        self._arm_round(rnd)
 
     def _finish(self, op: _PendingOp, result: Any) -> None:
         """Complete ``op``: disarm its retransmission (no entry is

@@ -241,18 +241,10 @@ class MembershipPlan:
             out.append((ev.at, tuple(sorted(members))))
         return tuple(out)
 
-    def final_members(self, replicas: int) -> Tuple[int, ...]:
-        """The member set once every event has applied."""
-        return self.member_timeline(replicas)[-1][1]
-
     def max_replica_index(self, replicas: int) -> int:
         """One past the largest replica index the run will ever host."""
         joins = sum(1 for ev in self.events if ev.kind == "join")
         return replicas + joins
-
-    def last_event_time(self) -> float:
-        """When the operator is quiet again (0.0 for an empty plan)."""
-        return max((ev.at for ev in self.events), default=0.0)
 
     # ------------------------------------------------------------------
     def to_jsonable(self) -> List[Dict[str, Any]]:

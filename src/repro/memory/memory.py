@@ -279,12 +279,8 @@ class SharedMemory:
         return 0.0
 
     # ------------------------------------------------------------------
-    # Per-register value history and growth
+    # Critical writes (AWB1)
     # ------------------------------------------------------------------
-    def value_history(self, name: str) -> List[Tuple[float, Any]]:
-        """The ``(time, value)`` sequence written to a register."""
-        return [(rec.time, rec.value) for rec in self.write_log if rec.register == name]
-
     def critical_write_times(self, pid: int) -> List[float]:
         """Times of ``pid``'s writes to *critical* registers.
 

@@ -46,10 +46,6 @@ class CrashPlan:
         """Crash time of ``pid`` (``inf`` if correct)."""
         return self.crash_times.get(pid, math.inf)
 
-    def is_crashed(self, pid: int, now: float) -> bool:
-        """True iff ``pid`` has crashed at or before ``now``."""
-        return now >= self.crash_time(pid)
-
     def is_correct(self, pid: int) -> bool:
         """True iff ``pid`` never crashes in this plan."""
         return pid not in self.crash_times
@@ -58,15 +54,6 @@ class CrashPlan:
     def correct(self) -> FrozenSet[int]:
         """The set of correct processes."""
         return frozenset(p for p in range(self.n) if p not in self.crash_times)
-
-    @property
-    def faulty(self) -> FrozenSet[int]:
-        """The set of faulty processes."""
-        return frozenset(self.crash_times)
-
-    def alive_at(self, now: float) -> FrozenSet[int]:
-        """Processes that have not crashed at ``now``."""
-        return frozenset(p for p in range(self.n) if not self.is_crashed(p, now))
 
     def until(self, horizon: float) -> "CrashPlan":
         """The crashes that happen in a run ending at ``horizon``: a

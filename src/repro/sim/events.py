@@ -19,7 +19,8 @@ one binary heap and its counter -- lives on
 entries; three hot producers build the tuple themselves and file it
 with ``Simulator.push``: the step loop (:mod:`repro.core.runner`),
 message delivery (:mod:`repro.netsim.network`) and the register
-emulation's retry wakes (:mod:`repro.memory.emulated`).  No other module
+emulation's retry wakes, one per wire address
+(:mod:`repro.memory.emulated`).  No other module
 may (the ``dispatch-raw-push`` lint rule).  This module holds what the
 entries carry: the kind-interning table and the columnar
 :class:`EventLane`.
@@ -39,9 +40,10 @@ columns, so arming a timer allocates no handle object at all.
 Cancelling is the O(1) lazy-cancel trick: the entry stays queued and
 the run loop skips it as stale when it comes up.  The lane users are
 the timer service's expirations, the message-passing runtime's named
-timers, the register emulation's state-sync retransmissions and its
-per-client retry wakes; netsim message deliveries are never cancelled,
-so they take the one-argument path.
+timers and the register emulation's retry wakes -- one per wire
+address, carrying both its quorum ops' and its state-sync rounds'
+retransmissions; netsim message deliveries are never cancelled, so
+they take the one-argument path.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ class EventLane:
 
     ``consume`` is the single per-lane delivery function, called with
     the stored payload when a live token fires -- the register
-    emulation's retransmission lanes pass their retry methods, and each
-    payload is the sync round or the client to retransmit for, so
-    arming a retry builds no closure.  A consumer that returns
+    emulation's wake lane passes its wake method, and each payload is
+    the wire address (a client process or a replica address running a
+    state-sync round) to retransmit for, so arming a retry builds no
+    closure.  A consumer that returns
     ``False`` *declines* the event: the run loop counts it as skipped,
     not fired (a retry wake that finds its operation finished or due
     later).  When ``consume`` is ``None`` the

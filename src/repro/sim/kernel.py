@@ -29,9 +29,10 @@ fire in the order their ``seq`` was drawn.  Entries are filed two ways:
   nor NaN, an interned ``kind_id``).  Three hot producers do this and
   no other module may (the ``dispatch-raw-push`` lint rule): the step
   loop (:mod:`repro.core.runner`), message delivery
-  (:mod:`repro.netsim.network`) and the register emulation's per-client
-  retry wakes (:mod:`repro.memory.emulated`), which reserve a ``seq``
-  when an operation arms and file the entry later under that key.
+  (:mod:`repro.netsim.network`) and the register emulation's retry
+  wakes, one per wire address (:mod:`repro.memory.emulated`), which
+  reserve a ``seq`` when a quorum op or a state-sync round arms and
+  file the entry later under that key.
 
 ``next_seq`` is the only source of ``seq`` for both ways, so the
 tie order between same-instant entries has one place to change.

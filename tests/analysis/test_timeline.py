@@ -53,7 +53,6 @@ class TestAnarchy:
         samples += [(30.0, 0, 0), (30.0, 1, 0)]
         report = build_timeline(trace_from(samples))
         assert report.anarchy_intervals == [(0.0, 20.0)]
-        assert report.last_anarchy_end == 20.0
 
     def test_faulty_opinions_excluded(self):
         plan = CrashPlan.single(3, 2, 5.0)
@@ -61,9 +60,9 @@ class TestAnarchy:
         report = build_timeline(trace_from(samples), crash_plan=plan)
         assert report.anarchy_times == []
 
-    def test_no_anarchy_reports_neg_inf(self):
+    def test_no_anarchy_reports_no_interval(self):
         report = build_timeline(trace_from([(0.0, 0, 0)]))
-        assert report.last_anarchy_end == float("-inf")
+        assert report.anarchy_intervals == []
 
 
 class TestRender:
@@ -82,7 +81,7 @@ class TestOnRealRun:
         report = build_timeline(result.trace, crash_plan=result.crash_plan)
         stab = result.stabilization(margin=200.0)
         assert stab.holds
-        assert report.last_anarchy_end <= stab.settle_time
+        assert report.anarchy_intervals[-1][1] <= stab.settle_time
 
     def test_crash_shortens_lane(self):
         plan = CrashPlan.single(3, 1, 100.0)

@@ -63,5 +63,5 @@ class TestOnRealElection:
         # After stabilization + one lease length, exactly one holder.
         probe = stab.settle_time + 150.0
         holders = report.holders_at(probe) or report.holders_at(probe + 50.0)
-        assert report.last_overlap() <= stab.settle_time + 100.0
+        assert all(t <= stab.settle_time + 100.0 for t in report.overlap_times)
         assert holders == [stab.leader]

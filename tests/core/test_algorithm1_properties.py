@@ -100,7 +100,11 @@ class TestTheorem2AllButOneBounded:
         """PROGRESS[ell] keeps increasing: its maximum in the tail
         exceeds its maximum in the first half."""
         leader = nominal_result.stabilization(margin=200.0).leader
-        history = nominal_result.memory.value_history(f"PROGRESS[{leader}]")
+        history = [
+            (rec.time, rec.value)
+            for rec in nominal_result.memory.write_log
+            if rec.register == f"PROGRESS[{leader}]"
+        ]
         horizon = nominal_result.horizon
         first_half = [v for t, v in history if t < horizon / 2]
         tail = [v for t, v in history if t >= horizon / 2]

@@ -108,7 +108,8 @@ class TestHandshakeMechanics:
         True/False -- each write raises a fresh signal."""
         leader = nominal_result.stabilization(margin=MARGIN).leader
         k = next(i for i in range(nominal_result.n) if i != leader)
-        history = [v for _, v in nominal_result.memory.value_history(f"PROGRESS[{leader}][{k}]")]
+        name = f"PROGRESS[{leader}][{k}]"
+        history = [rec.value for rec in nominal_result.memory.write_log if rec.register == name]
         # The leader re-writes the raised value until the partner
         # acknowledges (line 8.R2 is unconditional), so the raw history
         # has repeats; the *transitions* must strictly alternate.

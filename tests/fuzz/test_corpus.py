@@ -57,7 +57,7 @@ class TestPersistence:
         loaded = Corpus.load(root)
         assert loaded.members() == corpus.members()
         assert loaded.coverage.keys() == corpus.coverage.keys()
-        assert loaded.coverage.hits("stabilized=True") == 3
+        assert loaded.coverage.to_jsonable()["stabilized=True"] == 3
         assert loaded.regression_items() == corpus.regression_items()
 
     def test_missing_directory_loads_fresh(self, tmp_path):

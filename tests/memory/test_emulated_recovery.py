@@ -263,7 +263,8 @@ def test_completed_ops_leak_no_retry_timers():
 
 def test_completed_resync_leaks_no_retry_timers():
     # retry_interval 20 and a resync that completes in 0.5: a leaked
-    # resync timer would fire ~500 times before the horizon.
+    # resync timer would fire ~500 times before the horizon.  A round
+    # retransmits on the abd-retry wake, as the quorum ops do.
     sim, mem, reg = make_memory(
         fault_plan=[
             {"kind": "replica-crash", "at": 10.0, "replica": 1},
@@ -273,7 +274,7 @@ def test_completed_resync_leaks_no_retry_timers():
     sim.run(until=10_000.0)
     assert mem.resyncs == 1
     assert not mem._rounds
-    assert sim.fired_by_kind.get("abd-resync-retry", 0) == 0
+    assert sim.fired_by_kind.get("abd-retry", 0) == 0
 
 
 # ----------------------------------------------------------------------

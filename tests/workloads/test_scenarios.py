@@ -18,6 +18,7 @@ from repro.workloads.scenarios import (
     leader_storm,
     near_all_cascade,
     nominal,
+    replica_crash,
     san,
     scrambled,
     timely_churn,
@@ -40,7 +41,7 @@ class TestConstruction:
 
     def test_leader_crash_has_crash_plan(self):
         run = leader_crash(n=4).build(WriteEfficientOmega, seed=0)
-        assert run.crash_plan.faulty == frozenset({0})
+        assert set(run.crash_plan.crash_times) == {0}
 
     def test_all_but_one_leaves_survivor(self):
         run = all_but_one(n=5, survivor=3).build(WriteEfficientOmega, seed=0)
@@ -54,6 +55,11 @@ class TestConstruction:
         run = nominal(n=3).build(WriteEfficientOmega, seed=0)
         assert run.disk is None
 
+    def test_replica_crash_refuses_a_majority_of_crashes(self):
+        # Construction refuses it through the emulation's one liveness rule.
+        with pytest.raises(ValueError, match="minority"):
+            replica_crash(replicas=3, crash_replicas=2)
+
     def test_overrides_win(self):
         run = nominal(n=3).build(WriteEfficientOmega, seed=0, horizon=123.0)
         assert run.horizon == 123.0
@@ -63,7 +69,7 @@ class TestAdversarialSuite:
     def test_leader_storm_targets_lexmin_favourites(self):
         run = leader_storm(n=5, crashes=3).build(WriteEfficientOmega, seed=0)
         # The storm kills the next-in-line lexmin candidates, in order.
-        assert run.crash_plan.faulty == frozenset({0, 1, 2})
+        assert set(run.crash_plan.crash_times) == {0, 1, 2}
         times = [run.crash_plan.crash_time(pid) for pid in (0, 1, 2)]
         assert times == sorted(times)
         # Bursts of 2: pids 0 and 1 die in the same storm, pid 2 later.
